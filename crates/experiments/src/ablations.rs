@@ -251,9 +251,7 @@ pub fn route_dispersion_closure(protocol: &Protocol, range_fractions: &[f64]) ->
         let world = crate::harness::build_world(&scenario, protocol.dt, seed);
         let clustering = Clustering::form(LowestId, world.topology());
         let stack = ProtocolStack::ideal(world, clustering, IntraClusterRouting::new());
-        let mut stack =
-            crate::harness::StackDriver::with_shards(stack, crate::harness::default_shards())
-                .expect("--shards layout incompatible with the scenario radius");
+        let mut stack = crate::harness::on_plane(stack, None);
         let mut quiet = QuietCtx::new();
         stack.prime(&mut quiet.ctx());
         let warm = (protocol.warmup / protocol.dt) as usize;

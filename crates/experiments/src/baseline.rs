@@ -1,9 +1,8 @@
 //! EXT2 — the paper's motivating comparison: flat proactive routing (DSDV)
 //! vs the clustered hybrid stack, as network size grows at fixed density.
 
-use crate::harness::{Protocol, Scenario, StackDriver};
+use crate::harness::{on_plane, Protocol, Scenario};
 use manet_cluster::{Clustering, LowestId};
-use manet_geom::ShardDims;
 use manet_routing::dsdv::{Dsdv, DsdvOutcome};
 use manet_routing::intra::{IntraClusterRouting, UpdatePolicy};
 use manet_sim::{HelloMode, MessageKind, QuietCtx, SimBuilder};
@@ -23,27 +22,17 @@ pub struct BaselineRow {
 }
 
 /// Runs the comparison at fixed density `ρ = 400/10⁶ m⁻²` with a DSDV full
-/// dump every `dump_interval` seconds.
+/// dump every `dump_interval` seconds, the clustered stack on the default
+/// shard layout.
+///
+/// # Panics
+///
+/// Panics when the default layout's tiles would be narrower than the
+/// 150 m radio radius at the smallest swept size.
 pub fn flat_vs_clustered(
     protocol: &Protocol,
     sizes: &[usize],
     dump_interval: f64,
-) -> Vec<BaselineRow> {
-    flat_vs_clustered_sharded(protocol, sizes, dump_interval, None)
-}
-
-/// [`flat_vs_clustered`] over an optional shard layout for the clustered
-/// stack (`None` = monolithic; results are bit-identical either way).
-///
-/// # Panics
-///
-/// Panics when the layout's tiles would be narrower than the 150 m radio
-/// radius at the smallest swept size.
-pub fn flat_vs_clustered_sharded(
-    protocol: &Protocol,
-    sizes: &[usize],
-    dump_interval: f64,
-    shards: Option<ShardDims>,
 ) -> Vec<BaselineRow> {
     let density = 400.0 / 1e6;
     sizes
@@ -75,8 +64,7 @@ pub fn flat_vs_clustered_sharded(
                 interval: dump_interval,
             });
             let stack = ProtocolStack::ideal(world, clustering, routing);
-            let mut stack = StackDriver::with_shards(stack, shards)
-                .expect("shard layout incompatible with swept scenario radius");
+            let mut stack = on_plane(stack, None);
             let mut quiet = QuietCtx::new();
             stack.prime(&mut quiet.ctx());
             let mut dsdv = Dsdv::new(dump_interval);

@@ -22,7 +22,7 @@
 
 use manet_experiments::harness::{Protocol, Scenario};
 use manet_experiments::trace::{
-    attribution_text, audit_text, init_shards_from_args, metrics_out_from_args, trace_run_sharded,
+    attribution_text, audit_text, init_shards_from_args, metrics_out_from_args, trace_run,
     TelemetryConfig,
 };
 use manet_model::overhead::OverheadModel;
@@ -35,7 +35,7 @@ use std::process::ExitCode;
 const UNIT_COST_TOLERANCE: f64 = 0.15;
 
 fn main() -> ExitCode {
-    let shards = init_shards_from_args();
+    init_shards_from_args();
     let quick = std::env::args().any(|a| a == "--quick");
     let (scenario, protocol, label) = if quick {
         (
@@ -73,7 +73,7 @@ fn main() -> ExitCode {
         protocol.dt,
         protocol.seeds.first().copied().unwrap_or(1),
     );
-    let run = match trace_run_sharded(&scenario, &protocol, &config, shards) {
+    let run = match trace_run(&scenario, &protocol, &config) {
         Ok(run) => run,
         Err(e) => {
             println!("GATE FAIL: traced run errored: {e}");

@@ -104,7 +104,7 @@ fn bench_cell(
     });
     let mut quiet = QuietCtx::new();
     let mut step = |world: &mut World, plane: &mut Option<ShardPlane>| match plane {
-        Some(p) => world.step_with(&mut quiet.ctx(), p),
+        Some(p) => world.step_staged(&mut quiet.ctx(), p),
         None => world.step(&mut quiet.ctx()),
     };
 
@@ -135,7 +135,7 @@ fn bench_cell(
             let mut probe = Probe::new(None, None).with_spans(Some(&mut spans));
             let mut ctx = StepCtx::new(&mut probe, &mut scratch);
             match plane.as_mut() {
-                Some(p) => world.step_with(&mut ctx, p),
+                Some(p) => world.step_staged(&mut ctx, p),
                 None => unreachable!("spanned window only runs sharded"),
             };
         }

@@ -13,9 +13,9 @@
 //!
 //! Exits non-zero when any gate fails.
 
-use manet_experiments::harness::{Protocol, Scenario};
+use manet_experiments::harness::{Protocol, Scenario, ShardRun};
 use manet_experiments::robustness2::{chaos_trace, summarize, sweep_chaos, table, ChaosPoint};
-use manet_experiments::trace::{init_serve_from_args, init_shards_from_args};
+use manet_experiments::trace::{init_serve_from_args, shards_from_args, shards_header};
 use manet_geom::ShardDims;
 use manet_telemetry::MsgClass;
 use std::process::ExitCode;
@@ -25,8 +25,8 @@ fn main() -> ExitCode {
     // every chaos run below streams its windows there; the guard honors
     // --serve-hold on exit.
     let _serve = init_serve_from_args();
-    let shards = init_shards_from_args();
-    let dims = shards.unwrap_or_else(|| ShardDims::parse("2x2").expect("2x2 parses"));
+    let dims = shards_from_args().unwrap_or_else(|| ShardDims::new(2, 2));
+    println!("{}", shards_header(&ShardRun::new(dims)));
     let quick = std::env::args().any(|a| a == "--quick");
     let (scenario, protocol) = if quick {
         (

@@ -83,12 +83,10 @@ pub fn maintenance_rates(scenario: &Scenario, measure: f64) -> Vec<DhopRates> {
             let routing =
                 IntraClusterRouting::with_policy(UpdatePolicy::Coalesced { interval: 10.0 });
             let stack = ProtocolStack::ideal(world, DHopLayer::new(LowestId, c), routing);
-            let mut stack =
-                crate::harness::StackDriver::with_shards(stack, crate::harness::default_shards())
-                    .expect("--shards layout incompatible with the scenario radius");
+            let mut stack = crate::harness::on_plane(stack, None);
             let mut quiet = QuietCtx::new();
             stack.prime(&mut quiet.ctx());
-            stack.world_mut().run_for(30.0, &mut quiet.ctx());
+            stack.run_world_for(30.0, &mut quiet.ctx());
             {
                 let (world, layer, _) = stack.split_mut();
                 layer

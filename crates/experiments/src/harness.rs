@@ -5,13 +5,11 @@
 use manet_cluster::{ClusterPolicy, Clustering, LowestId};
 use manet_geom::{ShardDims, ShardLayoutError};
 use manet_routing::intra::IntraClusterRouting;
-use manet_shard::{InterconnectConfig, ShardPlane, ShardReport, ShardedStack};
+use manet_shard::{default_workers, InterconnectConfig, ShardPlane, ShardedStack};
 use manet_sim::{
-    HelloMode, HelloProtocol, MessageKind, MobilityKind, QuietCtx, SimBuilder, StepCtx, StepReport,
-    World,
+    HelloMode, MessageKind, MobilityKind, QuietCtx, SimBuilder, StepCtx, StepReport, World,
 };
 use manet_stack::{ClusterLayer, ProtocolStack, RouteLayer, StackReport};
-use manet_telemetry::ShardSnapshot;
 use manet_util::stats::Summary;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -185,26 +183,28 @@ fn cancelled(cancel: Option<&CancelToken>) -> bool {
 
 /// Process-wide default shard layout, set once by experiment binaries
 /// from `--shards` (see [`set_default_shards`]).
-static DEFAULT_SHARDS: OnceLock<Option<ShardDims>> = OnceLock::new();
+static DEFAULT_SHARDS: OnceLock<ShardDims> = OnceLock::new();
 
 /// Sets the process-wide default shard layout. Experiment binaries call
-/// this once at startup after parsing `--shards`; every harness wrapper
-/// that does not take explicit dims ([`measure_lid`],
-/// [`measure_with_policy`], `measure_with_faults`, …) then routes its
-/// topology stage through the shard plane. A second call is ignored.
+/// this once at startup after parsing `--shards`; every harness run not
+/// handed explicit [`ShardRun`] options then uses it. A second call is
+/// ignored.
 ///
-/// The sharded path is bit-identical to the monolithic one for a fixed
-/// seed, so this changes wall-clock only — never results.
-pub fn set_default_shards(dims: Option<ShardDims>) {
+/// Every layout is bit-identical for a fixed seed, so this changes
+/// wall-clock only — never results.
+pub fn set_default_shards(dims: ShardDims) {
     let _ = DEFAULT_SHARDS.set(dims);
 }
 
-/// The process-wide default shard layout (`None` until a binary sets one).
-pub fn default_shards() -> Option<ShardDims> {
-    DEFAULT_SHARDS.get().copied().flatten()
+/// The process-wide default shard layout: `1x1` until a binary sets one.
+pub fn default_shards() -> ShardDims {
+    DEFAULT_SHARDS
+        .get()
+        .copied()
+        .unwrap_or_else(ShardDims::unit)
 }
 
-/// Shard-path options for one harness run: the layout plus an optional
+/// Shard-plane options for one harness run: the layout plus an optional
 /// worker cap and an optional fallible-interconnect configuration.
 #[derive(Debug, Clone)]
 pub struct ShardRun {
@@ -227,6 +227,14 @@ impl ShardRun {
         }
     }
 
+    /// The options `run` names, or the default layout
+    /// ([`default_shards`]) when `None` — the one place a missing layout
+    /// is resolved.
+    pub fn resolve(run: Option<&ShardRun>) -> ShardRun {
+        run.cloned()
+            .unwrap_or_else(|| ShardRun::new(default_shards()))
+    }
+
     /// Caps the shard worker pool.
     #[must_use]
     pub fn with_workers(mut self, n: usize) -> Self {
@@ -240,40 +248,15 @@ impl ShardRun {
         self.interconnect = Some(config);
         self
     }
-}
 
-/// A harness stack on either the monolithic or the sharded topology
-/// path, exposing the handful of entry points the measurement loops use.
-///
-/// Both paths are bit-identical for a fixed seed (the shard plane's
-/// determinism contract, pinned by `tests/shard_plane.rs`); the sharded
-/// one additionally fans the topology stage out over spatial shards.
-pub enum StackDriver<C, R> {
-    /// The monolithic `ProtocolStack` (the default path).
-    Mono(Box<ProtocolStack<C, R>>),
-    /// The ghost-margin sharded stack.
-    Sharded(Box<ShardedStack<C, R>>),
-}
-
-impl<C: ClusterLayer, R: RouteLayer> StackDriver<C, R> {
-    /// Wraps `stack`: monolithic when `shards` is `None`, sharded (even
-    /// at `1x1`) when given dims.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the layout is too fine for the world's radio radius.
-    pub fn with_shards(
-        stack: ProtocolStack<C, R>,
-        shards: Option<ShardDims>,
-    ) -> Result<Self, ShardLayoutError> {
-        Ok(match shards {
-            None => StackDriver::Mono(Box::new(stack)),
-            Some(dims) => StackDriver::Sharded(Box::new(ShardedStack::new(stack, dims)?)),
-        })
+    /// The worker pool these options run with.
+    pub fn worker_count(&self) -> usize {
+        self.workers
+            .unwrap_or_else(|| default_workers(self.dims.count()))
+            .max(1)
     }
 
-    /// [`StackDriver::with_shards`] over full [`ShardRun`] options
-    /// (worker cap, fallible interconnect).
+    /// Puts `stack` on a shard plane with these options.
     ///
     /// # Errors
     ///
@@ -284,169 +267,70 @@ impl<C: ClusterLayer, R: RouteLayer> StackDriver<C, R> {
     /// Panics on an invalid interconnect config (loss probability or
     /// stall schedule out of range) — chaos configs are constructed in
     /// code, so this indicates a bug in the sweep, not user input.
-    pub fn with_shard_run(
+    pub fn stack<C: ClusterLayer, R: RouteLayer>(
+        &self,
         stack: ProtocolStack<C, R>,
-        run: Option<&ShardRun>,
-    ) -> Result<Self, ShardLayoutError> {
-        Ok(match run {
-            None => StackDriver::Mono(Box::new(stack)),
-            Some(r) => {
-                let mut s = ShardedStack::new(stack, r.dims)?;
-                if let Some(w) = r.workers {
-                    s = s.with_workers(w);
-                }
-                if let Some(ic) = &r.interconnect {
-                    s = s
-                        .with_interconnect(ic.clone())
-                        .expect("interconnect config validated by construction");
-                }
-                StackDriver::Sharded(Box::new(s))
-            }
-        })
-    }
-
-    /// The shard + link-health snapshot (`None` on the monolithic path).
-    pub fn shard_snapshot(&self) -> Option<ShardSnapshot> {
-        match self {
-            StackDriver::Mono(_) => None,
-            StackDriver::Sharded(s) => Some(s.shard_snapshot()),
+    ) -> Result<ShardedStack<C, R>, ShardLayoutError> {
+        let mut s = ShardedStack::new(stack, self.dims)?.with_workers(self.worker_count());
+        if let Some(ic) = &self.interconnect {
+            s = s
+                .with_interconnect(ic.clone())
+                .expect("interconnect config validated by construction");
         }
-    }
-
-    /// The aggregated shard report (`None` on the monolithic path).
-    pub fn shard_report(&self) -> Option<ShardReport> {
-        match self {
-            StackDriver::Mono(_) => None,
-            StackDriver::Sharded(s) => Some(s.shard_report()),
-        }
-    }
-
-    /// See `ProtocolStack::prime`.
-    pub fn prime(&mut self, ctx: &mut StepCtx<'_, '_>) {
-        match self {
-            StackDriver::Mono(s) => s.prime(ctx),
-            StackDriver::Sharded(s) => s.prime(ctx),
-        }
-    }
-
-    /// One canonical tick on whichever path is configured.
-    pub fn tick(&mut self, ctx: &mut StepCtx<'_, '_>) -> StackReport {
-        match self {
-            StackDriver::Mono(s) => s.tick(ctx),
-            StackDriver::Sharded(s) => s.tick(ctx),
-        }
-    }
-
-    /// See `ProtocolStack::audit_sample`.
-    pub fn audit_sample(&self, now: f64) -> manet_telemetry::AuditSample {
-        match self {
-            StackDriver::Mono(s) => s.audit_sample(now),
-            StackDriver::Sharded(s) => s.audit_sample(now),
-        }
-    }
-
-    /// The simulated world.
-    pub fn world(&self) -> &World {
-        match self {
-            StackDriver::Mono(s) => s.world(),
-            StackDriver::Sharded(s) => s.world(),
-        }
-    }
-
-    /// Mutable world access.
-    pub fn world_mut(&mut self) -> &mut World {
-        match self {
-            StackDriver::Mono(s) => s.world_mut(),
-            StackDriver::Sharded(s) => s.world_mut(),
-        }
-    }
-
-    /// See `ProtocolStack::split_mut`.
-    pub fn split_mut(&mut self) -> (&mut World, &mut C, &mut R) {
-        match self {
-            StackDriver::Mono(s) => s.split_mut(),
-            StackDriver::Sharded(s) => s.split_mut(),
-        }
-    }
-
-    /// Consumes the driver, returning the simulated world.
-    pub fn into_world(self) -> World {
-        match self {
-            StackDriver::Mono(s) => s.into_parts().0,
-            StackDriver::Sharded(s) => s.into_parts().0.into_parts().0,
-        }
-    }
-
-    /// The cluster layer.
-    pub fn cluster(&self) -> &C {
-        match self {
-            StackDriver::Mono(s) => s.cluster(),
-            StackDriver::Sharded(s) => s.cluster(),
-        }
-    }
-
-    /// The explicit HELLO protocol driver, when one is attached.
-    pub fn hello(&self) -> Option<&HelloProtocol> {
-        match self {
-            StackDriver::Mono(s) => s.hello(),
-            StackDriver::Sharded(s) => s.hello(),
-        }
+        Ok(s)
     }
 }
 
-/// A bare [`World`] stepped on either topology path — the world-only twin
-/// of [`StackDriver`] for engine-validation experiments that run no
-/// protocol stack (tick convergence, data-plane stretch, claim checks).
+/// Puts `stack` on the shard plane `run` describes (`None` = the default
+/// layout) — the engine every harness loop ticks.
+///
+/// # Panics
+///
+/// Panics when the layout's tiles would be narrower than the ghost margin
+/// of the world's radio radius; validate dims against the scenario up
+/// front (as `ScenarioSpec::validate` does) for a friendlier error.
+pub fn on_plane<C: ClusterLayer, R: RouteLayer>(
+    stack: ProtocolStack<C, R>,
+    run: Option<&ShardRun>,
+) -> ShardedStack<C, R> {
+    ShardRun::resolve(run)
+        .stack(stack)
+        .expect("shard layout incompatible with the scenario radius")
+}
+
+/// A bare [`World`] stepped on the default shard plane — the world-only
+/// counterpart of [`on_plane`] for engine-validation experiments that run
+/// no protocol stack (tick convergence, data-plane stretch, claim checks).
 /// Dereferences to the inner world for everything except `step`/`run_for`,
-/// which are shadowed to route through the shard plane when one is
-/// configured. Both paths are bit-identical for a fixed seed.
+/// which are shadowed to tick on the plane.
 pub struct WorldDriver {
     world: World,
-    plane: Option<Box<ShardPlane>>,
+    plane: ShardPlane,
 }
 
 impl WorldDriver {
-    /// Wraps `world`, honoring the process-wide [`default_shards`] layout.
+    /// Wraps `world` in a plane of the process-wide [`default_shards`]
+    /// layout.
     ///
     /// # Panics
     ///
     /// Panics when the default layout is too fine for the world's radio
     /// radius — the operator picked `--shards` for this scenario.
     pub fn new(world: World) -> Self {
-        WorldDriver::with_shards(world, default_shards())
-    }
-
-    /// Explicit-layout variant of [`WorldDriver::new`] (`None` =
-    /// monolithic).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the layout is too fine for the world's radio radius.
-    pub fn with_shards(world: World, shards: Option<ShardDims>) -> Self {
-        let plane = shards.map(|dims| {
-            Box::new(
-                ShardPlane::for_world(&world, dims)
-                    .expect("--shards layout incompatible with the scenario radius"),
-            )
-        });
+        let plane = ShardPlane::for_world(&world, default_shards())
+            .expect("--shards layout incompatible with the scenario radius");
         WorldDriver { world, plane }
     }
 
-    /// One tick on whichever topology path is configured.
+    /// One tick on the plane.
     pub fn step(&mut self, ctx: &mut StepCtx<'_, '_>) -> StepReport {
-        match &mut self.plane {
-            None => self.world.step(ctx),
-            Some(plane) => self.world.step_with(ctx, plane.as_mut()),
-        }
+        self.world.step_staged(ctx, &mut self.plane)
     }
 
     /// Runs whole ticks until at least `seconds` more simulated time has
     /// elapsed (see `World::run_for`).
     pub fn run_for(&mut self, seconds: f64, ctx: &mut StepCtx<'_, '_>) {
-        let target = self.world.time() + seconds;
-        while self.world.time() + self.world.dt() * 0.5 < target {
-            self.step(ctx);
-        }
+        self.world.run_for_staged(seconds, ctx, &mut self.plane);
     }
 }
 
@@ -467,9 +351,9 @@ impl DerefMut for WorldDriver {
 /// `policy_for_seed` and measures the paper's metrics.
 ///
 /// The per-seed policy constructor allows weight-based policies (DMAC) to
-/// draw per-node weights deterministically per replication. Honors the
-/// process-wide [`default_shards`] layout (results are identical either
-/// way; only the topology stage's parallelism changes).
+/// draw per-node weights deterministically per replication. Runs on the
+/// process-wide [`default_shards`] layout (results are identical at any
+/// layout; only the parallelism changes).
 pub fn measure_with_policy<P, F>(
     scenario: &Scenario,
     protocol: &Protocol,
@@ -479,41 +363,17 @@ where
     P: ClusterPolicy,
     F: FnMut(u64) -> P,
 {
-    measure_with_policy_sharded(scenario, protocol, default_shards(), policy_for_seed)
-}
-
-/// [`measure_with_policy`] over an optional shard layout (`None` =
-/// monolithic; `Some(dims)` runs the topology stage on the ghost-margin
-/// shard plane, bit-identical for a fixed seed at any dims).
-///
-/// # Panics
-///
-/// Panics when the layout's tiles would be narrower than the radio
-/// radius; validate dims against the scenario up front (as the
-/// experiment bins do) for a friendlier error.
-pub fn measure_with_policy_sharded<P, F>(
-    scenario: &Scenario,
-    protocol: &Protocol,
-    shards: Option<ShardDims>,
-    policy_for_seed: F,
-) -> Measured
-where
-    P: ClusterPolicy,
-    F: FnMut(u64) -> P,
-{
-    let run = shards.map(ShardRun::new);
-    measure_with_policy_ctl(scenario, protocol, run.as_ref(), None, policy_for_seed)
+    measure_with_policy_ctl(scenario, protocol, None, None, policy_for_seed)
         .expect("a measurement without a cancel token cannot be cancelled")
 }
 
 /// The cancellable core of [`measure_with_policy`]: full [`ShardRun`]
-/// options plus an optional [`CancelToken`] polled every
-/// [`CANCEL_CHECK_TICKS`] ticks. Returns `None` when cancellation fired
-/// mid-run (partial seeds are discarded — a cancelled measurement never
-/// yields numbers). The uncancelled result is bit-identical to
-/// [`measure_with_policy_sharded`] at the same layout — the jobs plane
-/// and the experiment bins share this loop, which is what makes their
-/// outputs byte-comparable.
+/// options (`None` = the default layout) plus an optional [`CancelToken`]
+/// polled every [`CANCEL_CHECK_TICKS`] ticks. Returns `None` when
+/// cancellation fired mid-run (partial seeds are discarded — a cancelled
+/// measurement never yields numbers). The jobs plane and the experiment
+/// bins share this loop, which is what makes their outputs
+/// byte-comparable.
 ///
 /// # Panics
 ///
@@ -558,8 +418,7 @@ where
             .build();
         let clustering = Clustering::form(policy_for_seed(seed), world.topology());
         let stack = ProtocolStack::ideal(world, clustering, IntraClusterRouting::new());
-        let mut stack = StackDriver::with_shard_run(stack, run)
-            .expect("shard layout incompatible with scenario radius");
+        let mut stack = on_plane(stack, run);
         let mut quiet = QuietCtx::new();
         stack.prime(&mut quiet.ctx()); // baseline fill
 
@@ -626,16 +485,6 @@ where
 /// [`measure_with_policy`] specialized to the paper's LID case study.
 pub fn measure_lid(scenario: &Scenario, protocol: &Protocol) -> Measured {
     measure_with_policy(scenario, protocol, |_| LowestId)
-}
-
-/// [`measure_lid`] over an optional shard layout (see
-/// [`measure_with_policy_sharded`]).
-pub fn measure_lid_sharded(
-    scenario: &Scenario,
-    protocol: &Protocol,
-    shards: Option<ShardDims>,
-) -> Measured {
-    measure_with_policy_sharded(scenario, protocol, shards, |_| LowestId)
 }
 
 /// The analytical counterpart at a given head ratio: frequencies from the
@@ -734,23 +583,15 @@ mod tests {
     }
 
     #[test]
-    fn ctl_core_without_token_matches_the_sharded_entry_point() {
-        let scenario = Scenario {
-            nodes: 100,
-            side: 500.0,
-            radius: 100.0,
-            ..Scenario::default()
-        };
-        let protocol = Protocol {
-            warmup: 10.0,
-            measure: 30.0,
-            seeds: vec![5],
-            dt: 0.5,
-        };
-        let via_sharded = measure_with_policy_sharded(&scenario, &protocol, None, |_| LowestId);
-        let via_ctl = measure_with_policy_ctl(&scenario, &protocol, None, None, |_| LowestId)
-            .expect("uncancelled");
-        assert_eq!(via_sharded, via_ctl);
+    fn missing_run_options_resolve_to_the_default_layout() {
+        let run = ShardRun::resolve(None);
+        assert_eq!(run.dims, default_shards());
+        assert_eq!(run.worker_count(), default_workers(run.dims.count()));
+        assert!(run.interconnect.is_none());
+        let explicit = ShardRun::new(ShardDims::new(2, 2)).with_workers(3);
+        let resolved = ShardRun::resolve(Some(&explicit));
+        assert_eq!(resolved.dims, ShardDims::new(2, 2));
+        assert_eq!(resolved.worker_count(), 3);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! how the protocol's neighbor view degrades as the beacon rate drops
 //! below the link dynamics, quantifying what the bound actually buys.
 
-use crate::harness::{build_world, default_shards, Scenario, StackDriver};
+use crate::harness::{build_world, on_plane, Scenario};
 use manet_sim::hello::HelloProtocol;
 use manet_sim::{Channel, LossModel, QuietCtx};
 use manet_stack::{HelloDriver, NoClustering, NoRouting, ProtocolStack};
@@ -46,10 +46,9 @@ pub fn sweep(scenario: &Scenario, measure: f64) -> Vec<HelloRow> {
                 ideal(),
                 ideal(),
             );
-            let mut stack = StackDriver::with_shards(stack, default_shards())
-                .expect("--shards layout incompatible with the scenario radius");
+            let mut stack = on_plane(stack, None);
             let mut quiet = QuietCtx::new();
-            stack.world_mut().run_for(30.0, &mut quiet.ctx());
+            stack.run_world_for(30.0, &mut quiet.ctx());
             stack.world_mut().begin_measurement();
             let mut missing = Summary::new();
             let mut stale = Summary::new();

@@ -30,6 +30,10 @@
 //! Every binary additionally accepts `--trace-out <path>`: after its
 //! experiment runs, a telemetry-instrumented twin of its default scenario
 //! writes a JSONL event trace there (see the [`trace`] module).
+//!
+//! Every simulation ticks the shard plane ([`harness::on_plane`]): the
+//! `1x1` layout unless `--shards KXxKY` picks another, with identical
+//! results at every layout.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -12,11 +12,9 @@
 //! measured total collapses onto the ideal stack's numbers.
 
 use crate::harness::{
-    analysis_at, CancelToken, Estimate, Protocol, Scenario, ShardRun, StackDriver,
-    CANCEL_CHECK_TICKS,
+    analysis_at, on_plane, CancelToken, Estimate, Protocol, Scenario, ShardRun, CANCEL_CHECK_TICKS,
 };
 use manet_cluster::{Backoff, Clustering, LowestId, SelfHealing};
-use manet_geom::ShardDims;
 use manet_routing::intra::IntraClusterRouting;
 use manet_sim::{
     ChurnSchedule, FaultPlan, HelloMode, HelloProtocol, LossModel, MessageKind, QuietCtx,
@@ -95,41 +93,21 @@ impl FaultMeasured {
 /// Runs the self-healing stack (lossy HELLO + retrying cluster maintenance
 /// + re-syncing intra-cluster routing) under `config` and measures rates.
 ///
-/// Honors the process-wide [`crate::harness::default_shards`] layout.
+/// Runs on the process-wide [`crate::harness::default_shards`] layout.
 pub fn measure_with_faults(
     scenario: &Scenario,
     protocol: &Protocol,
     config: &FaultConfig,
 ) -> FaultMeasured {
-    measure_with_faults_sharded(scenario, protocol, config, crate::harness::default_shards())
-}
-
-/// [`measure_with_faults`] over an optional shard layout (`None` =
-/// monolithic; `Some(dims)` runs the topology stage on the ghost-margin
-/// shard plane, bit-identical for a fixed seed at any dims).
-///
-/// # Panics
-///
-/// Panics when the layout's tiles would be narrower than the radio
-/// radius; validate dims against the scenario up front for a friendlier
-/// error.
-pub fn measure_with_faults_sharded(
-    scenario: &Scenario,
-    protocol: &Protocol,
-    config: &FaultConfig,
-    shards: Option<ShardDims>,
-) -> FaultMeasured {
-    let run = shards.map(ShardRun::new);
-    measure_with_faults_ctl(scenario, protocol, config, run.as_ref(), None)
+    measure_with_faults_ctl(scenario, protocol, config, None, None)
         .expect("a measurement without a cancel token cannot be cancelled")
 }
 
 /// The cancellable core of [`measure_with_faults`]: full [`ShardRun`]
-/// options plus an optional [`CancelToken`] polled every
-/// [`CANCEL_CHECK_TICKS`] ticks. Returns `None` when cancellation fired
-/// mid-run. The uncancelled result is bit-identical to
-/// [`measure_with_faults_sharded`] at the same layout — the jobs plane
-/// and the robustness bin share this loop.
+/// options (`None` = the default layout) plus an optional [`CancelToken`]
+/// polled every [`CANCEL_CHECK_TICKS`] ticks. Returns `None` when
+/// cancellation fired mid-run. The jobs plane and the robustness bin
+/// share this loop.
 ///
 /// # Panics
 ///
@@ -195,8 +173,7 @@ pub fn measure_with_faults_ctl(
         let clustering = Clustering::form(LowestId, world.topology());
         let healer = SelfHealing::new(clustering, config.backoff, config.sweep_interval);
         let stack = ProtocolStack::faulty(world, healer, IntraClusterRouting::new(), hello);
-        let mut stack = StackDriver::with_shard_run(stack, run)
-            .expect("shard layout incompatible with scenario radius");
+        let mut stack = on_plane(stack, run);
         let mut quiet = QuietCtx::new();
         stack.prime(&mut quiet.ctx());
 
@@ -354,29 +331,8 @@ pub fn sweep_loss(
     ps: &[f64],
     crash_rate: f64,
 ) -> Vec<RobustnessRow> {
-    sweep_loss_sharded(scenario, protocol, ps, crash_rate, None)
-}
-
-/// [`sweep_loss`] over an optional shard layout (see
-/// [`measure_with_faults_sharded`]).
-pub fn sweep_loss_sharded(
-    scenario: &Scenario,
-    protocol: &Protocol,
-    ps: &[f64],
-    crash_rate: f64,
-    shards: Option<ShardDims>,
-) -> Vec<RobustnessRow> {
-    let run = shards.map(ShardRun::new);
-    sweep_ctl(
-        scenario,
-        protocol,
-        ps,
-        crash_rate,
-        false,
-        run.as_ref(),
-        None,
-    )
-    .expect("a sweep without a cancel token cannot be cancelled")
+    sweep_ctl(scenario, protocol, ps, crash_rate, false, None, None)
+        .expect("a sweep without a cancel token cannot be cancelled")
 }
 
 /// The cancellable core of [`sweep_loss`] (with `burst`, of a
@@ -405,20 +361,7 @@ pub fn burst_row(
     p: f64,
     crash_rate: f64,
 ) -> RobustnessRow {
-    burst_row_sharded(scenario, protocol, p, crash_rate, None)
-}
-
-/// [`burst_row`] over an optional shard layout (see
-/// [`measure_with_faults_sharded`]).
-pub fn burst_row_sharded(
-    scenario: &Scenario,
-    protocol: &Protocol,
-    p: f64,
-    crash_rate: f64,
-    shards: Option<ShardDims>,
-) -> RobustnessRow {
-    let run = shards.map(ShardRun::new);
-    row_ctl(scenario, protocol, p, crash_rate, true, run.as_ref(), None)
+    row_ctl(scenario, protocol, p, crash_rate, true, None, None)
         .expect("a row without a cancel token cannot be cancelled")
 }
 

@@ -25,7 +25,8 @@ use crate::harness::{
 };
 use crate::robustness::{row_ctl, FaultMeasured, RobustnessRow};
 use manet_cluster::{HighestConnectivity, LowestId};
-use manet_geom::ShardDims;
+use manet_geom::{ShardDims, ShardLayout, ShardLayoutError, SquareRegion};
+use manet_shard::ghost_margin;
 use manet_sim::MobilityKind;
 use manet_util::json::Value;
 use std::fmt;
@@ -174,8 +175,9 @@ pub struct ScenarioSpec {
     /// fractions, fig2: speeds, fig3: node counts). Empty for
     /// single/robustness.
     pub sweep: Vec<f64>,
-    /// Shard layout (`None` = monolithic). Results are bit-identical
-    /// either way, so this is an execution hint, not part of the outcome.
+    /// Shard layout (`None` = the default layout, `1x1` unless the process
+    /// set one). Results are bit-identical at any layout, so this is an
+    /// execution hint, not part of the outcome.
     pub shards: Option<ShardDims>,
     /// Shard worker-thread budget.
     pub workers: Option<usize>,
@@ -188,7 +190,7 @@ pub struct ScenarioSpec {
 
 impl ScenarioSpec {
     /// The default spec for `kind`: paper-default scenario and protocol,
-    /// the figure's own sweep grid, LID clustering, monolithic layout.
+    /// the figure's own sweep grid, LID clustering, default layout.
     pub fn preset(kind: SpecKind) -> ScenarioSpec {
         let scenario = Scenario::default();
         let protocol = Protocol::default();
@@ -242,9 +244,13 @@ impl ScenarioSpec {
         }
     }
 
-    /// The execution layout: `None` for the monolithic path.
+    /// The execution layout: `None` when the spec leaves both the layout
+    /// and the worker pool to their defaults.
     pub fn shard_run(&self) -> Option<ShardRun> {
-        let mut run = ShardRun::new(self.shards?);
+        if self.shards.is_none() && self.workers.is_none() {
+            return None;
+        }
+        let mut run = ShardRun::resolve(self.shards.map(ShardRun::new).as_ref());
         if let Some(n) = self.workers {
             run = run.with_workers(n);
         }
@@ -378,7 +384,9 @@ impl ScenarioSpec {
                 ));
             }
         }
-        let mut max_radius = 0.0f64;
+        // Every point runs on the resolved layout, under the plane's own
+        // ghost-margin rule.
+        let dims = ShardRun::resolve(self.shard_run().as_ref()).dims;
         for (_, s) in self.sweep_scenarios() {
             if !(s.radius > 0.0 && s.radius < s.side) {
                 return Err(format!(
@@ -386,15 +394,17 @@ impl ScenarioSpec {
                     s.radius, s.side
                 ));
             }
-            max_radius = max_radius.max(s.radius);
-        }
-        if let Some(dims) = self.shards {
-            let tile = (self.side / dims.kx as f64).min(self.side / dims.ky as f64);
-            if tile < max_radius {
-                return Err(format!(
-                    "shard layout {dims}: tile width {tile} is narrower than the \
-                     largest swept radius {max_radius}"
-                ));
+            let region = SquareRegion::new(s.side);
+            match ShardLayout::new(dims, region, ghost_margin(s.radius), false) {
+                Ok(_) => {}
+                Err(ShardLayoutError::TileTooSmall { tile, margin }) => {
+                    return Err(format!(
+                        "shard layout {dims}: tile width {tile} is narrower than the \
+                         ghost margin {margin} of radius {}",
+                        s.radius
+                    ));
+                }
+                Err(e) => return Err(format!("shard layout {dims}: {e}")),
             }
         }
         if self.workers == Some(0) {
@@ -848,6 +858,10 @@ mod tests {
                 "narrower",
             ),
             (
+                r#"{"kind":"single","nodes":60,"side":1000,"radius":250,"shards":"4x4","warmup":2,"measure":4,"dt":0.5,"seeds":[7]}"#,
+                "narrower",
+            ),
+            (
                 r#"{"kind":"robustness","fault":{"loss":[0.85],"burst":true}}"#,
                 "bad-state",
             ),
@@ -880,13 +894,25 @@ mod tests {
 
     #[test]
     fn sharded_spec_reproduces_the_monolithic_bytes() {
+        // Captured from the monolithic loop on this very scenario (see
+        // the root `tests/golden_parity.rs`).
+        let golden = include_str!("../../../tests/golden/measured_lid.txt");
         let mut spec = tiny_single();
-        let mono = run_scenario(&spec, None).expect("mono");
-        spec.shards = ShardDims::parse("2x2").ok();
-        spec.workers = Some(2);
-        let sharded = run_scenario(&spec, None).expect("sharded");
-        // The layout is an execution hint: identical numbers, and the
-        // result bodies differ only in the spec echo.
-        assert_eq!(mono, sharded);
+        // The layout is an execution hint: the default and an explicit
+        // 2x2 layout yield the monolithic numbers, and the result bodies
+        // differ only in the spec echo. An explicit worker count wins.
+        for (shards, workers) in [
+            (None, None),
+            (None, Some(2)),
+            (ShardDims::parse("2x2").ok(), Some(2)),
+        ] {
+            spec.shards = shards;
+            spec.workers = workers;
+            assert_eq!(spec.shard_run().map(|r| r.worker_count()), workers);
+            let ScenarioOutput::Single(measured) = run_scenario(&spec, None).expect("run") else {
+                panic!("single spec yields a single measurement");
+            };
+            assert_eq!(format!("{measured:#?}\n"), golden, "{shards:?}");
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! membership residence, role-change rates, and the Claim 2 link-lifetime
 //! companion.
 
-use crate::harness::{build_world, default_shards, Scenario, StackDriver};
+use crate::harness::{build_world, on_plane, Scenario, WorldDriver};
 use manet_cluster::{ClusterPolicy, Clustering, HighestConnectivity, LowestId, StabilityTracker};
 use manet_sim::{LinkLifetimes, QuietCtx};
 use manet_stack::{NoRouting, ProtocolStack};
@@ -35,10 +35,9 @@ fn run_policy<P: ClusterPolicy>(
     let world = build_world(&scenario, 0.25, 0x57AB);
     let clustering = Clustering::form(policy, world.topology());
     let stack = ProtocolStack::ideal(world, clustering, NoRouting);
-    let mut stack = StackDriver::with_shards(stack, default_shards())
-        .expect("--shards layout incompatible with the scenario radius");
+    let mut stack = on_plane(stack, None);
     let mut quiet = QuietCtx::new();
-    stack.world_mut().run_for(40.0, &mut quiet.ctx());
+    stack.run_world_for(40.0, &mut quiet.ctx());
     {
         let (world, clustering, _) = stack.split_mut();
         // stage-exempt: single-layer convergence probe, not the pipeline
@@ -193,7 +192,7 @@ pub fn mobility_aware_comparison(measure: f64) -> manet_util::table::Table {
             MessageSizes::default(),
             0xE418,
         );
-        (world, speeds)
+        (WorldDriver::new(world), speeds)
     };
 
     // Probe pass: count per-node link events to estimate churn.

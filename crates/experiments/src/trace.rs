@@ -13,7 +13,7 @@
 //! scenario runs after the experiment proper and writes its JSONL trace
 //! there, summarized on stdout. `bin/trace_report` re-reads such files.
 
-use crate::harness::{Protocol, Scenario, ShardRun, StackDriver};
+use crate::harness::{on_plane, Protocol, Scenario, ShardRun};
 use manet_cluster::{Clustering, LowestId};
 use manet_geom::ShardDims;
 use manet_model::overhead::{contact_unit_cost, route_unit_cost, RouteLinkModel};
@@ -236,9 +236,9 @@ pub struct TraceRun {
     pub profile: ProfileReport,
     /// Causal attribution outputs (`None` unless enabled in the config).
     pub attribution: Option<AttributionRun>,
-    /// End-of-run shard + link-health snapshot (`None` on the monolithic
-    /// path); also rendered into the Prometheus metrics snapshot.
-    pub shard: Option<ShardSnapshot>,
+    /// End-of-run shard + link-health snapshot; also rendered into the
+    /// Prometheus metrics snapshot.
+    pub shard: ShardSnapshot,
     /// The flight recorder's final ring (`None` unless armed) — what a
     /// dump at end of run would contain, kept for tests and tooling.
     pub flight: Option<FlightRecorder>,
@@ -300,44 +300,17 @@ pub fn trace_run(
     protocol: &Protocol,
     config: &TelemetryConfig,
 ) -> io::Result<TraceRun> {
-    trace_run_sharded(scenario, protocol, config, None)
+    trace_run_chaos(scenario, protocol, config, None)
 }
 
-/// [`trace_run`] over an optional shard layout (`None` = monolithic;
-/// `Some(dims)` runs the topology stage on the ghost-margin shard plane).
-/// The event stream, recorder, and counters are bit-identical across
-/// layouts for a fixed seed — the root `tests/shard_plane.rs` pins the
-/// traced JSONL byte-for-byte.
-///
-/// # Errors
-///
-/// Returns any I/O error from creating or writing the JSONL sink.
-///
-/// # Panics
-///
-/// Panics when the layout's tiles would be narrower than the radio
-/// radius; validate dims against the scenario up front for a friendlier
-/// error.
-pub fn trace_run_sharded(
-    scenario: &Scenario,
-    protocol: &Protocol,
-    config: &TelemetryConfig,
-    shards: Option<ShardDims>,
-) -> io::Result<TraceRun> {
-    trace_run_chaos(
-        scenario,
-        protocol,
-        config,
-        shards.map(ShardRun::new).as_ref(),
-    )
-}
-
-/// [`trace_run_sharded`] over full [`ShardRun`] options — in particular a
-/// fallible interconnect config, which turns the traced run into a chaos
-/// run: ghost syncs and migrations ride seeded lossy links, stalled
-/// shards freeze, and the `interconnect_*` event kinds appear in the
-/// trace. With an ideal (or absent) interconnect the bytes are identical
-/// to [`trace_run`].
+/// [`trace_run`] over explicit [`ShardRun`] options (`None` = the default
+/// layout). The event stream, recorder, and counters are bit-identical
+/// across layouts and worker counts for a fixed seed — the root
+/// `tests/shard_plane.rs` pins the traced JSONL byte-for-byte. A fallible
+/// interconnect config turns the traced run into a chaos run: ghost syncs
+/// and migrations ride seeded lossy links, stalled shards freeze, and the
+/// `interconnect_*` event kinds appear in the trace. With an ideal (or
+/// absent) interconnect the bytes are identical to [`trace_run`].
 ///
 /// # Errors
 ///
@@ -351,13 +324,13 @@ pub fn trace_run_chaos(
     scenario: &Scenario,
     protocol: &Protocol,
     config: &TelemetryConfig,
-    shards: Option<&ShardRun>,
+    run: Option<&ShardRun>,
 ) -> io::Result<TraceRun> {
     let sink = match &config.out {
         Some(path) => Some(JsonlSink::create(path)?),
         None => None,
     };
-    trace_run_with_sink(scenario, protocol, config, shards, sink).map(|(run, _)| run)
+    trace_run_to_sink(scenario, protocol, config, run, sink).map(|(run, _)| run)
 }
 
 /// Captures a traced run's JSONL bytes in memory instead of a file: the
@@ -374,10 +347,10 @@ pub fn trace_run_to_string(
     scenario: &Scenario,
     protocol: &Protocol,
     config: &TelemetryConfig,
-    shards: Option<&ShardRun>,
+    run: Option<&ShardRun>,
 ) -> io::Result<(TraceRun, String)> {
     let sink = JsonlSink::new(Vec::new());
-    let (run, writer) = trace_run_with_sink(scenario, protocol, config, shards, Some(sink))?;
+    let (run, writer) = trace_run_to_sink(scenario, protocol, config, run, Some(sink))?;
     let bytes = writer.expect("a provided sink always yields its writer back");
     let text =
         String::from_utf8(bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
@@ -398,11 +371,11 @@ pub fn trace_run_to_string(
 ///
 /// Panics when the layout is too fine for the radius or the interconnect
 /// config is invalid; chaos sweeps construct both in code.
-pub fn trace_run_with_sink<W: Write>(
+pub fn trace_run_to_sink<W: Write>(
     scenario: &Scenario,
     protocol: &Protocol,
     config: &TelemetryConfig,
-    shards: Option<&ShardRun>,
+    run: Option<&ShardRun>,
     sink: Option<JsonlSink<W>>,
 ) -> io::Result<(TraceRun, Option<W>)> {
     let seed = protocol.seeds.first().copied().unwrap_or(1);
@@ -436,8 +409,7 @@ pub fn trace_run_with_sink<W: Write>(
 
     let clustering = Clustering::form(LowestId, world.topology());
     let stack = ProtocolStack::ideal(world, clustering, IntraClusterRouting::new());
-    let mut stack = StackDriver::with_shard_run(stack, shards)
-        .expect("shard layout incompatible with scenario radius");
+    let mut stack = on_plane(stack, run);
     stack.prime(&mut QuietCtx::new().ctx()); // baseline fill, uncharged
 
     let mut flight = config.flight.map(FlightRecorder::new);
@@ -502,7 +474,7 @@ pub fn trace_run_with_sink<W: Write>(
                 publisher.publish(render_snapshot(
                     &out.recorder,
                     attrib.as_ref(),
-                    stack.shard_snapshot().as_ref(),
+                    &stack.shard_snapshot(),
                     flight.as_ref(),
                     spans.as_ref(),
                     &meta,
@@ -526,7 +498,7 @@ pub fn trace_run_with_sink<W: Write>(
         publisher.publish(render_snapshot(
             &recorder,
             attrib.as_ref(),
-            stack.shard_snapshot().as_ref(),
+            &stack.shard_snapshot(),
             flight.as_ref(),
             spans.as_ref(),
             &meta,
@@ -559,7 +531,7 @@ pub fn trace_run_with_sink<W: Write>(
             prometheus_text_full(
                 &recorder,
                 attribution.as_ref().map(|a| &a.ledger),
-                shard.as_ref(),
+                Some(&shard),
                 spans.as_ref(),
             ),
         )?;
@@ -586,7 +558,7 @@ pub fn trace_run_with_sink<W: Write>(
 fn render_snapshot(
     recorder: &WindowedRecorder,
     attrib: Option<&AttribState>,
-    shard: Option<&ShardSnapshot>,
+    shard: &ShardSnapshot,
     flight: Option<&FlightRecorder>,
     spans: Option<&SpanRecorder>,
     meta: &TraceMeta,
@@ -595,7 +567,7 @@ fn render_snapshot(
     elapsed: Duration,
 ) -> TelemetrySnapshot {
     TelemetrySnapshot {
-        metrics: prometheus_text_full(recorder, attrib.map(|st| &st.ledger), shard, spans),
+        metrics: prometheus_text_full(recorder, attrib.map(|st| &st.ledger), Some(shard), spans),
         tick,
         sim_time,
         ticks_per_sec: tick as f64 / elapsed.as_secs_f64().max(1e-9),
@@ -857,8 +829,8 @@ pub fn parse_shards(raw: &str) -> Result<ShardDims, String> {
 }
 
 /// Extracts `--shards KXxKY` (or `--shards=KXxKY`) from the process
-/// arguments. `None` (flag absent) means the monolithic path; `1x1` runs
-/// the shard plane at a single shard, which is bit-identical.
+/// arguments. `None` (flag absent) means the default `1x1` layout; every
+/// layout is bit-identical.
 ///
 /// # Panics
 ///
@@ -873,29 +845,28 @@ pub fn shards_from_args() -> Option<ShardDims> {
     }
 }
 
-/// One-call experiment-binary hook for the shard path: parses `--shards`,
-/// installs it as the process-wide harness default (see
+/// One-call experiment-binary hook for the shard plane: parses
+/// `--shards`, installs it as the process-wide harness default (see
 /// [`crate::harness::set_default_shards`]), and prints the topology
-/// header line. Returns the parsed dims for binaries that also thread
-/// them explicitly.
+/// header line. Returns the parsed flag (`None` when absent) for binaries
+/// that also thread it explicitly.
 pub fn init_shards_from_args() -> Option<ShardDims> {
     let shards = shards_from_args();
-    crate::harness::set_default_shards(shards);
-    println!("{}", shards_header(shards));
+    if let Some(dims) = shards {
+        crate::harness::set_default_shards(dims);
+    }
+    println!("{}", shards_header(&ShardRun::resolve(None)));
     shards
 }
 
-/// The run-header line describing the topology path: monolithic, or the
-/// shard layout with its worker budget.
-pub fn shards_header(shards: Option<ShardDims>) -> String {
-    match shards {
-        None => "topology: monolithic (pass --shards KXxKY to shard)".to_string(),
-        Some(dims) => format!(
-            "topology: sharded {dims} ({} shards, {} host cpus)",
-            dims.count(),
-            std::thread::available_parallelism().map_or(1, |n| n.get()),
-        ),
-    }
+/// The run-header line describing the engine: the shard layout and the
+/// worker pool it runs with.
+pub fn shards_header(run: &ShardRun) -> String {
+    format!(
+        "topology: shard plane {}, workers {}",
+        run.dims,
+        run.worker_count()
+    )
 }
 
 /// Extracts `--metrics-out <path>` (or `--metrics-out=<path>`) from the
@@ -1049,7 +1020,7 @@ pub fn init_serve_from_args() -> ServeGuard {
 /// write the JSONL trace to that path, and print the summary. Without the
 /// flag this is a no-op, so binaries stay byte-identical to their
 /// pre-telemetry behavior by default. The traced twin honors `--shards`
-/// (the trace bytes are bit-identical either way).
+/// (the trace bytes are bit-identical at any layout).
 pub fn maybe_trace(label: &str, scenario: &Scenario, protocol: &Protocol) {
     let trace_out = trace_out_from_args();
     let metrics_out = metrics_out_from_args();
@@ -1070,7 +1041,7 @@ pub fn maybe_trace(label: &str, scenario: &Scenario, protocol: &Protocol) {
     // the rest (the ~20 `maybe_trace`-only bins) get it bound here, so
     // `--serve-metrics` works uniformly across the fleet.
     let _serve = init_serve_from_args();
-    let shards = shards_from_args();
+    let run = shards_from_args().map(ShardRun::new);
     let mut config = match trace_out {
         Some(path) => {
             println!("\n[trace] {label}: traced run -> {}", path.display());
@@ -1096,7 +1067,7 @@ pub fn maybe_trace(label: &str, scenario: &Scenario, protocol: &Protocol) {
         println!("[trace] span trace -> {}", path.display());
     }
     config = config.with_spans_from_args();
-    match trace_run_sharded(scenario, protocol, &config, shards) {
+    match trace_run_chaos(scenario, protocol, &config, run.as_ref()) {
         Ok(run) => {
             print!(
                 "{}",
@@ -1174,9 +1145,11 @@ mod tests {
         for phase in Phase::TICK {
             assert_eq!(run.profile.get(phase).map(|s| s.count), Some(ticks));
         }
-        // The shard sub-phases only appear on the sharded path.
-        assert_eq!(run.profile.get(Phase::ShardFlush), None);
-        assert_eq!(run.profile.get(Phase::ShardMerge), None);
+        // Every run ticks the shard plane: its flush and merge sub-phases
+        // are each recorded once per tick.
+        for phase in [Phase::ShardFlush, Phase::ShardMerge] {
+            assert_eq!(run.profile.get(phase).map(|s| s.count), Some(ticks));
+        }
         let text = report_text(Some(&run.meta), &run.recorder, Some(&run.profile));
         assert!(text.contains("steady-state rates"));
         assert!(text.contains("tick-phase profile"));
@@ -1243,7 +1216,7 @@ mod tests {
     }
 
     #[test]
-    fn attribution_off_leaves_run_without_ledger() {
+    fn attribution_off_leaves_no_ledger() {
         let (scenario, protocol) = quick();
         let run = trace_run(&scenario, &protocol, &TelemetryConfig::in_memory("plain"))
             .expect("in-memory run");

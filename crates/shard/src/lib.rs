@@ -58,5 +58,5 @@ pub use grid::FrameGrid;
 pub use interconnect::{GhostBatch, Interconnect, InterconnectConfig, InterconnectMsg};
 pub use link::{LinkHealth, LinkManager, ShardLink};
 pub use manet_geom::{ShardDims, ShardLayout, ShardLayoutError};
-pub use plane::{ShardPlane, ShardReport, ShardStats};
+pub use plane::{default_workers, ghost_margin, ShardPlane, ShardReport, ShardStats};
 pub use stack::ShardedStack;

@@ -66,6 +66,24 @@ const UNASSIGNED: u16 = u16::MAX;
 /// local-frame Euclidean distance defers to the global metric.
 const BAND_REL: f64 = 1e-9;
 
+/// The ghost-margin width a plane uses for radio radius `radius`: one
+/// radius, plus a relative and an absolute slack that absorb the
+/// ulp-level error of tile-relative offsets. A layout can run a world
+/// exactly when its tiles are at least this wide.
+pub fn ghost_margin(radius: f64) -> f64 {
+    radius * (1.0 + 1e-9) + 1e-9
+}
+
+/// The default worker pool of a plane with `shards` shards: one thread per
+/// shard, capped at the host's available parallelism. A `1x1` plane thus
+/// runs every stage inline on the caller's thread.
+pub fn default_workers(shards: usize) -> usize {
+    std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(shards)
+        .max(1)
+}
+
 /// Per-shard, per-tick statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
@@ -204,9 +222,9 @@ impl ShardState {
     }
 }
 
-/// The sharded topology builder; plug into `World::step_with` or
-/// `ProtocolStack::tick_with` (or use
-/// [`ShardedStack`](crate::ShardedStack), which does exactly that).
+/// The shard plane: a full stage bundle for `World::step_staged` and
+/// `ProtocolStack::tick_staged` (or use
+/// [`ShardedStack`](crate::ShardedStack), which pairs a stack with one).
 #[derive(Debug)]
 pub struct ShardPlane {
     layout: ShardLayout,
@@ -267,10 +285,8 @@ impl ShardPlane {
                 true
             }
         };
-        // Margin ≥ r guarantees link capture; the relative + absolute
-        // slack covers the ulp-level error of tile-relative offsets.
-        let margin = radius * (1.0 + 1e-9) + 1e-9;
-        let layout = ShardLayout::new(dims, region, margin, wrap)?;
+        // Margin ≥ r guarantees link capture.
+        let layout = ShardLayout::new(dims, region, ghost_margin(radius), wrap)?;
         let mut shards = Vec::with_capacity(dims.count());
         for _ in 0..dims.count() {
             let mut s = ShardState::default();
@@ -284,7 +300,7 @@ impl ShardPlane {
             region,
             radius,
             metric,
-            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            workers: default_workers(dims.count()),
             shards,
             owner: Vec::new(),
             interconnect,
@@ -321,7 +337,7 @@ impl ShardPlane {
         // Owned share plus the margin band around the tile, then 50% slack.
         let tile_w = self.region.side() / self.layout.dims().kx as f64;
         let tile_h = self.region.side() / self.layout.dims().ky as f64;
-        let margin = radius * (1.0 + 1e-9) + 1e-9;
+        let margin = ghost_margin(radius);
         let frame_pop = density * (tile_w + 2.0 * margin) * (tile_h + 2.0 * margin);
         let cap = ((frame_pop * 1.5).ceil() as usize).max(16);
         let owned_cap = ((n as f64 / shards as f64 * 1.5).ceil() as usize).max(16);
@@ -340,10 +356,10 @@ impl ShardPlane {
         self.retained.reserve(64.max(n / 64));
     }
 
-    /// Caps the worker pool at `n` threads (default: the machine's
-    /// available parallelism). `1` runs shards inline on the caller's
-    /// thread — same rows, same merge order, no thread spawns (the
-    /// configuration the allocation-free test pins).
+    /// Caps the worker pool at `n` threads (default: [`default_workers`]).
+    /// `1` runs shards inline on the caller's thread — same rows, same
+    /// merge order, no thread spawns (the configuration the
+    /// allocation-free test pins).
     #[must_use]
     pub fn with_workers(mut self, n: usize) -> Self {
         self.workers = n.max(1);
@@ -886,7 +902,7 @@ mod tests {
         let mut q = QuietCtx::new();
         let mut total_migrations = 0usize;
         for tick in 0..60 {
-            world.step_with(&mut q.ctx(), &mut plane);
+            world.step_staged(&mut q.ctx(), &mut plane);
             let owned: usize = plane.shard_stats().map(|s| s.owned).sum();
             assert_eq!(owned, 150, "tick {tick}: owners must partition the nodes");
             let inflow: usize = plane.shard_stats().map(|s| s.migrations_in).sum();
@@ -1070,8 +1086,8 @@ mod tests {
         let mut qa = QuietCtx::new();
         let mut qb = QuietCtx::new();
         for tick in 0..60 {
-            let a = wa.step_with(&mut qa.ctx(), &mut pa);
-            let b = wb.step_with(&mut qb.ctx(), &mut pb);
+            let a = wa.step_staged(&mut qa.ctx(), &mut pa);
+            let b = wb.step_staged(&mut qb.ctx(), &mut pb);
             assert_eq!(a, b, "tick {tick}: step report diverged");
             assert_eq!(
                 wa.last_events(),
@@ -1140,7 +1156,7 @@ mod tests {
             let mut owned_by = vec![0u32; n];
             let mut total_migrations = 0usize;
             for tick in 0..120 {
-                world.step_with(&mut q.ctx(), &mut plane);
+                world.step_staged(&mut q.ctx(), &mut plane);
                 owned_by.iter_mut().for_each(|c| *c = 0);
                 for s in &plane.shards {
                     for &id in &s.ids[..s.owned] {

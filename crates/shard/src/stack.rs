@@ -102,6 +102,16 @@ impl<C: ClusterLayer, R: RouteLayer> ShardedStack<C, R> {
         self.stack.run_staged(seconds, ctx, &mut self.plane)
     }
 
+    /// Advances only the world — mobility, topology, world-driven HELLO —
+    /// on the plane for at least `seconds`, leaving the protocol layers
+    /// untouched: a warmup that lets the geometry settle before the layers
+    /// run.
+    pub fn run_world_for(&mut self, seconds: f64, ctx: &mut StepCtx<'_, '_>) {
+        self.stack
+            .world_mut()
+            .run_for_staged(seconds, ctx, &mut self.plane);
+    }
+
     /// The shard plane.
     pub fn plane(&self) -> &ShardPlane {
         &self.plane
@@ -149,46 +159,108 @@ impl<C, R> DerefMut for ShardedStack<C, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manet_cluster::{Clustering, LowestId};
+    use manet_cluster::{Backoff, Clustering, LowestId, SelfHealing};
     use manet_geom::ShardDims;
     use manet_routing::intra::IntraClusterRouting;
-    use manet_sim::{HelloMode, QuietCtx, SimBuilder};
+    use manet_sim::{
+        ChurnSchedule, FaultPlan, HelloMode, LossModel, MobilityKind, QuietCtx, SimBuilder,
+    };
 
-    fn world(seed: u64) -> World {
-        SimBuilder::new()
-            .nodes(120)
+    const NODES: usize = 120;
+
+    /// A 120-node world under `mobility`; `faulty` adds 10% Bernoulli loss
+    /// and crash/recover churn at 0.004 crashes/node/s.
+    fn world(seed: u64, mobility: MobilityKind, faulty: bool) -> World {
+        let builder = SimBuilder::new()
+            .nodes(NODES)
             .side(500.0)
             .radius(80.0)
             .speed(10.0)
+            .mobility(mobility)
             .dt(0.5)
-            .seed(seed)
-            .hello_mode(HelloMode::EventDriven)
+            .seed(seed);
+        if !faulty {
+            return builder.hello_mode(HelloMode::EventDriven).build();
+        }
+        let churn = ChurnSchedule::poisson(NODES, 0.004, 10.0, 40.0, seed).unwrap();
+        let plan = FaultPlan {
+            loss: LossModel::Bernoulli { p: 0.1 },
+            churn,
+            seed,
+        };
+        builder
+            .hello_mode(HelloMode::Disabled)
+            .fault(plan.validated().unwrap())
             .build()
     }
 
-    /// The sharded stack's aggregated report equals the monolithic
-    /// stack's, tick by tick, for every layout.
+    fn ideal(w: World) -> ProtocolStack<Clustering<LowestId>, IntraClusterRouting> {
+        let c = Clustering::form(LowestId, w.topology());
+        ProtocolStack::ideal(w, c, IntraClusterRouting::new())
+    }
+
+    fn faulty(w: World) -> ProtocolStack<SelfHealing<LowestId>, IntraClusterRouting> {
+        let healer = SelfHealing::new(
+            Clustering::form(LowestId, w.topology()),
+            Backoff::default(),
+            8,
+        );
+        let hello = HelloProtocol::new(NODES, 1.0, 3.0);
+        ProtocolStack::faulty(w, healer, IntraClusterRouting::new(), hello)
+    }
+
+    /// Ticks `mono` (`ProtocolStack::tick`) and `sharded` side by side,
+    /// requiring equal reports every tick and equal end states.
+    fn assert_lockstep<C: ClusterLayer, R: RouteLayer>(
+        mut mono: ProtocolStack<C, R>,
+        mut sharded: ShardedStack<C, R>,
+        what: &str,
+    ) {
+        let mut qa = QuietCtx::new();
+        let mut qb = QuietCtx::new();
+        mono.prime(&mut qa.ctx());
+        sharded.prime(&mut qb.ctx());
+        for tick in 0..60 {
+            let a = mono.tick(&mut qa.ctx());
+            let b = sharded.tick(&mut qb.ctx());
+            assert_eq!(a, b, "{what}: tick {tick} diverged");
+        }
+        assert_eq!(
+            mono.world().counters(),
+            sharded.world().counters(),
+            "{what}"
+        );
+        assert_eq!(
+            mono.world().positions(),
+            sharded.world().positions(),
+            "{what}"
+        );
+    }
+
+    /// The sharded stack's reports equal the monolithic stack's, tick by
+    /// tick, for the ideal and the faulty stack at every layout — on the
+    /// paper's torus and on the bounded (Euclidean) worlds of random
+    /// waypoint and random walk.
     #[test]
     fn sharded_reports_match_monolithic() {
-        for dims in ["1x1", "2x2", "4x1"] {
-            let dims = ShardDims::parse(dims).unwrap();
-            let w = world(42);
-            let c = Clustering::form(LowestId, w.topology());
-            let mut mono = ProtocolStack::ideal(w, c, IntraClusterRouting::new());
-            let w = world(42);
-            let c = Clustering::form(LowestId, w.topology());
-            let mut sharded = ShardedStack::ideal(w, c, IntraClusterRouting::new(), dims).unwrap();
-            let mut qa = QuietCtx::new();
-            let mut qb = QuietCtx::new();
-            mono.prime(&mut qa.ctx());
-            sharded.prime(&mut qb.ctx());
-            for tick in 0..60 {
-                let a = mono.tick(&mut qa.ctx());
-                let b = sharded.tick(&mut qb.ctx());
-                assert_eq!(a, b, "{dims}: tick {tick} diverged");
+        for mobility in [
+            MobilityKind::EpochRandomDirection { epoch: 20.0 },
+            MobilityKind::RandomWaypoint { pause: 0.0 },
+            MobilityKind::RandomWalk {
+                min_leg: 5.0,
+                max_leg: 25.0,
+            },
+        ] {
+            for dims in ["1x1", "2x2", "4x1"] {
+                let dims = ShardDims::parse(dims).unwrap();
+                let what = format!("{mobility:?} {dims}");
+                let sharded = ShardedStack::new(ideal(world(42, mobility, false)), dims).unwrap();
+                let mono = ideal(world(42, mobility, false));
+                assert_lockstep(mono, sharded, &format!("ideal {what}"));
+                let sharded = ShardedStack::new(faulty(world(42, mobility, true)), dims).unwrap();
+                let mono = faulty(world(42, mobility, true));
+                assert_lockstep(mono, sharded, &format!("faulty {what}"));
             }
-            assert_eq!(mono.world().counters(), sharded.world().counters());
-            assert_eq!(mono.world().positions(), sharded.world().positions());
         }
     }
 
@@ -196,7 +268,7 @@ mod tests {
     /// the plane.
     #[test]
     fn accessors_reach_both_halves() {
-        let w = world(7);
+        let w = world(7, MobilityKind::EpochRandomDirection { epoch: 20.0 }, false);
         let c = Clustering::form(LowestId, w.topology());
         let dims = ShardDims::parse("2x2").unwrap();
         let mut s = ShardedStack::ideal(w, c, IntraClusterRouting::new(), dims)
@@ -214,10 +286,41 @@ mod tests {
         assert_eq!(plane.layout().count(), 4);
     }
 
+    /// A world-only warmup on the plane advances exactly like
+    /// `World::run_for` and leaves the layers untouched.
+    #[test]
+    fn world_warmup_matches_the_monolithic_world() {
+        let mobility = MobilityKind::EpochRandomDirection { epoch: 20.0 };
+        let mut mono = world(3, mobility, false);
+        let mut sharded =
+            ShardedStack::new(ideal(world(3, mobility, false)), ShardDims::unit()).unwrap();
+        let heads = sharded.cluster().head_count();
+        let mut q = QuietCtx::new();
+        mono.run_for(20.0, &mut q.ctx());
+        sharded.run_world_for(20.0, &mut q.ctx());
+        assert_eq!(mono.time(), sharded.world().time());
+        assert_eq!(mono.topology(), sharded.world().topology());
+        assert_eq!(mono.counters(), sharded.world().counters());
+        assert_eq!(sharded.cluster().head_count(), heads);
+    }
+
+    /// The default worker pool is one thread per shard up to the host
+    /// parallelism, so a single-shard plane runs inline.
+    #[test]
+    fn default_workers_follow_the_layout() {
+        let w = world(5, MobilityKind::EpochRandomDirection { epoch: 20.0 }, false);
+        let unit = ShardedStack::new(ideal(w), ShardDims::unit()).unwrap();
+        assert_eq!(unit.plane().workers(), 1);
+        let w = world(5, MobilityKind::EpochRandomDirection { epoch: 20.0 }, false);
+        let quad = ShardedStack::new(ideal(w), ShardDims::parse("2x2").unwrap()).unwrap();
+        assert_eq!(quad.plane().workers(), crate::plane::default_workers(4));
+        assert!((1..=4).contains(&quad.plane().workers()));
+    }
+
     /// A layout too fine for the radius is a construction-time error.
     #[test]
     fn oversharded_world_is_rejected() {
-        let w = world(1);
+        let w = world(1, MobilityKind::EpochRandomDirection { epoch: 20.0 }, false);
         let c = Clustering::form(LowestId, w.topology());
         let dims = ShardDims::parse("16x16").unwrap();
         assert!(ShardedStack::ideal(w, c, IntraClusterRouting::new(), dims).is_err());

@@ -2,7 +2,7 @@
 //! step, the sharded twin of `manet-sim`'s `alloc_free` test: once every
 //! shard's buffers have warmed up — frame point/id vectors, ghost
 //! margins, per-shard `FrameGrid` CSR arrays, neighbor rows, and the
-//! owner-migration scratch — a full `World::step_with` on the
+//! owner-migration scratch — a full `World::step_staged` on the
 //! [`ShardPlane`] (mobility, owner exchange + ghost replication,
 //! per-shard topology, deterministic merge, diff, HELLO accounting)
 //! performs no heap allocation at all. Measured with a counting global
@@ -66,11 +66,11 @@ fn steady_state_sharded_step_is_allocation_free() {
     // margins, and neighbor rows long enough to reach their high-water
     // marks.
     for _ in 0..1000 {
-        world.step_with(&mut quiet.ctx(), &mut plane);
+        world.step_staged(&mut quiet.ctx(), &mut plane);
     }
     let before = ALLOCS.load(Ordering::Relaxed);
     for _ in 0..100 {
-        world.step_with(&mut quiet.ctx(), &mut plane);
+        world.step_staged(&mut quiet.ctx(), &mut plane);
     }
     let after = ALLOCS.load(Ordering::Relaxed);
     assert_eq!(
@@ -102,11 +102,11 @@ fn steady_state_sharded_step_is_allocation_free() {
         .unwrap()
         .with_workers(1);
     for _ in 0..12 {
-        world.step_with(&mut quiet.ctx(), &mut plane);
+        world.step_staged(&mut quiet.ctx(), &mut plane);
     }
     let before = ALLOCS.load(Ordering::Relaxed);
     for _ in 0..25 {
-        world.step_with(&mut quiet.ctx(), &mut plane);
+        world.step_staged(&mut quiet.ctx(), &mut plane);
     }
     let after = ALLOCS.load(Ordering::Relaxed);
     assert_eq!(

@@ -423,7 +423,7 @@ mod tests {
     }
 
     #[test]
-    fn lossy_step_with_ideal_channel_matches_ideal_helper() {
+    fn lossy_step_on_ideal_channel_matches_ideal_helper() {
         let topo = static_topo();
         let mut a = HelloProtocol::new(3, 1.0, 3.0);
         let mut b = a.clone();

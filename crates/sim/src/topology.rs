@@ -26,7 +26,7 @@ pub struct LinkEvent {
 
 /// Strategy for recomputing the per-tick unit-disk topology.
 ///
-/// `World::step_with` delegates only the neighbor-list computation to the
+/// `World::step_staged` delegates only the neighbor-list computation to the
 /// builder; everything downstream — the alive mask, the diff, link events,
 /// HELLO accounting, counters — is shared `World` code. Any builder that
 /// produces the same sorted neighbor rows as [`GridTopology`] is therefore

@@ -4,9 +4,9 @@ use crate::counters::{Counters, MessageKind, MessageSizes};
 use crate::ctx::{Scratch, StepCtx};
 use crate::error::{positive, SimError};
 use crate::fault::{Channel, ChurnKind, FaultPlan, STREAM_HELLO};
-use crate::stage::{MobilityStage, WorldStages};
-use crate::topology::{GridTopology, LinkEvent, LinkEventKind, Topology, TopologyBuilder};
-use manet_geom::{Metric, SpatialGrid, SquareRegion, Vec2};
+use crate::stage::WorldStages;
+use crate::topology::{GridTopology, LinkEvent, LinkEventKind, Topology};
+use manet_geom::{Metric, SquareRegion, Vec2};
 use manet_mobility::Mobility;
 use manet_telemetry::{EventKind, Layer, Phase, Probe, RootCause};
 use manet_util::stats::Summary;
@@ -47,39 +47,6 @@ pub struct StepReport {
     /// HELLO deliveries dropped by the fault plane during the tick (zero on
     /// an ideal channel; attempted sends are still counted as overhead).
     pub hello_lost: usize,
-    /// HELLO deliveries dropped this tick — a historical alias for
-    /// [`StepReport::hello_lost`].
-    ///
-    /// The world transmits only HELLOs, so this field never captured
-    /// cluster or route losses despite its name. The cross-layer total now
-    /// lives in `StackReport::msgs_lost`, aggregated by `ProtocolStack`.
-    #[deprecated(note = "world-level losses are HELLO-only; read `hello_lost`, or \
-                `StackReport::msgs_lost` for the cross-layer total")]
-    pub msgs_lost: usize,
-}
-
-/// Adapts a bare [`TopologyBuilder`] into a full [`WorldStages`] bundle
-/// with the default sequential mobility advance, so `step_with` callers
-/// keep their exact pre-stage behavior.
-struct SeqMobility<'b>(&'b mut dyn TopologyBuilder);
-
-impl MobilityStage for SeqMobility<'_> {}
-
-impl TopologyBuilder for SeqMobility<'_> {
-    fn build_into(
-        &mut self,
-        positions: &[Vec2],
-        region: SquareRegion,
-        radius: f64,
-        metric: Metric,
-        grid: &mut Option<SpatialGrid>,
-        out: &mut Topology,
-        probe: &mut Probe<'_>,
-        now: f64,
-    ) {
-        self.0
-            .build_into(positions, region, radius, metric, grid, out, probe, now)
-    }
 }
 
 /// A deterministic time-stepped MANET world.
@@ -378,21 +345,7 @@ impl World {
     /// allocation-free. `ctx.now` is refreshed to the post-tick clock so
     /// downstream layers driven in the same tick observe it.
     pub fn step(&mut self, ctx: &mut StepCtx<'_, '_>) -> StepReport {
-        self.step_with(ctx, &mut GridTopology)
-    }
-
-    /// [`World::step`] with an explicit [`TopologyBuilder`] supplying the
-    /// per-tick neighbor-list computation and the default sequential
-    /// mobility advance. Only the topology construction is delegated; the
-    /// diff, link events, HELLO, and counters are this world's shared
-    /// code, so any builder producing the same neighbor rows yields a
-    /// bit-identical tick.
-    pub fn step_with(
-        &mut self,
-        ctx: &mut StepCtx<'_, '_>,
-        builder: &mut dyn TopologyBuilder,
-    ) -> StepReport {
-        self.step_staged(ctx, &mut SeqMobility(builder))
+        self.step_staged(ctx, &mut GridTopology)
     }
 
     /// [`World::step`] with an explicit [`WorldStages`] bundle supplying
@@ -557,7 +510,6 @@ impl World {
         ctx.probe.phase_end(Phase::Hello, t0);
 
         self.degree_samples.push(self.topology.mean_degree());
-        #[allow(deprecated)]
         StepReport {
             time: self.time,
             generated,
@@ -565,17 +517,27 @@ impl World {
             crashed,
             recovered,
             hello_lost,
-            msgs_lost: hello_lost,
         }
     }
 
     /// Runs whole ticks until at least `seconds` more simulated time has
     /// elapsed.
     pub fn run_for(&mut self, seconds: f64, ctx: &mut StepCtx<'_, '_>) {
+        self.run_for_staged(seconds, ctx, &mut GridTopology);
+    }
+
+    /// [`World::run_for`] with every tick on an explicit [`WorldStages`]
+    /// bundle (see [`World::step_staged`]).
+    pub fn run_for_staged(
+        &mut self,
+        seconds: f64,
+        ctx: &mut StepCtx<'_, '_>,
+        stages: &mut dyn WorldStages,
+    ) {
         let target = self.time + seconds;
         // Tolerate float drift: never run an extra tick for rounding noise.
         while self.time + self.dt * 0.5 < target {
-            self.step(ctx);
+            self.step_staged(ctx, stages);
         }
     }
 }
@@ -749,20 +711,13 @@ mod tests {
         .unwrap();
         let mut q = QuietCtx::new();
         let mut lost = 0usize;
-        let mut total_msgs_lost = 0usize;
         for _ in 0..80 {
-            let r = w.step(&mut q.ctx());
-            lost += r.hello_lost;
-            #[allow(deprecated)]
-            {
-                total_msgs_lost += r.msgs_lost;
-            }
+            lost += w.step(&mut q.ctx()).hello_lost;
         }
         let sent = w.counters().messages(MessageKind::Hello);
         assert!(sent > 0);
         // p = 1: every delivery drops, yet every attempt is still charged.
         assert_eq!(lost as u64, sent);
-        assert_eq!(total_msgs_lost, lost);
         assert!(w.counters().bytes_consistent());
     }
 
@@ -798,7 +753,7 @@ mod tests {
     }
 
     #[test]
-    fn traced_step_with_noop_probe_matches_untraced() {
+    fn noop_probe_step_matches_untraced() {
         use manet_telemetry::NoopSubscriber;
         let mut plain = small_world(55);
         let mut traced = small_world(55);

@@ -24,9 +24,8 @@
 //!
 //! Each [`ProtocolStack::tick`] returns a [`StackReport`] aggregating the
 //! whole tick across layers — including [`StackReport::msgs_lost`], the
-//! cross-layer loss total that the world-level `StepReport::msgs_lost`
-//! never was (that field only ever counted HELLO drops and is now a
-//! deprecated alias of `hello_lost`).
+//! cross-layer loss total (the world-level `StepReport` reports HELLO
+//! drops only, as `hello_lost`).
 //!
 //! Telemetry, fault injection, and scratch reuse all flow through the one
 //! [`StepCtx`] handed to `tick`: a hookless [`QuietCtx`](manet_sim::QuietCtx)

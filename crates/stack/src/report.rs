@@ -6,9 +6,9 @@ use manet_routing::intra::RouteUpdateOutcome;
 /// Everything one [`ProtocolStack::tick`](crate::ProtocolStack::tick)
 /// produced, across all layers.
 ///
-/// Unlike the world-level `StepReport` — whose deprecated `msgs_lost` only
-/// ever counted HELLO drops — [`StackReport::msgs_lost`] aggregates losses
-/// from every layer the stack drove this tick.
+/// Unlike the world-level `StepReport` — whose `hello_lost` counts HELLO
+/// drops only — [`StackReport::msgs_lost`] aggregates losses from every
+/// layer the stack drove this tick.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StackReport {
     /// Simulation time after the tick (latest tick when aggregated).

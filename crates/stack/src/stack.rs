@@ -2,10 +2,10 @@
 
 use crate::layer::{ClusterLayer, RouteLayer};
 use crate::report::StackReport;
-use crate::stage::{MonoOver, MonoStages, StackStages};
+use crate::stage::{MonoStages, StackStages};
 use manet_sim::{
-    Channel, GridTopology, HelloProtocol, LossModel, MessageKind, StepCtx, TopologyBuilder, World,
-    STREAM_CLUSTER, STREAM_HELLO, STREAM_ROUTE,
+    Channel, HelloProtocol, LossModel, MessageKind, StepCtx, World, STREAM_CLUSTER, STREAM_HELLO,
+    STREAM_ROUTE,
 };
 use manet_telemetry::{AuditSample, EventKind, Layer, MsgClass, Phase};
 
@@ -136,18 +136,6 @@ impl<C: ClusterLayer, R: RouteLayer> ProtocolStack<C, R> {
         self.tick_staged(ctx, &mut MonoStages::new())
     }
 
-    /// [`ProtocolStack::tick`] with an explicit [`TopologyBuilder`] for
-    /// the world's topology stage and monolithic defaults for every other
-    /// stage (see [`ProtocolStack::tick_staged`] for the fully delegated
-    /// form).
-    pub fn tick_with(
-        &mut self,
-        ctx: &mut StepCtx<'_, '_>,
-        builder: &mut dyn TopologyBuilder,
-    ) -> StackReport {
-        self.tick_staged(ctx, &mut MonoOver(builder))
-    }
-
     /// [`ProtocolStack::tick`] with an explicit [`StackStages`] bundle
     /// supplying every delegated stage — mobility advance, topology
     /// rebuild, HELLO exchange, cluster maintenance, route update. The
@@ -253,17 +241,7 @@ impl<C: ClusterLayer, R: RouteLayer> ProtocolStack<C, R> {
     /// Runs whole ticks until at least `seconds` more simulated time has
     /// elapsed, returning the aggregated report.
     pub fn run(&mut self, seconds: f64, ctx: &mut StepCtx<'_, '_>) -> StackReport {
-        self.run_with(seconds, ctx, &mut GridTopology)
-    }
-
-    /// [`ProtocolStack::run`] with an explicit [`TopologyBuilder`].
-    pub fn run_with(
-        &mut self,
-        seconds: f64,
-        ctx: &mut StepCtx<'_, '_>,
-        builder: &mut dyn TopologyBuilder,
-    ) -> StackReport {
-        self.run_staged(seconds, ctx, &mut MonoOver(builder))
+        self.run_staged(seconds, ctx, &mut MonoStages::new())
     }
 
     /// [`ProtocolStack::run`] with an explicit [`StackStages`] bundle.

@@ -118,30 +118,3 @@ impl TopologyBuilder for MonoStages {
             .build_into(positions, region, radius, metric, grid, out, probe, now)
     }
 }
-
-/// Adapts a bare [`TopologyBuilder`] into a full [`StackStages`] bundle
-/// with monolithic defaults for every other stage, so `tick_with` callers
-/// keep their exact pre-stage behavior.
-pub(crate) struct MonoOver<'b>(pub &'b mut dyn TopologyBuilder);
-
-impl MobilityStage for MonoOver<'_> {}
-impl HelloStage for MonoOver<'_> {}
-impl ClusterStage for MonoOver<'_> {}
-impl RouteStage for MonoOver<'_> {}
-
-impl TopologyBuilder for MonoOver<'_> {
-    fn build_into(
-        &mut self,
-        positions: &[manet_geom::Vec2],
-        region: manet_geom::SquareRegion,
-        radius: f64,
-        metric: manet_geom::Metric,
-        grid: &mut Option<manet_geom::SpatialGrid>,
-        out: &mut Topology,
-        probe: &mut manet_telemetry::Probe<'_>,
-        now: f64,
-    ) {
-        self.0
-            .build_into(positions, region, radius, metric, grid, out, probe, now)
-    }
-}

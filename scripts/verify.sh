@@ -16,17 +16,6 @@ if grep -rn "_traced\|maintain_faulty\|update_lossy" crates src --include='*.rs'
     exit 1
 fi
 
-echo "==> msgs_lost deprecation guard (StepReport decomposed-loss fields)"
-# StepReport.msgs_lost is a deprecated alias of hello_lost kept for one
-# release; the only permitted uses are its definition, the alias fill,
-# and the alias-equality pin, all in crates/sim/src/world.rs. Fail the
-# build if any other source file reads the field (the unrelated
-# StackReport::msgs_lost() *method* is fine and excluded here).
-if grep -rn "\.msgs_lost" crates src examples tests --include='*.rs' | grep -v "msgs_lost()" | grep -v "^crates/sim/src/world.rs:"; then
-    echo "verify: FAIL — .msgs_lost field use outside crates/sim/src/world.rs (use hello_lost / the decomposed fields)" >&2
-    exit 1
-fi
-
 echo "==> stage-trait guard (pipeline layers go through stage traits, DESIGN.md §17)"
 # The canonical tick drives HELLO/cluster/route through the stage traits
 # (StackStages); stack/experiments code must not call the layers' own
@@ -56,6 +45,14 @@ cargo build --workspace --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> benchmark build + self-test (perfbench --self-test)"
+# perfbench/ is a workspace of its own over crates/* (see BENCHMARK.json);
+# building and self-testing it here catches an API change that would
+# break the benchmark. Its target dir sits under target/, so nothing is
+# written inside perfbench/.
+CARGO_TARGET_DIR=target/perfbench cargo run -q --release --offline \
+    --manifest-path perfbench/Cargo.toml -- --self-test
+
 echo "==> telemetry smoke (trace_report --smoke)"
 cargo run -q --release -p manet-experiments --bin trace_report -- --smoke
 
@@ -76,8 +73,8 @@ echo "==> shard bench smoke (bench_shard --quick)"
 cargo run -q --release -p manet-experiments --bin bench_shard -- --quick
 
 echo "==> interconnect chaos smoke (robustness2 --quick)"
-# Fallible shard interconnect (DESIGN.md §14): the ideal config is
-# byte-parity pass-through vs the monolithic stack, chaos is
+# Fallible shard interconnect (DESIGN.md §14): the ideal config on a
+# 2x2 plane is byte-parity pass-through vs the 1x1 plane, chaos is
 # deterministic and worker-count invariant, the audit stays clean, and
 # every InterconnectFault causal chain anchors in the ledger.
 cargo run -q --release -p manet-experiments --bin robustness2 -- --quick

@@ -4,7 +4,7 @@
 //! manet predict  --nodes 400 --side 1000 --radius 150 --speed 10 [--p 0.08]
 //! manet simulate --nodes 400 --side 1000 --radius 150 --speed 10 \
 //!                [--measure 200] [--warmup 60] [--seed 1] [--policy lid|hcc] \
-//!                [--shards KXxKY]
+//!                [--shards KXxKY]   (default 1x1)
 //! manet trace    --nodes 50 --side 500 --speed 8 --frames 60 --period 1 \
 //!                [--format text|ns2] [--seed 1]
 //! manet theta
@@ -20,8 +20,8 @@
 //! (DESIGN.md §18) until `GET /quit` (or `--hold` seconds).
 
 use clustered_manet::cluster::{Clustering, HighestConnectivity, LowestId};
-use clustered_manet::experiments::harness::StackDriver;
-use clustered_manet::geom::{ShardDims, SquareRegion};
+use clustered_manet::experiments::harness::ShardRun;
+use clustered_manet::geom::SquareRegion;
 use clustered_manet::jobs::{JobServer, JobServerConfig};
 use clustered_manet::mobility::{ConstantVelocity, TraceRecorder};
 use clustered_manet::model::{lid, DegreeModel, NetworkParams, OverheadModel};
@@ -130,9 +130,9 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     let warmup = flags.f64("warmup", 60.0)?;
     let seed = flags.u64("seed", 1)?;
     let policy = flags.str_or("policy", "lid");
-    let shards = match flags.0.get("shards") {
-        None => None,
-        Some(v) => Some(clustered_manet::experiments::trace::parse_shards(v)?),
+    let run = match flags.0.get("shards") {
+        Some(v) => ShardRun::new(clustered_manet::experiments::trace::parse_shards(v)?),
+        None => ShardRun::resolve(None),
     };
     if radius >= side {
         return Err(format!("need radius < side (got {radius} >= {side})"));
@@ -147,17 +147,16 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
         .build();
 
     // The two policies share the run loop; generics keep it monomorphic.
-    fn run<P: clustered_manet::cluster::ClusterPolicy>(
+    fn simulate<P: clustered_manet::cluster::ClusterPolicy>(
         world: clustered_manet::sim::World,
         policy: P,
         warmup: f64,
         measure: f64,
-        shards: Option<ShardDims>,
+        run: &ShardRun,
     ) -> Result<(StackReport, f64, f64, clustered_manet::sim::World), String> {
         let clustering = Clustering::form(policy, world.topology());
         let stack = ProtocolStack::ideal(world, clustering, IntraClusterRouting::new());
-        let mut stack =
-            StackDriver::with_shards(stack, shards).map_err(|e| format!("--shards: {e}"))?;
+        let mut stack = run.stack(stack).map_err(|e| format!("--shards: {e}"))?;
         let mut quiet = QuietCtx::new();
         stack.prime(&mut quiet.ctx());
         let warm_ticks = (warmup / stack.world().dt()).round() as usize;
@@ -174,13 +173,13 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
             agg.absorb(report);
         }
         let connectivity = stack.world().topology().pair_connectivity();
-        let world = stack.into_world();
+        let world = stack.into_parts().0.into_parts().0;
         Ok((agg, p_acc / ticks.max(1) as f64, connectivity, world))
     }
 
     let (agg, p_meas, connectivity, world) = match policy {
-        "lid" => run(world, LowestId, warmup, measure, shards)?,
-        "hcc" => run(world, HighestConnectivity, warmup, measure, shards)?,
+        "lid" => simulate(world, LowestId, warmup, measure, &run)?,
+        "hcc" => simulate(world, HighestConnectivity, warmup, measure, &run)?,
         other => return Err(format!("unknown --policy {other:?} (expected lid or hcc)")),
     };
     let (maint, route) = (agg.cluster.maintenance, agg.route);
@@ -190,13 +189,11 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     let f_hello = world
         .counters()
         .per_node_rate(MessageKind::Hello, n, elapsed);
-    match shards {
-        None => println!("simulated {elapsed:.0}s of {policy} clustering (seed {seed}):"),
-        Some(dims) => println!(
-            "simulated {elapsed:.0}s of {policy} clustering (seed {seed}, sharded {dims}, {} shards):",
-            dims.count()
-        ),
-    }
+    println!(
+        "simulated {elapsed:.0}s of {policy} clustering (seed {seed}, shard plane {}, workers {}):",
+        run.dims,
+        run.worker_count()
+    );
     println!("  steady head ratio P = {p_meas:.4}  (final pair connectivity {connectivity:.3})");
     println!("  f_hello   = {f_hello:10.4} msg/node/s");
     println!(

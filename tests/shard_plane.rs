@@ -1,42 +1,44 @@
 //! Shard-plane parity: the sharded stack is *bit-identical* to the
 //! monolithic one (DESIGN.md §13).
 //!
-//! Three layers of evidence, all in-process (no fixtures — the reference
-//! run is the monolithic stack itself, which `tests/golden_parity.rs`
-//! already pins against committed fixtures):
+//! Three layers of evidence. The monolithic reference is the golden
+//! fixtures under `tests/golden/`, captured from the pre-refactor
+//! monolithic loop on the same quick scenario (and pinned by
+//! `tests/golden_parity.rs`), or `World::step` called directly:
 //!
-//! 1. **Traced JSONL** — a traced run at shard layouts 1x1, 2x2, and 4x1
-//!    produces byte-identical trace files and final counters to the
-//!    monolithic run (profile lines excluded: they carry wall-clock).
+//! 1. **Traced JSONL** — a traced run at the default layout and at 1x1,
+//!    2x2, and 4x1 produces byte-identical trace files and final counters
+//!    to the monolithic fixtures (profile lines excluded: they carry
+//!    wall-clock).
 //! 2. **Measured metrics** — the harness (`measure_lid`) and the fault
-//!    plane (`measure_with_faults`) return `==` results through the
-//!    sharded drivers.
+//!    plane (`measure_with_faults`) reproduce the monolithic fixtures at
+//!    every layout.
 //! 3. **Migration property** — stepping a world on the shard plane next
 //!    to an identical monolithic world, node↔shard migration across the
 //!    torus wrap never drops or duplicates a node or a link event: link
 //!    events, neighbor rows, and counters match tick for tick while the
 //!    plane's ownership partition stays exact.
 
+use clustered_manet::cluster::LowestId;
 use clustered_manet::experiments::harness::{
-    measure_lid, measure_lid_sharded, Protocol, Scenario, ShardRun,
+    measure_lid, measure_with_policy_ctl, Protocol, Scenario, ShardRun,
 };
 use clustered_manet::experiments::robustness::{
-    measure_with_faults, measure_with_faults_sharded, FaultConfig,
+    measure_with_faults, measure_with_faults_ctl, FaultConfig,
 };
-use clustered_manet::experiments::trace::{
-    trace_run, trace_run_chaos, trace_run_sharded, TelemetryConfig,
-};
+use clustered_manet::experiments::trace::{trace_run_chaos, TelemetryConfig};
 use clustered_manet::geom::ShardDims;
 use clustered_manet::shard::{InterconnectConfig, ShardPlane};
 use clustered_manet::sim::{HelloMode, LossModel, QuietCtx, SimBuilder};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// The layouts every parity check sweeps: the degenerate single shard,
 /// a 2-D split, and a 1-D strip split (exercising both axes' wrap).
 const LAYOUTS: [&str; 3] = ["1x1", "2x2", "4x1"];
 
-/// Short but non-trivial run: long enough for clusters to churn and for
-/// nodes to cross shard boundaries and the torus seam.
+/// The golden fixtures' scenario: short but non-trivial, long enough for
+/// clusters to churn and for nodes to cross shard boundaries and the
+/// torus seam.
 fn quick() -> (Scenario, Protocol) {
     (
         Scenario {
@@ -54,6 +56,15 @@ fn quick() -> (Scenario, Protocol) {
     )
 }
 
+/// A monolithic reference fixture from `tests/golden/`.
+fn golden(name: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing fixture {} ({e})", path.display()))
+}
+
 /// Trace lines minus `"type":"profile"` records, which carry wall-clock
 /// timings and legitimately differ run to run.
 fn without_profile_lines(raw: &str) -> String {
@@ -69,34 +80,44 @@ fn tmp_path(name: &str) -> PathBuf {
     dir.join(name)
 }
 
-#[test]
-fn traced_jsonl_is_byte_identical_across_shard_layouts() {
+/// Runs a traced run of the fixture scenario (label `golden`, as when the
+/// fixtures were captured) and asserts its JSONL and counters equal the
+/// monolithic fixtures.
+fn assert_traced_run_matches_golden(run: Option<&ShardRun>, what: &str) {
     let (scenario, protocol) = quick();
-    let mono_path = tmp_path("mono.jsonl");
-    let mono = trace_run(
+    let path = tmp_path(&format!("{what}.jsonl"));
+    let traced = trace_run_chaos(
         &scenario,
         &protocol,
-        &TelemetryConfig::to_file("shard-parity", mono_path.clone()),
+        &TelemetryConfig::to_file("golden", path.clone()),
+        run,
     )
-    .expect("monolithic trace");
-    let mono_raw = without_profile_lines(&std::fs::read_to_string(&mono_path).expect("trace"));
+    .expect("traced run");
+    let raw = without_profile_lines(&std::fs::read_to_string(&path).expect("trace"));
     assert!(
-        mono_raw.lines().count() > 50,
+        raw.lines().count() > 50,
         "trace unexpectedly small — the parity check would be vacuous"
     );
+    assert_eq!(
+        raw,
+        golden("trace_plain.jsonl"),
+        "{what}: traced JSONL diverged"
+    );
+    assert_eq!(
+        format!("{:#?}\n", traced.counters),
+        golden("trace_counters.txt"),
+        "{what}: counters diverged"
+    );
+    let dims = run.map_or(ShardDims::unit(), |r| r.dims);
+    assert_eq!(traced.shard.shards.len(), dims.count(), "{what}");
+}
 
+#[test]
+fn traced_jsonl_is_byte_identical_across_shard_layouts() {
+    assert_traced_run_matches_golden(None, "default");
     for dims in LAYOUTS {
-        let path = tmp_path(&format!("sharded-{dims}.jsonl"));
-        let sharded = trace_run_sharded(
-            &scenario,
-            &protocol,
-            &TelemetryConfig::to_file("shard-parity", path.clone()),
-            Some(ShardDims::parse(dims).unwrap()),
-        )
-        .expect("sharded trace");
-        let raw = without_profile_lines(&std::fs::read_to_string(&path).expect("trace"));
-        assert_eq!(mono_raw, raw, "{dims}: traced JSONL diverged");
-        assert_eq!(mono.counters, sharded.counters, "{dims}: counters diverged");
+        let run = ShardRun::new(ShardDims::parse(dims).unwrap());
+        assert_traced_run_matches_golden(Some(&run), dims);
     }
 }
 
@@ -104,63 +125,63 @@ fn traced_jsonl_is_byte_identical_across_shard_layouts() {
 /// pass-through at the trace level: with the ideal
 /// [`InterconnectConfig`] wired in (message staging, per-pair channels,
 /// sync/consume protocol all active) the traced JSONL stays byte-identical
-/// to the monolithic run at every layout and a non-trivial worker count.
+/// to the monolithic fixtures at every layout and a non-trivial worker
+/// count.
 #[test]
 fn ideal_interconnect_traced_jsonl_is_byte_identical() {
-    let (scenario, protocol) = quick();
-    let mono_path = tmp_path("chaos-mono.jsonl");
-    let mono = trace_run(
-        &scenario,
-        &protocol,
-        &TelemetryConfig::to_file("interconnect-parity", mono_path.clone()),
-    )
-    .expect("monolithic trace");
-    let mono_raw = without_profile_lines(&std::fs::read_to_string(&mono_path).expect("trace"));
-
     for dims in LAYOUTS {
-        let path = tmp_path(&format!("chaos-ideal-{dims}.jsonl"));
         let run = ShardRun::new(ShardDims::parse(dims).unwrap())
             .with_interconnect(InterconnectConfig::default())
             .with_workers(3);
-        let sharded = trace_run_chaos(
-            &scenario,
-            &protocol,
-            &TelemetryConfig::to_file("interconnect-parity", path.clone()),
-            Some(&run),
-        )
-        .expect("sharded trace");
-        let raw = without_profile_lines(&std::fs::read_to_string(&path).expect("trace"));
-        assert_eq!(mono_raw, raw, "{dims}: traced JSONL diverged");
-        assert_eq!(mono.counters, sharded.counters, "{dims}: counters diverged");
-        let snapshot = sharded.shard.expect("sharded runs snapshot their plane");
-        assert_eq!(
-            snapshot.shards.len(),
-            ShardDims::parse(dims).unwrap().count()
-        );
+        assert_traced_run_matches_golden(Some(&run), &format!("chaos-ideal-{dims}"));
     }
 }
 
 #[test]
 fn measured_metrics_are_identical_across_shard_layouts() {
     let (scenario, protocol) = quick();
-    let mono = measure_lid(&scenario, &protocol);
+    let mono = golden("measured_lid.txt");
+    assert_eq!(
+        format!("{:#?}\n", measure_lid(&scenario, &protocol)),
+        mono,
+        "default layout: measured metrics diverged"
+    );
     for dims in LAYOUTS {
-        let dims = ShardDims::parse(dims).unwrap();
-        let sharded = measure_lid_sharded(&scenario, &protocol, Some(dims));
-        assert_eq!(mono, sharded, "{dims}: measured metrics diverged");
+        let run = ShardRun::new(ShardDims::parse(dims).unwrap());
+        let sharded = measure_with_policy_ctl(&scenario, &protocol, Some(&run), None, |_| LowestId)
+            .expect("uncancelled");
+        assert_eq!(
+            format!("{sharded:#?}\n"),
+            mono,
+            "{dims}: measured metrics diverged"
+        );
     }
 
     // The fault plane (lossy HELLO, retries, repair sweeps) rides the
-    // same topology stage, so it inherits the same equality.
+    // same plane, so it inherits the same equality (the fixture's config).
     let config = FaultConfig {
-        loss: LossModel::Bernoulli { p: 0.1 },
-        crash_rate: 0.002,
+        loss: LossModel::Bernoulli { p: 0.15 },
+        crash_rate: 0.004,
+        mean_downtime: 12.0,
         ..FaultConfig::default()
     };
-    let mono = measure_with_faults(&scenario, &protocol, &config);
-    let dims = ShardDims::parse("2x2").unwrap();
-    let sharded = measure_with_faults_sharded(&scenario, &protocol, &config, Some(dims));
-    assert_eq!(mono, sharded, "fault-plane metrics diverged");
+    let mono = golden("measured_faulty.txt");
+    assert_eq!(
+        format!(
+            "{:#?}\n",
+            measure_with_faults(&scenario, &protocol, &config)
+        ),
+        mono,
+        "default layout: fault-plane metrics diverged"
+    );
+    let run = ShardRun::new(ShardDims::parse("2x2").unwrap());
+    let sharded = measure_with_faults_ctl(&scenario, &protocol, &config, Some(&run), None)
+        .expect("uncancelled");
+    assert_eq!(
+        format!("{sharded:#?}\n"),
+        mono,
+        "2x2: fault-plane metrics diverged"
+    );
 }
 
 /// Seeded property (DESIGN.md §17): the owner-frame partition the scoped
@@ -284,7 +305,7 @@ fn torus_wrap_migration_preserves_nodes_and_link_events() {
         let mut total_migrations = 0usize;
         for tick in 0..240 {
             let a = mono.step(&mut qa.ctx());
-            let b = sharded.step_with(&mut qb.ctx(), &mut plane);
+            let b = sharded.step_staged(&mut qb.ctx(), &mut plane);
             assert_eq!(a, b, "seed {seed}: step report diverged at tick {tick}");
             assert_eq!(
                 mono.last_events(),
