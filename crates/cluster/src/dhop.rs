@@ -585,7 +585,7 @@ mod tests {
         let t1 = path(4);
         let mut sink = Collect::default();
         let mut tracker = CauseTracker::new();
-        let mut probe = Probe::with_causes(Some(&mut sink), None, Some(&mut tracker));
+        let mut probe = Probe::with_causes(Some(&mut sink), Some(&mut tracker));
         let mut scratch = manet_sim::Scratch::new();
         let o = c.maintain(
             &LowestId,

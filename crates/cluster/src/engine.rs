@@ -1362,7 +1362,7 @@ mod tests {
         let t1 = topo(&[(5.0, 0.0), (4.5, 0.0), (5.5, 0.0), (6.0, 0.0)], 2.0);
         let mut sink = Collect::default();
         let mut tracker = CauseTracker::new();
-        let mut probe = Probe::with_causes(Some(&mut sink), None, Some(&mut tracker));
+        let mut probe = Probe::with_causes(Some(&mut sink), Some(&mut tracker));
         let mut scratch = Scratch::new();
         let o = c.maintain(&t1, &mut StepCtx::new(&mut probe, &mut scratch).at(1.0));
         // Accounting is untouched by attribution.
@@ -1399,7 +1399,7 @@ mod tests {
         let b1 = topo(&[(500.0, 0.0), (1.0, 0.0), (2.0, 0.0)], 1.1);
         let mut sink = Collect::default();
         let mut tracker = CauseTracker::new();
-        let mut probe = Probe::with_causes(Some(&mut sink), None, Some(&mut tracker));
+        let mut probe = Probe::with_causes(Some(&mut sink), Some(&mut tracker));
         let mut scratch = Scratch::new();
         let o = c.maintain(&b1, &mut StepCtx::new(&mut probe, &mut scratch).at(2.0));
         assert_eq!(o.break_reaffiliations, 1);

@@ -15,10 +15,9 @@
 //! - a critical-path decomposition of the mean tick and the Amdahl
 //!   ceiling it implies for the parallel topology stage.
 //!
-//! The run doubles as a self check (nonzero exit on failure): per-stage
-//! span totals must reconcile with the [`manet_telemetry::PhaseProfiler`]
-//! within 1%, and two same-seed runs must export byte-identical span
-//! dumps on the canonical timebase.
+//! The run doubles as a self check (nonzero exit on failure): two
+//! same-seed runs must export byte-identical span dumps on the canonical
+//! timebase, and the dump must parse as a Chrome trace.
 //!
 //! `--check <file>` validates a Chrome trace-event JSON file (as written
 //! by `--spans-out` on any experiment binary) with the in-house JSON
@@ -27,7 +26,9 @@
 
 use manet_experiments::harness::{Protocol, Scenario, ShardRun};
 use manet_experiments::robustness2::ChaosPoint;
-use manet_experiments::trace::{spans_out_from_args, trace_run_chaos, TelemetryConfig, TraceRun};
+use manet_experiments::trace::{
+    spans_out_from_args, trace_run_chaos, TelemetryConfig, TraceRun, DEFAULT_SPAN_RING_CAPACITY,
+};
 use manet_geom::ShardDims;
 use manet_telemetry::{chrome_trace_json, Phase, SpanLabel, SpanRecorder, SpanTimebase};
 use manet_util::json::Value;
@@ -53,7 +54,8 @@ fn main() -> ExitCode {
 /// The robustness2 quick chaos scenario: 80 nodes on a 500 m side at
 /// 100 m radius, 2x2 shards, 20% interconnect loss with occasional
 /// stalls, seed 7. One worker, so the per-shard compute spans serialize
-/// and the critical-path accounting is exact.
+/// and the critical-path accounting is exact. The raw-span ring is armed
+/// so the canonical dump covers the whole run.
 fn chaos_run(label: &str) -> TraceRun {
     let scenario = Scenario {
         nodes: 80,
@@ -80,7 +82,7 @@ fn chaos_run(label: &str) -> TraceRun {
         .with_workers(1);
     let config = TelemetryConfig::in_memory(label)
         .with_attribution()
-        .with_spans()
+        .with_spans_ring(DEFAULT_SPAN_RING_CAPACITY)
         .with_spans_from_args();
     trace_run_chaos(&scenario, &protocol, &config, Some(&shard_run))
         .expect("span-report run cannot fail on IO")
@@ -89,7 +91,7 @@ fn chaos_run(label: &str) -> TraceRun {
 fn quick_report() -> ExitCode {
     println!("span_report: sharded chaos run (80 nodes, 2x2 shards, loss 0.2, stalls)");
     let run = chaos_run("span_report");
-    let spans = run.spans.as_ref().expect("spans enabled");
+    let spans = &run.spans;
     if let Some(path) = spans_out_from_args() {
         println!("span trace -> {}", path.display());
     }
@@ -233,39 +235,18 @@ fn quick_report() -> ExitCode {
 
     let mut ok = true;
 
-    // Gate 1: span totals reconcile with the phase profiler within 1%.
-    for phase in Phase::ALL {
-        let span_total = stage_sum(phase);
-        let prof_total = run.profile.get(phase).map_or(0.0, |s| s.total);
-        if prof_total == 0.0 && span_total == 0.0 {
-            continue;
-        }
-        let err = (span_total - prof_total).abs() / prof_total.max(f64::MIN_POSITIVE);
-        if err > 0.01 {
-            println!(
-                "CHECK FAIL: {} span total {span_total:.6} vs profiler {prof_total:.6} ({:.2}% off)",
-                phase.name(),
-                err * 100.0
-            );
-            ok = false;
-        }
-    }
-    if ok {
-        println!("\ncheck: span totals reconcile with the phase profiler within 1%");
-    }
-
-    // Gate 2: same seed, byte-identical canonical span dump.
+    // Gate 1: same seed, byte-identical canonical span dump.
     let twin = chaos_run("span_report");
     let dump_a = canonical_dump(spans);
-    let dump_b = canonical_dump(twin.spans.as_ref().expect("spans enabled"));
+    let dump_b = canonical_dump(&twin.spans);
     if dump_a == dump_b {
-        println!("check: canonical span dump is byte-identical across same-seed runs");
+        println!("\ncheck: canonical span dump is byte-identical across same-seed runs");
     } else {
         println!("CHECK FAIL: same-seed canonical span dumps differ");
         ok = false;
     }
 
-    // Gate 3: the exported trace round-trips through the JSON reader.
+    // Gate 2: the exported trace round-trips through the JSON reader.
     match validate_trace(&dump_a) {
         Ok(stats) => println!(
             "check: canonical dump parses as a Chrome trace ({} spans on {} threads)",

@@ -2,11 +2,11 @@
 //!
 //! [`trace_run`] drives the full ideal stack (HELLO + clustering +
 //! intra-cluster routing) with a live [`Probe`], producing a windowed
-//! time-series recorder, a tick-phase wall-clock profile, and (optionally)
-//! a JSONL trace file. Unlike `measure_lid` it traces from `t = 0` with no
-//! warmup cut, so the recorded series *shows* the transient — the
-//! trace-report tooling estimates the warmup point from the data instead
-//! of assuming it.
+//! time-series recorder, per-stage wall-clock spans (and the tick-phase
+//! profile projected from them), and (optionally) a JSONL trace file.
+//! Unlike `measure_lid` it traces from `t = 0` with no warmup cut, so
+//! the recorded series *shows* the transient — the trace-report tooling
+//! estimates the warmup point from the data instead of assuming it.
 //!
 //! Every experiment binary accepts `--trace-out <path>` (via
 //! [`maybe_trace`]): when present, a traced twin of the binary's default
@@ -21,11 +21,10 @@ use manet_routing::intra::IntraClusterRouting;
 use manet_sim::{Counters, HelloMode, MessageKind, QuietCtx, Scratch, SimBuilder, StepCtx};
 use manet_stack::ProtocolStack;
 use manet_telemetry::{
-    chrome_trace_json, prometheus_text_full, AttributionLedger, AuditConfig, AuditMonitor,
-    AuditReport, CauseTracker, Event, FlightRecorder, FlightTrigger, JsonlSink, MetricsServer,
-    MsgClass, PhaseProfiler, Probe, ProfileReport, Publisher, RootCause, ShardSnapshot,
-    SpanRecorder, SpanTimebase, Subscriber, TelemetrySnapshot, TraceMeta, TraceOut,
-    WindowedRecorder,
+    chrome_trace_json, prometheus_text, AttributionLedger, AuditConfig, AuditMonitor, AuditReport,
+    CauseTracker, Event, FlightRecorder, FlightTrigger, JsonlSink, MetricsServer, MsgClass, Probe,
+    ProfileReport, Publisher, RootCause, ShardSnapshot, SpanRecorder, SpanTimebase, Subscriber,
+    TelemetrySnapshot, TraceMeta, TraceOut, WindowedRecorder,
 };
 use std::fmt::Write as _;
 use std::io::{self, Write};
@@ -60,17 +59,13 @@ pub struct TelemetryConfig {
     /// audit violation, or (when none fires) once at end of run so the
     /// black box is never silently empty.
     pub flight_out: Option<PathBuf>,
-    /// Attach a [`SpanRecorder`] to the run: every tick/stage/shard span
-    /// aggregates into per-(stage, shard) histograms and the last
-    /// [`TelemetryConfig::spans_ring`] raw spans are retained for export.
-    /// Off by default — the un-spanned path never reads the clock for
-    /// spans and emits byte-identical traces.
-    pub spans: bool,
     /// Chrome trace-event JSON output path, written once after the run
-    /// (implies [`TelemetryConfig::spans`]).
+    /// from the raw-span ring (arms the ring, with
+    /// [`DEFAULT_SPAN_RING_CAPACITY`] unless `spans_ring` is set).
     pub spans_out: Option<PathBuf>,
-    /// Raw-span ring capacity (defaults to
-    /// [`DEFAULT_SPAN_RING_CAPACITY`] when spans are on).
+    /// Raw-span ring capacity. Every traced run aggregates its spans into
+    /// per-(stage, shard) histograms; the ring that retains spans
+    /// verbatim is armed only by this or [`TelemetryConfig::spans_out`].
     pub spans_ring: Option<usize>,
     /// Export spans on the canonical timebase (sequence-derived
     /// timestamps, byte-identical across same-seed runs) instead of wall
@@ -89,7 +84,6 @@ impl TelemetryConfig {
             metrics_out: None,
             flight: None,
             flight_out: None,
-            spans: false,
             spans_out: None,
             spans_ring: None,
             spans_canonical: false,
@@ -148,26 +142,25 @@ impl TelemetryConfig {
         self
     }
 
-    /// Attaches a span recorder to the run (in-memory aggregation only
-    /// unless [`TelemetryConfig::with_spans_out`] also names a file).
-    pub fn with_spans(mut self) -> TelemetryConfig {
-        self.spans = true;
-        self
-    }
-
     /// Writes the raw span ring as Chrome trace-event JSON to `path`
     /// after the run (load it at `ui.perfetto.dev` or `chrome://tracing`).
     pub fn with_spans_out(mut self, path: PathBuf) -> TelemetryConfig {
         self.spans_out = Some(path);
-        self.spans = true;
         self
     }
 
-    /// Sets the raw-span ring capacity.
+    /// Sets the raw-span ring capacity (and so arms the ring).
     pub fn with_spans_ring(mut self, cap: usize) -> TelemetryConfig {
         self.spans_ring = Some(cap);
-        self.spans = true;
         self
+    }
+
+    /// The raw-span ring capacity this config arms: `--spans-ring <K>`,
+    /// else [`DEFAULT_SPAN_RING_CAPACITY`] when a span dump was asked
+    /// for, else `None` (histograms only).
+    fn span_ring(&self) -> Option<usize> {
+        self.spans_ring
+            .or_else(|| self.spans_out.as_ref().map(|_| DEFAULT_SPAN_RING_CAPACITY))
     }
 
     /// Switches span export to the canonical (sequence-derived,
@@ -206,7 +199,8 @@ impl TelemetryConfig {
 /// Ring capacity when `--flight-out` is given without `--flight <K>`.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
 
-/// Raw-span ring capacity when spans are armed without `--spans-ring <K>`.
+/// Raw-span ring capacity when `--spans-out` arms the ring without
+/// `--spans-ring <K>`.
 /// A quick traced run closes a few tens of spans per tick, so 64 Ki spans
 /// retain several hundred ticks of full fidelity.
 pub const DEFAULT_SPAN_RING_CAPACITY: usize = 1 << 16;
@@ -232,7 +226,8 @@ pub struct TraceRun {
     pub counters: Counters,
     /// The windowed time series.
     pub recorder: WindowedRecorder,
-    /// Tick-phase wall-clock profile.
+    /// Tick-phase wall-clock profile: [`SpanRecorder::profile`] of
+    /// [`TraceRun::spans`].
     pub profile: ProfileReport,
     /// Causal attribution outputs (`None` unless enabled in the config).
     pub attribution: Option<AttributionRun>,
@@ -242,11 +237,12 @@ pub struct TraceRun {
     /// The flight recorder's final ring (`None` unless armed) — what a
     /// dump at end of run would contain, kept for tests and tooling.
     pub flight: Option<FlightRecorder>,
-    /// The span recorder (`None` unless spans were enabled): per-(stage,
-    /// shard) duration histograms plus the raw-span ring behind the
-    /// Chrome trace export. `bin/span_report` builds its critical-path
-    /// and imbalance tables from this.
-    pub spans: Option<SpanRecorder>,
+    /// The span recorder: per-(stage, shard) duration histograms, plus
+    /// the raw-span ring behind the Chrome trace export when
+    /// [`TelemetryConfig::spans_out`] or [`TelemetryConfig::spans_ring`]
+    /// armed one. `bin/span_report` builds its critical-path and
+    /// imbalance tables from this.
+    pub spans: SpanRecorder,
 }
 
 /// Live attribution state carried across the ticks of one traced run.
@@ -400,7 +396,6 @@ pub fn trace_run_to_sink<W: Write>(
     };
     let mut out = TraceOut::new(config.window, sink);
     out.write_meta(&meta);
-    let mut profiler = PhaseProfiler::new();
     let mut attrib = config.attribution.then(|| AttribState {
         tracker: CauseTracker::new(),
         ledger: AttributionLedger::new(),
@@ -413,9 +408,10 @@ pub fn trace_run_to_sink<W: Write>(
     stack.prime(&mut QuietCtx::new().ctx()); // baseline fill, uncharged
 
     let mut flight = config.flight.map(FlightRecorder::new);
-    let mut spans = config.spans.then(|| {
-        SpanRecorder::new().with_ring(config.spans_ring.unwrap_or(DEFAULT_SPAN_RING_CAPACITY))
-    });
+    let mut spans = match config.span_ring() {
+        Some(cap) => SpanRecorder::new().with_ring(cap),
+        None => SpanRecorder::new(),
+    };
     let mut trigger = FlightTrigger::new();
     let live = live_publisher();
     let started = Instant::now();
@@ -440,11 +436,11 @@ pub fn trace_run_to_sink<W: Write>(
                 audit,
                 flight: flight.as_mut(),
             };
-            Probe::with_causes(Some(&mut fan), Some(&mut profiler), tracker)
+            Probe::with_causes(Some(&mut fan), tracker)
         } else {
-            Probe::new(Some(&mut out), Some(&mut profiler))
+            Probe::new(Some(&mut out))
         };
-        let mut probe = probe.with_spans(spans.as_mut());
+        let mut probe = probe.with_spans(Some(&mut spans));
         let report = stack.tick(&mut StepCtx::new(&mut probe, &mut scratch));
 
         // Feed the invariant monitors a post-maintenance structural sample.
@@ -476,7 +472,7 @@ pub fn trace_run_to_sink<W: Write>(
                     attrib.as_ref(),
                     &stack.shard_snapshot(),
                     flight.as_ref(),
-                    spans.as_ref(),
+                    &spans,
                     &meta,
                     (tick + 1) as u64,
                     report.time,
@@ -486,7 +482,7 @@ pub fn trace_run_to_sink<W: Write>(
         }
     }
 
-    let profile = profiler.report();
+    let profile = spans.profile();
     let recorder = std::mem::replace(&mut out.recorder, WindowedRecorder::new(config.window));
     let writer = out.finish_into(&profile)?;
 
@@ -500,15 +496,15 @@ pub fn trace_run_to_sink<W: Write>(
             attrib.as_ref(),
             &stack.shard_snapshot(),
             flight.as_ref(),
-            spans.as_ref(),
+            &spans,
             &meta,
             ticks as u64,
             duration,
             started.elapsed(),
         ));
     }
-    if let (Some(rec), Some(path)) = (spans.as_ref(), &config.spans_out) {
-        std::fs::write(path, chrome_trace_json(rec, config.span_timebase()))?;
+    if let Some(path) = &config.spans_out {
+        std::fs::write(path, chrome_trace_json(&spans, config.span_timebase()))?;
     }
     let attribution = attrib.map(|mut st| {
         for (class, kind) in [
@@ -528,11 +524,11 @@ pub fn trace_run_to_sink<W: Write>(
     if let Some(path) = &config.metrics_out {
         std::fs::write(
             path,
-            prometheus_text_full(
+            prometheus_text(
                 &recorder,
                 attribution.as_ref().map(|a| &a.ledger),
                 Some(&shard),
-                spans.as_ref(),
+                Some(&spans),
             ),
         )?;
     }
@@ -560,14 +556,19 @@ fn render_snapshot(
     attrib: Option<&AttribState>,
     shard: &ShardSnapshot,
     flight: Option<&FlightRecorder>,
-    spans: Option<&SpanRecorder>,
+    spans: &SpanRecorder,
     meta: &TraceMeta,
     tick: u64,
     sim_time: f64,
     elapsed: Duration,
 ) -> TelemetrySnapshot {
     TelemetrySnapshot {
-        metrics: prometheus_text_full(recorder, attrib.map(|st| &st.ledger), Some(shard), spans),
+        metrics: prometheus_text(
+            recorder,
+            attrib.map(|st| &st.ledger),
+            Some(shard),
+            Some(spans),
+        ),
         tick,
         sim_time,
         ticks_per_sec: tick as f64 / elapsed.as_secs_f64().max(1e-9),
@@ -1073,12 +1074,12 @@ pub fn maybe_trace(label: &str, scenario: &Scenario, protocol: &Protocol) {
                 "{}",
                 report_text(Some(&run.meta), &run.recorder, Some(&run.profile))
             );
-            if let Some(spans) = &run.spans {
+            if config.span_ring().is_some() {
                 println!(
                     "spans: {} recorded across {} ticks ({} retained in ring)",
-                    spans.spans_recorded(),
-                    spans.tick(),
-                    spans.ring_len()
+                    run.spans.spans_recorded(),
+                    run.spans.tick(),
+                    run.spans.ring_len()
                 );
             }
             if let Some(attr) = &run.attribution {
@@ -1221,36 +1222,32 @@ mod tests {
         let run = trace_run(&scenario, &protocol, &TelemetryConfig::in_memory("plain"))
             .expect("in-memory run");
         assert!(run.attribution.is_none());
-        assert!(run.spans.is_none());
+        // Spans aggregate, but no span flag armed the raw ring.
+        assert_eq!(run.spans.ring_len(), 0);
+        assert!(!run.spans.is_empty());
     }
 
-    /// A spanned run closes one tick span and one stage span per phase
-    /// per tick, and the per-stage span totals equal the phase profiler's
-    /// (the same clock read feeds both planes).
+    /// A traced run closes one tick span and one stage span per phase
+    /// per tick, and its profile is exactly the span recorder's
+    /// projection (one timing source, nothing to reconcile).
     #[test]
-    fn spanned_run_reconciles_with_the_phase_profiler() {
+    fn traced_run_profile_is_the_span_projection() {
         use manet_telemetry::SpanLabel;
         let (scenario, protocol) = quick();
-        let config = TelemetryConfig::in_memory("spans").with_spans();
+        let config =
+            TelemetryConfig::in_memory("spans").with_spans_ring(DEFAULT_SPAN_RING_CAPACITY);
         let run = trace_run(&scenario, &protocol, &config).expect("in-memory run");
-        let spans = run.spans.as_ref().expect("spans enabled");
+        let spans = &run.spans;
         let ticks = ((protocol.warmup + protocol.measure) / protocol.dt).round() as u64;
+        assert_eq!(run.profile, spans.profile());
         assert_eq!(spans.tick(), ticks);
         assert_eq!(spans.hist(SpanLabel::Tick, None).unwrap().count(), ticks);
-        for phase in Phase::TICK {
+        for phase in Phase::ALL {
             let h = spans
                 .hist(SpanLabel::Stage(phase), None)
                 .expect("stage spans on the main thread");
-            let p = run.profile.get(phase).expect("phase profiled");
-            assert_eq!(h.count(), p.count, "{}", phase.name());
-            let err = (h.sum() - p.total).abs() / p.total.max(1e-12);
-            assert!(
-                err < 0.01,
-                "{}: span sum {} vs profile {}",
-                phase.name(),
-                h.sum(),
-                p.total
-            );
+            assert_eq!(h.count(), ticks, "{}", phase.name());
+            assert_eq!(run.profile.get(phase).map(|s| s.count), Some(ticks));
         }
         // The raw ring retained every span of this short run.
         assert_eq!(spans.ring_len() as u64, spans.spans_recorded());

@@ -1018,7 +1018,7 @@ mod tests {
         let mut tracker = CauseTracker::new();
         let mut scratch = Scratch::new();
         {
-            let mut probe = Probe::with_causes(None, None, Some(&mut tracker));
+            let mut probe = Probe::with_causes(None, Some(&mut tracker));
             r.update(
                 0.0,
                 &t0,
@@ -1032,7 +1032,7 @@ mod tests {
         let t1 = topo(&[(0.0, 10.0), (0.6, 10.7), (0.6, 9.3)], 1.0);
         let mut sink = Collect::default();
         {
-            let mut probe = Probe::with_causes(Some(&mut sink), None, Some(&mut tracker));
+            let mut probe = Probe::with_causes(Some(&mut sink), Some(&mut tracker));
             r.update(
                 0.0,
                 &t1,
@@ -1057,7 +1057,7 @@ mod tests {
         // Next pass: the pure re-sync round is attributed to that loss.
         let mut sink2 = Collect::default();
         {
-            let mut probe = Probe::with_causes(Some(&mut sink2), None, Some(&mut tracker));
+            let mut probe = Probe::with_causes(Some(&mut sink2), Some(&mut tracker));
             r.update(
                 0.0,
                 &t1,

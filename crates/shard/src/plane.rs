@@ -314,7 +314,7 @@ impl ShardPlane {
     /// A plane configured from a world's geometry, with per-shard scratch
     /// capacities pre-sized for the world's population (so the steady
     /// state is allocation-free from the first tick instead of warming up
-    /// over many — see `bench_shard`'s allocation probe).
+    /// over many — pinned by this crate's `tests/alloc_free.rs`).
     pub fn for_world(world: &World, dims: ShardDims) -> Result<Self, ShardLayoutError> {
         let mut plane = ShardPlane::new(dims, world.region(), world.radius(), world.metric())?;
         plane.presize(world.node_count(), world.radius());
@@ -428,7 +428,7 @@ impl ShardPlane {
     }
 
     /// A point-in-time shard + interconnect view for the Prometheus
-    /// exporter (see `manet_telemetry::prometheus_text_with_shards`).
+    /// exporter (see `manet_telemetry::prometheus_text`).
     pub fn snapshot(&self) -> ShardSnapshot {
         let mut snap = ShardSnapshot::default();
         for (i, s) in self.shards.iter().enumerate() {

@@ -251,7 +251,7 @@ mod tests {
                 max_leg: 25.0,
             },
         ] {
-            for dims in ["1x1", "2x2", "4x1"] {
+            for dims in ["1x1", "2x2", "4x1", "4x2"] {
                 let dims = ShardDims::parse(dims).unwrap();
                 let what = format!("{mobility:?} {dims}");
                 let sharded = ShardedStack::new(ideal(world(42, mobility, false)), dims).unwrap();

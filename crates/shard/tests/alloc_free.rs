@@ -80,13 +80,14 @@ fn steady_state_sharded_step_is_allocation_free() {
         after - before
     );
 
-    // The N=100k regression pin: at bench_shard's largest size the 1x1
-    // path used to keep reallocating per-shard scratch deep into the run
-    // because the plane's buffers started empty and grew tick by tick.
+    // The N=100k regression pin: at 100k nodes the 1x1 path used to keep
+    // reallocating per-shard scratch deep into the run because the
+    // plane's buffers started empty and grew tick by tick.
     // `ShardPlane::for_world` now pre-sizes every per-shard capacity from
     // the population, so even at 100k nodes a short warmup reaches the
     // high-water marks and the steady state is allocation-free. Same
-    // geometry as the bench (fixed density, radius 150).
+    // geometry as the benchmark's scale-100k workload (the paper's
+    // density, radius 150).
     let nodes = 100_000usize;
     let side = (nodes as f64 / (400.0 / 1e6)).sqrt();
     let mut world = SimBuilder::new()

@@ -57,8 +57,7 @@ impl FaultHooks for NoFaults {}
 /// Holding the spatial grid and the double-buffered topology here (rather
 /// than rebuilding them from scratch each tick) makes the topology/diff
 /// path of `World::step` allocation-free once capacities have warmed up;
-/// see the `bench_stack` binary and `tests/alloc_free.rs` for the
-/// measurement.
+/// this crate's `tests/alloc_free.rs` pins it.
 #[derive(Debug, Default)]
 pub struct Scratch {
     /// The spatial hash grid, rebuilt (not reallocated) every tick.
@@ -234,7 +233,7 @@ mod tests {
         let mut spans = SpanRecorder::new();
         let mut scratch = Scratch::new();
         {
-            let mut probe = Probe::new(None, None).with_spans(Some(&mut spans));
+            let mut probe = Probe::new(None).with_spans(Some(&mut spans));
             let mut ctx = StepCtx::new(&mut probe, &mut scratch).at(2.0);
             let mut span = ctx.tick_span();
             // The guard is a drop-in StepCtx: fields and methods resolve

@@ -840,7 +840,7 @@ mod tests {
         let mut scratch = Scratch::new();
         for _ in 0..40 {
             let a = plain.step(&mut q.ctx());
-            let mut probe = Probe::with_causes(Some(&mut sink), None, Some(&mut tracker));
+            let mut probe = Probe::with_causes(Some(&mut sink), Some(&mut tracker));
             let b = traced.step(&mut StepCtx::new(&mut probe, &mut scratch));
             assert_eq!(a, b, "attribution must not perturb the simulation");
         }
@@ -918,7 +918,7 @@ mod tests {
         let mut tracker = CauseTracker::new();
         let mut scratch = Scratch::new();
         while w.time() < 3.5 {
-            let mut probe = Probe::with_causes(Some(&mut sink), None, Some(&mut tracker));
+            let mut probe = Probe::with_causes(Some(&mut sink), Some(&mut tracker));
             w.step(&mut StepCtx::new(&mut probe, &mut scratch));
         }
         // The crash's link breaks and the recovery's link formations (and

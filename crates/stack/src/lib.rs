@@ -31,7 +31,7 @@
 //! [`StepCtx`] handed to `tick`: a hookless [`QuietCtx`](manet_sim::QuietCtx)
 //! runs the stack silently; a probe-carrying ctx makes the same tick emit
 //! the full event stream (batched `MsgSent` rollups per layer, a
-//! `ClusterGauge` every tick, tick-phase profiling) with bit-identical
+//! `ClusterGauge` every tick, per-stage spans) with bit-identical
 //! protocol state.
 //!
 //! # Example

@@ -51,10 +51,10 @@ impl HelloDriver {
 ///    HELLO; sets `ctx.now` to the post-tick time.
 /// 2. The explicit HELLO driver beacons (if attached), its attempted
 ///    sends recorded as `HELLO` in the shared counters.
-/// 3. The cluster layer maintains (phase-profiled as `Cluster`), its
-///    ordinary sends emitted as one batched `MsgSent` rollup.
-/// 4. The routing layer updates (phase-profiled as `Routing`), likewise
-///    rolled up.
+/// 3. The cluster layer maintains (timed as the `Cluster` stage span),
+///    its ordinary sends emitted as one batched `MsgSent` rollup.
+/// 4. The routing layer updates (timed as the `Routing` stage span),
+///    likewise rolled up.
 /// 5. A `ClusterGauge` snapshot is emitted and the tick's CLUSTER /
 ///    RETX / REPAIR / ROUTE traffic is recorded into the counters.
 ///

@@ -9,7 +9,7 @@
 //! attached (guarded by the counters-parity integration test).
 
 use crate::cause::{Cause, CauseId, CauseTracker, RootCause};
-use crate::profiler::{Phase, PhaseProfiler};
+use crate::profile::Phase;
 use crate::span::{SpanLabel, SpanRecorder, SpanStart};
 use std::time::{Duration, Instant};
 
@@ -318,16 +318,15 @@ impl Subscriber for NoopSubscriber {
 }
 
 /// The handle instrumented code paths thread through the stack: an optional
-/// event sink, an optional tick-phase profiler, an optional cause tracker
-/// for root-cause attribution, and an optional span recorder for the
-/// hierarchical wall-clock timeline.
+/// event sink, an optional cause tracker for root-cause attribution, and an
+/// optional span recorder — the run's one wall-clock timer, per tick, per
+/// stage and per shard.
 ///
 /// [`Probe::off`] is the zero-cost disabled form; every hook is `#[inline]`
 /// and reduces to a `None` check.
 #[derive(Debug, Default)]
 pub struct Probe<'a> {
     sub: Option<&'a mut dyn Subscriber>,
-    prof: Option<&'a mut PhaseProfiler>,
     causes: Option<&'a mut CauseTracker>,
     spans: Option<&'a mut SpanRecorder>,
 }
@@ -339,59 +338,42 @@ impl std::fmt::Debug for dyn Subscriber + '_ {
 }
 
 impl<'a> Probe<'a> {
-    /// The disabled probe: no subscriber, no profiler, no attribution,
-    /// no spans.
+    /// The disabled probe: no subscriber, no attribution, no spans.
     #[inline]
     pub fn off() -> Probe<'static> {
         Probe {
             sub: None,
-            prof: None,
             causes: None,
             spans: None,
         }
     }
 
-    /// A probe from optional parts (no attribution; see
+    /// A probe with an optional subscriber (no attribution; see
     /// [`Probe::with_causes`]).
-    pub fn new(
-        sub: Option<&'a mut dyn Subscriber>,
-        prof: Option<&'a mut PhaseProfiler>,
-    ) -> Probe<'a> {
-        Probe {
-            sub,
-            prof,
-            causes: None,
-            spans: None,
-        }
+    pub fn new(sub: Option<&'a mut dyn Subscriber>) -> Probe<'a> {
+        Probe::with_causes(sub, None)
     }
 
     /// A probe from optional parts including a cause tracker.
     pub fn with_causes(
         sub: Option<&'a mut dyn Subscriber>,
-        prof: Option<&'a mut PhaseProfiler>,
         causes: Option<&'a mut CauseTracker>,
     ) -> Probe<'a> {
         Probe {
             sub,
-            prof,
             causes,
             spans: None,
         }
     }
 
-    /// A tracing-only probe (no profiling, no attribution).
+    /// A tracing-only probe (no timing, no attribution).
     pub fn subscriber(sub: &'a mut dyn Subscriber) -> Probe<'a> {
-        Probe {
-            sub: Some(sub),
-            prof: None,
-            causes: None,
-            spans: None,
-        }
+        Probe::new(Some(sub))
     }
 
     /// Attaches (or detaches) a span recorder, builder style. The span
-    /// plane is orthogonal to the other probe parts: a probe can record
-    /// spans without a profiler and vice versa.
+    /// plane is orthogonal to the other probe parts: a probe can time
+    /// stages with or without a subscriber.
     #[must_use]
     pub fn with_spans(mut self, spans: Option<&'a mut SpanRecorder>) -> Probe<'a> {
         self.spans = spans;
@@ -402,12 +384,6 @@ impl<'a> Probe<'a> {
     #[inline]
     pub fn is_tracing(&self) -> bool {
         self.sub.is_some()
-    }
-
-    /// Whether a profiler is attached.
-    #[inline]
-    pub fn is_profiling(&self) -> bool {
-        self.prof.is_some()
     }
 
     /// Whether a cause tracker is attached (attribution enabled).
@@ -455,8 +431,8 @@ impl<'a> Probe<'a> {
         }
     }
 
-    /// Runs `f`, charging its wall-clock time to `phase` when a profiler
-    /// or span recorder is attached. Use
+    /// Runs `f`, charging its wall-clock time to `phase` when a span
+    /// recorder is attached. Use
     /// [`Probe::phase_start`]/[`Probe::phase_end`] instead when the timed
     /// region itself needs the probe.
     #[inline]
@@ -468,37 +444,22 @@ impl<'a> Probe<'a> {
     }
 
     /// Starts timing a phase whose body needs `&mut self` (returns `None`
-    /// when neither a profiler nor a span recorder is attached, so the
-    /// disabled path never reads the clock).
+    /// without a span recorder, so the disabled path never reads the
+    /// clock).
     #[inline]
     pub fn phase_start(&mut self) -> Option<SpanStart> {
-        if let Some(spans) = self.spans.as_deref_mut() {
-            return Some(spans.open());
-        }
-        if self.prof.is_some() {
-            return Some(SpanStart::untracked());
-        }
-        None
+        self.span_open()
     }
 
-    /// Ends a timing started by [`Probe::phase_start`]: the elapsed time
-    /// is recorded into the profiler (flat per-phase histogram) and
-    /// closed as a `Stage` span — each from the same single clock read.
+    /// Ends a timing started by [`Probe::phase_start`], closing it as a
+    /// main-thread `Stage` span.
     #[inline]
     pub fn phase_end(&mut self, phase: Phase, start: Option<SpanStart>) {
-        let Some(t0) = start else { return };
-        let dur = t0.at.elapsed();
-        if let Some(prof) = self.prof.as_deref_mut() {
-            prof.record(phase, dur.as_secs_f64());
-        }
-        if let Some(spans) = self.spans.as_deref_mut() {
-            spans.close_with(t0, SpanLabel::Stage(phase), None, None, dur);
-        }
+        self.span_close(start, SpanLabel::Stage(phase), None, None);
     }
 
     /// Opens the root tick span (and advances the recorder's tick
-    /// counter). `None` without a span recorder — the tick span exists
-    /// only on the span plane, so a profiler-only probe pays nothing.
+    /// counter). `None` without a span recorder.
     #[inline]
     pub fn tick_start(&mut self) -> Option<SpanStart> {
         self.spans.as_deref_mut().map(|s| {
@@ -574,7 +535,7 @@ mod tests {
     fn off_probe_is_inert() {
         let mut p = Probe::off();
         assert!(!p.is_tracing());
-        assert!(!p.is_profiling());
+        assert!(!p.is_spanning());
         p.emit(1.0, Layer::Sim, EventKind::ClusterGauge { heads: 3 });
         assert_eq!(p.phase_start(), None);
         let x = p.phase(Phase::Mobility, || 41 + 1);
@@ -605,33 +566,35 @@ mod tests {
     }
 
     #[test]
-    fn phase_records_into_the_profiler() {
-        let mut prof = PhaseProfiler::new();
+    fn phase_records_a_stage_span() {
+        let mut spans = crate::span::SpanRecorder::new();
         {
-            let mut p = Probe::new(None, Some(&mut prof));
-            assert!(p.is_profiling());
+            let mut p = Probe::new(None).with_spans(Some(&mut spans));
+            assert!(p.is_spanning());
             let out = p.phase(Phase::Topology, || "done");
             assert_eq!(out, "done");
             let t0 = p.phase_start();
             assert!(t0.is_some());
             p.phase_end(Phase::Cluster, t0);
         }
-        assert_eq!(prof.count(Phase::Topology), 1);
-        assert_eq!(prof.count(Phase::Cluster), 1);
-        assert_eq!(prof.count(Phase::Mobility), 0);
+        let count = |phase| {
+            spans
+                .hist(SpanLabel::Stage(phase), None)
+                .map_or(0, |h| h.count())
+        };
+        assert_eq!(count(Phase::Topology), 1);
+        assert_eq!(count(Phase::Cluster), 1);
+        assert_eq!(count(Phase::Mobility), 0);
+        assert_eq!(spans.profile().get(Phase::Cluster).unwrap().count, 1);
     }
 
-    /// Spans ride the same phase hooks as the profiler: one probe with
-    /// both attached feeds both from a single clock read, and the span
-    /// recorder also sees tick/leaf/off-thread spans the profiler never
-    /// does.
+    /// Beyond the phase hooks, the span recorder sees tick, leaf and
+    /// off-thread spans; the disabled probe opens none of them.
     #[test]
-    fn phase_hooks_feed_spans_and_profiler_together() {
-        let mut prof = PhaseProfiler::new();
+    fn tick_leaf_and_off_thread_spans_reach_the_recorder() {
         let mut spans = crate::span::SpanRecorder::new();
         {
-            let mut p = Probe::new(None, Some(&mut prof)).with_spans(Some(&mut spans));
-            assert!(p.is_spanning());
+            let mut p = Probe::new(None).with_spans(Some(&mut spans));
             let tick = p.tick_start();
             assert!(tick.is_some());
             let t0 = p.phase_start();
@@ -647,28 +610,11 @@ mod tests {
             );
             p.tick_end(tick);
         }
-        assert_eq!(prof.count(Phase::Topology), 1);
         assert_eq!(spans.spans_recorded(), 4);
         assert_eq!(spans.tick(), 1);
         assert!(spans.hist(SpanLabel::Tick, None).is_some());
         assert!(spans.hist(SpanLabel::IcSend, Some(1)).is_some());
         assert!(spans.hist(SpanLabel::ShardCompute, Some(0)).is_some());
-        // A spans-only probe still times phases (no profiler attached).
-        let mut spans2 = crate::span::SpanRecorder::new();
-        {
-            let mut p = Probe::new(None, None).with_spans(Some(&mut spans2));
-            assert!(!p.is_profiling());
-            let t0 = p.phase_start();
-            assert!(t0.is_some());
-            p.phase_end(Phase::Hello, t0);
-        }
-        assert_eq!(
-            spans2
-                .hist(SpanLabel::Stage(Phase::Hello), None)
-                .unwrap()
-                .count(),
-            1
-        );
         // The disabled probe opens nothing.
         let mut p = Probe::off();
         assert!(!p.is_spanning());
@@ -681,7 +627,7 @@ mod tests {
         let mut sink = Collect::default();
         let mut tracker = CauseTracker::new();
         {
-            let mut p = Probe::with_causes(Some(&mut sink), None, Some(&mut tracker));
+            let mut p = Probe::with_causes(Some(&mut sink), Some(&mut tracker));
             assert!(p.is_attributing());
             let cause = p.root(RootCause::HeadContact);
             assert!(cause.is_some());

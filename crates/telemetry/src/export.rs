@@ -1,7 +1,8 @@
 //! Prometheus text-exposition snapshot exporter.
 //!
 //! [`prometheus_text`] renders a [`WindowedRecorder`] (and optionally an
-//! [`AttributionLedger`]) as Prometheus text exposition format 0.0.4 —
+//! [`AttributionLedger`], a [`ShardSnapshot`] and a [`SpanRecorder`]) as
+//! Prometheus text exposition format 0.0.4 —
 //! `# HELP` / `# TYPE` comment pairs followed by `name{labels} value`
 //! samples. Experiments write the snapshot at end of run via
 //! `--metrics-out <path>`, so any scrape-file collector (e.g. the node
@@ -59,7 +60,7 @@ pub struct ShardGaugeRow {
 }
 
 /// A point-in-time view of the shard plane and its interconnect, rendered
-/// by [`prometheus_text_with_shards`].
+/// by [`prometheus_text`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardSnapshot {
     /// One row per shard, in row-major order.
@@ -74,29 +75,16 @@ pub struct ShardSnapshot {
     pub max_ghost_staleness: u64,
 }
 
-/// Renders a snapshot of `recorder` (plus `ledger`, when attribution ran)
-/// in Prometheus text exposition format.
-pub fn prometheus_text(recorder: &WindowedRecorder, ledger: Option<&AttributionLedger>) -> String {
-    prometheus_text_with_shards(recorder, ledger, None)
-}
-
-/// [`prometheus_text`] plus per-shard and interconnect-health gauges when a
-/// [`ShardSnapshot`] is supplied (sharded runs only).
-pub fn prometheus_text_with_shards(
-    recorder: &WindowedRecorder,
-    ledger: Option<&AttributionLedger>,
-    shard: Option<&ShardSnapshot>,
-) -> String {
-    prometheus_text_full(recorder, ledger, shard, None)
-}
-
-/// The maximal exporter: counters and gauges from the recorder/ledger,
-/// shard-plane gauges, and — when a [`SpanRecorder`] is supplied — the
+/// Renders a snapshot of `recorder` in Prometheus text exposition format:
+/// counters and gauges from the recorder, the per-root-cause families
+/// when a `ledger` is supplied (attribution ran), per-shard and
+/// interconnect-health gauges when a `shard` snapshot is supplied, and —
+/// when a non-empty [`SpanRecorder`] is supplied — the
 /// `manet_stage_seconds{phase=,shard=}` histogram family built from the
 /// span plane's per-(stage, shard) log2 histograms. The `shard` label is
 /// `"all"` for main-thread spans and the shard index for worker-side
 /// spans; buckets are cumulative `le` edges per the exposition format.
-pub fn prometheus_text_full(
+pub fn prometheus_text(
     recorder: &WindowedRecorder,
     ledger: Option<&AttributionLedger>,
     shard: Option<&ShardSnapshot>,
@@ -455,7 +443,7 @@ mod tests {
             ledger.absorb(&e);
         }
 
-        let text = prometheus_text(&rec, Some(&ledger));
+        let text = prometheus_text(&rec, Some(&ledger), None, None);
         assert!(text.contains("# TYPE manet_msgs_total counter"));
         assert!(text.contains("manet_msgs_total{class=\"HELLO\"} 2"));
         assert!(text.contains("manet_links_up_total 1"));
@@ -475,7 +463,7 @@ mod tests {
     #[test]
     fn exporter_without_ledger_omits_cause_families() {
         let rec = WindowedRecorder::new(5.0);
-        let text = prometheus_text(&rec, None);
+        let text = prometheus_text(&rec, None, None, None);
         assert!(text.contains("manet_msgs_total{class=\"CLUSTER\"} 0"));
         assert!(!text.contains("manet_cause_"));
         assert!(!text.contains("manet_shard_owned"));
@@ -532,7 +520,7 @@ mod tests {
             links_down: 1,
             max_ghost_staleness: 3,
         };
-        let text = prometheus_text_with_shards(&rec, None, Some(&snap));
+        let text = prometheus_text(&rec, None, Some(&snap), None);
         assert!(text.contains("manet_shard_owned{shard=\"0\"} 40"));
         assert!(text.contains("manet_shard_owned{shard=\"1\"} 38"));
         assert!(text.contains("manet_shard_ghosts{shard=\"1\"} 5"));
@@ -615,7 +603,7 @@ mod tests {
         let s = spans.open();
         spans.close(s, SpanLabel::ShardCompute, Some(1), None);
         spans.close(t, SpanLabel::Tick, None, None);
-        let text = prometheus_text_full(&rec, Some(&ledger), Some(&snap), Some(&spans));
+        let text = prometheus_text(&rec, Some(&ledger), Some(&snap), Some(&spans));
         assert!(text.contains("# TYPE manet_stage_seconds histogram"));
 
         let mut declared: Vec<(String, Option<String>)> = Vec::new(); // (name, type kind)
@@ -704,7 +692,7 @@ mod tests {
         let t = spans.open();
         spans.close(t, SpanLabel::Tick, None, None);
 
-        let text = prometheus_text_full(&rec, None, None, Some(&spans));
+        let text = prometheus_text(&rec, None, None, Some(&spans));
         assert!(text.contains("# TYPE manet_stage_seconds histogram"));
         assert!(text.contains("manet_stage_seconds_count{phase=\"tick\",shard=\"all\"} 1"));
         assert!(text.contains("manet_stage_seconds_count{phase=\"shard_compute\",shard=\"all\"} 3"));
@@ -734,7 +722,7 @@ mod tests {
 
         // Without spans (or with an empty recorder) the family is absent.
         let empty = SpanRecorder::new();
-        let text = prometheus_text_full(&rec, None, None, Some(&empty));
+        let text = prometheus_text(&rec, None, None, Some(&empty));
         assert!(!text.contains("manet_stage_seconds"));
     }
 

@@ -5,15 +5,15 @@
 //! exact count / sum / min / max, all inline in the struct — recording is
 //! O(1), allocation-free, and the memory footprint is a compile-time
 //! constant regardless of how many samples arrive. That makes it safe for
-//! the long-running server path where the old per-sample `Vec`s inside
-//! the profiler were an unbounded leak.
+//! long-running servers: the span recorder keeps one per (label, shard)
+//! for the whole run.
 //!
 //! Quantiles are approximate: a query interpolates by rank position
 //! inside the bucket holding the nearest-rank sample, with the bucket's
 //! span clipped to the observed `[min, max]` range. Because buckets are
 //! powers of two, the answer is always within one log2 bucket of the
 //! exact order statistic (between 0.5× and 2× the true value) — pinned
-//! by a regression test in `profiler.rs` against the exact nearest-rank
+//! by a regression test in `profile.rs` against the exact nearest-rank
 //! reference — and an interior quantile of a spread distribution never
 //! collapses onto the max endpoint (the old edge-clamping answer did
 //! whenever the top bucket held more than `1 − q` of the samples).

@@ -23,11 +23,11 @@
 //! * [`hist`] — fixed-capacity, zero-alloc, log2-bucketed streaming
 //!   [`Histogram`]s (record / merge / p50–p999 quantiles) whose memory
 //!   footprint is a compile-time constant — the storage behind the
-//!   profiler and safe for unbounded-length server runs.
-//! * [`profiler`] — a tick-phase wall-clock [`PhaseProfiler`] (mobility /
-//!   topology / shard flush + merge / HELLO / cluster / routing) backed
-//!   by streaming histograms, with per-phase min / mean / p99 / max
-//!   summaries.
+//!   span plane and safe for unbounded-length server runs.
+//! * [`profile`] — the tick [`Phase`]s (mobility / topology / shard
+//!   flush + merge / HELLO / cluster / routing) and the [`ProfileReport`]
+//!   of per-phase min / mean / p99 / max summaries, a view of the span
+//!   recorder's stage histograms.
 //! * [`sink`] — JSONL persistence ([`JsonlSink`], [`read_trace`]) and the
 //!   [`TraceOut`] fan-out used by traced harness runs.
 //! * [`cause`] — the root-cause taxonomy ([`RootCause`], [`CauseId`]) and
@@ -42,7 +42,8 @@
 //!   drain, and exact trace ↔ counter reconciliation, reported as
 //!   structured [`AuditViolation`]s instead of panics.
 //! * [`export`] — a Prometheus text-exposition snapshot exporter
-//!   ([`prometheus_text`]) over recorder totals and the ledger.
+//!   ([`prometheus_text`]) over recorder totals, the ledger, the shard
+//!   plane and the span histograms.
 //! * [`serve`] — the live exporter: a zero-dependency HTTP
 //!   [`MetricsServer`] on `std::net::TcpListener` serving `/metrics`,
 //!   `/health`, and `/flight` from [`TelemetrySnapshot`]s the tick loop
@@ -52,8 +53,8 @@
 //!   event stream, dumped as replayable JSONL (same codec as [`sink`])
 //!   when an audit violation fires — chaos post-mortems without paying
 //!   for full tracing.
-//! * [`span`] — the span plane: hierarchical wall-clock spans
-//!   (tick → stage → shard → interconnect hop) recorded through the
+//! * [`span`] — the span plane, the one wall-clock timer: hierarchical
+//!   spans (tick → stage → shard → interconnect hop) recorded through the
 //!   probe's phase hooks, aggregated per `(label, shard)` into streaming
 //!   histograms by a [`SpanRecorder`] with an optional bounded raw ring,
 //!   and exported as Chrome trace-event JSON ([`chrome_trace_json`]) for
@@ -74,7 +75,7 @@ pub mod event;
 pub mod export;
 pub mod flight;
 pub mod hist;
-pub mod profiler;
+pub mod profile;
 pub mod serve;
 pub mod sink;
 pub mod span;
@@ -84,13 +85,10 @@ pub use attribution::{is_root_anchor, root_weight, AttributionLedger, ChainEntry
 pub use audit::{AuditConfig, AuditMonitor, AuditReport, AuditSample, AuditViolation};
 pub use cause::{Cause, CauseId, CauseTracker, RootCause};
 pub use event::{Event, EventKind, Layer, MsgClass, NodeId, NoopSubscriber, Probe, Subscriber};
-pub use export::{
-    escape_label_value, prometheus_text, prometheus_text_full, prometheus_text_with_shards,
-    ShardGaugeRow, ShardSnapshot,
-};
+pub use export::{escape_label_value, prometheus_text, ShardGaugeRow, ShardSnapshot};
 pub use flight::{FlightRecorder, FlightTrigger};
 pub use hist::{Histogram, HIST_BUCKETS};
-pub use profiler::{Phase, PhaseProfiler, PhaseSummary, ProfileReport};
+pub use profile::{Phase, PhaseSummary, ProfileReport};
 pub use serve::{
     read_request, write_response, HttpRequest, MetricsServer, Publisher, TelemetrySnapshot,
     MAX_REQUEST_BODY,

@@ -30,7 +30,7 @@
 //! same dialect: `HTTP/1.1` status lines, explicit `Content-Length`, one
 //! request per connection, unknown paths answered with a proper `404`.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -40,6 +40,12 @@ use std::time::{Duration, Instant};
 /// Upper bound on an accepted request body (a scenario spec is well under
 /// a kilobyte; anything larger is a misdirected upload, not a spec).
 pub const MAX_REQUEST_BODY: usize = 1 << 20;
+
+/// Upper bound on an accepted request head: the request line plus every
+/// header line, terminators included. Real clients send a few hundred
+/// bytes; the cap stops a newline-free line or a header flood from
+/// growing a buffer without bound.
+pub const MAX_REQUEST_HEAD: usize = 16 << 10;
 
 /// One parsed HTTP request: the request line plus the body, when a
 /// `Content-Length` header announced one.
@@ -59,13 +65,15 @@ pub struct HttpRequest {
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` on a malformed request line, an unparseable or
-/// oversized `Content-Length`, or a non-UTF-8 body; propagates transport
-/// errors (including read timeouts) as-is.
+/// Returns `InvalidData` on a malformed request line, a request head
+/// longer than [`MAX_REQUEST_HEAD`], an unparseable or oversized
+/// `Content-Length`, or a non-UTF-8 body; propagates transport errors
+/// (including read timeouts) as-is.
 pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<HttpRequest> {
     let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
+    let mut head_left = MAX_REQUEST_HEAD as u64;
     let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
+    read_head_line(reader, &mut head_left, &mut request_line)?;
     let mut parts = request_line.split_whitespace();
     let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
         return Err(bad("malformed request line"));
@@ -74,7 +82,7 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<HttpRequest> {
     let mut content_length = 0usize;
     loop {
         let mut line = String::new();
-        reader.read_line(&mut line)?;
+        read_head_line(reader, &mut head_left, &mut line)?;
         let line = line.trim_end();
         if line.is_empty() {
             break;
@@ -95,6 +103,25 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<HttpRequest> {
     reader.read_exact(&mut body)?;
     let body = String::from_utf8(body).map_err(|_| bad("request body is not UTF-8"))?;
     Ok(HttpRequest { method, path, body })
+}
+
+/// Reads one request-head line into `line`, charging its bytes to
+/// `head_left`. A line the remaining budget cuts short is `InvalidData`.
+fn read_head_line<R: BufRead>(
+    reader: &mut R,
+    head_left: &mut u64,
+    line: &mut String,
+) -> io::Result<()> {
+    let budget = *head_left;
+    let n = reader.by_ref().take(budget).read_line(line)? as u64;
+    *head_left -= n;
+    if n == budget && !line.ends_with('\n') {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "request head too large",
+        ));
+    }
+    Ok(())
 }
 
 /// Writes one `HTTP/1.1` response with an explicit `Content-Length` and
@@ -124,7 +151,7 @@ pub fn write_response<W: Write>(
 /// once per tumbling window and served immutably until the next publish.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetrySnapshot {
-    /// Prometheus text exposition (see `prometheus_text_with_shards`).
+    /// Prometheus text exposition (see `prometheus_text`).
     pub metrics: String,
     /// Ticks completed so far.
     pub tick: u64,
@@ -436,15 +463,38 @@ mod tests {
 
     #[test]
     fn read_request_rejects_malformed_input() {
+        // A request line with no newline, four head caps long.
+        let endless_line = format!("GET /{}", "a".repeat(4 * MAX_REQUEST_HEAD));
+        // A well-formed request line followed by a flood of padding headers.
+        let header_flood = format!(
+            "GET / HTTP/1.1\r\n{}\r\n",
+            "X-Pad: 0123456789abcdefghijklmnopqrstuv\r\n".repeat(2_000)
+        );
         for raw in [
             "\r\n",                                                    // no request line
             "GET\r\n\r\n",                                             // no path
             "POST /jobs HTTP/1.1\r\nContent-Length: nope\r\n\r\n",     // bad length
             "POST /jobs HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n", // oversized
+            endless_line.as_str(),
+            header_flood.as_str(),
         ] {
-            let err = read_request(&mut io::Cursor::new(raw)).expect_err(raw);
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{raw:?}");
+            let shown = &raw[..raw.len().min(40)];
+            let mut cursor = io::Cursor::new(raw);
+            let err = read_request(&mut cursor).expect_err(shown);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{shown:?}");
+            assert!(
+                cursor.position() <= MAX_REQUEST_HEAD as u64,
+                "{shown:?}: read past the head cap"
+            );
         }
+        // A head of exactly the cap is still accepted.
+        let pad = MAX_REQUEST_HEAD - "GET / HTTP/1.1\r\nX-Pad: \r\n\r\n".len();
+        let at_cap = format!("GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "p".repeat(pad));
+        assert_eq!(at_cap.len(), MAX_REQUEST_HEAD);
+        assert_eq!(
+            read_request(&mut io::Cursor::new(&at_cap)).unwrap().path,
+            "/"
+        );
         // A truncated body is a transport error, not InvalidData.
         let raw = "POST /jobs HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort";
         assert!(read_request(&mut io::Cursor::new(raw)).is_err());

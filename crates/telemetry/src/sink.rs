@@ -15,7 +15,7 @@
 
 use crate::cause::{Cause, CauseId, RootCause};
 use crate::event::{Event, EventKind, Layer, MsgClass, Subscriber};
-use crate::profiler::{Phase, PhaseSummary, ProfileReport};
+use crate::profile::{Phase, PhaseSummary, ProfileReport};
 use crate::window::WindowedRecorder;
 use manet_util::json::Value;
 use std::fs::File;
@@ -659,11 +659,21 @@ mod tests {
         };
         assert_eq!(TraceMeta::from_value(&meta.to_value()), Some(meta.clone()));
 
-        let mut prof = crate::profiler::PhaseProfiler::new();
-        prof.record(Phase::Mobility, 1e-5);
-        prof.record(Phase::Routing, 2e-5);
-        prof.record(Phase::Routing, 4e-5);
-        let report = prof.report();
+        let mut spans = crate::span::SpanRecorder::new();
+        for (phase, micros) in [
+            (Phase::Mobility, 10),
+            (Phase::Routing, 20),
+            (Phase::Routing, 40),
+        ] {
+            spans.record_external(
+                crate::span::SpanLabel::Stage(phase),
+                None,
+                None,
+                std::time::Instant::now(),
+                std::time::Duration::from_micros(micros),
+            );
+        }
+        let report = spans.profile();
         let back = profile_from_value(&profile_to_value(&report)).unwrap();
         assert_eq!(back, report);
     }
@@ -682,9 +692,10 @@ mod tests {
             duration: 3.0,
             seed: 7,
         };
-        let mut prof = crate::profiler::PhaseProfiler::new();
-        prof.record(Phase::Hello, 5e-6);
-        let report = prof.report();
+        let mut spans = crate::span::SpanRecorder::new();
+        let t0 = spans.open();
+        spans.close(t0, crate::span::SpanLabel::Stage(Phase::Hello), None, None);
+        let report = spans.profile();
 
         let sink = JsonlSink::create(&path).unwrap();
         let mut out = TraceOut::new(1.0, Some(sink));

@@ -2,14 +2,14 @@
 //! sub-stage) with O(shards × stages) steady-state memory and a Chrome
 //! trace-event exporter.
 //!
-//! The [`PhaseProfiler`](crate::PhaseProfiler) answers "where does the
-//! tick go" with one flat histogram per phase; it cannot say *which
-//! shard* is the straggler or how interconnect traffic interleaves with
-//! the merge. A [`SpanRecorder`] keeps the same O(1)-memory discipline —
-//! every closed span folds into a per-`(label, shard)` streaming
-//! [`Histogram`] — and optionally retains the most recent spans verbatim
-//! in a bounded ring (the [`FlightRecorder`](crate::FlightRecorder)
-//! shape) for exact timelines.
+//! A [`SpanRecorder`] is the run's only per-stage timer: every closed
+//! span folds into a per-`(label, shard)` streaming [`Histogram`], and
+//! the tick-phase [`ProfileReport`] is a view of the main-thread stage
+//! histograms ([`SpanRecorder::profile`]). The per-shard cells say
+//! *which shard* is the straggler and how interconnect traffic
+//! interleaves with the merge. The recorder optionally retains the most
+//! recent spans verbatim in a bounded ring (the
+//! [`FlightRecorder`](crate::FlightRecorder) shape) for exact timelines.
 //!
 //! Spans are opened and closed through the [`Probe`](crate::Probe)
 //! hooks, so the disabled path builds no spans, reads no clock, and
@@ -29,19 +29,19 @@
 
 use crate::cause::CauseId;
 use crate::hist::Histogram;
-use crate::profiler::Phase;
+use crate::profile::{Phase, PhaseSummary, ProfileReport};
 use manet_util::json::Value;
 use std::time::{Duration, Instant};
 
-/// What a span timed. `Phase` spans mirror the profiler's stages; the
-/// extra variants cover work the flat profiler cannot attribute: the
-/// whole tick, one shard's topology compute, and one directed
-/// interconnect hop.
+/// What a span timed. `Stage` spans are the tick phases the profile
+/// reports; the extra variants cover work a flat per-phase view cannot
+/// attribute: the whole tick, one shard's topology compute, and one
+/// directed interconnect hop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanLabel {
     /// One whole protocol-stack tick (the root of the hierarchy).
     Tick,
-    /// One profiler stage (mobility, topology, hello, cluster, routing,
+    /// One tick phase (mobility, topology, hello, cluster, routing,
     /// shard_flush, shard_merge).
     Stage(Phase),
     /// One shard's local neighbor-row compute inside the topology stage
@@ -127,15 +127,6 @@ pub struct SpanStart {
 }
 
 impl SpanStart {
-    /// A start token for a probe that profiles but does not record
-    /// spans (the sequence number is never read).
-    pub(crate) fn untracked() -> SpanStart {
-        SpanStart {
-            at: Instant::now(),
-            seq: 0,
-        }
-    }
-
     /// The wall-clock open instant.
     pub fn at(&self) -> Instant {
         self.at
@@ -303,6 +294,20 @@ impl SpanRecorder {
         (!h.is_empty()).then_some(h)
     }
 
+    /// The tick-phase profile: [`PhaseSummary::from_histogram`] over each
+    /// main-thread `Stage` histogram, in [`Phase::ALL`] order, skipping
+    /// phases that never ran.
+    pub fn profile(&self) -> ProfileReport {
+        let phases = Phase::ALL
+            .into_iter()
+            .filter_map(|phase| {
+                let hist = self.hist(SpanLabel::Stage(phase), None)?;
+                Some((phase, PhaseSummary::from_histogram(hist)?))
+            })
+            .collect();
+        ProfileReport { phases }
+    }
+
     /// Opens a span: reads the clock once and takes the next sequence
     /// number.
     #[inline]
@@ -325,21 +330,6 @@ impl SpanRecorder {
         cause: Option<CauseId>,
     ) {
         let dur = start.at.elapsed();
-        self.close_with(start, label, shard, cause, dur);
-    }
-
-    /// Closes a span with an externally measured duration (used when the
-    /// caller already read the clock, e.g. the probe's shared
-    /// profiler/span path).
-    #[inline]
-    pub fn close_with(
-        &mut self,
-        start: SpanStart,
-        label: SpanLabel,
-        shard: Option<u16>,
-        cause: Option<CauseId>,
-        dur: Duration,
-    ) {
         self.seq += 1;
         let close_seq = self.seq;
         self.commit(label, shard, cause, start.at, dur, start.seq, close_seq);

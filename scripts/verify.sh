@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification: formatting, lints, release build, full test suite.
-# Hermetic and offline — the workspace resolves with zero external crates
-# (see the workspace manifest; `crates/bench` is excluded on purpose).
+# Hermetic and offline — the workspace resolves with zero external crates.
 #
 # Usage: scripts/verify.sh   (from anywhere inside the repo)
 set -euo pipefail
@@ -61,17 +60,6 @@ echo "==> attribution audit smoke (attribution_report --quick)"
 # causal chain anchored, and exact Counters <-> ledger reconciliation.
 cargo run -q --release -p manet-experiments --bin attribution_report -- --quick
 
-echo "==> stack bench smoke (bench_stack --quick)"
-# Throughput + allocation probe over the unified ProtocolStack tick
-# (short warmup; the committed BENCH_stack.json comes from the full run).
-cargo run -q --release -p manet-experiments --bin bench_stack -- --quick
-
-echo "==> shard bench smoke (bench_shard --quick)"
-# Sharded topology step across layouts at small N: exercises the ghost
-# exchange, per-shard grids, and deterministic merge end to end (the
-# committed BENCH_shard.json comes from the full run).
-cargo run -q --release -p manet-experiments --bin bench_shard -- --quick
-
 echo "==> interconnect chaos smoke (robustness2 --quick)"
 # Fallible shard interconnect (DESIGN.md §14): the ideal config on a
 # 2x2 plane is byte-parity pass-through vs the 1x1 plane, chaos is
@@ -80,11 +68,11 @@ echo "==> interconnect chaos smoke (robustness2 --quick)"
 cargo run -q --release -p manet-experiments --bin robustness2 -- --quick
 
 echo "==> span plane smoke (span_report --quick + Chrome trace check)"
-# Span tracing plane (DESIGN.md §16): the sharded chaos scenario with a
-# span recorder attached. The bin's own gates pin profiler
-# reconciliation within 1% and byte-identical canonical dumps across
-# same-seed runs; the --check pass re-validates the emitted Chrome
-# trace-event JSON through the in-house JSON reader.
+# Span tracing plane (DESIGN.md §16): the sharded chaos scenario with the
+# raw-span ring armed. The bin's own gates pin byte-identical canonical
+# dumps across same-seed runs and a parseable Chrome trace; the --check
+# pass re-validates the emitted trace-event JSON through the in-house
+# JSON reader.
 span_trace=$(mktemp -t spans_XXXXXX.json)
 cargo run -q --release -p manet-experiments --bin span_report -- \
     --quick --spans-out "$span_trace" --spans-canonical

@@ -16,8 +16,9 @@
 //! * [`mobility`] — CV / BCV, the paper's epoch random-direction model,
 //!   classic random waypoint, and random walk.
 //! * [`telemetry`] — the observability plane: structured event tracing,
-//!   tumbling-window time series, JSONL persistence, and a tick-phase
-//!   wall-clock profiler (zero-cost when disabled).
+//!   tumbling-window time series, JSONL persistence, and per-stage
+//!   wall-clock spans with the tick-phase profile read from them
+//!   (zero-cost when disabled).
 //! * [`shard`] — spatially sharded worlds: ghost-margin shard plane and
 //!   a deterministic parallel tick bit-identical to the monolithic stack
 //!   (DESIGN.md §13).
@@ -103,7 +104,7 @@ pub mod mobility {
     pub use manet_mobility::*;
 }
 
-/// Telemetry plane: events, windows, traces, profiler (re-export of
+/// Telemetry plane: events, windows, traces, spans (re-export of
 /// `manet-telemetry`).
 pub mod telemetry {
     pub use manet_telemetry::*;

@@ -90,7 +90,7 @@ fn every_attributed_event_resolves_to_a_root() {
     let mut sink = Collect::default();
     let mut scratch = Scratch::new();
     for _ in 0..280 {
-        let mut probe = Probe::with_causes(Some(&mut sink), None, Some(&mut tracker));
+        let mut probe = Probe::with_causes(Some(&mut sink), Some(&mut tracker));
         let mut ctx = StepCtx::new(&mut probe, &mut scratch);
         world.step(&mut ctx);
         healing.step(world.topology(), world.alive(), &mut ch_cluster, &mut ctx);

@@ -29,19 +29,29 @@ fn get(addr: SocketAddr, path: &str) -> (String, String) {
 
 /// Asserts `text` is well-formed Prometheus exposition: every sample
 /// line parses as `name[{labels}] value` and the named metric was
-/// declared by a `# HELP`/`# TYPE` pair earlier in the text.
+/// declared by a `# HELP`/`# TYPE` pair earlier in the text. A sample of
+/// a `histogram` family is named after the family plus `_bucket`, `_sum`
+/// or `_count`, as the exposition format prescribes.
 fn assert_well_formed_metrics(text: &str) {
-    let mut typed: Vec<String> = Vec::new();
+    let mut typed: Vec<(String, String)> = Vec::new(); // (family, type)
     let mut samples = 0usize;
     for line in text.lines() {
         if let Some(rest) = line.strip_prefix("# TYPE ") {
-            typed.push(rest.split(' ').next().unwrap().to_string());
+            let (family, kind) = rest.split_once(' ').expect("TYPE family kind");
+            typed.push((family.to_string(), kind.to_string()));
         } else if !line.starts_with('#') {
             let (series, value) = line.rsplit_once(' ').expect("sample shape");
             assert!(value.parse::<f64>().is_ok(), "unparseable value: {line}");
             let name = series.split('{').next().unwrap();
+            let declared = |(family, kind): &(String, String)| {
+                name == family
+                    || kind == "histogram"
+                        && name
+                            .strip_prefix(family.as_str())
+                            .is_some_and(|suffix| ["_bucket", "_sum", "_count"].contains(&suffix))
+            };
             assert!(
-                typed.iter().any(|t| t == name),
+                typed.iter().any(declared),
                 "sample {name} lacks a preceding TYPE header"
             );
             samples += 1;
@@ -114,9 +124,14 @@ fn traced_run_streams_snapshots_to_a_live_scraper() {
     assert!(health.contains("sim_time 60.000"), "{health}");
     assert!(health.contains("audit_violations 0"), "{health}");
 
-    // ...and /metrics agrees with the run's own recorder totals.
+    // ...and /metrics agrees with the run's own recorder totals and
+    // carries the per-stage span histograms every traced run records.
     let (_, metrics) = get(addr, "/metrics");
     assert_well_formed_metrics(&metrics);
+    assert!(metrics.contains("# TYPE manet_stage_seconds histogram"));
+    assert!(metrics.contains(&format!(
+        "manet_stage_seconds_count{{phase=\"tick\",shard=\"all\"}} {ticks}"
+    )));
     assert!(metrics.contains(&format!(
         "manet_trace_events_total {}",
         run.recorder.events_seen()

@@ -3,8 +3,8 @@
 //!
 //! Four contracts, end to end through the public facade:
 //!
-//! 1. **Coverage** — a sharded chaos run with spans on records ≥ 1 span
-//!    per (stage, shard) per tick: the tick root, every pipeline stage
+//! 1. **Coverage** — a sharded chaos run records ≥ 1 span per
+//!    (stage, shard) per tick: the tick root, every pipeline stage
 //!    on the main thread, and per-shard compute + interconnect spans.
 //! 2. **Chrome trace round trip** — the `--spans-out` dump parses with
 //!    the in-house JSON reader, carries per-shard `tid`s with
@@ -12,12 +12,15 @@
 //! 3. **Determinism** — on the canonical timebase, same seed ⇒
 //!    byte-identical dumps, across runs *and* across worker counts
 //!    (compute spans fold into the recorder in shard-index order).
-//! 4. **Inertness** — enabling spans leaves the traced JSONL and final
-//!    counters byte-identical: observability must not perturb the sim.
+//! 4. **Inertness** — arming the raw-span ring and dump leaves the
+//!    traced JSONL and final counters byte-identical: observability must
+//!    not perturb the sim.
 
 use clustered_manet::experiments::harness::{Protocol, Scenario, ShardRun};
 use clustered_manet::experiments::robustness2::ChaosPoint;
-use clustered_manet::experiments::trace::{trace_run_chaos, TelemetryConfig, TraceRun};
+use clustered_manet::experiments::trace::{
+    trace_run_chaos, TelemetryConfig, TraceRun, DEFAULT_SPAN_RING_CAPACITY,
+};
 use clustered_manet::geom::ShardDims;
 use clustered_manet::telemetry::{Phase, SpanLabel};
 use clustered_manet::util::json::Value;
@@ -78,9 +81,10 @@ fn without_profile_lines(raw: &str) -> String {
 
 #[test]
 fn spanned_chaos_run_covers_every_stage_and_shard_each_tick() {
-    let config = TelemetryConfig::in_memory("span-coverage").with_spans();
+    let config =
+        TelemetryConfig::in_memory("span-coverage").with_spans_ring(DEFAULT_SPAN_RING_CAPACITY);
     let run = chaos_run(&config, 3);
-    let spans = run.spans.as_ref().expect("spans were enabled");
+    let spans = &run.spans;
     let shards = ShardDims::parse(DIMS).unwrap().count();
 
     assert_eq!(spans.tick(), TICKS, "one recorder tick per sim tick");
