@@ -57,6 +57,6 @@ pub mod params;
 pub use degree::DegreeModel;
 pub use overhead::{
     contact_unit_cost, route_unit_cost, ClusterSizeModel, HeadContactConvention, OverheadBreakdown,
-    OverheadModel, RouteLinkModel, RouteMessageModel,
+    OverheadModel, RouteLinkModel,
 };
 pub use params::NetworkParams;

@@ -78,23 +78,6 @@ pub enum ClusterSizeModel {
     Exponential,
 }
 
-/// How many table entries one ROUTE message carries, i.e. how `f_route`
-/// converts to bits (Eqn 14).
-///
-/// The paper's Θ rows for ROUTE (`Θ(r)·Θ(ρ)·Θ(v)`) and its conclusion that
-/// ROUTE dominates total overhead are only consistent with its Eqn 13 when
-/// each broadcast carries the node's whole intra-cluster table (`m`
-/// entries) — the `1/P²` visible in the corrupted Eqn 14 denominator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum RouteMessageModel {
-    /// Each ROUTE message carries the full intra-cluster table:
-    /// `m = 1/P` entries of `p_route` bytes. Default (paper reading).
-    #[default]
-    FullTable,
-    /// Each ROUTE message carries a single changed entry.
-    SingleEntry,
-}
-
 /// Per-node overhead decomposition returned by
 /// [`OverheadModel::breakdown`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -126,7 +109,6 @@ pub struct OverheadModel {
     degree_model: DegreeModel,
     contact_convention: HeadContactConvention,
     route_links: RouteLinkModel,
-    route_message: RouteMessageModel,
     size_model: ClusterSizeModel,
 }
 
@@ -139,7 +121,6 @@ impl OverheadModel {
             degree_model,
             contact_convention: HeadContactConvention::default(),
             route_links: RouteLinkModel::default(),
-            route_message: RouteMessageModel::default(),
             size_model: ClusterSizeModel::default(),
         }
     }
@@ -147,12 +128,6 @@ impl OverheadModel {
     /// Overrides the cluster-size dispersion model for the ROUTE bound.
     pub fn with_size_model(mut self, m: ClusterSizeModel) -> Self {
         self.size_model = m;
-        self
-    }
-
-    /// Overrides the ROUTE message-size model.
-    pub fn with_route_message(mut self, m: RouteMessageModel) -> Self {
-        self.route_message = m;
         self
     }
 
@@ -337,10 +312,13 @@ impl OverheadModel {
         let f_route = self.f_route(p);
         let o_hello = f_hello * sizes.hello as f64 * 8.0;
         let o_cluster = f_cluster * sizes.cluster as f64 * 8.0;
-        let entries_per_message = match self.route_message {
-            RouteMessageModel::FullTable => 1.0 / p,
-            RouteMessageModel::SingleEntry => 1.0,
-        };
+        // Each ROUTE message carries the node's full intra-cluster table,
+        // `m = 1/P` entries of `p_route` bytes (Eqn 14). The paper's Θ rows
+        // for ROUTE (`Θ(r)·Θ(ρ)·Θ(v)`) and its conclusion that ROUTE
+        // dominates total overhead are only consistent with its Eqn 13
+        // under this reading — the `1/P²` visible in the corrupted Eqn 14
+        // denominator.
+        let entries_per_message = 1.0 / p;
         let o_route = f_route * entries_per_message * sizes.route_entry as f64 * 8.0;
         OverheadBreakdown {
             f_hello,

@@ -1,7 +1,7 @@
 //! Ablations over the reconstruction's modeling choices (DESIGN.md §8) and
 //! the generic-`P` extension.
 
-use crate::harness::{measure_lid, measure_with_policy, Measured, Protocol, Scenario};
+use crate::harness::{measure_lid, measure_with_policy, Protocol, Scenario};
 use manet_cluster::{HighestConnectivity, StaticWeights};
 use manet_model::{
     ClusterSizeModel, DegreeModel, HeadContactConvention, OverheadModel, RouteLinkModel,
@@ -162,11 +162,6 @@ pub fn generic_p_extension(protocol: &Protocol) -> Table {
         ]);
     }
     t
-}
-
-/// Helper for tests: measured LID numbers at the default scenario.
-pub fn default_lid_measurement(protocol: &Protocol) -> Measured {
-    measure_lid(&Scenario::default(), protocol)
 }
 
 #[cfg(test)]

@@ -20,11 +20,9 @@
 //!
 //! Exits non-zero when any gate fails.
 
-use manet_experiments::harness::{Protocol, Scenario};
-use manet_experiments::trace::{
-    attribution_text, audit_text, init_shards_from_args, metrics_out_from_args, trace_run,
-    TelemetryConfig,
-};
+use manet_experiments::cli::BinArgs;
+use manet_experiments::harness::{smoke, Protocol, Scenario};
+use manet_experiments::trace::{attribution_text, audit_text, trace_run, TelemetryConfig};
 use manet_model::overhead::OverheadModel;
 use manet_model::{DegreeModel, NetworkParams};
 use manet_sim::MessageKind;
@@ -35,32 +33,23 @@ use std::process::ExitCode;
 const UNIT_COST_TOLERANCE: f64 = 0.15;
 
 fn main() -> ExitCode {
-    init_shards_from_args();
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (scenario, protocol, label) = if quick {
-        (
-            Scenario {
-                nodes: 80,
-                side: 500.0,
-                radius: 100.0,
-                ..Scenario::default()
-            },
-            Protocol {
-                warmup: 10.0,
-                measure: 30.0,
-                seeds: vec![7],
-                dt: 0.5,
-            },
-            "attribution_quick",
-        )
+    let args = BinArgs::init("attribution_report");
+    let quick = args.quick;
+    let (scenario, protocol) = if quick {
+        smoke()
     } else {
-        (Scenario::default(), Protocol::default(), "attribution")
+        (Scenario::default(), Protocol::default())
+    };
+    let label = if quick {
+        "attribution_quick"
+    } else {
+        "attribution"
     };
 
-    let mut config = TelemetryConfig::in_memory(label).with_attribution();
-    if let Some(path) = metrics_out_from_args() {
+    let mut config = args.observe(TelemetryConfig::in_memory(label).with_attribution());
+    if let Some(path) = &args.metrics_out {
         println!("[attribution] metrics snapshot -> {}", path.display());
-        config = config.with_metrics_out(path);
+        config = config.with_metrics_out(path.clone());
     }
     println!(
         "[attribution] {label}: N={} side={} r={} v={} warmup={} measure={} dt={} seed={}",

@@ -1,9 +1,11 @@
 //! Validates Claim 1 (expected degree) and Claim 2 (link change rate).
 
 use manet_experiments::claims;
+use manet_experiments::cli::BinArgs;
+use manet_experiments::harness::{Protocol, Scenario};
 
 fn main() {
-    manet_experiments::trace::init_shards_from_args();
+    let args = BinArgs::init("claim_validation");
     println!("CLAIM1 — expected degree: Monte Carlo vs Eqn 1 (N = 400)\n");
     manet_experiments::emit("claim1_degree", &claims::claim1_table(&claims::claim1(50)));
     println!("\nCLAIM2 — link change rate on the CV torus vs 16dv/(pi^2 r)\n");
@@ -14,5 +16,5 @@ fn main() {
         "claim_bcv_window",
         &claims::bcv_table(&claims::bcv_window(3000.0, 300.0)),
     );
-    manet_experiments::trace::maybe_trace_default("claim_validation");
+    args.finish(&Scenario::default(), &Protocol::default());
 }

@@ -2,10 +2,11 @@
 //! conventions.
 
 use manet_experiments::ablations::cluster_decomposition;
-use manet_experiments::harness::Protocol;
+use manet_experiments::cli::BinArgs;
+use manet_experiments::harness::{Protocol, Scenario};
 
 fn main() {
-    manet_experiments::trace::init_shards_from_args();
+    let args = BinArgs::init("cluster_decomposition");
     println!("ABL1 — CLUSTER decomposition: break vs contact, PerPair vs PerEndpoint\n");
     manet_experiments::emit(
         "abl1_cluster_decomposition",
@@ -13,5 +14,5 @@ fn main() {
     );
     println!("The simulation's contact column should track the PerPair convention");
     println!("(the paper's literal Eqn 10 reading, PerEndpoint, is 2x).");
-    manet_experiments::trace::maybe_trace_default("cluster_decomposition");
+    args.finish(&Scenario::default(), &Protocol::default());
 }

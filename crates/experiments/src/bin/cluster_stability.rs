@@ -1,11 +1,12 @@
 //! EXT6 — cluster stability: head lifetimes, membership residence, role
 //! churn, with the Claim 2 link-lifetime companion.
 
-use manet_experiments::harness::Scenario;
+use manet_experiments::cli::BinArgs;
+use manet_experiments::harness::{Protocol, Scenario};
 use manet_experiments::stability::{lid_speed_sweep, policy_comparison, policy_table, speed_table};
 
 fn main() {
-    manet_experiments::trace::init_shards_from_args();
+    let args = BinArgs::init("cluster_stability");
     let scenario = Scenario::default();
     println!("EXT6 — stability vs speed (LID, N=400, r=150 m)\n");
     manet_experiments::emit(
@@ -25,9 +26,5 @@ fn main() {
     println!("\nMean link lifetime tracks Claim 2's implied pi^2*r/(8v). Head lifetimes");
     println!("are shorter than link lifetimes: a head role ends on the FIRST of many");
     println!("competing events (any head contact), a union of failure modes.");
-    manet_experiments::trace::maybe_trace(
-        "cluster_stability",
-        &scenario,
-        &manet_experiments::harness::Protocol::default(),
-    );
+    args.finish(&scenario, &Protocol::default());
 }

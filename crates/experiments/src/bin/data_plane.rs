@@ -1,11 +1,12 @@
 //! EXT5 — hybrid data plane: reachability parity, path stretch, discovery
 //! cost.
 
+use manet_experiments::cli::BinArgs;
 use manet_experiments::dataplane::{stretch_sweep, table};
-use manet_experiments::harness::Scenario;
+use manet_experiments::harness::{Protocol, Scenario};
 
 fn main() {
-    manet_experiments::trace::init_shards_from_args();
+    let args = BinArgs::init("data_plane");
     println!("EXT5 — packet forwarding over the hybrid stack (300 pairs/point)\n");
     manet_experiments::emit(
         "ext5_data_plane",
@@ -14,5 +15,5 @@ fn main() {
     println!("\nDelivery equals flat reachability by construction (asserted in-code);");
     println!("the hierarchy's price is the stretch column, its benefit the control");
     println!("overhead comparison of EXT2.");
-    manet_experiments::trace::maybe_trace_default("data_plane");
+    args.finish(&Scenario::default(), &Protocol::default());
 }

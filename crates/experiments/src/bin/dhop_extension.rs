@@ -1,13 +1,14 @@
 //! EXT3 — d-hop clustering: greedy d-hop LID and Max-Min formation vs the
 //! disc-bound heuristic, plus dynamic d-hop maintenance rates.
 
+use manet_experiments::cli::BinArgs;
 use manet_experiments::dhop_ext::{
     formation_rows, formation_table, maintenance_rates, maintenance_table,
 };
-use manet_experiments::harness::Scenario;
+use manet_experiments::harness::{Protocol, Scenario};
 
 fn main() {
-    manet_experiments::trace::init_shards_from_args();
+    let args = BinArgs::init("dhop_extension");
     let scenario = Scenario::default();
     println!("EXT3 — d-hop cluster formation (N=400, r=150 m), 10 placements\n");
     manet_experiments::emit(
@@ -21,9 +22,5 @@ fn main() {
     );
     println!("\nMore hops → fewer, bigger clusters and (typically) fewer cluster");
     println!("changes per node — the trade the paper's future-work section poses.");
-    manet_experiments::trace::maybe_trace(
-        "dhop_extension",
-        &scenario,
-        &manet_experiments::harness::Protocol::default(),
-    );
+    args.finish(&scenario, &Protocol::default());
 }

@@ -1,10 +1,11 @@
 //! ABL5 — epoch-length sensitivity of the CV-based analysis.
 
 use manet_experiments::ablations::epoch_sensitivity;
-use manet_experiments::harness::Protocol;
+use manet_experiments::cli::BinArgs;
+use manet_experiments::harness::{Protocol, Scenario};
 
 fn main() {
-    manet_experiments::trace::init_shards_from_args();
+    let args = BinArgs::init("epoch_sensitivity");
     println!("ABL5 — does the analysis care about the direction-redraw epoch tau?\n");
     manet_experiments::emit("abl5_epoch", &epoch_sensitivity(&Protocol::default()));
     println!("\nResult: the CV closed forms are tau-INVARIANT (ratio = 1.00 from");
@@ -12,5 +13,5 @@ fn main() {
     println!("only on the instantaneous relative-speed distribution, which the");
     println!("epoch model preserves at every tau. The paper's choice of epoch");
     println!("length is therefore immaterial to its Figures 1-3.");
-    manet_experiments::trace::maybe_trace_default("epoch_sensitivity");
+    args.finish(&Scenario::default(), &Protocol::default());
 }

@@ -1,15 +1,17 @@
 //! Reproduces Figure 2: control message frequencies vs node speed.
+//!
+//! A thin CLI wrapper over [`run_scenario`](manet_experiments::spec::run_scenario),
+//! like `fig1_vs_range`: `{"kind":"fig2_vs_velocity"}` on `manet
+//! serve-jobs` runs the same sweep.
 
-use manet_experiments::figures::fig2;
-use manet_experiments::harness::Protocol;
+use manet_experiments::cli::{emit_figure, BinArgs};
+use manet_experiments::spec::SpecKind;
 
 fn main() {
-    manet_experiments::trace::init_shards_from_args();
+    let args = BinArgs::init("fig2_vs_velocity");
     println!("FIG2 — control message frequencies vs v (paper Figure 2)");
     println!("fixed: N=400, a=1000 m, r=150 m, epoch-RD mobility; P measured live\n");
-    let fig = fig2(&Protocol::default());
-    manet_experiments::emit("fig2_vs_velocity", &fig.table());
-    let (h, c, r) = fig.agreement();
-    println!("RMS relative error (sim vs analysis): hello {h:.3}  cluster {c:.3}  route {r:.3}");
-    manet_experiments::trace::maybe_trace_default("fig2_vs_velocity");
+    let spec = args.spec(SpecKind::Fig2VsVelocity);
+    emit_figure(&spec);
+    args.finish(&spec.scenario(), &spec.protocol());
 }

@@ -1,15 +1,17 @@
 //! Reproduces Figure 3: control message frequencies vs node density.
+//!
+//! A thin CLI wrapper over [`run_scenario`](manet_experiments::spec::run_scenario),
+//! like `fig1_vs_range`: `{"kind":"fig3_vs_density"}` on `manet
+//! serve-jobs` runs the same sweep.
 
-use manet_experiments::figures::fig3;
-use manet_experiments::harness::Protocol;
+use manet_experiments::cli::{emit_figure, BinArgs};
+use manet_experiments::spec::SpecKind;
 
 fn main() {
-    manet_experiments::trace::init_shards_from_args();
+    let args = BinArgs::init("fig3_vs_density");
     println!("FIG3 — control message frequencies vs density (paper Figure 3)");
     println!("fixed: a=1000 m, r=150 m, v=10 m/s; N sweeps the density\n");
-    let fig = fig3(&Protocol::default());
-    manet_experiments::emit("fig3_vs_density", &fig.table());
-    let (h, c, r) = fig.agreement();
-    println!("RMS relative error (sim vs analysis): hello {h:.3}  cluster {c:.3}  route {r:.3}");
-    manet_experiments::trace::maybe_trace_default("fig3_vs_density");
+    let spec = args.spec(SpecKind::Fig3VsDensity);
+    emit_figure(&spec);
+    args.finish(&spec.scenario(), &spec.protocol());
 }

@@ -1,11 +1,12 @@
 //! EXT1 — the overhead model is parametric in P: other clustering policies.
 
 use manet_experiments::ablations::generic_p_extension;
-use manet_experiments::harness::Protocol;
+use manet_experiments::cli::BinArgs;
+use manet_experiments::harness::{Protocol, Scenario};
 
 fn main() {
-    manet_experiments::trace::init_shards_from_args();
+    let args = BinArgs::init("generic_p_extension");
     println!("EXT1 — generic one-hop policies through the same closed forms\n");
     manet_experiments::emit("ext1_generic_p", &generic_p_extension(&Protocol::default()));
-    manet_experiments::trace::maybe_trace_default("generic_p_extension");
+    args.finish(&Scenario::default(), &Protocol::default());
 }

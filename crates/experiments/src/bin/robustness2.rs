@@ -13,39 +13,27 @@
 //!
 //! Exits non-zero when any gate fails.
 
-use manet_experiments::harness::{Protocol, Scenario, ShardRun};
+use manet_experiments::cli::{shards_header, BinArgs};
+use manet_experiments::harness::{smoke, Protocol, Scenario, ShardRun};
 use manet_experiments::robustness2::{chaos_trace, summarize, sweep_chaos, table, ChaosPoint};
-use manet_experiments::trace::{init_serve_from_args, shards_from_args, shards_header};
+use manet_experiments::trace::TelemetryConfig;
 use manet_geom::ShardDims;
 use manet_telemetry::MsgClass;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    // Bind the live /metrics endpoint first (no-op without the flag) so
-    // every chaos run below streams its windows there; the guard honors
-    // --serve-hold on exit.
-    let _serve = init_serve_from_args();
-    let dims = shards_from_args().unwrap_or_else(|| ShardDims::new(2, 2));
+    // Binds the live /metrics endpoint first (no-op without the flag) so
+    // every chaos run below streams its windows there; dropping `args`
+    // at exit honors --serve-hold.
+    let args = BinArgs::from_env("robustness2");
+    let dims = args.shards.unwrap_or_else(|| ShardDims::new(2, 2));
     println!("{}", shards_header(&ShardRun::new(dims)));
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (scenario, protocol) = if quick {
-        (
-            Scenario {
-                nodes: 80,
-                side: 500.0,
-                radius: 100.0,
-                ..Scenario::default()
-            },
-            Protocol {
-                warmup: 10.0,
-                measure: 30.0,
-                seeds: vec![7],
-                dt: 0.5,
-            },
-        )
+    let (scenario, protocol) = if args.quick {
+        smoke()
     } else {
         (Scenario::default(), Protocol::default())
     };
+    let config = args.observe(TelemetryConfig::in_memory("rob2_chaos"));
     println!(
         "ROB2 — interconnect chaos on a {}x{} sharded stack (N={}, seed {})\n",
         dims.kx,
@@ -54,11 +42,11 @@ fn main() -> ExitCode {
         protocol.seeds.first().copied().unwrap_or(1),
     );
 
-    if quick {
-        return quick_gates(&scenario, &protocol, dims);
+    if args.quick {
+        return quick_gates(&scenario, &protocol, dims, &config);
     }
 
-    let rows = sweep_chaos(&scenario, &protocol, dims);
+    let rows = sweep_chaos(&scenario, &protocol, dims, &config);
     manet_experiments::emit("rob2_interconnect_chaos", &table(&rows));
     println!("\nThe ideal row is bit-identical to the monolithic stack; every other");
     println!("delta is attributable to injected interconnect faults. Stale ghost");
@@ -73,7 +61,12 @@ fn main() -> ExitCode {
 }
 
 /// The verify.sh smoke: parity, determinism, audit, and anchoring gates.
-fn quick_gates(scenario: &Scenario, protocol: &Protocol, dims: ShardDims) -> ExitCode {
+fn quick_gates(
+    scenario: &Scenario,
+    protocol: &Protocol,
+    dims: ShardDims,
+    config: &TelemetryConfig,
+) -> ExitCode {
     let mut ok = true;
     let mut gate = |name: &str, pass: bool, detail: String| {
         println!(
@@ -89,13 +82,14 @@ fn quick_gates(scenario: &Scenario, protocol: &Protocol, dims: ShardDims) -> Exi
     // with chaos machinery enabled matches the monolithic stack window
     // for window and message for message.
     let ideal = ChaosPoint::ideal();
-    let sharded = chaos_trace(scenario, protocol, dims, &ideal, Some(3));
+    let sharded = chaos_trace(scenario, protocol, dims, &ideal, Some(3), config);
     let mono = chaos_trace(
         scenario,
         protocol,
-        ShardDims::parse("1x1").unwrap(),
+        ShardDims::unit(),
         &ideal,
         Some(1),
+        config,
     );
     gate(
         "ideal-parity-windows",
@@ -137,8 +131,8 @@ fn quick_gates(scenario: &Scenario, protocol: &Protocol, dims: ShardDims) -> Exi
         stall_rate: 0.02,
         ..ChaosPoint::ideal()
     };
-    let w1 = chaos_trace(scenario, protocol, dims, &point, Some(1));
-    let w3 = chaos_trace(scenario, protocol, dims, &point, Some(3));
+    let w1 = chaos_trace(scenario, protocol, dims, &point, Some(1), config);
+    let w3 = chaos_trace(scenario, protocol, dims, &point, Some(3), config);
     gate(
         "chaos-worker-invariant",
         w1.recorder.windows() == w3.recorder.windows(),

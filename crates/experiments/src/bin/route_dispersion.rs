@@ -1,10 +1,11 @@
 //! ABL4 — the ROUTE bound with the *measured* cluster-size distribution.
 
 use manet_experiments::ablations::route_dispersion_closure;
-use manet_experiments::harness::Protocol;
+use manet_experiments::cli::BinArgs;
+use manet_experiments::harness::{Protocol, Scenario};
 
 fn main() {
-    manet_experiments::trace::init_shards_from_args();
+    let args = BinArgs::init("route_dispersion");
     println!("ABL4 — dispersion-weighted ROUTE bound with empirical cluster sizes\n");
     manet_experiments::emit(
         "abl4_route_dispersion",
@@ -17,5 +18,5 @@ fn main() {
     println!("  x4    membership churn: a member switching clusters moves all its");
     println!("        intra-links between cluster tables at once -- the dominant");
     println!("        term, absent from the paper's physical-link bound.");
-    manet_experiments::trace::maybe_trace_default("route_dispersion");
+    args.finish(&Scenario::default(), &Protocol::default());
 }

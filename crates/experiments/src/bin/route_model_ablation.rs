@@ -1,10 +1,11 @@
 //! ABL2 — intra-cluster link models for the ROUTE bound.
 
 use manet_experiments::ablations::route_model_ablation;
-use manet_experiments::harness::Protocol;
+use manet_experiments::cli::BinArgs;
+use manet_experiments::harness::{Protocol, Scenario};
 
 fn main() {
-    manet_experiments::trace::init_shards_from_args();
+    let args = BinArgs::init("route_model_ablation");
     println!("ABL2 — ROUTE frequency: member+member (κ) vs member-head-only models\n");
     manet_experiments::emit(
         "abl2_route_model",
@@ -12,5 +13,5 @@ fn main() {
     );
     println!("The κ model should track simulation; the star-only model misses the");
     println!("member-member churn and undershoots at large ranges.");
-    manet_experiments::trace::maybe_trace_default("route_model_ablation");
+    args.finish(&Scenario::default(), &Protocol::default());
 }

@@ -24,11 +24,10 @@
 //! reader: the event array must parse, every event must carry the
 //! trace-viewer required fields, and complete events must nest sanely.
 
-use manet_experiments::harness::{Protocol, Scenario, ShardRun};
-use manet_experiments::robustness2::ChaosPoint;
-use manet_experiments::trace::{
-    spans_out_from_args, trace_run_chaos, TelemetryConfig, TraceRun, DEFAULT_SPAN_RING_CAPACITY,
-};
+use manet_experiments::cli::BinArgs;
+use manet_experiments::harness::smoke;
+use manet_experiments::robustness2::{chaos_trace, ChaosPoint};
+use manet_experiments::trace::{TelemetryConfig, TraceRun, DEFAULT_SPAN_RING_CAPACITY};
 use manet_geom::ShardDims;
 use manet_telemetry::{chrome_trace_json, Phase, SpanLabel, SpanRecorder, SpanTimebase};
 use manet_util::json::Value;
@@ -36,63 +35,53 @@ use manet_util::table::{fmt_sig, Table};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(i) = args.iter().position(|a| a == "--check") {
-        let Some(path) = args.get(i + 1) else {
+    // `--check` names a file, not a run, so it bypasses the shared flags.
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(i) = argv.iter().position(|a| a == "--check") {
+        let Some(path) = argv.get(i + 1) else {
             eprintln!("usage: span_report --check <trace.json>");
             return ExitCode::FAILURE;
         };
         return check(path);
     }
-    if args.iter().any(|a| a == "--quick") {
-        return quick_report();
+    let args = BinArgs::from_env("span_report");
+    if args.quick {
+        return quick_report(&args);
     }
     eprintln!("usage: span_report --quick [--spans-out <t.json>] | span_report --check <t.json>");
     ExitCode::FAILURE
 }
 
-/// The robustness2 quick chaos scenario: 80 nodes on a 500 m side at
-/// 100 m radius, 2x2 shards, 20% interconnect loss with occasional
-/// stalls, seed 7. One worker, so the per-shard compute spans serialize
-/// and the critical-path accounting is exact. The raw-span ring is armed
-/// so the canonical dump covers the whole run.
-fn chaos_run(label: &str) -> TraceRun {
-    let scenario = Scenario {
-        nodes: 80,
-        side: 500.0,
-        radius: 100.0,
-        ..Scenario::default()
-    };
-    let protocol = Protocol {
-        warmup: 10.0,
-        measure: 30.0,
-        seeds: vec![7],
-        dt: 0.5,
-    };
-    let dims = ShardDims::parse("2x2").expect("static dims");
+/// The robustness2 quick chaos scenario: the 80-node smoke point on 2x2
+/// shards, 20% interconnect loss with occasional stalls. One worker, so
+/// the per-shard compute spans serialize and the critical-path
+/// accounting is exact. The raw-span ring is armed so the canonical dump
+/// covers the whole run.
+fn chaos_run(args: &BinArgs) -> TraceRun {
+    let (scenario, protocol) = smoke();
     let point = ChaosPoint {
         loss_p: 0.2,
         stall_rate: 0.02,
         ..ChaosPoint::ideal()
     };
-    let seed = protocol.seeds[0];
-    let ticks = ((protocol.warmup + protocol.measure) / protocol.dt).round() as u64;
-    let shard_run = ShardRun::new(dims)
-        .with_interconnect(point.config(dims, ticks, seed))
-        .with_workers(1);
-    let config = TelemetryConfig::in_memory(label)
-        .with_attribution()
-        .with_spans_ring(DEFAULT_SPAN_RING_CAPACITY)
-        .with_spans_from_args();
-    trace_run_chaos(&scenario, &protocol, &config, Some(&shard_run))
-        .expect("span-report run cannot fail on IO")
+    let config = args.observe(
+        TelemetryConfig::in_memory("span_report").with_spans_ring(DEFAULT_SPAN_RING_CAPACITY),
+    );
+    chaos_trace(
+        &scenario,
+        &protocol,
+        ShardDims::new(2, 2),
+        &point,
+        Some(1),
+        &config,
+    )
 }
 
-fn quick_report() -> ExitCode {
+fn quick_report(args: &BinArgs) -> ExitCode {
     println!("span_report: sharded chaos run (80 nodes, 2x2 shards, loss 0.2, stalls)");
-    let run = chaos_run("span_report");
+    let run = chaos_run(args);
     let spans = &run.spans;
-    if let Some(path) = spans_out_from_args() {
+    if let Some(path) = &args.spans_out {
         println!("span trace -> {}", path.display());
     }
 
@@ -236,7 +225,7 @@ fn quick_report() -> ExitCode {
     let mut ok = true;
 
     // Gate 1: same seed, byte-identical canonical span dump.
-    let twin = chaos_run("span_report");
+    let twin = chaos_run(args);
     let dump_a = canonical_dump(spans);
     let dump_b = canonical_dump(&twin.spans);
     if dump_a == dump_b {

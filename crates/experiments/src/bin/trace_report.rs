@@ -12,7 +12,7 @@
 //! enabled (any event carrying a cause) additionally get the root-cause
 //! ledger breakdown and the measured-vs-analytic unit-cost table.
 
-use manet_experiments::harness::{Protocol, Scenario};
+use manet_experiments::harness;
 use manet_experiments::trace::{attribution_text, report_text, trace_run, TelemetryConfig};
 use manet_sim::MessageKind;
 use manet_telemetry::{read_trace, AttributionLedger, MsgClass, Trace};
@@ -68,18 +68,7 @@ fn main() -> ExitCode {
 /// scenario, write the JSONL, read it back, and reconcile the replayed
 /// window sums against the run's final counters.
 fn smoke() -> ExitCode {
-    let scenario = Scenario {
-        nodes: 80,
-        side: 500.0,
-        radius: 100.0,
-        ..Scenario::default()
-    };
-    let protocol = Protocol {
-        warmup: 10.0,
-        measure: 30.0,
-        seeds: vec![7],
-        dt: 0.5,
-    };
+    let (scenario, protocol) = harness::smoke();
     let path = manet_experiments::figures_dir().join("trace_smoke.jsonl");
     let config = TelemetryConfig::to_file("trace_smoke", path.clone());
     let run = match trace_run(&scenario, &protocol, &config) {

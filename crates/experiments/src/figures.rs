@@ -5,8 +5,11 @@
 //! curves is **measured in real time during the simulation** ("P for LID
 //! is measured in real time during the simulation", Section 4); everything
 //! else in the analysis curve is closed-form.
+//!
+//! Each figure runs as a spec: [`run_scenario`](crate::spec::run_scenario)
+//! sweeps the grids below through [`sweep_with`].
 
-use crate::harness::{analysis_at, measure_lid, Measured, Protocol, Scenario};
+use crate::harness::{analysis_at, Measured, Scenario};
 use manet_util::stats::rms_relative_error;
 use manet_util::table::{fmt_sig, Table};
 
@@ -116,69 +119,10 @@ where
     Some(Figure { x_label, points })
 }
 
-fn sweep(x_label: &'static str, scenarios: Vec<(f64, Scenario)>, protocol: &Protocol) -> Figure {
-    sweep_with(x_label, scenarios, |s| Some(measure_lid(s, protocol)))
-        .expect("a sweep without a cancel token cannot be cancelled")
-}
-
-/// Figure 1's scenario list: transmission range `r/a` over
-/// [`FIG1_RADIUS_FRACS`] applied to `base`.
-pub fn fig1_scenarios(base: &Scenario) -> Vec<(f64, Scenario)> {
-    FIG1_RADIUS_FRACS
-        .into_iter()
-        .map(|frac| {
-            (
-                frac,
-                Scenario {
-                    radius: frac * base.side,
-                    ..*base
-                },
-            )
-        })
-        .collect()
-}
-
-/// Figure 2's scenario list: node speed over [`FIG2_SPEEDS`].
-pub fn fig2_scenarios(base: &Scenario) -> Vec<(f64, Scenario)> {
-    FIG2_SPEEDS
-        .into_iter()
-        .map(|v| (v, Scenario { speed: v, ..*base }))
-        .collect()
-}
-
-/// Figure 3's scenario list: node count over [`FIG3_NODES`] at fixed
-/// area, so `x = N / a²` is the density.
-pub fn fig3_scenarios(base: &Scenario) -> Vec<(f64, Scenario)> {
-    let area = base.side * base.side;
-    FIG3_NODES
-        .into_iter()
-        .map(|n| (n as f64 / area, Scenario { nodes: n, ..*base }))
-        .collect()
-}
-
-/// Figure 1: frequencies vs transmission range `r/a ∈ {0.05 … 0.35}`.
-pub fn fig1(protocol: &Protocol) -> Figure {
-    sweep("r/a", fig1_scenarios(&Scenario::default()), protocol)
-}
-
-/// Figure 2: frequencies vs node speed `v ∈ {2 … 50} m/s`.
-pub fn fig2(protocol: &Protocol) -> Figure {
-    sweep("v [m/s]", fig2_scenarios(&Scenario::default()), protocol)
-}
-
-/// Figure 3: frequencies vs density (`N ∈ {100 … 900}` at fixed area, so
-/// `ρ = N × 10⁻⁶ m⁻²`).
-pub fn fig3(protocol: &Protocol) -> Figure {
-    sweep(
-        "rho [1/m^2]",
-        fig3_scenarios(&Scenario::default()),
-        protocol,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{measure_lid, Protocol};
 
     fn tiny_protocol() -> Protocol {
         Protocol {
@@ -207,7 +151,8 @@ mod tests {
                 )
             })
             .collect();
-        sweep("r/a", scenarios, &tiny_protocol())
+        sweep_with("r/a", scenarios, |s| Some(measure_lid(s, &tiny_protocol())))
+            .expect("an uncancellable sweep completes")
     }
 
     #[test]

@@ -99,6 +99,26 @@ impl Protocol {
     }
 }
 
+/// The 80-node smoke point the quick gates and traced-run tests share:
+/// `N = 80` on a 500 m side at `r = 100 m`, 10 s warmup, 30 s measured,
+/// seed 7, `dt = 0.5 s`.
+pub fn smoke() -> (Scenario, Protocol) {
+    (
+        Scenario {
+            nodes: 80,
+            side: 500.0,
+            radius: 100.0,
+            ..Scenario::default()
+        },
+        Protocol {
+            warmup: 10.0,
+            measure: 30.0,
+            seeds: vec![7],
+            dt: 0.5,
+        },
+    )
+}
+
 /// Cross-seed estimate (mean ± 95% CI half-width).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Estimate {

@@ -27,9 +27,11 @@
 //! | `robustness2` | ROB2 — sharded stack under interconnect chaos |
 //! | `trace_report` | telemetry — summarize a `--trace-out` JSONL trace |
 //!
-//! Every binary additionally accepts `--trace-out <path>`: after its
-//! experiment runs, a telemetry-instrumented twin of its default scenario
-//! writes a JSONL event trace there (see the [`trace`] module).
+//! Every binary parses one shared flag set through [`cli::BinArgs`]; an
+//! unknown flag or a malformed value exits with status 2. With
+//! `--trace-out <path>`, after its experiment runs, a
+//! telemetry-instrumented twin of its default scenario writes a JSONL
+//! event trace there (see the [`trace`] module).
 //!
 //! Every simulation ticks the shard plane ([`harness::on_plane`]): the
 //! `1x1` layout unless `--shards KXxKY` picks another, with identical

@@ -251,8 +251,7 @@ pub fn measure_with_faults_ctl(
 }
 
 /// The [`FaultConfig`] of a Bernoulli-loss row at stationary loss `p`
-/// (the ideal channel at `p = 0`) — the single source of truth shared by
-/// [`sweep_loss`] and the jobs plane's `robustness` scenario kind.
+/// (the ideal channel at `p = 0`), as [`row_ctl`] runs it.
 pub fn bernoulli_config(p: f64, crash_rate: f64) -> FaultConfig {
     FaultConfig {
         loss: if p == 0.0 {
@@ -267,8 +266,8 @@ pub fn bernoulli_config(p: f64, crash_rate: f64) -> FaultConfig {
 
 /// The [`FaultConfig`] of a Gilbert–Elliott burst row whose *stationary*
 /// loss matches `p`: the bad state is mostly-lossy and sticky, and
-/// `p_gb` is chosen so `π_b · loss_bad = p` — shared by [`burst_row`]
-/// and the jobs plane.
+/// `p_gb` is chosen so `π_b · loss_bad = p`, as [`row_ctl`] runs it
+/// under `burst`.
 pub fn burst_config(p: f64, crash_rate: f64) -> FaultConfig {
     let loss_bad = 0.8;
     let p_bg = 0.25;
@@ -322,47 +321,6 @@ pub struct RobustnessRow {
     pub measured: FaultMeasured,
     /// Analytical ideal total at the measured head ratio.
     pub ideal_bound: f64,
-}
-
-/// Sweeps Bernoulli loss probabilities at a fixed churn setting.
-pub fn sweep_loss(
-    scenario: &Scenario,
-    protocol: &Protocol,
-    ps: &[f64],
-    crash_rate: f64,
-) -> Vec<RobustnessRow> {
-    sweep_ctl(scenario, protocol, ps, crash_rate, false, None, None)
-        .expect("a sweep without a cancel token cannot be cancelled")
-}
-
-/// The cancellable core of [`sweep_loss`] (with `burst`, of a
-/// [`burst_row`] sweep): one [`row_ctl`] per loss probability. Returns
-/// `None` when cancellation fired mid-sweep — partial rows are
-/// discarded.
-pub fn sweep_ctl(
-    scenario: &Scenario,
-    protocol: &Protocol,
-    ps: &[f64],
-    crash_rate: f64,
-    burst: bool,
-    run: Option<&ShardRun>,
-    cancel: Option<&CancelToken>,
-) -> Option<Vec<RobustnessRow>> {
-    ps.iter()
-        .map(|&p| row_ctl(scenario, protocol, p, crash_rate, burst, run, cancel))
-        .collect()
-}
-
-/// A burst-loss row: a Gilbert–Elliott channel with the same stationary
-/// loss as `p`, for contrasting burstiness against Bernoulli loss.
-pub fn burst_row(
-    scenario: &Scenario,
-    protocol: &Protocol,
-    p: f64,
-    crash_rate: f64,
-) -> RobustnessRow {
-    row_ctl(scenario, protocol, p, crash_rate, true, None, None)
-        .expect("a row without a cancel token cannot be cancelled")
 }
 
 /// Renders the sweep as a paper-style table.
@@ -438,7 +396,11 @@ mod tests {
     #[test]
     fn measured_total_beats_ideal_bound_and_grows_with_loss() {
         let scenario = quick_scenario();
-        let rows = sweep_loss(&scenario, &Protocol::quick(), &[0.0, 0.2], 0.0);
+        let protocol = Protocol::quick();
+        let rows: Vec<RobustnessRow> = [0.0, 0.2]
+            .iter()
+            .map(|&p| row_ctl(&scenario, &protocol, p, 0.0, false, None, None).unwrap())
+            .collect();
         for r in &rows {
             assert!(
                 r.measured.total.mean >= r.ideal_bound,
@@ -484,7 +446,16 @@ mod tests {
 
     #[test]
     fn burst_channel_matches_stationary_loss_target() {
-        let r = burst_row(&quick_scenario(), &Protocol::quick(), 0.1, 0.0);
+        let r = row_ctl(
+            &quick_scenario(),
+            &Protocol::quick(),
+            0.1,
+            0.0,
+            true,
+            None,
+            None,
+        )
+        .unwrap();
         // The GE channel's long-run drop fraction should be near the target.
         assert!(
             (r.measured.lost_fraction.mean - 0.1).abs() < 0.06,

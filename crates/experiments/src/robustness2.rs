@@ -108,7 +108,8 @@ pub struct ChaosRow {
     pub anchored: bool,
 }
 
-/// Runs one chaos point on the sharded stack with full attribution.
+/// Runs one chaos point on the sharded stack with full attribution,
+/// under `config` (see [`chaos_trace`]).
 ///
 /// # Panics
 ///
@@ -120,19 +121,24 @@ pub fn measure_chaos(
     dims: ShardDims,
     point: &ChaosPoint,
     workers: Option<usize>,
+    config: &TelemetryConfig,
 ) -> ChaosRow {
-    let run = chaos_trace(scenario, protocol, dims, point, workers);
+    let run = chaos_trace(scenario, protocol, dims, point, workers, config);
     summarize(point, &run)
 }
 
 /// The raw traced run behind [`measure_chaos`], for callers that also
 /// want the counters or recorder (the determinism gates compare them).
+/// Runs under `config` with attribution switched on; a flight or span
+/// dump path in it is rewritten by every run, so the file left behind
+/// is the last run of a sweep or gate sequence.
 pub fn chaos_trace(
     scenario: &Scenario,
     protocol: &Protocol,
     dims: ShardDims,
     point: &ChaosPoint,
     workers: Option<usize>,
+    config: &TelemetryConfig,
 ) -> TraceRun {
     let seed = protocol.seeds.first().copied().unwrap_or(1);
     let ticks = ((protocol.warmup + protocol.measure) / protocol.dt).round() as u64;
@@ -140,13 +146,7 @@ pub fn chaos_trace(
     if let Some(w) = workers {
         shard_run = shard_run.with_workers(w);
     }
-    // Spans ride the same flag hooks as the flight recorder; with
-    // `--spans-out` each chaos run overwrites the dump, so the file left
-    // behind is the last (heaviest) run of the sweep or gate sequence.
-    let config = TelemetryConfig::in_memory("rob2_chaos")
-        .with_attribution()
-        .with_flight_from_args()
-        .with_spans_from_args();
+    let config = config.clone().with_attribution();
     trace_run_chaos(scenario, protocol, &config, Some(&shard_run))
         .expect("chaos run cannot fail on IO (flight dumps create their dirs)")
 }
@@ -178,8 +178,14 @@ pub fn summarize(point: &ChaosPoint, run: &TraceRun) -> ChaosRow {
 }
 
 /// Sweeps loss × stall settings at a fixed staleness bound, ideal row
-/// first, plus a staleness-bound sweep at the heaviest loss setting.
-pub fn sweep_chaos(scenario: &Scenario, protocol: &Protocol, dims: ShardDims) -> Vec<ChaosRow> {
+/// first, plus a staleness-bound sweep at the heaviest loss setting;
+/// every run is traced under `config`.
+pub fn sweep_chaos(
+    scenario: &Scenario,
+    protocol: &Protocol,
+    dims: ShardDims,
+    config: &TelemetryConfig,
+) -> Vec<ChaosRow> {
     let mut rows = Vec::new();
     for &(loss_p, stall_rate) in &[
         (0.0, 0.0), // ideal: the parity baseline
@@ -193,7 +199,9 @@ pub fn sweep_chaos(scenario: &Scenario, protocol: &Protocol, dims: ShardDims) ->
             stall_rate,
             ..ChaosPoint::ideal()
         };
-        rows.push(measure_chaos(scenario, protocol, dims, &point, None));
+        rows.push(measure_chaos(
+            scenario, protocol, dims, &point, None, config,
+        ));
     }
     for max_staleness in [1, 8] {
         let point = ChaosPoint {
@@ -201,7 +209,9 @@ pub fn sweep_chaos(scenario: &Scenario, protocol: &Protocol, dims: ShardDims) ->
             max_staleness,
             ..ChaosPoint::ideal()
         };
-        rows.push(measure_chaos(scenario, protocol, dims, &point, None));
+        rows.push(measure_chaos(
+            scenario, protocol, dims, &point, None, config,
+        ));
     }
     rows
 }
@@ -268,7 +278,14 @@ mod tests {
     fn ideal_point_reports_no_fault_traffic() {
         let (scenario, protocol) = quick();
         let dims = ShardDims::parse("2x2").unwrap();
-        let row = measure_chaos(&scenario, &protocol, dims, &ChaosPoint::ideal(), Some(1));
+        let row = measure_chaos(
+            &scenario,
+            &protocol,
+            dims,
+            &ChaosPoint::ideal(),
+            Some(1),
+            &TelemetryConfig::in_memory("rob2_chaos"),
+        );
         assert!(row.point.is_ideal());
         assert_eq!(
             (row.lost, row.stalls, row.stale_drops, row.recoveries),
@@ -287,7 +304,14 @@ mod tests {
             stall_rate: 0.05,
             ..ChaosPoint::ideal()
         };
-        let row = measure_chaos(&scenario, &protocol, dims, &point, Some(1));
+        let row = measure_chaos(
+            &scenario,
+            &protocol,
+            dims,
+            &point,
+            Some(1),
+            &TelemetryConfig::in_memory("rob2_chaos"),
+        );
         assert!(row.lost > 0, "a 30% lossy interconnect must drop batches");
         assert!(row.fault_events > 0);
         assert!(row.anchored, "interconnect events must self-anchor");
@@ -307,18 +331,8 @@ mod tests {
             stall_rate: 0.05,
             ..ChaosPoint::ideal()
         };
-        let seed = protocol.seeds.first().copied().unwrap();
-        let ticks = ((protocol.warmup + protocol.measure) / protocol.dt).round() as u64;
-        let run_once = || {
-            let shard_run = ShardRun::new(dims)
-                .with_interconnect(point.config(dims, ticks, seed))
-                .with_workers(1);
-            let config = TelemetryConfig::in_memory("rob2_chaos")
-                .with_attribution()
-                .with_flight(512);
-            crate::trace::trace_run_chaos(&scenario, &protocol, &config, Some(&shard_run))
-                .expect("in-memory chaos run cannot fail on IO")
-        };
+        let config = TelemetryConfig::in_memory("rob2_chaos").with_flight(512);
+        let run_once = || chaos_trace(&scenario, &protocol, dims, &point, Some(1), &config);
         let (a, b) = (run_once(), run_once());
         let fa = a.flight.as_ref().expect("flight armed");
         let fb = b.flight.as_ref().expect("flight armed");

@@ -9,22 +9,22 @@
 //! estimates the warmup point from the data instead of assuming it.
 //!
 //! Every experiment binary accepts `--trace-out <path>` (via
-//! [`maybe_trace`]): when present, a traced twin of the binary's default
-//! scenario runs after the experiment proper and writes its JSONL trace
-//! there, summarized on stdout. `bin/trace_report` re-reads such files.
+//! [`BinArgs::finish`](crate::cli::BinArgs::finish)): when present, a
+//! traced twin of the binary's default scenario runs after the experiment
+//! proper and writes its JSONL trace there, summarized on stdout.
+//! `bin/trace_report` re-reads such files.
 
 use crate::harness::{on_plane, Protocol, Scenario, ShardRun};
 use manet_cluster::{Clustering, LowestId};
-use manet_geom::ShardDims;
 use manet_model::overhead::{contact_unit_cost, route_unit_cost, RouteLinkModel};
 use manet_routing::intra::IntraClusterRouting;
 use manet_sim::{Counters, HelloMode, MessageKind, QuietCtx, Scratch, SimBuilder, StepCtx};
 use manet_stack::ProtocolStack;
 use manet_telemetry::{
     chrome_trace_json, prometheus_text, AttributionLedger, AuditConfig, AuditMonitor, AuditReport,
-    CauseTracker, Event, FlightRecorder, FlightTrigger, JsonlSink, MetricsServer, MsgClass, Probe,
-    ProfileReport, Publisher, RootCause, ShardSnapshot, SpanRecorder, SpanTimebase, Subscriber,
-    TelemetrySnapshot, TraceMeta, TraceOut, WindowedRecorder,
+    CauseTracker, Event, FlightRecorder, FlightTrigger, JsonlSink, MsgClass, Probe, ProfileReport,
+    Publisher, RootCause, ShardSnapshot, SpanRecorder, SpanTimebase, Subscriber, TelemetrySnapshot,
+    TraceMeta, TraceOut, WindowedRecorder,
 };
 use std::fmt::Write as _;
 use std::io::{self, Write};
@@ -129,19 +129,6 @@ impl TelemetryConfig {
         self
     }
 
-    /// Experiment-binary hook: applies `--flight <K>` / `--flight-out
-    /// <path>` from the process arguments. A no-op without the flags —
-    /// in particular under unit tests, whose harness passes neither.
-    pub fn with_flight_from_args(mut self) -> TelemetryConfig {
-        if let Some(k) = flight_from_args() {
-            self = self.with_flight(k);
-        }
-        if let Some(path) = flight_out_from_args() {
-            self = self.with_flight_out(path);
-        }
-        self
-    }
-
     /// Writes the raw span ring as Chrome trace-event JSON to `path`
     /// after the run (load it at `ui.perfetto.dev` or `chrome://tracing`).
     pub fn with_spans_out(mut self, path: PathBuf) -> TelemetryConfig {
@@ -158,7 +145,7 @@ impl TelemetryConfig {
     /// The raw-span ring capacity this config arms: `--spans-ring <K>`,
     /// else [`DEFAULT_SPAN_RING_CAPACITY`] when a span dump was asked
     /// for, else `None` (histograms only).
-    fn span_ring(&self) -> Option<usize> {
+    pub(crate) fn span_ring(&self) -> Option<usize> {
         self.spans_ring
             .or_else(|| self.spans_out.as_ref().map(|_| DEFAULT_SPAN_RING_CAPACITY))
     }
@@ -167,22 +154,6 @@ impl TelemetryConfig {
     /// deterministic) timebase.
     pub fn with_spans_canonical(mut self) -> TelemetryConfig {
         self.spans_canonical = true;
-        self
-    }
-
-    /// Experiment-binary hook: applies `--spans-out <path>` /
-    /// `--spans-ring <K>` / `--spans-canonical` from the process
-    /// arguments. A no-op without the flags.
-    pub fn with_spans_from_args(mut self) -> TelemetryConfig {
-        if let Some(path) = spans_out_from_args() {
-            self = self.with_spans_out(path);
-        }
-        if let Some(k) = spans_ring_from_args() {
-            self = self.with_spans_ring(k);
-        }
-        if spans_canonical_from_args() {
-            self = self.with_spans_canonical();
-        }
         self
     }
 
@@ -580,7 +551,7 @@ fn render_snapshot(
 /// Renders the human summary of a trace: meta, warmup estimate,
 /// steady-state per-class rates, churn totals, and the phase profile.
 ///
-/// Shared between [`maybe_trace`] (fresh runs) and `bin/trace_report`
+/// Shared between the traced twin (fresh runs) and `bin/trace_report`
 /// (re-read JSONL files, where the profile may be absent).
 pub fn report_text(
     meta: Option<&TraceMeta>,
@@ -794,337 +765,33 @@ pub fn audit_text(report: &AuditReport) -> String {
     }
 }
 
-/// Extracts `--<flag> <path>` (or `--<flag>=<path>`) from the process
-/// arguments.
-fn path_flag_from_args(flag: &str) -> Option<PathBuf> {
-    let long = format!("--{flag}");
-    let prefixed = format!("--{flag}=");
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == long {
-            return args.next().map(PathBuf::from);
-        }
-        if let Some(rest) = a.strip_prefix(&prefixed) {
-            return Some(PathBuf::from(rest));
-        }
-    }
-    None
-}
-
-/// Extracts `--trace-out <path>` (or `--trace-out=<path>`) from the
-/// process arguments.
-pub fn trace_out_from_args() -> Option<PathBuf> {
-    path_flag_from_args("trace-out")
-}
-
-/// Parses one `--shards` value (`KXxKY`) into dims, with the usage hint
-/// every frontend shares. The fallible core of [`shards_from_args`];
-/// `manet simulate` calls it directly from its own flag map.
-///
-/// # Errors
-///
-/// Returns the usage message when the value is malformed.
-pub fn parse_shards(raw: &str) -> Result<ShardDims, String> {
-    ShardDims::parse(raw)
-        .map_err(|e| format!("--shards {raw}: {e} (expected KXxKY, e.g. --shards 2x2)"))
-}
-
-/// Extracts `--shards KXxKY` (or `--shards=KXxKY`) from the process
-/// arguments. `None` (flag absent) means the default `1x1` layout; every
-/// layout is bit-identical.
-///
-/// # Panics
-///
-/// Panics with a usage message when the value is malformed — experiment
-/// binaries surface this at startup, before any sweep runs.
-pub fn shards_from_args() -> Option<ShardDims> {
-    let raw = path_flag_from_args("shards")?;
-    let raw = raw.to_string_lossy();
-    match parse_shards(&raw) {
-        Ok(dims) => Some(dims),
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// One-call experiment-binary hook for the shard plane: parses
-/// `--shards`, installs it as the process-wide harness default (see
-/// [`crate::harness::set_default_shards`]), and prints the topology
-/// header line. Returns the parsed flag (`None` when absent) for binaries
-/// that also thread it explicitly.
-pub fn init_shards_from_args() -> Option<ShardDims> {
-    let shards = shards_from_args();
-    if let Some(dims) = shards {
-        crate::harness::set_default_shards(dims);
-    }
-    println!("{}", shards_header(&ShardRun::resolve(None)));
-    shards
-}
-
-/// The run-header line describing the engine: the shard layout and the
-/// worker pool it runs with.
-pub fn shards_header(run: &ShardRun) -> String {
-    format!(
-        "topology: shard plane {}, workers {}",
-        run.dims,
-        run.worker_count()
-    )
-}
-
-/// Extracts `--metrics-out <path>` (or `--metrics-out=<path>`) from the
-/// process arguments.
-pub fn metrics_out_from_args() -> Option<PathBuf> {
-    path_flag_from_args("metrics-out")
-}
-
-/// Extracts `--serve-metrics <addr>` (e.g. `127.0.0.1:9184`; port 0 binds
-/// an ephemeral port) from the process arguments.
-pub fn serve_metrics_from_args() -> Option<String> {
-    path_flag_from_args("serve-metrics").map(|p| p.to_string_lossy().into_owned())
-}
-
-/// Extracts `--serve-hold <secs>`: how long to keep serving after the
-/// run finishes (ended early by `GET /quit`). Defaults to 0.
-pub fn serve_hold_from_args() -> f64 {
-    path_flag_from_args("serve-hold")
-        .map(|p| {
-            let raw = p.to_string_lossy();
-            raw.parse::<f64>()
-                .unwrap_or_else(|e| panic!("--serve-hold {raw}: {e} (expected seconds)"))
-        })
-        .unwrap_or(0.0)
-}
-
-/// Extracts `--flight <K>` (flight-recorder ring capacity) from the
-/// process arguments.
-pub fn flight_from_args() -> Option<usize> {
-    path_flag_from_args("flight").map(|p| {
-        let raw = p.to_string_lossy();
-        raw.parse::<usize>()
-            .unwrap_or_else(|e| panic!("--flight {raw}: {e} (expected a ring capacity)"))
-    })
-}
-
-/// Extracts `--flight-out <path>` (flight-dump JSONL path) from the
-/// process arguments.
-pub fn flight_out_from_args() -> Option<PathBuf> {
-    path_flag_from_args("flight-out")
-}
-
-/// Whether the bare flag `--<flag>` appears in the process arguments.
-fn bool_flag_from_args(flag: &str) -> bool {
-    let long = format!("--{flag}");
-    std::env::args().any(|a| a == long)
-}
-
-/// Extracts `--spans-out <path>` (Chrome trace-event JSON path) from the
-/// process arguments.
-pub fn spans_out_from_args() -> Option<PathBuf> {
-    path_flag_from_args("spans-out")
-}
-
-/// Extracts `--spans-ring <K>` (raw-span ring capacity) from the process
-/// arguments.
-pub fn spans_ring_from_args() -> Option<usize> {
-    path_flag_from_args("spans-ring").map(|p| {
-        let raw = p.to_string_lossy();
-        raw.parse::<usize>()
-            .unwrap_or_else(|e| panic!("--spans-ring {raw}: {e} (expected a ring capacity)"))
-    })
-}
-
-/// Whether `--spans-canonical` (deterministic sequence-derived span
-/// timestamps) appears in the process arguments.
-pub fn spans_canonical_from_args() -> bool {
-    bool_flag_from_args("spans-canonical")
-}
-
-/// The process-wide live publisher, set once by [`init_serve_from_args`]
-/// when `--serve-metrics` is present. Traced runs poll this and publish
+/// The process-wide live publisher, set once by
+/// [`BinArgs`](crate::cli::BinArgs) when `--serve-metrics` is present. Traced runs poll this and publish
 /// a snapshot per tumbling window; without it (the default, and always
 /// in unit tests) publication is skipped entirely.
 static LIVE_PUBLISHER: OnceLock<Publisher> = OnceLock::new();
 
-/// The live publisher installed by [`init_serve_from_args`], if any.
+/// The live publisher installed under `--serve-metrics`, if any.
 pub fn live_publisher() -> Option<&'static Publisher> {
     LIVE_PUBLISHER.get()
 }
 
-/// Installs `publisher` process-wide (what [`init_serve_from_args`] does
-/// under `--serve-metrics`); returns `false` when one is already
-/// installed. Exposed for integration tests that bind their own
-/// [`MetricsServer`] without going through the CLI flags.
+/// Installs `publisher` process-wide (what `--serve-metrics` does);
+/// returns `false` when one is already installed. Integration tests that
+/// bind their own `MetricsServer` call it directly.
 pub fn install_live_publisher(publisher: Publisher) -> bool {
     LIVE_PUBLISHER.set(publisher).is_ok()
-}
-
-/// Keeps the metrics endpoint alive until end of `main`. On drop, honors
-/// `--serve-hold <secs>` (serving the final snapshot until `GET /quit`
-/// or the timeout), then shuts the listener down and joins its thread.
-#[derive(Debug)]
-pub struct ServeGuard {
-    server: Option<MetricsServer>,
-    hold: Duration,
-}
-
-impl Drop for ServeGuard {
-    fn drop(&mut self) {
-        let Some(mut server) = self.server.take() else {
-            return;
-        };
-        if !self.hold.is_zero() && !server.quit_requested() {
-            println!(
-                "[serve] holding http://{} for {:.0}s (GET /quit to end)",
-                server.local_addr(),
-                self.hold.as_secs_f64()
-            );
-            server.wait_for_quit(self.hold);
-        }
-        server.shutdown();
-    }
-}
-
-/// One-call experiment-binary hook for the live exporter: when the
-/// process was invoked with `--serve-metrics <addr>`, binds the endpoint,
-/// prints the bound address, and installs the process-wide publisher so
-/// every traced run in this process streams its windows there. Without
-/// the flag (or on a second call) this is a no-op returning an inert
-/// guard. Keep the guard alive until end of `main`.
-pub fn init_serve_from_args() -> ServeGuard {
-    let hold = Duration::from_secs_f64(serve_hold_from_args().max(0.0));
-    let Some(addr) = serve_metrics_from_args() else {
-        return ServeGuard { server: None, hold };
-    };
-    if LIVE_PUBLISHER.get().is_some() {
-        return ServeGuard { server: None, hold };
-    }
-    match MetricsServer::serve(addr.as_str()) {
-        Ok(server) => {
-            println!(
-                "[serve] listening on http://{} (endpoints: /metrics /health /flight /quit)",
-                server.local_addr()
-            );
-            let _ = LIVE_PUBLISHER.set(server.publisher());
-            ServeGuard {
-                server: Some(server),
-                hold,
-            }
-        }
-        Err(e) => {
-            println!("[serve] failed to bind {addr}: {e}");
-            ServeGuard { server: None, hold }
-        }
-    }
-}
-
-/// Experiment-binary hook: when the process was invoked with
-/// `--trace-out <path>`, run a traced twin of `scenario` under `protocol`,
-/// write the JSONL trace to that path, and print the summary. Without the
-/// flag this is a no-op, so binaries stay byte-identical to their
-/// pre-telemetry behavior by default. The traced twin honors `--shards`
-/// (the trace bytes are bit-identical at any layout).
-pub fn maybe_trace(label: &str, scenario: &Scenario, protocol: &Protocol) {
-    let trace_out = trace_out_from_args();
-    let metrics_out = metrics_out_from_args();
-    let serve = serve_metrics_from_args();
-    let flight = flight_from_args();
-    let flight_out = flight_out_from_args();
-    let spans_out = spans_out_from_args();
-    if trace_out.is_none()
-        && metrics_out.is_none()
-        && serve.is_none()
-        && flight.is_none()
-        && flight_out.is_none()
-        && spans_out.is_none()
-    {
-        return;
-    }
-    // Binaries that already installed the endpoint get an inert guard;
-    // the rest (the ~20 `maybe_trace`-only bins) get it bound here, so
-    // `--serve-metrics` works uniformly across the fleet.
-    let _serve = init_serve_from_args();
-    let run = shards_from_args().map(ShardRun::new);
-    let mut config = match trace_out {
-        Some(path) => {
-            println!("\n[trace] {label}: traced run -> {}", path.display());
-            TelemetryConfig::to_file(label, path)
-        }
-        None => {
-            println!("\n[trace] {label}: traced run (in-memory)");
-            TelemetryConfig::in_memory(label)
-        }
-    };
-    if let Some(path) = metrics_out {
-        println!("[trace] metrics snapshot -> {}", path.display());
-        config = config.with_metrics_out(path);
-    }
-    if let Some(k) = flight {
-        config = config.with_flight(k);
-    }
-    if let Some(path) = flight_out {
-        println!("[trace] flight dump -> {}", path.display());
-        config = config.with_flight_out(path);
-    }
-    if let Some(path) = &spans_out {
-        println!("[trace] span trace -> {}", path.display());
-    }
-    config = config.with_spans_from_args();
-    match trace_run_chaos(scenario, protocol, &config, run.as_ref()) {
-        Ok(run) => {
-            print!(
-                "{}",
-                report_text(Some(&run.meta), &run.recorder, Some(&run.profile))
-            );
-            if config.span_ring().is_some() {
-                println!(
-                    "spans: {} recorded across {} ticks ({} retained in ring)",
-                    run.spans.spans_recorded(),
-                    run.spans.tick(),
-                    run.spans.ring_len()
-                );
-            }
-            if let Some(attr) = &run.attribution {
-                print!(
-                    "{}",
-                    attribution_text(&attr.ledger, &run.recorder, run.meta.nodes)
-                );
-                print!("{}", audit_text(&attr.audit));
-            }
-        }
-        Err(e) => println!("[trace] failed: {e}"),
-    }
-}
-
-/// [`maybe_trace`] over the shared default scenario and protocol — the
-/// one-liner most experiment binaries use.
-pub fn maybe_trace_default(label: &str) {
-    maybe_trace(label, &Scenario::default(), &Protocol::default());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::smoke;
     use manet_telemetry::Phase;
-
-    fn quick() -> (Scenario, Protocol) {
-        (
-            Scenario {
-                nodes: 80,
-                side: 500.0,
-                radius: 100.0,
-                ..Scenario::default()
-            },
-            Protocol {
-                warmup: 10.0,
-                measure: 30.0,
-                seeds: vec![7],
-                dt: 0.5,
-            },
-        )
-    }
 
     #[test]
     fn trace_run_reconciles_with_counters_per_class() {
-        let (scenario, protocol) = quick();
+        let (scenario, protocol) = smoke();
         let run = trace_run(&scenario, &protocol, &TelemetryConfig::in_memory("test"))
             .expect("in-memory run cannot fail on IO");
         assert!(run.counters.bytes_consistent());
@@ -1157,26 +824,8 @@ mod tests {
     }
 
     #[test]
-    fn trace_out_flag_is_absent_in_tests() {
-        assert_eq!(trace_out_from_args(), None);
-        assert_eq!(metrics_out_from_args(), None);
-        assert_eq!(shards_from_args(), None);
-        assert_eq!(serve_metrics_from_args(), None);
-        assert_eq!(flight_from_args(), None);
-        assert_eq!(flight_out_from_args(), None);
-        assert_eq!(serve_hold_from_args(), 0.0);
-        assert_eq!(spans_out_from_args(), None);
-        assert_eq!(spans_ring_from_args(), None);
-        assert!(!spans_canonical_from_args());
-        assert!(live_publisher().is_none());
-        // And therefore maybe_trace is a no-op.
-        let (scenario, protocol) = quick();
-        maybe_trace("noop", &scenario, &protocol);
-    }
-
-    #[test]
     fn attributed_run_reconciles_ledger_audit_and_counters() {
-        let (scenario, protocol) = quick();
+        let (scenario, protocol) = smoke();
         let config = TelemetryConfig::in_memory("attr").with_attribution();
         let run = trace_run(&scenario, &protocol, &config).expect("in-memory run");
         let attr = run.attribution.as_ref().expect("attribution enabled");
@@ -1218,7 +867,7 @@ mod tests {
 
     #[test]
     fn attribution_off_leaves_no_ledger() {
-        let (scenario, protocol) = quick();
+        let (scenario, protocol) = smoke();
         let run = trace_run(&scenario, &protocol, &TelemetryConfig::in_memory("plain"))
             .expect("in-memory run");
         assert!(run.attribution.is_none());
@@ -1233,7 +882,7 @@ mod tests {
     #[test]
     fn traced_run_profile_is_the_span_projection() {
         use manet_telemetry::SpanLabel;
-        let (scenario, protocol) = quick();
+        let (scenario, protocol) = smoke();
         let config =
             TelemetryConfig::in_memory("spans").with_spans_ring(DEFAULT_SPAN_RING_CAPACITY);
         let run = trace_run(&scenario, &protocol, &config).expect("in-memory run");

@@ -44,11 +44,6 @@ impl ShardDims {
         self.kx * self.ky
     }
 
-    /// Whether this is the trivial `1x1` layout.
-    pub fn is_unit(&self) -> bool {
-        self.kx == 1 && self.ky == 1
-    }
-
     /// Parses the CLI form `"KXxKY"` (e.g. `"2x3"`), also accepting a
     /// bare `"K"` as shorthand for `"Kx1"`.
     pub fn parse(s: &str) -> Result<Self, ShardLayoutError> {

@@ -286,19 +286,9 @@ impl<C: ClusterLayer, R: RouteLayer> ProtocolStack<C, R> {
         &self.cluster
     }
 
-    /// Mutable cluster-layer access.
-    pub fn cluster_mut(&mut self) -> &mut C {
-        &mut self.cluster
-    }
-
     /// The routing layer.
     pub fn route(&self) -> &R {
         &self.route
-    }
-
-    /// Mutable routing-layer access.
-    pub fn route_mut(&mut self) -> &mut R {
-        &mut self.route
     }
 
     /// The explicit HELLO protocol, when one is attached.

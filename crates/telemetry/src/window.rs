@@ -181,14 +181,6 @@ impl WindowedRecorder {
             .collect()
     }
 
-    /// Per-window link-churn series (formations + breaks per sim second).
-    pub fn link_churn_series(&self) -> Vec<f64> {
-        self.windows
-            .iter()
-            .map(|w| w.link_churn() as f64 / self.width)
-            .collect()
-    }
-
     /// Per-window mean cluster-head count (windows without gauge samples
     /// carry `None`).
     pub fn cluster_count_series(&self) -> Vec<Option<f64>> {

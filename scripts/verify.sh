@@ -15,6 +15,16 @@ if grep -rn "_traced\|maintain_faulty\|update_lossy" crates src --include='*.rs'
     exit 1
 fi
 
+echo "==> argv guard (only cli.rs and bin mains read the process arguments)"
+# Experiment binaries parse their flags once, in BinArgs (cli.rs); the
+# library takes what it needs from the caller. Fail the build if
+# library code starts reading argv again.
+if grep -rn "std::env::args" crates/*/src src --include='*.rs' \
+    | grep -v "^crates/experiments/src/cli\.rs:" | grep -v "src/bin/"; then
+    echo "verify: FAIL — library code reads argv (take the flags from BinArgs)" >&2
+    exit 1
+fi
+
 echo "==> stage-trait guard (pipeline layers go through stage traits, DESIGN.md §17)"
 # The canonical tick drives HELLO/cluster/route through the stage traits
 # (StackStages); stack/experiments code must not call the layers' own

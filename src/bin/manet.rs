@@ -20,6 +20,7 @@
 //! (DESIGN.md §18) until `GET /quit` (or `--hold` seconds).
 
 use clustered_manet::cluster::{Clustering, HighestConnectivity, LowestId};
+use clustered_manet::experiments::cli::{parse_secs, parse_shards};
 use clustered_manet::experiments::harness::ShardRun;
 use clustered_manet::geom::SquareRegion;
 use clustered_manet::jobs::{JobServer, JobServerConfig};
@@ -131,7 +132,7 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     let seed = flags.u64("seed", 1)?;
     let policy = flags.str_or("policy", "lid");
     let run = match flags.0.get("shards") {
-        Some(v) => ShardRun::new(clustered_manet::experiments::trace::parse_shards(v)?),
+        Some(v) => ShardRun::new(parse_shards(v)?),
         None => ShardRun::resolve(None),
     };
     if radius >= side {
@@ -265,11 +266,14 @@ fn cmd_serve_jobs(flags: &Flags) -> Result<(), String> {
         ..JobServerConfig::default()
     };
     // 0 = serve until /quit; anything else is a watchdog timeout.
-    let hold = flags.f64("hold", 0.0)?;
-    let hold = if hold > 0.0 {
-        Duration::from_secs_f64(hold)
-    } else {
+    let hold = match flags.0.get("hold") {
+        Some(raw) => parse_secs("--hold", raw)?,
+        None => Duration::ZERO,
+    };
+    let hold = if hold.is_zero() {
         Duration::from_secs(u64::MAX / 4)
+    } else {
+        hold
     };
     let server = JobServer::serve(addr, config).map_err(|e| format!("bind {addr}: {e}"))?;
     let bound = server.local_addr().expect("serve() always binds HTTP");
@@ -393,6 +397,17 @@ mod tests {
             )))
             .unwrap();
             assert!(cmd_simulate(&f).is_err(), "--shards {bad} should fail");
+        }
+    }
+
+    #[test]
+    fn serve_jobs_rejects_a_non_finite_hold_before_binding() {
+        for hold in ["inf", "nan", "-1", "1e300", "soon"] {
+            let err = run_cli(args(&format!(
+                "serve-jobs --addr 127.0.0.1:0 --hold {hold}"
+            )))
+            .expect_err(hold);
+            assert!(err.contains("--hold"), "{hold}: {err}");
         }
     }
 

@@ -11,9 +11,9 @@
 //!    result bytes without re-running the scenario, and the bytes are
 //!    invariant under worker count (DESIGN.md §18).
 //! 2. **The service equals the bins**: the HTTP result body for a
-//!    `fig1_vs_range` spec is byte-identical to calling
-//!    [`run_scenario`] + [`result_json`] directly — the exact code path
-//!    the `fig1_vs_range` bin runs.
+//!    `fig1_vs_range`, `fig2_vs_velocity`, `fig3_vs_density` or
+//!    `robustness` spec is byte-identical to calling [`run_scenario`] +
+//!    [`result_json`] directly — the exact code path those bins run.
 
 use manet_experiments::harness::CancelToken;
 use manet_experiments::spec::{result_json, run_scenario, RunError, ScenarioSpec};
@@ -130,37 +130,47 @@ fn resubmitted_spec_hits_the_cache_with_byte_identical_result() {
 
 #[test]
 fn service_result_is_worker_count_invariant_and_equals_the_bin_path() {
-    // The exact spec a `fig1_vs_range --quick`-style run would express,
-    // shrunk to a two-point sweep.
-    let spec_text = tiny_spec("fig1_vs_range", r#","sweep":[0.1,0.2]"#);
-    let spec = ScenarioSpec::from_json(&spec_text).expect("valid spec");
+    // One tiny spec per kind that has a bin adapter (fig1/fig2/fig3 and
+    // robustness), each shrunk to a two-point sweep.
+    for spec_text in [
+        tiny_spec("fig1_vs_range", r#","sweep":[0.1,0.2]"#),
+        tiny_spec("fig2_vs_velocity", r#","sweep":[5,20]"#),
+        tiny_spec("fig3_vs_density", r#","sweep":[40,80]"#),
+        tiny_spec("robustness", r#","fault":{"loss":[0,0.1]}"#),
+    ] {
+        let spec = ScenarioSpec::from_json(&spec_text).expect("valid spec");
 
-    // The bin code path: run_scenario + result_json, directly.
-    let output = run_scenario(&spec, None).expect("direct run");
-    let direct = result_json(&spec, &output).to_string();
+        // The bin code path: run_scenario + result_json, directly.
+        let output = run_scenario(&spec, None).expect("direct run");
+        let direct = result_json(&spec, &output).to_string();
 
-    // The service code path, at two different worker counts.
-    let mut bodies = Vec::new();
-    for workers in [1, 4] {
-        let config = JobServerConfig {
-            workers,
-            ..JobServerConfig::default()
-        };
-        let server = JobServer::serve("127.0.0.1:0", config).expect("bind ephemeral port");
-        let addr = server.local_addr().unwrap();
-        let (_, body) = http(addr, "POST", "/jobs", &spec_text);
-        let id = id_of(&body);
-        poll_until(addr, id, "done", Duration::from_secs(60));
-        let (status, result) = get(addr, &format!("/jobs/{id}/result"));
-        assert!(status.contains("200"), "{status}");
-        bodies.push(result);
-        server.shutdown();
+        // The service code path, at two different worker counts.
+        let mut bodies = Vec::new();
+        for workers in [1, 4] {
+            let config = JobServerConfig {
+                workers,
+                ..JobServerConfig::default()
+            };
+            let server = JobServer::serve("127.0.0.1:0", config).expect("bind ephemeral port");
+            let addr = server.local_addr().unwrap();
+            let (_, body) = http(addr, "POST", "/jobs", &spec_text);
+            let id = id_of(&body);
+            poll_until(addr, id, "done", Duration::from_secs(60));
+            let (status, result) = get(addr, &format!("/jobs/{id}/result"));
+            assert!(status.contains("200"), "{status}");
+            bodies.push(result);
+            server.shutdown();
+        }
+        let kind = spec.kind.name();
+        assert_eq!(
+            bodies[0], bodies[1],
+            "{kind}: worker count cannot change results"
+        );
+        assert_eq!(
+            bodies[0], direct,
+            "{kind}: POST /jobs and the {kind} bin share one code path"
+        );
     }
-    assert_eq!(bodies[0], bodies[1], "worker count cannot change results");
-    assert_eq!(
-        bodies[0], direct,
-        "POST /jobs and the fig1_vs_range bin share one code path"
-    );
 }
 
 #[test]
