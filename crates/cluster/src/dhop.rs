@@ -561,15 +561,7 @@ mod tests {
 
     #[test]
     fn resignation_clears_orphan_pointers_and_attributes_the_contact() {
-        use manet_telemetry::{CauseTracker, Event, Probe, Subscriber};
-
-        #[derive(Default)]
-        struct Collect(Vec<Event>);
-        impl Subscriber for Collect {
-            fn event(&mut self, e: &Event) {
-                self.0.push(*e);
-            }
-        }
+        use manet_telemetry::{CauseTracker, Event, Probe};
 
         // Same scenario as `maintenance_resolves_head_proximity`: heads 0
         // and 2 come within 2 hops; head 2 resigns and its member 3 (now 3
@@ -583,7 +575,7 @@ mod tests {
         let t0 = Topology::compute(&pts0, SquareRegion::new(1000.0), 1.1, Metric::Euclidean);
         let mut c = DHopClustering::form(&LowestId, &t0, 2);
         let t1 = path(4);
-        let mut sink = Collect::default();
+        let mut sink = Vec::<Event>::new();
         let mut tracker = CauseTracker::new();
         let mut probe = Probe::with_causes(Some(&mut sink), Some(&mut tracker));
         let mut scratch = manet_sim::Scratch::new();
@@ -600,21 +592,18 @@ mod tests {
         // root, and the promotion it forces carries the same root — the
         // member never re-homes off a dangling pointer.
         let resigned = sink
-            .0
             .iter()
             .find(|e| matches!(e.kind, EventKind::HeadResigned { .. }))
             .expect("resignation emitted");
         let root = resigned.cause.unwrap();
         assert_eq!(root.root, RootCause::HeadContact);
         let lost = sink
-            .0
             .iter()
             .find(|e| matches!(e.kind, EventKind::HeadLost { .. }))
             .expect("orphaning emitted");
         assert_eq!(lost.kind, EventKind::HeadLost { member: 3, head: 2 });
         assert_eq!(lost.cause.unwrap().id, root.id);
         let elected = sink
-            .0
             .iter()
             .find(|e| matches!(e.kind, EventKind::HeadElected { .. }))
             .expect("promotion emitted");

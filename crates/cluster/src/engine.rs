@@ -134,6 +134,59 @@ pub struct FormationStats {
     pub rounds: usize,
 }
 
+/// What a maintenance pass reads from the pre-pass roles: broken
+/// affiliations `(member, head, link_broke)` — `link_broke` is false when
+/// the recorded head quietly stopped being one — and adjacent head pairs
+/// `(a, b)` with `a < b`. Scanning ascending ids yields both lists sorted.
+#[derive(Debug, Clone, Default)]
+struct Scan {
+    broken: Vec<(NodeId, NodeId, bool)>,
+    contacts: Vec<(NodeId, NodeId)>,
+}
+
+impl Scan {
+    fn clear(&mut self) {
+        self.broken.clear();
+        self.contacts.clear();
+    }
+
+    /// Appends what the nodes `ids` see: pure reads of `roles` and
+    /// `topology`, no RNG, no telemetry.
+    fn extend(&mut self, roles: &[Role], topology: &Topology, ids: impl Iterator<Item = NodeId>) {
+        for u in ids {
+            match roles[u as usize] {
+                Role::Member { head } => {
+                    if !topology.are_linked(u, head) {
+                        self.broken.push((u, head, true));
+                    } else if !roles[head as usize].is_head() {
+                        self.broken.push((u, head, false));
+                    }
+                }
+                Role::Head => {
+                    for &b in topology.neighbors(u) {
+                        if b > u && roles[b as usize].is_head() {
+                            self.contacts.push((u, b));
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Buffers a maintenance pass reuses, so a steady-state pass does not
+/// allocate.
+#[derive(Debug, Clone, Default)]
+struct PassBuffers {
+    /// The scan the commit applies.
+    scan: Scan,
+    /// One scan per owner frame (scoped passes only).
+    frames: Vec<Scan>,
+    /// Per node: why it was orphaned this pass and the root cause its
+    /// re-home or promotion will carry (`None` without a cause tracker).
+    orphans: Vec<Option<(OrphanCause, Option<Cause>)>>,
+}
+
 /// A live one-hop cluster structure: per-node roles plus the policy that
 /// arbitrates headship contests.
 ///
@@ -144,6 +197,7 @@ pub struct FormationStats {
 pub struct Clustering<P> {
     policy: P,
     roles: Vec<Role>,
+    buffers: PassBuffers,
 }
 
 impl<P: ClusterPolicy> Clustering<P> {
@@ -213,7 +267,12 @@ impl<P: ClusterPolicy> Clustering<P> {
             .into_iter()
             .map(|r| r.expect("all nodes decided"))
             .collect();
-        (Clustering { policy, roles }, FormationStats { rounds })
+        let clustering = Clustering {
+            policy,
+            roles,
+            buffers: PassBuffers::default(),
+        };
+        (clustering, FormationStats { rounds })
     }
 
     /// Repairs the cluster structure against a new topology, returning the
@@ -231,6 +290,10 @@ impl<P: ClusterPolicy> Clustering<P> {
     ///    orphan can adopt later orphans — chain reactions are executed and
     ///    counted, which is why measured counts can slightly exceed the
     ///    paper's lower bound.
+    ///
+    /// A pass is a pure scan of the pre-pass roles over the ids `0..n`,
+    /// then the sequential commit; [`maintain_scoped`](Self::maintain_scoped)
+    /// runs the same commit after a per-frame scan.
     ///
     /// The cross-cutting planes ride in `ctx`:
     ///
@@ -260,366 +323,139 @@ impl<P: ClusterPolicy> Clustering<P> {
         topology: &Topology,
         ctx: &mut StepCtx<'_, '_>,
     ) -> MaintenanceOutcome {
-        let now = ctx.now;
         assert_eq!(
             topology.len(),
             self.roles.len(),
             "topology node count changed under a live clustering"
         );
-        let mut outcome = MaintenanceOutcome::default();
-        let n = self.roles.len();
-        let mut orphan_cause: Vec<Option<OrphanCause>> = vec![None; n];
-        // The root cause each orphan's eventual re-home or promotion will
-        // carry. All `None` when the probe has no cause tracker.
-        let mut orphan_why: Vec<Option<Cause>> = vec![None; n];
-
-        // Phase 1: members whose affiliation is broken — the head link is
-        // gone, or (only possible after a lost repair or a recovery from a
-        // crash) the recorded head is no longer a head.
-        for u in 0..n as NodeId {
-            if !ctx.is_alive(u) {
-                continue;
-            }
-            if let Role::Member { head } = self.roles[u as usize] {
-                if !topology.are_linked(u, head) {
-                    orphan_cause[u as usize] = Some(OrphanCause::LinkBroke);
-                    // Chain to a same-tick churn root (the head or the
-                    // member itself just crashed/recovered); otherwise
-                    // this is the paper's first CLUSTER trigger.
-                    let cause = ctx.probe.causes().map(|t| {
-                        t.churn_cause(head, now)
-                            .or_else(|| t.churn_cause(u, now))
-                            .unwrap_or_else(|| t.allocate(RootCause::HeadLoss))
-                    });
-                    orphan_why[u as usize] = cause;
-                    if ctx.probe.is_attributing() {
-                        ctx.probe.emit_caused(
-                            now,
-                            Layer::Cluster,
-                            EventKind::HeadLost { member: u, head },
-                            cause,
-                        );
-                    }
-                } else if !self.roles[head as usize].is_head() {
-                    orphan_cause[u as usize] = Some(OrphanCause::HeadResigned);
-                    // The head resigned in an earlier pass (this member's
-                    // re-home was lost) — keep charging that contact.
-                    let cause = ctx.probe.causes().map(|t| {
-                        t.resignation_cause(head)
-                            .unwrap_or_else(|| t.allocate(RootCause::HeadLoss))
-                    });
-                    orphan_why[u as usize] = cause;
-                    if ctx.probe.is_attributing() {
-                        ctx.probe.emit_caused(
-                            now,
-                            Layer::Cluster,
-                            EventKind::HeadLost { member: u, head },
-                            cause,
-                        );
-                    }
-                }
-            }
-        }
-
-        // Phase 2: resolve head–head contacts, lowest pair first. Pairs
-        // whose resignation was lost or deferred stay adjacent heads; they
-        // are skipped for the rest of the pass (and retried next pass).
-        let mut unresolved: Vec<(NodeId, NodeId)> = Vec::new();
-        loop {
-            let mut contact: Option<(NodeId, NodeId)> = None;
-            'scan: for a in 0..n as NodeId {
-                if !self.roles[a as usize].is_head() {
-                    continue;
-                }
-                for &b in topology.neighbors(a) {
-                    if b > a && self.roles[b as usize].is_head() && !unresolved.contains(&(a, b)) {
-                        contact = Some((a, b));
-                        break 'scan;
-                    }
-                }
-            }
-            let Some((a, b)) = contact else { break };
-            let (winner, loser) =
-                if self.policy.priority(a, topology) > self.policy.priority(b, topology) {
-                    (a, b)
-                } else {
-                    (b, a)
-                };
-            // The loser resigns and announces its new affiliation: 1 msg.
-            match ctx.attempt(loser) {
-                Attempt::Delivered => {
-                    self.roles[loser as usize] = Role::Member { head: winner };
-                    outcome.contact_resignations += 1;
-                    // One fresh HeadContact root covers the resignation
-                    // and every re-home it forces; remembered so members
-                    // whose re-home is lost keep charging this contact.
-                    let cause = ctx.probe.causes().map(|t| {
-                        let c = t.allocate(RootCause::HeadContact);
-                        t.note_resignation(loser, c);
-                        c
-                    });
-                    ctx.probe.emit_caused(
-                        now,
-                        Layer::Cluster,
-                        EventKind::HeadResigned {
-                            node: loser,
-                            new_head: winner,
-                        },
-                        cause,
-                    );
-                    orphan_cause[loser as usize] = None; // it just re-homed itself
-                    orphan_why[loser as usize] = None;
-                    // Its members are orphaned (unless already orphaned by
-                    // a break).
-                    for m in 0..n as NodeId {
-                        if let Role::Member { head } = self.roles[m as usize] {
-                            if head == loser && orphan_cause[m as usize].is_none() {
-                                orphan_cause[m as usize] = Some(OrphanCause::HeadResigned);
-                                orphan_why[m as usize] = cause;
-                                if ctx.probe.is_attributing() {
-                                    ctx.probe.emit_caused(
-                                        now,
-                                        Layer::Cluster,
-                                        EventKind::HeadLost {
-                                            member: m,
-                                            head: loser,
-                                        },
-                                        cause,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-                Attempt::Lost => {
-                    outcome.lost_sends += 1;
-                    unresolved.push((a, b));
-                }
-                Attempt::Deferred => {
-                    outcome.deferred_sends += 1;
-                    unresolved.push((a, b));
-                }
-            }
-        }
-
-        // Phase 3: orphans re-affiliate or promote, in id order. A lost
-        // announcement leaves the stale role in place for a later retry.
-        for u in 0..n as NodeId {
-            let Some(cause) = orphan_cause[u as usize] else {
-                continue;
-            };
-            match ctx.attempt(u) {
-                Attempt::Delivered => {}
-                Attempt::Lost => {
-                    outcome.lost_sends += 1;
-                    continue;
-                }
-                Attempt::Deferred => {
-                    outcome.deferred_sends += 1;
-                    continue;
-                }
-            }
-            let best_head = topology
-                .neighbors(u)
-                .iter()
-                .filter(|&&x| self.roles[x as usize].is_head())
-                .max_by_key(|&&x| self.policy.priority(x, topology))
-                .copied();
-            let why = orphan_why[u as usize];
-            match (best_head, cause) {
-                (Some(h), OrphanCause::LinkBroke) => {
-                    self.roles[u as usize] = Role::Member { head: h };
-                    outcome.break_reaffiliations += 1;
-                    ctx.probe.emit_caused(
-                        now,
-                        Layer::Cluster,
-                        EventKind::MemberReaffiliated { member: u, head: h },
-                        why,
-                    );
-                }
-                (Some(h), OrphanCause::HeadResigned) => {
-                    self.roles[u as usize] = Role::Member { head: h };
-                    outcome.contact_reaffiliations += 1;
-                    ctx.probe.emit_caused(
-                        now,
-                        Layer::Cluster,
-                        EventKind::MemberReaffiliated { member: u, head: h },
-                        why,
-                    );
-                }
-                (None, OrphanCause::LinkBroke) => {
-                    self.roles[u as usize] = Role::Head;
-                    outcome.break_promotions += 1;
-                    if let Some(t) = ctx.probe.causes() {
-                        t.clear_resignation(u);
-                    }
-                    ctx.probe.emit_caused(
-                        now,
-                        Layer::Cluster,
-                        EventKind::HeadElected { node: u },
-                        why,
-                    );
-                }
-                (None, OrphanCause::HeadResigned) => {
-                    self.roles[u as usize] = Role::Head;
-                    outcome.contact_promotions += 1;
-                    if let Some(t) = ctx.probe.causes() {
-                        t.clear_resignation(u);
-                    }
-                    ctx.probe.emit_caused(
-                        now,
-                        Layer::Cluster,
-                        EventKind::HeadElected { node: u },
-                        why,
-                    );
-                }
-            }
-        }
-
-        // The engine only guarantees clean invariants when nothing was
-        // lost, deferred, or down this pass.
-        #[cfg(debug_assertions)]
-        if outcome.lost_sends == 0
-            && outcome.deferred_sends == 0
-            && (0..n as NodeId).all(|u| ctx.is_alive(u))
-        {
-            debug_assert_eq!(self.check_invariants(topology), Ok(()));
-        }
-        outcome
+        let scan = &mut self.buffers.scan;
+        scan.clear();
+        scan.extend(&self.roles, topology, 0..self.roles.len() as NodeId);
+        self.commit(topology, ctx)
     }
 
-    /// [`Clustering::maintain`] with a scoped worker pool (DESIGN.md §17):
-    /// the read-only scans — broken affiliations (phase 1) and adjacent
-    /// head pairs (phase 2 candidates) — fan out per owner frame, while
-    /// every commit (role writes, cause allocation, fault attempts,
-    /// emissions) replays sequentially in the exact order of the
-    /// monolithic pass. Bit-identical to `maintain` for every frame
-    /// layout and worker count:
+    /// [`Clustering::maintain`] with the scan fanned out per owner frame
+    /// (DESIGN.md §17): each frame scans its owned ids on the scoped worker
+    /// pool, the per-frame lists are concatenated and sorted, and the
+    /// shared sequential commit runs on the result. Frames partition the
+    /// ids (as spatial tiles, not id ranges), so sorting the concatenation
+    /// restores exactly the lists a scan over `0..n` produces — the pass
+    /// is bit-identical to `maintain` for every frame layout and worker
+    /// count.
     ///
-    /// * Both scans read only the pre-pass roles and topology, which
-    ///   phase 1 never mutates, so hoisting them before the commits
-    ///   changes nothing.
-    /// * Frames partition the ids, so the merged candidate lists (sorted
-    ///   — frames are spatial tiles, their concatenation is not
-    ///   id-ordered) equal the sequential scan order: neighbor rows are
-    ///   sorted, hence the sequential contact rescan always picks the
-    ///   lexicographically smallest live pair, and since resignations
-    ///   only ever *remove* heads, a single forward pass over the sorted
-    ///   pair list with a validity re-check visits the same pairs in the
-    ///   same order.
-    ///
-    /// Falls back to the sequential pass when the scope's frames do not
-    /// cover the node set exactly.
+    /// Falls back to `maintain` when the scope's frames do not cover the
+    /// node set exactly.
     pub fn maintain_scoped(
         &mut self,
         topology: &Topology,
         ctx: &mut StepCtx<'_, '_>,
         scope: &mut StageScope<'_>,
     ) -> MaintenanceOutcome {
-        let now = ctx.now;
-        assert_eq!(
-            topology.len(),
-            self.roles.len(),
-            "topology node count changed under a live clustering"
-        );
-        if scope.frames().len() != self.roles.len() {
+        let n = self.roles.len();
+        if topology.len() != n || scope.frames().len() != n {
             return self.maintain(topology, ctx);
         }
+        let PassBuffers { scan, frames, .. } = &mut self.buffers;
+        frames.resize_with(scope.frames().frame_count(), Scan::default);
+        let roles = &self.roles;
+        scope.map_frames(frames, |_, ids, out| {
+            out.clear();
+            out.extend(roles, topology, ids.iter().copied());
+        });
+        scan.clear();
+        for frame in frames.iter() {
+            scan.broken.extend_from_slice(&frame.broken);
+            scan.contacts.extend_from_slice(&frame.contacts);
+        }
+        // Already-sorted input (a single frame) costs one linear check.
+        scan.broken.sort_unstable();
+        scan.contacts.sort_unstable();
+        self.commit(topology, ctx)
+    }
+
+    /// The sequential half of a pass, applying `self.buffers.scan` — every
+    /// role write, cause allocation, fault attempt and emission, in id
+    /// order.
+    ///
+    /// Phase 2 is one forward pass over the sorted head pairs with a
+    /// validity re-check. The rule resolves the lowest adjacent head pair
+    /// first, rescanning after each resolution; resignations only ever
+    /// *remove* heads and phase 1 writes no roles, so no pair absent from
+    /// the pre-pass scan can appear, every pair below the current one is
+    /// already resolved, retired (an endpoint resigned) or lost for this
+    /// pass, and the forward pass visits the same pairs in the same order
+    /// (`tests/maintenance_oracle.rs` pins this against the rescan).
+    fn commit(&mut self, topology: &Topology, ctx: &mut StepCtx<'_, '_>) -> MaintenanceOutcome {
+        let now = ctx.now;
         let n = self.roles.len();
-
-        // Parallel scan: pure reads of roles + topology, no RNG, no
-        // telemetry, no writes. `true` marks a broken member↔head link,
-        // `false` a recorded head that quietly stopped being one.
-        type FrameScan = (Vec<(NodeId, NodeId, bool)>, Vec<(NodeId, NodeId)>);
-        let mut scans: Vec<FrameScan> =
-            vec![(Vec::new(), Vec::new()); scope.frames().frame_count()];
-        {
-            let roles = &self.roles;
-            scope.map_frames(&mut scans, |_, ids, (broken, pairs)| {
-                for &u in ids {
-                    match roles[u as usize] {
-                        Role::Member { head } => {
-                            if !topology.are_linked(u, head) {
-                                broken.push((u, head, true));
-                            } else if !roles[head as usize].is_head() {
-                                broken.push((u, head, false));
-                            }
-                        }
-                        Role::Head => {
-                            for &b in topology.neighbors(u) {
-                                if b > u && roles[b as usize].is_head() {
-                                    pairs.push((u, b));
-                                }
-                            }
-                        }
-                    }
-                }
-            });
-        }
-        let mut broken: Vec<(NodeId, NodeId, bool)> = Vec::new();
-        let mut contacts: Vec<(NodeId, NodeId)> = Vec::new();
-        for (b, p) in &scans {
-            broken.extend_from_slice(b);
-            contacts.extend_from_slice(p);
-        }
-        broken.sort_unstable();
-        contacts.sort_unstable();
-
+        let Clustering {
+            policy,
+            roles,
+            buffers,
+        } = self;
+        let PassBuffers { scan, orphans, .. } = buffers;
+        orphans.clear();
+        orphans.resize(n, None);
         let mut outcome = MaintenanceOutcome::default();
-        let mut orphan_cause: Vec<Option<OrphanCause>> = vec![None; n];
-        let mut orphan_why: Vec<Option<Cause>> = vec![None; n];
 
-        // Phase 1 commit: orphan the broken members, ascending id — the
-        // aliveness gate runs here, on the sequential path, exactly where
-        // the monolithic pass applies it.
-        for &(u, head, link_broke) in &broken {
+        // Phase 1: live members whose affiliation is broken — the head link
+        // is gone, or (only possible after a lost repair or a recovery from
+        // a crash) the recorded head is no longer a head.
+        for &(u, head, link_broke) in &scan.broken {
             if !ctx.is_alive(u) {
                 continue;
             }
-            let cause = if link_broke {
-                orphan_cause[u as usize] = Some(OrphanCause::LinkBroke);
-                ctx.probe.causes().map(|t| {
+            let orphan = if link_broke {
+                // Chain to a same-tick churn root (the head or the member
+                // itself just crashed/recovered); otherwise this is the
+                // paper's first CLUSTER trigger.
+                let why = ctx.probe.causes().map(|t| {
                     t.churn_cause(head, now)
                         .or_else(|| t.churn_cause(u, now))
                         .unwrap_or_else(|| t.allocate(RootCause::HeadLoss))
-                })
+                });
+                (OrphanCause::LinkBroke, why)
             } else {
-                orphan_cause[u as usize] = Some(OrphanCause::HeadResigned);
-                ctx.probe.causes().map(|t| {
+                // The head resigned in an earlier pass (this member's
+                // re-home was lost) — keep charging that contact.
+                let why = ctx.probe.causes().map(|t| {
                     t.resignation_cause(head)
                         .unwrap_or_else(|| t.allocate(RootCause::HeadLoss))
-                })
+                });
+                (OrphanCause::HeadResigned, why)
             };
-            orphan_why[u as usize] = cause;
+            orphans[u as usize] = Some(orphan);
             if ctx.probe.is_attributing() {
                 ctx.probe.emit_caused(
                     now,
                     Layer::Cluster,
                     EventKind::HeadLost { member: u, head },
-                    cause,
+                    orphan.1,
                 );
             }
         }
 
-        // Phase 2 commit: one forward pass over the sorted contact pairs.
-        // Pairs whose endpoints lost headship to an earlier resignation
-        // are skipped; lost/deferred resignations stay adjacent heads and
-        // retry next pass (the monolithic `unresolved` set).
-        for &(a, b) in &contacts {
-            if !(self.roles[a as usize].is_head() && self.roles[b as usize].is_head()) {
+        // Phase 2: resolve head–head contacts, lowest pair first. A pair
+        // whose endpoint already resigned is skipped; a lost or deferred
+        // resignation leaves both heads in place until the next pass.
+        for &(a, b) in &scan.contacts {
+            if !(roles[a as usize].is_head() && roles[b as usize].is_head()) {
                 continue;
             }
-            let (winner, loser) =
-                if self.policy.priority(a, topology) > self.policy.priority(b, topology) {
-                    (a, b)
-                } else {
-                    (b, a)
-                };
+            let (winner, loser) = if policy.priority(a, topology) > policy.priority(b, topology) {
+                (a, b)
+            } else {
+                (b, a)
+            };
+            // The loser resigns and announces its new affiliation: 1 msg.
             match ctx.attempt(loser) {
                 Attempt::Delivered => {
-                    self.roles[loser as usize] = Role::Member { head: winner };
+                    roles[loser as usize] = Role::Member { head: winner };
                     outcome.contact_resignations += 1;
-                    let cause = ctx.probe.causes().map(|t| {
+                    // One fresh HeadContact root covers the resignation
+                    // and every re-home it forces; remembered so members
+                    // whose re-home is lost keep charging this contact.
+                    let why = ctx.probe.causes().map(|t| {
                         let c = t.allocate(RootCause::HeadContact);
                         t.note_resignation(loser, c);
                         c
@@ -631,26 +467,24 @@ impl<P: ClusterPolicy> Clustering<P> {
                             node: loser,
                             new_head: winner,
                         },
-                        cause,
+                        why,
                     );
-                    orphan_cause[loser as usize] = None; // it just re-homed itself
-                    orphan_why[loser as usize] = None;
-                    for m in 0..n as NodeId {
-                        if let Role::Member { head } = self.roles[m as usize] {
-                            if head == loser && orphan_cause[m as usize].is_none() {
-                                orphan_cause[m as usize] = Some(OrphanCause::HeadResigned);
-                                orphan_why[m as usize] = cause;
-                                if ctx.probe.is_attributing() {
-                                    ctx.probe.emit_caused(
-                                        now,
-                                        Layer::Cluster,
-                                        EventKind::HeadLost {
-                                            member: m,
-                                            head: loser,
-                                        },
-                                        cause,
-                                    );
-                                }
+                    // The loser just re-homed itself; its members are
+                    // orphaned (unless already orphaned by a break).
+                    orphans[loser as usize] = None;
+                    for m in 0..n {
+                        if roles[m] == (Role::Member { head: loser }) && orphans[m].is_none() {
+                            orphans[m] = Some((OrphanCause::HeadResigned, why));
+                            if ctx.probe.is_attributing() {
+                                ctx.probe.emit_caused(
+                                    now,
+                                    Layer::Cluster,
+                                    EventKind::HeadLost {
+                                        member: m as NodeId,
+                                        head: loser,
+                                    },
+                                    why,
+                                );
                             }
                         }
                     }
@@ -660,9 +494,10 @@ impl<P: ClusterPolicy> Clustering<P> {
             }
         }
 
-        // Phase 3: identical to the monolithic pass.
+        // Phase 3: orphans re-affiliate or promote, in id order. A lost
+        // announcement leaves the stale role in place for a later retry.
         for u in 0..n as NodeId {
-            let Some(cause) = orphan_cause[u as usize] else {
+            let Some((cause, why)) = orphans[u as usize] else {
                 continue;
             };
             match ctx.attempt(u) {
@@ -679,60 +514,37 @@ impl<P: ClusterPolicy> Clustering<P> {
             let best_head = topology
                 .neighbors(u)
                 .iter()
-                .filter(|&&x| self.roles[x as usize].is_head())
-                .max_by_key(|&&x| self.policy.priority(x, topology))
+                .filter(|&&x| roles[x as usize].is_head())
+                .max_by_key(|&&x| policy.priority(x, topology))
                 .copied();
-            let why = orphan_why[u as usize];
-            match (best_head, cause) {
-                (Some(h), OrphanCause::LinkBroke) => {
-                    self.roles[u as usize] = Role::Member { head: h };
-                    outcome.break_reaffiliations += 1;
-                    ctx.probe.emit_caused(
-                        now,
-                        Layer::Cluster,
-                        EventKind::MemberReaffiliated { member: u, head: h },
-                        why,
-                    );
+            if let Some(h) = best_head {
+                roles[u as usize] = Role::Member { head: h };
+                match cause {
+                    OrphanCause::LinkBroke => outcome.break_reaffiliations += 1,
+                    OrphanCause::HeadResigned => outcome.contact_reaffiliations += 1,
                 }
-                (Some(h), OrphanCause::HeadResigned) => {
-                    self.roles[u as usize] = Role::Member { head: h };
-                    outcome.contact_reaffiliations += 1;
-                    ctx.probe.emit_caused(
-                        now,
-                        Layer::Cluster,
-                        EventKind::MemberReaffiliated { member: u, head: h },
-                        why,
-                    );
+                ctx.probe.emit_caused(
+                    now,
+                    Layer::Cluster,
+                    EventKind::MemberReaffiliated { member: u, head: h },
+                    why,
+                );
+            } else {
+                roles[u as usize] = Role::Head;
+                match cause {
+                    OrphanCause::LinkBroke => outcome.break_promotions += 1,
+                    OrphanCause::HeadResigned => outcome.contact_promotions += 1,
                 }
-                (None, OrphanCause::LinkBroke) => {
-                    self.roles[u as usize] = Role::Head;
-                    outcome.break_promotions += 1;
-                    if let Some(t) = ctx.probe.causes() {
-                        t.clear_resignation(u);
-                    }
-                    ctx.probe.emit_caused(
-                        now,
-                        Layer::Cluster,
-                        EventKind::HeadElected { node: u },
-                        why,
-                    );
+                if let Some(t) = ctx.probe.causes() {
+                    t.clear_resignation(u);
                 }
-                (None, OrphanCause::HeadResigned) => {
-                    self.roles[u as usize] = Role::Head;
-                    outcome.contact_promotions += 1;
-                    if let Some(t) = ctx.probe.causes() {
-                        t.clear_resignation(u);
-                    }
-                    ctx.probe.emit_caused(
-                        now,
-                        Layer::Cluster,
-                        EventKind::HeadElected { node: u },
-                        why,
-                    );
-                }
+                ctx.probe
+                    .emit_caused(now, Layer::Cluster, EventKind::HeadElected { node: u }, why);
             }
         }
 
+        // The engine only guarantees clean invariants when nothing was
+        // lost, deferred, or down this pass.
         #[cfg(debug_assertions)]
         if outcome.lost_sends == 0
             && outcome.deferred_sends == 0
@@ -1106,6 +918,7 @@ mod tests {
         let t = path(2);
         let c = Clustering {
             policy: LowestId,
+            buffers: PassBuffers::default(),
             roles: vec![Role::Head, Role::Head],
         };
         assert_eq!(
@@ -1114,6 +927,7 @@ mod tests {
         );
         let c = Clustering {
             policy: LowestId,
+            buffers: PassBuffers::default(),
             roles: vec![Role::Member { head: 1 }, Role::Member { head: 0 }],
         };
         assert!(matches!(
@@ -1123,6 +937,7 @@ mod tests {
         let t_far = topo(&[(0.0, 0.0), (50.0, 0.0)], 1.0);
         let c = Clustering {
             policy: LowestId,
+            buffers: PassBuffers::default(),
             roles: vec![Role::Head, Role::Member { head: 0 }],
         };
         assert!(matches!(
@@ -1139,6 +954,7 @@ mod tests {
         let t = path(4);
         let c = Clustering {
             policy: LowestId,
+            buffers: PassBuffers::default(),
             roles: vec![
                 Role::Head,
                 Role::Head,
@@ -1299,19 +1115,11 @@ mod tests {
     #[test]
     fn traced_maintenance_emits_one_event_per_committed_role_change() {
         use manet_sim::SimBuilder;
-        use manet_telemetry::{Event, Subscriber};
-
-        #[derive(Default)]
-        struct Collect(Vec<Event>);
-        impl Subscriber for Collect {
-            fn event(&mut self, e: &Event) {
-                self.0.push(*e);
-            }
-        }
+        use manet_telemetry::Event;
 
         let mut world = SimBuilder::new().nodes(80).seed(17).build();
         let mut c = Clustering::form(LowestId, world.topology());
-        let mut sink = Collect::default();
+        let mut sink = Vec::<Event>::new();
         let mut total = MaintenanceOutcome::default();
         let mut q = QuietCtx::new();
         let mut scratch = Scratch::new();
@@ -1324,7 +1132,7 @@ mod tests {
             ));
         }
         assert!(total.total_messages() > 0, "mobile world must churn roles");
-        let count = |f: fn(&EventKind) -> bool| sink.0.iter().filter(|e| f(&e.kind)).count() as u64;
+        let count = |f: fn(&EventKind) -> bool| sink.iter().filter(|e| f(&e.kind)).count() as u64;
         assert_eq!(
             count(|k| matches!(k, EventKind::HeadResigned { .. })),
             total.contact_resignations
@@ -1338,29 +1146,21 @@ mod tests {
             total.break_promotions + total.contact_promotions
         );
         // One event per committed CLUSTER message.
-        assert_eq!(sink.0.len() as u64, total.total_messages());
-        assert!(sink.0.iter().all(|e| e.layer == Layer::Cluster));
+        assert_eq!(sink.len() as u64, total.total_messages());
+        assert!(sink.iter().all(|e| e.layer == Layer::Cluster));
         // Timestamps are the sim times passed in, monotone over the run.
-        assert!(sink.0.windows(2).all(|w| w[0].time <= w[1].time));
+        assert!(sink.windows(2).all(|w| w[0].time <= w[1].time));
     }
 
     #[test]
     fn attributed_maintenance_chains_every_event_to_a_root() {
-        use manet_telemetry::{CauseTracker, Event, Subscriber};
-
-        #[derive(Default)]
-        struct Collect(Vec<Event>);
-        impl Subscriber for Collect {
-            fn event(&mut self, e: &Event) {
-                self.0.push(*e);
-            }
-        }
+        use manet_telemetry::{CauseTracker, Event};
 
         // Head contact: heads 0 and 2 (members 1 and 3) drift together.
         let t0 = topo(&[(0.0, 0.0), (1.0, 0.0), (10.0, 0.0), (11.0, 0.0)], 1.1);
         let mut c = Clustering::form(LowestId, &t0);
         let t1 = topo(&[(5.0, 0.0), (4.5, 0.0), (5.5, 0.0), (6.0, 0.0)], 2.0);
-        let mut sink = Collect::default();
+        let mut sink = Vec::<Event>::new();
         let mut tracker = CauseTracker::new();
         let mut probe = Probe::with_causes(Some(&mut sink), Some(&mut tracker));
         let mut scratch = Scratch::new();
@@ -1370,23 +1170,20 @@ mod tests {
         assert_eq!(o.contact_reaffiliations, 1);
         // Every event carries a cause; the resignation anchors a single
         // HeadContact root shared by the orphaning and the re-home.
-        assert!(sink.0.iter().all(|e| e.cause.is_some()));
+        assert!(sink.iter().all(|e| e.cause.is_some()));
         let resigned = sink
-            .0
             .iter()
             .find(|e| matches!(e.kind, EventKind::HeadResigned { .. }))
             .expect("resignation emitted");
         let root = resigned.cause.unwrap();
         assert_eq!(root.root, RootCause::HeadContact);
         let lost: Vec<_> = sink
-            .0
             .iter()
             .filter(|e| matches!(e.kind, EventKind::HeadLost { .. }))
             .collect();
         assert_eq!(lost.len(), 1, "loser's member 3 is orphaned");
         assert_eq!(lost[0].cause.unwrap().id, root.id);
         let rehomed = sink
-            .0
             .iter()
             .find(|e| matches!(e.kind, EventKind::MemberReaffiliated { .. }))
             .expect("re-home emitted");
@@ -1397,43 +1194,35 @@ mod tests {
         let b0 = path(3);
         let mut c = Clustering::form(LowestId, &b0);
         let b1 = topo(&[(500.0, 0.0), (1.0, 0.0), (2.0, 0.0)], 1.1);
-        let mut sink = Collect::default();
+        let mut sink = Vec::<Event>::new();
         let mut tracker = CauseTracker::new();
         let mut probe = Probe::with_causes(Some(&mut sink), Some(&mut tracker));
         let mut scratch = Scratch::new();
         let o = c.maintain(&b1, &mut StepCtx::new(&mut probe, &mut scratch).at(2.0));
         assert_eq!(o.break_reaffiliations, 1);
-        assert_eq!(sink.0.len(), 2, "HeadLost marker + re-affiliation");
-        let root = sink.0[0].cause.unwrap();
-        assert!(matches!(sink.0[0].kind, EventKind::HeadLost { .. }));
+        assert_eq!(sink.len(), 2, "HeadLost marker + re-affiliation");
+        let root = sink[0].cause.unwrap();
+        assert!(matches!(sink[0].kind, EventKind::HeadLost { .. }));
         assert_eq!(root.root, RootCause::HeadLoss);
-        assert_eq!(sink.0[1].cause.unwrap().id, root.id);
+        assert_eq!(sink[1].cause.unwrap().id, root.id);
     }
 
     #[test]
     fn unattributed_tracing_emits_no_headlost_markers() {
-        use manet_telemetry::{Event, Subscriber};
-
-        #[derive(Default)]
-        struct Collect(Vec<Event>);
-        impl Subscriber for Collect {
-            fn event(&mut self, e: &Event) {
-                self.0.push(*e);
-            }
-        }
+        use manet_telemetry::Event;
 
         let t0 = path(3);
         let mut c = Clustering::form(LowestId, &t0);
         let t1 = topo(&[(500.0, 0.0), (1.0, 0.0), (2.0, 0.0)], 1.1);
-        let mut sink = Collect::default();
+        let mut sink = Vec::<Event>::new();
         let mut probe = Probe::subscriber(&mut sink);
         let mut scratch = Scratch::new();
         let o = c.maintain(&t1, &mut StepCtx::new(&mut probe, &mut scratch).at(1.0));
         assert_eq!(o.total_messages(), 1);
         // Without a cause tracker the event stream is exactly the PR2
         // contract: one uncaused event per committed CLUSTER message.
-        assert_eq!(sink.0.len(), 1);
-        assert!(sink.0.iter().all(|e| e.cause.is_none()));
+        assert_eq!(sink.len(), 1);
+        assert!(sink.iter().all(|e| e.cause.is_none()));
     }
 
     #[test]

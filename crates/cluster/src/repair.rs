@@ -470,15 +470,7 @@ mod tests {
 
     #[test]
     fn traced_step_emits_retx_schedules_and_records_consistently() {
-        use manet_telemetry::{Event, Subscriber};
-
-        #[derive(Default)]
-        struct Collect(Vec<Event>);
-        impl Subscriber for Collect {
-            fn event(&mut self, event: &Event) {
-                self.0.push(*event);
-            }
-        }
+        use manet_telemetry::Event;
 
         let mut world = SimBuilder::new()
             .nodes(80)
@@ -494,7 +486,7 @@ mod tests {
         let mut ch_probed = plan.channel(manet_sim::fault::STREAM_CLUSTER);
         let mut ch_plain = plan.channel(manet_sim::fault::STREAM_CLUSTER);
         let alive = vec![true; 80];
-        let mut sink = Collect::default();
+        let mut sink = Vec::<Event>::new();
         let mut counters = Counters::default();
         let mut losses = 0;
         let mut q = QuietCtx::new();
@@ -516,7 +508,6 @@ mod tests {
         }
         assert!(losses > 0, "the lossy channel must actually lose sends");
         let retx_events = sink
-            .0
             .iter()
             .filter(|e| matches!(e.kind, EventKind::RetxScheduled { .. }))
             .count() as u64;
@@ -524,7 +515,7 @@ mod tests {
             retx_events, losses,
             "one RetxScheduled per lost send, exactly"
         );
-        for e in &sink.0 {
+        for e in &sink {
             assert_eq!(e.layer, Layer::Cluster);
             if let EventKind::RetxScheduled { wait_ticks, .. } = e.kind {
                 assert!((1..=16).contains(&wait_ticks), "default backoff range");

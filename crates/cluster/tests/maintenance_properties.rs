@@ -1,9 +1,11 @@
 //! Property and long-run integration tests for the maintenance engine.
 
 use manet_cluster::{
-    ClusterStats, Clustering, HighestConnectivity, LowestId, MaintenanceOutcome, StaticWeights,
+    ClusterStats, Clustering, HighestConnectivity, LowestId, MaintenanceOutcome, Role,
+    StaticWeights,
 };
 use manet_sim::{MobilityKind, QuietCtx, SimBuilder};
+use manet_util::Rng;
 
 /// Invariants hold at every tick of a mobile world, for every policy.
 #[test]
@@ -172,13 +174,61 @@ fn invariants_hold_under_random_waypoint() {
     assert!(stats.cluster_count >= 1);
 }
 
+/// Invariants and message accounting through one evolution of a small
+/// moving world: P1/P2 hold after every pass, heads equal clusters, every
+/// member's head is a head, and a static world stays silent.
+fn repairs_evolution(seed: u64, n: usize, radius: f64, speed: f64) {
+    let case = format!("seed {seed}, n {n}, radius {radius}, speed {speed}");
+    let mut world = SimBuilder::new()
+        .side(400.0)
+        .nodes(n)
+        .radius(radius)
+        .speed(speed)
+        .dt(1.0)
+        .seed(seed)
+        .build();
+    let mut c = Clustering::form(LowestId, world.topology());
+    assert_eq!(c.check_invariants(world.topology()), Ok(()), "{case}");
+    let mut total = MaintenanceOutcome::default();
+    let mut q = QuietCtx::new();
+    for _ in 0..30 {
+        world.step(&mut q.ctx());
+        total.absorb(c.maintain(world.topology(), &mut q.ctx()));
+        assert_eq!(c.check_invariants(world.topology()), Ok(()), "{case}");
+    }
+    let heads = c.roles().iter().filter(|r| r.is_head()).count();
+    assert_eq!(heads, c.clusters().len(), "{case}");
+    for (u, r) in c.roles().iter().enumerate() {
+        if let Role::Member { head } = r {
+            assert!(c.is_head(*head), "{case}: node {u} has non-head head");
+        }
+    }
+    if speed == 0.0 {
+        assert_eq!(total.total_messages(), 0, "{case}: static world");
+    }
+}
+
+/// Tier-1 slice of `maintenance_repairs_any_evolution`: 24 seeded cases in
+/// the proptest's ranges, plus a static world.
+#[test]
+fn maintenance_repairs_seeded_evolutions() {
+    let mut rng = Rng::seed_from_u64(24);
+    for _ in 0..24 {
+        let seed = rng.u64();
+        let n = 2 + rng.usize_below(58);
+        let radius = rng.f64_range(30.0..250.0);
+        let speed = rng.f64_range(0.0..40.0);
+        repairs_evolution(seed, n, radius, speed);
+    }
+    repairs_evolution(rng.u64(), 40, 100.0, 0.0);
+}
+
 // Compiled only with `--features slow-proptests`, which additionally
 // requires re-adding the `proptest` dev-dependency (network access);
 // the hermetic default build resolves zero external crates.
 #[cfg(feature = "slow-proptests")]
 mod slow_proptests {
     use super::*;
-    use manet_cluster::Role;
     use proptest::prelude::*;
 
     proptest! {
@@ -190,37 +240,7 @@ mod slow_proptests {
                                          n in 2usize..60,
                                          radius in 30.0..250.0f64,
                                          speed in 0.0..40.0f64) {
-        let mut world = SimBuilder::new()
-            .side(400.0)
-            .nodes(n)
-            .radius(radius)
-            .speed(speed)
-            .dt(1.0)
-            .seed(seed)
-            .build();
-        let mut c = Clustering::form(LowestId, world.topology());
-        prop_assert!(c.check_invariants(world.topology()).is_ok());
-        let mut total = MaintenanceOutcome::default();
-        let mut q = QuietCtx::new();
-        for _ in 0..30 {
-            world.step(&mut q.ctx());
-            let o = c.maintain(world.topology(), &mut q.ctx());
-            total.absorb(o);
-            prop_assert!(c.check_invariants(world.topology()).is_ok());
-        }
-        // Role bookkeeping: head count equals cluster count; every member's
-        // head is a head.
-        let heads = c.roles().iter().filter(|r| r.is_head()).count();
-        prop_assert_eq!(heads, c.clusters().len());
-        for (u, r) in c.roles().iter().enumerate() {
-            if let Role::Member { head } = r {
-                prop_assert!(c.is_head(*head), "node {} has non-head head", u);
-            }
-        }
-        // Static worlds stay silent.
-        if speed == 0.0 {
-            prop_assert_eq!(total.total_messages(), 0);
-        }
+        repairs_evolution(seed, n, radius, speed);
     }
     }
 }

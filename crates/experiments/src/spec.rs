@@ -26,10 +26,28 @@ use crate::harness::{
 use crate::robustness::{row_ctl, FaultMeasured, RobustnessRow};
 use manet_cluster::{HighestConnectivity, LowestId};
 use manet_geom::{ShardDims, ShardLayout, ShardLayoutError, SquareRegion};
+use manet_model::{DegreeModel, NetworkParams};
 use manet_shard::ghost_margin;
 use manet_sim::MobilityKind;
 use manet_util::json::Value;
 use std::fmt;
+
+/// Most nodes one scenario point may ask for: per-node state (position,
+/// neighbor rows, role, HELLO table) is a few hundred bytes, so this keeps
+/// it under ~1 GB. Ten times the largest point the repo runs, the
+/// benchmark's `scale-100k` (N = 100 000).
+const MAX_NODES: usize = 1_000_000;
+
+/// Most spatial-grid cells, `floor(side / r)²`, one point may ask for: the
+/// grid allocates a 24-byte bin per cell up front, whatever the node
+/// count, so this caps it at 24 MB (`scale-100k` uses 11 025 cells).
+const MAX_GRID_CELLS: f64 = 1_000_000.0;
+
+/// Most expected neighbor entries, `N·d` with `d` from
+/// [`DegreeModel::TorusExact`], one point may ask for: topology rows and
+/// HELLO tables hold tens of bytes per entry, and tick time grows with it
+/// too (`scale-100k` expects about 2.8 M).
+const MAX_NEIGHBOR_ENTRIES: f64 = 20_000_000.0;
 
 /// Which experiment a spec runs: one of the paper-figure sweeps, a single
 /// scenario point, or the fault-plane robustness sweep.
@@ -392,6 +410,28 @@ impl ScenarioSpec {
                 return Err(format!(
                     "radius must satisfy 0 < r < side, got r={} side={}",
                     s.radius, s.side
+                ));
+            }
+            if s.nodes > MAX_NODES {
+                return Err(format!("nodes must be <= {MAX_NODES}, got {}", s.nodes));
+            }
+            let cells = (s.side / s.radius).floor().powi(2);
+            if cells > MAX_GRID_CELLS {
+                return Err(format!(
+                    "spatial grid of floor(side/r)^2 = {cells} cells exceeds {MAX_GRID_CELLS} \
+                     (side={} r={})",
+                    s.side, s.radius
+                ));
+            }
+            // The expected degree does not depend on speed.
+            let params = NetworkParams::new(s.nodes, s.side, s.radius, 0.0)
+                .map_err(|e| format!("scenario point: {e}"))?;
+            let entries = s.nodes as f64 * DegreeModel::TorusExact.expected_degree(&params);
+            if entries > MAX_NEIGHBOR_ENTRIES {
+                return Err(format!(
+                    "expected neighbor entries N*d = {entries:.0} exceed {MAX_NEIGHBOR_ENTRIES} \
+                     (nodes={} side={} r={})",
+                    s.nodes, s.side, s.radius
                 ));
             }
             let region = SquareRegion::new(s.side);
@@ -865,10 +905,36 @@ mod tests {
                 r#"{"kind":"robustness","fault":{"loss":[0.85],"burst":true}}"#,
                 "bad-state",
             ),
+            (
+                r#"{"kind":"single","nodes":4000000000,"side":1e9,"radius":100,"warmup":0,"measure":1,"dt":0.5,"seeds":[1]}"#,
+                "nodes must be <=",
+            ),
+            (
+                r#"{"kind":"single","nodes":80,"side":1e9,"radius":100,"warmup":0,"measure":1,"dt":0.5,"seeds":[1]}"#,
+                "spatial grid",
+            ),
+            (
+                r#"{"kind":"single","nodes":50000,"side":1000,"radius":900}"#,
+                "neighbor entries",
+            ),
         ] {
             let err = ScenarioSpec::from_json(text).expect_err(text);
             assert!(err.contains(needle), "{text}: {err:?} missing {needle:?}");
         }
+    }
+
+    /// The size bounds admit every preset and the largest point the repo
+    /// runs, the benchmark's scale-100k.
+    #[test]
+    fn size_bounds_admit_the_points_the_repo_runs() {
+        for kind in SpecKind::ALL {
+            let preset = ScenarioSpec::preset(kind);
+            assert_eq!(preset.validate(), Ok(()), "{}", kind.name());
+        }
+        ScenarioSpec::from_json(
+            r#"{"kind":"single","nodes":100000,"side":15811.388300841898,"radius":150,"dt":0.5,"shards":"2x2"}"#,
+        )
+        .expect("scale-100k");
     }
 
     #[test]

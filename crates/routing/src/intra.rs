@@ -58,7 +58,7 @@ impl RouteUpdateOutcome {
 }
 
 /// Canonical snapshot of one cluster's internal topology.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 struct ClusterSnapshot {
     /// All cluster nodes (head + members), sorted.
     nodes: Vec<NodeId>,
@@ -104,6 +104,9 @@ pub struct IntraClusterRouting {
     /// re-sync round is attributed to the loss that forced it (only
     /// populated when a cause tracker is attached).
     resync_cause: BTreeMap<NodeId, Cause>,
+    /// Per-node head ids and per-frame link lists, reused across passes.
+    heads: Vec<NodeId>,
+    frame_links: Vec<Vec<(NodeId, NodeId, NodeId)>>,
 }
 
 impl IntraClusterRouting {
@@ -140,35 +143,6 @@ impl IntraClusterRouting {
         })
     }
 
-    /// Computes the per-cluster internal topology snapshots.
-    fn snapshot<C: ClusterAssignment + ?Sized>(
-        topology: &Topology,
-        clustering: &C,
-    ) -> BTreeMap<NodeId, ClusterSnapshot> {
-        let mut map: BTreeMap<NodeId, ClusterSnapshot> = BTreeMap::new();
-        for u in 0..topology.len() as NodeId {
-            let head = clustering.cluster_head_of(u);
-            map.entry(head)
-                .or_insert_with(|| ClusterSnapshot {
-                    nodes: Vec::new(),
-                    links: Vec::new(),
-                })
-                .nodes
-                .push(u);
-        }
-        for (a, b) in topology.links() {
-            if clustering.cluster_head_of(a) == clustering.cluster_head_of(b) {
-                map.get_mut(&clustering.cluster_head_of(a))
-                    .expect("cluster exists for its own member")
-                    .links
-                    .push((a, b));
-            }
-        }
-        // `nodes` and `links` are already produced in ascending order by the
-        // scans above, which makes snapshots directly comparable.
-        map
-    }
-
     /// Diffs the cluster-internal topologies against the previous tick and
     /// returns the ROUTE traffic charged.
     ///
@@ -196,17 +170,15 @@ impl IntraClusterRouting {
         channel: &mut Channel,
         ctx: &mut StepCtx<'_, '_>,
     ) -> RouteUpdateOutcome {
-        let current = Self::snapshot(topology, clustering);
+        let current = self.cluster_snapshots(topology, clustering, None);
         self.charge(dt, current, channel, ctx)
     }
 
-    /// [`IntraClusterRouting::update`] with a scoped worker pool
-    /// (DESIGN.md §17): the intra-cluster link classification — the
-    /// `O(links)` part of the snapshot — fans out per owner frame; the
-    /// head lookup, snapshot assembly, and every channel draw and
-    /// emission stay sequential. Bit-identical to `update` for every
-    /// frame layout and worker count (falls back to the sequential
-    /// snapshot when the scope's frames do not cover the node set).
+    /// [`IntraClusterRouting::update`] with the intra-cluster link
+    /// classification — the `O(links)` part of the snapshot — fanned out
+    /// per owner frame on a scoped worker pool (DESIGN.md §17). Every
+    /// channel draw and emission stays sequential, so the pass is
+    /// bit-identical to `update` for every frame layout and worker count.
     #[allow(clippy::too_many_arguments)]
     pub fn update_scoped<C: ClusterAssignment + ?Sized>(
         &mut self,
@@ -217,61 +189,58 @@ impl IntraClusterRouting {
         ctx: &mut StepCtx<'_, '_>,
         scope: &mut StageScope<'_>,
     ) -> RouteUpdateOutcome {
-        let current = Self::snapshot_scoped(topology, clustering, scope);
+        let current = self.cluster_snapshots(topology, clustering, Some(scope));
         self.charge(dt, current, channel, ctx)
     }
 
-    /// [`snapshot`](Self::snapshot) with the link classification fanned
-    /// out per owner frame. `ClusterAssignment` is a trait object with no
-    /// `Sync` bound, so the per-node head lookup runs sequentially into a
-    /// plain vector first; the workers then scan their frames' sorted
-    /// neighbor rows against that vector — pure reads. The merged link
-    /// list is re-sorted (frames are spatial tiles, not id ranges), which
-    /// reproduces the global `topology.links()` order exactly.
-    fn snapshot_scoped<C: ClusterAssignment + ?Sized>(
+    /// This tick's per-cluster snapshots. Heads are looked up once, on the
+    /// calling thread (`ClusterAssignment` has no `Sync` bound); the
+    /// intra-cluster links are then classified from the sorted neighbor
+    /// rows — inline over `0..n`, or per owner frame on `scope`'s worker
+    /// pool when its frames cover the node set.
+    fn cluster_snapshots<C: ClusterAssignment + ?Sized>(
+        &mut self,
         topology: &Topology,
         clustering: &C,
-        scope: &mut StageScope<'_>,
+        scope: Option<&mut StageScope<'_>>,
     ) -> BTreeMap<NodeId, ClusterSnapshot> {
         let n = topology.len();
-        if scope.frames().len() != n {
-            return Self::snapshot(topology, clustering);
-        }
-        let heads: Vec<NodeId> = (0..n as NodeId)
-            .map(|u| clustering.cluster_head_of(u))
-            .collect();
-        let mut frame_links: Vec<Vec<(NodeId, NodeId, NodeId)>> =
-            vec![Vec::new(); scope.frames().frame_count()];
-        {
-            let heads = &heads;
-            scope.map_frames(&mut frame_links, |_, ids, out| {
-                for &a in ids {
-                    let ha = heads[a as usize];
-                    for &b in topology.neighbors(a) {
-                        if b > a && heads[b as usize] == ha {
-                            out.push((ha, a, b));
-                        }
-                    }
-                }
-            });
-        }
-        let mut links: Vec<(NodeId, NodeId, NodeId)> = frame_links.into_iter().flatten().collect();
-        links.sort_unstable();
+        self.heads.clear();
+        self.heads
+            .extend((0..n as NodeId).map(|u| clustering.cluster_head_of(u)));
+        let heads = &self.heads;
         let mut map: BTreeMap<NodeId, ClusterSnapshot> = BTreeMap::new();
         for (u, &head) in heads.iter().enumerate() {
-            map.entry(head)
-                .or_insert_with(|| ClusterSnapshot {
-                    nodes: Vec::new(),
-                    links: Vec::new(),
-                })
-                .nodes
-                .push(u as NodeId);
+            map.entry(head).or_default().nodes.push(u as NodeId);
         }
-        for (head, a, b) in links {
+        // Links arrive in `(a, b)` order, so every cluster's list is sorted
+        // and snapshots compare directly.
+        let add = |(a, b, head): (NodeId, NodeId, NodeId)| {
             map.get_mut(&head)
                 .expect("cluster exists for its own member")
                 .links
                 .push((a, b));
+        };
+        match scope {
+            Some(scope) if scope.frames().len() == n => {
+                let frames = &mut self.frame_links;
+                frames.resize_with(scope.frames().frame_count(), Vec::new);
+                scope.map_frames(frames, |_, ids, out| {
+                    out.clear();
+                    out.extend(intra_links(topology, heads, ids.iter().copied()));
+                });
+                // Frames are spatial tiles: sorting their concatenation
+                // restores the order of a scan over `0..n` (already-sorted
+                // input, a single frame, costs one linear check).
+                if let Some((merged, rest)) = frames.split_first_mut() {
+                    for frame in rest {
+                        merged.extend_from_slice(frame);
+                    }
+                    merged.sort_unstable();
+                    merged.iter().copied().for_each(add);
+                }
+            }
+            _ => intra_links(topology, heads, 0..n as NodeId).for_each(add),
         }
         map
     }
@@ -445,6 +414,23 @@ impl IntraClusterRouting {
         }
         charges
     }
+}
+
+/// The intra-cluster links `(a, b, head)`, `a < b`, in the neighbor rows of
+/// `ids` — in `(a, b)` order when `ids` ascend, since rows are sorted.
+fn intra_links<'a>(
+    topology: &'a Topology,
+    heads: &'a [NodeId],
+    ids: impl Iterator<Item = NodeId> + 'a,
+) -> impl Iterator<Item = (NodeId, NodeId, NodeId)> + 'a {
+    ids.flat_map(move |a| {
+        let head = heads[a as usize];
+        topology
+            .neighbors(a)
+            .iter()
+            .filter(move |&&b| b > a && heads[b as usize] == head)
+            .map(move |&b| (a, b, head))
+    })
 }
 
 /// Number of elements in exactly one of two sorted slices (symmetric
@@ -877,15 +863,7 @@ mod tests {
 
     #[test]
     fn traced_update_emits_one_round_event_per_charged_cluster() {
-        use manet_telemetry::{Event, Subscriber};
-
-        #[derive(Default)]
-        struct Collect(Vec<Event>);
-        impl Subscriber for Collect {
-            fn event(&mut self, event: &Event) {
-                self.0.push(*event);
-            }
-        }
+        use manet_telemetry::Event;
 
         // Cluster {0:head, 1, 2}; node 2 walks away and self-promotes.
         let t0 = topo(&[(0.0, 0.0), (1.0, 0.0), (0.5, 0.8)], 1.2);
@@ -894,7 +872,7 @@ mod tests {
         up(&mut r, &t0, &c);
         let t1 = topo(&[(0.0, 0.0), (1.0, 0.0), (500.0, 500.0)], 1.2);
         m(&mut c, &t1);
-        let mut sink = Collect::default();
+        let mut sink = Vec::<Event>::new();
         let mut probe = Probe::subscriber(&mut sink);
         let mut scratch = Scratch::new();
         let o = r.update(
@@ -905,10 +883,10 @@ mod tests {
             &mut StepCtx::new(&mut probe, &mut scratch).at(3.5),
         );
         assert_eq!(o.clusters_updated, 2);
-        assert_eq!(sink.0.len(), 2, "one RouteRoundStarted per charged cluster");
+        assert_eq!(sink.len(), 2, "one RouteRoundStarted per charged cluster");
         let mut msgs = 0;
         let mut rounds = 0;
-        for e in &sink.0 {
+        for e in &sink {
             assert_eq!(e.layer, Layer::Routing);
             assert_eq!(e.time, 3.5);
             match e.kind {
@@ -928,15 +906,7 @@ mod tests {
     #[test]
     fn traced_lossy_update_emits_resync_rounds_and_losses() {
         use manet_sim::{FaultPlan, LossModel};
-        use manet_telemetry::{Event, Subscriber};
-
-        #[derive(Default)]
-        struct Collect(Vec<Event>);
-        impl Subscriber for Collect {
-            fn event(&mut self, event: &Event) {
-                self.0.push(*event);
-            }
-        }
+        use manet_telemetry::Event;
 
         let t0 = topo(&[(0.0, 10.0), (0.9, 10.3), (0.9, 9.7)], 1.0);
         let c = Clustering::form(LowestId, &t0);
@@ -948,7 +918,7 @@ mod tests {
         .channel(manet_sim::STREAM_ROUTE);
         up_on(&mut r, &t0, &c, &mut black_hole);
         let t1 = topo(&[(0.0, 10.0), (0.6, 10.7), (0.6, 9.3)], 1.0);
-        let mut sink = Collect::default();
+        let mut sink = Vec::<Event>::new();
         let mut probe = Probe::subscriber(&mut sink);
         let mut scratch = Scratch::new();
         let o = r.update(
@@ -960,7 +930,7 @@ mod tests {
         );
         assert_eq!(o.lost_messages, 3);
         // One charged round plus one batched loss event.
-        assert!(sink.0.iter().any(|e| matches!(
+        assert!(sink.iter().any(|e| matches!(
             e.kind,
             EventKind::RouteRoundStarted {
                 rounds: 1,
@@ -968,13 +938,13 @@ mod tests {
                 ..
             }
         )));
-        assert!(sink.0.iter().any(|e| e.kind
+        assert!(sink.iter().any(|e| e.kind
             == EventKind::MsgLost {
                 class: MsgClass::Route,
                 count: 3,
             }));
         // Next pass: the pure re-sync round is also a RouteRoundStarted.
-        let mut sink2 = Collect::default();
+        let mut sink2 = Vec::<Event>::new();
         let mut probe2 = Probe::subscriber(&mut sink2);
         let o = r.update(
             0.0,
@@ -986,7 +956,6 @@ mod tests {
         assert_eq!(o.resync_rounds, 1);
         assert_eq!(
             sink2
-                .0
                 .iter()
                 .filter(|e| matches!(e.kind, EventKind::RouteRoundStarted { .. }))
                 .count(),
@@ -997,15 +966,7 @@ mod tests {
     #[test]
     fn attributed_updates_chain_resyncs_to_the_loss_that_forced_them() {
         use manet_sim::{FaultPlan, LossModel};
-        use manet_telemetry::{CauseTracker, Event, Subscriber};
-
-        #[derive(Default)]
-        struct Collect(Vec<Event>);
-        impl Subscriber for Collect {
-            fn event(&mut self, event: &Event) {
-                self.0.push(*event);
-            }
-        }
+        use manet_telemetry::{CauseTracker, Event};
 
         let t0 = topo(&[(0.0, 10.0), (0.9, 10.3), (0.9, 9.7)], 1.0);
         let c = Clustering::form(LowestId, &t0);
@@ -1030,7 +991,7 @@ mod tests {
         // An internal link change: the regular round carries a fresh
         // IntraClusterChange root; its losses carry a ChannelLoss root.
         let t1 = topo(&[(0.0, 10.0), (0.6, 10.7), (0.6, 9.3)], 1.0);
-        let mut sink = Collect::default();
+        let mut sink = Vec::<Event>::new();
         {
             let mut probe = Probe::with_causes(Some(&mut sink), Some(&mut tracker));
             r.update(
@@ -1042,20 +1003,18 @@ mod tests {
             );
         }
         let round = sink
-            .0
             .iter()
             .find(|e| matches!(e.kind, EventKind::RouteRoundStarted { .. }))
             .expect("regular round emitted");
         assert_eq!(round.cause.unwrap().root, RootCause::IntraClusterChange);
         let lost = sink
-            .0
             .iter()
             .find(|e| matches!(e.kind, EventKind::MsgLost { .. }))
             .expect("loss emitted");
         let loss_root = lost.cause.unwrap();
         assert_eq!(loss_root.root, RootCause::ChannelLoss);
         // Next pass: the pure re-sync round is attributed to that loss.
-        let mut sink2 = Collect::default();
+        let mut sink2 = Vec::<Event>::new();
         {
             let mut probe = Probe::with_causes(Some(&mut sink2), Some(&mut tracker));
             r.update(
@@ -1067,7 +1026,6 @@ mod tests {
             );
         }
         let resync = sink2
-            .0
             .iter()
             .find(|e| matches!(e.kind, EventKind::RouteRoundStarted { .. }))
             .expect("re-sync round emitted");

@@ -59,7 +59,6 @@ pub struct SimBuilder {
     seed: u64,
     mobility: MobilityKind,
     hello: HelloMode,
-    sizes: MessageSizes,
     fault: FaultPlan,
 }
 
@@ -74,7 +73,6 @@ impl Default for SimBuilder {
             seed: 1,
             mobility: MobilityKind::EpochRandomDirection { epoch: 20.0 },
             hello: HelloMode::EventDriven,
-            sizes: MessageSizes::default(),
             fault: FaultPlan::ideal(),
         }
     }
@@ -131,12 +129,6 @@ impl SimBuilder {
     /// HELLO emission mode.
     pub fn hello_mode(mut self, mode: HelloMode) -> Self {
         self.hello = mode;
-        self
-    }
-
-    /// Message size table for byte accounting.
-    pub fn message_sizes(mut self, sizes: MessageSizes) -> Self {
-        self.sizes = sizes;
         self
     }
 
@@ -239,7 +231,7 @@ impl SimBuilder {
             self.dt,
             metric,
             self.hello,
-            self.sizes,
+            MessageSizes::default(),
             self.seed,
             self.fault,
         )

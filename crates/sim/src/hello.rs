@@ -141,6 +141,39 @@ impl HelloProtocol {
         alive: &[bool],
         ctx: &mut StepCtx<'_, '_>,
     ) -> (u64, u64) {
+        self.advance(topology, channel, alive, ctx, None)
+    }
+
+    /// [`HelloProtocol::step`] with the soft-timer expiry sweep (pure
+    /// per-table work) fanned out over `scope`'s worker pool in contiguous
+    /// chunks. Counters, emissions, and every table are bit-identical to
+    /// `step` for every worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `alive.len()` differs from the node count.
+    pub fn step_scoped(
+        &mut self,
+        topology: &Topology,
+        channel: &mut Channel,
+        alive: &[bool],
+        ctx: &mut StepCtx<'_, '_>,
+        scope: &mut StageScope<'_>,
+    ) -> (u64, u64) {
+        self.advance(topology, channel, alive, ctx, Some(scope))
+    }
+
+    /// The one HELLO pass: the beacon loop — every channel draw and table
+    /// insert, in node-id order — then the expiry sweep, inline or over
+    /// `scope`, then the counts and events.
+    fn advance(
+        &mut self,
+        topology: &Topology,
+        channel: &mut Channel,
+        alive: &[bool],
+        ctx: &mut StepCtx<'_, '_>,
+        scope: Option<&mut StageScope<'_>>,
+    ) -> (u64, u64) {
         let now = ctx.now;
         let probe = &mut *ctx.probe;
         assert_eq!(
@@ -173,88 +206,16 @@ impl HelloProtocol {
                 }
             }
         }
-        for table in &mut self.last_heard {
-            table.retain(|_, &mut t| now - t <= self.timeout);
-        }
-        self.hellos_sent += sent;
-        if sent > 0 {
-            probe.emit(
-                now,
-                Layer::Hello,
-                EventKind::MsgSent {
-                    class: MsgClass::Hello,
-                    count: sent,
-                },
-            );
-        }
-        if lost > 0 {
-            let cause = probe.root(RootCause::ChannelLoss);
-            probe.emit_caused(
-                now,
-                Layer::Hello,
-                EventKind::MsgLost {
-                    class: MsgClass::Hello,
-                    count: lost,
-                },
-                cause,
-            );
-        }
-        (sent, lost)
-    }
-
-    /// Scoped variant of [`HelloProtocol::step`] for shard-local stages:
-    /// the beacon loop — every channel draw and table insert, in node-id
-    /// order — stays sequential, while the soft-timer expiry sweep (pure
-    /// per-table work) fans out over `scope`'s worker pool in contiguous
-    /// chunks. Counters, emissions, and every table are bit-identical to
-    /// `step` for every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alive.len()` differs from the node count.
-    pub fn step_scoped(
-        &mut self,
-        topology: &Topology,
-        channel: &mut Channel,
-        alive: &[bool],
-        ctx: &mut StepCtx<'_, '_>,
-        scope: &mut StageScope<'_>,
-    ) -> (u64, u64) {
-        let now = ctx.now;
-        let probe = &mut *ctx.probe;
-        assert_eq!(
-            self.next_beacon.len(),
-            alive.len(),
-            "alive mask size mismatch"
-        );
-        let mut sent = 0u64;
-        let mut lost = 0u64;
-        for (u, &up) in alive.iter().enumerate() {
-            if !up {
-                while self.next_beacon[u] <= now {
-                    self.next_beacon[u] += self.interval;
-                }
-                self.last_heard[u].clear();
-                continue;
-            }
-            while self.next_beacon[u] <= now {
-                self.next_beacon[u] += self.interval;
-                sent += 1;
-                for &w in topology.neighbors(u as NodeId) {
-                    if channel.deliver() {
-                        self.last_heard[w as usize].insert(u as NodeId, now);
-                    } else {
-                        lost += 1;
-                    }
-                }
-            }
-        }
         let timeout = self.timeout;
-        scope.map_chunks(&mut self.last_heard, |_slot, _offset, tables| {
+        let expire = move |tables: &mut [BTreeMap<NodeId, f64>]| {
             for table in tables {
                 table.retain(|_, &mut t| now - t <= timeout);
             }
-        });
+        };
+        match scope {
+            Some(scope) => scope.map_chunks(&mut self.last_heard, |_, _, tables| expire(tables)),
+            None => expire(&mut self.last_heard),
+        }
         self.hellos_sent += sent;
         if sent > 0 {
             probe.emit(
@@ -457,20 +418,12 @@ mod tests {
 
     #[test]
     fn traced_lossy_step_counts_and_emits_losses() {
-        use manet_telemetry::{Event, Subscriber};
-
-        #[derive(Default)]
-        struct Collect(Vec<Event>);
-        impl Subscriber for Collect {
-            fn event(&mut self, e: &Event) {
-                self.0.push(*e);
-            }
-        }
+        use manet_telemetry::Event;
 
         let topo = static_topo();
         let mut h = HelloProtocol::new(3, 1.0, 1.5);
         let mut dead_air = Channel::new(LossModel::Bernoulli { p: 1.0 }, 4);
-        let mut sink = Collect::default();
+        let mut sink = Vec::<Event>::new();
         let (sent, lost) = {
             let mut probe = Probe::subscriber(&mut sink);
             let mut scratch = Scratch::new();
@@ -487,7 +440,6 @@ mod tests {
         // covered by this step's beacons.
         assert!(lost >= sent, "each beacon had at least one neighbor");
         let sent_events: u64 = sink
-            .0
             .iter()
             .filter_map(|e| match e.kind {
                 EventKind::MsgSent { count, .. } => Some(count),
@@ -495,7 +447,6 @@ mod tests {
             })
             .sum();
         let lost_events: u64 = sink
-            .0
             .iter()
             .filter_map(|e| match e.kind {
                 EventKind::MsgLost { count, .. } => Some(count),
@@ -504,7 +455,7 @@ mod tests {
             .sum();
         assert_eq!(sent_events, sent);
         assert_eq!(lost_events, lost);
-        assert!(sink.0.iter().all(|e| e.layer == Layer::Hello));
+        assert!(sink.iter().all(|e| e.layer == Layer::Hello));
     }
 
     #[test]

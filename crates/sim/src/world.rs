@@ -772,18 +772,10 @@ mod tests {
 
     #[test]
     fn traced_step_emits_link_and_hello_events() {
-        use manet_telemetry::{Event, Subscriber};
-
-        #[derive(Default)]
-        struct Collect(Vec<Event>);
-        impl Subscriber for Collect {
-            fn event(&mut self, e: &Event) {
-                self.0.push(*e);
-            }
-        }
+        use manet_telemetry::Event;
 
         let mut w = small_world(9);
-        let mut sink = Collect::default();
+        let mut sink = Vec::<Event>::new();
         let mut scratch = Scratch::new();
         let mut generated = 0usize;
         let mut broken = 0usize;
@@ -794,19 +786,16 @@ mod tests {
             broken += r.broken;
         }
         let ups = sink
-            .0
             .iter()
             .filter(|e| matches!(e.kind, EventKind::LinkUp { .. }))
             .count();
         let downs = sink
-            .0
             .iter()
             .filter(|e| matches!(e.kind, EventKind::LinkDown { .. }))
             .count();
         assert_eq!(ups, generated);
         assert_eq!(downs, broken);
         let hellos: u64 = sink
-            .0
             .iter()
             .filter_map(|e| match e.kind {
                 EventKind::MsgSent {
@@ -817,25 +806,17 @@ mod tests {
             })
             .sum();
         assert_eq!(hellos, w.counters().messages(MessageKind::Hello));
-        assert!(sink.0.iter().all(|e| e.layer == Layer::Sim));
+        assert!(sink.iter().all(|e| e.layer == Layer::Sim));
     }
 
     #[test]
     fn attributed_step_tags_every_link_and_hello_send() {
-        use manet_telemetry::{CauseTracker, Event, RootCause, Subscriber};
-
-        #[derive(Default)]
-        struct Collect(Vec<Event>);
-        impl Subscriber for Collect {
-            fn event(&mut self, e: &Event) {
-                self.0.push(*e);
-            }
-        }
+        use manet_telemetry::{CauseTracker, Event, RootCause};
 
         let mut plain = small_world(73);
         let mut traced = small_world(73);
         let mut q = QuietCtx::new();
-        let mut sink = Collect::default();
+        let mut sink = Vec::<Event>::new();
         let mut tracker = CauseTracker::new();
         let mut scratch = Scratch::new();
         for _ in 0..40 {
@@ -846,15 +827,15 @@ mod tests {
         }
         assert_eq!(plain.counters(), traced.counters());
         assert_eq!(plain.positions(), traced.positions());
-        assert!(!sink.0.is_empty());
+        assert!(!sink.is_empty());
         assert!(
-            sink.0.iter().all(|e| e.cause.is_some()),
+            sink.iter().all(|e| e.cause.is_some()),
             "every sim event has a root in an attributed event-driven run"
         );
         // Event-driven HELLO splits into per-link sends of 2, each sharing
         // its LinkUp's root; the counts still reconcile with the counters.
         let mut hello = 0u64;
-        for e in &sink.0 {
+        for e in &sink {
             if let EventKind::MsgSent { count, .. } = e.kind {
                 assert_eq!(count, 2);
                 assert_eq!(e.cause.unwrap().root, RootCause::LinkGen);
@@ -863,7 +844,6 @@ mod tests {
         }
         assert_eq!(hello, traced.counters().messages(MessageKind::Hello));
         let link_ups = sink
-            .0
             .iter()
             .filter(|e| matches!(e.kind, EventKind::LinkUp { .. }))
             .count() as u64;
@@ -873,15 +853,7 @@ mod tests {
     #[test]
     fn churned_link_changes_chain_to_the_churn_root() {
         use crate::fault::{ChurnEvent, ChurnKind, ChurnSchedule};
-        use manet_telemetry::{CauseTracker, Event, RootCause, Subscriber};
-
-        #[derive(Default)]
-        struct Collect(Vec<Event>);
-        impl Subscriber for Collect {
-            fn event(&mut self, e: &Event) {
-                self.0.push(*e);
-            }
-        }
+        use manet_telemetry::{CauseTracker, Event, RootCause};
 
         let region = SquareRegion::new(100.0);
         let mut rng = Rng::seed_from_u64(11);
@@ -914,7 +886,7 @@ mod tests {
         )
         .unwrap();
         assert!(w.topology().degree(3) > 0);
-        let mut sink = Collect::default();
+        let mut sink = Vec::<Event>::new();
         let mut tracker = CauseTracker::new();
         let mut scratch = Scratch::new();
         while w.time() < 3.5 {
@@ -925,33 +897,29 @@ mod tests {
         // their HELLO beacons) all chain to the churn roots — static nodes,
         // so churn is the only cause of topology change.
         let crash_cause = sink
-            .0
             .iter()
             .find(|e| matches!(e.kind, EventKind::NodeCrashed { node: 3 }))
             .and_then(|e| e.cause)
             .expect("crash event recorded with a cause");
         assert_eq!(crash_cause.root, RootCause::Churn);
         let downs: Vec<_> = sink
-            .0
             .iter()
             .filter(|e| matches!(e.kind, EventKind::LinkDown { .. }))
             .collect();
         assert!(!downs.is_empty());
         assert!(downs.iter().all(|e| e.cause == Some(crash_cause)));
         let recover_cause = sink
-            .0
             .iter()
             .find(|e| matches!(e.kind, EventKind::NodeRecovered { node: 3 }))
             .and_then(|e| e.cause)
             .expect("recovery event recorded with a cause");
         let ups: Vec<_> = sink
-            .0
             .iter()
             .filter(|e| matches!(e.kind, EventKind::LinkUp { .. }))
             .collect();
         assert!(!ups.is_empty());
         assert!(ups.iter().all(|e| e.cause == Some(recover_cause)));
-        assert!(sink.0.iter().all(|e| match e.kind {
+        assert!(sink.iter().all(|e| match e.kind {
             EventKind::MsgSent { .. } => e.cause == Some(recover_cause),
             _ => true,
         }));

@@ -88,10 +88,9 @@ pub trait ClusterLayer {
     ) -> ClusterFlow;
 
     /// [`ClusterLayer::maintain`] with a scoped worker pool for layers
-    /// whose read-only scans can fan out per owner frame (DESIGN.md §17).
-    /// The default ignores the scope and stays sequential — always
-    /// correct, since scoped implementations must be bit-identical to
-    /// `maintain` anyway.
+    /// whose read-only scan can fan out per owner frame (DESIGN.md §17);
+    /// such layers run the same sequential commit after either scan. The
+    /// default ignores the scope and runs `maintain`.
     fn maintain_scoped(
         &mut self,
         topology: &Topology,

@@ -104,7 +104,6 @@ pub struct AttributionLedger {
     uncaused: [u64; 8],
     anchors: [u64; ROOTS],
     weights: [u64; ROOTS],
-    derived: [u64; ROOTS],
     sizes: [u64; 8],
     chains: BTreeMap<CauseId, ChainEntry>,
     events_seen: u64,
@@ -130,7 +129,6 @@ impl AttributionLedger {
             uncaused: [0; 8],
             anchors: [0; ROOTS],
             weights: [0; ROOTS],
-            derived: [0; ROOTS],
             sizes,
             chains: BTreeMap::new(),
             events_seen: 0,
@@ -156,7 +154,6 @@ impl AttributionLedger {
             return;
         };
         let r = cause.root.index();
-        self.derived[r] += 1;
         let entry = self.chains.entry(cause.id).or_insert(ChainEntry {
             root: cause.root,
             weight: 0,
@@ -230,11 +227,6 @@ impl AttributionLedger {
     /// anchors expanded per [`root_weight`]).
     pub fn root_weight_total(&self, root: RootCause) -> u64 {
         self.weights[root.index()]
-    }
-
-    /// Events (anchors included) carrying a cause with root `root`.
-    pub fn derived_events(&self, root: RootCause) -> u64 {
-        self.derived[root.index()]
     }
 
     /// Measured per-event unit cost: attributed `class` messages per root

@@ -317,6 +317,13 @@ impl Subscriber for NoopSubscriber {
     fn event(&mut self, _event: &Event) {}
 }
 
+/// Records every event, in arrival order.
+impl Subscriber for Vec<Event> {
+    fn event(&mut self, event: &Event) {
+        self.push(*event);
+    }
+}
+
 /// The handle instrumented code paths thread through the stack: an optional
 /// event sink, an optional cause tracker for root-cause attribution, and an
 /// optional span recorder — the run's one wall-clock timer, per tick, per
@@ -521,16 +528,6 @@ impl<'a> Probe<'a> {
 mod tests {
     use super::*;
 
-    /// Collects events for assertions.
-    #[derive(Default)]
-    struct Collect(Vec<Event>);
-
-    impl Subscriber for Collect {
-        fn event(&mut self, e: &Event) {
-            self.0.push(*e);
-        }
-    }
-
     #[test]
     fn off_probe_is_inert() {
         let mut p = Probe::off();
@@ -544,7 +541,7 @@ mod tests {
 
     #[test]
     fn emit_reaches_the_subscriber() {
-        let mut sink = Collect::default();
+        let mut sink = Vec::<Event>::new();
         {
             let mut p = Probe::subscriber(&mut sink);
             assert!(p.is_tracing());
@@ -559,10 +556,10 @@ mod tests {
                 },
             );
         }
-        assert_eq!(sink.0.len(), 2);
-        assert_eq!(sink.0[0].layer, Layer::Cluster);
-        assert_eq!(sink.0[0].kind, EventKind::HeadElected { node: 7 });
-        assert_eq!(sink.0[1].time, 0.5);
+        assert_eq!(sink.len(), 2);
+        assert_eq!(sink[0].layer, Layer::Cluster);
+        assert_eq!(sink[0].kind, EventKind::HeadElected { node: 7 });
+        assert_eq!(sink[1].time, 0.5);
     }
 
     #[test]
@@ -624,7 +621,7 @@ mod tests {
 
     #[test]
     fn caused_emits_carry_the_allocated_root() {
-        let mut sink = Collect::default();
+        let mut sink = Vec::<Event>::new();
         let mut tracker = CauseTracker::new();
         {
             let mut p = Probe::with_causes(Some(&mut sink), Some(&mut tracker));
@@ -643,11 +640,8 @@ mod tests {
             p.emit(1.0, Layer::Sim, EventKind::ClusterGauge { heads: 2 });
         }
         assert_eq!(tracker.allocated(), 1);
-        assert_eq!(
-            sink.0[0].cause.map(|c| c.root),
-            Some(RootCause::HeadContact)
-        );
-        assert_eq!(sink.0[1].cause, None);
+        assert_eq!(sink[0].cause.map(|c| c.root), Some(RootCause::HeadContact));
+        assert_eq!(sink[1].cause, None);
         // A probe without a tracker never allocates.
         let mut p = Probe::off();
         assert!(!p.is_attributing());

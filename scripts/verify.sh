@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 verification: formatting, lints, release build, full test suite.
+# Tier-1 verification: formatting, lints, release build, every crate's tests.
 # Hermetic and offline — the workspace resolves with zero external crates.
 #
 # Usage: scripts/verify.sh   (from anywhere inside the repo)
@@ -51,8 +51,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --workspace -q"
+# --workspace: the root manifest is also a package, so a plain
+# `cargo test` would skip every crate's own unit and integration tests
+# (the stage-parity gate, the maintenance oracle, ...).
+cargo test --workspace -q
 
 echo "==> benchmark build + self-test (perfbench --self-test)"
 # perfbench/ is a workspace of its own over crates/* (see BENCHMARK.json);

@@ -14,17 +14,8 @@ use clustered_manet::sim::{
     STREAM_CLUSTER, STREAM_ROUTE,
 };
 use clustered_manet::telemetry::{
-    AttributionLedger, CauseTracker, Event, EventKind, Layer, MsgClass, Probe, Subscriber,
+    AttributionLedger, CauseTracker, Event, EventKind, Layer, MsgClass, Probe,
 };
-
-#[derive(Default)]
-struct Collect(Vec<Event>);
-
-impl Subscriber for Collect {
-    fn event(&mut self, e: &Event) {
-        self.0.push(*e);
-    }
-}
 
 fn quick() -> (Scenario, Protocol) {
     (
@@ -87,7 +78,7 @@ fn every_attributed_event_resolves_to_a_root() {
 
     let dt = world.dt();
     let mut tracker = CauseTracker::new();
-    let mut sink = Collect::default();
+    let mut sink = Vec::<Event>::new();
     let mut scratch = Scratch::new();
     for _ in 0..280 {
         let mut probe = Probe::with_causes(Some(&mut sink), Some(&mut tracker));
@@ -105,7 +96,7 @@ fn every_attributed_event_resolves_to_a_root() {
 
     assert!(tracker.allocated() > 0, "the run must allocate causes");
     let (mut role_changes, mut route_rounds, mut retx) = (0u64, 0u64, 0u64);
-    for e in &sink.0 {
+    for e in &sink {
         if matches!(e.layer, Layer::Cluster | Layer::Routing) {
             assert!(
                 e.cause.is_some(),
@@ -130,13 +121,13 @@ fn every_attributed_event_resolves_to_a_root() {
 
     // Every chain the replayed ledger indexes is anchored by a root
     // event, and every cause on the wire resolves to a chain.
-    let ledger = AttributionLedger::replay(&sink.0);
+    let ledger = AttributionLedger::replay(&sink);
     assert_eq!(
         ledger.unanchored_chains(),
         Vec::new(),
         "every causal chain must begin with its recorded root event"
     );
-    for e in &sink.0 {
+    for e in &sink {
         if let Some(c) = e.cause {
             assert!(
                 ledger.chain(c.id).is_some(),

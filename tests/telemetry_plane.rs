@@ -8,7 +8,7 @@ use clustered_manet::experiments::harness::{Protocol, Scenario};
 use clustered_manet::experiments::trace::{trace_run, TelemetryConfig};
 use clustered_manet::sim::{HelloMode, MessageKind, QuietCtx, Scratch, SimBuilder, StepCtx, World};
 use clustered_manet::telemetry::{
-    read_trace, Event, EventKind, MsgClass, NoopSubscriber, Probe, Subscriber, WindowedRecorder,
+    read_trace, Event, EventKind, MsgClass, NoopSubscriber, Probe, WindowedRecorder,
 };
 
 fn build_world(seed: u64) -> World {
@@ -146,16 +146,8 @@ fn traced_run_jsonl_reconciles_with_counters() {
 /// present, and timestamps never decrease.
 #[test]
 fn live_subscriber_sees_committed_events_in_order() {
-    #[derive(Default)]
-    struct Collect(Vec<Event>);
-    impl Subscriber for Collect {
-        fn event(&mut self, e: &Event) {
-            self.0.push(*e);
-        }
-    }
-
     let mut world = build_world(3);
-    let mut sink = Collect::default();
+    let mut sink = Vec::<Event>::new();
     let mut links_up = 0usize;
     let mut links_down = 0usize;
     let mut scratch = Scratch::new();
@@ -166,12 +158,10 @@ fn live_subscriber_sees_committed_events_in_order() {
         links_down += report.broken;
     }
     let seen_up = sink
-        .0
         .iter()
         .filter(|e| matches!(e.kind, EventKind::LinkUp { .. }))
         .count();
     let seen_down = sink
-        .0
         .iter()
         .filter(|e| matches!(e.kind, EventKind::LinkDown { .. }))
         .count();
@@ -179,7 +169,7 @@ fn live_subscriber_sees_committed_events_in_order() {
     assert_eq!(seen_down, links_down);
     assert!(links_up > 0);
     let mut last = 0.0;
-    for e in &sink.0 {
+    for e in &sink {
         assert!(e.time >= last, "timestamps must be monotone across ticks");
         last = e.time;
     }
