@@ -2,7 +2,7 @@
 
 use crate::policy::ClusterPolicy;
 use crate::Role;
-use manet_sim::{NodeId, StageScope, StepCtx, Topology};
+use manet_sim::{NodeId, StepCtx, Topology};
 use manet_telemetry::{Cause, EventKind, Layer, RootCause};
 use std::fmt;
 
@@ -145,15 +145,12 @@ struct Scan {
 }
 
 impl Scan {
-    fn clear(&mut self) {
+    /// Replaces the lists with what the ids `0..n` see: pure reads of
+    /// `roles` and `topology`, no RNG, no telemetry.
+    fn rescan(&mut self, roles: &[Role], topology: &Topology) {
         self.broken.clear();
         self.contacts.clear();
-    }
-
-    /// Appends what the nodes `ids` see: pure reads of `roles` and
-    /// `topology`, no RNG, no telemetry.
-    fn extend(&mut self, roles: &[Role], topology: &Topology, ids: impl Iterator<Item = NodeId>) {
-        for u in ids {
+        for u in 0..roles.len() as NodeId {
             match roles[u as usize] {
                 Role::Member { head } => {
                     if !topology.are_linked(u, head) {
@@ -180,8 +177,6 @@ impl Scan {
 struct PassBuffers {
     /// The scan the commit applies.
     scan: Scan,
-    /// One scan per owner frame (scoped passes only).
-    frames: Vec<Scan>,
     /// Per node: why it was orphaned this pass and the root cause its
     /// re-home or promotion will carry (`None` without a cause tracker).
     orphans: Vec<Option<(OrphanCause, Option<Cause>)>>,
@@ -292,8 +287,7 @@ impl<P: ClusterPolicy> Clustering<P> {
     ///    paper's lower bound.
     ///
     /// A pass is a pure scan of the pre-pass roles over the ids `0..n`,
-    /// then the sequential commit; [`maintain_scoped`](Self::maintain_scoped)
-    /// runs the same commit after a per-frame scan.
+    /// then the sequential commit.
     ///
     /// The cross-cutting planes ride in `ctx`:
     ///
@@ -328,48 +322,7 @@ impl<P: ClusterPolicy> Clustering<P> {
             self.roles.len(),
             "topology node count changed under a live clustering"
         );
-        let scan = &mut self.buffers.scan;
-        scan.clear();
-        scan.extend(&self.roles, topology, 0..self.roles.len() as NodeId);
-        self.commit(topology, ctx)
-    }
-
-    /// [`Clustering::maintain`] with the scan fanned out per owner frame
-    /// (DESIGN.md §17): each frame scans its owned ids on the scoped worker
-    /// pool, the per-frame lists are concatenated and sorted, and the
-    /// shared sequential commit runs on the result. Frames partition the
-    /// ids (as spatial tiles, not id ranges), so sorting the concatenation
-    /// restores exactly the lists a scan over `0..n` produces — the pass
-    /// is bit-identical to `maintain` for every frame layout and worker
-    /// count.
-    ///
-    /// Falls back to `maintain` when the scope's frames do not cover the
-    /// node set exactly.
-    pub fn maintain_scoped(
-        &mut self,
-        topology: &Topology,
-        ctx: &mut StepCtx<'_, '_>,
-        scope: &mut StageScope<'_>,
-    ) -> MaintenanceOutcome {
-        let n = self.roles.len();
-        if topology.len() != n || scope.frames().len() != n {
-            return self.maintain(topology, ctx);
-        }
-        let PassBuffers { scan, frames, .. } = &mut self.buffers;
-        frames.resize_with(scope.frames().frame_count(), Scan::default);
-        let roles = &self.roles;
-        scope.map_frames(frames, |_, ids, out| {
-            out.clear();
-            out.extend(roles, topology, ids.iter().copied());
-        });
-        scan.clear();
-        for frame in frames.iter() {
-            scan.broken.extend_from_slice(&frame.broken);
-            scan.contacts.extend_from_slice(&frame.contacts);
-        }
-        // Already-sorted input (a single frame) costs one linear check.
-        scan.broken.sort_unstable();
-        scan.contacts.sort_unstable();
+        self.buffers.scan.rescan(&self.roles, topology);
         self.commit(topology, ctx)
     }
 
@@ -393,7 +346,7 @@ impl<P: ClusterPolicy> Clustering<P> {
             roles,
             buffers,
         } = self;
-        let PassBuffers { scan, orphans, .. } = buffers;
+        let PassBuffers { scan, orphans } = buffers;
         orphans.clear();
         orphans.resize(n, None);
         let mut outcome = MaintenanceOutcome::default();

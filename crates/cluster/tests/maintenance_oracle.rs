@@ -1,7 +1,7 @@
 //! The maintenance rule as written, kept as a test oracle. The engine
 //! resolves head–head contacts in one forward pass over the sorted
 //! pre-pass head pairs; the rule rescans for the lowest live pair after
-//! every resolution. Both engine entry points must match the rescan role
+//! every resolution. `Clustering::maintain` must match the rescan role
 //! for role and count for count, under seeded crashes, losses and
 //! deferrals.
 
@@ -9,9 +9,7 @@ use manet_cluster::{
     Attempt, ClusterPolicy, Clustering, FaultHooks, HighestConnectivity, LowestId,
     MaintenanceOutcome, Role,
 };
-use manet_sim::{
-    FramePartition, NodeId, Scratch, SimBuilder, StageScope, StepCtx, Topology, World,
-};
+use manet_sim::{NodeId, Scratch, SimBuilder, StepCtx, Topology, World};
 use manet_telemetry::Probe;
 use manet_util::Rng;
 
@@ -124,24 +122,11 @@ impl FaultHooks for Chaos {
     }
 }
 
-/// A random partition of `0..n` into 2–5 frames, each frame ascending.
-fn random_frames(n: usize, rng: &mut Rng) -> FramePartition {
-    let count = 2 + rng.usize_below(4);
-    let mut lists = vec![Vec::new(); count];
-    for u in 0..n as NodeId {
-        lists[rng.usize_below(count)].push(u);
-    }
-    let mut frames = FramePartition::new();
-    frames.rebuild(lists.iter().map(Vec::as_slice));
-    frames
-}
-
-/// Runs 40 faulty passes of a moving world through the oracle,
-/// `maintain` and `maintain_scoped`, asserting they agree after each.
+/// Runs 40 faulty passes of a moving world through the oracle and
+/// `maintain`, asserting they agree after each.
 fn check_against_oracle<P: ClusterPolicy + Clone>(policy: P, mut world: World, rng: &mut Rng) {
-    let mut sequential = Clustering::form(policy.clone(), world.topology());
-    let mut scoped = sequential.clone();
-    let mut roles = sequential.roles().to_vec();
+    let mut clustering = Clustering::form(policy.clone(), world.topology());
+    let mut roles = clustering.roles().to_vec();
     let mut probe = Probe::off();
     let mut scratch = Scratch::new();
     for tick in 0..40 {
@@ -155,32 +140,19 @@ fn check_against_oracle<P: ClusterPolicy + Clone>(policy: P, mut world: World, r
         topology.retain_alive(&chaos.alive);
         let expect = oracle(&policy, &mut roles, &topology, &mut chaos.clone());
 
-        let mut hooks = chaos.clone();
-        let mut ctx = StepCtx::new(&mut probe, &mut scratch).with_hooks(&mut hooks);
-        let got = sequential.maintain(&topology, &mut ctx);
-        assert_eq!(
-            (got, sequential.roles()),
-            (expect, &roles[..]),
-            "maintain, tick {tick}"
-        );
-
-        let frames = random_frames(n, rng);
-        let workers = 1 + tick % 2;
-        let mut timings = vec![None; frames.frame_count().max(workers)];
-        let mut scope = StageScope::new(&frames, workers, &mut timings);
         let mut hooks = chaos;
         let mut ctx = StepCtx::new(&mut probe, &mut scratch).with_hooks(&mut hooks);
-        let got = scoped.maintain_scoped(&topology, &mut ctx, &mut scope);
+        let got = clustering.maintain(&topology, &mut ctx);
         assert_eq!(
-            (got, scoped.roles()),
+            (got, clustering.roles()),
             (expect, &roles[..]),
-            "scoped, tick {tick}"
+            "maintain, tick {tick}"
         );
     }
 }
 
-/// Both engine entry points equal the rescan on random moving topologies
-/// under crashes, losses and deferrals, for two policies.
+/// `maintain` equals the rescan on random moving topologies under
+/// crashes, losses and deferrals, for two policies.
 #[test]
 fn maintenance_matches_the_rescan_oracle_under_faults() {
     let mut rng = Rng::seed_from_u64(0x5eed_0a11);

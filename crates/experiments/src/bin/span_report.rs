@@ -115,9 +115,6 @@ fn quick_report(args: &BinArgs) -> ExitCode {
     let mut t = Table::new(["label", "per-shard totals (s)", "imbalance"]);
     for label in [
         SpanLabel::ShardCompute,
-        SpanLabel::ShardHello,
-        SpanLabel::ShardCluster,
-        SpanLabel::ShardRoute,
         SpanLabel::IcSend,
         SpanLabel::IcDeliver,
     ] {
@@ -149,41 +146,28 @@ fn quick_report(args: &BinArgs) -> ExitCode {
             .hist(SpanLabel::Stage(p), None)
             .map_or(0.0, |h| h.sum())
     };
-    let per_shard = |label: SpanLabel| -> (f64, f64) {
-        let totals: Vec<f64> = (0..shards)
-            .map(|s| spans.hist(label, Some(s as u16)).map_or(0.0, |h| h.sum()))
-            .collect();
-        let sum: f64 = totals.iter().sum();
-        (sum, totals.iter().cloned().fold(0.0, f64::max))
-    };
-    let (compute_sum, compute_max) = per_shard(SpanLabel::ShardCompute);
-    // The scoped stage scans (frame-parallel HELLO sweep, cluster
-    // contact/break scan, route snapshot scan) are the parallel part of
-    // the otherwise serial protocol stages; like the topology compute,
-    // the critical path replaces each sum with its slowest shard.
-    let (scan_sum, scan_max) = [
-        SpanLabel::ShardHello,
-        SpanLabel::ShardCluster,
-        SpanLabel::ShardRoute,
-    ]
-    .iter()
-    .map(|&l| per_shard(l))
-    .fold((0.0, 0.0), |(s, m), (s2, m2)| (s + s2, m + m2));
+    let compute: Vec<f64> = (0..shards)
+        .map(|s| {
+            spans
+                .hist(SpanLabel::ShardCompute, Some(s as u16))
+                .map_or(0.0, |h| h.sum())
+        })
+        .collect();
+    let compute_sum: f64 = compute.iter().sum();
+    let compute_max = compute.iter().cloned().fold(0.0, f64::max);
     let serial_stages: f64 = Phase::TICK
         .iter()
         .filter(|&&p| p != Phase::Topology)
         .map(|&p| stage_sum(p))
         .sum();
-    let serial_rest = (serial_stages - scan_sum).max(0.0);
     let flush = stage_sum(Phase::ShardFlush);
     let merge = stage_sum(Phase::ShardMerge);
     let topo_overhead = (stage_sum(Phase::Topology) - flush - merge - compute_sum).max(0.0);
-    let critical = serial_rest + flush + merge + topo_overhead + compute_max + scan_max;
+    let critical = serial_stages + flush + merge + topo_overhead + compute_max;
     println!("\ncritical path (mean per tick, us):");
     let mut t = Table::new(["component", "us/tick", "share"]);
     for (name, v) in [
-        ("serial stage work (minus scoped scans)", serial_rest),
-        ("slowest-shard stage scans (hello+cluster+route)", scan_max),
+        ("serial stage work", serial_stages),
         ("shard flush (interconnect)", flush),
         ("shard merge + reconcile", merge),
         ("topology overhead (spawn/join, diff)", topo_overhead),
@@ -202,14 +186,11 @@ fn quick_report(args: &BinArgs) -> ExitCode {
     ]);
     print!("{}", t.to_ascii());
 
-    // Amdahl: the topology compute plus the scoped stage scans are the
-    // parallelizable part of the tick.
-    let par = compute_sum + scan_sum;
-    let serial = (tick_total - par).max(f64::MIN_POSITIVE);
+    // Amdahl: the topology compute is the parallelizable part of the tick.
+    let serial = (tick_total - compute_sum).max(f64::MIN_POSITIVE);
     println!(
-        "\nAmdahl (parallel fraction = shard compute {:.1}% + stage scans {:.1}% of tick):",
-        compute_sum / tick_total * 100.0,
-        scan_sum / tick_total * 100.0
+        "\nAmdahl (parallel fraction = shard compute {:.1}% of tick):",
+        compute_sum / tick_total * 100.0
     );
     println!(
         "  speedup ceiling (infinite workers): {:.3}x",
@@ -218,8 +199,8 @@ fn quick_report(args: &BinArgs) -> ExitCode {
     println!(
         "  at {} balanced shards: {:.3}x; at the observed imbalance: {:.3}x",
         shards.max(1),
-        tick_total / (serial + par / shards.max(1) as f64),
-        tick_total / (serial + compute_max + scan_max)
+        tick_total / (serial + compute_sum / shards.max(1) as f64),
+        tick_total / (serial + compute_max)
     );
 
     let mut ok = true;

@@ -150,16 +150,32 @@ pub fn fig5_table(x_label: &str, rows: &[Fig5Row]) -> Table {
 mod tests {
     use super::*;
 
+    /// The Fig 4 bounds EXPERIMENTS.md states, row by row.
     #[test]
     fn fig4_residual_vanishes_and_curves_converge() {
         let rows = fig4();
         assert_eq!(rows.len(), 50);
-        // Figure 4a: the residual is monotonically vanishing.
-        assert!(rows.last().unwrap().residual < 1e-3);
-        assert!(rows.first().unwrap().residual > rows.last().unwrap().residual);
-        // Figure 4b: approximation within 5% of exact at large d+1.
-        let last = rows.last().unwrap();
-        assert!((last.p_exact - last.p_approx).abs() / last.p_exact < 0.05);
+        let (first, last) = (rows[0], rows[rows.len() - 1]);
+        // Figure 4a: the residual falls strictly, from 1/9 at d+1 = 2
+        // to 2.7e-5 at d+1 = 100.
+        for w in rows.windows(2) {
+            assert!(w[1].residual < w[0].residual, "{w:?}");
+        }
+        assert_eq!(first.closed_neighborhood, 2.0);
+        assert!((first.residual - 1.0 / 9.0).abs() < 1e-9, "{first:?}");
+        assert_eq!(last.closed_neighborhood, 100.0);
+        assert!(last.residual > 2.6e-5 && last.residual < 2.7e-5, "{last:?}");
+        // Figure 4b: Eqn 17 is within 0.89% of Eqn 16 for every
+        // d+1 ≥ 12, and 6% off at d+1 = 2.
+        let gap = |r: &Fig4Row| (r.p_exact - r.p_approx).abs() / r.p_exact;
+        for r in rows.iter().filter(|r| r.closed_neighborhood >= 12.0) {
+            assert!(gap(r) < 0.0089, "{r:?}: gap {}", gap(r));
+        }
+        assert!(
+            (0.060..=0.061).contains(&gap(&first)),
+            "gap {}",
+            gap(&first)
+        );
     }
 
     #[test]

@@ -210,11 +210,6 @@ impl ShardLayout {
         self.tile_h + 2.0 * self.margin
     }
 
-    /// Whether margins wrap around the region boundary.
-    pub fn wraps(&self) -> bool {
-        self.wrap
-    }
-
     /// Row-major shard index of tile `(sx, sy)`.
     pub fn shard_index(&self, sx: usize, sy: usize) -> usize {
         sy * self.dims.kx + sx

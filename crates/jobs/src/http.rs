@@ -7,9 +7,9 @@
 
 use crate::queue::{CancelOutcome, JobId, JobStatus, SubmitOutcome};
 use crate::server::{JobView, Shared};
-use manet_telemetry::{read_request, write_response, HttpRequest};
+use manet_telemetry::{read_request_within, write_response, HttpRequest};
 use manet_util::json::Value;
-use std::io::{self, BufReader};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -71,10 +71,9 @@ fn accept_loop(listener: &TcpListener, shared: &Shared, stop: &AtomicBool) {
 }
 
 fn handle_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(5)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let request = match read_request(&mut reader) {
+    let timeout = Duration::from_secs(5);
+    stream.set_write_timeout(Some(timeout))?;
+    let request = match read_request_within(&stream, timeout) {
         Ok(request) => request,
         Err(_) => {
             return write_response(
@@ -213,4 +212,97 @@ fn cancel(shared: &Shared, id: JobId) -> Response {
         ])
         .to_string(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{JobOutput, JobRunner, JobServer, JobServerConfig};
+    use manet_telemetry::serve::MAX_REQUEST_HEAD;
+    use std::io::{Read, Write};
+    use std::net::{SocketAddr, TcpStream};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    /// The server's 5 s request deadline plus 1 s of slack: how long a
+    /// client here waits for an answer before calling it missing.
+    const PATIENCE: Duration = Duration::from_secs(6);
+
+    /// The response's status line, or "" when none arrived in time.
+    fn status_line(mut stream: &TcpStream) -> String {
+        stream.set_read_timeout(Some(PATIENCE)).unwrap();
+        let mut response = Vec::new();
+        // A timeout keeps whatever arrived before it.
+        let _ = stream.read_to_end(&mut response);
+        let response = String::from_utf8_lossy(&response);
+        response.lines().next().unwrap_or_default().to_string()
+    }
+
+    /// Sends `bytes` on a fresh connection and returns the status line.
+    fn exchange(addr: SocketAddr, bytes: &[u8]) -> String {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(bytes).expect("send");
+        status_line(&stream)
+    }
+
+    /// Malformed and oversized requests answer 400 at once. An idle
+    /// client is answered 400 at the deadline, and a client trickling
+    /// one byte every 200 ms (well inside any per-read timeout) is cut
+    /// off at it, so with both still connected a well-formed request
+    /// completes within the deadline plus 1 s.
+    #[test]
+    fn bad_idle_and_trickling_clients_cannot_block_the_listener() {
+        let runner: JobRunner = Arc::new(|_, _| {
+            Ok(JobOutput {
+                result: String::new(),
+                trace: None,
+            })
+        });
+        let server =
+            JobServer::serve_with_runner("127.0.0.1:0", JobServerConfig::default(), runner)
+                .expect("bind");
+        let addr = server.local_addr().expect("serving");
+
+        let malformed = exchange(addr, b"NONSENSE\r\n");
+        assert!(
+            malformed.starts_with("HTTP/1.1 400"),
+            "malformed: {malformed:?}"
+        );
+        // A newline-free head exactly at the cap: every byte is read
+        // before the 400, so the close is clean.
+        let oversized = exchange(addr, &[b'a'; MAX_REQUEST_HEAD]);
+        assert!(
+            oversized.starts_with("HTTP/1.1 400"),
+            "oversized: {oversized:?}"
+        );
+
+        let idle = TcpStream::connect(addr).expect("connect");
+        let answer = status_line(&idle);
+        assert!(answer.starts_with("HTTP/1.1 400"), "idle: {answer:?}");
+
+        // Connected before the well-formed client, so the listener takes
+        // it first. The trickle stops on a write error or after ~10 s.
+        let mut trickle = TcpStream::connect(addr).expect("connect");
+        let trickler = std::thread::spawn(move || {
+            let head = b"GET /health HTTP/1.1\r\nX-Pad: ".iter().chain(&[b'a'; 21]);
+            for byte in head {
+                if trickle.write_all(&[*byte]).is_err() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(200));
+            }
+        });
+
+        let sent = Instant::now();
+        let health = exchange(addr, b"GET /health HTTP/1.1\r\n\r\n");
+        let waited = sent.elapsed();
+        assert!(
+            health.starts_with("HTTP/1.1 200"),
+            "well-formed request got {health:?} after {waited:?}"
+        );
+        assert!(waited <= PATIENCE, "well-formed request took {waited:?}");
+
+        drop(idle);
+        trickler.join().expect("trickler thread");
+        server.shutdown();
+    }
 }

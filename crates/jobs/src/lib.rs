@@ -9,8 +9,8 @@
 //!   [`ScenarioSpec`](manet_experiments::spec::ScenarioSpec)s with an
 //!   explicit per-job state machine (`queued → running → done | failed |
 //!   cancelled`), capped retry on worker panic, and cooperative
-//!   cancellation through the harness [`CancelToken`]
-//!   (manet_experiments::harness::CancelToken).
+//!   cancellation through the harness
+//!   [`CancelToken`](manet_experiments::harness::CancelToken).
 //! * [`cache`] — the content-addressed result cache, keyed on
 //!   [`ScenarioSpec::canonical`](manet_experiments::spec::ScenarioSpec::canonical):
 //!   because a seeded run is bit-identical at any shard layout or worker
@@ -21,7 +21,7 @@
 //!   through [`run_scenario`](manet_experiments::spec::run_scenario)
 //!   (no subprocess per job), with panics contained per-job and an
 //!   injectable runner for tests.
-//! * [`http`] (private) — the `std`-only HTTP layer in the
+//! * `http` (private) — the `std`-only HTTP layer in the
 //!   `MetricsServer` mold: `POST /jobs`, `GET /jobs/:id`,
 //!   `GET /jobs/:id/result`, `GET /jobs/:id/trace`, `POST
 //!   /jobs/:id/cancel`, `/metrics`, `/health`, `/quit`. Scrapers and

@@ -1,7 +1,7 @@
 //! The job server: fixed worker pool, shared state, panic containment.
 //!
 //! Workers execute specs **in-process** through
-//! [`run_scenario`](manet_experiments::spec::run_scenario) — no
+//! [`run_scenario`] — no
 //! subprocess per job — under `catch_unwind`, so a panicking scenario
 //! costs one retry (then a terminal `failed`), never a wedged pool. All
 //! coordination is one `Mutex<State>` + `Condvar`: workers sleep on the
@@ -65,7 +65,7 @@ pub type JobRunner =
     Arc<dyn Fn(&ScenarioSpec, &CancelToken) -> Result<JobOutput, RunError> + Send + Sync>;
 
 /// The production runner: [`run_scenario`] into
-/// [`result_json`](manet_experiments::spec::result_json) bytes, plus an
+/// [`result_json`] bytes, plus an
 /// in-memory JSONL trace of the spec's base scenario when `spec.trace`
 /// asks for one.
 pub fn default_runner() -> JobRunner {

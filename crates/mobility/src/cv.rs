@@ -85,20 +85,6 @@ impl Mobility for ConstantVelocity {
             *p = np;
         }
     }
-
-    fn plan_step(&mut self, dt: f64, _rng: &mut Rng, plan: &mut crate::StepPlan) -> bool {
-        // CV draws no randomness after construction: one leg per node.
-        plan.begin();
-        for &v in &self.velocities {
-            plan.push_leg(v, dt);
-            plan.end_node();
-        }
-        true
-    }
-
-    fn positions_mut(&mut self) -> Option<&mut [Vec2]> {
-        Some(&mut self.positions)
-    }
 }
 
 #[cfg(test)]
@@ -134,24 +120,6 @@ mod tests {
             cv.step(1.0, &mut rng);
         }
         assert_near_uniform(cv.positions(), 100.0, 4, 0.25);
-    }
-
-    #[test]
-    fn plan_apply_is_bit_identical_to_step() {
-        let region = SquareRegion::new(120.0);
-        let mut rng = Rng::seed_from_u64(9);
-        let mut stepped = ConstantVelocity::new(region, 30, 4.0, &mut rng);
-        let mut planned = stepped.clone();
-        let mut plan = crate::StepPlan::new();
-        for _ in 0..25 {
-            stepped.step(0.5, &mut rng);
-            assert!(planned.plan_step(0.5, &mut rng, &mut plan));
-            let pos = planned.positions_mut().unwrap();
-            for (i, p) in pos.iter_mut().enumerate() {
-                plan.apply_node(i, p, region);
-            }
-        }
-        assert_eq!(stepped.positions(), planned.positions());
     }
 
     #[test]

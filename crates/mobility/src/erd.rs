@@ -195,34 +195,6 @@ impl Mobility for EpochRandomDirection {
             }
         }
     }
-
-    fn plan_step(&mut self, dt: f64, rng: &mut Rng, plan: &mut crate::StepPlan) -> bool {
-        debug_assert!(dt >= 0.0);
-        // The same per-node epoch walk as `step`, minus the positional
-        // advance: leg lengths depend only on `time_left`, so the RNG is
-        // consumed in the identical node-id order while the recorded legs
-        // let the caller replay the motion elsewhere.
-        plan.begin();
-        for i in 0..self.positions.len() {
-            let mut remaining = dt;
-            while remaining > 0.0 {
-                let leg = remaining.min(self.time_left[i]);
-                plan.push_leg(self.directions[i] * self.speeds[i], leg);
-                self.time_left[i] -= leg;
-                remaining -= leg;
-                if self.time_left[i] <= 0.0 {
-                    self.directions[i] = Vec2::from_angle(rng.angle());
-                    self.time_left[i] = self.epoch;
-                }
-            }
-            plan.end_node();
-        }
-        true
-    }
-
-    fn positions_mut(&mut self) -> Option<&mut [Vec2]> {
-        Some(&mut self.positions)
-    }
 }
 
 #[cfg(test)]
@@ -311,35 +283,6 @@ mod tests {
             .count();
         // About half of the staggered nodes should have hit a boundary.
         assert!((10..=54).contains(&changed), "changed = {changed}");
-    }
-
-    /// plan_step + apply_node must be bit-identical to step — same
-    /// positions, same RNG consumption — across many ticks spanning epoch
-    /// boundaries.
-    #[test]
-    fn plan_apply_is_bit_identical_to_step() {
-        let region = SquareRegion::new(300.0);
-        let make = || {
-            let mut rng = Rng::seed_from_u64(42);
-            let erd = EpochRandomDirection::with_phase_jitter(region, 50, 6.0, 3.0, &mut rng);
-            (erd, rng)
-        };
-        let (mut stepped, mut rng_a) = make();
-        let (mut planned, mut rng_b) = make();
-        let mut plan = crate::StepPlan::new();
-        for _ in 0..40 {
-            stepped.step(0.7, &mut rng_a);
-            assert!(planned.plan_step(0.7, &mut rng_b, &mut plan));
-            assert_eq!(plan.node_count(), 50);
-            let pos = planned.positions_mut().unwrap();
-            for (i, p) in pos.iter_mut().enumerate() {
-                plan.apply_node(i, p, region);
-            }
-        }
-        assert_eq!(stepped.positions(), planned.positions());
-        assert_eq!(stepped.directions(), planned.directions());
-        // The RNG streams stayed in lockstep.
-        assert_eq!(rng_a.angle(), rng_b.angle());
     }
 
     #[test]

@@ -42,67 +42,8 @@ pub use rwp::RandomWaypoint;
 pub use trace::{RecordedTrace, TraceRecorder};
 pub use walk::RandomWalk;
 
-use manet_geom::{BoundaryPolicy, SquareRegion, Vec2};
+use manet_geom::{SquareRegion, Vec2};
 use manet_util::Rng;
-
-/// One tick of motion, precomputed as straight-line legs per node.
-///
-/// A [`StepPlan`] is the output of [`Mobility::plan_step`]: the sequential
-/// pass has already performed every RNG draw and epoch bookkeeping the tick
-/// needs (in node-id order, exactly as `step` would), so replaying the
-/// recorded legs with [`StepPlan::apply_node`] is pure positional math.
-/// Replays over disjoint position ranges are therefore safe to run on
-/// worker threads and land bit-identical to the sequential `step`.
-#[derive(Debug, Clone, Default)]
-pub struct StepPlan {
-    /// Concatenated `(velocity, duration)` legs, node-major.
-    legs: Vec<(Vec2, f64)>,
-    /// Node `i`'s legs are `legs[offsets[i]..offsets[i+1]]`.
-    offsets: Vec<u32>,
-}
-
-impl StepPlan {
-    /// An empty plan (capacities warm up on first use).
-    pub fn new() -> Self {
-        StepPlan::default()
-    }
-
-    /// Resets the plan for a fresh tick, keeping allocations.
-    pub fn begin(&mut self) {
-        self.legs.clear();
-        self.offsets.clear();
-        self.offsets.push(0);
-    }
-
-    /// Records one straight-line leg for the node currently being planned.
-    pub fn push_leg(&mut self, velocity: Vec2, duration: f64) {
-        self.legs.push((velocity, duration));
-    }
-
-    /// Closes the current node's leg list.
-    pub fn end_node(&mut self) {
-        self.offsets.push(self.legs.len() as u32);
-    }
-
-    /// Number of planned nodes.
-    pub fn node_count(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// Node `i`'s legs in execution order.
-    pub fn legs_of(&self, i: usize) -> &[(Vec2, f64)] {
-        &self.legs[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-
-    /// Replays node `i`'s legs over `p` with toroidal wrap — the exact
-    /// per-leg advance the sequential `step` of every planning model does.
-    pub fn apply_node(&self, i: usize, p: &mut Vec2, region: SquareRegion) {
-        for &(vel, leg) in self.legs_of(i) {
-            let (np, _) = region.advance(*p, vel, leg, BoundaryPolicy::Torus);
-            *p = np;
-        }
-    }
-}
 
 /// A mobility model owning the kinematic state of a fleet of nodes.
 ///
@@ -125,29 +66,6 @@ pub trait Mobility {
 
     /// Advances every node by `dt` seconds.
     fn step(&mut self, dt: f64, rng: &mut Rng);
-
-    /// Splits this tick into a sequential plan pass and a pure apply.
-    ///
-    /// A supporting model performs **all** of the tick's RNG draws and
-    /// internal bookkeeping here (in node-id order, exactly as
-    /// [`Mobility::step`] would) and records each node's straight-line
-    /// legs into `plan` without moving anyone; the caller then replays the
-    /// plan over [`Mobility::positions_mut`] — possibly on worker threads
-    /// over disjoint ranges — and the result is bit-identical to `step`.
-    ///
-    /// Models whose motion cannot be expressed as pre-drawable legs (e.g.
-    /// pause-state models) return `false` without touching anything; the
-    /// caller falls back to the sequential `step`.
-    fn plan_step(&mut self, dt: f64, rng: &mut Rng, plan: &mut StepPlan) -> bool {
-        let _ = (dt, rng, plan);
-        false
-    }
-
-    /// Mutable position storage for plan replay, when the model supports
-    /// the plan/apply split (`None` otherwise).
-    fn positions_mut(&mut self) -> Option<&mut [Vec2]> {
-        None
-    }
 }
 
 /// Places `n` i.i.d. uniform points in `region` (the initial condition every

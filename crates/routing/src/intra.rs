@@ -8,7 +8,7 @@
 //! ROUTE message per cluster node.
 
 use manet_cluster::ClusterAssignment;
-use manet_sim::{Channel, NodeId, SimError, StageScope, StepCtx, Topology};
+use manet_sim::{Channel, NodeId, SimError, StepCtx, Topology};
 use manet_telemetry::{Cause, EventKind, Layer, MsgClass, RootCause};
 use std::collections::BTreeMap;
 
@@ -104,9 +104,8 @@ pub struct IntraClusterRouting {
     /// re-sync round is attributed to the loss that forced it (only
     /// populated when a cause tracker is attached).
     resync_cause: BTreeMap<NodeId, Cause>,
-    /// Per-node head ids and per-frame link lists, reused across passes.
+    /// Per-node head ids, reused across passes.
     heads: Vec<NodeId>,
-    frame_links: Vec<Vec<(NodeId, NodeId, NodeId)>>,
 }
 
 impl IntraClusterRouting {
@@ -170,39 +169,17 @@ impl IntraClusterRouting {
         channel: &mut Channel,
         ctx: &mut StepCtx<'_, '_>,
     ) -> RouteUpdateOutcome {
-        let current = self.cluster_snapshots(topology, clustering, None);
+        let current = self.cluster_snapshots(topology, clustering);
         self.charge(dt, current, channel, ctx)
     }
 
-    /// [`IntraClusterRouting::update`] with the intra-cluster link
-    /// classification — the `O(links)` part of the snapshot — fanned out
-    /// per owner frame on a scoped worker pool (DESIGN.md §17). Every
-    /// channel draw and emission stays sequential, so the pass is
-    /// bit-identical to `update` for every frame layout and worker count.
-    #[allow(clippy::too_many_arguments)]
-    pub fn update_scoped<C: ClusterAssignment + ?Sized>(
-        &mut self,
-        dt: f64,
-        topology: &Topology,
-        clustering: &C,
-        channel: &mut Channel,
-        ctx: &mut StepCtx<'_, '_>,
-        scope: &mut StageScope<'_>,
-    ) -> RouteUpdateOutcome {
-        let current = self.cluster_snapshots(topology, clustering, Some(scope));
-        self.charge(dt, current, channel, ctx)
-    }
-
-    /// This tick's per-cluster snapshots. Heads are looked up once, on the
-    /// calling thread (`ClusterAssignment` has no `Sync` bound); the
-    /// intra-cluster links are then classified from the sorted neighbor
-    /// rows — inline over `0..n`, or per owner frame on `scope`'s worker
-    /// pool when its frames cover the node set.
+    /// This tick's per-cluster snapshots: the heads are looked up once into
+    /// a reused vector, then one scan over `0..n` files each node and its
+    /// intra-cluster links under its head.
     fn cluster_snapshots<C: ClusterAssignment + ?Sized>(
         &mut self,
         topology: &Topology,
         clustering: &C,
-        scope: Option<&mut StageScope<'_>>,
     ) -> BTreeMap<NodeId, ClusterSnapshot> {
         let n = topology.len();
         self.heads.clear();
@@ -210,37 +187,18 @@ impl IntraClusterRouting {
             .extend((0..n as NodeId).map(|u| clustering.cluster_head_of(u)));
         let heads = &self.heads;
         let mut map: BTreeMap<NodeId, ClusterSnapshot> = BTreeMap::new();
-        for (u, &head) in heads.iter().enumerate() {
-            map.entry(head).or_default().nodes.push(u as NodeId);
-        }
-        // Links arrive in `(a, b)` order, so every cluster's list is sorted
-        // and snapshots compare directly.
-        let add = |(a, b, head): (NodeId, NodeId, NodeId)| {
-            map.get_mut(&head)
-                .expect("cluster exists for its own member")
-                .links
-                .push((a, b));
-        };
-        match scope {
-            Some(scope) if scope.frames().len() == n => {
-                let frames = &mut self.frame_links;
-                frames.resize_with(scope.frames().frame_count(), Vec::new);
-                scope.map_frames(frames, |_, ids, out| {
-                    out.clear();
-                    out.extend(intra_links(topology, heads, ids.iter().copied()));
-                });
-                // Frames are spatial tiles: sorting their concatenation
-                // restores the order of a scan over `0..n` (already-sorted
-                // input, a single frame, costs one linear check).
-                if let Some((merged, rest)) = frames.split_first_mut() {
-                    for frame in rest {
-                        merged.extend_from_slice(frame);
-                    }
-                    merged.sort_unstable();
-                    merged.iter().copied().for_each(add);
+        // Ascending `a` over sorted rows visits links `(a, b)`, `a < b`, in
+        // order, so every cluster's lists are sorted and snapshots compare
+        // directly.
+        for (a, &head) in heads.iter().enumerate() {
+            let a = a as NodeId;
+            let snap = map.entry(head).or_default();
+            snap.nodes.push(a);
+            for &b in topology.neighbors(a) {
+                if b > a && heads[b as usize] == head {
+                    snap.links.push((a, b));
                 }
             }
-            _ => intra_links(topology, heads, 0..n as NodeId).for_each(add),
         }
         map
     }
@@ -414,23 +372,6 @@ impl IntraClusterRouting {
         }
         charges
     }
-}
-
-/// The intra-cluster links `(a, b, head)`, `a < b`, in the neighbor rows of
-/// `ids` — in `(a, b)` order when `ids` ascend, since rows are sorted.
-fn intra_links<'a>(
-    topology: &'a Topology,
-    heads: &'a [NodeId],
-    ids: impl Iterator<Item = NodeId> + 'a,
-) -> impl Iterator<Item = (NodeId, NodeId, NodeId)> + 'a {
-    ids.flat_map(move |a| {
-        let head = heads[a as usize];
-        topology
-            .neighbors(a)
-            .iter()
-            .filter(move |&&b| b > a && heads[b as usize] == head)
-            .map(move |&b| (a, b, head))
-    })
 }
 
 /// Number of elements in exactly one of two sorted slices (symmetric

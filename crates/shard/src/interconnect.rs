@@ -3,7 +3,7 @@
 //! PR 5's shard plane moved ghost rows and ownership between shards by
 //! writing directly into the peer's buffers — an implicitly perfect
 //! interconnect. This module reifies that traffic as [`InterconnectMsg`]
-//! batches flowing over per-pair [`ShardLink`]s, so the exchange can be
+//! batches flowing over per-pair [`ShardLink`](crate::ShardLink)s, so the exchange can be
 //! fault-injected with the same machinery the protocol layers use
 //! ([`LossModel`] channels, plus a [`StallSchedule`] that freezes a
 //! shard's endpoints for whole ticks), while staying deterministic and

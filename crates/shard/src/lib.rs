@@ -1,5 +1,5 @@
 //! Spatially sharded MANET worlds: ghost margins, owner migration, and a
-//! deterministic parallel tick (DESIGN.md §13).
+//! deterministic parallel topology rebuild (DESIGN.md §13).
 //!
 //! The monolithic `World` recomputes one global topology per tick, which
 //! caps the population the simulator can sweep. This crate exploits the
@@ -19,6 +19,9 @@
 //!   within an epsilon band of `r²`. Counters, reports, and traces are
 //!   therefore bit-identical run-to-run *and* to the monolithic
 //!   [`ProtocolStack`](manet_stack::ProtocolStack) at any shard count.
+//!
+//! The plane shards the topology rebuild only. Mobility, HELLO, Cluster
+//! and Route run their sequential stage defaults on the caller's thread.
 //!
 //! # Quickstart
 //!

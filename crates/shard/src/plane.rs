@@ -46,17 +46,10 @@
 
 use crate::grid::FrameGrid;
 use crate::interconnect::{Interconnect, InterconnectConfig};
-use manet_cluster::ClusterAssignment;
 use manet_geom::{Metric, ShardDims, ShardLayout, ShardLayoutError, SquareRegion, Vec2};
-use manet_mobility::{Mobility, StepPlan};
-use manet_routing::intra::RouteUpdateOutcome;
-use manet_sim::{
-    Channel, FaultError, FramePartition, FrameTiming, HelloProtocol, MobilityStage, NodeId,
-    StageScope, StepCtx, Topology, TopologyBuilder, World,
-};
-use manet_stack::{ClusterFlow, ClusterLayer, ClusterStage, HelloStage, RouteLayer, RouteStage};
+use manet_sim::{FaultError, MobilityStage, NodeId, Topology, TopologyBuilder, World};
+use manet_stack::{ClusterStage, HelloStage, RouteStage};
 use manet_telemetry::{Phase, Probe, ShardGaugeRow, ShardSnapshot, SpanLabel};
-use manet_util::Rng;
 use std::time::{Duration, Instant};
 
 /// Owner shard of a node not yet assigned (before its first tick).
@@ -76,7 +69,7 @@ pub fn ghost_margin(radius: f64) -> f64 {
 
 /// The default worker pool of a plane with `shards` shards: one thread per
 /// shard, capped at the host's available parallelism. A `1x1` plane thus
-/// runs every stage inline on the caller's thread.
+/// computes its topology inline on the caller's thread.
 pub fn default_workers(shards: usize) -> usize {
     std::thread::available_parallelism()
         .map_or(1, |n| n.get())
@@ -222,9 +215,13 @@ impl ShardState {
     }
 }
 
-/// The shard plane: a full stage bundle for `World::step_staged` and
+/// The shard plane: a stage bundle for `World::step_staged` and
 /// `ProtocolStack::tick_staged` (or use
 /// [`ShardedStack`](crate::ShardedStack), which pairs a stack with one).
+///
+/// Only the topology rebuild is sharded: the mobility, HELLO, cluster and
+/// route stages take their traits' sequential defaults, because a scan
+/// over `0..n` needs no thread spawn and no merge (DESIGN.md §17).
 #[derive(Debug)]
 pub struct ShardPlane {
     layout: ShardLayout,
@@ -243,15 +240,6 @@ pub struct ShardPlane {
     /// Scratch: nodes retained by their old owner this tick, with their
     /// home tile and tile-local coordinates (sorted by node id).
     retained: Vec<(u32, u16, Vec2)>,
-    /// Ownership partition of the last exchange (per-shard owned ids,
-    /// ascending), handed to the scoped layer entry points (DESIGN.md
-    /// §17).
-    frames: FramePartition,
-    /// Scratch: the current tick's mobility plan (plan/apply split).
-    plan: StepPlan,
-    /// Scratch: per-slot stage timings, folded into per-shard spans in
-    /// slot order after each scoped stage.
-    timings: Vec<FrameTiming>,
 }
 
 impl ShardPlane {
@@ -305,9 +293,6 @@ impl ShardPlane {
             owner: Vec::new(),
             interconnect,
             retained: Vec::new(),
-            frames: FramePartition::new(),
-            plan: StepPlan::new(),
-            timings: Vec::new(),
         })
     }
 
@@ -391,14 +376,6 @@ impl ShardPlane {
     /// The shard layout geometry.
     pub fn layout(&self) -> &ShardLayout {
         &self.layout
-    }
-
-    /// The ownership partition the scoped protocol stages fan out over:
-    /// one frame per shard, each listing the node ids the shard owned
-    /// after the most recent topology exchange (ascending). Empty until
-    /// the first tick.
-    pub fn frames(&self) -> &FramePartition {
-        &self.frames
     }
 
     /// Per-shard statistics for the most recent tick, in shard-index
@@ -563,120 +540,13 @@ impl ShardPlane {
         for s in &mut self.shards {
             s.stats.ghosts = s.ids.len() - s.owned;
         }
-
-        // Publish the ownership partition for this tick's scoped stages
-        // (owned prefixes are ascending: the placement loop runs in
-        // node-id order).
-        let ShardPlane { frames, shards, .. } = self;
-        frames.rebuild(shards.iter().map(|s| &s.ids[..s.owned]));
-    }
-
-    /// Prepares the per-slot timing scratch and opens a stage scope over
-    /// the current ownership frames.
-    fn stage_scope(&mut self) -> StageScope<'_> {
-        let need = self.shards.len().max(self.workers).max(1);
-        if self.timings.len() < need {
-            self.timings.resize(need, None);
-        }
-        StageScope::new(&self.frames, self.workers, &mut self.timings)
-    }
-
-    /// Folds the per-slot busy timings the last scoped stage accumulated
-    /// into `label` spans, in slot order — the same deterministic fold-in
-    /// the topology stage uses for `ShardCompute`.
-    fn fold_stage_spans(&mut self, label: SpanLabel, probe: &mut Probe<'_>) {
-        let spanning = probe.is_spanning();
-        for (i, slot) in self.timings.iter_mut().enumerate() {
-            if let Some((at, dur)) = slot.take() {
-                if spanning {
-                    probe.span_sample(label, Some(i as u16), None, at, dur);
-                }
-            }
-        }
     }
 }
 
-impl MobilityStage for ShardPlane {
-    fn advance(&mut self, mobility: &mut dyn Mobility, dt: f64, rng: &mut Rng) {
-        // Plan/apply split: every RNG draw stays on this sequential path
-        // in node-id order; the recorded legs are pure positional math
-        // replayed over disjoint ranges by the worker pool, bit-identical
-        // to the sequential step by construction. Models without the
-        // split (or a single-worker pool) fall back to the plain step.
-        let n = mobility.len();
-        if self.workers > 1
-            && n > 0
-            && mobility.positions_mut().is_some()
-            && mobility.plan_step(dt, rng, &mut self.plan)
-        {
-            let region = mobility.region();
-            let plan = &self.plan;
-            let pos = mobility.positions_mut().expect("checked above");
-            let workers = self.workers.min(pos.len());
-            let chunk = pos.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                for (g, group) in pos.chunks_mut(chunk).enumerate() {
-                    scope.spawn(move || {
-                        for (k, p) in group.iter_mut().enumerate() {
-                            plan.apply_node(g * chunk + k, p, region);
-                        }
-                    });
-                }
-            });
-        } else {
-            mobility.step(dt, rng);
-        }
-    }
-}
-
-impl HelloStage for ShardPlane {
-    fn hello(
-        &mut self,
-        proto: &mut HelloProtocol,
-        topology: &Topology,
-        channel: &mut Channel,
-        alive: &[bool],
-        ctx: &mut StepCtx<'_, '_>,
-    ) -> (u64, u64) {
-        let mut scope = self.stage_scope();
-        let out = proto.step_scoped(topology, channel, alive, ctx, &mut scope);
-        self.fold_stage_spans(SpanLabel::ShardHello, ctx.probe);
-        out
-    }
-}
-
-impl ClusterStage for ShardPlane {
-    fn cluster(
-        &mut self,
-        layer: &mut dyn ClusterLayer,
-        topology: &Topology,
-        alive: &[bool],
-        channel: &mut Channel,
-        ctx: &mut StepCtx<'_, '_>,
-    ) -> ClusterFlow {
-        let mut scope = self.stage_scope();
-        let flow = layer.maintain_scoped(topology, alive, channel, ctx, &mut scope);
-        self.fold_stage_spans(SpanLabel::ShardCluster, ctx.probe);
-        flow
-    }
-}
-
-impl RouteStage for ShardPlane {
-    fn route(
-        &mut self,
-        layer: &mut dyn RouteLayer,
-        dt: f64,
-        topology: &Topology,
-        clusters: &dyn ClusterAssignment,
-        channel: &mut Channel,
-        ctx: &mut StepCtx<'_, '_>,
-    ) -> RouteUpdateOutcome {
-        let mut scope = self.stage_scope();
-        let route = layer.update_scoped(dt, topology, clusters, channel, ctx, &mut scope);
-        self.fold_stage_spans(SpanLabel::ShardRoute, ctx.probe);
-        route
-    }
-}
+impl MobilityStage for ShardPlane {}
+impl HelloStage for ShardPlane {}
+impl ClusterStage for ShardPlane {}
+impl RouteStage for ShardPlane {}
 
 /// First ghost image of `p` landing in `shard`, if any (the frame-local
 /// placement a retaining owner uses).

@@ -4,12 +4,11 @@
 //! A thin pairing of a [`ProtocolStack`] and a [`ShardPlane`]: every tick
 //! runs the same canonical stage order
 //! (Mobility → Topology → HELLO → Cluster → Route → Telemetry), with the
-//! plane supplying every stage strategy (`StackStages`): plan/apply
-//! mobility, the ghost-margin sharded topology rebuild, and frame-scoped
-//! HELLO/Cluster/Route passes over the plane's ownership partition. The
-//! stack inherits the monolithic stack's counters, reports, and traces
-//! bit-for-bit — the golden-parity tests in the workspace root pin this —
-//! while every stage's pure scan work fans out across the worker pool.
+//! plane as the stage bundle (`StackStages`). The plane rebuilds the
+//! topology with ghost margins on its worker pool; mobility, HELLO,
+//! Cluster and Route take the sequential trait defaults. The stack
+//! inherits the monolithic stack's counters, reports, and traces
+//! bit-for-bit — the golden-parity tests in the workspace root pin this.
 
 use crate::interconnect::InterconnectConfig;
 use crate::plane::{ShardPlane, ShardReport};
@@ -19,13 +18,13 @@ use manet_stack::{ClusterLayer, ProtocolStack, RouteLayer, StackReport};
 use manet_telemetry::ShardSnapshot;
 use std::ops::{Deref, DerefMut};
 
-/// A [`ProtocolStack`] whose every stage runs on a [`ShardPlane`].
+/// A [`ProtocolStack`] ticked with a [`ShardPlane`] as its stage bundle.
 ///
 /// Dereferences to the inner [`ProtocolStack`] for everything except
 /// `tick`/`run`, which are shadowed to route through the plane. Calling
-/// the inner stack's own `tick` (via [`ShardedStack::stack_mut`]) is
-/// harmless — it produces the identical result on the monolithic path —
-/// but wastes the sharding.
+/// the inner stack's own `tick` (through `DerefMut`) is harmless — it
+/// produces the identical result on the monolithic path — but wastes the
+/// sharding.
 pub struct ShardedStack<C, R> {
     stack: ProtocolStack<C, R>,
     plane: ShardPlane,
@@ -89,9 +88,9 @@ impl<C: ClusterLayer, R: RouteLayer> ShardedStack<C, R> {
         self.plane.snapshot()
     }
 
-    /// Advances the stack by one tick, every stage on the shard plane:
-    /// plan/apply mobility, sharded topology, and frame-scoped
-    /// HELLO/Cluster/Route passes.
+    /// Advances the stack by one tick with the shard plane as the stage
+    /// bundle: the topology is rebuilt shard-locally, every other stage
+    /// runs its sequential default.
     pub fn tick(&mut self, ctx: &mut StepCtx<'_, '_>) -> StackReport {
         self.stack.tick_staged(ctx, &mut self.plane)
     }
@@ -130,11 +129,6 @@ impl<C: ClusterLayer, R: RouteLayer> ShardedStack<C, R> {
     /// The inner monolithic stack.
     pub fn stack(&self) -> &ProtocolStack<C, R> {
         &self.stack
-    }
-
-    /// Mutable access to the inner stack.
-    pub fn stack_mut(&mut self) -> &mut ProtocolStack<C, R> {
-        &mut self.stack
     }
 
     /// Decomposes into the inner stack and the plane.

@@ -7,10 +7,10 @@
 //! per-shard topology, deterministic merge, diff, HELLO accounting)
 //! performs no heap allocation at all. Measured with a counting global
 //! allocator wrapped around the system one, at `workers = 1` so the
-//! count excludes thread spawning (the scoped pool allocates per spawn
-//! by construction; the parallel path's *results* are pinned identical
-//! by the plane's worker-count tests). The cluster/route layers above
-//! are outside the contract on the monolithic path too.
+//! count excludes thread spawning (the topology compute's scoped pool
+//! allocates per spawn by construction; its *results* are pinned
+//! identical by the plane's worker-count tests). The cluster/route
+//! layers above are outside the contract on the monolithic path too.
 //!
 //! This file holds exactly one test so no concurrent test case can
 //! allocate while the steady-state window is being counted.

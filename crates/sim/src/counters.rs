@@ -187,14 +187,6 @@ impl Counters {
         self.bytes[i] += bytes;
     }
 
-    /// Records `count` messages of `kind`, sized via `sizes`.
-    ///
-    /// Prefer [`Counters::record_kind`] unless a deliberately different
-    /// size table is required.
-    pub fn record_sized(&mut self, kind: MessageKind, count: u64, sizes: &MessageSizes) {
-        self.record(kind, count, count * sizes.size_of(kind) as u64);
-    }
-
     /// Records `count` messages of `kind`, sized via the embedded size
     /// table — the checked entry point that keeps
     /// [`Counters::bytes_consistent`] true by construction.
@@ -305,14 +297,6 @@ mod tests {
         assert_eq!(c.bytes(MessageKind::Hello), 64);
         assert_eq!(c.messages(MessageKind::Route), 5);
         assert_eq!(c.messages(MessageKind::Cluster), 0);
-    }
-
-    #[test]
-    fn record_sized_uses_size_table() {
-        let sizes = MessageSizes::default();
-        let mut c = Counters::new();
-        c.record_sized(MessageKind::Cluster, 2, &sizes);
-        assert_eq!(c.bytes(MessageKind::Cluster), 48);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 use crate::ctx::StepCtx;
 use crate::error::SimError;
 use crate::fault::Channel;
-use crate::stage::StageScope;
 use crate::topology::Topology;
 use crate::NodeId;
 #[cfg(test)]
@@ -141,39 +140,6 @@ impl HelloProtocol {
         alive: &[bool],
         ctx: &mut StepCtx<'_, '_>,
     ) -> (u64, u64) {
-        self.advance(topology, channel, alive, ctx, None)
-    }
-
-    /// [`HelloProtocol::step`] with the soft-timer expiry sweep (pure
-    /// per-table work) fanned out over `scope`'s worker pool in contiguous
-    /// chunks. Counters, emissions, and every table are bit-identical to
-    /// `step` for every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alive.len()` differs from the node count.
-    pub fn step_scoped(
-        &mut self,
-        topology: &Topology,
-        channel: &mut Channel,
-        alive: &[bool],
-        ctx: &mut StepCtx<'_, '_>,
-        scope: &mut StageScope<'_>,
-    ) -> (u64, u64) {
-        self.advance(topology, channel, alive, ctx, Some(scope))
-    }
-
-    /// The one HELLO pass: the beacon loop — every channel draw and table
-    /// insert, in node-id order — then the expiry sweep, inline or over
-    /// `scope`, then the counts and events.
-    fn advance(
-        &mut self,
-        topology: &Topology,
-        channel: &mut Channel,
-        alive: &[bool],
-        ctx: &mut StepCtx<'_, '_>,
-        scope: Option<&mut StageScope<'_>>,
-    ) -> (u64, u64) {
         let now = ctx.now;
         let probe = &mut *ctx.probe;
         assert_eq!(
@@ -207,14 +173,8 @@ impl HelloProtocol {
             }
         }
         let timeout = self.timeout;
-        let expire = move |tables: &mut [BTreeMap<NodeId, f64>]| {
-            for table in tables {
-                table.retain(|_, &mut t| now - t <= timeout);
-            }
-        };
-        match scope {
-            Some(scope) => scope.map_chunks(&mut self.last_heard, |_, _, tables| expire(tables)),
-            None => expire(&mut self.last_heard),
+        for table in &mut self.last_heard {
+            table.retain(|_, &mut t| now - t <= timeout);
         }
         self.hellos_sent += sent;
         if sent > 0 {

@@ -62,7 +62,7 @@ pub use fault::{
 };
 pub use hello::{HelloProtocol, ViewAccuracy};
 pub use lifetime::LinkLifetimes;
-pub use stage::{FramePartition, FrameTiming, MobilityStage, StageScope, WorldStages};
+pub use stage::{MobilityStage, WorldStages};
 pub use topology::{GridTopology, LinkEvent, LinkEventKind, Topology, TopologyBuilder};
 pub use world::{HelloMode, StepReport, World};
 

@@ -1,26 +1,20 @@
-//! Stage traits and the scoped fan-out helper for shard-local pipelines.
+//! Stage traits of the world-side tick.
 //!
 //! The [`crate::TopologyBuilder`] pattern (DESIGN.md §13) — the world owns
 //! the stage *order*, a trait object owns the stage *strategy* — is
 //! generalized here to the rest of the tick. [`MobilityStage`] covers the
 //! world-side motion advance; the HELLO/Cluster/Route stage traits live in
-//! `manet-stack` next to the layers they drive. Monolithic defaults
-//! delegate to the layers' single entry points, so a stack driven through
-//! the default stages is bit-identical to the pre-stage code; the shard
-//! plane overrides them with frame-parallel implementations that are
-//! pinned byte-identical by the parity suites (DESIGN.md §17).
+//! `manet-stack` next to the layers they drive. Each default delegates to
+//! the layer's single entry point. The shard plane overrides only the
+//! topology rebuild and takes every other default (DESIGN.md §17).
 
-use crate::NodeId;
 use manet_mobility::Mobility;
 use manet_util::Rng;
-use std::time::{Duration, Instant};
 
 /// The mobility stage of the canonical tick: how node motion is advanced.
 ///
-/// The default is the monolithic sequential advance. The shard plane
-/// overrides it with the plan/apply split ([`Mobility::plan_step`]): RNG
-/// draws stay sequential in node-id order, the pure positional replay fans
-/// out over the scoped worker pool, and the result is bit-identical.
+/// The default is the sequential [`Mobility::step`]; the shard plane and
+/// [`crate::GridTopology`] both take it.
 pub trait MobilityStage {
     /// Advances every node of `mobility` by `dt` seconds.
     fn advance(&mut self, mobility: &mut dyn Mobility, dt: f64, rng: &mut Rng) {
@@ -41,273 +35,3 @@ impl MobilityStage for crate::GridTopology {}
 pub trait WorldStages: MobilityStage + crate::TopologyBuilder {}
 
 impl<T: MobilityStage + crate::TopologyBuilder + ?Sized> WorldStages for T {}
-
-/// An ownership partition of the node ids into frames (spatial tiles):
-/// every node appears in exactly one frame, each frame's list ascending.
-///
-/// The shard plane rebuilds this from its per-shard owned prefixes each
-/// tick and hands it to the scoped layer entry points, which fan pure
-/// per-frame scans out over the worker pool and merge the per-frame
-/// outputs deterministically in frame-index order.
-#[derive(Debug, Clone, Default)]
-pub struct FramePartition {
-    /// Concatenated per-frame ascending owned ids.
-    ids: Vec<NodeId>,
-    /// Frame `f` owns `ids[offsets[f]..offsets[f+1]]`.
-    offsets: Vec<u32>,
-}
-
-impl FramePartition {
-    /// An empty partition (no frames).
-    pub fn new() -> Self {
-        FramePartition::default()
-    }
-
-    /// Rebuilds the partition in place from per-frame ascending id lists,
-    /// keeping allocations.
-    pub fn rebuild<'a>(&mut self, frames: impl Iterator<Item = &'a [NodeId]>) {
-        self.ids.clear();
-        self.offsets.clear();
-        self.offsets.push(0);
-        for frame in frames {
-            debug_assert!(frame.windows(2).all(|w| w[0] < w[1]), "frame ids ascend");
-            self.ids.extend_from_slice(frame);
-            self.offsets.push(self.ids.len() as u32);
-        }
-    }
-
-    /// Number of frames.
-    pub fn frame_count(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// Frame `f`'s owned ids, ascending.
-    pub fn frame(&self, f: usize) -> &[NodeId] {
-        &self.ids[self.offsets[f] as usize..self.offsets[f + 1] as usize]
-    }
-
-    /// Total owned ids across all frames.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Whether the partition holds no ids.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-}
-
-/// Wall-clock self-timing of one frame's (or chunk's) work inside a scoped
-/// fan-out: start instant and accumulated busy duration.
-pub type FrameTiming = Option<(Instant, Duration)>;
-
-/// The scoped worker pool a shard-local stage hands to a layer's
-/// `*_scoped` entry point: the frame partition, the worker count, and
-/// per-frame timing slots the fan-out helpers fill in.
-///
-/// Both helpers are exact fan-outs — every frame/chunk runs exactly once,
-/// outputs land in caller-owned per-frame buffers, and the caller merges
-/// them in frame-index order — so results are worker-count invariant. With
-/// `workers <= 1` they run inline on the caller's thread (no spawn, no
-/// allocation); timings accumulate across multiple passes so a stage with
-/// several fan-outs still reports one busy-span per frame.
-pub struct StageScope<'a> {
-    frames: &'a FramePartition,
-    workers: usize,
-    timings: &'a mut [FrameTiming],
-}
-
-impl<'a> StageScope<'a> {
-    /// A scope over `frames` with `workers` threads, accumulating per-slot
-    /// busy timings into `timings` (sized `>= frames.frame_count()` and
-    /// `>= workers`; slots are cleared by the caller between stages).
-    pub fn new(frames: &'a FramePartition, workers: usize, timings: &'a mut [FrameTiming]) -> Self {
-        assert!(timings.len() >= frames.frame_count().max(workers.max(1)));
-        StageScope {
-            frames,
-            workers: workers.max(1),
-            timings,
-        }
-    }
-
-    /// The ownership partition.
-    pub fn frames(&self) -> &FramePartition {
-        self.frames
-    }
-
-    /// The worker-pool width.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    fn accumulate(slot: &mut FrameTiming, start: Instant, busy: Duration) {
-        match slot {
-            Some((_, d)) => *d += busy,
-            None => *slot = Some((start, busy)),
-        }
-    }
-
-    /// Runs `each(frame_index, owned_ids, &mut outs[frame_index])` for
-    /// every frame, fanning frames out over the worker pool. Outputs are
-    /// per-frame, so the caller's merge in frame-index order is
-    /// deterministic regardless of scheduling.
-    pub fn map_frames<T, F>(&mut self, outs: &mut [T], each: F)
-    where
-        T: Send,
-        F: Fn(usize, &[NodeId], &mut T) + Sync,
-    {
-        let n = self.frames.frame_count();
-        assert_eq!(outs.len(), n, "one output buffer per frame");
-        if n == 0 {
-            return;
-        }
-        let workers = self.workers.min(n);
-        if workers <= 1 {
-            for (f, out) in outs.iter_mut().enumerate() {
-                let c0 = Instant::now();
-                each(f, self.frames.frame(f), out);
-                Self::accumulate(&mut self.timings[f], c0, c0.elapsed());
-            }
-            return;
-        }
-        let chunk = n.div_ceil(workers);
-        let frames = self.frames;
-        let each = &each;
-        std::thread::scope(|scope| {
-            for (g, (outs, timings)) in outs
-                .chunks_mut(chunk)
-                .zip(self.timings.chunks_mut(chunk))
-                .enumerate()
-            {
-                scope.spawn(move || {
-                    for (k, (out, slot)) in outs.iter_mut().zip(timings).enumerate() {
-                        let f = g * chunk + k;
-                        let c0 = Instant::now();
-                        each(f, frames.frame(f), out);
-                        Self::accumulate(slot, c0, c0.elapsed());
-                    }
-                });
-            }
-        });
-    }
-
-    /// Runs `each(slot, offset, chunk)` over contiguous mutable chunks of
-    /// `items`, one chunk per worker. For per-node state that cannot be
-    /// split along frame lines (frames are spatially scattered id sets),
-    /// this is the exact-cover alternative: `offset` is the chunk's start
-    /// index, and chunk boundaries depend only on `items.len()` and the
-    /// worker count, never on scheduling.
-    pub fn map_chunks<I, F>(&mut self, items: &mut [I], each: F)
-    where
-        I: Send,
-        F: Fn(usize, usize, &mut [I]) + Sync,
-    {
-        if items.is_empty() {
-            return;
-        }
-        let workers = self.workers.min(items.len());
-        let chunk = items.len().div_ceil(workers);
-        if workers <= 1 {
-            let c0 = Instant::now();
-            each(0, 0, items);
-            Self::accumulate(&mut self.timings[0], c0, c0.elapsed());
-            return;
-        }
-        let each = &each;
-        std::thread::scope(|scope| {
-            for (g, (items, slot)) in items
-                .chunks_mut(chunk)
-                .zip(self.timings.iter_mut())
-                .enumerate()
-            {
-                scope.spawn(move || {
-                    let c0 = Instant::now();
-                    each(g, g * chunk, items);
-                    Self::accumulate(slot, c0, c0.elapsed());
-                });
-            }
-        });
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn partition() -> FramePartition {
-        let mut frames = FramePartition::new();
-        frames.rebuild([&[0u32, 3, 5][..], &[1, 2][..], &[][..], &[4, 6, 7][..]].into_iter());
-        frames
-    }
-
-    #[test]
-    fn partition_round_trips_frames() {
-        let frames = partition();
-        assert_eq!(frames.frame_count(), 4);
-        assert_eq!(frames.frame(0), &[0, 3, 5]);
-        assert_eq!(frames.frame(2), &[] as &[NodeId]);
-        assert_eq!(frames.frame(3), &[4, 6, 7]);
-        assert_eq!(frames.len(), 8);
-        assert!(!frames.is_empty());
-    }
-
-    /// map_frames is an exact cover with frame-indexed outputs, identical
-    /// across worker counts (including the inline path).
-    #[test]
-    fn map_frames_is_worker_count_invariant() {
-        let frames = partition();
-        let mut reference: Option<Vec<Vec<NodeId>>> = None;
-        for workers in [1usize, 2, 3, 8] {
-            let mut timings = vec![None; frames.frame_count().max(workers)];
-            let mut scope = StageScope::new(&frames, workers, &mut timings);
-            let mut outs: Vec<Vec<NodeId>> = vec![Vec::new(); frames.frame_count()];
-            scope.map_frames(&mut outs, |f, ids, out| {
-                out.clear();
-                out.extend(ids.iter().map(|&u| u + f as NodeId));
-            });
-            match &reference {
-                None => reference = Some(outs),
-                Some(r) => assert_eq!(&outs, r, "workers = {workers}"),
-            }
-            // Every non-empty frame got timed.
-            for (f, t) in timings.iter().enumerate().take(frames.frame_count()) {
-                assert!(t.is_some(), "frame {f} untimed");
-            }
-        }
-    }
-
-    #[test]
-    fn map_chunks_covers_every_item_once() {
-        let frames = FramePartition::new();
-        for workers in [1usize, 2, 5] {
-            let mut timings = vec![None; workers];
-            let mut scope = StageScope::new(&frames, workers, &mut timings);
-            let mut items = vec![0u32; 11];
-            scope.map_chunks(&mut items, |_slot, offset, chunk| {
-                for (k, it) in chunk.iter_mut().enumerate() {
-                    *it += (offset + k) as u32 + 1;
-                }
-            });
-            let expect: Vec<u32> = (1..=11).collect();
-            assert_eq!(items, expect, "workers = {workers}");
-        }
-    }
-
-    /// Timings accumulate across passes: two fan-outs, one busy-span per
-    /// slot.
-    #[test]
-    fn timings_accumulate_across_passes() {
-        let frames = partition();
-        let mut timings = vec![None; frames.frame_count()];
-        let mut scope = StageScope::new(&frames, 1, &mut timings);
-        let mut outs = vec![0usize; frames.frame_count()];
-        scope.map_frames(&mut outs, |_, ids, out| *out = ids.len());
-        let first: Vec<Duration> = timings.iter().map(|t| t.unwrap().1).collect();
-        let mut scope = StageScope::new(&frames, 1, &mut timings);
-        let mut outs = vec![0usize; frames.frame_count()];
-        scope.map_frames(&mut outs, |_, ids, out| *out = ids.len());
-        for (t, f) in timings.iter().zip(&first) {
-            assert!(t.unwrap().1 >= *f);
-        }
-    }
-}

@@ -5,7 +5,7 @@ use manet_cluster::{
     MaintenanceOutcome, RepairOutcome, SelfHealing,
 };
 use manet_routing::intra::{IntraClusterRouting, RouteUpdateOutcome};
-use manet_sim::{Channel, Counters, MessageKind, NodeId, StageScope, StepCtx, Topology};
+use manet_sim::{Channel, Counters, MessageKind, NodeId, StepCtx, Topology};
 
 /// One tick's cluster-maintenance traffic, decomposed the way the shared
 /// [`Counters`] account it: ordinary first-attempt sends vs retries vs
@@ -87,22 +87,6 @@ pub trait ClusterLayer {
         ctx: &mut StepCtx<'_, '_>,
     ) -> ClusterFlow;
 
-    /// [`ClusterLayer::maintain`] with a scoped worker pool for layers
-    /// whose read-only scan can fan out per owner frame (DESIGN.md §17);
-    /// such layers run the same sequential commit after either scan. The
-    /// default ignores the scope and runs `maintain`.
-    fn maintain_scoped(
-        &mut self,
-        topology: &Topology,
-        alive: &[bool],
-        channel: &mut Channel,
-        ctx: &mut StepCtx<'_, '_>,
-        scope: &mut StageScope<'_>,
-    ) -> ClusterFlow {
-        let _ = scope;
-        self.maintain(topology, alive, channel, ctx) // stage-exempt: monolithic default
-    }
-
     /// The node→head assignment the routing stage consumes.
     fn assignment(&self) -> &dyn ClusterAssignment;
 
@@ -147,17 +131,6 @@ impl<P: ClusterPolicy> ClusterLayer for Clustering<P> {
         ctx: &mut StepCtx<'_, '_>,
     ) -> ClusterFlow {
         Clustering::maintain(self, topology, ctx).into()
-    }
-
-    fn maintain_scoped(
-        &mut self,
-        topology: &Topology,
-        _alive: &[bool],
-        _channel: &mut Channel,
-        ctx: &mut StepCtx<'_, '_>,
-        scope: &mut StageScope<'_>,
-    ) -> ClusterFlow {
-        Clustering::maintain_scoped(self, topology, ctx, scope).into()
     }
 
     fn assignment(&self) -> &dyn ClusterAssignment {
@@ -300,23 +273,6 @@ pub trait RouteLayer {
         channel: &mut Channel,
         ctx: &mut StepCtx<'_, '_>,
     ) -> RouteUpdateOutcome;
-
-    /// [`RouteLayer::update`] with a scoped worker pool for layers whose
-    /// snapshot scans can fan out per owner frame (DESIGN.md §17). The
-    /// default ignores the scope and stays sequential.
-    #[allow(clippy::too_many_arguments)]
-    fn update_scoped(
-        &mut self,
-        dt: f64,
-        topology: &Topology,
-        clusters: &dyn ClusterAssignment,
-        channel: &mut Channel,
-        ctx: &mut StepCtx<'_, '_>,
-        scope: &mut StageScope<'_>,
-    ) -> RouteUpdateOutcome {
-        let _ = scope;
-        self.update(dt, topology, clusters, channel, ctx) // stage-exempt: monolithic default
-    }
 }
 
 impl RouteLayer for IntraClusterRouting {
@@ -329,18 +285,6 @@ impl RouteLayer for IntraClusterRouting {
         ctx: &mut StepCtx<'_, '_>,
     ) -> RouteUpdateOutcome {
         IntraClusterRouting::update(self, dt, topology, clusters, channel, ctx)
-    }
-
-    fn update_scoped(
-        &mut self,
-        dt: f64,
-        topology: &Topology,
-        clusters: &dyn ClusterAssignment,
-        channel: &mut Channel,
-        ctx: &mut StepCtx<'_, '_>,
-        scope: &mut StageScope<'_>,
-    ) -> RouteUpdateOutcome {
-        IntraClusterRouting::update_scoped(self, dt, topology, clusters, channel, ctx, scope)
     }
 }
 

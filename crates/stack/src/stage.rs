@@ -6,9 +6,8 @@
 //! [`TopologyBuilder`] pattern established for the topology rebuild
 //! (DESIGN.md §13, generalized in §17). Every default method delegates to
 //! the layer's single entry point, so [`MonoStages`] is bit-identical to
-//! the pre-stage stack by construction; the shard plane overrides the
-//! defaults with frame-parallel scans handed to the layers' `*_scoped`
-//! entry points.
+//! the pre-stage stack by construction. The shard plane takes these same
+//! defaults and overrides only the topology rebuild.
 
 use crate::layer::{ClusterFlow, ClusterLayer, RouteLayer};
 use manet_cluster::ClusterAssignment;
@@ -71,8 +70,8 @@ pub trait RouteStage {
 /// supplying every delegated stage of the canonical tick —
 /// Mobility → Topology → HELLO → Cluster → Route.
 ///
-/// Blanket-implemented, so the shard plane (which implements all five
-/// traits) and [`MonoStages`] qualify automatically.
+/// Blanket-implemented, so the shard plane and [`MonoStages`] (which
+/// implement all five traits) qualify automatically.
 pub trait StackStages:
     MobilityStage + TopologyBuilder + HelloStage + ClusterStage + RouteStage
 {

@@ -263,11 +263,6 @@ impl AuditMonitor {
         }
     }
 
-    /// Traced `MsgSent` total for `class` so far.
-    pub fn traced_msgs(&self, class: MsgClass) -> u64 {
-        self.msgs[class.index()]
-    }
-
     /// Violations recorded so far — readable mid-run, unlike
     /// [`AuditMonitor::finish`]. The flight-recorder trigger polls this
     /// each tick to dump the event ring on the first violation.
@@ -405,7 +400,6 @@ mod tests {
         };
         m.event(&ev(3));
         m.event(&ev(4));
-        assert_eq!(m.traced_msgs(MsgClass::Cluster), 7);
         assert!(m.reconcile(MsgClass::Cluster, 7));
         assert!(!m.reconcile(MsgClass::Cluster, 8));
         assert!(m.reconcile(MsgClass::Hello, 0));

@@ -186,11 +186,6 @@ impl Histogram {
         self.quantile(0.99)
     }
 
-    /// 99.9th percentile.
-    pub fn p999(&self) -> Option<f64> {
-        self.quantile(0.999)
-    }
-
     /// Non-empty log2 buckets as `(upper_edge_seconds, count)` pairs in
     /// ascending edge order. The Prometheus exporter turns these into
     /// cumulative `le` buckets; bucket 0 (underflow: zero/negative/

@@ -21,7 +21,7 @@
 //!   head-change series, link-churn series, and warmup detection (first
 //!   window within tolerance of the steady-state rate).
 //! * [`hist`] — fixed-capacity, zero-alloc, log2-bucketed streaming
-//!   [`Histogram`]s (record / merge / p50–p999 quantiles) whose memory
+//!   [`Histogram`]s (record / merge / p50–p99 quantiles) whose memory
 //!   footprint is a compile-time constant — the storage behind the
 //!   span plane and safe for unbounded-length server runs.
 //! * [`profile`] — the tick [`Phase`]s (mobility / topology / shard
@@ -90,7 +90,7 @@ pub use flight::{FlightRecorder, FlightTrigger};
 pub use hist::{Histogram, HIST_BUCKETS};
 pub use profile::{Phase, PhaseSummary, ProfileReport};
 pub use serve::{
-    read_request, write_response, HttpRequest, MetricsServer, Publisher, TelemetrySnapshot,
+    read_request_within, write_response, HttpRequest, MetricsServer, Publisher, TelemetrySnapshot,
     MAX_REQUEST_BODY,
 };
 pub use sink::{read_trace, JsonlSink, Trace, TraceMeta, TraceOut};

@@ -25,10 +25,13 @@
 //!
 //! The server answers one request per connection (`Connection: close`),
 //! which every scraper and `curl` handles. The minimal HTTP plumbing —
-//! [`read_request`] / [`write_response`] over an [`HttpRequest`] — is
-//! public so sibling endpoints (the `manet-jobs` server) speak the exact
-//! same dialect: `HTTP/1.1` status lines, explicit `Content-Length`, one
-//! request per connection, unknown paths answered with a proper `404`.
+//! [`read_request_within`] / [`write_response`] over an [`HttpRequest`] —
+//! is public so sibling endpoints (the `manet-jobs` server) speak the
+//! exact same dialect: `HTTP/1.1` status lines, explicit `Content-Length`,
+//! one request per connection, unknown paths answered with a proper `404`,
+//! and one deadline for reading each whole request, so a client that
+//! trickles bytes holds the one-connection-at-a-time listener no longer
+//! than that deadline.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -60,16 +63,50 @@ pub struct HttpRequest {
     pub body: String,
 }
 
-/// Reads one HTTP request — request line, headers, and a
-/// `Content-Length`-delimited body — from a buffered stream.
+/// Reads one HTTP request from `stream` with one deadline, `limit` from
+/// now, for the whole head and body. Before each read the socket's read
+/// timeout is set to the time left, so however a client spaces its bytes
+/// it cannot hold the connection past the deadline.
 ///
 /// # Errors
 ///
 /// Returns `InvalidData` on a malformed request line, a request head
 /// longer than [`MAX_REQUEST_HEAD`], an unparseable or oversized
-/// `Content-Length`, or a non-UTF-8 body; propagates transport errors
-/// (including read timeouts) as-is.
-pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<HttpRequest> {
+/// `Content-Length`, or a non-UTF-8 body; `TimedOut` once the deadline
+/// has passed; and propagates transport errors (including a read that
+/// times out on the socket) as-is.
+pub fn read_request_within(stream: &TcpStream, limit: Duration) -> io::Result<HttpRequest> {
+    read_request(&mut BufReader::new(DeadlineReader {
+        stream,
+        deadline: Instant::now() + limit,
+    }))
+}
+
+/// A socket reader whose reads all end by one deadline.
+struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "request deadline passed",
+            ));
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
+}
+
+/// Reads one HTTP request — request line, headers, and a
+/// `Content-Length`-delimited body — from a buffered stream (the parser
+/// behind [`read_request_within`]; errors as there).
+fn read_request<R: BufRead>(reader: &mut R) -> io::Result<HttpRequest> {
     let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
     let mut head_left = MAX_REQUEST_HEAD as u64;
     let mut request_line = String::new();
@@ -304,11 +341,10 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
 
 /// Reads one request and writes one response. Errors are returned only
 /// to be discarded — a broken scraper must never affect the run.
-fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    let mut reader = BufReader::new(stream);
-    let request = read_request(&mut reader)?;
+fn handle_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
+    let timeout = Duration::from_secs(2);
+    stream.set_write_timeout(Some(timeout))?;
+    let request = read_request_within(&stream, timeout)?;
     let (snapshot, published_at) = {
         let cell = shared.snapshot.lock().expect("snapshot lock");
         (Arc::clone(&cell.0), cell.1)
@@ -323,7 +359,6 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
         }
         _ => ("404 Not Found", "not found\n".to_string()),
     };
-    let mut stream = reader.into_inner();
     write_response(
         &mut stream,
         status,

@@ -53,21 +53,12 @@ pub enum SpanLabel {
     /// One directed interconnect delivery into the shard carried in the
     /// span's `shard` field.
     IcDeliver,
-    /// One worker slot's share of the scoped HELLO table sweep inside the
-    /// hello stage (carries the slot index).
-    ShardHello,
-    /// One owner frame's cluster-maintenance scan inside the cluster
-    /// stage (carries the frame/shard index).
-    ShardCluster,
-    /// One owner frame's route-snapshot scan inside the routing stage
-    /// (carries the frame/shard index).
-    ShardRoute,
 }
 
 impl SpanLabel {
     /// All labels, in hierarchy order. `Stage` appears once per
     /// [`Phase::ALL`] entry.
-    pub const ALL: [SpanLabel; 14] = [
+    pub const ALL: [SpanLabel; 11] = [
         SpanLabel::Tick,
         SpanLabel::Stage(Phase::Mobility),
         SpanLabel::Stage(Phase::Topology),
@@ -79,13 +70,10 @@ impl SpanLabel {
         SpanLabel::ShardCompute,
         SpanLabel::IcSend,
         SpanLabel::IcDeliver,
-        SpanLabel::ShardHello,
-        SpanLabel::ShardCluster,
-        SpanLabel::ShardRoute,
     ];
 
     /// Number of distinct labels (dense-index domain size).
-    pub const COUNT: usize = 14;
+    pub const COUNT: usize = 11;
 
     /// Dense index into per-label storage.
     fn index(self) -> usize {
@@ -95,9 +83,6 @@ impl SpanLabel {
             SpanLabel::ShardCompute => 8,
             SpanLabel::IcSend => 9,
             SpanLabel::IcDeliver => 10,
-            SpanLabel::ShardHello => 11,
-            SpanLabel::ShardCluster => 12,
-            SpanLabel::ShardRoute => 13,
         }
     }
 
@@ -110,9 +95,6 @@ impl SpanLabel {
             SpanLabel::ShardCompute => "shard_compute",
             SpanLabel::IcSend => "ic_send",
             SpanLabel::IcDeliver => "ic_deliver",
-            SpanLabel::ShardHello => "shard_hello",
-            SpanLabel::ShardCluster => "shard_cluster",
-            SpanLabel::ShardRoute => "shard_route",
         }
     }
 }

@@ -190,18 +190,6 @@ impl Rng {
         -(1.0 - self.f64()).ln() / rate
     }
 
-    /// Returns a standard normal variate (Marsaglia polar method).
-    pub fn gaussian(&mut self) -> f64 {
-        loop {
-            let u = 2.0 * self.f64() - 1.0;
-            let v = 2.0 * self.f64() - 1.0;
-            let s = u * u + v * v;
-            if s > 0.0 && s < 1.0 {
-                return u * (-2.0 * s.ln() / s).sqrt();
-            }
-        }
-    }
-
     /// Shuffles a slice in place (Fisher–Yates).
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
@@ -311,17 +299,6 @@ mod tests {
         let n = 50_000;
         let mean: f64 = (0..n).map(|_| rng.exponential(rate)).sum::<f64>() / n as f64;
         assert!((mean - 1.0 / rate).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn gaussian_moments() {
-        let mut rng = Rng::seed_from_u64(4);
-        let n = 50_000;
-        let xs: Vec<f64> = (0..n).map(|_| rng.gaussian()).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.03, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.05, "var {var}");
     }
 
     #[test]

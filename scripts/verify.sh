@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 verification: formatting, lints, release build, every crate's tests.
+# Tier-1 verification: formatting, lints, rustdoc, release build, every crate's tests.
 # Hermetic and offline — the workspace resolves with zero external crates.
 #
 # Usage: scripts/verify.sh   (from anywhere inside the repo)
@@ -47,6 +47,11 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+# Catches intra-doc links left dangling when an item is renamed or
+# deleted, and public docs that link private items.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
