@@ -180,6 +180,9 @@ struct PassBuffers {
     /// Per node: why it was orphaned this pass and the root cause its
     /// re-home or promotion will carry (`None` without a cause tracker).
     orphans: Vec<Option<(OrphanCause, Option<Cause>)>>,
+    /// The scan's broken links as `(head, member)` pairs, sorted, so a
+    /// resignation finds the loser's unlinked members by binary search.
+    broken_by_head: Vec<(NodeId, NodeId)>,
 }
 
 /// A live one-hop cluster structure: per-node roles plus the policy that
@@ -338,6 +341,13 @@ impl<P: ClusterPolicy> Clustering<P> {
     /// already resolved, retired (an endpoint resigned) or lost for this
     /// pass, and the forward pass visits the same pairs in the same order
     /// (`tests/maintenance_oracle.rs` pins this against the rescan).
+    ///
+    /// A resignation orphans the loser's members without a scan of all
+    /// roles: a pre-pass member is either still linked to the loser or in
+    /// the scan's broken list under it (the scan covers every node, and a
+    /// pre-pass head has no `link_broke == false` entries), and a head that
+    /// lost to it earlier in the pass is adjacent to it. Both lists are
+    /// walked merged in ascending id order, the order a full scan visits.
     fn commit(&mut self, topology: &Topology, ctx: &mut StepCtx<'_, '_>) -> MaintenanceOutcome {
         let now = ctx.now;
         let n = self.roles.len();
@@ -346,9 +356,21 @@ impl<P: ClusterPolicy> Clustering<P> {
             roles,
             buffers,
         } = self;
-        let PassBuffers { scan, orphans } = buffers;
+        let PassBuffers {
+            scan,
+            orphans,
+            broken_by_head,
+        } = buffers;
         orphans.clear();
         orphans.resize(n, None);
+        broken_by_head.clear();
+        broken_by_head.extend(
+            scan.broken
+                .iter()
+                .filter(|&&(_, _, link_broke)| link_broke)
+                .map(|&(m, head, _)| (head, m)),
+        );
+        broken_by_head.sort_unstable();
         let mut outcome = MaintenanceOutcome::default();
 
         // Phase 1: live members whose affiliation is broken — the head link
@@ -425,15 +447,19 @@ impl<P: ClusterPolicy> Clustering<P> {
                     // The loser just re-homed itself; its members are
                     // orphaned (unless already orphaned by a break).
                     orphans[loser as usize] = None;
-                    for m in 0..n {
-                        if roles[m] == (Role::Member { head: loser }) && orphans[m].is_none() {
-                            orphans[m] = Some((OrphanCause::HeadResigned, why));
+                    let lo = broken_by_head.partition_point(|&(h, _)| h < loser);
+                    let hi = broken_by_head.partition_point(|&(h, _)| h <= loser);
+                    let unlinked = broken_by_head[lo..hi].iter().map(|&(_, m)| m);
+                    for m in merge_ascending(topology.neighbors(loser).iter().copied(), unlinked) {
+                        let slot = &mut orphans[m as usize];
+                        if roles[m as usize] == (Role::Member { head: loser }) && slot.is_none() {
+                            *slot = Some((OrphanCause::HeadResigned, why));
                             if ctx.probe.is_attributing() {
                                 ctx.probe.emit_caused(
                                     now,
                                     Layer::Cluster,
                                     EventKind::HeadLost {
-                                        member: m as NodeId,
+                                        member: m,
                                         head: loser,
                                     },
                                     why,
@@ -649,6 +675,19 @@ impl<P: ClusterPolicy> Clustering<P> {
             .map(|h| (h, self.members_of(h)))
             .collect()
     }
+}
+
+/// The ascending merge of two ascending id streams.
+fn merge_ascending(
+    a: impl Iterator<Item = NodeId>,
+    b: impl Iterator<Item = NodeId>,
+) -> impl Iterator<Item = NodeId> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) if y < x => b.next(),
+        (Some(_), _) => a.next(),
+        (None, _) => b.next(),
+    })
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Property and long-run integration tests for the maintenance engine.
 
 use manet_cluster::{
-    ClusterStats, Clustering, HighestConnectivity, LowestId, MaintenanceOutcome, Role,
-    StaticWeights,
+    ClusterStats, Clustering, DHopClustering, HighestConnectivity, LowestId, MaintenanceOutcome,
+    Role, StaticWeights,
 };
 use manet_sim::{MobilityKind, QuietCtx, SimBuilder};
 use manet_util::Rng;
@@ -208,8 +208,8 @@ fn repairs_evolution(seed: u64, n: usize, radius: f64, speed: f64) {
     }
 }
 
-/// Tier-1 slice of `maintenance_repairs_any_evolution`: 24 seeded cases in
-/// the proptest's ranges, plus a static world.
+/// Invariants and accounting over 24 seeded small worlds (2–59 nodes,
+/// radius 30–250 m, speed 0–40 m/s), plus a static world.
 #[test]
 fn maintenance_repairs_seeded_evolutions() {
     let mut rng = Rng::seed_from_u64(24);
@@ -223,78 +223,54 @@ fn maintenance_repairs_seeded_evolutions() {
     repairs_evolution(rng.u64(), 40, 100.0, 0.0);
 }
 
-// Compiled only with `--features slow-proptests`, which additionally
-// requires re-adding the `proptest` dev-dependency (network access);
-// the hermetic default build resolves zero external crates.
-#[cfg(feature = "slow-proptests")]
-mod slow_proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Invariants + message accounting for arbitrary small geometries.
-    #[test]
-    fn maintenance_repairs_any_evolution(seed in any::<u64>(),
-                                         n in 2usize..60,
-                                         radius in 30.0..250.0f64,
-                                         speed in 0.0..40.0f64) {
-        repairs_evolution(seed, n, radius, speed);
-    }
+/// d-hop invariants (P1(d) and P2(d)) hold through motion: 48 seeded
+/// worlds of 10–59 nodes, d = 1–3.
+#[test]
+fn dhop_invariants_hold_through_motion() {
+    let mut rng = Rng::seed_from_u64(48);
+    for _ in 0..48 {
+        let seed = rng.u64();
+        let n = 10 + rng.usize_below(50);
+        let hops = 1 + rng.usize_below(3);
+        let case = format!("seed {seed}, n {n}, hops {hops}");
+        let mut world = SimBuilder::new()
+            .side(400.0)
+            .nodes(n)
+            .radius(80.0)
+            .speed(20.0)
+            .dt(1.0)
+            .seed(seed)
+            .build();
+        let mut c = DHopClustering::form(&LowestId, world.topology(), hops);
+        assert_eq!(c.check_invariants(world.topology()), Ok(()), "{case}");
+        let mut q = QuietCtx::new();
+        for _ in 0..20 {
+            world.step(&mut q.ctx());
+            c.maintain(&LowestId, world.topology(), &mut q.ctx());
+            assert_eq!(c.check_invariants(world.topology()), Ok(()), "{case}");
+        }
     }
 }
 
-#[cfg(feature = "slow-proptests")]
-mod dhop_properties {
-    use manet_cluster::{DHopClustering, LowestId};
-    use manet_sim::SimBuilder;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(12))]
-
-        /// d-hop invariants (P1(d)+P2(d)) hold through arbitrary motion.
-        #[test]
-        fn dhop_invariants_hold_through_motion(seed in any::<u64>(),
-                                               n in 10usize..60,
-                                               hops in 1usize..4) {
-            let mut world = SimBuilder::new()
-                .side(400.0)
-                .nodes(n)
-                .radius(80.0)
-                .speed(20.0)
-                .dt(1.0)
-                .seed(seed)
-                .build();
-            let mut c = DHopClustering::form(&LowestId, world.topology(), hops);
-            prop_assert!(c.check_invariants(world.topology()).is_ok());
-            let mut q = manet_sim::QuietCtx::new();
-            for _ in 0..20 {
-                world.step(&mut q.ctx());
-                c.maintain(&LowestId, world.topology(), &mut q.ctx());
-                if let Err(e) = c.check_invariants(world.topology()) {
-                    return Err(TestCaseError::fail(format!("hops={hops}: {e}")));
-                }
-            }
-        }
-
-        /// Max-Min repair guarantees P2(d) on arbitrary geometries.
-        #[test]
-        fn max_min_always_satisfies_p2(seed in any::<u64>(), hops in 1usize..4) {
-            let world = SimBuilder::new()
-                .side(400.0)
-                .nodes(80)
-                .radius(70.0)
-                .seed(seed)
-                .build();
-            let c = DHopClustering::form_max_min(world.topology(), hops);
-            prop_assert!(c.check_invariants(world.topology()).is_ok());
-            // Head assignment is a partition: heads point to themselves.
-            for u in 0..80u32 {
-                let h = c.assignments()[u as usize];
-                prop_assert_eq!(c.assignments()[h as usize], h);
-            }
+/// Max-Min formation satisfies P2(d) and partitions the nodes (every
+/// head heads itself): 48 seeded 80-node geometries, d = 1–3.
+#[test]
+fn max_min_always_satisfies_p2() {
+    let mut rng = Rng::seed_from_u64(4848);
+    for _ in 0..48 {
+        let seed = rng.u64();
+        let hops = 1 + rng.usize_below(3);
+        let case = format!("seed {seed}, hops {hops}");
+        let world = SimBuilder::new()
+            .side(400.0)
+            .nodes(80)
+            .radius(70.0)
+            .seed(seed)
+            .build();
+        let c = DHopClustering::form_max_min(world.topology(), hops);
+        assert_eq!(c.check_invariants(world.topology()), Ok(()), "{case}");
+        for &h in c.assignments() {
+            assert_eq!(c.assignments()[h as usize], h, "{case}");
         }
     }
 }

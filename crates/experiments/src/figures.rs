@@ -123,6 +123,7 @@ where
 mod tests {
     use super::*;
     use crate::harness::{measure_lid, Protocol};
+    use manet_util::stats::loglog_slope;
 
     fn tiny_protocol() -> Protocol {
         Protocol {
@@ -133,26 +134,34 @@ mod tests {
         }
     }
 
-    fn tiny_fig(radii: &[f64]) -> Figure {
-        let base = Scenario {
+    /// The tiny sweeps' base point: N = 150 in a 600 m square, r/a = 0.15.
+    fn tiny() -> Scenario {
+        Scenario {
             nodes: 150,
             side: 600.0,
+            radius: 90.0,
             ..Scenario::default()
-        };
-        let scenarios = radii
-            .iter()
-            .map(|&frac| {
-                (
-                    frac,
-                    Scenario {
-                        radius: frac * base.side,
-                        ..base
-                    },
-                )
-            })
-            .collect();
-        sweep_with("r/a", scenarios, |s| Some(measure_lid(s, &tiny_protocol())))
-            .expect("an uncancellable sweep completes")
+        }
+    }
+
+    /// Sweeps `xs` through `vary` applied to the tiny base point.
+    fn tiny_sweep(
+        x_label: &'static str,
+        xs: &[f64],
+        vary: fn(Scenario, f64) -> Scenario,
+    ) -> Figure {
+        let scenarios = xs.iter().map(|&x| (x, vary(tiny(), x))).collect();
+        sweep_with(x_label, scenarios, |s| {
+            Some(measure_lid(s, &tiny_protocol()))
+        })
+        .expect("an uncancellable sweep completes")
+    }
+
+    fn tiny_fig(radii: &[f64]) -> Figure {
+        tiny_sweep("r/a", radii, |s, frac| Scenario {
+            radius: frac * s.side,
+            ..s
+        })
     }
 
     #[test]
@@ -178,5 +187,56 @@ mod tests {
         assert_eq!(t.len(), 1);
         let (h, c, r) = fig.agreement();
         assert!(h.is_finite() && c.is_finite() && r.is_finite());
+    }
+
+    /// Log-log slope of `series` over the figure's `x`.
+    fn slope(fig: &Figure, series: fn(&SweepPoint) -> f64) -> f64 {
+        let xs: Vec<f64> = fig.points.iter().map(|p| p.x).collect();
+        let ys: Vec<f64> = fig.points.iter().map(series).collect();
+        loglog_slope(&xs, &ys).expect("three positive points").slope
+    }
+
+    /// The physics gates (EXPERIMENTS.md, "Asserted"): simulation against
+    /// analysis at the measured P, by RMS relative error and by the
+    /// difference of the two series' log-log slopes. ROUTE has no RMS
+    /// gate: its level sits ×3.5–4.5 above the bound (ABL4), but its
+    /// shape must follow the analysis.
+    fn assert_physics(fig: &Figure) {
+        let (rms_hello, rms_cluster, _) = fig.agreement();
+        let gap = |sim: fn(&SweepPoint) -> f64, ana: fn(&SweepPoint) -> f64| {
+            (slope(fig, sim) - slope(fig, ana)).abs()
+        };
+        let hello = gap(|p| p.sim.f_hello.mean, |p| p.ana_f_hello);
+        let cluster = gap(|p| p.sim.f_cluster.mean, |p| p.ana_f_cluster);
+        let route = gap(|p| p.sim.f_route.mean, |p| p.ana_f_route);
+        let label = fig.x_label;
+        assert!(rms_hello < 0.03, "{label}: HELLO RMS error {rms_hello}");
+        assert!(hello < 0.05, "{label}: HELLO slope gap {hello}");
+        assert!(
+            rms_cluster < 0.25,
+            "{label}: CLUSTER RMS error {rms_cluster}"
+        );
+        assert!(cluster < 0.3, "{label}: CLUSTER slope gap {cluster}");
+        assert!(route < 0.45, "{label}: ROUTE slope gap {route}");
+    }
+
+    #[test]
+    fn physics_gates_hold_across_range() {
+        assert_physics(&tiny_fig(&[0.1, 0.2, 0.3]));
+    }
+
+    #[test]
+    fn physics_gates_hold_across_speed() {
+        assert_physics(&tiny_sweep("v [m/s]", &[2.0, 10.0, 40.0], |s, v| {
+            Scenario { speed: v, ..s }
+        }));
+    }
+
+    #[test]
+    fn physics_gates_hold_across_density() {
+        assert_physics(&tiny_sweep("N", &[75.0, 150.0, 300.0], |s, n| Scenario {
+            nodes: n as usize,
+            ..s
+        }));
     }
 }

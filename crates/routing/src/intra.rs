@@ -10,7 +10,6 @@
 use manet_cluster::ClusterAssignment;
 use manet_sim::{Channel, NodeId, SimError, StepCtx, Topology};
 use manet_telemetry::{Cause, EventKind, Layer, MsgClass, RootCause};
-use std::collections::BTreeMap;
 
 /// ROUTE-message accounting for one update pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -57,13 +56,61 @@ impl RouteUpdateOutcome {
     }
 }
 
-/// Canonical snapshot of one cluster's internal topology.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-struct ClusterSnapshot {
-    /// All cluster nodes (head + members), sorted.
-    nodes: Vec<NodeId>,
-    /// Intra-cluster links `(a, b)` with `a < b`, sorted.
-    links: Vec<(NodeId, NodeId)>,
+/// One tick's cluster structure in flat vectors reused across ticks.
+///
+/// Clusters are keyed by head value — `cluster_head_of`, which is always
+/// a node id but not always a head (a `SelfHealing` member whose re-home
+/// was lost keeps its resigned head) — so per-key vectors have one slot
+/// per node. Link `(a, b)`, `a < b`, belongs to the cluster of `a`'s head
+/// when `b` shares it, so each cluster's links are the union of its
+/// nodes' rows.
+#[derive(Debug, Clone, Default)]
+struct Snapshot {
+    /// Per node: its head key.
+    head: Vec<NodeId>,
+    /// Per head key: how many nodes name it (0 = no such cluster).
+    size: Vec<u32>,
+    /// CSR row offsets: node `a`'s row is `links[offsets[a]..offsets[a + 1]]`.
+    offsets: Vec<usize>,
+    /// The `b` of every intra-cluster link `(a, b)` with `b > a`, rows in
+    /// ascending `a`; each row is sorted because neighbor rows are.
+    links: Vec<NodeId>,
+}
+
+impl Snapshot {
+    /// Refills every vector from this tick's topology and assignment.
+    fn fill<C: ClusterAssignment + ?Sized>(&mut self, topology: &Topology, clustering: &C) {
+        let n = topology.len();
+        let Snapshot {
+            head,
+            size,
+            offsets,
+            links,
+        } = self;
+        head.clear();
+        head.extend((0..n as NodeId).map(|u| clustering.cluster_head_of(u)));
+        size.clear();
+        size.resize(n, 0);
+        offsets.clear();
+        offsets.push(0);
+        links.clear();
+        for (a, &h) in head.iter().enumerate() {
+            size[h as usize] += 1;
+            let a = a as NodeId;
+            links.extend(
+                topology
+                    .neighbors(a)
+                    .iter()
+                    .filter(|&&b| b > a && head[b as usize] == h),
+            );
+            offsets.push(links.len());
+        }
+    }
+
+    /// Node `a`'s intra-cluster links to higher ids.
+    fn row(&self, a: usize) -> &[NodeId] {
+        &self.links[self.offsets[a]..self.offsets[a + 1]]
+    }
 }
 
 /// When update rounds are transmitted.
@@ -87,25 +134,41 @@ pub enum UpdatePolicy {
 ///
 /// Call [`IntraClusterRouting::update`] once per tick after cluster
 /// maintenance; it diffs each cluster's internal topology against the
-/// previous tick and charges ROUTE broadcast rounds per [`UpdatePolicy`]. The first call fills the baseline and
-/// charges nothing (the paper excludes initial table population along with
-/// cluster formation).
+/// previous tick and charges ROUTE broadcast rounds per [`UpdatePolicy`].
+/// The first call fills the baseline and charges nothing (the paper
+/// excludes initial table population along with cluster formation).
+///
+/// Every buffer is reused across passes, so a steady-state pass does not
+/// allocate.
 #[derive(Debug, Clone, Default)]
 pub struct IntraClusterRouting {
-    prev: BTreeMap<NodeId, ClusterSnapshot>,
+    /// The previous pass's clusters.
+    prev: Snapshot,
+    /// This pass's clusters; swapped into `prev` when the pass commits.
+    cur: Snapshot,
     initialized: bool,
     policy: UpdatePolicy,
-    dirty: std::collections::BTreeSet<NodeId>,
+    /// Per head key: intra-cluster link changes this pass (zeroed again
+    /// before the pass returns).
+    link_changes: Vec<u64>,
+    /// Head keys whose cluster changed this pass, sorted and deduplicated.
+    changed: Vec<NodeId>,
+    /// This pass's charges as `(head, rounds, cluster size)`, ascending.
+    charges: Vec<(NodeId, u64, u64)>,
+    /// Coalesced clusters awaiting the next flush, sorted and deduplicated.
+    dirty: Vec<NodeId>,
     accum: f64,
     /// Clusters whose last lossy round dropped at least one ROUTE message;
     /// they re-broadcast a full round on the next pass (fallback re-sync).
-    resync_pending: std::collections::BTreeSet<NodeId>,
-    /// The `ChannelLoss` cause that scheduled each pending re-sync, so the
-    /// re-sync round is attributed to the loss that forced it (only
-    /// populated when a cause tracker is attached).
-    resync_cause: BTreeMap<NodeId, Cause>,
-    /// Per-node head ids, reused across passes.
-    heads: Vec<NodeId>,
+    /// Sorted and deduplicated.
+    resync_pending: Vec<NodeId>,
+    /// Last pass's pending list while this pass re-syncs it.
+    resync_due: Vec<NodeId>,
+    /// The `ChannelLoss` cause that scheduled the pending re-syncs, so each
+    /// re-sync round is attributed to the loss that forced it (only set
+    /// when a cause tracker is attached). One pass allocates at most one
+    /// such root, so every pending cluster shares it.
+    resync_cause: Option<Cause>,
 }
 
 impl IntraClusterRouting {
@@ -161,6 +224,11 @@ impl IntraClusterRouting {
     /// batched `MsgLost` event for the pass. With
     /// [`Probe::off`](manet_telemetry::Probe::off) the pass is quiet with
     /// identical outcomes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology's node count differs from the previous
+    /// pass's.
     pub fn update<C: ClusterAssignment + ?Sized>(
         &mut self,
         dt: f64,
@@ -169,47 +237,66 @@ impl IntraClusterRouting {
         channel: &mut Channel,
         ctx: &mut StepCtx<'_, '_>,
     ) -> RouteUpdateOutcome {
-        let current = self.cluster_snapshots(topology, clustering);
-        self.charge(dt, current, channel, ctx)
+        if self.initialized {
+            assert_eq!(
+                topology.len(),
+                self.prev.head.len(),
+                "topology node count changed under live intra-cluster routing"
+            );
+        }
+        self.cur.fill(topology, clustering);
+        if self.initialized {
+            self.diff();
+        }
+        let outcome = self.charge(dt, channel, ctx);
+        for &h in &self.changed {
+            self.link_changes[h as usize] = 0;
+        }
+        self.changed.clear();
+        std::mem::swap(&mut self.prev, &mut self.cur);
+        self.initialized = true;
+        outcome
     }
 
-    /// This tick's per-cluster snapshots: the heads are looked up once into
-    /// a reused vector, then one scan over `0..n` files each node and its
-    /// intra-cluster links under its head.
-    fn cluster_snapshots<C: ClusterAssignment + ?Sized>(
-        &mut self,
-        topology: &Topology,
-        clustering: &C,
-    ) -> BTreeMap<NodeId, ClusterSnapshot> {
-        let n = topology.len();
-        self.heads.clear();
-        self.heads
-            .extend((0..n as NodeId).map(|u| clustering.cluster_head_of(u)));
-        let heads = &self.heads;
-        let mut map: BTreeMap<NodeId, ClusterSnapshot> = BTreeMap::new();
-        // Ascending `a` over sorted rows visits links `(a, b)`, `a < b`, in
-        // order, so every cluster's lists are sorted and snapshots compare
-        // directly.
-        for (a, &head) in heads.iter().enumerate() {
-            let a = a as NodeId;
-            let snap = map.entry(head).or_default();
-            snap.nodes.push(a);
-            for &b in topology.neighbors(a) {
-                if b > a && heads[b as usize] == head {
-                    snap.links.push((a, b));
+    /// Fills `changed` and `link_changes` from `prev` → `cur`, node by
+    /// node. A node that kept its head adds its row's symmetric difference
+    /// to that cluster; a node that moved takes its old row out of its old
+    /// cluster and brings its new row into its new one, and both clusters
+    /// change because their node sets do. Summed per key, this is each
+    /// cluster's link-set symmetric difference.
+    fn diff(&mut self) {
+        let IntraClusterRouting {
+            prev,
+            cur,
+            link_changes,
+            changed,
+            ..
+        } = self;
+        link_changes.resize(cur.head.len(), 0);
+        for (a, (&h1, &h2)) in prev.head.iter().zip(&cur.head).enumerate() {
+            let (before, after) = (prev.row(a), cur.row(a));
+            if h1 == h2 {
+                if before != after {
+                    changed.push(h1);
+                    link_changes[h1 as usize] +=
+                        sorted_symmetric_difference_len(before, after) as u64;
                 }
+            } else {
+                changed.extend([h1, h2]);
+                link_changes[h1 as usize] += before.len() as u64;
+                link_changes[h2 as usize] += after.len() as u64;
             }
         }
-        map
+        changed.sort_unstable();
+        changed.dedup();
     }
 
-    /// The charging half of an update pass: diffs `current` against the
-    /// previous tick, transmits, and commits. Sequential — every channel
-    /// draw and emission happens here in deterministic order.
+    /// The charging half of an update pass: transmits the re-syncs and
+    /// this pass's charges, in ascending head order. Sequential — every
+    /// channel draw and emission happens here in deterministic order.
     fn charge(
         &mut self,
         dt: f64,
-        current: BTreeMap<NodeId, ClusterSnapshot>,
         channel: &mut Channel,
         ctx: &mut StepCtx<'_, '_>,
     ) -> RouteUpdateOutcome {
@@ -219,17 +306,19 @@ impl IntraClusterRouting {
         // One ChannelLoss root covers every message dropped this pass (and
         // the re-syncs those drops schedule); allocated on first loss.
         let mut loss_cause: Option<Cause> = None;
+        let stored = self.resync_cause.take();
+        std::mem::swap(&mut self.resync_pending, &mut self.resync_due);
+        self.resync_pending.clear();
         // Fallback re-sync rounds for clusters whose previous pass lost
-        // messages. A dissolved cluster (its head no longer leads one) is
-        // dropped: the membership change itself triggers regular rounds in
-        // whatever clusters absorbed its nodes.
-        for head in std::mem::take(&mut self.resync_pending) {
-            let stored = self.resync_cause.remove(&head);
-            let Some(snap) = current.get(&head) else {
+        // messages. A dissolved cluster (no node names its head any more)
+        // is dropped: the membership change itself triggers regular rounds
+        // in whatever clusters absorbed its nodes.
+        for &head in &self.resync_due {
+            let m = u64::from(self.cur.size[head as usize]);
+            if m == 0 {
                 continue;
-            };
+            }
             let cause = stored.or_else(|| probe.root(RootCause::ChannelLoss));
-            let m = snap.nodes.len() as u64;
             outcome.resync_rounds += 1;
             outcome.resync_messages += m;
             outcome.route_entries += m * m;
@@ -243,24 +332,17 @@ impl IntraClusterRouting {
                 },
                 cause,
             );
-            let mut clean = true;
-            for _ in 0..m {
-                if !channel.deliver() {
-                    outcome.lost_messages += 1;
-                    clean = false;
-                }
-            }
-            if !clean {
+            let lost = channel.lost_of(m);
+            if lost > 0 {
+                outcome.lost_messages += lost;
                 if loss_cause.is_none() {
                     loss_cause = probe.root(RootCause::ChannelLoss);
                 }
-                self.resync_pending.insert(head);
-                if let Some(c) = loss_cause {
-                    self.resync_cause.insert(head, c);
-                }
+                self.resync_pending.push(head);
             }
         }
-        for (head, rounds, m) in self.compute_charges(dt, &current) {
+        self.compute_charges(dt);
+        for &(head, rounds, m) in &self.charges {
             outcome.clusters_updated += 1;
             outcome.update_rounds += rounds;
             outcome.route_messages += rounds * m;
@@ -276,23 +358,18 @@ impl IntraClusterRouting {
                 },
                 cause,
             );
-            let mut clean = true;
-            for _ in 0..rounds * m {
-                if !channel.deliver() {
-                    outcome.lost_messages += 1;
-                    clean = false;
-                }
-            }
-            if !clean {
+            let lost = channel.lost_of(rounds * m);
+            if lost > 0 {
+                outcome.lost_messages += lost;
                 if loss_cause.is_none() {
                     loss_cause = probe.root(RootCause::ChannelLoss);
                 }
-                self.resync_pending.insert(head);
-                if let Some(c) = loss_cause {
-                    self.resync_cause.insert(head, c);
-                }
+                self.resync_pending.push(head);
             }
         }
+        self.resync_pending.sort_unstable();
+        self.resync_pending.dedup();
+        self.resync_cause = loss_cause;
         if outcome.lost_messages > 0 {
             probe.emit_caused(
                 now,
@@ -304,8 +381,6 @@ impl IntraClusterRouting {
                 loss_cause,
             );
         }
-        self.prev = current;
-        self.initialized = true;
         outcome
     }
 
@@ -314,63 +389,65 @@ impl IntraClusterRouting {
         self.resync_pending.len()
     }
 
-    /// Computes this pass's charges as `(head, rounds, cluster size)`
-    /// triples, per the active [`UpdatePolicy`]. Advances the coalescing
-    /// clock/dirty set; the caller commits `current` to `self.prev`.
-    fn compute_charges(
-        &mut self,
-        dt: f64,
-        current: &BTreeMap<NodeId, ClusterSnapshot>,
-    ) -> Vec<(NodeId, u64, u64)> {
-        let mut charges = Vec::new();
-        if !self.initialized {
-            return charges;
+    /// Fills `charges` with this pass's `(head, rounds, cluster size)`
+    /// triples, per the active [`UpdatePolicy`], from the diffed
+    /// `changed` keys. Advances the coalescing clock and dirty set.
+    fn compute_charges(&mut self, dt: f64) {
+        let IntraClusterRouting {
+            prev,
+            cur,
+            initialized,
+            policy,
+            link_changes,
+            changed,
+            charges,
+            dirty,
+            accum,
+            ..
+        } = self;
+        charges.clear();
+        if !*initialized {
+            return;
         }
-        match self.policy {
+        let size = |h: NodeId| u64::from(cur.size[h as usize]);
+        match *policy {
             UpdatePolicy::PerChange => {
-                for (head, snap) in current {
-                    // One broadcast round per intra-cluster link change. A
-                    // persistent cluster is diffed link-by-link (symmetric
-                    // difference of its sorted link lists); a cluster whose
-                    // head is new this tick rebuilds its tables in one round.
-                    let rounds = match self.prev.get(head) {
-                        Some(prev) if prev == snap => 0,
-                        Some(prev) => {
-                            let link_changes =
-                                sorted_symmetric_difference_len(&prev.links, &snap.links);
-                            // Pure membership churn with no link change inside
-                            // the link set is impossible for joins (a joiner
-                            // brings its head link) but a leaver whose links
-                            // all broke is already counted; still guarantee at
-                            // least one round for any change.
-                            link_changes.max(1) as u64
-                        }
-                        None => 1,
-                    };
-                    if rounds > 0 {
-                        charges.push((*head, rounds, snap.nodes.len() as u64));
+                for &head in changed.iter() {
+                    let m = size(head);
+                    // A dissolved cluster has no one left to update.
+                    if m == 0 {
+                        continue;
                     }
+                    // One broadcast round per intra-cluster link change; a
+                    // cluster whose head is new this tick rebuilds its
+                    // tables in one round. Pure membership churn with no
+                    // link change inside the link set is impossible for
+                    // joins (a joiner brings its head link) but a leaver
+                    // whose links all broke is already counted; still
+                    // guarantee at least one round for any change.
+                    let rounds = if prev.size[head as usize] == 0 {
+                        1
+                    } else {
+                        link_changes[head as usize].max(1)
+                    };
+                    charges.push((head, rounds, m));
                 }
             }
             UpdatePolicy::Coalesced { interval } => {
-                for (head, snap) in current {
-                    if self.prev.get(head) != Some(snap) {
-                        self.dirty.insert(*head);
-                    }
-                }
-                self.accum += dt;
-                while self.accum >= interval {
-                    self.accum -= interval;
-                    let dirty = std::mem::take(&mut self.dirty);
-                    for head in dirty {
-                        if let Some(snap) = current.get(&head) {
-                            charges.push((head, 1, snap.nodes.len() as u64));
+                dirty.extend(changed.iter().filter(|&&h| size(h) > 0));
+                dirty.sort_unstable();
+                dirty.dedup();
+                *accum += dt;
+                while *accum >= interval {
+                    *accum -= interval;
+                    for head in dirty.drain(..) {
+                        if size(head) > 0 {
+                            charges.push((head, 1, size(head)));
                         }
                     }
                 }
             }
         }
-        charges
     }
 }
 
@@ -971,6 +1048,16 @@ mod tests {
             .find(|e| matches!(e.kind, EventKind::RouteRoundStarted { .. }))
             .expect("re-sync round emitted");
         assert_eq!(resync.cause.unwrap().id, loss_root.id);
+    }
+
+    #[test]
+    #[should_panic(expected = "node count changed")]
+    fn node_count_change_between_passes_panics() {
+        let t0 = topo(&[(0.0, 0.0), (1.0, 0.0)], 1.2);
+        let mut r = IntraClusterRouting::new();
+        up(&mut r, &t0, &Clustering::form(LowestId, &t0));
+        let t1 = topo(&[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], 1.2);
+        up(&mut r, &t1, &Clustering::form(LowestId, &t1));
     }
 
     #[test]

@@ -1,0 +1,402 @@
+//! The route snapshot diff as first written, kept as a test oracle.
+//! `IntraClusterRouting` keeps each tick's clusters in flat per-node
+//! vectors and diffs them node by node; the reference files every
+//! cluster's node and link lists in a `BTreeMap` and diffs the maps
+//! cluster by cluster. Both must charge the same rounds, draw the same
+//! messages from their channels, schedule the same re-syncs and emit the
+//! same events with the same causes, tick for tick, under both update
+//! policies, on ideal, Bernoulli and Gilbert–Elliott channels, for
+//! assignments whose head keys are heads (LID, d-hop), are not always
+//! heads (`SelfHealing` after a lost re-home), or are every node.
+
+use manet_cluster::{
+    Backoff, ClusterAssignment, Clustering, DHopClustering, LowestId, SelfHealing,
+};
+use manet_routing::intra::{IntraClusterRouting, RouteUpdateOutcome, UpdatePolicy};
+use manet_sim::{
+    Channel, LossModel, NodeId, QuietCtx, Scratch, SimBuilder, StepCtx, Topology, World,
+};
+use manet_telemetry::{Cause, CauseTracker, Event, EventKind, Layer, MsgClass, Probe, RootCause};
+use manet_util::Rng;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// One cluster's internal topology.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+struct ClusterSnapshot {
+    /// All cluster nodes (head + members), sorted.
+    nodes: Vec<NodeId>,
+    /// Intra-cluster links `(a, b)` with `a < b`, sorted.
+    links: Vec<(NodeId, NodeId)>,
+}
+
+/// Every cluster keyed by its head value.
+fn cluster_snapshots(
+    topology: &Topology,
+    clustering: &dyn ClusterAssignment,
+) -> BTreeMap<NodeId, ClusterSnapshot> {
+    let n = topology.len() as NodeId;
+    let heads: Vec<NodeId> = (0..n).map(|u| clustering.cluster_head_of(u)).collect();
+    let mut map: BTreeMap<NodeId, ClusterSnapshot> = BTreeMap::new();
+    for a in 0..n {
+        let head = heads[a as usize];
+        let snap = map.entry(head).or_default();
+        snap.nodes.push(a);
+        for &b in topology.neighbors(a) {
+            if b > a && heads[b as usize] == head {
+                snap.links.push((a, b));
+            }
+        }
+    }
+    map
+}
+
+/// `|a Δ b|` of two sorted slices.
+fn symmetric_difference_len<T: Ord>(a: &[T], b: &[T]) -> usize {
+    let a: BTreeSet<&T> = a.iter().collect();
+    let b: BTreeSet<&T> = b.iter().collect();
+    a.symmetric_difference(&b).count()
+}
+
+/// The map-diffing layer: one message at a time through the channel.
+#[derive(Default)]
+struct Reference {
+    prev: BTreeMap<NodeId, ClusterSnapshot>,
+    initialized: bool,
+    policy: UpdatePolicy,
+    dirty: BTreeSet<NodeId>,
+    accum: f64,
+    resync_pending: BTreeSet<NodeId>,
+    resync_cause: BTreeMap<NodeId, Cause>,
+}
+
+impl Reference {
+    fn new(policy: UpdatePolicy) -> Self {
+        Reference {
+            policy,
+            ..Reference::default()
+        }
+    }
+
+    fn compute_charges(
+        &mut self,
+        dt: f64,
+        current: &BTreeMap<NodeId, ClusterSnapshot>,
+    ) -> Vec<(NodeId, u64, u64)> {
+        let mut charges = Vec::new();
+        if !self.initialized {
+            return charges;
+        }
+        match self.policy {
+            UpdatePolicy::PerChange => {
+                for (&head, snap) in current {
+                    let rounds = match self.prev.get(&head) {
+                        Some(prev) if prev == snap => 0,
+                        Some(prev) => symmetric_difference_len(&prev.links, &snap.links).max(1),
+                        None => 1,
+                    };
+                    if rounds > 0 {
+                        charges.push((head, rounds as u64, snap.nodes.len() as u64));
+                    }
+                }
+            }
+            UpdatePolicy::Coalesced { interval } => {
+                for (&head, snap) in current {
+                    if self.prev.get(&head) != Some(snap) {
+                        self.dirty.insert(head);
+                    }
+                }
+                self.accum += dt;
+                while self.accum >= interval {
+                    self.accum -= interval;
+                    for head in std::mem::take(&mut self.dirty) {
+                        if let Some(snap) = current.get(&head) {
+                            charges.push((head, 1, snap.nodes.len() as u64));
+                        }
+                    }
+                }
+            }
+        }
+        charges
+    }
+
+    /// Sends `sends` messages one `deliver` at a time; true when all arrive.
+    fn transmit(channel: &mut Channel, sends: u64, outcome: &mut RouteUpdateOutcome) -> bool {
+        let mut clean = true;
+        for _ in 0..sends {
+            if !channel.deliver() {
+                outcome.lost_messages += 1;
+                clean = false;
+            }
+        }
+        clean
+    }
+
+    fn update(
+        &mut self,
+        dt: f64,
+        topology: &Topology,
+        clustering: &dyn ClusterAssignment,
+        channel: &mut Channel,
+        probe: &mut Probe<'_>,
+        now: f64,
+    ) -> RouteUpdateOutcome {
+        let current = cluster_snapshots(topology, clustering);
+        let mut outcome = RouteUpdateOutcome::default();
+        let mut loss_cause: Option<Cause> = None;
+        for head in std::mem::take(&mut self.resync_pending) {
+            let stored = self.resync_cause.remove(&head);
+            let Some(snap) = current.get(&head) else {
+                continue;
+            };
+            let cause = stored.or_else(|| probe.root(RootCause::ChannelLoss));
+            let m = snap.nodes.len() as u64;
+            outcome.resync_rounds += 1;
+            outcome.resync_messages += m;
+            outcome.route_entries += m * m;
+            let kind = EventKind::RouteRoundStarted {
+                head,
+                size: m,
+                rounds: 1,
+            };
+            probe.emit_caused(now, Layer::Routing, kind, cause);
+            if !Self::transmit(channel, m, &mut outcome) {
+                if loss_cause.is_none() {
+                    loss_cause = probe.root(RootCause::ChannelLoss);
+                }
+                self.resync_pending.insert(head);
+                if let Some(c) = loss_cause {
+                    self.resync_cause.insert(head, c);
+                }
+            }
+        }
+        for (head, rounds, m) in self.compute_charges(dt, &current) {
+            outcome.clusters_updated += 1;
+            outcome.update_rounds += rounds;
+            outcome.route_messages += rounds * m;
+            outcome.route_entries += rounds * m * m;
+            let cause = probe.root(RootCause::IntraClusterChange);
+            let kind = EventKind::RouteRoundStarted {
+                head,
+                size: m,
+                rounds,
+            };
+            probe.emit_caused(now, Layer::Routing, kind, cause);
+            if !Self::transmit(channel, rounds * m, &mut outcome) {
+                if loss_cause.is_none() {
+                    loss_cause = probe.root(RootCause::ChannelLoss);
+                }
+                self.resync_pending.insert(head);
+                if let Some(c) = loss_cause {
+                    self.resync_cause.insert(head, c);
+                }
+            }
+        }
+        if outcome.lost_messages > 0 {
+            let kind = EventKind::MsgLost {
+                class: MsgClass::Route,
+                count: outcome.lost_messages,
+            };
+            probe.emit_caused(now, Layer::Routing, kind, loss_cause);
+        }
+        self.prev = current;
+        self.initialized = true;
+        outcome
+    }
+}
+
+/// Every node heads itself, as a flat network's `NoClustering` does.
+struct Identity(usize);
+
+impl ClusterAssignment for Identity {
+    fn node_count(&self) -> usize {
+        self.0
+    }
+
+    fn cluster_head_of(&self, u: NodeId) -> NodeId {
+        u
+    }
+}
+
+/// A cluster structure that evolves with the world.
+enum Structure {
+    Lid(Clustering<LowestId>),
+    /// Crash churn plus a lossy CLUSTER channel: lost re-homes leave
+    /// members keyed by heads that resigned.
+    Healing {
+        healer: Box<SelfHealing<LowestId>>,
+        alive: Vec<bool>,
+        channel: Channel,
+        rng: Rng,
+    },
+    DHop(DHopClustering),
+    Identity(Identity),
+}
+
+impl Structure {
+    fn form(kind: usize, world: &World, seed: u64) -> Self {
+        let topology = world.topology();
+        match kind {
+            0 => Structure::Lid(Clustering::form(LowestId, topology)),
+            1 => Structure::Healing {
+                healer: Box::new(SelfHealing::new(
+                    Clustering::form(LowestId, topology),
+                    Backoff {
+                        base_ticks: 1,
+                        max_exponent: 2,
+                    },
+                    8,
+                )),
+                alive: vec![true; topology.len()],
+                channel: Channel::new(LossModel::Bernoulli { p: 0.3 }, seed),
+                rng: Rng::seed_from_u64(seed),
+            },
+            2 => Structure::DHop(DHopClustering::form(&LowestId, topology, 2)),
+            _ => Structure::Identity(Identity(topology.len())),
+        }
+    }
+
+    /// Maintains the structure against the world's new topology and
+    /// returns the topology the routing layer sees.
+    fn advance(&mut self, world: &World) -> Topology {
+        let mut q = QuietCtx::new();
+        let mut topology = world.topology().clone();
+        match self {
+            Structure::Lid(c) => {
+                c.maintain(&topology, &mut q.ctx());
+            }
+            Structure::Healing {
+                healer,
+                alive,
+                channel,
+                rng,
+            } => {
+                for up in alive.iter_mut() {
+                    if rng.bernoulli(0.02) {
+                        *up = !*up;
+                    }
+                }
+                topology.retain_alive(alive);
+                healer.step(&topology, alive, channel, &mut q.ctx());
+            }
+            Structure::DHop(d) => {
+                d.maintain(&LowestId, &topology, &mut q.ctx());
+            }
+            Structure::Identity(_) => {}
+        }
+        topology
+    }
+
+    fn assignment(&self) -> &dyn ClusterAssignment {
+        match self {
+            Structure::Lid(c) => c,
+            Structure::Healing { healer, .. } => healer.clustering(),
+            Structure::DHop(d) => d,
+            Structure::Identity(i) => i,
+        }
+    }
+}
+
+/// The layer and its reference, each with its own identically seeded
+/// channel and cause tracker.
+struct Lockstep {
+    label: String,
+    flat: IntraClusterRouting,
+    flat_channel: Channel,
+    flat_causes: CauseTracker,
+    reference: Reference,
+    ref_channel: Channel,
+    ref_causes: CauseTracker,
+}
+
+impl Lockstep {
+    fn new(policy: UpdatePolicy, loss: LossModel, seed: u64) -> Self {
+        Lockstep {
+            label: format!("{policy:?} on {loss:?}"),
+            flat: IntraClusterRouting::with_policy(policy),
+            flat_channel: Channel::new(loss, seed),
+            flat_causes: CauseTracker::new(),
+            reference: Reference::new(policy),
+            ref_channel: Channel::new(loss, seed),
+            ref_causes: CauseTracker::new(),
+        }
+    }
+
+    fn tick(&mut self, world: &World, topology: &Topology, clustering: &dyn ClusterAssignment) {
+        let (dt, now) = (world.dt(), world.time());
+        let mut flat_events = Vec::<Event>::new();
+        let mut probe = Probe::with_causes(Some(&mut flat_events), Some(&mut self.flat_causes));
+        let mut scratch = Scratch::new();
+        let flat = self.flat.update(
+            dt,
+            topology,
+            clustering,
+            &mut self.flat_channel,
+            &mut StepCtx::new(&mut probe, &mut scratch).at(now),
+        );
+        let mut ref_events = Vec::<Event>::new();
+        let mut probe = Probe::with_causes(Some(&mut ref_events), Some(&mut self.ref_causes));
+        let expect = self.reference.update(
+            dt,
+            topology,
+            clustering,
+            &mut self.ref_channel,
+            &mut probe,
+            now,
+        );
+        assert_eq!(
+            (flat, self.flat.resync_backlog(), flat_events),
+            (expect, self.reference.resync_pending.len(), ref_events),
+            "{} at t = {now}",
+            self.label
+        );
+    }
+}
+
+#[test]
+fn flat_diff_matches_the_map_diff_oracle() {
+    let losses = [
+        LossModel::Ideal,
+        LossModel::Bernoulli { p: 0.2 },
+        LossModel::GilbertElliott {
+            p_gb: 0.1,
+            p_bg: 0.3,
+            loss_good: 0.02,
+            loss_bad: 0.6,
+        },
+    ];
+    let policies = [
+        UpdatePolicy::PerChange,
+        UpdatePolicy::Coalesced { interval: 2.0 },
+    ];
+    let mut rng = Rng::seed_from_u64(0x5eed_4007e);
+    let mut charged = 0;
+    for case in 0..12u64 {
+        let mut world = SimBuilder::new()
+            .side(400.0)
+            .nodes(20 + rng.usize_below(101))
+            .radius(rng.f64_range(50.0..150.0))
+            .speed(rng.f64_range(5.0..40.0))
+            .dt(0.5)
+            .seed(case)
+            .build();
+        let mut structure = Structure::form(case as usize % 4, &world, case);
+        let mut pairs: Vec<Lockstep> = policies
+            .iter()
+            .flat_map(|&policy| losses.iter().map(move |&loss| (policy, loss)))
+            .map(|(policy, loss)| Lockstep::new(policy, loss, rng.u64()))
+            .collect();
+        let mut q = QuietCtx::new();
+        for _ in 0..40 {
+            world.step(&mut q.ctx());
+            let topology = structure.advance(&world);
+            for pair in &mut pairs {
+                pair.tick(&world, &topology, structure.assignment());
+            }
+        }
+        charged += pairs
+            .iter()
+            .filter(|p| p.flat_causes.allocated() > 0)
+            .count();
+    }
+    assert!(charged > 0, "the worlds must charge some ROUTE rounds");
+}

@@ -245,6 +245,18 @@ impl Channel {
             }
         }
     }
+
+    /// How many of `sends` messages are dropped: `sends` [`deliver`]
+    /// draws in order, or none at all when the channel
+    /// [`is_ideal`](Self::is_ideal) (every draw would deliver).
+    ///
+    /// [`deliver`]: Self::deliver
+    pub fn lost_of(&mut self, sends: u64) -> u64 {
+        if self.is_ideal() {
+            return 0;
+        }
+        (0..sends).map(|_| u64::from(!self.deliver())).sum()
+    }
 }
 
 /// Whether a churn event takes a node down or brings it back.
@@ -596,6 +608,35 @@ mod tests {
         assert_eq!(c, before, "ideal channel must not consume randomness");
         assert!(c.is_ideal());
         assert_eq!(c.model().mean_loss(), 0.0);
+    }
+
+    #[test]
+    fn lost_of_counts_drops_and_skips_ideal_draws() {
+        let lossy = LossModel::GilbertElliott {
+            p_gb: 0.1,
+            p_bg: 0.3,
+            loss_good: 0.05,
+            loss_bad: 0.8,
+        };
+        let mut batched = Channel::new(lossy, 9);
+        let mut single = batched.clone();
+        for k in [0u64, 1, 7, 50] {
+            let lost = (0..k).filter(|_| !single.deliver()).count() as u64;
+            assert_eq!(batched.lost_of(k), lost);
+            assert_eq!(batched, single, "k sends make exactly k draws");
+        }
+        // An ideal Gilbert–Elliott channel (loss-free in both states) drops
+        // nothing and draws nothing.
+        let ideal = LossModel::GilbertElliott {
+            p_gb: 0.5,
+            p_bg: 0.5,
+            loss_good: 0.0,
+            loss_bad: 0.0,
+        };
+        let mut c = Channel::new(ideal, 3);
+        let before = c.clone();
+        assert_eq!(c.lost_of(1000), 0);
+        assert_eq!(c, before);
     }
 
     #[test]

@@ -487,24 +487,19 @@ impl World {
             // The ideal channel consumes no randomness, and the draws come
             // from the world's own forked channel, so loss observation never
             // perturbs mobility or higher layers.
-            if !self.hello_channel.is_ideal() {
-                for _ in 0..hello_sent {
-                    if !self.hello_channel.deliver() {
-                        hello_lost += 1;
-                    }
-                }
-                if hello_lost > 0 {
-                    let cause = ctx.probe.root(RootCause::ChannelLoss);
-                    ctx.probe.emit_caused(
-                        self.time,
-                        Layer::Sim,
-                        EventKind::MsgLost {
-                            class: MessageKind::Hello.into(),
-                            count: hello_lost as u64,
-                        },
-                        cause,
-                    );
-                }
+            let lost = self.hello_channel.lost_of(hello_sent);
+            hello_lost = lost as usize;
+            if lost > 0 {
+                let cause = ctx.probe.root(RootCause::ChannelLoss);
+                ctx.probe.emit_caused(
+                    self.time,
+                    Layer::Sim,
+                    EventKind::MsgLost {
+                        class: MessageKind::Hello.into(),
+                        count: lost,
+                    },
+                    cause,
+                );
             }
         }
         ctx.probe.phase_end(Phase::Hello, t0);

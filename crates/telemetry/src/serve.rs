@@ -31,7 +31,8 @@
 //! one request per connection, unknown paths answered with a proper `404`,
 //! and one deadline for reading each whole request, so a client that
 //! trickles bytes holds the one-connection-at-a-time listener no longer
-//! than that deadline.
+//! than that deadline. A request that is malformed, oversized or not
+//! complete by then is answered `400`.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -339,12 +340,19 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
     }
 }
 
-/// Reads one request and writes one response. Errors are returned only
-/// to be discarded — a broken scraper must never affect the run.
+/// The content type of every response.
+const TEXT: &str = "text/plain; version=0.0.4; charset=utf-8";
+
+/// Reads one request and writes one response; a malformed, oversized or
+/// timed-out request is answered `400`. Errors are returned only to be
+/// discarded — a broken scraper must never affect the run.
 fn handle_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
     let timeout = Duration::from_secs(2);
     stream.set_write_timeout(Some(timeout))?;
-    let request = read_request_within(&stream, timeout)?;
+    let Ok(request) = read_request_within(&stream, timeout) else {
+        let body = "malformed HTTP request\n";
+        return write_response(&mut stream, "400 Bad Request", TEXT, body);
+    };
     let (snapshot, published_at) = {
         let cell = shared.snapshot.lock().expect("snapshot lock");
         (Arc::clone(&cell.0), cell.1)
@@ -359,12 +367,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
         }
         _ => ("404 Not Found", "not found\n".to_string()),
     };
-    write_response(
-        &mut stream,
-        status,
-        "text/plain; version=0.0.4; charset=utf-8",
-        &body,
-    )
+    write_response(&mut stream, status, TEXT, &body)
 }
 
 /// Renders the `/health` body: `key value` lines, one per fact.
@@ -481,6 +484,80 @@ mod tests {
         );
         assert!(response.contains("Connection: close\r\n"), "{response}");
         assert!(response.ends_with("not found\n"), "{response}");
+    }
+
+    /// The server's 2 s request deadline plus 1 s of slack: how long a
+    /// client here waits for an answer before calling it missing.
+    const PATIENCE: Duration = Duration::from_secs(3);
+
+    /// The response's status line, or "" when none arrived in time.
+    fn status_line(mut stream: &TcpStream) -> String {
+        stream.set_read_timeout(Some(PATIENCE)).unwrap();
+        let mut response = Vec::new();
+        // A timeout keeps whatever arrived before it.
+        let _ = stream.read_to_end(&mut response);
+        let response = String::from_utf8_lossy(&response);
+        response.lines().next().unwrap_or_default().to_string()
+    }
+
+    /// Sends `bytes` on a fresh connection and returns the status line.
+    fn exchange(addr: SocketAddr, bytes: &[u8]) -> String {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(bytes).expect("send");
+        status_line(&stream)
+    }
+
+    /// Malformed and oversized requests answer 400 at once. An idle
+    /// client is answered 400 at the deadline, and a client trickling
+    /// one byte every 200 ms (well inside any per-read timeout) is cut
+    /// off at it, so with both still connected a well-formed request
+    /// completes within the deadline plus 1 s.
+    #[test]
+    fn bad_idle_and_trickling_clients_cannot_block_the_listener() {
+        let server = MetricsServer::serve("127.0.0.1:0").expect("bind");
+        let addr = server.local_addr();
+
+        let malformed = exchange(addr, b"NONSENSE\r\n");
+        assert!(
+            malformed.starts_with("HTTP/1.1 400"),
+            "malformed: {malformed:?}"
+        );
+        // A newline-free head exactly at the cap: every byte is read
+        // before the 400, so the close is clean.
+        let oversized = exchange(addr, &[b'a'; MAX_REQUEST_HEAD]);
+        assert!(
+            oversized.starts_with("HTTP/1.1 400"),
+            "oversized: {oversized:?}"
+        );
+
+        let idle = TcpStream::connect(addr).expect("connect");
+        let answer = status_line(&idle);
+        assert!(answer.starts_with("HTTP/1.1 400"), "idle: {answer:?}");
+
+        // Connected before the well-formed client, so the listener takes
+        // it first. The trickle stops on a write error or after ~10 s.
+        let mut trickle = TcpStream::connect(addr).expect("connect");
+        let trickler = std::thread::spawn(move || {
+            let head = b"GET /health HTTP/1.1\r\nX-Pad: ".iter().chain(&[b'a'; 21]);
+            for byte in head {
+                if trickle.write_all(&[*byte]).is_err() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(200));
+            }
+        });
+
+        let sent = Instant::now();
+        let health = exchange(addr, b"GET /health HTTP/1.1\r\n\r\n");
+        let waited = sent.elapsed();
+        assert!(
+            health.starts_with("HTTP/1.1 200"),
+            "well-formed request got {health:?} after {waited:?}"
+        );
+        assert!(waited <= PATIENCE, "well-formed request took {waited:?}");
+
+        drop(idle);
+        trickler.join().expect("trickler thread");
     }
 
     #[test]
