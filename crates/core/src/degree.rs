@@ -92,18 +92,15 @@ mod tests {
             let pts: Vec<manet_geom::Vec2> = (0..p.node_count())
                 .map(|_| region.sample_uniform(&mut rng))
                 .collect();
-            let grid = manet_geom::SpatialGrid::build(
+            let mut rows = vec![Vec::new(); pts.len()];
+            manet_geom::SpatialGrid::default().neighbor_rows(
                 &pts,
                 region,
                 p.radius(),
                 manet_geom::Metric::Euclidean,
+                &mut rows,
             );
-            let mut out = Vec::new();
-            let mut total = 0usize;
-            for i in 0..pts.len() {
-                grid.neighbors_within(i, &mut out);
-                total += out.len();
-            }
+            let total: usize = rows.iter().map(Vec::len).sum();
             acc += total as f64 / pts.len() as f64;
         }
         let mc = acc / trials as f64;

@@ -1,9 +1,9 @@
 //! Direct validation of the paper's Claims 1 and 2.
 
 use crate::harness::{build_world, Scenario, WorldDriver};
-use manet_geom::{Metric, SpatialGrid, SquareRegion};
+use manet_geom::{Metric, SquareRegion};
 use manet_model::{DegreeModel, NetworkParams};
-use manet_sim::{MobilityKind, QuietCtx};
+use manet_sim::{MobilityKind, QuietCtx, Topology};
 use manet_util::stats::Summary;
 use manet_util::table::{fmt_sig, Table};
 use manet_util::Rng;
@@ -43,14 +43,7 @@ pub fn claim1(replications: u64) -> Vec<Claim1Row> {
                     (Metric::Euclidean, &mut window),
                     (Metric::toroidal(side), &mut torus),
                 ] {
-                    let grid = SpatialGrid::build(&pts, region, radius, metric);
-                    let mut out = Vec::new();
-                    let mut total = 0usize;
-                    for i in 0..n {
-                        grid.neighbors_within(i, &mut out);
-                        total += out.len();
-                    }
-                    acc.push(total as f64 / n as f64);
+                    acc.push(Topology::compute(&pts, region, radius, metric).mean_degree());
                 }
             }
             Claim1Row {

@@ -25,9 +25,8 @@ use crate::harness::{
 };
 use crate::robustness::{row_ctl, FaultMeasured, RobustnessRow};
 use manet_cluster::{HighestConnectivity, LowestId};
-use manet_geom::{ShardDims, ShardLayout, ShardLayoutError, SquareRegion};
+use manet_geom::{ghost_margin, ShardDims, ShardLayout, ShardLayoutError, SquareRegion};
 use manet_model::{DegreeModel, NetworkParams};
-use manet_shard::ghost_margin;
 use manet_sim::MobilityKind;
 use manet_util::json::Value;
 use std::fmt;

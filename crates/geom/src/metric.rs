@@ -45,8 +45,8 @@ impl Metric {
         match *self {
             Metric::Euclidean => a.distance_sq(b),
             Metric::Toroidal { side } => {
-                let dx = min_image(a.x - b.x, side);
-                let dy = min_image(a.y - b.y, side);
+                let dx = min_image((a.x - b.x).abs(), side);
+                let dy = min_image((a.y - b.y).abs(), side);
                 dx * dx + dy * dy
             }
         }
@@ -65,13 +65,18 @@ impl Metric {
     }
 }
 
-/// Folds a coordinate difference into the minimum-image convention
-/// `[-side/2, side/2]`.
+/// Folds an absolute coordinate difference into the minimum-image
+/// distance `[0, side/2]`.
+///
+/// For in-range points (`d < side`) the fold `side − d` is exact
+/// (Sterbenz), and `|a − b|` rounds the same both ways, so the metric is
+/// symmetric to the last bit; only out-of-range differences need
+/// `rem_euclid`.
 #[inline]
-fn min_image(delta: f64, side: f64) -> f64 {
-    let d = delta.rem_euclid(side);
+fn min_image(d: f64, side: f64) -> f64 {
+    let d = if d < side { d } else { d.rem_euclid(side) };
     if d > side * 0.5 {
-        d - side
+        side - d
     } else {
         d
     }
@@ -129,6 +134,35 @@ mod tests {
             // Triangle inequality.
             assert!(m.distance(a, c) <= m.distance(a, b) + m.distance(b, c) + 1e-12);
         }
+    }
+
+    /// A negative difference once went through `(delta + side) − side`,
+    /// which rounds: `distance_sq(a, b)` and `distance_sq(b, a)` differed
+    /// in the last bits, so a link at exactly `r` could be one-sided.
+    #[test]
+    fn toroidal_distance_is_bitwise_symmetric() {
+        use manet_util::Rng;
+        let m = Metric::toroidal(1000.0);
+        let (a, b) = (Vec2::new(0.1, 0.0), Vec2::new(0.3, 0.0));
+        assert_eq!(m.distance_sq(a, b), m.distance_sq(b, a));
+        assert_eq!(m.distance_sq(a, b), 0.039999999999999994);
+        let mut rng = Rng::seed_from_u64(0x5E77);
+        for side in [7.0, 1000.0, 15_811.388_300_841_898] {
+            let m = Metric::toroidal(side);
+            let mut sample = || Vec2::new(rng.f64_range(0.0..side), rng.f64_range(0.0..side));
+            for _ in 0..2000 {
+                let (a, b) = (sample(), sample());
+                assert_eq!(m.distance_sq(a, b), m.distance_sq(b, a), "{a} {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn toroidal_folds_out_of_range_differences() {
+        let m = Metric::toroidal(10.0);
+        // 23 ≡ 3 (mod 10): one wrap, then the direct 3.
+        let d = m.distance(Vec2::new(0.0, 0.0), Vec2::new(23.0, 0.0));
+        assert!((d - 3.0).abs() < 1e-12);
     }
 
     #[test]

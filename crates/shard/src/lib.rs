@@ -51,15 +51,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod grid;
 pub mod interconnect;
 pub mod link;
 pub mod plane;
 pub mod stack;
 
-pub use grid::FrameGrid;
 pub use interconnect::{GhostBatch, Interconnect, InterconnectConfig, InterconnectMsg};
 pub use link::{LinkHealth, LinkManager, ShardLink};
 pub use manet_geom::{ShardDims, ShardLayout, ShardLayoutError};
-pub use plane::{default_workers, ghost_margin, ShardPlane, ShardReport, ShardStats};
+pub use plane::{default_workers, ShardPlane, ShardReport, ShardStats};
 pub use stack::ShardedStack;

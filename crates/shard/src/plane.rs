@@ -15,11 +15,11 @@
 //!    in-process pushes, so a single-shard plane is immune to chaos by
 //!    construction.
 //! 2. **Per-shard compute** (parallel over a scoped worker pool): each
-//!    shard buckets its frame-local points into a [`FrameGrid`] and scans
-//!    candidate pairs once, writing sorted neighbor rows for its owned
-//!    nodes. Shards share nothing mutable, so any worker count produces
-//!    the same rows — all fault-plane decisions happen on the sequential
-//!    exchange path.
+//!    shard sweeps its frame with the workspace's one unit-disk kernel,
+//!    [`FrameGrid`], writing sorted neighbor rows for its owned nodes.
+//!    Shards share nothing mutable, so any worker count produces the same
+//!    rows — all fault-plane decisions happen on the sequential exchange
+//!    path.
 //! 3. **Merge** (sequential, in shard-index order): each owned row is
 //!    swapped into the global [`Topology`] — pointer swaps, no copying —
 //!    so row capacities circulate between the shard buffers and the
@@ -33,20 +33,17 @@
 //!    ideal interconnect the sweep never runs and the plane is
 //!    bit-identical to a plane without the message layer.
 //!
-//! **Bit-exactness.** The link predicate must match the monolithic
-//! `Metric::within` decision exactly, but frame-local coordinates are
-//! translated, which can perturb the distance by a few ulps. The hot
-//! path therefore decides on the local Euclidean distance only when it
-//! is clear of the threshold by a safety band (`r² · 1e-9`, orders of
-//! magnitude wider than the translation error); the astronomically rare
-//! borderline pairs are re-decided with the global metric on the
-//! original coordinates. Every link decision is thus identical to the
-//! monolithic path, making the whole tick — counters, events, traces —
-//! bit-identical at any shard count.
+//! **Bit-exactness.** Every link decision equals `Metric::within` on the
+//! untranslated coordinates ([`FrameGrid::sweep`] defers borderline
+//! pairs to the global metric), and the monolithic builder runs the same
+//! kernel on a 1x1 frame. The whole tick — counters, events, traces — is
+//! therefore bit-identical at any shard count.
 
-use crate::grid::FrameGrid;
 use crate::interconnect::{Interconnect, InterconnectConfig};
-use manet_geom::{Metric, ShardDims, ShardLayout, ShardLayoutError, SquareRegion, Vec2};
+use manet_geom::{
+    ghost_margin, row_floor, FrameGrid, Metric, ShardDims, ShardLayout, ShardLayoutError,
+    SquareRegion, Vec2,
+};
 use manet_sim::{FaultError, MobilityStage, NodeId, Topology, TopologyBuilder, World};
 use manet_stack::{ClusterStage, HelloStage, RouteStage};
 use manet_telemetry::{Phase, Probe, ShardGaugeRow, ShardSnapshot, SpanLabel};
@@ -54,18 +51,6 @@ use std::time::{Duration, Instant};
 
 /// Owner shard of a node not yet assigned (before its first tick).
 const UNASSIGNED: u16 = u16::MAX;
-
-/// Relative width of the decision band around `r²` inside which the
-/// local-frame Euclidean distance defers to the global metric.
-const BAND_REL: f64 = 1e-9;
-
-/// The ghost-margin width a plane uses for radio radius `radius`: one
-/// radius, plus a relative and an absolute slack that absorb the
-/// ulp-level error of tile-relative offsets. A layout can run a world
-/// exactly when its tiles are at least this wide.
-pub fn ghost_margin(radius: f64) -> f64 {
-    radius * (1.0 + 1e-9) + 1e-9
-}
 
 /// The default worker pool of a plane with `shards` shards: one thread per
 /// shard, capped at the host's available parallelism. A `1x1` plane thus
@@ -123,11 +108,11 @@ struct ShardState {
     owned: usize,
     /// Computed neighbor rows for the owned prefix (global ids, sorted).
     rows: Vec<Vec<NodeId>>,
-    /// Capacity floor for neighbor rows (the pre-sized expected degree).
-    /// `build_into` *swaps* row buffers with the output topology, so
-    /// never-pre-sized buffers keep entering the pool; `compute` tops any
-    /// undersized buffer up to this floor so the swap churn converges to
-    /// the allocation-free steady state instead of growing buffers
+    /// Capacity floor for neighbor rows ([`row_floor`]). `build_into`
+    /// *swaps* row buffers with the output topology, so never-pre-sized
+    /// buffers keep entering the pool; the sweep tops any undersized
+    /// buffer up to this floor so the swap churn converges to the
+    /// allocation-free steady state instead of growing buffers
     /// organically for hundreds of ticks.
     row_cap: usize,
     grid: FrameGrid,
@@ -144,74 +129,17 @@ impl ShardState {
     ///
     /// `positions` are the global coordinates, consulted only for the
     /// rare borderline pairs inside the decision band.
-    fn compute(&mut self, positions: &[Vec2], radius: f64, metric: Metric) {
-        let ShardState {
-            ids,
-            pts,
-            owned,
-            rows,
-            row_cap,
-            grid,
-            stats,
-            timed: _,
-        } = self;
-        let oc = *owned;
-        if rows.len() < oc {
-            rows.resize_with(oc, Vec::new);
+    fn compute(&mut self, positions: &[Vec2]) {
+        if self.rows.len() < self.owned {
+            self.rows.resize_with(self.owned, Vec::new);
         }
-        for row in &mut rows[..oc] {
-            row.clear();
-            if row.capacity() < *row_cap {
-                row.reserve(*row_cap);
-            }
-        }
-        stats.boundary_links = 0;
-        grid.rebuild(pts);
-        let r2 = radius * radius;
-        let band = r2 * BAND_REL;
-        grid.for_each_pair(|a, b| {
-            let (a, b) = (a as usize, b as usize);
-            if a >= oc && b >= oc {
-                return; // ghost–ghost: some other shard owns this pair
-            }
-            let (ia, ib) = (ids[a], ids[b]);
-            if ia == ib {
-                return; // a node and its own periodic image
-            }
-            let (dx, dy) = (pts[a].x - pts[b].x, pts[a].y - pts[b].y);
-            let d2 = dx * dx + dy * dy;
-            let within = if (d2 - r2).abs() <= band {
-                // Borderline: re-decide with the global metric on the
-                // untranslated coordinates so the decision is identical
-                // to the monolithic builder's.
-                metric.within(positions[ia as usize], positions[ib as usize], radius)
-            } else {
-                d2 <= r2
-            };
-            if !within {
-                return;
-            }
-            if a < oc {
-                rows[a].push(ib);
-            }
-            if b < oc {
-                rows[b].push(ia);
-            }
-            if (a < oc) != (b < oc) {
-                // Owned–ghost link: charge it once globally, at the
-                // side whose owned id is the smaller endpoint.
-                let (own, ghost) = if a < oc { (ia, ib) } else { (ib, ia) };
-                if own < ghost {
-                    stats.boundary_links += 1;
-                }
-            }
-        });
-        for row in &mut rows[..oc] {
-            row.sort_unstable();
-            // A pair can be discovered through two image combinations in
-            // one frame (narrow tiles); the global link set has it once.
-            row.dedup();
-        }
+        self.stats.boundary_links = self.grid.sweep(
+            &self.ids,
+            &self.pts,
+            positions,
+            &mut self.rows[..self.owned],
+            self.row_cap,
+        );
     }
 }
 
@@ -278,7 +206,8 @@ impl ShardPlane {
         let mut shards = Vec::with_capacity(dims.count());
         for _ in 0..dims.count() {
             let mut s = ShardState::default();
-            s.grid.configure(layout.frame_w(), layout.frame_h(), radius);
+            s.grid
+                .configure(layout.frame_w(), layout.frame_h(), radius, metric);
             shards.push(s);
         }
         let interconnect = Interconnect::new(InterconnectConfig::default(), dims.count())
@@ -317,21 +246,17 @@ impl ShardPlane {
         if n == 0 || shards == 0 {
             return;
         }
-        let area = self.region.side() * self.region.side();
-        let density = n as f64 / area;
+        let density = n as f64 / (self.region.side() * self.region.side());
         // Owned share plus the margin band around the tile, then 50% slack.
-        let tile_w = self.region.side() / self.layout.dims().kx as f64;
-        let tile_h = self.region.side() / self.layout.dims().ky as f64;
-        let margin = ghost_margin(radius);
-        let frame_pop = density * (tile_w + 2.0 * margin) * (tile_h + 2.0 * margin);
+        let frame_pop = density * self.layout.frame_w() * self.layout.frame_h();
         let cap = ((frame_pop * 1.5).ceil() as usize).max(16);
         let owned_cap = ((n as f64 / shards as f64 * 1.5).ceil() as usize).max(16);
-        // Expected unit-disk degree ρπr², doubled for slack.
-        let degree = (density * std::f64::consts::PI * radius * radius * 2.0).ceil() as usize;
+        let row_cap = row_floor(n, self.region.side(), radius);
         for s in &mut self.shards {
             s.ids.reserve(cap);
             s.pts.reserve(cap);
-            s.row_cap = degree.max(8);
+            s.grid.reserve(cap);
+            s.row_cap = row_cap;
             s.rows.resize_with(owned_cap, Vec::new);
             for row in &mut s.rows {
                 row.reserve(s.row_cap);
@@ -591,10 +516,10 @@ impl TopologyBuilder for ShardPlane {
         let timed_compute = |s: &mut ShardState| {
             if record_spans {
                 let c0 = Instant::now();
-                s.compute(positions, radius, metric);
+                s.compute(positions);
                 s.timed = Some((c0, c0.elapsed()));
             } else {
-                s.compute(positions, radius, metric);
+                s.compute(positions);
             }
         };
         if workers == 1 {
@@ -663,6 +588,18 @@ mod tests {
         (0..n).map(|_| region.sample_uniform(&mut rng)).collect()
     }
 
+    /// The O(N²) reference rows: every ordered pair through
+    /// `Metric::within`, independent of the kernel under test.
+    fn brute_rows(pts: &[Vec2], radius: f64, metric: Metric) -> Vec<Vec<NodeId>> {
+        (0..pts.len())
+            .map(|i| {
+                (0..pts.len() as NodeId)
+                    .filter(|&j| j as usize != i && metric.within(pts[i], pts[j as usize], radius))
+                    .collect()
+            })
+            .collect()
+    }
+
     fn build(plane: &mut ShardPlane, pts: &[Vec2], radius: f64, metric: Metric) -> Topology {
         let mut topo = Topology::default();
         let mut grid = None;
@@ -688,7 +625,7 @@ mod tests {
         let region = SquareRegion::new(side);
         let metric = Metric::toroidal(side);
         let pts = random_points(300, side, 11);
-        let reference = Topology::compute(&pts, region, radius, metric);
+        let reference = brute_rows(&pts, radius, metric);
         for dims in ["1x1", "2x2", "4x1", "1x3", "3x2"] {
             let dims = ShardDims::parse(dims).unwrap();
             let mut plane = ShardPlane::new(dims, region, radius, metric)
@@ -696,10 +633,10 @@ mod tests {
                 .with_workers(1);
             let topo = build(&mut plane, &pts, radius, metric);
             assert_eq!(topo.len(), reference.len());
-            for i in 0..pts.len() as NodeId {
+            for (i, row) in reference.iter().enumerate() {
                 assert_eq!(
-                    topo.neighbors(i),
-                    reference.neighbors(i),
+                    topo.neighbors(i as NodeId),
+                    row,
                     "{dims}: node {i} rows diverge"
                 );
             }
@@ -714,14 +651,14 @@ mod tests {
         let region = SquareRegion::new(side);
         let metric = Metric::Euclidean;
         let pts = random_points(200, side, 5);
-        let reference = Topology::compute(&pts, region, radius, metric);
+        let reference = brute_rows(&pts, radius, metric);
         let dims = ShardDims::parse("3x3").unwrap();
         let mut plane = ShardPlane::new(dims, region, radius, metric)
             .unwrap()
             .with_workers(1);
         let topo = build(&mut plane, &pts, radius, metric);
-        for i in 0..pts.len() as NodeId {
-            assert_eq!(topo.neighbors(i), reference.neighbors(i), "node {i}");
+        for (i, row) in reference.iter().enumerate() {
+            assert_eq!(topo.neighbors(i as NodeId), row, "node {i}");
         }
     }
 
@@ -801,10 +738,11 @@ mod tests {
             .with_workers(1);
         build(&mut plane, &pts, radius, metric);
         let layout = *plane.layout();
-        let reference = Topology::compute(&pts, region, radius, metric);
-        let expected = reference
-            .links()
-            .filter(|&(a, b)| layout.owner_of(pts[a as usize]) != layout.owner_of(pts[b as usize]))
+        let expected = brute_rows(&pts, radius, metric)
+            .iter()
+            .enumerate()
+            .flat_map(|(a, row)| row.iter().map(move |&b| (a, b as usize)))
+            .filter(|&(a, b)| a < b && layout.owner_of(pts[a]) != layout.owner_of(pts[b]))
             .count();
         let counted: usize = plane.shard_stats().map(|s| s.boundary_links).sum();
         // Every cross-shard link is ghost-discovered; same-shard wrap
@@ -834,15 +772,15 @@ mod tests {
         let region = SquareRegion::new(side);
         let metric = Metric::toroidal(side);
         let pts = random_points(250, side, 17);
-        let reference = Topology::compute(&pts, region, radius, metric);
+        let reference = brute_rows(&pts, radius, metric);
         let mut plane = ShardPlane::new(ShardDims::parse("2x2").unwrap(), region, radius, metric)
             .unwrap()
             .with_interconnect(InterconnectConfig::default())
             .unwrap()
             .with_workers(1);
         let topo = build(&mut plane, &pts, radius, metric);
-        for i in 0..pts.len() as NodeId {
-            assert_eq!(topo.neighbors(i), reference.neighbors(i), "node {i}");
+        for (i, row) in reference.iter().enumerate() {
+            assert_eq!(topo.neighbors(i as NodeId), row, "node {i}");
         }
     }
 
@@ -857,7 +795,7 @@ mod tests {
         let region = SquareRegion::new(side);
         let metric = Metric::toroidal(side);
         let pts = random_points(250, side, 29);
-        let reference = Topology::compute(&pts, region, radius, metric);
+        let reference = brute_rows(&pts, radius, metric);
         let dims = ShardDims::parse("2x2").unwrap();
         let max_staleness = 3u64;
         // Shard 0 freezes from tick 1 onward; everything else stays up.
@@ -880,8 +818,7 @@ mod tests {
             .map(|&p| plane.layout().owner_of(p) == 0)
             .collect();
         let crossing = |i: usize| {
-            reference
-                .neighbors(i as NodeId)
+            reference[i]
                 .iter()
                 .any(|&j| in_stalled[i] != in_stalled[j as usize])
         };
@@ -895,8 +832,7 @@ mod tests {
             let topo = build(&mut plane, &pts, radius, metric);
             let expired = tick > max_staleness;
             for i in 0..pts.len() {
-                let expected: Vec<NodeId> = reference
-                    .neighbors(i as NodeId)
+                let expected: Vec<NodeId> = reference[i]
                     .iter()
                     .copied()
                     .filter(|&j| !expired || in_stalled[i] == in_stalled[j as usize])

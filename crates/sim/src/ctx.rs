@@ -54,13 +54,14 @@ impl FaultHooks for NoFaults {}
 
 /// Shared scratch buffers for the steady-state tick loop.
 ///
-/// Holding the spatial grid and the double-buffered topology here (rather
+/// Holding the kernel's frame and the double-buffered topology here (rather
 /// than rebuilding them from scratch each tick) makes the topology/diff
 /// path of `World::step` allocation-free once capacities have warmed up;
 /// this crate's `tests/alloc_free.rs` pins it.
 #[derive(Debug, Default)]
 pub struct Scratch {
-    /// The spatial hash grid, rebuilt (not reallocated) every tick.
+    /// The 1x1 frame the unit-disk kernel sweeps, rebuilt (not
+    /// reallocated) every tick.
     pub(crate) grid: Option<SpatialGrid>,
     /// The next-tick topology buffer, swapped with the world's current
     /// topology after the diff so neighbor-list capacities are recycled.

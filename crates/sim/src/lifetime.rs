@@ -131,8 +131,10 @@ mod tests {
         let measured = tracker.lifetimes().mean();
         let theory = LinkLifetimes::claim2_mean_lifetime(r, v);
         let rel = (measured - theory).abs() / theory;
+        // The dt = 0.1 s discretization biases measured lifetimes short:
+        // this seed reads 3.5%, seeds 1–5 read 3.3–4.2%.
         assert!(
-            rel < 0.12,
+            rel < 0.06,
             "mean lifetime {measured:.2}s vs π²r/(8v) = {theory:.2}s (rel {rel:.3})"
         );
     }

@@ -54,8 +54,8 @@ pub trait TopologyBuilder {
     );
 }
 
-/// The default [`TopologyBuilder`]: one monolithic spatial hash grid,
-/// rebuilt (not reallocated) in the scratch slot every tick.
+/// The default [`TopologyBuilder`]: the unit-disk kernel on one 1x1
+/// frame, rebuilt (not reallocated) in the scratch slot every tick.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GridTopology;
 
@@ -71,11 +71,8 @@ impl TopologyBuilder for GridTopology {
         _probe: &mut Probe<'_>,
         _now: f64,
     ) {
-        match grid {
-            Some(g) => g.rebuild(positions, region, radius, metric),
-            None => *grid = Some(SpatialGrid::build(positions, region, radius, metric)),
-        }
-        out.compute_into(grid.as_ref().expect("grid just built"));
+        let grid = grid.get_or_insert_with(SpatialGrid::default);
+        out.compute_into(grid, positions, region, radius, metric);
     }
 }
 
@@ -100,25 +97,33 @@ impl Topology {
     /// Computes the topology of `positions` under `metric` with unit-disk
     /// `radius`.
     pub fn compute(positions: &[Vec2], region: SquareRegion, radius: f64, metric: Metric) -> Self {
-        let grid = SpatialGrid::build(positions, region, radius, metric);
         let mut topo = Topology::default();
-        topo.compute_into(&grid);
+        topo.compute_into(
+            &mut SpatialGrid::default(),
+            positions,
+            region,
+            radius,
+            metric,
+        );
         topo
     }
 
-    /// Recomputes this topology in place from a grid already indexed over
-    /// the tick's positions, reusing the per-node neighbor allocations.
+    /// Recomputes this topology in place through `grid`, reusing the
+    /// grid's frame buffers and the per-node neighbor allocations.
     ///
-    /// Equivalent to `*self = Topology::compute(..)` over the grid's
-    /// inputs, but allocation-free in the steady state: neighbor lists only
-    /// reallocate when a node's degree exceeds its list's past capacity.
-    pub fn compute_into(&mut self, grid: &SpatialGrid) {
-        let n = grid.len();
-        self.neighbors.truncate(n);
-        self.neighbors.resize_with(n, Vec::new);
-        for (i, list) in self.neighbors.iter_mut().enumerate() {
-            grid.neighbors_within(i, list);
-        }
+    /// Equivalent to `*self = Topology::compute(..)`, but allocation-free
+    /// in the steady state: rows start at the expected-degree floor and
+    /// only reallocate when a node's degree exceeds it.
+    pub fn compute_into(
+        &mut self,
+        grid: &mut SpatialGrid,
+        positions: &[Vec2],
+        region: SquareRegion,
+        radius: f64,
+        metric: Metric,
+    ) {
+        let rows = self.rows_mut(positions.len());
+        grid.neighbor_rows(positions, region, radius, metric, rows);
     }
 
     /// Resizes to `n` rows and exposes them mutably, for external

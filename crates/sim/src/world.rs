@@ -368,7 +368,7 @@ impl World {
 
         let t0 = ctx.probe.phase_start();
         // Rebuild the next topology in the shared scratch buffers: the
-        // spatial grid and the spare topology keep their capacities across
+        // kernel's frame and the spare topology keep their capacities across
         // ticks, and the post-diff swap recycles the current topology's
         // neighbor lists as next tick's spare.
         let Scratch { grid, spare } = &mut *ctx.scratch;

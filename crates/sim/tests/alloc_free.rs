@@ -1,6 +1,6 @@
 //! The zero-allocation contract of the steady-state tick (DESIGN.md §12):
 //! once the scratch buffers have warmed up, `World::step` — mobility,
-//! grid rebuild, `Topology::compute_into`, diff, HELLO accounting —
+//! the kernel's frame rebuild and sweep, diff, HELLO accounting —
 //! performs no heap allocation at all. Measured with a counting global
 //! allocator wrapped around the system one.
 //!
@@ -48,7 +48,7 @@ fn steady_state_world_step_is_allocation_free() {
         .hello_mode(HelloMode::EventDriven)
         .build();
     let mut quiet = QuietCtx::new();
-    // Warm up every capacity the hot loop touches: the spatial grid, the
+    // Warm up every capacity the hot loop touches: the kernel's frame, the
     // double-buffered spare topology, per-node neighbor lists, and the
     // link-event vector.
     for _ in 0..1000 {

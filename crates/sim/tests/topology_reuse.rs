@@ -6,8 +6,8 @@
 //! endpoints of it.
 //!
 //! The cases are seeded (no external proptest dependency; the hermetic
-//! build resolves zero crates). Larger sweeps ride behind the
-//! `slow-proptests` feature like the rest of the property suites.
+//! build resolves zero crates). The `_large` tests run a seeded slice of
+//! thousand-node networks.
 
 use manet_geom::{Metric, SpatialGrid, SquareRegion, Vec2};
 use manet_sim::{LinkEventKind, Topology};
@@ -38,7 +38,7 @@ fn check_reuse(seed: u64, rounds: usize, max_nodes: usize) {
     let region = SquareRegion::new(side);
     let mut rng = Rng::seed_from_u64(seed);
     let mut reused = Topology::default();
-    let mut grid: Option<SpatialGrid> = None;
+    let mut grid = SpatialGrid::default();
     for round in 0..rounds {
         // Grow and shrink the network so truncate/resize paths both run.
         let n = 1 + rng.usize_below(max_nodes);
@@ -49,14 +49,9 @@ fn check_reuse(seed: u64, rounds: usize, max_nodes: usize) {
             Metric::Euclidean
         };
         let positions = random_positions(&mut rng, n, side);
-        // Exercise both the cold build and the warm rebuild of the grid,
-        // exactly as `World::step` does with its scratch buffers.
-        match &mut grid {
-            Some(g) => g.rebuild(&positions, region, radius, metric),
-            None => grid = Some(SpatialGrid::build(&positions, region, radius, metric)),
-        }
-        let g = grid.as_ref().expect("grid built");
-        reused.compute_into(g);
+        // Reuse the grid and the dirty rows exactly as `World::step` does
+        // with its scratch buffers.
+        reused.compute_into(&mut grid, &positions, region, radius, metric);
         let fresh = Topology::compute(&positions, region, radius, metric);
         assert_same(&reused, &fresh);
         // Symmetry + sortedness invariants hold on the reused buffer.
@@ -135,21 +130,17 @@ fn diff_is_stable_after_retain_alive() {
     }
 }
 
-/// Large sweeps (thousand-node networks, many rounds) behind the
-/// `slow-proptests` gate, matching the convention of the other property
-/// suites.
+/// Thousand-node networks: two seeds, sized for the tier-1 suite.
 #[test]
-#[cfg(feature = "slow-proptests")]
 fn reused_buffer_equals_from_scratch_large() {
-    for seed in 0..8u64 {
+    for seed in 0..2u64 {
         check_reuse(0x1A46_E000 + seed, 12, 2000);
     }
 }
 
 #[test]
-#[cfg(feature = "slow-proptests")]
 fn diff_is_stable_after_retain_alive_large() {
-    for seed in 0..8u64 {
+    for seed in 0..2u64 {
         check_diff_stability(0xD1FF_0000 + seed, 12, 1500);
     }
 }

@@ -15,6 +15,15 @@ if grep -rn "_traced\|maintain_faulty\|update_lossy" crates src --include='*.rs'
     exit 1
 fi
 
+echo "==> one-kernel guard (one unit-disk kernel, DESIGN.md §13)"
+# Every topology builder turns positions into neighbor rows through
+# manet-geom's FrameGrid sweep. Fail the build if a per-node neighbor
+# query or a second pair scan reappears in library code.
+if grep -rn "fn neighbors_within\|fn for_each_pair" crates/*/src --include='*.rs'; then
+    echo "verify: FAIL — a second neighbor kernel found (use manet_geom::FrameGrid)" >&2
+    exit 1
+fi
+
 echo "==> argv guard (only cli.rs and bin mains read the process arguments)"
 # Experiment binaries parse their flags once, in BinArgs (cli.rs); the
 # library takes what it needs from the caller. Fail the build if
