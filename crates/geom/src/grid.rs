@@ -3,18 +3,26 @@
 //!
 //! [`FrameGrid`] works on a *frame*: a rectangle in plain Euclidean
 //! coordinates holding owned items (the nodes whose rows are wanted) and
-//! ghost items (images of nodes that can link to them). Each rebuild
-//! copies the frame into cell order, then sweeps the owned items one row
-//! at a time: three contiguous cell-row slices around the item's cell go
+//! ghost items (images of nodes that can link to them). A sweep copies
+//! the frame into cell order, then visits the owned items one row at a
+//! time: three contiguous cell-row slices around the item's cell go
 //! through a branch-free distance prefilter, and the few hits are decided
 //! exactly (see [`FrameGrid::sweep`]).
 //!
+//! A frame built from this call's positions (a *fresh* frame) can also
+//! keep a Verlet candidate list per owned row: every item within
+//! `r + s`, with the skin `s = 0.2·r`. Each call re-tests a row's
+//! candidates with the exact link rule and rebuilds a rotating slice of
+//! the lists, plus any list whose drift budget is spent (see
+//! [`FrameGrid::advance`] and [`FrameGrid::sweep_verlet`]).
+//!
 //! Two builders feed it. The shard plane (`manet-shard`) runs it once
-//! per shard on the frame its ghost exchange assembled. [`SpatialGrid`]
-//! runs it on a 1x1 frame: every node owned, plus its periodic
-//! self-images on a torus. Both therefore produce the same rows.
+//! per shard on the frame its ghost exchange assembled; a one-shard
+//! plane keeps candidate lists. [`SpatialGrid`] runs it on a 1x1 frame:
+//! every node owned, plus its periodic self-images on a torus, with
+//! candidate lists too. Both therefore produce the same rows.
 
-use crate::metric::Metric;
+use crate::metric::{fold, Metric};
 use crate::region::SquareRegion;
 use crate::shard::{ShardDims, ShardLayout};
 use crate::vec2::Vec2;
@@ -22,6 +30,20 @@ use crate::vec2::Vec2;
 /// Relative width of the decision band around `r²` inside which the
 /// frame-local Euclidean distance defers to the global metric.
 const BAND_REL: f64 = 1e-9;
+
+/// The Verlet skin `s` relative to the radius: a candidate list holds
+/// every item within `r + s`, so it keeps every link until some node has
+/// moved `s/2` since the list was built.
+const SKIN_REL: f64 = 0.2;
+
+/// The share of the skin a list's drift budget leaves unused, absorbing
+/// the rounding of frame-local coordinates and of the measured steps.
+const SLACK_REL: f64 = 1e-6;
+
+/// The shortest rotation period worth keeping lists for: at `P = 2`
+/// half the lists rebuild every call, which costs about as much as the
+/// plain sweep.
+const MIN_PERIOD: u64 = 3;
 
 /// The ghost-margin width a frame needs for radio radius `radius`: one
 /// radius, plus a relative and an absolute slack that absorb the
@@ -40,20 +62,29 @@ pub fn row_floor(n: usize, side: f64, radius: f64) -> usize {
     degree.max(8)
 }
 
-/// A CSR cell grid over one `[0, w) × [0, h)` frame, with cells at least
-/// one radius wide so every pair within the radius sits in the same or an
-/// adjacent cell.
-///
-/// All buffers are reused across sweeps; once [`FrameGrid::reserve`] has
-/// sized them for the frame, the steady state is allocation-free.
+/// The reach `r + s` of the candidate lists for radius `radius` on a
+/// square of side `side`, or `None` when lists do not apply: from
+/// `r + s ≥ side/2` on, a list holds nearly every node, and on a torus a
+/// node could show through two images.
+pub fn candidate_reach(radius: f64, side: f64) -> Option<f64> {
+    let reach = reach(radius);
+    (reach < side * 0.5).then_some(reach)
+}
+
+/// The reach `r + s` of a candidate list.
+fn reach(radius: f64) -> f64 {
+    radius + radius * SKIN_REL
+}
+
+/// The frame in cell order over a rectangular, non-wrapping CSR cell
+/// grid whose cells are at least one sweep reach wide, so every pair
+/// within the reach sits in the same or an adjacent cell.
 #[derive(Debug, Default)]
-pub struct FrameGrid {
+struct CellFrame {
     ncx: usize,
     ncy: usize,
     inv_cw: f64,
     inv_ch: f64,
-    radius: f64,
-    metric: Option<Metric>,
     /// CSR cell boundaries: cell `c` holds sorted items
     /// `starts[c]..starts[c + 1]`.
     starts: Vec<u32>,
@@ -65,49 +96,15 @@ pub struct FrameGrid {
     ys: Vec<f64>,
     ids: Vec<u32>,
     slots: Vec<u32>,
-    /// Prefilter hits of the current row: sorted index and squared
-    /// distance. As long as the frame, so no slice can overflow it.
-    hits: Vec<u32>,
-    hit_d2: Vec<f64>,
 }
 
-impl FrameGrid {
-    /// Sets the frame extents, the link radius (also the minimum cell
-    /// size) and the metric that decides borderline pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `w`, `h` and `radius` are positive and finite.
-    pub fn configure(&mut self, w: f64, h: f64, radius: f64, metric: Metric) {
-        assert!(
-            w > 0.0 && h > 0.0 && w.is_finite() && h.is_finite(),
-            "frame grid needs positive finite extents"
-        );
-        assert!(
-            radius > 0.0 && radius.is_finite(),
-            "radius must be positive and finite"
-        );
-        self.ncx = ((w / radius) as usize).max(1);
-        self.ncy = ((h / radius) as usize).max(1);
+impl CellFrame {
+    /// Sizes the cells of a `w × h` frame for pairs within `reach`.
+    fn set_cells(&mut self, w: f64, h: f64, reach: f64) {
+        self.ncx = ((w / reach) as usize).max(1);
+        self.ncy = ((h / reach) as usize).max(1);
         self.inv_cw = self.ncx as f64 / w;
         self.inv_ch = self.ncy as f64 / h;
-        self.radius = radius;
-        self.metric = Some(metric);
-    }
-
-    /// Sizes every per-item buffer for frames of up to `items` entries.
-    pub fn reserve(&mut self, items: usize) {
-        for v in [
-            &mut self.cell_of,
-            &mut self.ids,
-            &mut self.slots,
-            &mut self.hits,
-        ] {
-            v.reserve(items.saturating_sub(v.len()));
-        }
-        for v in [&mut self.xs, &mut self.ys, &mut self.hit_d2] {
-            v.reserve(items.saturating_sub(v.len()));
-        }
     }
 
     /// Cell index of a frame-local point (clamped to the frame, so
@@ -137,8 +134,6 @@ impl FrameGrid {
         self.ys.resize(n, 0.0);
         self.ids.resize(n, 0);
         self.slots.resize(n, 0);
-        self.hits.resize(n, 0);
-        self.hit_d2.resize(n, 0.0);
         // Scatter with `starts[c]` as cell c's cursor; afterwards each
         // cursor sits on the next cell's start, so shift them back.
         for (i, &c) in self.cell_of.iter().enumerate() {
@@ -151,6 +146,180 @@ impl FrameGrid {
         }
         self.starts.copy_within(0..ncells, 1);
         self.starts[0] = 0;
+    }
+
+    /// The sorted-item ranges of the three cell-row slices around frame
+    /// item `k`'s cell.
+    fn slices(&self, k: usize) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        let ncx = self.ncx;
+        let c = self.cell_of[k] as usize;
+        let (cx, cy) = (c % ncx, c / ncx);
+        let (x0, x1) = (cx.saturating_sub(1), (cx + 1).min(ncx - 1));
+        (cy.saturating_sub(1)..=(cy + 1).min(self.ncy - 1)).map(move |band_row| {
+            let base = band_row * ncx;
+            self.starts[base + x0] as usize..self.starts[base + x1 + 1] as usize
+        })
+    }
+
+    /// Collects into `hits` (sorted index) and `hit_d2` (frame-local
+    /// squared distance) every item with `d² ≤ lim` from frame item `k`
+    /// at `p`, through a branch-free prefilter. Returns the hit count.
+    fn scan(&self, k: usize, p: Vec2, lim: f64, hits: &mut [u32], hit_d2: &mut [f64]) -> usize {
+        let mut nh = 0;
+        for range in self.slices(k) {
+            let lo = range.start;
+            for (j, (&xj, &yj)) in self.xs[range.clone()]
+                .iter()
+                .zip(&self.ys[range])
+                .enumerate()
+            {
+                let (dx, dy) = (xj - p.x, yj - p.y);
+                let d2 = dx * dx + dy * dy;
+                hits[nh] = (lo + j) as u32;
+                hit_d2[nh] = d2;
+                nh += usize::from(d2 <= lim);
+            }
+        }
+        nh
+    }
+
+    /// Collects into `out` the global id of every item with `d² ≤ lim`
+    /// from frame item `k` at `p` (the candidate scan: the prefilter
+    /// alone decides). Returns the hit count.
+    fn scan_ids(&self, k: usize, p: Vec2, lim: f64, out: &mut [u32]) -> usize {
+        let mut nh = 0;
+        for range in self.slices(k) {
+            let (xs, ys, ids) = (
+                &self.xs[range.clone()],
+                &self.ys[range.clone()],
+                &self.ids[range],
+            );
+            for ((&xj, &yj), &id) in xs.iter().zip(ys).zip(ids) {
+                let (dx, dy) = (xj - p.x, yj - p.y);
+                out[nh] = id;
+                nh += usize::from(dx * dx + dy * dy <= lim);
+            }
+        }
+        nh
+    }
+}
+
+/// The Verlet state of [`FrameGrid::sweep_verlet`]: the positions of the
+/// previous [`FrameGrid::advance`], the drift since the history began,
+/// and one candidate list per owned slot.
+#[derive(Debug, Default)]
+struct Candidates {
+    /// Global positions at the previous `advance` (empty: no history).
+    prev: Vec<Vec2>,
+    /// The sum of every `advance`'s largest per-node step, rounded up:
+    /// no node has moved farther than `drift − d` since it read `d`.
+    drift: f64,
+    /// `advance` calls so far: the phase of the rotation.
+    calls: u64,
+    /// Per owned slot: the sorted ids within `r + s` at its last build.
+    lists: Vec<Vec<u32>>,
+    /// The owned id each slot's list was built for.
+    owner: Vec<u32>,
+    /// Per slot: the drift past which its list may miss a link (`−∞`
+    /// when it holds none).
+    expires: Vec<f64>,
+    /// Capacity of a new list ([`FrameGrid::set_candidate_cap`]).
+    cap: usize,
+}
+
+impl Candidates {
+    /// Drops the history and expires every list.
+    fn forget(&mut self) {
+        self.prev.clear();
+        self.drift = 0.0;
+        self.expires.fill(f64::NEG_INFINITY);
+    }
+
+    /// Sizes the per-slot state for `slots` owned rows; new slots hold no
+    /// list.
+    fn fit(&mut self, slots: usize) {
+        if self.lists.len() < slots {
+            let cap = self.cap;
+            self.lists.resize_with(slots, || Vec::with_capacity(cap));
+            self.owner.resize(slots, u32::MAX);
+            self.expires.resize(slots, f64::NEG_INFINITY);
+        }
+    }
+}
+
+/// The unit-disk kernel over one `[0, w) × [0, h)` frame (see the module
+/// docs).
+///
+/// All buffers are reused across sweeps; once [`FrameGrid::reserve`] (and,
+/// for candidate lists, [`FrameGrid::set_candidate_cap`]) has sized them
+/// for the frame, the steady state is allocation-free.
+#[derive(Debug, Default)]
+pub struct FrameGrid {
+    w: f64,
+    h: f64,
+    radius: f64,
+    metric: Option<Metric>,
+    frame: CellFrame,
+    /// Prefilter hits of the current row: sorted index and squared
+    /// distance; re-tests reuse `hits` for the surviving ids. As long as
+    /// the frame, so no slice can overflow it.
+    hits: Vec<u32>,
+    hit_d2: Vec<f64>,
+    verlet: Candidates,
+}
+
+impl FrameGrid {
+    /// Sets the frame extents, the link radius and the metric that
+    /// decides borderline pairs. Each sweep sizes its cells for its own
+    /// reach (`r`, or `r + s` for candidate lists). A changed radius or
+    /// metric drops the candidate lists' history.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `w`, `h` and `radius` are positive and finite.
+    pub fn configure(&mut self, w: f64, h: f64, radius: f64, metric: Metric) {
+        assert!(
+            w > 0.0 && h > 0.0 && w.is_finite() && h.is_finite(),
+            "frame grid needs positive finite extents"
+        );
+        assert!(
+            radius > 0.0 && radius.is_finite(),
+            "radius must be positive and finite"
+        );
+        if radius != self.radius || Some(metric) != self.metric {
+            self.verlet.forget();
+        }
+        self.w = w;
+        self.h = h;
+        self.radius = radius;
+        self.metric = Some(metric);
+    }
+
+    /// Sizes every per-item buffer for frames of up to `items` entries.
+    pub fn reserve(&mut self, items: usize) {
+        let f = &mut self.frame;
+        for v in [&mut f.cell_of, &mut f.ids, &mut f.slots, &mut self.hits] {
+            v.reserve(items.saturating_sub(v.len()));
+        }
+        for v in [&mut f.xs, &mut f.ys, &mut self.hit_d2] {
+            v.reserve(items.saturating_sub(v.len()));
+        }
+    }
+
+    /// Sets the capacity of every candidate list to at least `cap` (a
+    /// [`row_floor`] at the reach `r + s`): lists are created at it by the
+    /// first call that builds them, and topped up to it on a rebuild.
+    pub fn set_candidate_cap(&mut self, cap: usize) {
+        self.verlet.cap = cap;
+    }
+
+    /// Cell-sorts the frame for sweeps within `reach` and sizes the hit
+    /// buffers to it.
+    fn bin(&mut self, ids: &[u32], pts: &[Vec2], reach: f64) {
+        self.frame.set_cells(self.w, self.h, reach);
+        self.frame.rebuild(ids, pts);
+        self.hits.resize(pts.len(), 0);
+        self.hit_d2.resize(pts.len(), 0.0);
     }
 
     /// Writes the sorted neighbor row of every owned item: `rows[k]` for
@@ -187,19 +356,12 @@ impl FrameGrid {
         assert_eq!(ids.len(), pts.len(), "frame ids and points differ");
         let owned = rows.len();
         assert!(owned <= ids.len(), "owned prefix exceeds the frame");
-        self.rebuild(ids, pts);
         let radius = self.radius;
+        self.bin(ids, pts, radius);
         let r2 = radius * radius;
         let band = r2 * BAND_REL;
-        let r2_hi = r2 + band;
-        let (ncx, ncy) = (self.ncx, self.ncy);
         let FrameGrid {
-            starts,
-            cell_of,
-            xs,
-            ys,
-            ids: sids,
-            slots,
+            frame,
             hits,
             hit_d2,
             ..
@@ -208,29 +370,15 @@ impl FrameGrid {
         // Rows in frame order, so they are written (and first allocated)
         // in the order every later stage reads them.
         for (k, row) in rows.iter_mut().enumerate() {
-            let c = cell_of[k] as usize;
-            let (cx, cy) = (c % ncx, c / ncx);
-            let (x0, x1) = (cx.saturating_sub(1), (cx + 1).min(ncx - 1));
-            let (x, y, own) = (pts[k].x, pts[k].y, ids[k]);
-            let mut nh = 0;
-            for band_row in cy.saturating_sub(1)..=(cy + 1).min(ncy - 1) {
-                let base = band_row * ncx;
-                let (lo, hi) = (starts[base + x0] as usize, starts[base + x1 + 1] as usize);
-                for (j, (&xj, &yj)) in xs[lo..hi].iter().zip(&ys[lo..hi]).enumerate() {
-                    let (dx, dy) = (xj - x, yj - y);
-                    let d2 = dx * dx + dy * dy;
-                    hits[nh] = (lo + j) as u32;
-                    hit_d2[nh] = d2;
-                    nh += usize::from(d2 <= r2_hi);
-                }
-            }
+            let own = ids[k];
+            let nh = frame.scan(k, pts[k], r2 + band, hits, hit_d2);
             row.clear();
             if row.capacity() < row_cap {
                 row.reserve(row_cap);
             }
             for (&j, &d2) in hits[..nh].iter().zip(&hit_d2[..nh]) {
                 let j = j as usize;
-                let id = sids[j];
+                let id = frame.ids[j];
                 if id == own {
                     continue; // the item itself or its own image
                 }
@@ -241,7 +389,7 @@ impl FrameGrid {
                 };
                 if within {
                     row.push(id);
-                    if slots[j] as usize >= owned && own < id {
+                    if frame.slots[j] as usize >= owned && own < id {
                         boundary += 1;
                     }
                 }
@@ -253,11 +401,223 @@ impl FrameGrid {
         }
         boundary
     }
+
+    /// Opens a candidate-list call: measures the largest step, under the
+    /// metric, of any of the `positions` since the previous call, adds it
+    /// to the drift, and returns the rotation period
+    /// `P = ⌊(s/2) / step⌋` for [`FrameGrid::sweep_verlet`].
+    ///
+    /// Returns `None` when this call must run [`FrameGrid::sweep`]
+    /// instead: on the first call, after a change of node count, radius
+    /// or metric, on a non-finite step or a position outside the torus
+    /// square, and when `P < 3` (nodes that move a sixth of the skin per
+    /// call would rebuild half the lists or more every call). A list
+    /// stays exact across such calls as long as its drift budget lasts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the grid was never configured.
+    pub fn advance(&mut self, positions: &[Vec2]) -> Option<u64> {
+        let metric = self.metric.expect("configure the grid before advancing");
+        let v = &mut self.verlet;
+        v.calls += 1;
+        if v.prev.len() != positions.len() {
+            v.forget();
+            v.prev.extend_from_slice(positions);
+            return None;
+        }
+        // NaN sticks, so a non-finite position cannot hide a step. The
+        // torus re-test folds differences without range reduction, so it
+        // needs every position inside the square.
+        let side = match metric {
+            Metric::Euclidean => f64::INFINITY,
+            Metric::Toroidal { side } => side,
+        };
+        let mut max_d2 = 0.0f64;
+        let mut inside = true;
+        for (p, &q) in v.prev.iter_mut().zip(positions) {
+            let d2 = metric.distance_sq(*p, q);
+            if d2 > max_d2 || d2.is_nan() {
+                max_d2 = d2;
+            }
+            inside &= (0.0..=side).contains(&q.x) && (0.0..=side).contains(&q.y);
+            *p = q;
+        }
+        let step = max_d2.sqrt();
+        if !(step.is_finite() && inside) {
+            v.forget();
+            v.prev.extend_from_slice(positions);
+            return None;
+        }
+        if step > 0.0 {
+            v.drift = (v.drift + step).next_up();
+        }
+        // A zero step gives an infinite period, saturated to u64::MAX.
+        let period = (0.5 * SKIN_REL * self.radius / step).floor() as u64;
+        (period >= MIN_PERIOD).then_some(period)
+    }
+
+    /// Writes the same rows and boundary count as [`FrameGrid::sweep`]
+    /// from the owned rows' candidate lists, for a *fresh* frame: one
+    /// built from `positions` this call, with a ghost margin of
+    /// [`ghost_margin`]`(r + s)` so it holds every candidate. `period`
+    /// comes from this call's [`FrameGrid::advance`].
+    ///
+    /// Owned slot `k` rebuilds its list when it is due,
+    /// `(k + calls) mod period = 0`, or stale: built for another id, or
+    /// its drift budget spent. A rebuild sweeps the cell-sorted frame at
+    /// `r + s` with the prefilter alone and sorts the ids once. The list
+    /// then holds every link until the drift grows by `s/2` (less a
+    /// `1e-6` share) past its build: two nodes within `r` now were within
+    /// `r + s` then, by the triangle inequality. Every row, rebuilt or
+    /// not, re-tests its list through the metric's own squared distance
+    /// (on a torus, the metric's branch-free fold of the in-range
+    /// differences) and keeps the survivors in order, so every link
+    /// equals `metric.within` and needs no sort.
+    ///
+    /// On a torus the boundary count is the links `u < v` whose minimum
+    /// image wraps, which are the links a sweep finds through a periodic
+    /// image while `r < side/2`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the grid was never configured, if `ids` and `pts`
+    /// differ in length, if the owned prefix exceeds the frame, or if
+    /// `r + s` is not below half a torus side.
+    pub fn sweep_verlet(
+        &mut self,
+        period: u64,
+        ids: &[u32],
+        pts: &[Vec2],
+        positions: &[Vec2],
+        rows: &mut [Vec<u32>],
+        row_cap: usize,
+    ) -> usize {
+        self.verlet_rows(period, (ids, pts), positions, rows, row_cap, true)
+    }
+
+    /// [`FrameGrid::sweep_verlet`], counting the wrapped links only when
+    /// `count_wraps` is set (a [`SpatialGrid`] has no use for them).
+    fn verlet_rows(
+        &mut self,
+        period: u64,
+        (ids, pts): (&[u32], &[Vec2]),
+        positions: &[Vec2],
+        rows: &mut [Vec<u32>],
+        row_cap: usize,
+        count_wraps: bool,
+    ) -> usize {
+        let metric = self.metric.expect("configure the grid before sweeping");
+        assert_eq!(ids.len(), pts.len(), "frame ids and points differ");
+        let owned = rows.len();
+        assert!(owned <= ids.len(), "owned prefix exceeds the frame");
+        let radius = self.radius;
+        let (skin, reach) = (radius * SKIN_REL, reach(radius));
+        let wrap_side = match metric {
+            Metric::Euclidean => None,
+            Metric::Toroidal { side } => {
+                assert!(reach < side * 0.5, "candidate reach must stay below side/2");
+                count_wraps.then_some(side)
+            }
+        };
+        let period = period.max(1);
+        self.verlet.fit(owned);
+        // Slot k is due at k ≡ −calls (mod period).
+        let first_due = (period - self.verlet.calls % period) % period;
+        let v = &self.verlet;
+        let rebuilds = first_due < owned as u64
+            || (0..owned).any(|k| v.owner[k] != ids[k] || v.drift > v.expires[k]);
+        if rebuilds {
+            self.bin(ids, pts, reach);
+        }
+        let r2 = radius * radius;
+        let lim = reach * reach * (1.0 + BAND_REL);
+        let expiry = (self.verlet.drift + 0.5 * skin * (1.0 - SLACK_REL)).next_down();
+        let FrameGrid {
+            frame,
+            hits,
+            verlet: v,
+            ..
+        } = self;
+        // Rebuild the due and stale lists, then re-test every row.
+        let mut next_due = first_due;
+        for (k, list) in v.lists[..owned].iter_mut().enumerate() {
+            let own = ids[k];
+            let due = k as u64 == next_due;
+            if due || v.owner[k] != own || v.drift > v.expires[k] {
+                if due {
+                    next_due = next_due.saturating_add(period);
+                }
+                let nh = frame.scan_ids(k, pts[k], lim, hits);
+                list.clear();
+                if list.capacity() < v.cap {
+                    list.reserve(v.cap);
+                }
+                list.extend(hits[..nh].iter().filter(|&&id| id != own));
+                list.sort_unstable();
+                list.dedup();
+                v.owner[k] = own;
+                v.expires[k] = expiry;
+            }
+        }
+        let mut boundary = 0;
+        for ((row, list), &own) in rows.iter_mut().zip(&v.lists).zip(ids) {
+            if hits.len() < list.len() {
+                hits.resize(list.len(), 0);
+            }
+            // Branch-free re-test: write every id, keep the survivors.
+            let me = positions[own as usize];
+            let mut nh = 0;
+            match metric {
+                Metric::Euclidean => {
+                    for &id in list.iter() {
+                        hits[nh] = id;
+                        nh += usize::from(me.distance_sq(positions[id as usize]) <= r2);
+                    }
+                }
+                Metric::Toroidal { side } => {
+                    for &id in list.iter() {
+                        let p = positions[id as usize];
+                        let dx = fold((me.x - p.x).abs(), side);
+                        let dy = fold((me.y - p.y).abs(), side);
+                        hits[nh] = id;
+                        nh += usize::from(dx * dx + dy * dy <= r2);
+                    }
+                }
+            }
+            row.clear();
+            if row.capacity() < row_cap {
+                row.reserve(row_cap);
+            }
+            row.extend_from_slice(&hits[..nh]);
+            // Only a node within r of an edge has links that wrap.
+            let inner = |side: f64| reach < me.x.min(me.y) && me.x.max(me.y) < side - reach;
+            if let Some(side) = wrap_side.filter(|&side| !inner(side)) {
+                let half = side * 0.5;
+                let above = &row[row.partition_point(|&id| id < own)..];
+                boundary += above
+                    .iter()
+                    .filter(|&&id| {
+                        let p = positions[id as usize];
+                        (me.x - p.x).abs() > half || (me.y - p.y).abs() > half
+                    })
+                    .count();
+            }
+        }
+        boundary
+    }
 }
 
 /// The monolithic topology builder's frame: a 1x1 [`ShardLayout`] with
 /// every node owned in id order, plus its periodic self-images on a
 /// torus, swept by the shared [`FrameGrid`] kernel.
+///
+/// The frame is fresh by construction (built from each call's
+/// positions), so consecutive calls keep the kernel's Verlet candidate
+/// lists ([`FrameGrid::sweep_verlet`]). A call with no history (a new
+/// grid, or a changed node count, radius or metric) and a call whose
+/// nodes moved a quarter skin or more sweep plainly at `r`, on a margin
+/// of one radius. Every call's rows are exact either way.
 ///
 /// # Example
 ///
@@ -318,15 +678,32 @@ impl SpatialGrid {
                 true
             }
         };
-        // One radius of margin, capped at the side: a link's nearest
+        // One sweep reach of margin, capped at the side: a link's nearest
         // image is at most side/2 away per axis, so a side-wide margin
         // captures every link even when the radius exceeds the side.
-        let margin = ghost_margin(radius).min(side);
-        let layout = ShardLayout::new(ShardDims::unit(), region, margin, wrap)
-            .expect("a 1x1 layout whose margin is at most the side is valid");
-        let (w, h) = (layout.frame_w(), layout.frame_h());
-        self.kernel.configure(w, h, radius, metric);
+        let layout_for = |reach: f64| {
+            ShardLayout::new(
+                ShardDims::unit(),
+                region,
+                ghost_margin(reach).min(side),
+                wrap,
+            )
+            .expect("a 1x1 layout whose margin is at most the side is valid")
+        };
+        let mut layout = layout_for(radius);
+        self.kernel
+            .configure(layout.frame_w(), layout.frame_h(), radius, metric);
         let n = positions.len();
+        let reach = candidate_reach(radius, side);
+        let period = reach.and_then(|_| self.kernel.advance(positions));
+        if let (Some(reach), Some(_)) = (reach, period) {
+            // Candidate lists need every item within r + s in the frame.
+            layout = layout_for(reach);
+            self.kernel
+                .configure(layout.frame_w(), layout.frame_h(), radius, metric);
+            self.kernel.set_candidate_cap(row_floor(n, side, reach));
+        }
+        let (w, h) = (layout.frame_w(), layout.frame_h());
         let images = if wrap { w * h / (side * side) } else { 1.0 };
         let frame_cap = ((n as f64 * images * 1.5).ceil() as usize).max(16);
         self.ids.clear();
@@ -345,13 +722,16 @@ impl SpatialGrid {
                 self.pts.push(lp);
             });
         }
-        self.kernel.sweep(
-            &self.ids,
-            &self.pts,
-            positions,
-            rows,
-            row_floor(n, side, radius),
-        );
+        let row_cap = row_floor(n, side, radius);
+        let frame = (&self.ids[..], &self.pts[..]);
+        match period {
+            Some(period) => self
+                .kernel
+                .verlet_rows(period, frame, positions, rows, row_cap, false),
+            None => self
+                .kernel
+                .sweep(&self.ids, &self.pts, positions, rows, row_cap),
+        };
     }
 }
 
@@ -584,5 +964,88 @@ mod tests {
     #[should_panic(expected = "positive finite")]
     fn zero_extent_is_rejected() {
         FrameGrid::default().configure(0.0, 1.0, 1.0, Metric::Euclidean);
+    }
+
+    fn shifted(positions: &[Vec2], dx: f64) -> Vec<Vec2> {
+        positions.iter().map(|p| Vec2::new(p.x + dx, p.y)).collect()
+    }
+
+    /// `P = ⌊(s/2) / step⌋` once there is history; every reason to sweep
+    /// plainly gives `None`.
+    #[test]
+    fn advance_opens_a_period_only_with_history() {
+        let mut grid = FrameGrid::default();
+        grid.configure(100.0, 100.0, 150.0, Metric::toroidal(1000.0));
+        let base = vec![Vec2::new(10.0, 10.0), Vec2::new(500.0, 20.0)];
+        assert_eq!(grid.advance(&base), None, "no history");
+        assert_eq!(grid.advance(&base), Some(u64::MAX), "static");
+        // s/2 = 15 m: steps of 2.5 and 5 m give 6 and 3.
+        assert_eq!(grid.advance(&shifted(&base, 2.5)), Some(6));
+        assert_eq!(grid.advance(&shifted(&base, 7.5)), Some(3));
+        assert_eq!(grid.advance(&shifted(&base, 13.0)), None, "P = 2");
+        assert_eq!(grid.advance(&shifted(&base, 13.0)), Some(u64::MAX));
+        assert_eq!(grid.advance(&base[..1]), None, "node count changed");
+        assert_eq!(grid.advance(&base[..1]), Some(u64::MAX));
+        let nan = [Vec2::new(f64::NAN, 10.0)];
+        assert_eq!(grid.advance(&nan), None, "non-finite step");
+        assert_eq!(grid.advance(&base[..1]), None, "NaN left no history");
+        assert_eq!(
+            grid.advance(&[Vec2::new(1000.5, 10.0)]),
+            None,
+            "off the square"
+        );
+        assert_eq!(grid.advance(&base[..1]), None);
+        assert_eq!(grid.advance(&base[..1]), Some(u64::MAX));
+        grid.configure(100.0, 100.0, 120.0, Metric::toroidal(1000.0));
+        assert_eq!(grid.advance(&base[..1]), None, "radius changed");
+    }
+
+    fn verlet_rows(grid: &mut SpatialGrid, positions: &[Vec2], metric: Metric) -> Vec<Vec<u32>> {
+        rows_of(grid, positions, 1000.0, 150.0, metric)
+    }
+
+    /// Static nodes never rebuild a list: a list emptied after the build
+    /// stays empty, and so does its row.
+    #[test]
+    fn static_frames_never_rebuild_a_list() {
+        let metric = Metric::toroidal(1000.0);
+        let positions = random_positions(300, 1000.0, 21);
+        let mut grid = SpatialGrid::default();
+        verlet_rows(&mut grid, &positions, metric); // no history: plain
+        verlet_rows(&mut grid, &positions, metric); // every list built
+        let k = (0..300)
+            .find(|&k| !grid.kernel.verlet.lists[k].is_empty())
+            .unwrap();
+        grid.kernel.verlet.lists[k].clear();
+        for _ in 0..40 {
+            let rows = verlet_rows(&mut grid, &positions, metric);
+            assert!(rows[k].is_empty(), "list {k} was rebuilt");
+        }
+    }
+
+    /// Moving nodes rebuild every list within one rotation: lists emptied
+    /// on purpose come back, and the rows are exact again after `P` calls.
+    #[test]
+    fn one_rotation_rebuilds_every_list() {
+        let metric = Metric::toroidal(1000.0);
+        let mut positions = random_positions(300, 1000.0, 22);
+        let mut grid = SpatialGrid::default();
+        verlet_rows(&mut grid, &positions, metric);
+        verlet_rows(&mut grid, &positions, metric);
+        for list in &mut grid.kernel.verlet.lists {
+            list.clear();
+        }
+        let region = SquareRegion::new(1000.0);
+        // 2.5 m per call: P = 6.
+        for call in 0..6 {
+            positions = positions
+                .iter()
+                .map(|&p| region.wrap(p + Vec2::new(2.5, 0.0)))
+                .collect();
+            let rows = verlet_rows(&mut grid, &positions, metric);
+            if call == 5 {
+                assert_eq!(rows, brute_rows(&positions, 150.0, metric));
+            }
+        }
     }
 }

@@ -66,20 +66,31 @@ impl Metric {
 }
 
 /// Folds an absolute coordinate difference into the minimum-image
-/// distance `[0, side/2]`.
-///
-/// For in-range points (`d < side`) the fold `side − d` is exact
-/// (Sterbenz), and `|a − b|` rounds the same both ways, so the metric is
-/// symmetric to the last bit; only out-of-range differences need
-/// `rem_euclid`.
+/// distance `[0, side/2]`: an out-of-range difference (`d ≥ side`) is
+/// first reduced by `rem_euclid`, off the hot path, then [`fold`]ed.
 #[inline]
 fn min_image(d: f64, side: f64) -> f64 {
-    let d = if d < side { d } else { d.rem_euclid(side) };
-    if d > side * 0.5 {
-        side - d
-    } else {
-        d
-    }
+    fold(if d < side { d } else { reduce(d, side) }, side)
+}
+
+/// The minimum-image fold of an in-range difference `d ∈ [0, side]`,
+/// branch-free: the one definition behind [`Metric::distance_sq`] and
+/// the unit-disk kernel's candidate re-test, so both decide every pair
+/// bit for bit alike.
+///
+/// When `d > side/2`, `side − d` is exact (Sterbenz) and the smaller;
+/// otherwise it rounds to at least `side/2 ≥ d`. `|a − b|` rounds the
+/// same both ways, so the metric is symmetric to the last bit.
+#[inline]
+pub(crate) fn fold(d: f64, side: f64) -> f64 {
+    d.min(side - d)
+}
+
+/// Reduces an out-of-range difference into `[0, side)`.
+#[cold]
+#[inline(never)]
+fn reduce(d: f64, side: f64) -> f64 {
+    d.rem_euclid(side)
 }
 
 #[cfg(test)]
@@ -153,6 +164,67 @@ mod tests {
             for _ in 0..2000 {
                 let (a, b) = (sample(), sample());
                 assert_eq!(m.distance_sq(a, b), m.distance_sq(b, a), "{a} {b}");
+            }
+        }
+    }
+
+    /// The branch-free fold equals the branching one it replaced, bit for
+    /// bit, both inside `Metric::distance_sq` and applied straight to an
+    /// in-range difference (the kernel's candidate re-test).
+    #[test]
+    fn branch_free_fold_is_bitwise_the_branching_fold() {
+        use manet_util::Rng;
+        fn branching(d: f64, side: f64) -> f64 {
+            let d = if d < side { d } else { d.rem_euclid(side) };
+            if d > side * 0.5 {
+                side - d
+            } else {
+                d
+            }
+        }
+        fn branching_d2(a: Vec2, b: Vec2, side: f64) -> f64 {
+            let dx = branching((a.x - b.x).abs(), side);
+            let dy = branching((a.y - b.y).abs(), side);
+            dx * dx + dy * dy
+        }
+        let (a, b) = (Vec2::new(0.1, 0.0), Vec2::new(0.3, 0.0));
+        let m = Metric::toroidal(1000.0);
+        assert_eq!(
+            m.distance_sq(a, b).to_bits(),
+            branching_d2(a, b, 1000.0).to_bits()
+        );
+        assert_eq!(
+            fold(0.2, 1000.0).to_bits(),
+            branching(0.2, 1000.0).to_bits()
+        );
+        let mut rng = Rng::seed_from_u64(0xF01D);
+        for side in [7.0, 1000.0, 15_811.388_300_841_898] {
+            let m = Metric::toroidal(side);
+            let mut sample = || Vec2::new(rng.f64_range(0.0..side), rng.f64_range(0.0..side));
+            for _ in 0..4000 {
+                let (a, b) = (sample(), sample());
+                let want = branching_d2(a, b, side).to_bits();
+                assert_eq!(m.distance_sq(a, b).to_bits(), want, "side {side}: {a} {b}");
+                let (dx, dy) = (fold((a.x - b.x).abs(), side), fold((a.y - b.y).abs(), side));
+                assert_eq!((dx * dx + dy * dy).to_bits(), want, "side {side}: {a} {b}");
+            }
+            // The fold's own edge cases: 0, exactly half the side, just
+            // either side of it, and the out-of-range branch.
+            let half = side * 0.5;
+            for d in [
+                0.0,
+                half,
+                half.next_down(),
+                half.next_up(),
+                side.next_down(),
+                side,
+                2.5 * side,
+            ] {
+                assert_eq!(
+                    min_image(d, side).to_bits(),
+                    branching(d, side).to_bits(),
+                    "{d}"
+                );
             }
         }
     }

@@ -19,7 +19,10 @@
 //!    [`FrameGrid`], writing sorted neighbor rows for its owned nodes.
 //!    Shards share nothing mutable, so any worker count produces the same
 //!    rows — all fault-plane decisions happen on the sequential exchange
-//!    path.
+//!    path. A one-shard plane's frame is fresh by construction (every
+//!    node owned, no interconnect), so it keeps the kernel's Verlet
+//!    candidate lists ([`FrameGrid::sweep_verlet`]) on a ghost margin of
+//!    `r + s`; planes with more shards sweep every tick.
 //! 3. **Merge** (sequential, in shard-index order): each owned row is
 //!    swapped into the global [`Topology`] — pointer swaps, no copying —
 //!    so row capacities circulate between the shard buffers and the
@@ -41,8 +44,8 @@
 
 use crate::interconnect::{Interconnect, InterconnectConfig};
 use manet_geom::{
-    ghost_margin, row_floor, FrameGrid, Metric, ShardDims, ShardLayout, ShardLayoutError,
-    SquareRegion, Vec2,
+    candidate_reach, ghost_margin, row_floor, FrameGrid, Metric, ShardDims, ShardLayout,
+    ShardLayoutError, SquareRegion, Vec2,
 };
 use manet_sim::{FaultError, MobilityStage, NodeId, Topology, TopologyBuilder, World};
 use manet_stack::{ClusterStage, HelloStage, RouteStage};
@@ -116,6 +119,9 @@ struct ShardState {
     /// organically for hundreds of ticks.
     row_cap: usize,
     grid: FrameGrid,
+    /// Whether the kernel keeps candidate lists for this shard (the one
+    /// shard of a `1x1` plane).
+    verlet: bool,
     stats: ShardStats,
     /// Wall-clock measurement of this tick's `compute` call, taken on the
     /// worker thread when the probe records spans. The main thread folds
@@ -127,19 +133,28 @@ struct ShardState {
 impl ShardState {
     /// Computes sorted neighbor rows for this shard's owned nodes.
     ///
-    /// `positions` are the global coordinates, consulted only for the
-    /// rare borderline pairs inside the decision band.
+    /// `positions` are the global coordinates: the sweep consults them
+    /// only for the rare borderline pairs inside the decision band, the
+    /// candidate lists for every re-test.
     fn compute(&mut self, positions: &[Vec2]) {
         if self.rows.len() < self.owned {
             self.rows.resize_with(self.owned, Vec::new);
         }
-        self.stats.boundary_links = self.grid.sweep(
-            &self.ids,
-            &self.pts,
-            positions,
-            &mut self.rows[..self.owned],
-            self.row_cap,
-        );
+        let period = if self.verlet {
+            self.grid.advance(positions)
+        } else {
+            None
+        };
+        let rows = &mut self.rows[..self.owned];
+        self.stats.boundary_links = match period {
+            Some(period) => {
+                self.grid
+                    .sweep_verlet(period, &self.ids, &self.pts, positions, rows, self.row_cap)
+            }
+            None => self
+                .grid
+                .sweep(&self.ids, &self.pts, positions, rows, self.row_cap),
+        };
     }
 }
 
@@ -155,6 +170,9 @@ pub struct ShardPlane {
     layout: ShardLayout,
     region: SquareRegion,
     radius: f64,
+    /// The candidate lists' reach `r + s` on a `1x1` plane whose radius
+    /// allows them (`None` otherwise).
+    reach: Option<f64>,
     metric: Metric,
     workers: usize,
     shards: Vec<ShardState>,
@@ -173,7 +191,10 @@ pub struct ShardPlane {
 impl ShardPlane {
     /// A plane tiling `region` into `dims` shards for unit-disk `radius`
     /// links under `metric`, with a ghost margin one radius wide (plus a
-    /// relative epsilon absorbing frame-translation rounding).
+    /// relative epsilon absorbing frame-translation rounding). A `1x1`
+    /// plane widens its margin to the candidate reach `r + s` when
+    /// [`candidate_reach`] allows lists, so its frame holds every
+    /// candidate.
     ///
     /// # Errors
     ///
@@ -201,11 +222,19 @@ impl ShardPlane {
                 true
             }
         };
+        let reach = if dims.count() == 1 {
+            candidate_reach(radius, region.side())
+        } else {
+            None
+        };
         // Margin ≥ r guarantees link capture.
-        let layout = ShardLayout::new(dims, region, ghost_margin(radius), wrap)?;
+        let layout = ShardLayout::new(dims, region, ghost_margin(reach.unwrap_or(radius)), wrap)?;
         let mut shards = Vec::with_capacity(dims.count());
         for _ in 0..dims.count() {
-            let mut s = ShardState::default();
+            let mut s = ShardState {
+                verlet: reach.is_some(),
+                ..ShardState::default()
+            };
             s.grid
                 .configure(layout.frame_w(), layout.frame_h(), radius, metric);
             shards.push(s);
@@ -216,6 +245,7 @@ impl ShardPlane {
             layout,
             region,
             radius,
+            reach,
             metric,
             workers: default_workers(dims.count()),
             shards,
@@ -237,10 +267,11 @@ impl ShardPlane {
 
     /// Pre-sizes per-shard scratch from the expected population: each
     /// shard's point set is sized for its owned share plus the ghost
-    /// margin band, and the owned neighbor rows for the expected unit-disk
-    /// degree. Uniform placement makes `n / shards` the right first-order
-    /// estimate; generous slack absorbs density fluctuations so the
-    /// steady-state tick never reallocates.
+    /// margin band, the owned neighbor rows for the expected unit-disk
+    /// degree, and a `1x1` plane's candidate lists for the expected degree
+    /// at `r + s`. Uniform placement makes `n / shards` the right
+    /// first-order estimate; generous slack absorbs density fluctuations
+    /// so the steady-state tick never reallocates.
     fn presize(&mut self, n: usize, radius: f64) {
         let shards = self.shards.len();
         if n == 0 || shards == 0 {
@@ -256,6 +287,10 @@ impl ShardPlane {
             s.ids.reserve(cap);
             s.pts.reserve(cap);
             s.grid.reserve(cap);
+            if let Some(reach) = self.reach {
+                s.grid
+                    .set_candidate_cap(row_floor(n, self.region.side(), reach));
+            }
             s.row_cap = row_cap;
             s.rows.resize_with(owned_cap, Vec::new);
             for row in &mut s.rows {

@@ -54,14 +54,18 @@ impl FaultHooks for NoFaults {}
 
 /// Shared scratch buffers for the steady-state tick loop.
 ///
-/// Holding the kernel's frame and the double-buffered topology here (rather
-/// than rebuilding them from scratch each tick) makes the topology/diff
-/// path of `World::step` allocation-free once capacities have warmed up;
-/// this crate's `tests/alloc_free.rs` pins it.
+/// Holding the kernel's frame, its candidate lists and the double-buffered
+/// topology here (rather than rebuilding them from scratch each tick)
+/// makes the topology/diff path of `World::step` allocation-free once
+/// capacities have warmed up; this crate's `tests/alloc_free.rs` pins it.
+/// A scratch may serve several worlds: the kernel measures every call's
+/// positions against the previous call's, so its rows stay exact.
 #[derive(Debug, Default)]
 pub struct Scratch {
-    /// The 1x1 frame the unit-disk kernel sweeps, rebuilt (not
-    /// reallocated) every tick.
+    /// The unit-disk kernel's 1x1 frame and its Verlet candidate lists:
+    /// each tick re-tests every list and rebuilds a rotating slice of
+    /// them in place (the first tick, and any tick of fast motion, sweeps
+    /// the frame instead).
     pub(crate) grid: Option<SpatialGrid>,
     /// The next-tick topology buffer, swapped with the world's current
     /// topology after the diff so neighbor-list capacities are recycled.

@@ -55,7 +55,8 @@ pub trait TopologyBuilder {
 }
 
 /// The default [`TopologyBuilder`]: the unit-disk kernel on one 1x1
-/// frame, rebuilt (not reallocated) in the scratch slot every tick.
+/// frame in the scratch slot, whose candidate lists carry over from tick
+/// to tick (see [`SpatialGrid`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GridTopology;
 
@@ -78,9 +79,10 @@ impl TopologyBuilder for GridTopology {
 
 /// The current unit-disk topology: per-node sorted neighbor lists.
 ///
-/// Rebuilt from node positions every tick; [`Topology::diff_into`] produces
-/// the [`LinkEvent`] stream that drives the HELLO, CLUSTER, and ROUTE
-/// protocol layers.
+/// Recomputed from node positions every tick — exactly, whether the
+/// kernel swept its frame or re-tested its candidate lists;
+/// [`Topology::diff_into`] produces the [`LinkEvent`] stream that drives
+/// the HELLO, CLUSTER, and ROUTE protocol layers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Topology {
     neighbors: Vec<Vec<NodeId>>,
@@ -95,7 +97,7 @@ impl Topology {
     }
 
     /// Computes the topology of `positions` under `metric` with unit-disk
-    /// `radius`.
+    /// `radius`: one plain sweep on a fresh grid, with no candidate lists.
     pub fn compute(positions: &[Vec2], region: SquareRegion, radius: f64, metric: Metric) -> Self {
         let mut topo = Topology::default();
         topo.compute_into(

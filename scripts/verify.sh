@@ -24,6 +24,16 @@ if grep -rn "fn neighbors_within\|fn for_each_pair" crates/*/src --include='*.rs
     exit 1
 fi
 
+echo "==> hermetic guard (property tests are seeded cases, no proptest)"
+# Every property test draws seeded manet_util::Rng cases and runs in
+# tier 1; the proptest crate needs the network. Fail the build if the
+# slow-proptests feature, a gate on it or a proptest dependency reappears.
+if grep -rnE 'slow-proptests|^[[:space:]]*proptest[[:space:]]*[=.]|use proptest' \
+    crates tests --include='*.rs' --include='Cargo.toml'; then
+    echo "verify: FAIL — proptest or slow-proptests found (write seeded Rng cases instead)" >&2
+    exit 1
+fi
+
 echo "==> argv guard (only cli.rs and bin mains read the process arguments)"
 # Experiment binaries parse their flags once, in BinArgs (cli.rs); the
 # library takes what it needs from the caller. Fail the build if
