@@ -8,7 +8,7 @@
 //! ROUTE message per cluster node.
 
 use manet_cluster::ClusterAssignment;
-use manet_sim::{Channel, NodeId, SimError, StepCtx, Topology};
+use manet_sim::{Channel, LinkEvent, LinkEventKind, NodeId, SimError, StepCtx, Topology};
 use manet_telemetry::{Cause, EventKind, Layer, MsgClass, RootCause};
 
 /// ROUTE-message accounting for one update pass.
@@ -78,9 +78,9 @@ struct Snapshot {
 }
 
 impl Snapshot {
-    /// Refills every vector from this tick's topology and assignment.
-    fn fill<C: ClusterAssignment + ?Sized>(&mut self, topology: &Topology, clustering: &C) {
-        let n = topology.len();
+    /// Refills every node's head key and every key's size from this
+    /// tick's assignment, and empties the rows.
+    fn fill_heads<C: ClusterAssignment + ?Sized>(&mut self, n: usize, clustering: &C) {
         let Snapshot {
             head,
             size,
@@ -91,19 +91,56 @@ impl Snapshot {
         head.extend((0..n as NodeId).map(|u| clustering.cluster_head_of(u)));
         size.clear();
         size.resize(n, 0);
+        for &h in head.iter() {
+            size[h as usize] += 1;
+        }
         offsets.clear();
         offsets.push(0);
         links.clear();
-        for (a, &h) in head.iter().enumerate() {
-            size[h as usize] += 1;
-            let a = a as NodeId;
-            links.extend(
-                topology
-                    .neighbors(a)
-                    .iter()
-                    .filter(|&&b| b > a && head[b as usize] == h),
-            );
-            offsets.push(links.len());
+    }
+
+    /// Appends node `a`'s row, read from this tick's topology.
+    fn push_row(&mut self, topology: &Topology, a: NodeId) {
+        let h = self.head[a as usize];
+        let head = &self.head;
+        self.links.extend(
+            topology
+                .neighbors(a)
+                .iter()
+                .filter(|&&b| b > a && head[b as usize] == h),
+        );
+        self.offsets.push(self.links.len());
+    }
+
+    /// Sets the rows to `prev`'s with `edits` applied: each sorted key
+    /// `a << 32 | b` takes link `b` out of row `a` if it is there, and
+    /// puts it in otherwise. `prev`'s links are copied between the edits'
+    /// positions, and its offsets shifted by the edits before them.
+    fn edit_rows(&mut self, prev: &Snapshot, edits: &[u64]) {
+        self.offsets.clone_from(&prev.offsets);
+        self.links.clear();
+        let (mut copied, mut shift, mut fixed) = (0, 0isize, 0);
+        for &key in edits {
+            let (a, b) = ((key >> 32) as usize, key as NodeId);
+            for o in &mut self.offsets[fixed + 1..=a] {
+                *o = o.wrapping_add_signed(shift);
+            }
+            fixed = a;
+            let (lo, hi) = (prev.offsets[a], prev.offsets[a + 1]);
+            let at = lo + prev.links[lo..hi].partition_point(|&x| x < b);
+            self.links.extend_from_slice(&prev.links[copied..at]);
+            if at < hi && prev.links[at] == b {
+                copied = at + 1;
+                shift -= 1;
+            } else {
+                self.links.push(b);
+                copied = at;
+                shift += 1;
+            }
+        }
+        self.links.extend_from_slice(&prev.links[copied..]);
+        for o in &mut self.offsets[fixed + 1..] {
+            *o = o.wrapping_add_signed(shift);
         }
     }
 
@@ -138,21 +175,34 @@ pub enum UpdatePolicy {
 /// The first call fills the baseline and charges nothing (the paper
 /// excludes initial table population along with cluster formation).
 ///
-/// Every buffer is reused across passes, so a steady-state pass does not
-/// allocate.
+/// A pass whose topology carries the link events from the previous
+/// pass's topology ([`Topology::events_since`]) charges from those events
+/// and the nodes whose head changed; any other pass re-reads every row.
+/// Both give the same charges. Every buffer is reused across passes, so
+/// a steady-state pass does not allocate.
 #[derive(Debug, Clone, Default)]
 pub struct IntraClusterRouting {
     /// The previous pass's clusters.
     prev: Snapshot,
     /// This pass's clusters; swapped into `prev` when the pass commits.
     cur: Snapshot,
-    initialized: bool,
+    /// The stamp of the previous pass's topology; 0 before the first pass.
+    stamp: u64,
     policy: UpdatePolicy,
     /// Per head key: intra-cluster link changes this pass (zeroed again
     /// before the pass returns).
     link_changes: Vec<u64>,
     /// Head keys whose cluster changed this pass, sorted and deduplicated.
     changed: Vec<NodeId>,
+    /// Event pass: the nodes whose head key changed, ascending.
+    moved: Vec<NodeId>,
+    /// Event pass: `(moved node, other node)` of every generated link
+    /// with a moved endpoint, sorted.
+    moved_generated: Vec<(NodeId, NodeId)>,
+    /// Event pass: every link `(a, b)`, `a < b`, that enters or leaves
+    /// node `a`'s row, as the key `a << 32 | b`, so that sorting the keys
+    /// sorts the links.
+    row_edits: Vec<u64>,
     /// This pass's charges as `(head, rounds, cluster size)`, ascending.
     charges: Vec<(NodeId, u64, u64)>,
     /// Coalesced clusters awaiting the next flush, sorted and deduplicated.
@@ -237,16 +287,24 @@ impl IntraClusterRouting {
         channel: &mut Channel,
         ctx: &mut StepCtx<'_, '_>,
     ) -> RouteUpdateOutcome {
-        if self.initialized {
+        if self.stamp != 0 {
             assert_eq!(
                 topology.len(),
                 self.prev.head.len(),
                 "topology node count changed under live intra-cluster routing"
             );
         }
-        self.cur.fill(topology, clustering);
-        if self.initialized {
-            self.diff();
+        self.cur.fill_heads(topology.len(), clustering);
+        // `events_since(0)` is `None`, so the first pass fills.
+        if let Some(events) = topology.events_since(self.stamp) {
+            self.diff_events(topology, events);
+        } else {
+            for a in 0..topology.len() as NodeId {
+                self.cur.push_row(topology, a);
+            }
+            if self.stamp != 0 {
+                self.diff();
+            }
         }
         let outcome = self.charge(dt, channel, ctx);
         for &h in &self.changed {
@@ -254,7 +312,7 @@ impl IntraClusterRouting {
         }
         self.changed.clear();
         std::mem::swap(&mut self.prev, &mut self.cur);
-        self.initialized = true;
+        self.stamp = topology.stamp();
         outcome
     }
 
@@ -289,6 +347,113 @@ impl IntraClusterRouting {
         }
         changed.sort_unstable();
         changed.dedup();
+    }
+
+    /// The same `changed` and `link_changes` as [`Self::diff`], per link
+    /// instead of per node, from `events`: the link events from the
+    /// previous pass's topology to `topology`. `cur` holds this pass's
+    /// heads; its rows are set here.
+    ///
+    /// A link's cluster is its endpoints' shared key while it exists, and
+    /// none otherwise; a link whose cluster differs before and after adds
+    /// one change to each side that holds it. Only two kinds of link can
+    /// differ: those with an event, and those of a *moved* node (one whose
+    /// key changed; both its keys change, as in the node diff). Every
+    /// event classifies its link. A moved node's other links are the ones
+    /// in its current row that were not generated this tick; each is
+    /// classified once, from its smaller moved endpoint. A link that
+    /// enters or leaves a cluster enters or leaves its smaller endpoint's
+    /// row: those edits are applied to the old rows, and every other row
+    /// is copied from `prev`.
+    fn diff_events(&mut self, topology: &Topology, events: &[LinkEvent]) {
+        let IntraClusterRouting {
+            prev,
+            cur,
+            link_changes,
+            changed,
+            moved,
+            moved_generated,
+            row_edits,
+            ..
+        } = self;
+        let n = cur.head.len();
+        link_changes.resize(n, 0);
+        let (old, new) = (&prev.head, &cur.head);
+        // Each buffer gets room for the most entries this pass can make.
+        clear_with_room(moved, n);
+        let mut moved_links = 0;
+        for (u, (&h1, &h2)) in old.iter().zip(new).enumerate() {
+            if h1 != h2 {
+                moved.push(u as NodeId);
+                moved_links += topology.degree(u as NodeId);
+            }
+        }
+        // Both keys of every moved node, and at most one first change per
+        // key.
+        clear_with_room(changed, 2 * moved.len() + n);
+        for &u in moved.iter() {
+            changed.extend([old[u as usize], new[u as usize]]);
+        }
+        clear_with_room(moved_generated, moved_links);
+        clear_with_room(row_edits, events.len() + moved_links);
+        let mut classify = |a: NodeId, b: NodeId, before: Option<NodeId>, after: Option<NodeId>| {
+            if before == after {
+                return;
+            }
+            if before.is_some() != after.is_some() {
+                row_edits.push((u64::from(a.min(b)) << 32) | u64::from(a.max(b)));
+            }
+            for h in [before, after].into_iter().flatten() {
+                let count = &mut link_changes[h as usize];
+                if *count == 0 {
+                    changed.push(h);
+                }
+                *count += 1;
+            }
+        };
+        let cluster = |heads: &[NodeId], u: NodeId, v: NodeId| {
+            let h = heads[u as usize];
+            (h == heads[v as usize]).then_some(h)
+        };
+
+        for e in events {
+            let (a, b) = (e.a, e.b);
+            let generated = e.kind == LinkEventKind::Generated;
+            let before = if generated { None } else { cluster(old, a, b) };
+            let after = if generated { cluster(new, a, b) } else { None };
+            classify(a, b, before, after);
+            if generated {
+                for (u, v) in [(a, b), (b, a)] {
+                    if old[u as usize] != new[u as usize] {
+                        moved_generated.push((u, v));
+                    }
+                }
+            }
+        }
+        moved_generated.sort_unstable();
+
+        // The links of moved nodes that exist before and after. Every
+        // generated link is in its endpoints' current rows, so the walk
+        // meets each `(u, v)` of `moved_generated` in order.
+        let mut fresh = moved_generated.iter().peekable();
+        for &u in moved.iter() {
+            let (h1, h2) = (old[u as usize], new[u as usize]);
+            for &v in topology.neighbors(u) {
+                if fresh.next_if_eq(&&(u, v)).is_some() {
+                    continue;
+                }
+                let (g1, g2) = (old[v as usize], new[v as usize]);
+                if v < u && g1 != g2 {
+                    continue;
+                }
+                classify(u, v, (g1 == h1).then_some(h1), (g2 == h2).then_some(h2));
+            }
+        }
+        changed.sort_unstable();
+        changed.dedup();
+
+        row_edits.sort_unstable();
+        cur.edit_rows(prev, row_edits);
     }
 
     /// The charging half of an update pass: transmits the re-syncs and
@@ -396,7 +561,7 @@ impl IntraClusterRouting {
         let IntraClusterRouting {
             prev,
             cur,
-            initialized,
+            stamp,
             policy,
             link_changes,
             changed,
@@ -406,7 +571,7 @@ impl IntraClusterRouting {
             ..
         } = self;
         charges.clear();
-        if !*initialized {
+        if *stamp == 0 {
             return;
         }
         let size = |h: NodeId| u64::from(cur.size[h as usize]);
@@ -448,6 +613,17 @@ impl IntraClusterRouting {
                 }
             }
         }
+    }
+}
+
+/// Empties `buf` and gives it room for `bound` entries. A buffer that is
+/// too small is replaced, not grown, so its stale entries are not copied,
+/// by one with room for twice the bound, so that a bound creeping upward
+/// over the first passes does not replace it again.
+fn clear_with_room<T>(buf: &mut Vec<T>, bound: usize) {
+    buf.clear();
+    if buf.capacity() < bound {
+        *buf = Vec::with_capacity(2 * bound);
     }
 }
 

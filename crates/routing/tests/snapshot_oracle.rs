@@ -1,13 +1,17 @@
 //! The route snapshot diff as first written, kept as a test oracle.
 //! `IntraClusterRouting` keeps each tick's clusters in flat per-node
-//! vectors and diffs them node by node; the reference files every
-//! cluster's node and link lists in a `BTreeMap` and diffs the maps
+//! vectors and diffs them from the topology's link events when they chain
+//! from its previous pass, node by node otherwise; the reference files
+//! every cluster's node and link lists in a `BTreeMap` and diffs the maps
 //! cluster by cluster. Both must charge the same rounds, draw the same
 //! messages from their channels, schedule the same re-syncs and emit the
 //! same events with the same causes, tick for tick, under both update
 //! policies, on ideal, Bernoulli and Gilbert–Elliott channels, for
 //! assignments whose head keys are heads (LID, d-hop), are not always
-//! heads (`SelfHealing` after a lost re-home), or are every node.
+//! heads (`SelfHealing` after a lost re-home), or are every node. World
+//! steps with no pass between them (gaps) send some passes down the
+//! node-by-node path, and a second layer whose topology's chain is always
+//! cut takes it on every pass.
 
 use manet_cluster::{
     Backoff, ClusterAssignment, Clustering, DHopClustering, LowestId, SelfHealing,
@@ -227,6 +231,8 @@ enum Structure {
         alive: Vec<bool>,
         channel: Channel,
         rng: Rng,
+        /// The masked topology of the previous pass.
+        last: Topology,
     },
     DHop(DHopClustering),
     Identity(Identity),
@@ -249,6 +255,7 @@ impl Structure {
                 alive: vec![true; topology.len()],
                 channel: Channel::new(LossModel::Bernoulli { p: 0.3 }, seed),
                 rng: Rng::seed_from_u64(seed),
+                last: topology.clone(),
             },
             2 => Structure::DHop(DHopClustering::form(&LowestId, topology, 2)),
             _ => Structure::Identity(Identity(topology.len())),
@@ -256,8 +263,10 @@ impl Structure {
     }
 
     /// Maintains the structure against the world's new topology and
-    /// returns the topology the routing layer sees.
-    fn advance(&mut self, world: &World) -> Topology {
+    /// returns the topology the routing layer sees. The crash mask edits
+    /// it, which cuts its event chain; unless the world `gapped`, the
+    /// masked topology records its events from the previous pass's.
+    fn advance(&mut self, world: &World, gapped: bool) -> Topology {
         let mut q = QuietCtx::new();
         let mut topology = world.topology().clone();
         match self {
@@ -269,6 +278,7 @@ impl Structure {
                 alive,
                 channel,
                 rng,
+                last,
             } => {
                 for up in alive.iter_mut() {
                     if rng.bernoulli(0.02) {
@@ -276,6 +286,10 @@ impl Structure {
                     }
                 }
                 topology.retain_alive(alive);
+                if !gapped {
+                    topology.diff_from(last);
+                }
+                *last = topology.clone();
                 healer.step(&topology, alive, channel, &mut q.ctx());
             }
             Structure::DHop(d) => {
@@ -296,13 +310,50 @@ impl Structure {
     }
 }
 
-/// The layer and its reference, each with its own identically seeded
-/// channel and cause tracker.
+/// One layer with its own identically seeded channel and cause tracker.
+struct Side {
+    layer: IntraClusterRouting,
+    channel: Channel,
+    causes: CauseTracker,
+}
+
+impl Side {
+    fn new(policy: UpdatePolicy, loss: LossModel, seed: u64) -> Self {
+        Side {
+            layer: IntraClusterRouting::with_policy(policy),
+            channel: Channel::new(loss, seed),
+            causes: CauseTracker::new(),
+        }
+    }
+
+    /// One pass; returns its outcome, backlog and emitted events.
+    fn tick(
+        &mut self,
+        world: &World,
+        topology: &Topology,
+        clustering: &dyn ClusterAssignment,
+    ) -> (RouteUpdateOutcome, usize, Vec<Event>) {
+        let mut events = Vec::<Event>::new();
+        let mut probe = Probe::with_causes(Some(&mut events), Some(&mut self.causes));
+        let mut scratch = Scratch::new();
+        let outcome = self.layer.update(
+            world.dt(),
+            topology,
+            clustering,
+            &mut self.channel,
+            &mut StepCtx::new(&mut probe, &mut scratch).at(world.time()),
+        );
+        (outcome, self.layer.resync_backlog(), events)
+    }
+}
+
+/// The layer fed the structure's topology, the same layer fed a copy
+/// whose event chain is cut (so every pass reads every row), and the
+/// reference.
 struct Lockstep {
     label: String,
-    flat: IntraClusterRouting,
-    flat_channel: Channel,
-    flat_causes: CauseTracker,
+    flat: Side,
+    full: Side,
     reference: Reference,
     ref_channel: Channel,
     ref_causes: CauseTracker,
@@ -312,31 +363,33 @@ impl Lockstep {
     fn new(policy: UpdatePolicy, loss: LossModel, seed: u64) -> Self {
         Lockstep {
             label: format!("{policy:?} on {loss:?}"),
-            flat: IntraClusterRouting::with_policy(policy),
-            flat_channel: Channel::new(loss, seed),
-            flat_causes: CauseTracker::new(),
+            flat: Side::new(policy, loss, seed),
+            full: Side::new(policy, loss, seed),
             reference: Reference::new(policy),
             ref_channel: Channel::new(loss, seed),
             ref_causes: CauseTracker::new(),
         }
     }
 
-    fn tick(&mut self, world: &World, topology: &Topology, clustering: &dyn ClusterAssignment) {
-        let (dt, now) = (world.dt(), world.time());
-        let mut flat_events = Vec::<Event>::new();
-        let mut probe = Probe::with_causes(Some(&mut flat_events), Some(&mut self.flat_causes));
-        let mut scratch = Scratch::new();
-        let flat = self.flat.update(
-            dt,
-            topology,
-            clustering,
-            &mut self.flat_channel,
-            &mut StepCtx::new(&mut probe, &mut scratch).at(now),
+    fn tick(
+        &mut self,
+        world: &World,
+        topology: &Topology,
+        cut: &Topology,
+        clustering: &dyn ClusterAssignment,
+    ) {
+        let now = world.time();
+        let flat = self.flat.tick(world, topology, clustering);
+        let full = self.full.tick(world, cut, clustering);
+        assert_eq!(
+            flat, full,
+            "{} at t = {now}: event vs full pass",
+            self.label
         );
         let mut ref_events = Vec::<Event>::new();
         let mut probe = Probe::with_causes(Some(&mut ref_events), Some(&mut self.ref_causes));
         let expect = self.reference.update(
-            dt,
+            world.dt(),
             topology,
             clustering,
             &mut self.ref_channel,
@@ -344,7 +397,7 @@ impl Lockstep {
             now,
         );
         assert_eq!(
-            (flat, self.flat.resync_backlog(), flat_events),
+            flat,
             (expect, self.reference.resync_pending.len(), ref_events),
             "{} at t = {now}",
             self.label
@@ -370,6 +423,7 @@ fn flat_diff_matches_the_map_diff_oracle() {
     ];
     let mut rng = Rng::seed_from_u64(0x5eed_4007e);
     let mut charged = 0;
+    let (mut passes, mut event_passes) = (0, 0);
     for case in 0..12u64 {
         let mut world = SimBuilder::new()
             .side(400.0)
@@ -385,18 +439,46 @@ fn flat_diff_matches_the_map_diff_oracle() {
             .flat_map(|&policy| losses.iter().map(move |&loss| (policy, loss)))
             .map(|(policy, loss)| Lockstep::new(policy, loss, rng.u64()))
             .collect();
+        let all_alive = vec![true; world.node_count()];
         let mut q = QuietCtx::new();
+        let mut seen = 0;
+        let (mut case_events, mut case_full) = (0, 0);
         for _ in 0..40 {
+            // A gap: world steps with no pass in between.
+            let gapped = rng.bernoulli(0.25);
+            if gapped {
+                for _ in 0..1 + rng.usize_below(2) {
+                    world.step(&mut q.ctx());
+                }
+            }
             world.step(&mut q.ctx());
-            let topology = structure.advance(&world);
+            let topology = structure.advance(&world, gapped);
+            let mut cut = topology.clone();
+            cut.retain_alive(&all_alive);
+            if topology.events_since(seen).is_some() {
+                case_events += 1;
+            } else if seen != 0 {
+                case_full += 1;
+            }
+            seen = topology.stamp();
             for pair in &mut pairs {
-                pair.tick(&world, &topology, structure.assignment());
+                pair.tick(&world, &topology, &cut, structure.assignment());
             }
         }
+        assert!(
+            case_events > 0 && case_full > 0,
+            "case {case} diffs on both paths ({case_events} event, {case_full} full passes)"
+        );
+        passes += case_events + case_full;
+        event_passes += case_events;
         charged += pairs
             .iter()
-            .filter(|p| p.flat_causes.allocated() > 0)
+            .filter(|p| p.flat.causes.allocated() > 0)
             .count();
     }
     assert!(charged > 0, "the worlds must charge some ROUTE rounds");
+    assert!(
+        event_passes * 2 > passes,
+        "most passes take the event path ({event_passes} of {passes})"
+    );
 }

@@ -3,6 +3,7 @@
 use crate::NodeId;
 use manet_geom::{Metric, SpatialGrid, SquareRegion, Vec2};
 use manet_telemetry::Probe;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Whether a link appeared or disappeared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -83,17 +84,95 @@ impl TopologyBuilder for GridTopology {
 /// kernel swept its frame or re-tested its candidate lists;
 /// [`Topology::diff_into`] produces the [`LinkEvent`] stream that drives
 /// the HELLO, CLUSTER, and ROUTE protocol layers.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Every topology carries a [`stamp`](Topology::stamp), a process-unique
+/// id that changes with every edit of its rows, and may carry the link
+/// events that lead to it from a predecessor
+/// ([`Topology::diff_from`], read back by [`Topology::events_since`]).
+/// Equality compares rows only; a clone keeps the stamp and the events,
+/// since its rows are the same.
+#[derive(Debug, Clone)]
 pub struct Topology {
     neighbors: Vec<Vec<NodeId>>,
+    /// This content's identity: fresh on every edit, never 0.
+    stamp: u64,
+    /// The stamp of the topology `events` lead from; 0 when there is none.
+    base: u64,
+    /// The link events from the topology stamped `base` to this one.
+    events: Vec<LinkEvent>,
 }
+
+/// The next unused stamp. It publishes no other data, so `Relaxed`
+/// suffices: each `fetch_add` still returns a distinct value.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+impl Default for Topology {
+    fn default() -> Self {
+        Topology::empty(0)
+    }
+}
+
+impl PartialEq for Topology {
+    fn eq(&self, other: &Self) -> bool {
+        self.neighbors == other.neighbors
+    }
+}
+
+impl Eq for Topology {}
 
 impl Topology {
     /// An empty topology over `n` nodes (no links).
     pub fn empty(n: usize) -> Self {
         Topology {
             neighbors: vec![Vec::new(); n],
+            stamp: NEXT_STAMP.fetch_add(1, Ordering::Relaxed),
+            base: 0,
+            events: Vec::new(),
         }
+    }
+
+    /// Marks the rows as edited: a fresh stamp, and no events.
+    fn touch(&mut self) {
+        self.stamp = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
+        self.base = 0;
+        self.events.clear();
+    }
+
+    /// This topology's identity: a process-unique id, never 0, that
+    /// changes whenever the rows are edited. Equal stamps mean equal rows.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
+    }
+
+    /// The link events that lead to this topology from the one stamped
+    /// `stamp`: `Some` only when [`Topology::diff_from`] recorded them
+    /// against exactly that stamp and the rows were not edited since.
+    pub fn events_since(&self, stamp: u64) -> Option<&[LinkEvent]> {
+        (self.base != 0 && self.base == stamp).then_some(&self.events[..])
+    }
+
+    /// The events recorded by the last [`Topology::diff_from`] (empty
+    /// after an edit).
+    pub(crate) fn events(&self) -> &[LinkEvent] {
+        &self.events
+    }
+
+    /// Records in this topology the link events that turn `prev` into it
+    /// (`prev.diff_into(self, ..)`), so that `events_since(prev.stamp())`
+    /// returns them. The event buffer is taken over from `prev`, which
+    /// keeps its rows and stamp but no events: the two topologies of a
+    /// double-buffered tick then share one buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node counts differ.
+    pub fn diff_from(&mut self, prev: &mut Topology) {
+        let mut events = std::mem::take(&mut prev.events);
+        prev.base = 0;
+        events.clear();
+        prev.diff_into(self, &mut events);
+        self.events = events;
+        self.base = prev.stamp;
     }
 
     /// Computes the topology of `positions` under `metric` with unit-disk
@@ -134,8 +213,9 @@ impl Topology {
     ///
     /// Rows keep whatever stale content the previous tick left; the
     /// builder must overwrite (or swap out) every row, leaving each one
-    /// sorted.
+    /// sorted. The topology takes a fresh stamp and drops its events.
     pub fn rows_mut(&mut self, n: usize) -> &mut [Vec<NodeId>] {
+        self.touch();
         self.neighbors.truncate(n);
         self.neighbors.resize_with(n, Vec::new);
         &mut self.neighbors
@@ -197,7 +277,9 @@ impl Topology {
 
     /// Removes every link incident to a node marked dead in `alive` (a
     /// crashed radio neither sends nor receives, so all its links vanish
-    /// from the ground truth). Neighbor lists stay sorted.
+    /// from the ground truth). Neighbor lists stay sorted. Like any edit,
+    /// this takes a fresh stamp and drops the events, even when no link
+    /// goes.
     ///
     /// # Panics
     ///
@@ -208,6 +290,7 @@ impl Topology {
             alive.len(),
             "alive mask size mismatch"
         );
+        self.touch();
         for (i, list) in self.neighbors.iter_mut().enumerate() {
             if !alive[i] {
                 list.clear();
@@ -296,7 +379,10 @@ mod tests {
     use manet_util::Rng;
 
     fn topo_from_lists(lists: Vec<Vec<NodeId>>) -> Topology {
-        Topology { neighbors: lists }
+        Topology {
+            neighbors: lists,
+            ..Topology::default()
+        }
     }
 
     #[test]
@@ -439,6 +525,61 @@ mod tests {
     #[should_panic(expected = "alive mask")]
     fn retain_alive_rejects_wrong_mask_size() {
         Topology::empty(3).retain_alive(&[true, true]);
+    }
+
+    #[test]
+    fn events_since_answers_only_the_exact_predecessor() {
+        let mut before = topo_from_lists(vec![vec![1], vec![0], vec![]]);
+        let mut after = topo_from_lists(vec![vec![2], vec![], vec![0]]);
+        let mut expect = Vec::new();
+        before.diff_into(&after, &mut expect);
+        let (base, own) = (before.stamp(), after.stamp());
+        assert!(base != 0 && own != 0 && base != own);
+        assert_eq!(after.events_since(base), None, "nothing recorded yet");
+        after.diff_from(&mut before);
+        assert_eq!(after.events_since(base), Some(&expect[..]));
+        assert_eq!(after.stamp(), own, "recording events is not an edit");
+        for other in [0, own, base + own] {
+            assert_eq!(after.events_since(other), None, "stamp {other}");
+        }
+        // The predecessor gave up its buffer and its own events.
+        assert_eq!(before.stamp(), base);
+        assert_eq!(before.events(), &[] as &[LinkEvent]);
+    }
+
+    #[test]
+    fn edits_cut_the_chain_and_clones_keep_it() {
+        let mut before = topo_from_lists(vec![vec![1], vec![0], vec![]]);
+        let mut after = topo_from_lists(vec![vec![2], vec![], vec![0]]);
+        after.diff_from(&mut before);
+        let base = before.stamp();
+        let events = after.events_since(base).unwrap().to_vec();
+        let clone = after.clone();
+        assert_eq!(clone.stamp(), after.stamp());
+        assert_eq!(clone.events_since(base), Some(&events[..]));
+
+        let mut masked = after.clone();
+        masked.retain_alive(&[true; 3]);
+        assert_eq!(masked, after, "an all-alive mask keeps every link");
+        assert_ne!(masked.stamp(), after.stamp());
+        assert_eq!(masked.events_since(base), None);
+
+        let mut rebuilt = after.clone();
+        rebuilt.rows_mut(3);
+        assert_ne!(rebuilt.stamp(), after.stamp());
+        assert_eq!(rebuilt.events_since(base), None);
+
+        let pts = [Vec2::new(0.0, 0.0), Vec2::new(1.0, 0.0)];
+        let mut computed = after.clone();
+        computed.compute_into(
+            &mut SpatialGrid::default(),
+            &pts,
+            SquareRegion::new(10.0),
+            2.0,
+            Metric::Euclidean,
+        );
+        assert_eq!(computed.events_since(base), None);
+        assert_ne!(computed.stamp(), after.stamp());
     }
 
     #[test]

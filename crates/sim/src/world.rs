@@ -66,8 +66,9 @@ pub struct World {
     sizes: MessageSizes,
     hello_mode: HelloMode,
     hello_accum: f64,
+    /// The current topology, which also carries the link events of the
+    /// latest tick (`Topology::diff_from`).
     topology: Topology,
-    events: Vec<LinkEvent>,
     counters: Counters,
     degree_samples: Summary,
     rng: Rng,
@@ -166,7 +167,6 @@ impl World {
             hello_mode,
             hello_accum: 0.0,
             topology: Topology::empty(0),
-            events: Vec::new(),
             counters: Counters::with_sizes(sizes),
             degree_samples: Summary::new(),
             rng: Rng::seed_from_u64(seed),
@@ -272,9 +272,11 @@ impl World {
         &self.topology
     }
 
-    /// Link events produced by the most recent [`World::step`].
+    /// Link events produced by the most recent [`World::step`]: the
+    /// current topology's, so `topology().events_since(s)` returns them
+    /// for the stamp `s` the topology had before that step.
     pub fn last_events(&self) -> &[LinkEvent] {
-        &self.events
+        self.topology.events()
     }
 
     /// Control-message counters for the current measurement window.
@@ -370,7 +372,8 @@ impl World {
         // Rebuild the next topology in the shared scratch buffers: the
         // kernel's frame and the spare topology keep their capacities across
         // ticks, and the post-diff swap recycles the current topology's
-        // neighbor lists as next tick's spare.
+        // neighbor lists as next tick's spare. The diff lands in the new
+        // topology, in the event buffer the current one hands over.
         let Scratch { grid, spare } = &mut *ctx.scratch;
         stages.build_into(
             self.mobility.positions(),
@@ -385,8 +388,7 @@ impl World {
         if !self.fault.churn.is_empty() {
             spare.retain_alive(&self.alive);
         }
-        self.events.clear();
-        self.topology.diff_into(spare, &mut self.events);
+        spare.diff_from(&mut self.topology);
         std::mem::swap(&mut self.topology, spare);
 
         let mut generated = 0usize;
@@ -396,7 +398,7 @@ impl World {
         // root instead. Generation causes are kept so event-driven HELLO
         // sends below can be charged per link.
         let mut gen_causes = Vec::new();
-        for e in &self.events {
+        for e in self.topology.events() {
             let chained = ctx
                 .probe
                 .causes()
@@ -918,6 +920,60 @@ mod tests {
             EventKind::MsgSent { .. } => e.cause == Some(recover_cause),
             _ => true,
         }));
+    }
+
+    #[test]
+    fn the_topology_carries_each_ticks_events_under_churn() {
+        let region = SquareRegion::new(200.0);
+        let mut rng = Rng::seed_from_u64(17);
+        let mobility = EpochRandomDirection::new(region, 60, 8.0, 15.0, &mut rng);
+        let fault = crate::FaultPlan {
+            loss: crate::LossModel::Ideal,
+            churn: crate::fault::ChurnSchedule::poisson(60, 0.05, 2.0, 60.0, 3).unwrap(),
+            seed: 0,
+        };
+        let mut w = World::try_new(
+            Box::new(mobility),
+            40.0,
+            0.25,
+            Metric::toroidal(200.0),
+            HelloMode::EventDriven,
+            MessageSizes::default(),
+            17,
+            fault,
+        )
+        .unwrap();
+        let mut q = QuietCtx::new();
+        let (mut crashed, mut events) = (0, 0);
+        for _ in 0..200 {
+            let before = w.topology().stamp();
+            let r = w.step(&mut q.ctx());
+            crashed += r.crashed;
+            events += w.last_events().len();
+            assert_ne!(w.topology().stamp(), before);
+            assert_eq!(
+                w.topology().events_since(before),
+                Some(w.last_events()),
+                "t = {}",
+                w.time()
+            );
+        }
+        assert!(
+            crashed > 0 && events > 0,
+            "{crashed} crashes, {events} events"
+        );
+    }
+
+    #[test]
+    fn equal_rows_from_two_worlds_compare_equal() {
+        let (mut a, mut b) = (small_world(41), small_world(41));
+        let mut q = QuietCtx::new();
+        for _ in 0..20 {
+            a.step(&mut q.ctx());
+            b.step(&mut q.ctx());
+        }
+        assert_ne!(a.topology().stamp(), b.topology().stamp());
+        assert_eq!(a.topology(), b.topology());
     }
 
     #[test]

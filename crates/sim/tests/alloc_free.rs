@@ -4,22 +4,35 @@
 //! performs no heap allocation at all. Measured with a counting global
 //! allocator wrapped around the system one.
 //!
-//! This file holds exactly one test so no concurrent test case can
-//! allocate while the steady-state window is being counted.
+//! The allocator counts per thread and every measured tick runs on the
+//! test thread, so allocations on other threads (another test, or the
+//! harness printing a slow-test notice) do not enter the count.
 
 use manet_sim::{HelloMode, QuietCtx, SimBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Counted per thread so that the
+    /// test harness's own threads (its slow-test notice, say) cannot
+    /// touch the count of the test thread, where every measured tick
+    /// runs. `const`-initialized with no destructor, so bumping it never
+    /// allocates and works at any point of a thread's life.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 // SAFETY: delegates verbatim to the system allocator; the counter is a
-// relaxed atomic increment with no other side effect.
+// plain increment of a thread-local cell with no other side effect, and
+// `try_with` cannot panic.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -28,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -54,11 +67,11 @@ fn steady_state_world_step_is_allocation_free() {
     for _ in 0..1000 {
         world.step(&mut quiet.ctx());
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for _ in 0..100 {
         world.step(&mut quiet.ctx());
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,

@@ -81,6 +81,19 @@ echo "==> cargo test --workspace -q"
 # (the stage-parity gate, the maintenance oracle, ...).
 cargo test --workspace -q
 
+echo "==> examples' stdout (tests/golden/examples)"
+# Every example is seeded, so its stdout is pinned byte for byte.
+# quickstart, protocol_comparison and data_delivery prime the stack and
+# then warm only the world, so their first tick runs the route layer's
+# full pass end to end (its topology does not chain from the primed one).
+for fixture in tests/golden/examples/*.txt; do
+    name=$(basename "$fixture" .txt)
+    if ! cargo run -q --release --example "$name" | cmp - "$fixture"; then
+        echo "verify: FAIL — example $name's stdout differs from $fixture" >&2
+        exit 1
+    fi
+done
+
 echo "==> benchmark build + self-test (perfbench --self-test)"
 # perfbench/ is a workspace of its own over crates/* (see BENCHMARK.json);
 # building and self-testing it here catches an API change that would
