@@ -185,6 +185,23 @@ struct PassBuffers {
     broken_by_head: Vec<(NodeId, NodeId)>,
 }
 
+impl PassBuffers {
+    /// Buffers for `n` nodes. The scan's lists get room for an eighth of
+    /// the nodes each, far more than the few broken affiliations and head
+    /// contacts a steady-state pass finds, so they never grow there.
+    fn for_nodes(n: usize) -> Self {
+        let room = n / 8 + 8;
+        PassBuffers {
+            scan: Scan {
+                broken: Vec::with_capacity(room),
+                contacts: Vec::with_capacity(room),
+            },
+            orphans: Vec::with_capacity(n),
+            broken_by_head: Vec::with_capacity(room),
+        }
+    }
+}
+
 /// A live one-hop cluster structure: per-node roles plus the policy that
 /// arbitrates headship contests.
 ///
@@ -268,7 +285,7 @@ impl<P: ClusterPolicy> Clustering<P> {
         let clustering = Clustering {
             policy,
             roles,
-            buffers: PassBuffers::default(),
+            buffers: PassBuffers::for_nodes(n),
         };
         (clustering, FormationStats { rounds })
     }

@@ -9,18 +9,20 @@
 //! through a branch-free distance prefilter, and the few hits are decided
 //! exactly (see [`FrameGrid::sweep`]).
 //!
-//! A frame built from this call's positions (a *fresh* frame) can also
-//! keep a Verlet candidate list per owned row: every item within
-//! `r + s`, with the skin `s = 0.2·r`. Each call re-tests a row's
-//! candidates with the exact link rule and rebuilds a rotating slice of
-//! the lists, plus any list whose drift budget is spent (see
-//! [`FrameGrid::advance`] and [`FrameGrid::sweep_verlet`]).
+//! A frame built from this call's positions (a *fresh* frame) that owns
+//! every node can instead keep a *link schedule*: every candidate pair
+//! within `r + s` (skin `s = 0.2·r`), once, in its smaller id's list,
+//! with the drift before which it cannot flip. Each call re-tests only
+//! the pairs that are due and rebuilds a rotating slice of the lists; the
+//! flips edit the kernel's own sorted rows, which are copied out, and are
+//! kept, sorted, as the call's link changes (see [`FrameGrid::advance`],
+//! [`FrameGrid::sweep_verlet`] and [`FrameGrid::flips`]).
 //!
 //! Two builders feed it. The shard plane (`manet-shard`) runs it once
 //! per shard on the frame its ghost exchange assembled; a one-shard
-//! plane keeps candidate lists. [`SpatialGrid`] runs it on a 1x1 frame:
-//! every node owned, plus its periodic self-images on a torus, with
-//! candidate lists too. Both therefore produce the same rows.
+//! plane keeps a schedule. [`SpatialGrid`] runs it on a 1x1 frame:
+//! every node owned, plus its periodic self-images on a torus, with a
+//! schedule too. Both therefore produce the same rows.
 
 use crate::metric::{fold, Metric};
 use crate::region::SquareRegion;
@@ -36,8 +38,9 @@ const BAND_REL: f64 = 1e-9;
 /// moved `s/2` since the list was built.
 const SKIN_REL: f64 = 0.2;
 
-/// The share of the skin a list's drift budget leaves unused, absorbing
-/// the rounding of frame-local coordinates and of the measured steps.
+/// The share of the skin a list's drift budget leaves unused, and of the
+/// radius a pair's flip bound leaves unused, absorbing the rounding of
+/// frame-local coordinates, distances and the measured steps.
 const SLACK_REL: f64 = 1e-6;
 
 /// The shortest rotation period worth keeping lists for: at `P = 2`
@@ -76,15 +79,33 @@ fn reach(radius: f64) -> f64 {
     radius + radius * SKIN_REL
 }
 
-/// The frame in cell order over a rectangular, non-wrapping CSR cell
-/// grid whose cells are at least one sweep reach wide, so every pair
-/// within the reach sits in the same or an adjacent cell.
+/// `x ≥ 0` as an `f32` not above it, branch-free: shrunk by `2⁻²³`
+/// first, more than the `2⁻²⁴` a conversion can round up (below `f32`'s
+/// normal range the error is absolute, ~10⁻⁴⁵, inside the slack).
+fn f32_down(x: f64) -> f32 {
+    (x * (1.0 - F32_EPS)) as f32
+}
+
+/// `x ≥ 0` as an `f32` not below it (see [`f32_down`]).
+fn f32_up(x: f64) -> f32 {
+    (x * (1.0 + F32_EPS)) as f32
+}
+
+/// Twice `f32`'s relative rounding bound.
+const F32_EPS: f64 = f32::EPSILON as f64;
+
+/// The frame in cell order over a rectangular CSR cell grid whose cells
+/// are at least one sweep reach wide, so every pair within the reach
+/// sits in the same or an adjacent cell. A *wrapping* grid tiles a torus
+/// square: the cells past one edge are those at the other.
 #[derive(Debug, Default)]
 struct CellFrame {
     ncx: usize,
     ncy: usize,
     inv_cw: f64,
     inv_ch: f64,
+    /// The torus side a wrapping grid tiles (`None`: no wrap).
+    wrap: Option<f64>,
     /// CSR cell boundaries: cell `c` holds sorted items
     /// `starts[c]..starts[c + 1]`.
     starts: Vec<u32>,
@@ -100,11 +121,12 @@ struct CellFrame {
 
 impl CellFrame {
     /// Sizes the cells of a `w × h` frame for pairs within `reach`.
-    fn set_cells(&mut self, w: f64, h: f64, reach: f64) {
+    fn set_cells(&mut self, w: f64, h: f64, reach: f64, wrap: Option<f64>) {
         self.ncx = ((w / reach) as usize).max(1);
         self.ncy = ((h / reach) as usize).max(1);
         self.inv_cw = self.ncx as f64 / w;
         self.inv_ch = self.ncy as f64 / h;
+        self.wrap = wrap;
     }
 
     /// Cell index of a frame-local point (clamped to the frame, so
@@ -115,8 +137,9 @@ impl CellFrame {
         (cy * self.ncx + cx) as u32
     }
 
-    /// Copies the frame into cell order (a stable counting sort).
-    fn rebuild(&mut self, ids: &[u32], pts: &[Vec2]) {
+    /// Copies the frame into cell order (a stable counting sort); without
+    /// `ids`, item `i` has id `i`.
+    fn rebuild(&mut self, ids: Option<&[u32]>, pts: &[Vec2]) {
         let ncells = self.ncx * self.ncy;
         let n = pts.len();
         self.starts.clear();
@@ -141,7 +164,7 @@ impl CellFrame {
             self.starts[c as usize] += 1;
             self.xs[k] = pts[i].x;
             self.ys[k] = pts[i].y;
-            self.ids[k] = ids[i];
+            self.ids[k] = ids.map_or(i as u32, |ids| ids[i]);
             self.slots[k] = i as u32;
         }
         self.starts.copy_within(0..ncells, 1);
@@ -149,7 +172,7 @@ impl CellFrame {
     }
 
     /// The sorted-item ranges of the three cell-row slices around frame
-    /// item `k`'s cell.
+    /// item `k`'s cell (on a non-wrapping grid).
     fn slices(&self, k: usize) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
         let ncx = self.ncx;
         let c = self.cell_of[k] as usize;
@@ -159,6 +182,20 @@ impl CellFrame {
             let base = band_row * ncx;
             self.starts[base + x0] as usize..self.starts[base + x1 + 1] as usize
         })
+    }
+
+    /// The cell spans `(first, last, shift)` of one axis around cell
+    /// `c` of `nc` on a wrapping grid over `side`: up to three cells, each
+    /// once, with the shift that brings cell `c`'s items next to a span
+    /// across the seam. A grid under three cells wide scans every cell,
+    /// unshifted.
+    fn wrap_spans(c: usize, nc: usize, side: f64) -> ([(usize, usize, f64); 2], usize) {
+        match c {
+            _ if nc < 3 => ([(0, nc - 1, 0.0); 2], 1),
+            0 => ([(0, 1, 0.0), (nc - 1, nc - 1, side)], 2),
+            c if c == nc - 1 => ([(c - 1, c, 0.0), (0, 0, -side)], 2),
+            c => ([(c - 1, c + 1, 0.0); 2], 1),
+        }
     }
 
     /// Collects into `hits` (sorted index) and `hit_d2` (frame-local
@@ -183,32 +220,96 @@ impl CellFrame {
         nh
     }
 
-    /// Collects into `out` the global id of every item with `d² ≤ lim`
-    /// from frame item `k` at `p` (the candidate scan: the prefilter
-    /// alone decides). Returns the hit count.
-    fn scan_ids(&self, k: usize, p: Vec2, lim: f64, out: &mut [u32]) -> usize {
+    /// Collects into `out` the id, above `above`, of every item within
+    /// `√lim` of item `k` at `p` (the candidate scan: a branch-free
+    /// Euclidean prefilter decides). On a wrapping grid over `side` a
+    /// span across the seam is scanned with `p` shifted by the side; a
+    /// grid under three cells wide folds every difference instead.
+    /// Returns the hit count.
+    fn scan_ids(&self, k: usize, p: Vec2, lim: f64, above: u32, out: &mut [u32]) -> usize {
         let mut nh = 0;
-        for range in self.slices(k) {
+        let mut scan = |range: std::ops::Range<usize>, q: Vec2, fold_side: Option<f64>| {
             let (xs, ys, ids) = (
                 &self.xs[range.clone()],
                 &self.ys[range.clone()],
                 &self.ids[range],
             );
+            if let Some(side) = fold_side {
+                for ((&xj, &yj), &id) in xs.iter().zip(ys).zip(ids) {
+                    let (dx, dy) = (fold((q.x - xj).abs(), side), fold((q.y - yj).abs(), side));
+                    out[nh] = id;
+                    nh += usize::from((dx * dx + dy * dy <= lim) & (id > above));
+                }
+                return;
+            }
             for ((&xj, &yj), &id) in xs.iter().zip(ys).zip(ids) {
-                let (dx, dy) = (xj - p.x, yj - p.y);
+                let (dx, dy) = (q.x - xj, q.y - yj);
                 out[nh] = id;
-                nh += usize::from(dx * dx + dy * dy <= lim);
+                nh += usize::from((dx * dx + dy * dy <= lim) & (id > above));
+            }
+        };
+        let Some(side) = self.wrap else {
+            for range in self.slices(k) {
+                scan(range, p, None);
+            }
+            return nh;
+        };
+        let ncx = self.ncx;
+        let c = self.cell_of[k] as usize;
+        let (xs, nxs) = Self::wrap_spans(c % ncx, ncx, side);
+        let (ys, nys) = Self::wrap_spans(c / ncx, self.ncy, side);
+        let fold_side = (self.ncx < 3 || self.ncy < 3).then_some(side);
+        for &(y0, y1, sy) in &ys[..nys] {
+            for row in y0..=y1 {
+                let base = row * ncx;
+                for &(x0, x1, sx) in &xs[..nxs] {
+                    let range =
+                        self.starts[base + x0] as usize..self.starts[base + x1 + 1] as usize;
+                    scan(range, Vec2::new(p.x + sx, p.y + sy), fold_side);
+                }
             }
         }
         nh
     }
 }
 
-/// The Verlet state of [`FrameGrid::sweep_verlet`]: the positions of the
-/// previous [`FrameGrid::advance`], the drift since the history began,
-/// and one candidate list per owned slot.
+/// A link that the latest [`FrameGrid::sweep_verlet`] call added or
+/// removed, between the nodes `a < b`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LinkFlip {
+    /// The smaller id.
+    pub a: u32,
+    /// The larger id.
+    pub b: u32,
+    /// Whether the link now exists (`false`: it broke).
+    pub up: bool,
+}
+
+/// A pair's *due* `d ≥ 0` (the drift past its list's build before which
+/// it cannot flip) with its link state in the sign bit: negative while
+/// the pair is linked. `code.abs()` reads the due back.
+fn due_code(due: f32, linked: bool) -> f32 {
+    f32::from_bits(due.to_bits() | u32::from(linked) << 31)
+}
+
+/// Appends `flip` to `flips`, keeping the flips from `from` on (the
+/// current node's, all with `flip.a`) sorted by `b`.
+fn push_flip(flips: &mut Vec<LinkFlip>, from: usize, flip: LinkFlip) {
+    flips.push(flip);
+    let mut i = flips.len() - 1;
+    while i > from && flips[i - 1].b > flip.b {
+        flips[i] = flips[i - 1];
+        i -= 1;
+    }
+    flips[i] = flip;
+}
+
+/// The link schedule of [`FrameGrid::sweep_verlet`]: the positions of
+/// the previous [`FrameGrid::advance`], the drift since the history
+/// began, one candidate list per node, and the rows the lists' link
+/// states spell out.
 #[derive(Debug, Default)]
-struct Candidates {
+struct Schedule {
     /// Global positions at the previous `advance` (empty: no history).
     prev: Vec<Vec2>,
     /// The sum of every `advance`'s largest per-node step, rounded up:
@@ -216,34 +317,80 @@ struct Candidates {
     drift: f64,
     /// `advance` calls so far: the phase of the rotation.
     calls: u64,
-    /// Per owned slot: the sorted ids within `r + s` at its last build.
+    /// Per node: its partners, the larger ids within `r + s` at its
+    /// list's build, in scan order.
     lists: Vec<Vec<u32>>,
-    /// The owned id each slot's list was built for.
-    owner: Vec<u32>,
-    /// Per slot: the drift past which its list may miss a link (`−∞`
+    /// Per node, parallel to `lists`: each pair's due and link state
+    /// ([`due_code`]), 4 bytes, so a pair takes 8.
+    dues: Vec<Vec<f32>>,
+    /// Per node: the drift at its list's build.
+    built: Vec<f64>,
+    /// Per node: the drift past which its list may miss a link (`−∞`
     /// when it holds none).
     expires: Vec<f64>,
-    /// Capacity of a new list ([`FrameGrid::set_candidate_cap`]).
+    /// Per node: the sorted row of the last call that ran the schedule.
+    rows: Vec<Vec<u32>>,
+    /// Whether the lists and `rows` hold a schedule (false until the
+    /// first call with history builds every list, and after `forget`).
+    live: bool,
+    /// Whether the latest call wrote its rows from the schedule.
+    wrote: bool,
+    /// Per node: the rebuild epoch that marked it as a linked partner.
+    marks: Vec<u32>,
+    epoch: u32,
+    /// The latest call's flips, sorted by `(a, b)`.
+    flips: Vec<LinkFlip>,
+    /// The buffer `flips` is merged into.
+    merged: Vec<LinkFlip>,
+    /// The caller's tag for the latest call's rows (0: none).
+    tag: u64,
+    /// The tag of the rows the flips lead from (0: they lead from no
+    /// tagged output).
+    base: u64,
+    /// Capacity of a list holding every candidate
+    /// ([`FrameGrid::set_candidate_cap`]).
     cap: usize,
 }
 
-impl Candidates {
-    /// Drops the history and expires every list.
+impl Schedule {
+    /// Drops the history and the schedule.
     fn forget(&mut self) {
         self.prev.clear();
         self.drift = 0.0;
         self.expires.fill(f64::NEG_INFINITY);
+        self.live = false;
     }
 
-    /// Sizes the per-slot state for `slots` owned rows; new slots hold no
-    /// list.
-    fn fit(&mut self, slots: usize) {
-        if self.lists.len() < slots {
-            let cap = self.cap;
-            self.lists.resize_with(slots, || Vec::with_capacity(cap));
-            self.owner.resize(slots, u32::MAX);
-            self.expires.resize(slots, f64::NEG_INFINITY);
+    /// Sizes the per-node state for `n` nodes; new nodes hold no list.
+    /// Node `k`'s list holds only larger ids, so it gets the share
+    /// `(n − 1 − k)/(n − 1)` of the full capacity, plus a floor.
+    fn fit(&mut self, n: usize) {
+        if self.lists.len() < n {
+            let span = n.max(2) - 1;
+            for k in self.lists.len()..n {
+                let cap = (self.cap * (span - k.min(span))).div_ceil(span) + 8;
+                self.lists.push(Vec::with_capacity(cap));
+                self.dues.push(Vec::with_capacity(cap));
+            }
+            self.built.resize(n, 0.0);
+            self.expires.resize(n, f64::NEG_INFINITY);
+            self.rows.resize_with(n, Vec::new);
+            self.marks.resize(n, 0);
+            self.flips.reserve(n);
+            self.merged.reserve(n);
         }
+    }
+}
+
+/// Inserts (`up`) or removes `id` in the sorted `row`.
+fn edit_row(row: &mut Vec<u32>, id: u32, up: bool) {
+    let at = row.partition_point(|&x| x < id);
+    if up {
+        debug_assert_ne!(row.get(at), Some(&id), "flip adds a present link");
+        row.insert(at, id);
+    } else {
+        debug_assert_eq!(row.get(at), Some(&id), "flip removes an absent link");
+        row.remove(at);
     }
 }
 
@@ -251,8 +398,14 @@ impl Candidates {
 /// docs).
 ///
 /// All buffers are reused across sweeps; once [`FrameGrid::reserve`] (and,
-/// for candidate lists, [`FrameGrid::set_candidate_cap`]) has sized them
-/// for the frame, the steady state is allocation-free.
+/// for the link schedule, [`FrameGrid::set_candidate_cap`]) has sized
+/// them for the frame, the steady state is allocation-free.
+///
+/// A caller that keeps its rows in a versioned container (a `Topology`)
+/// can tag each call's output ([`FrameGrid::tag_output`]); a call that
+/// ran the schedule right after one whose rows were tagged then records
+/// its flips against that tag ([`FrameGrid::flips`]), so the container
+/// can carry them as the link events from its predecessor.
 #[derive(Debug, Default)]
 pub struct FrameGrid {
     w: f64,
@@ -261,18 +414,18 @@ pub struct FrameGrid {
     metric: Option<Metric>,
     frame: CellFrame,
     /// Prefilter hits of the current row: sorted index and squared
-    /// distance; re-tests reuse `hits` for the surviving ids. As long as
-    /// the frame, so no slice can overflow it.
+    /// distance; the schedule reuses `hits` for candidate ids and due
+    /// pairs. As long as the frame, so no slice can overflow it.
     hits: Vec<u32>,
     hit_d2: Vec<f64>,
-    verlet: Candidates,
+    verlet: Schedule,
 }
 
 impl FrameGrid {
     /// Sets the frame extents, the link radius and the metric that
     /// decides borderline pairs. Each sweep sizes its cells for its own
     /// reach (`r`, or `r + s` for candidate lists). A changed radius or
-    /// metric drops the candidate lists' history.
+    /// metric drops the schedule's history.
     ///
     /// # Panics
     ///
@@ -306,18 +459,36 @@ impl FrameGrid {
         }
     }
 
-    /// Sets the capacity of every candidate list to at least `cap` (a
-    /// [`row_floor`] at the reach `r + s`): lists are created at it by the
-    /// first call that builds them, and topped up to it on a rebuild.
+    /// Sets the capacity a candidate list would need to hold every item
+    /// within `r + s` (a [`row_floor`] at that reach). A node's list
+    /// keeps only its pairs with larger ids, so it is created, by the
+    /// first call that builds it, at the matching share of `cap`.
     pub fn set_candidate_cap(&mut self, cap: usize) {
         self.verlet.cap = cap;
+    }
+
+    /// The link flips of the latest call, sorted by `(a, b)`, with the
+    /// tag of the rows they lead from: `Some` only when that call ran the
+    /// schedule, and the call before it did too and had its rows tagged
+    /// ([`FrameGrid::tag_output`]). Applied to those rows, the flips give
+    /// the latest call's rows.
+    pub fn flips(&self) -> Option<(u64, &[LinkFlip])> {
+        let v = &self.verlet;
+        (v.base != 0).then_some((v.base, &v.flips[..]))
+    }
+
+    /// Tags the rows the latest call wrote, so that the next call's flips
+    /// can name them (`0` leaves them untagged). A caller tags only rows
+    /// it keeps exactly as written.
+    pub fn tag_output(&mut self, tag: u64) {
+        self.verlet.tag = tag;
     }
 
     /// Cell-sorts the frame for sweeps within `reach` and sizes the hit
     /// buffers to it.
     fn bin(&mut self, ids: &[u32], pts: &[Vec2], reach: f64) {
-        self.frame.set_cells(self.w, self.h, reach);
-        self.frame.rebuild(ids, pts);
+        self.frame.set_cells(self.w, self.h, reach, None);
+        self.frame.rebuild(Some(ids), pts);
         self.hits.resize(pts.len(), 0);
         self.hit_d2.resize(pts.len(), 0.0);
     }
@@ -338,7 +509,7 @@ impl FrameGrid {
     /// appears once.
     ///
     /// Each row is cleared, topped up to `row_cap` capacity, filled and
-    /// sorted in turn.
+    /// sorted in turn. The call records no flips.
     ///
     /// # Panics
     ///
@@ -356,6 +527,8 @@ impl FrameGrid {
         assert_eq!(ids.len(), pts.len(), "frame ids and points differ");
         let owned = rows.len();
         assert!(owned <= ids.len(), "owned prefix exceeds the frame");
+        let v = &mut self.verlet;
+        (v.wrote, v.tag, v.base) = (false, 0, 0);
         let radius = self.radius;
         self.bin(ids, pts, radius);
         let r2 = radius * radius;
@@ -402,7 +575,7 @@ impl FrameGrid {
         boundary
     }
 
-    /// Opens a candidate-list call: measures the largest step, under the
+    /// Opens a link-schedule call: measures the largest step, under the
     /// metric, of any of the `positions` since the previous call, adds it
     /// to the drift, and returns the rotation period
     /// `P = ⌊(s/2) / step⌋` for [`FrameGrid::sweep_verlet`].
@@ -411,8 +584,10 @@ impl FrameGrid {
     /// instead: on the first call, after a change of node count, radius
     /// or metric, on a non-finite step or a position outside the torus
     /// square, and when `P < 3` (nodes that move a sixth of the skin per
-    /// call would rebuild half the lists or more every call). A list
-    /// stays exact across such calls as long as its drift budget lasts.
+    /// call would rebuild half the lists or more every call). All but the
+    /// last drop the schedule. A call with `P < 3` keeps it: the drift
+    /// still grows, so every list and every pair's due stays a sound
+    /// bound for the next call that runs the schedule.
     ///
     /// # Panics
     ///
@@ -457,23 +632,39 @@ impl FrameGrid {
         (period >= MIN_PERIOD).then_some(period)
     }
 
-    /// Writes the same rows and boundary count as [`FrameGrid::sweep`]
-    /// from the owned rows' candidate lists, for a *fresh* frame: one
-    /// built from `positions` this call, with a ghost margin of
-    /// [`ghost_margin`]`(r + s)` so it holds every candidate. `period`
-    /// comes from this call's [`FrameGrid::advance`].
+    /// Writes the rows and boundary count that [`FrameGrid::sweep`]
+    /// writes on a frame of every node of `positions` in id order (with
+    /// its periodic images on a torus) from the link schedule. `rows`
+    /// holds one row per node, and `period` comes from this call's
+    /// [`FrameGrid::advance`]. The schedule reads the untranslated
+    /// `positions` alone: it bins them on a grid of cells at least
+    /// `r + s` wide over the configured extents, or over the torus square
+    /// with the grid wrapping at its edges.
     ///
-    /// Owned slot `k` rebuilds its list when it is due,
-    /// `(k + calls) mod period = 0`, or stale: built for another id, or
-    /// its drift budget spent. A rebuild sweeps the cell-sorted frame at
-    /// `r + s` with the prefilter alone and sorts the ids once. The list
-    /// then holds every link until the drift grows by `s/2` (less a
-    /// `1e-6` share) past its build: two nodes within `r` now were within
-    /// `r + s` then, by the triangle inequality. Every row, rebuilt or
-    /// not, re-tests its list through the metric's own squared distance
-    /// (on a torus, the metric's branch-free fold of the in-range
-    /// differences) and keeps the survivors in order, so every link
-    /// equals `metric.within` and needs no sort.
+    /// Every candidate pair `u < v` within `r + s` is kept once, in `u`'s
+    /// list, with its link state and its *due*: the drift before which it
+    /// cannot flip. A pair tested at drift `D` with distance `d` is due at
+    /// `D + |d − r|/2` (less a `1e-6·r` slack, rounded down): two nodes
+    /// close or part by at most twice the drift's growth.
+    ///
+    /// Node `u` rebuilds its list when the rotation reaches it,
+    /// `(u + calls) mod period = 0`, or when its drift budget is spent. A
+    /// rebuild scans the binned nodes around `u` at `r + s` and tests every
+    /// candidate with the squared distance the scan computed. The list then holds every link
+    /// until the drift grows by `s/2` (less a `1e-6` share) past its
+    /// build: two nodes within `r` now were within `r + s` then, by the
+    /// triangle inequality. Every other list re-tests only its due pairs.
+    /// A test is the metric's own squared distance (on a torus, the
+    /// metric's branch-free fold of the in-range differences) against
+    /// `r²`, so every link equals `metric.within`.
+    ///
+    /// A test that disagrees with the pair's state, and a rebuild that
+    /// loses a linked partner, is a flip. The flips are sorted by
+    /// `(a, b)` and edit the kernel's sorted rows in place (no list or
+    /// row is sorted), and the rows are copied into `rows`, topped up to
+    /// `row_cap` capacity. The first call with history, or the first
+    /// after the schedule was dropped, builds every list and its rows
+    /// from scratch and records no flips (see [`FrameGrid::flips`]).
     ///
     /// On a torus the boundary count is the links `u < v` whose minimum
     /// image wraps, which are the links a sweep finds through a periodic
@@ -481,19 +672,16 @@ impl FrameGrid {
     ///
     /// # Panics
     ///
-    /// Panics if the grid was never configured, if `ids` and `pts`
-    /// differ in length, if the owned prefix exceeds the frame, or if
-    /// `r + s` is not below half a torus side.
+    /// Panics if the grid was never configured, unless `rows` has one row
+    /// per position, or if `r + s` is not below half a torus side.
     pub fn sweep_verlet(
         &mut self,
         period: u64,
-        ids: &[u32],
-        pts: &[Vec2],
         positions: &[Vec2],
         rows: &mut [Vec<u32>],
         row_cap: usize,
     ) -> usize {
-        self.verlet_rows(period, (ids, pts), positions, rows, row_cap, true)
+        self.verlet_rows(period, positions, rows, row_cap, true)
     }
 
     /// [`FrameGrid::sweep_verlet`], counting the wrapped links only when
@@ -501,100 +689,221 @@ impl FrameGrid {
     fn verlet_rows(
         &mut self,
         period: u64,
-        (ids, pts): (&[u32], &[Vec2]),
         positions: &[Vec2],
         rows: &mut [Vec<u32>],
         row_cap: usize,
         count_wraps: bool,
     ) -> usize {
         let metric = self.metric.expect("configure the grid before sweeping");
-        assert_eq!(ids.len(), pts.len(), "frame ids and points differ");
-        let owned = rows.len();
-        assert!(owned <= ids.len(), "owned prefix exceeds the frame");
+        let n = rows.len();
+        assert_eq!(n, positions.len(), "a link schedule needs one row per node");
         let radius = self.radius;
         let (skin, reach) = (radius * SKIN_REL, reach(radius));
-        let wrap_side = match metric {
-            Metric::Euclidean => None,
+        let (w, h, fold_side) = match metric {
+            Metric::Euclidean => (self.w, self.h, None),
             Metric::Toroidal { side } => {
-                assert!(reach < side * 0.5, "candidate reach must stay below side/2");
-                count_wraps.then_some(side)
+                assert!(
+                    candidate_reach(radius, side).is_some(),
+                    "candidate reach must stay below side/2"
+                );
+                (side, side, Some(side))
             }
         };
+        let wrap_side = fold_side.filter(|_| count_wraps);
         let period = period.max(1);
-        self.verlet.fit(owned);
-        // Slot k is due at k ≡ −calls (mod period).
-        let first_due = (period - self.verlet.calls % period) % period;
-        let v = &self.verlet;
-        let rebuilds = first_due < owned as u64
-            || (0..owned).any(|k| v.owner[k] != ids[k] || v.drift > v.expires[k]);
+        let v = &mut self.verlet;
+        v.fit(n);
+        let prev_tag = std::mem::take(&mut v.tag);
+        let full = !v.live;
+        v.base = if v.live && v.wrote { prev_tag } else { 0 };
+        v.flips.clear();
+        // Node k is due at k ≡ −calls (mod period).
+        let first_due = (period - v.calls % period) % period;
+        let rebuilds = full || first_due < n as u64 || v.expires[..n].iter().any(|&e| v.drift > e);
         if rebuilds {
-            self.bin(ids, pts, reach);
+            self.frame.set_cells(w, h, reach, fold_side);
+            self.frame.rebuild(None, positions);
+            self.hits.resize(n, 0);
         }
         let r2 = radius * radius;
         let lim = reach * reach * (1.0 + BAND_REL);
-        let expiry = (self.verlet.drift + 0.5 * skin * (1.0 - SLACK_REL)).next_down();
+        let slack = radius * SLACK_REL;
         let FrameGrid {
             frame,
             hits,
             verlet: v,
             ..
         } = self;
-        // Rebuild the due and stale lists, then re-test every row.
-        let mut next_due = first_due;
-        for (k, list) in v.lists[..owned].iter_mut().enumerate() {
-            let own = ids[k];
-            let due = k as u64 == next_due;
-            if due || v.owner[k] != own || v.drift > v.expires[k] {
-                if due {
-                    next_due = next_due.saturating_add(period);
+        let drift = v.drift;
+        let expiry = (drift + 0.5 * skin * (1.0 - SLACK_REL)).next_down();
+        // The metric's squared distance, and the drift a pair at that
+        // squared distance needs before it can flip.
+        let dist2 = |a: Vec2, b: Vec2| match metric {
+            Metric::Euclidean => a.distance_sq(b),
+            Metric::Toroidal { side } => {
+                let dx = fold((a.x - b.x).abs(), side);
+                let dy = fold((a.y - b.y).abs(), side);
+                dx * dx + dy * dy
+            }
+        };
+        let gap = |d2: f64| (0.5 * (d2.sqrt() - radius).abs() - slack).max(0.0);
+        if full {
+            for row in &mut v.rows[..n] {
+                row.clear();
+                if row.capacity() < row_cap {
+                    row.reserve(row_cap);
                 }
-                let nh = frame.scan_ids(k, pts[k], lim, hits);
-                list.clear();
-                if list.capacity() < v.cap {
-                    list.reserve(v.cap);
-                }
-                list.extend(hits[..nh].iter().filter(|&&id| id != own));
-                list.sort_unstable();
-                list.dedup();
-                v.owner[k] = own;
-                v.expires[k] = expiry;
             }
         }
+        // Rebuild the rotation's slice and the stale lists, testing every
+        // candidate against the link state the list held. Each node's
+        // flips follow the earlier nodes', kept in `(a, b)` order.
+        let mut next_due = first_due;
+        for k in 0..n {
+            let due = k as u64 == next_due;
+            if due {
+                next_due = next_due.saturating_add(period);
+            }
+            if !(full || due || drift > v.expires[k]) {
+                continue;
+            }
+            let own = k as u32;
+            let me = positions[k];
+            let from = v.flips.len();
+            // Mark the partners this list links now (row k past k).
+            v.epoch = v.epoch.wrapping_add(1);
+            if v.epoch == 0 {
+                v.marks.fill(0);
+                v.epoch = 1;
+            }
+            let epoch = v.epoch;
+            let tail = v.rows[k].partition_point(|&id| id < own);
+            for &id in &v.rows[k][tail..] {
+                v.marks[id as usize] = epoch;
+            }
+            let nh = frame.scan_ids(k, me, lim, own, hits);
+            let Schedule {
+                lists,
+                dues,
+                rows: krows,
+                marks,
+                flips,
+                ..
+            } = &mut *v;
+            let (list, codes) = (&mut lists[k], &mut dues[k]);
+            list.clear();
+            list.extend_from_slice(&hits[..nh]);
+            codes.clear();
+            codes.extend(list.iter().map(|&id| {
+                let d2 = dist2(me, positions[id as usize]);
+                let linked = d2 <= r2;
+                let was = marks[id as usize] == epoch;
+                marks[id as usize] = 0;
+                if linked != was {
+                    if full {
+                        // From scratch: row k's tail is sorted below.
+                        krows[id as usize].push(own);
+                        krows[k].push(id);
+                    } else {
+                        let flip = LinkFlip {
+                            a: own,
+                            b: id,
+                            up: linked,
+                        };
+                        push_flip(flips, from, flip);
+                    }
+                }
+                due_code(f32_down(gap(d2)), linked)
+            }));
+            if full {
+                krows[k][tail..].sort_unstable();
+            }
+            // A partner the scan no longer reaches is past r + s.
+            for &id in &krows[k][tail..] {
+                if marks[id as usize] == epoch {
+                    let flip = LinkFlip {
+                        a: own,
+                        b: id,
+                        up: false,
+                    };
+                    push_flip(flips, from, flip);
+                }
+            }
+            v.built[k] = drift;
+            v.expires[k] = expiry;
+        }
+        // Every other list re-tests its due pairs: a branch-free gather,
+        // then the tests. A list built at this drift has none: no node has
+        // moved since.
+        let rebuilt = v.flips.len();
+        for k in 0..n {
+            let since = drift - v.built[k];
+            if since == 0.0 {
+                continue;
+            }
+            let now = f32_up(since);
+            let own = k as u32;
+            let me = positions[k];
+            let from = v.flips.len();
+            let codes = &mut v.dues[k];
+            if hits.len() < codes.len() {
+                hits.resize(codes.len(), 0);
+            }
+            let mut nd = 0;
+            for (i, &code) in codes.iter().enumerate() {
+                hits[nd] = i as u32;
+                nd += usize::from(code.abs() <= now);
+            }
+            for &i in &hits[..nd] {
+                let (id, code) = (v.lists[k][i as usize], &mut codes[i as usize]);
+                let d2 = dist2(me, positions[id as usize]);
+                let linked = d2 <= r2;
+                if linked != code.is_sign_negative() {
+                    let flip = LinkFlip {
+                        a: own,
+                        b: id,
+                        up: linked,
+                    };
+                    push_flip(&mut v.flips, from, flip);
+                }
+                *code = due_code(f32_down(since + gap(d2)), linked);
+            }
+        }
+        // Merge the two passes' runs, each in `(a, b)` order (a node
+        // either rebuilt or gathered, so no pair is in both).
+        let (first, second) = v.flips.split_at(rebuilt);
+        let (mut i, mut j) = (0, 0);
+        v.merged.clear();
+        while i < first.len() && j < second.len() {
+            if (first[i].a, first[i].b) < (second[j].a, second[j].b) {
+                v.merged.push(first[i]);
+                i += 1;
+            } else {
+                v.merged.push(second[j]);
+                j += 1;
+            }
+        }
+        v.merged.extend_from_slice(&first[i..]);
+        v.merged.extend_from_slice(&second[j..]);
+        std::mem::swap(&mut v.flips, &mut v.merged);
+        for f in &v.flips {
+            edit_row(&mut v.rows[f.a as usize], f.b, f.up);
+            edit_row(&mut v.rows[f.b as usize], f.a, f.up);
+        }
+        (v.live, v.wrote) = (true, true);
         let mut boundary = 0;
-        for ((row, list), &own) in rows.iter_mut().zip(&v.lists).zip(ids) {
-            if hits.len() < list.len() {
-                hits.resize(list.len(), 0);
-            }
-            // Branch-free re-test: write every id, keep the survivors.
-            let me = positions[own as usize];
-            let mut nh = 0;
-            match metric {
-                Metric::Euclidean => {
-                    for &id in list.iter() {
-                        hits[nh] = id;
-                        nh += usize::from(me.distance_sq(positions[id as usize]) <= r2);
-                    }
-                }
-                Metric::Toroidal { side } => {
-                    for &id in list.iter() {
-                        let p = positions[id as usize];
-                        let dx = fold((me.x - p.x).abs(), side);
-                        let dy = fold((me.y - p.y).abs(), side);
-                        hits[nh] = id;
-                        nh += usize::from(dx * dx + dy * dy <= r2);
-                    }
-                }
-            }
+        for (k, (row, src)) in rows.iter_mut().zip(&v.rows).enumerate() {
             row.clear();
             if row.capacity() < row_cap {
                 row.reserve(row_cap);
             }
-            row.extend_from_slice(&hits[..nh]);
+            row.extend_from_slice(src);
             // Only a node within r of an edge has links that wrap.
+            let me = positions[k];
             let inner = |side: f64| reach < me.x.min(me.y) && me.x.max(me.y) < side - reach;
             if let Some(side) = wrap_side.filter(|&side| !inner(side)) {
                 let half = side * 0.5;
-                let above = &row[row.partition_point(|&id| id < own)..];
+                let above = &row[row.partition_point(|&id| id <= k as u32)..];
                 boundary += above
                     .iter()
                     .filter(|&&id| {
@@ -613,11 +922,17 @@ impl FrameGrid {
 /// torus, swept by the shared [`FrameGrid`] kernel.
 ///
 /// The frame is fresh by construction (built from each call's
-/// positions), so consecutive calls keep the kernel's Verlet candidate
-/// lists ([`FrameGrid::sweep_verlet`]). A call with no history (a new
-/// grid, or a changed node count, radius or metric) and a call whose
-/// nodes moved a quarter skin or more sweep plainly at `r`, on a margin
-/// of one radius. Every call's rows are exact either way.
+/// positions) and owns every node in id order, so consecutive calls
+/// keep the kernel's link schedule ([`FrameGrid::sweep_verlet`]). A call
+/// with no history (a new grid, or a changed node count, radius or
+/// metric) and a call whose nodes moved a sixth of the skin or more
+/// sweep plainly at `r`, on a margin of one radius. Every call's rows
+/// are exact either way.
+///
+/// A caller that versions its rows can tag each call's output through
+/// [`SpatialGrid::kernel_mut`]; a call that ran the schedule right after
+/// a tagged one then records its link flips against that tag
+/// ([`FrameGrid::flips`]).
 ///
 /// # Example
 ///
@@ -640,6 +955,12 @@ pub struct SpatialGrid {
 }
 
 impl SpatialGrid {
+    /// The kernel, for its link flips and output tag
+    /// ([`FrameGrid::flips`], [`FrameGrid::tag_output`]).
+    pub fn kernel_mut(&mut self) -> &mut FrameGrid {
+        &mut self.kernel
+    }
+
     /// Writes into `rows[i]` the sorted ids of every node within `radius`
     /// of node `i` under `metric`, reusing this grid's buffers and the
     /// rows' capacities.
@@ -678,32 +999,30 @@ impl SpatialGrid {
                 true
             }
         };
-        // One sweep reach of margin, capped at the side: a link's nearest
+        let n = positions.len();
+        let row_cap = row_floor(n, side, radius);
+        // The schedule bins the positions themselves, over the square.
+        self.kernel.configure(side, side, radius, metric);
+        if let Some(reach) = candidate_reach(radius, side) {
+            if let Some(period) = self.kernel.advance(positions) {
+                self.kernel.set_candidate_cap(row_floor(n, side, reach));
+                self.kernel
+                    .verlet_rows(period, positions, rows, row_cap, false);
+                return;
+            }
+        }
+        // One radius of margin, capped at the side: a link's nearest
         // image is at most side/2 away per axis, so a side-wide margin
         // captures every link even when the radius exceeds the side.
-        let layout_for = |reach: f64| {
-            ShardLayout::new(
-                ShardDims::unit(),
-                region,
-                ghost_margin(reach).min(side),
-                wrap,
-            )
-            .expect("a 1x1 layout whose margin is at most the side is valid")
-        };
-        let mut layout = layout_for(radius);
-        self.kernel
-            .configure(layout.frame_w(), layout.frame_h(), radius, metric);
-        let n = positions.len();
-        let reach = candidate_reach(radius, side);
-        let period = reach.and_then(|_| self.kernel.advance(positions));
-        if let (Some(reach), Some(_)) = (reach, period) {
-            // Candidate lists need every item within r + s in the frame.
-            layout = layout_for(reach);
-            self.kernel
-                .configure(layout.frame_w(), layout.frame_h(), radius, metric);
-            self.kernel.set_candidate_cap(row_floor(n, side, reach));
-        }
+        let layout = ShardLayout::new(
+            ShardDims::unit(),
+            region,
+            ghost_margin(radius).min(side),
+            wrap,
+        )
+        .expect("a 1x1 layout whose margin is at most the side is valid");
         let (w, h) = (layout.frame_w(), layout.frame_h());
+        self.kernel.configure(w, h, radius, metric);
         let images = if wrap { w * h / (side * side) } else { 1.0 };
         let frame_cap = ((n as f64 * images * 1.5).ceil() as usize).max(16);
         self.ids.clear();
@@ -722,16 +1041,8 @@ impl SpatialGrid {
                 self.pts.push(lp);
             });
         }
-        let row_cap = row_floor(n, side, radius);
-        let frame = (&self.ids[..], &self.pts[..]);
-        match period {
-            Some(period) => self
-                .kernel
-                .verlet_rows(period, frame, positions, rows, row_cap, false),
-            None => self
-                .kernel
-                .sweep(&self.ids, &self.pts, positions, rows, row_cap),
-        };
+        self.kernel
+            .sweep(&self.ids, &self.pts, positions, rows, row_cap);
     }
 }
 
@@ -1004,8 +1315,9 @@ mod tests {
         rows_of(grid, positions, 1000.0, 150.0, metric)
     }
 
-    /// Static nodes never rebuild a list: a list emptied after the build
-    /// stays empty, and so does its row.
+    /// Static nodes never rebuild a list or re-test a pair: a list
+    /// emptied after the build stays empty, the rows stay exact from the
+    /// kernel's own rows, and every call flips nothing.
     #[test]
     fn static_frames_never_rebuild_a_list() {
         let metric = Metric::toroidal(1000.0);
@@ -1017,14 +1329,24 @@ mod tests {
             .find(|&k| !grid.kernel.verlet.lists[k].is_empty())
             .unwrap();
         grid.kernel.verlet.lists[k].clear();
-        for _ in 0..40 {
+        grid.kernel.verlet.dues[k].clear();
+        let expected = brute_rows(&positions, 150.0, metric);
+        for call in 0..40 {
+            grid.kernel_mut().tag_output(call + 1);
             let rows = verlet_rows(&mut grid, &positions, metric);
-            assert!(rows[k].is_empty(), "list {k} was rebuilt");
+            assert!(
+                grid.kernel.verlet.lists[k].is_empty(),
+                "list {k} was rebuilt"
+            );
+            assert_eq!(rows, expected);
+            let flips = grid.kernel.flips().expect("a tagged predecessor");
+            assert_eq!(flips, (call + 1, &[][..]));
         }
     }
 
     /// Moving nodes rebuild every list within one rotation: lists emptied
-    /// on purpose come back, and the rows are exact again after `P` calls.
+    /// on purpose come back, each rebuild finds the flips its pairs missed
+    /// against the kernel's rows, and the rows are exact after `P` calls.
     #[test]
     fn one_rotation_rebuilds_every_list() {
         let metric = Metric::toroidal(1000.0);
@@ -1032,9 +1354,12 @@ mod tests {
         let mut grid = SpatialGrid::default();
         verlet_rows(&mut grid, &positions, metric);
         verlet_rows(&mut grid, &positions, metric);
-        for list in &mut grid.kernel.verlet.lists {
+        let v = &mut grid.kernel.verlet;
+        for (list, codes) in v.lists.iter_mut().zip(&mut v.dues) {
             list.clear();
+            codes.clear();
         }
+        let cleared = grid.kernel.verlet.drift;
         let region = SquareRegion::new(1000.0);
         // 2.5 m per call: P = 6.
         for call in 0..6 {
@@ -1044,7 +1369,75 @@ mod tests {
                 .collect();
             let rows = verlet_rows(&mut grid, &positions, metric);
             if call == 5 {
+                assert!(grid.kernel.verlet.built.iter().all(|&b| b > cleared));
                 assert_eq!(rows, brute_rows(&positions, 150.0, metric));
+            }
+        }
+    }
+
+    /// Each call's flips, applied to the previous call's rows, give its
+    /// rows; they come sorted by `(a, b)`, only against a tagged
+    /// predecessor that ran the schedule, and a fallback cuts the chain.
+    /// The 400 m square is under three cells of `r + s` wide, so its torus
+    /// scan folds every difference instead of shifting seam spans.
+    #[test]
+    fn flips_lead_from_the_tagged_previous_rows() {
+        for (side, n) in [(1000.0, 300), (400.0, 60)] {
+            for metric in [Metric::Euclidean, Metric::toroidal(side)] {
+                let case = format!("{metric:?} on {side} m");
+                let region = SquareRegion::new(side);
+                let mut rng = Rng::seed_from_u64(23);
+                let mut positions = random_positions(n, side, 23);
+                let mut grid = SpatialGrid::default();
+                let mut prev = rows_of(&mut grid, &positions, side, 150.0, metric);
+                let (mut chained, mut flipped) = (0, 0);
+                for call in 1..120u64 {
+                    // Mostly 2 m steps, with a fast call (P < 3) now and then.
+                    let scale = if call % 37 == 0 { 20.0 } else { 2.0 };
+                    for p in &mut positions {
+                        let d = Vec2::new(rng.f64_range(-1.0..1.0), rng.f64_range(-1.0..1.0));
+                        let q = *p + d * scale;
+                        *p = match metric {
+                            Metric::Euclidean => {
+                                let edge = side - 1.0;
+                                Vec2::new(q.x.clamp(0.0, edge), q.y.clamp(0.0, edge))
+                            }
+                            Metric::Toroidal { .. } => region.wrap(q),
+                        };
+                    }
+                    let rows = rows_of(&mut grid, &positions, side, 150.0, metric);
+                    assert_eq!(rows, brute_rows(&positions, 150.0, metric), "{case}");
+                    let expect_chain = call >= 2 && call % 37 != 0 && call % 37 != 1;
+                    match grid.kernel.flips() {
+                        Some((base, flips)) => {
+                            assert!(expect_chain, "{case} call {call}: unexpected flips");
+                            assert_eq!(base, call, "{case} call {call}: base");
+                            assert!(flips
+                                .windows(2)
+                                .all(|w| (w[0].a, w[0].b) < (w[1].a, w[1].b)));
+                            let mut edited = prev.clone();
+                            for f in flips {
+                                assert!(f.a < f.b);
+                                edit_row(&mut edited[f.a as usize], f.b, f.up);
+                                edit_row(&mut edited[f.b as usize], f.a, f.up);
+                            }
+                            assert_eq!(edited, rows, "{case} call {call}");
+                            chained += 1;
+                            flipped += flips.len();
+                        }
+                        None => assert!(!expect_chain, "{case} call {call}: no flips"),
+                    }
+                    grid.kernel_mut().tag_output(call + 1);
+                    prev = rows;
+                }
+                assert!(
+                    chained > 100 && flipped > n,
+                    "{case}: {chained} calls, {flipped} flips"
+                );
+                // An untagged output leaves the next call's flips unanchored.
+                grid.kernel_mut().tag_output(0);
+                rows_of(&mut grid, &positions, side, 150.0, metric);
+                assert_eq!(grid.kernel.flips(), None);
             }
         }
     }

@@ -8,8 +8,9 @@
 //!   policies (toroidal wrap-around, reflection).
 //! * [`metric`] — Euclidean and toroidal (minimum-image) distance metrics.
 //! * [`grid`] — the unit-disk kernel: a cell-ordered frame swept one
-//!   owned row at a time, under both metrics, with Verlet candidate
-//!   lists on fresh frames. Every topology builder runs it.
+//!   owned row at a time, under both metrics, with a per-pair link
+//!   schedule on fresh frames that re-tests only the pairs that may have
+//!   flipped and reports the flips. Every topology builder runs it.
 //! * [`linkdist`] — link-distance distributions: Miller's CDF for uniform
 //!   points in a square (the paper's Claim 1 substrate) and the disc
 //!   line-picking CDF used by the intra-cluster ROUTE model.
@@ -47,7 +48,7 @@ pub mod prelude {
     pub use crate::vec2::Vec2;
 }
 
-pub use grid::{candidate_reach, ghost_margin, row_floor, FrameGrid, SpatialGrid};
+pub use grid::{candidate_reach, ghost_margin, row_floor, FrameGrid, LinkFlip, SpatialGrid};
 pub use metric::Metric;
 pub use region::{BoundaryPolicy, SquareRegion};
 pub use shard::{ShardDims, ShardLayout, ShardLayoutError};

@@ -304,6 +304,14 @@ impl IntraClusterRouting {
             }
             if self.stamp != 0 {
                 self.diff();
+            } else {
+                // The baseline pass sizes the event pass's edit buffers
+                // from n, with room for a burst of resignation cascades on
+                // top (64 moved nodes of degree 64), which at small n can
+                // move several times n links in one pass.
+                let (n, burst) = (topology.len(), 64 * 64);
+                clear_with_room(&mut self.moved_generated, n + burst);
+                clear_with_room(&mut self.row_edits, 2 * n + burst);
             }
         }
         let outcome = self.charge(dt, channel, ctx);

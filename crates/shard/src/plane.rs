@@ -20,14 +20,16 @@
 //!    Shards share nothing mutable, so any worker count produces the same
 //!    rows — all fault-plane decisions happen on the sequential exchange
 //!    path. A one-shard plane's frame is fresh by construction (every
-//!    node owned, no interconnect), so it keeps the kernel's Verlet
-//!    candidate lists ([`FrameGrid::sweep_verlet`]) on a ghost margin of
-//!    `r + s`; planes with more shards sweep every tick.
+//!    node owned, in id order, no interconnect), so it keeps the kernel's
+//!    link schedule ([`FrameGrid::sweep_verlet`]), which reads the
+//!    positions alone; planes with more shards sweep every tick.
 //! 3. **Merge** (sequential, in shard-index order): each owned row is
 //!    swapped into the global [`Topology`] — pointer swaps, no copying —
 //!    so row capacities circulate between the shard buffers and the
 //!    world's double-buffered topology and the steady state stays
-//!    allocation-free.
+//!    allocation-free. A one-shard plane then hands its kernel's flips on
+//!    as the tick's link events ([`Topology::adopt_flips`]), so the world
+//!    skips its row diff.
 //! 4. **Reconciliation** (sequential, fault ticks only): when the
 //!    interconnect lost, stalled, or served stale data this tick, shard
 //!    views can disagree about boundary links. A symmetrization sweep
@@ -134,8 +136,9 @@ impl ShardState {
     /// Computes sorted neighbor rows for this shard's owned nodes.
     ///
     /// `positions` are the global coordinates: the sweep consults them
-    /// only for the rare borderline pairs inside the decision band, the
-    /// candidate lists for every re-test.
+    /// only for the rare borderline pairs inside the decision band; the
+    /// link schedule of a one-shard plane, which owns every node in id
+    /// order, reads them alone.
     fn compute(&mut self, positions: &[Vec2]) {
         if self.rows.len() < self.owned {
             self.rows.resize_with(self.owned, Vec::new);
@@ -147,10 +150,9 @@ impl ShardState {
         };
         let rows = &mut self.rows[..self.owned];
         self.stats.boundary_links = match period {
-            Some(period) => {
-                self.grid
-                    .sweep_verlet(period, &self.ids, &self.pts, positions, rows, self.row_cap)
-            }
+            Some(period) => self
+                .grid
+                .sweep_verlet(period, positions, rows, self.row_cap),
             None => self
                 .grid
                 .sweep(&self.ids, &self.pts, positions, rows, self.row_cap),
@@ -192,9 +194,9 @@ impl ShardPlane {
     /// A plane tiling `region` into `dims` shards for unit-disk `radius`
     /// links under `metric`, with a ghost margin one radius wide (plus a
     /// relative epsilon absorbing frame-translation rounding). A `1x1`
-    /// plane widens its margin to the candidate reach `r + s` when
-    /// [`candidate_reach`] allows lists, so its frame holds every
-    /// candidate.
+    /// plane keeps a link schedule when [`candidate_reach`] allows lists;
+    /// the schedule reads the positions alone, so the margin serves the
+    /// fallback sweep.
     ///
     /// # Errors
     ///
@@ -228,7 +230,7 @@ impl ShardPlane {
             None
         };
         // Margin ≥ r guarantees link capture.
-        let layout = ShardLayout::new(dims, region, ghost_margin(reach.unwrap_or(radius)), wrap)?;
+        let layout = ShardLayout::new(dims, region, ghost_margin(radius), wrap)?;
         let mut shards = Vec::with_capacity(dims.count());
         for _ in 0..dims.count() {
             let mut s = ShardState {
@@ -606,6 +608,10 @@ impl TopologyBuilder for ShardPlane {
                 row.retain(|&v| rows[v as usize].binary_search(&(u as NodeId)).is_ok());
                 rows[u] = row;
             }
+        } else if let [shard] = &mut self.shards[..] {
+            // A one-shard plane's rows are its kernel's as written, so the
+            // kernel's flips are this tick's link events.
+            out.adopt_flips(&mut shard.grid);
         }
         probe.phase_end(Phase::ShardMerge, t0);
     }

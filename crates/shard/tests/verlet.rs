@@ -1,10 +1,14 @@
-//! The unit-disk kernel's Verlet candidate lists against an O(N²)
-//! `Metric::within` reference, tick by tick.
+//! The unit-disk kernel's link schedule against O(N²) references, tick
+//! by tick: rows against pairwise `Metric::within`, and the events a
+//! builder records from the schedule's flips against the row diff.
 //!
-//! Both fresh-frame owners keep lists: `SpatialGrid` (behind
-//! `GridTopology` and `World::step`) and the `1x1` shard plane. Every
-//! case drives both through the same position sequence and requires the
-//! exact pairwise rows on every tick: mobility models that rotate the
+//! Both fresh-frame owners keep a schedule: `SpatialGrid` (behind
+//! `Topology::compute_into`, `GridTopology` and `World::step`) and the
+//! `1x1` shard plane. Every case drives both through the same position
+//! sequence, each chaining its output through two topologies as `World`
+//! does, and requires the exact pairwise rows on every tick and, whenever
+//! the new topology carries events from the previous one, exactly the
+//! events `diff_into` gives. The cases: mobility models that rotate the
 //! lists many times over, a world fast enough to fall back to the plain
 //! sweep, and the adversarial ones — a scratch shared by two worlds,
 //! static nodes, jumping positions, churn, and a reach past half the
@@ -15,8 +19,8 @@ use manet_geom::{candidate_reach, FrameGrid, Metric, ShardDims, SpatialGrid, Squ
 use manet_mobility::{EpochRandomDirection, Mobility, RandomWalk, RandomWaypoint};
 use manet_shard::ShardPlane;
 use manet_sim::{
-    ChurnSchedule, FaultPlan, HelloMode, LossModel, NodeId, QuietCtx, SimBuilder, Topology,
-    TopologyBuilder,
+    ChurnSchedule, FaultPlan, HelloMode, LinkEvent, LossModel, NodeId, QuietCtx, SimBuilder,
+    Topology, TopologyBuilder, World,
 };
 use manet_telemetry::Probe;
 use manet_util::Rng;
@@ -30,13 +34,17 @@ fn side() -> f64 {
     (N as f64 / 4e-4).sqrt()
 }
 
-/// The O(N²) reference rows: every ordered pair through `Metric::within`.
-fn brute_rows(positions: &[Vec2], radius: f64, metric: Metric) -> Vec<Vec<NodeId>> {
+/// The O(N²) reference rows: every ordered pair through `Metric::within`,
+/// less the links of nodes marked dead in `alive`.
+fn brute_rows(positions: &[Vec2], radius: f64, metric: Metric, alive: &[bool]) -> Vec<Vec<NodeId>> {
     (0..positions.len())
         .map(|i| {
             (0..positions.len() as NodeId)
                 .filter(|&j| {
-                    j as usize != i && metric.within(positions[i], positions[j as usize], radius)
+                    j as usize != i
+                        && alive[i]
+                        && alive[j as usize]
+                        && metric.within(positions[i], positions[j as usize], radius)
                 })
                 .collect()
         })
@@ -56,17 +64,64 @@ fn wrapped_links(positions: &[Vec2], radius: f64, side: f64) -> usize {
     count
 }
 
+/// The row diff from `prev` to `next`: the reference for every event.
+fn row_diff(prev: &Topology, next: &Topology) -> Vec<LinkEvent> {
+    let mut events = Vec::new();
+    prev.diff_into(next, &mut events);
+    events
+}
+
+/// One builder's output, double-buffered as `World` keeps it: the
+/// builder writes `next` (the topology of two ticks ago) while `prev`
+/// holds the previous tick's.
+#[derive(Default)]
+struct Chain {
+    prev: Topology,
+    next: Topology,
+    /// Ticks whose topology carried the builder's events from `prev`.
+    event_ticks: usize,
+}
+
+impl Chain {
+    /// Checks `next` against `reference` rows and, when it carries events
+    /// from `prev`, those against the row diff; then swaps the buffers.
+    fn check(&mut self, reference: &[Vec<NodeId>], what: &str) {
+        for (i, row) in reference.iter().enumerate() {
+            assert_eq!(
+                self.next.neighbors(i as NodeId),
+                &row[..],
+                "{what}: row {i}"
+            );
+        }
+        if let Some(events) = self.next.events_since(self.prev.stamp()) {
+            assert_eq!(
+                events,
+                &row_diff(&self.prev, &self.next)[..],
+                "{what}: events"
+            );
+            self.event_ticks += 1;
+        }
+        std::mem::swap(&mut self.prev, &mut self.next);
+    }
+}
+
 /// The two fresh-frame owners, fed one position set per tick.
 struct Owners {
     region: SquareRegion,
     radius: f64,
     metric: Metric,
     grid: SpatialGrid,
+    mono: Chain,
     plane: ShardPlane,
+    planed: Chain,
     /// A bare kernel advanced alongside, to tell which ticks may use the
-    /// candidate lists.
+    /// link schedule.
     probe: FrameGrid,
     list_ticks: usize,
+    /// List ticks right after a list tick: the ticks whose flips can
+    /// lead from the previous output.
+    chainable: usize,
+    listed: bool,
 }
 
 impl Owners {
@@ -81,37 +136,49 @@ impl Owners {
             radius,
             metric,
             grid: SpatialGrid::default(),
+            mono: Chain::default(),
             plane,
+            planed: Chain::default(),
             probe,
             list_ticks: 0,
+            chainable: 0,
+            listed: false,
         }
     }
 
-    /// Checks both owners' rows on `positions` against the reference.
-    fn check(&mut self, positions: &[Vec2], case: &str, tick: usize) {
-        let expected = brute_rows(positions, self.radius, self.metric);
-        let mut rows = vec![vec![NodeId::MAX; 2]; positions.len()];
-        self.grid
-            .neighbor_rows(positions, self.region, self.radius, self.metric, &mut rows);
-        assert_eq!(rows, expected, "{case}: SpatialGrid rows at tick {tick}");
-        let mut topo = Topology::default();
+    /// Checks both owners' rows and events on `positions` against the
+    /// references; `alive`, when given, masks the new topologies as
+    /// `World` does under churn.
+    fn check(&mut self, positions: &[Vec2], alive: Option<&[bool]>, case: &str, tick: usize) {
+        let all = vec![true; positions.len()];
+        let masked = alive.is_some();
+        let alive = alive.unwrap_or(&all);
+        let expected = brute_rows(positions, self.radius, self.metric, alive);
+        self.mono.next.compute_into(
+            &mut self.grid,
+            positions,
+            self.region,
+            self.radius,
+            self.metric,
+        );
         self.plane.build_into(
             positions,
             self.region,
             self.radius,
             self.metric,
             &mut None,
-            &mut topo,
+            &mut self.planed.next,
             &mut Probe::off(),
             0.0,
         );
-        for (i, row) in expected.iter().enumerate() {
-            assert_eq!(
-                topo.neighbors(i as NodeId),
-                &row[..],
-                "{case}: 1x1 plane row {i} at tick {tick}"
-            );
+        if masked {
+            self.mono.next.retain_alive(alive);
+            self.planed.next.retain_alive(alive);
         }
+        self.mono
+            .check(&expected, &format!("{case}: SpatialGrid at tick {tick}"));
+        self.planed
+            .check(&expected, &format!("{case}: 1x1 plane at tick {tick}"));
         if let Metric::Toroidal { side } = self.metric {
             let stats = self.plane.shard_stats().next().unwrap();
             assert_eq!(
@@ -121,25 +188,46 @@ impl Owners {
             );
         }
         let eligible = candidate_reach(self.radius, self.region.side()).is_some();
-        if self.probe.advance(positions).is_some() && eligible {
-            self.list_ticks += 1;
+        let listed = self.probe.advance(positions).is_some() && eligible;
+        self.list_ticks += usize::from(listed);
+        self.chainable += usize::from(listed && self.listed);
+        self.listed = listed;
+    }
+
+    /// Requires the builders' events on every list tick that follows a
+    /// list tick (none is lost), and so on at least `floor` (in percent)
+    /// of all list ticks; returns the list-tick count.
+    fn event_floor(&self, case: &str, floor: usize) -> usize {
+        for (who, chain) in [("SpatialGrid", &self.mono), ("1x1 plane", &self.planed)] {
+            assert_eq!(
+                chain.event_ticks, self.chainable,
+                "{case}: {who} events against chainable ticks"
+            );
+            assert!(
+                chain.event_ticks * 100 >= self.list_ticks * floor,
+                "{case}: {who} events on {} of {} list ticks",
+                chain.event_ticks,
+                self.list_ticks
+            );
         }
+        self.list_ticks
     }
 }
 
 /// Runs `mobility` for `TICKS` ticks of `dt` under `metric` and returns
-/// how many ticks could use candidate lists.
+/// how many ticks could use the link schedule, requiring the builders'
+/// events on at least 90% of them.
 fn run_model(case: &str, mut mobility: Box<dyn Mobility>, dt: f64, metric: Metric) -> usize {
     let mut owners = Owners::new(mobility.region(), RADIUS, metric);
     let mut rng = Rng::seed_from_u64(17);
     for tick in 0..TICKS {
-        owners.check(mobility.positions(), case, tick);
+        owners.check(mobility.positions(), None, case, tick);
         mobility.step(dt, &mut rng);
     }
-    owners.list_ticks
+    owners.event_floor(case, 90)
 }
 
-/// Every tick equals the reference on the paper's mobility model and on
+/// Every tick equals the references on the paper's mobility model and on
 /// random waypoint and random walk under both metrics, over a dozen
 /// rotations of the lists; a world moving a sixth of the skin per tick
 /// sweeps plainly throughout.
@@ -167,8 +255,9 @@ fn candidate_rows_equal_the_pairwise_reference_every_tick() {
 }
 
 /// Positions whose per-tick speed changes by orders of magnitude, so the
-/// rotation period swings every tick and only the drift budget keeps the
-/// lists exact, with jumps to fresh random placements in between.
+/// rotation period swings every tick and only the drift budget and the
+/// pairs' dues keep the rows exact, with jumps to fresh random placements
+/// in between.
 #[test]
 fn varying_speeds_and_jumps_keep_rows_exact() {
     for metric in [Metric::Euclidean, Metric::toroidal(side())] {
@@ -176,8 +265,9 @@ fn varying_speeds_and_jumps_keep_rows_exact() {
         let mut owners = Owners::new(region, RADIUS, metric);
         let mut rng = Rng::seed_from_u64(29);
         let mut positions: Vec<Vec2> = (0..N).map(|_| region.sample_uniform(&mut rng)).collect();
+        let case = format!("varying {metric:?}");
         for tick in 0..4 * TICKS {
-            owners.check(&positions, &format!("varying {metric:?}"), tick);
+            owners.check(&positions, None, &case, tick);
             if tick % 50 == 49 {
                 for p in &mut positions {
                     *p = region.sample_uniform(&mut rng);
@@ -197,10 +287,15 @@ fn varying_speeds_and_jumps_keep_rows_exact() {
             "{metric:?}: lists on {} ticks",
             owners.list_ticks
         );
+        // A fallback (a fast tick, a jump; under the Euclidean metric,
+        // the wrap is a jump too) cuts the chain for one tick: 146 of 186
+        // list ticks chain under it, 205 of 222 on the torus.
+        owners.event_floor(&case, 75);
     }
 }
 
-/// Static nodes: the lists built once stay exact forever.
+/// Static nodes: the lists built once stay exact forever, and every
+/// tick after the build carries its (empty) events.
 #[test]
 fn static_nodes_keep_exact_rows() {
     let region = SquareRegion::new(side());
@@ -209,13 +304,15 @@ fn static_nodes_keep_exact_rows() {
     for metric in [Metric::Euclidean, Metric::toroidal(side())] {
         let mut owners = Owners::new(region, RADIUS, metric);
         for tick in 0..TICKS {
-            owners.check(&positions, "static", tick);
+            owners.check(&positions, None, "static", tick);
         }
-        assert_eq!(owners.list_ticks, TICKS - 1);
+        assert_eq!(owners.event_floor("static", 90), TICKS - 1);
+        assert_eq!(owners.mono.event_ticks, TICKS - 2);
     }
 }
 
-/// From `r + s ≥ side/2` on the owners sweep plainly, still exactly.
+/// From `r + s ≥ side/2` on the owners sweep plainly, still exactly, and
+/// record no events.
 #[test]
 fn reach_past_half_the_side_sweeps_plainly() {
     let region = SquareRegion::new(300.0);
@@ -226,15 +323,38 @@ fn reach_past_half_the_side_sweeps_plainly() {
         let mut rng = Rng::seed_from_u64(8);
         let mut erd = EpochRandomDirection::new(region, 60, 5.0, 20.0, &mut rng);
         for tick in 0..TICKS / 2 {
-            owners.check(erd.positions(), "wide reach", tick);
+            owners.check(erd.positions(), None, "wide reach", tick);
             erd.step(0.25, &mut rng);
         }
         assert_eq!(owners.list_ticks, 0);
+        assert_eq!(owners.mono.event_ticks + owners.planed.event_ticks, 0);
     }
 }
 
+/// Checks a world's latest tick: its rows against the reference less the
+/// dead nodes, and its events against the diff from `prev`, its
+/// topology before the tick.
+fn check_world(world: &World, prev: &Topology, what: &str) {
+    let expected = brute_rows(world.positions(), RADIUS, world.metric(), world.alive());
+    for (i, row) in expected.iter().enumerate() {
+        assert_eq!(
+            world.topology().neighbors(i as NodeId),
+            &row[..],
+            "{what}: node {i}"
+        );
+    }
+    let events = world.topology().events_since(prev.stamp());
+    assert_eq!(events, Some(world.last_events()), "{what}");
+    assert_eq!(
+        world.last_events(),
+        &row_diff(prev, world.topology())[..],
+        "{what}"
+    );
+}
+
 /// One scratch stepped through two worlds of the same size: each world's
-/// topology stays exact, however the kernel's history interleaves.
+/// topology and events stay exact, however the kernel's history
+/// interleaves, and neither world takes the other's events.
 #[test]
 fn one_scratch_through_two_worlds() {
     let build = |seed| {
@@ -252,21 +372,26 @@ fn one_scratch_through_two_worlds() {
     let mut quiet = QuietCtx::new();
     for tick in 0..TICKS {
         // A run of ticks on one world, then the other.
-        let world = if (tick / 7) % 2 == 0 { &mut a } else { &mut b };
+        let (world, other) = if (tick / 7) % 2 == 0 {
+            (&mut a, &b)
+        } else {
+            (&mut b, &a)
+        };
+        let prev = world.topology().clone();
         world.step(&mut quiet.ctx());
-        let expected = brute_rows(world.positions(), RADIUS, world.metric());
-        for (i, row) in expected.iter().enumerate() {
-            assert_eq!(
-                world.topology().neighbors(i as NodeId),
-                &row[..],
-                "tick {tick}: node {i}"
-            );
-        }
+        check_world(world, &prev, &format!("tick {tick}"));
+        // The kernel last wrote the other world's topology before a
+        // switch: its flips name that stamp, never this world's.
+        assert_eq!(
+            world.topology().events_since(other.topology().stamp()),
+            None
+        );
     }
 }
 
 /// Churn crashes and recovers nodes after the build: `World::step` and
-/// the 1x1 plane both give the reference rows less the dead nodes.
+/// the 1x1 plane both give the reference rows less the dead nodes, and
+/// every masked tick takes the row diff, whose events are exact.
 #[test]
 fn churn_crash_and_recover_keep_rows_exact() {
     let build = || {
@@ -291,35 +416,25 @@ fn churn_crash_and_recover_keep_rows_exact() {
     let mut plane = ShardPlane::for_world(&planed, ShardDims::unit())
         .unwrap()
         .with_workers(1);
+    let mut owners = Owners::new(mono.region(), RADIUS, mono.metric());
     let (mut qa, mut qb) = (QuietCtx::new(), QuietCtx::new());
     let (mut crashed, mut recovered) = (0, 0);
     for tick in 0..3 * TICKS {
+        let (prev_mono, prev_planed) = (mono.topology().clone(), planed.topology().clone());
         let report = mono.step(&mut qa.ctx());
         planed.step_staged(&mut qb.ctx(), &mut plane);
         crashed += report.crashed;
         recovered += report.recovered;
-        let alive = mono.alive();
-        let expected = brute_rows(mono.positions(), RADIUS, mono.metric());
-        for (i, row) in expected.iter().enumerate() {
-            let live: Vec<NodeId> = if alive[i] {
-                row.iter().copied().filter(|&j| alive[j as usize]).collect()
-            } else {
-                Vec::new()
-            };
-            assert_eq!(
-                mono.topology().neighbors(i as NodeId),
-                &live[..],
-                "tick {tick}"
-            );
-            assert_eq!(
-                planed.topology().neighbors(i as NodeId),
-                &live[..],
-                "tick {tick}"
-            );
-        }
+        check_world(&mono, &prev_mono, &format!("World::step tick {tick}"));
+        check_world(&planed, &prev_planed, &format!("1x1 plane tick {tick}"));
+        // The same ticks through the owners, masked as a churned world
+        // masks every tick: the mask cuts every builder chain.
+        owners.check(mono.positions(), Some(mono.alive()), "churn", tick);
     }
     assert!(
         crashed > 0 && recovered > 0,
         "{crashed} crashed, {recovered} recovered"
     );
+    assert!(owners.chainable > 2 * TICKS);
+    assert_eq!(owners.mono.event_ticks + owners.planed.event_ticks, 0);
 }

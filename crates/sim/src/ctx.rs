@@ -8,7 +8,7 @@
 //! every layer exposes exactly one entry point and a future plane adds a
 //! context field instead of a fourth twin (DESIGN.md §12).
 
-use crate::topology::Topology;
+use crate::topology::{LinkEvent, Topology};
 use crate::NodeId;
 use manet_geom::SpatialGrid;
 use manet_telemetry::Probe;
@@ -54,22 +54,29 @@ impl FaultHooks for NoFaults {}
 
 /// Shared scratch buffers for the steady-state tick loop.
 ///
-/// Holding the kernel's frame, its candidate lists and the double-buffered
+/// Holding the kernel's frame, its link schedule and the double-buffered
 /// topology here (rather than rebuilding them from scratch each tick)
 /// makes the topology/diff path of `World::step` allocation-free once
 /// capacities have warmed up; this crate's `tests/alloc_free.rs` pins it.
 /// A scratch may serve several worlds: the kernel measures every call's
-/// positions against the previous call's, so its rows stay exact.
+/// positions against the previous call's, so its rows stay exact, and
+/// its flips name the stamp of the topology it last wrote, so a world
+/// never takes another world's events.
 #[derive(Debug, Default)]
 pub struct Scratch {
-    /// The unit-disk kernel's 1x1 frame and its Verlet candidate lists:
-    /// each tick re-tests every list and rebuilds a rotating slice of
-    /// them in place (the first tick, and any tick of fast motion, sweeps
-    /// the frame instead).
+    /// The unit-disk kernel's 1x1 frame and its link schedule: each tick
+    /// re-tests the due pairs, rebuilds a rotating slice of the lists in
+    /// place, and records the flips against the stamp of the topology it
+    /// wrote last tick (the first tick, and any tick of fast motion,
+    /// sweeps the frame instead).
     pub(crate) grid: Option<SpatialGrid>,
     /// The next-tick topology buffer, swapped with the world's current
-    /// topology after the diff so neighbor-list capacities are recycled.
+    /// topology after the tick's events are in, so neighbor-list
+    /// capacities are recycled.
     pub(crate) spare: Topology,
+    /// Debug builds' row diff of a tick whose builder recorded the
+    /// events, checked against them (unused in release builds).
+    pub(crate) check: Vec<LinkEvent>,
 }
 
 impl Scratch {

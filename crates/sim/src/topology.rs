@@ -1,7 +1,7 @@
 //! Link tracking: the unit-disk topology and its tick-to-tick diff.
 
 use crate::NodeId;
-use manet_geom::{Metric, SpatialGrid, SquareRegion, Vec2};
+use manet_geom::{FrameGrid, Metric, SpatialGrid, SquareRegion, Vec2};
 use manet_telemetry::Probe;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -41,6 +41,12 @@ pub trait TopologyBuilder {
     /// internal view (e.g. the shard plane under interconnect faults) may
     /// conservatively omit links, provided it emits the corresponding
     /// telemetry through `probe` at sim time `now`.
+    ///
+    /// A builder whose rows come straight from a [`FrameGrid`] link
+    /// schedule may also record the tick's link events on `out`, against
+    /// the stamp of its own previous output ([`Topology::adopt_flips`]);
+    /// `World` then takes them instead of diffing the rows whenever that
+    /// output is its current topology, unedited.
     #[allow(clippy::too_many_arguments)]
     fn build_into(
         &mut self,
@@ -56,8 +62,9 @@ pub trait TopologyBuilder {
 }
 
 /// The default [`TopologyBuilder`]: the unit-disk kernel on one 1x1
-/// frame in the scratch slot, whose candidate lists carry over from tick
-/// to tick (see [`SpatialGrid`]).
+/// frame in the scratch slot, whose link schedule carries over from tick
+/// to tick and hands its flips on as the tick's events (see
+/// [`SpatialGrid`] and [`Topology::compute_into`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GridTopology;
 
@@ -81,14 +88,14 @@ impl TopologyBuilder for GridTopology {
 /// The current unit-disk topology: per-node sorted neighbor lists.
 ///
 /// Recomputed from node positions every tick — exactly, whether the
-/// kernel swept its frame or re-tested its candidate lists;
-/// [`Topology::diff_into`] produces the [`LinkEvent`] stream that drives
-/// the HELLO, CLUSTER, and ROUTE protocol layers.
+/// kernel swept its frame or ran its link schedule; the [`LinkEvent`]
+/// stream that drives the HELLO, CLUSTER, and ROUTE protocol layers is
+/// the schedule's flips or the row diff [`Topology::diff_into`].
 ///
 /// Every topology carries a [`stamp`](Topology::stamp), a process-unique
 /// id that changes with every edit of its rows, and may carry the link
-/// events that lead to it from a predecessor
-/// ([`Topology::diff_from`], read back by [`Topology::events_since`]).
+/// events that lead to it from a predecessor ([`Topology::diff_from`] or
+/// [`Topology::adopt_flips`], read back by [`Topology::events_since`]).
 /// Equality compares rows only; a clone keeps the stamp and the events,
 /// since its rows are the same.
 #[derive(Debug, Clone)]
@@ -145,8 +152,9 @@ impl Topology {
     }
 
     /// The link events that lead to this topology from the one stamped
-    /// `stamp`: `Some` only when [`Topology::diff_from`] recorded them
-    /// against exactly that stamp and the rows were not edited since.
+    /// `stamp`: `Some` only when [`Topology::diff_from`] or
+    /// [`Topology::adopt_flips`] recorded them against exactly that stamp
+    /// and the rows were not edited since.
     pub fn events_since(&self, stamp: u64) -> Option<&[LinkEvent]> {
         (self.base != 0 && self.base == stamp).then_some(&self.events[..])
     }
@@ -159,20 +167,60 @@ impl Topology {
 
     /// Records in this topology the link events that turn `prev` into it
     /// (`prev.diff_into(self, ..)`), so that `events_since(prev.stamp())`
-    /// returns them. The event buffer is taken over from `prev`, which
-    /// keeps its rows and stamp but no events: the two topologies of a
-    /// double-buffered tick then share one buffer.
+    /// returns them. The event buffers trade places: this topology diffs
+    /// into `prev`'s, and `prev`, which keeps its rows and stamp but no
+    /// events, gets this one's, emptied. A double-buffered tick that only
+    /// diffs thus passes one buffer back and forth, and no buffer is
+    /// dropped.
     ///
     /// # Panics
     ///
     /// Panics if the node counts differ.
     pub fn diff_from(&mut self, prev: &mut Topology) {
-        let mut events = std::mem::take(&mut prev.events);
+        let mut events = std::mem::replace(&mut prev.events, std::mem::take(&mut self.events));
+        prev.events.clear();
         prev.base = 0;
         events.clear();
         prev.diff_into(self, &mut events);
         self.events = events;
         self.base = prev.stamp;
+    }
+
+    /// Records the link flips of `kernel`'s latest call as this
+    /// topology's events, against the stamp of the kernel's previous
+    /// output ([`FrameGrid::flips`]), and tags this topology's rows as the
+    /// kernel's output ([`FrameGrid::tag_output`]), so that the next
+    /// call's flips can name them. A builder calls it right after writing
+    /// the kernel's rows into this topology, as they are; a call that
+    /// recorded no flips leaves the events empty.
+    pub fn adopt_flips(&mut self, kernel: &mut FrameGrid) {
+        if let Some((base, flips)) = kernel.flips() {
+            self.events.clear();
+            self.events.extend(flips.iter().map(|f| LinkEvent {
+                kind: if f.up {
+                    LinkEventKind::Generated
+                } else {
+                    LinkEventKind::Broken
+                },
+                a: f.a,
+                b: f.b,
+            }));
+            self.base = base;
+        }
+        kernel.tag_output(self.stamp);
+    }
+
+    /// The debug builds' check of recorded events: diffs `prev` into
+    /// `buf`, a reused buffer, and asserts that the result equals the
+    /// events this topology holds.
+    pub(crate) fn debug_check_events(&self, prev: &Topology, buf: &mut Vec<LinkEvent>) {
+        buf.clear();
+        buf.reserve(self.events.len());
+        prev.diff_into(self, buf);
+        debug_assert_eq!(
+            buf, &self.events,
+            "recorded link events differ from the row diff"
+        );
     }
 
     /// Computes the topology of `positions` under `metric` with unit-disk
@@ -194,7 +242,10 @@ impl Topology {
     ///
     /// Equivalent to `*self = Topology::compute(..)`, but allocation-free
     /// in the steady state: rows start at the expected-degree floor and
-    /// only reallocate when a node's degree exceeds it.
+    /// only reallocate when a node's degree exceeds it. When the grid's
+    /// link schedule ran right after a call whose output was another
+    /// topology, stamped `s`, this one holds the flips as its events from
+    /// `s` ([`Topology::adopt_flips`]).
     pub fn compute_into(
         &mut self,
         grid: &mut SpatialGrid,
@@ -205,6 +256,7 @@ impl Topology {
     ) {
         let rows = self.rows_mut(positions.len());
         grid.neighbor_rows(positions, region, radius, metric, rows);
+        self.adopt_flips(grid.kernel_mut());
     }
 
     /// Resizes to `n` rows and exposes them mutably, for external

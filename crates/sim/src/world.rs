@@ -371,10 +371,11 @@ impl World {
         let t0 = ctx.probe.phase_start();
         // Rebuild the next topology in the shared scratch buffers: the
         // kernel's frame and the spare topology keep their capacities across
-        // ticks, and the post-diff swap recycles the current topology's
-        // neighbor lists as next tick's spare. The diff lands in the new
-        // topology, in the event buffer the current one hands over.
-        let Scratch { grid, spare } = &mut *ctx.scratch;
+        // ticks, and the swap recycles the current topology's neighbor
+        // lists as next tick's spare. The events land in the new topology:
+        // the builder's, when it recorded them against exactly the current
+        // topology (a link schedule's flips), else the row diff's.
+        let Scratch { grid, spare, check } = &mut *ctx.scratch;
         stages.build_into(
             self.mobility.positions(),
             self.region,
@@ -388,7 +389,11 @@ impl World {
         if !self.fault.churn.is_empty() {
             spare.retain_alive(&self.alive);
         }
-        spare.diff_from(&mut self.topology);
+        if spare.events_since(self.topology.stamp()).is_none() {
+            spare.diff_from(&mut self.topology);
+        } else if cfg!(debug_assertions) {
+            spare.debug_check_events(&self.topology, check);
+        }
         std::mem::swap(&mut self.topology, spare);
 
         let mut generated = 0usize;

@@ -86,3 +86,43 @@ fn steady_state_stack_tick_is_allocation_free() {
         after - before
     );
 }
+
+/// The benchmark's own window on its paper-400 workload (dt = 0.25 s):
+/// after a 400-tick warm-up the next 400 ticks allocate nothing, on every
+/// one of seeds 1–5. This pins the pass buffers sized from `n` (the
+/// cluster scan's lists at formation, the route layer's edit buffers at
+/// its baseline pass) and the link schedule's own buffers, which a
+/// steady state started from the world alone would otherwise grow the
+/// first time a tick needs more room.
+#[test]
+fn paper_400_window_is_allocation_free_on_every_seed() {
+    for seed in 1..=5 {
+        let world = SimBuilder::new()
+            .nodes(400)
+            .side(1000.0)
+            .radius(150.0)
+            .speed(10.0)
+            .dt(0.25)
+            .seed(seed)
+            .hello_mode(HelloMode::EventDriven)
+            .build();
+        let clustering = Clustering::form(LowestId, world.topology());
+        let mut stack = ProtocolStack::ideal(world, clustering, IntraClusterRouting::new());
+        let mut quiet = QuietCtx::new();
+        stack.prime(&mut quiet.ctx());
+        for _ in 0..400 {
+            stack.tick(&mut quiet.ctx());
+        }
+        let before = allocs();
+        for _ in 0..400 {
+            stack.tick(&mut quiet.ctx());
+        }
+        let after = allocs();
+        assert_eq!(
+            after - before,
+            0,
+            "seed {seed}: the 400 ticks after the warm-up made {} allocations",
+            after - before
+        );
+    }
+}

@@ -24,6 +24,17 @@ if grep -rn "fn neighbors_within\|fn for_each_pair" crates/*/src --include='*.rs
     exit 1
 fi
 
+echo "==> one-diff guard (one row diff, DESIGN.md §12)"
+# A tick's link events are the kernel schedule's flips, which a builder
+# records on its topology (Topology::adopt_flips), or else the row diff of
+# Topology::diff_from. Fail the build if library code calls the row diff
+# anywhere else.
+if grep -rn "diff_into(" crates/*/src src --include='*.rs' \
+    | grep -v "^crates/sim/src/topology\.rs:"; then
+    echo "verify: FAIL — a row diff outside crates/sim/src/topology.rs (take the topology's events)" >&2
+    exit 1
+fi
+
 echo "==> hermetic guard (property tests are seeded cases, no proptest)"
 # Every property test draws seeded manet_util::Rng cases and runs in
 # tier 1; the proptest crate needs the network. Fail the build if the
