@@ -5,7 +5,7 @@
 use manet_cluster::{ClusterPolicy, Clustering, LowestId};
 use manet_geom::{ShardDims, ShardLayoutError};
 use manet_routing::intra::IntraClusterRouting;
-use manet_shard::{default_workers, InterconnectConfig, ShardPlane, ShardedStack};
+use manet_shard::{default_workers, InterconnectConfig, ShardPlane};
 use manet_sim::{
     HelloMode, MessageKind, MobilityKind, QuietCtx, SimBuilder, StepCtx, StepReport, World,
 };
@@ -290,14 +290,15 @@ impl ShardRun {
     pub fn stack<C: ClusterLayer, R: RouteLayer>(
         &self,
         stack: ProtocolStack<C, R>,
-    ) -> Result<ShardedStack<C, R>, ShardLayoutError> {
-        let mut s = ShardedStack::new(stack, self.dims)?.with_workers(self.worker_count());
+    ) -> Result<ProtocolStack<C, R, ShardPlane>, ShardLayoutError> {
+        let mut plane =
+            ShardPlane::for_world(stack.world(), self.dims)?.with_workers(self.worker_count());
         if let Some(ic) = &self.interconnect {
-            s = s
+            plane = plane
                 .with_interconnect(ic.clone())
                 .expect("interconnect config validated by construction");
         }
-        Ok(s)
+        Ok(stack.with_stages(plane))
     }
 }
 
@@ -312,7 +313,7 @@ impl ShardRun {
 pub fn on_plane<C: ClusterLayer, R: RouteLayer>(
     stack: ProtocolStack<C, R>,
     run: Option<&ShardRun>,
-) -> ShardedStack<C, R> {
+) -> ProtocolStack<C, R, ShardPlane> {
     ShardRun::resolve(run)
         .stack(stack)
         .expect("shard layout incompatible with the scenario radius")

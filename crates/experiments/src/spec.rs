@@ -336,8 +336,8 @@ impl ScenarioSpec {
         if !self.measure.is_finite() || self.measure <= 0.0 {
             return Err(format!("measure must be positive, got {}", self.measure));
         }
-        if self.warmup < 0.0 {
-            return Err(format!("warmup must be >= 0, got {}", self.warmup));
+        if !self.warmup.is_finite() || self.warmup < 0.0 {
+            return Err(format!("warmup must be finite and >= 0: {}", self.warmup));
         }
         if self.seeds.is_empty() {
             return Err("seeds must be non-empty".to_string());
@@ -410,6 +410,12 @@ impl ScenarioSpec {
                     "radius must satisfy 0 < r < side, got r={} side={}",
                     s.radius, s.side
                 ));
+            }
+            if !s.speed.is_finite() || s.speed < 0.0 {
+                return Err(format!("speed must be finite and >= 0, got {}", s.speed));
+            }
+            if !s.epoch.is_finite() || s.epoch <= 0.0 {
+                return Err(format!("epoch must be positive, got {}", s.epoch));
             }
             if s.nodes > MAX_NODES {
                 return Err(format!("nodes must be <= {MAX_NODES}, got {}", s.nodes));
@@ -890,6 +896,10 @@ mod tests {
             (r#"{"kind":"single","sweep":[0.1]}"#, "no sweep"),
             (r#"{"kind":"fig1_vs_range","sweep":[]}"#, "needs a sweep"),
             (r#"{"kind":"fig3_vs_density","sweep":[1.5]}"#, "node counts"),
+            (r#"{"kind":"single","warmup":1e999}"#, "warmup"),
+            (r#"{"kind":"single","speed":-3}"#, "speed"),
+            (r#"{"kind":"fig2_vs_velocity","sweep":[5,1e999]}"#, "speed"),
+            (r#"{"kind":"single","epoch":0}"#, "epoch"),
             (r#"{"kind":"single","fault":{}}"#, "only valid"),
             (r#"{"kind":"single","shards":"0x2"}"#, "shards"),
             (

@@ -441,7 +441,7 @@ pub fn trace_run_to_sink<W: Write>(
                 publisher.publish(render_snapshot(
                     &out.recorder,
                     attrib.as_ref(),
-                    &stack.shard_snapshot(),
+                    &stack.stages().snapshot(),
                     flight.as_ref(),
                     &spans,
                     &meta,
@@ -465,7 +465,7 @@ pub fn trace_run_to_sink<W: Write>(
         publisher.publish(render_snapshot(
             &recorder,
             attrib.as_ref(),
-            &stack.shard_snapshot(),
+            &stack.stages().snapshot(),
             flight.as_ref(),
             &spans,
             &meta,
@@ -491,7 +491,7 @@ pub fn trace_run_to_sink<W: Write>(
             audit: st.audit.finish(),
         }
     });
-    let shard = stack.shard_snapshot();
+    let shard = stack.stages().snapshot();
     if let Some(path) = &config.metrics_out {
         std::fs::write(
             path,

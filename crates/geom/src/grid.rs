@@ -9,20 +9,22 @@
 //! through a branch-free distance prefilter, and the few hits are decided
 //! exactly (see [`FrameGrid::sweep`]).
 //!
-//! A frame built from this call's positions (a *fresh* frame) that owns
-//! every node can instead keep a *link schedule*: every candidate pair
-//! within `r + s` (skin `s = 0.2·r`), once, in its smaller id's list,
-//! with the drift before which it cannot flip. Each call re-tests only
-//! the pairs that are due and rebuilds a rotating slice of the lists; the
-//! flips edit the kernel's own sorted rows, which are copied out, and are
-//! kept, sorted, as the call's link changes (see [`FrameGrid::advance`],
-//! [`FrameGrid::sweep_verlet`] and [`FrameGrid::flips`]).
+//! [`SpatialGrid`], the monolithic builder, owns every node in id order
+//! and rebuilds from each call's positions, so it can instead keep a
+//! *link schedule*: every candidate pair within `r + s` (skin
+//! `s = 0.2·r`), once, in its smaller id's list, with the drift before
+//! which it cannot flip. Each call re-tests only the pairs that are due
+//! and rebuilds a rotating slice of the lists; the flips edit the
+//! kernel's own sorted rows, which are copied out, and are kept, sorted,
+//! as the call's link changes (see [`FrameGrid::advance`] and
+//! [`FrameGrid::flips`]).
 //!
-//! Two builders feed it. The shard plane (`manet-shard`) runs it once
-//! per shard on the frame its ghost exchange assembled; a one-shard
-//! plane keeps a schedule. [`SpatialGrid`] runs it on a 1x1 frame:
-//! every node owned, plus its periodic self-images on a torus, with a
-//! schedule too. Both therefore produce the same rows.
+//! Two builders feed it. [`SpatialGrid`] runs it on a 1x1 frame: every
+//! node owned, plus its periodic self-images on a torus, or the link
+//! schedule. The shard plane (`manet-shard`) builds a one-shard layout
+//! through [`SpatialGrid`] and sweeps each shard of a larger layout on
+//! the frame its ghost exchange assembled. Both therefore produce the
+//! same rows.
 
 use crate::metric::{fold, Metric};
 use crate::region::SquareRegion;
@@ -273,8 +275,8 @@ impl CellFrame {
     }
 }
 
-/// A link that the latest [`FrameGrid::sweep_verlet`] call added or
-/// removed, between the nodes `a < b`.
+/// A link that the latest link-schedule call added or removed, between
+/// the nodes `a < b` (see [`FrameGrid::flips`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkFlip {
     /// The smaller id.
@@ -304,7 +306,7 @@ fn push_flip(flips: &mut Vec<LinkFlip>, from: usize, flip: LinkFlip) {
     flips[i] = flip;
 }
 
-/// The link schedule of [`FrameGrid::sweep_verlet`]: the positions of
+/// The link schedule of [`FrameGrid::verlet_rows`]: the positions of
 /// the previous [`FrameGrid::advance`], the drift since the history
 /// began, one candidate list per node, and the rows the lists' link
 /// states spell out.
@@ -347,8 +349,10 @@ struct Schedule {
     /// The tag of the rows the flips lead from (0: they lead from no
     /// tagged output).
     base: u64,
-    /// Capacity of a list holding every candidate
-    /// ([`FrameGrid::set_candidate_cap`]).
+    /// Capacity of a list holding every candidate within `r + s` (a
+    /// [`row_floor`] at that reach). A node's list keeps only its pairs
+    /// with larger ids, so it is created, by the first call that builds
+    /// it, at the matching share of `cap`.
     cap: usize,
 }
 
@@ -397,9 +401,9 @@ fn edit_row(row: &mut Vec<u32>, id: u32, up: bool) {
 /// The unit-disk kernel over one `[0, w) × [0, h)` frame (see the module
 /// docs).
 ///
-/// All buffers are reused across sweeps; once [`FrameGrid::reserve`] (and,
-/// for the link schedule, [`FrameGrid::set_candidate_cap`]) has sized
-/// them for the frame, the steady state is allocation-free.
+/// All buffers are reused across sweeps; once [`FrameGrid::reserve`] has
+/// sized them for the frame, the steady state is allocation-free (a
+/// [`SpatialGrid`] sizes its link schedule itself).
 ///
 /// A caller that keeps its rows in a versioned container (a `Topology`)
 /// can tag each call's output ([`FrameGrid::tag_output`]); a call that
@@ -457,14 +461,6 @@ impl FrameGrid {
         for v in [&mut f.xs, &mut f.ys, &mut self.hit_d2] {
             v.reserve(items.saturating_sub(v.len()));
         }
-    }
-
-    /// Sets the capacity a candidate list would need to hold every item
-    /// within `r + s` (a [`row_floor`] at that reach). A node's list
-    /// keeps only its pairs with larger ids, so it is created, by the
-    /// first call that builds it, at the matching share of `cap`.
-    pub fn set_candidate_cap(&mut self, cap: usize) {
-        self.verlet.cap = cap;
     }
 
     /// The link flips of the latest call, sorted by `(a, b)`, with the
@@ -578,7 +574,7 @@ impl FrameGrid {
     /// Opens a link-schedule call: measures the largest step, under the
     /// metric, of any of the `positions` since the previous call, adds it
     /// to the drift, and returns the rotation period
-    /// `P = ⌊(s/2) / step⌋` for [`FrameGrid::sweep_verlet`].
+    /// `P = ⌊(s/2) / step⌋` for the schedule [`SpatialGrid`] runs.
     ///
     /// Returns `None` when this call must run [`FrameGrid::sweep`]
     /// instead: on the first call, after a change of node count, radius
@@ -632,14 +628,13 @@ impl FrameGrid {
         (period >= MIN_PERIOD).then_some(period)
     }
 
-    /// Writes the rows and boundary count that [`FrameGrid::sweep`]
-    /// writes on a frame of every node of `positions` in id order (with
-    /// its periodic images on a torus) from the link schedule. `rows`
-    /// holds one row per node, and `period` comes from this call's
-    /// [`FrameGrid::advance`]. The schedule reads the untranslated
-    /// `positions` alone: it bins them on a grid of cells at least
-    /// `r + s` wide over the configured extents, or over the torus square
-    /// with the grid wrapping at its edges.
+    /// Writes the rows that [`FrameGrid::sweep`] writes on a frame of
+    /// every node of `positions` in id order (with its periodic images on
+    /// a torus) from the link schedule. `rows` holds one row per node,
+    /// and `period` comes from this call's [`FrameGrid::advance`]. The
+    /// schedule reads the untranslated `positions` alone: it bins them on
+    /// a grid of cells at least `r + s` wide over the configured extents,
+    /// or over the torus square with the grid wrapping at its edges.
     ///
     /// Every candidate pair `u < v` within `r + s` is kept once, in `u`'s
     /// list, with its link state and its *due*: the drift before which it
@@ -666,34 +661,17 @@ impl FrameGrid {
     /// after the schedule was dropped, builds every list and its rows
     /// from scratch and records no flips (see [`FrameGrid::flips`]).
     ///
-    /// On a torus the boundary count is the links `u < v` whose minimum
-    /// image wraps, which are the links a sweep finds through a periodic
-    /// image while `r < side/2`.
-    ///
     /// # Panics
     ///
     /// Panics if the grid was never configured, unless `rows` has one row
     /// per position, or if `r + s` is not below half a torus side.
-    pub fn sweep_verlet(
-        &mut self,
-        period: u64,
-        positions: &[Vec2],
-        rows: &mut [Vec<u32>],
-        row_cap: usize,
-    ) -> usize {
-        self.verlet_rows(period, positions, rows, row_cap, true)
-    }
-
-    /// [`FrameGrid::sweep_verlet`], counting the wrapped links only when
-    /// `count_wraps` is set (a [`SpatialGrid`] has no use for them).
     fn verlet_rows(
         &mut self,
         period: u64,
         positions: &[Vec2],
         rows: &mut [Vec<u32>],
         row_cap: usize,
-        count_wraps: bool,
-    ) -> usize {
+    ) {
         let metric = self.metric.expect("configure the grid before sweeping");
         let n = rows.len();
         assert_eq!(n, positions.len(), "a link schedule needs one row per node");
@@ -709,7 +687,6 @@ impl FrameGrid {
                 (side, side, Some(side))
             }
         };
-        let wrap_side = fold_side.filter(|_| count_wraps);
         let period = period.max(1);
         let v = &mut self.verlet;
         v.fit(n);
@@ -891,29 +868,13 @@ impl FrameGrid {
             edit_row(&mut v.rows[f.b as usize], f.a, f.up);
         }
         (v.live, v.wrote) = (true, true);
-        let mut boundary = 0;
-        for (k, (row, src)) in rows.iter_mut().zip(&v.rows).enumerate() {
+        for (row, src) in rows.iter_mut().zip(&v.rows) {
             row.clear();
             if row.capacity() < row_cap {
                 row.reserve(row_cap);
             }
             row.extend_from_slice(src);
-            // Only a node within r of an edge has links that wrap.
-            let me = positions[k];
-            let inner = |side: f64| reach < me.x.min(me.y) && me.x.max(me.y) < side - reach;
-            if let Some(side) = wrap_side.filter(|&side| !inner(side)) {
-                let half = side * 0.5;
-                let above = &row[row.partition_point(|&id| id <= k as u32)..];
-                boundary += above
-                    .iter()
-                    .filter(|&&id| {
-                        let p = positions[id as usize];
-                        (me.x - p.x).abs() > half || (me.y - p.y).abs() > half
-                    })
-                    .count();
-            }
         }
-        boundary
     }
 }
 
@@ -923,7 +884,7 @@ impl FrameGrid {
 ///
 /// The frame is fresh by construction (built from each call's
 /// positions) and owns every node in id order, so consecutive calls
-/// keep the kernel's link schedule ([`FrameGrid::sweep_verlet`]). A call
+/// keep the kernel's link schedule (see [`FrameGrid::advance`]). A call
 /// with no history (a new grid, or a changed node count, radius or
 /// metric) and a call whose nodes moved a sixth of the skin or more
 /// sweep plainly at `r`, on a margin of one radius. Every call's rows
@@ -1005,9 +966,8 @@ impl SpatialGrid {
         self.kernel.configure(side, side, radius, metric);
         if let Some(reach) = candidate_reach(radius, side) {
             if let Some(period) = self.kernel.advance(positions) {
-                self.kernel.set_candidate_cap(row_floor(n, side, reach));
-                self.kernel
-                    .verlet_rows(period, positions, rows, row_cap, false);
+                self.kernel.verlet.cap = row_floor(n, side, reach);
+                self.kernel.verlet_rows(period, positions, rows, row_cap);
                 return;
             }
         }

@@ -21,7 +21,10 @@
 //!   [`ProtocolStack`](manet_stack::ProtocolStack) at any shard count.
 //!
 //! The plane shards the topology rebuild only. Mobility, HELLO, Cluster
-//! and Route run their sequential stage defaults on the caller's thread.
+//! and Route run their sequential stage defaults on the caller's thread,
+//! and a `1x1` plane builds its rows with the monolithic builder. A
+//! [`ProtocolStack`](manet_stack::ProtocolStack) ticks over a plane once
+//! the plane is its stage bundle (`stack.with_stages(plane)`).
 //!
 //! # Quickstart
 //!
@@ -29,23 +32,20 @@
 //! use manet_cluster::{Clustering, LowestId};
 //! use manet_geom::ShardDims;
 //! use manet_routing::intra::IntraClusterRouting;
-//! use manet_shard::ShardedStack;
+//! use manet_shard::ShardPlane;
 //! use manet_sim::{QuietCtx, SimBuilder};
+//! use manet_stack::ProtocolStack;
 //!
 //! let world = SimBuilder::new().nodes(200).side(800.0).radius(100.0).build();
+//! let plane = ShardPlane::for_world(&world, ShardDims::parse("2x2").unwrap()).unwrap();
 //! let clustering = Clustering::form(LowestId, world.topology());
-//! let mut stack = ShardedStack::ideal(
-//!     world,
-//!     clustering,
-//!     IntraClusterRouting::new(),
-//!     ShardDims::parse("2x2").unwrap(),
-//! )
-//! .unwrap();
+//! let mut stack = ProtocolStack::ideal(world, clustering, IntraClusterRouting::new())
+//!     .with_stages(plane);
 //! let mut q = QuietCtx::new();
 //! stack.prime(&mut q.ctx());
 //! let report = stack.run(10.0, &mut q.ctx());
 //! assert!(report.generated > 0);
-//! assert_eq!(stack.shard_report().shards, 4);
+//! assert_eq!(stack.stages().report().shards, 4);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -54,10 +54,8 @@
 pub mod interconnect;
 pub mod link;
 pub mod plane;
-pub mod stack;
 
 pub use interconnect::{GhostBatch, Interconnect, InterconnectConfig, InterconnectMsg};
 pub use link::{LinkHealth, LinkManager, ShardLink};
 pub use manet_geom::{ShardDims, ShardLayout, ShardLayoutError};
 pub use plane::{default_workers, ShardPlane, ShardReport, ShardStats};
-pub use stack::ShardedStack;

@@ -1,7 +1,11 @@
 //! The shard plane: a [`TopologyBuilder`] that computes the unit-disk
 //! topology shard-locally with ghost margins and merges deterministically.
 //!
-//! Per tick, [`ShardPlane::build_into`] runs four phases:
+//! A `1x1` plane has no peer to exchange with, so it builds its rows with
+//! the monolithic builder ([`Topology::compute_into`] on a [`SpatialGrid`]
+//! it owns, link schedule and all) and keeps only the interconnect's tick
+//! (stall-onset events) and the shard spans. Per tick of a larger layout,
+//! [`ShardPlane::build_into`] runs four phases:
 //!
 //! 1. **Owner + ghost exchange** (sequential, O(N)): every node is
 //!    assigned to the shard whose tile contains it. Ownership transfers
@@ -10,26 +14,19 @@
 //!    (the old owner retains the node meanwhile), and ghosts are staged
 //!    into per-pair batches whose delivery, staleness, and recovery the
 //!    interconnect arbitrates. Images into a node's own shard (periodic
-//!    self-images, which make the `1x1` layout equivalent to the
-//!    monolithic grid) never touch the interconnect — they are
-//!    in-process pushes, so a single-shard plane is immune to chaos by
-//!    construction.
+//!    self-images along a torus axis of one tile) never touch the
+//!    interconnect; they are in-process pushes.
 //! 2. **Per-shard compute** (parallel over a scoped worker pool): each
 //!    shard sweeps its frame with the workspace's one unit-disk kernel,
 //!    [`FrameGrid`], writing sorted neighbor rows for its owned nodes.
 //!    Shards share nothing mutable, so any worker count produces the same
 //!    rows — all fault-plane decisions happen on the sequential exchange
-//!    path. A one-shard plane's frame is fresh by construction (every
-//!    node owned, in id order, no interconnect), so it keeps the kernel's
-//!    link schedule ([`FrameGrid::sweep_verlet`]), which reads the
-//!    positions alone; planes with more shards sweep every tick.
+//!    path.
 //! 3. **Merge** (sequential, in shard-index order): each owned row is
 //!    swapped into the global [`Topology`] — pointer swaps, no copying —
 //!    so row capacities circulate between the shard buffers and the
 //!    world's double-buffered topology and the steady state stays
-//!    allocation-free. A one-shard plane then hands its kernel's flips on
-//!    as the tick's link events ([`Topology::adopt_flips`]), so the world
-//!    skips its row diff.
+//!    allocation-free.
 //! 4. **Reconciliation** (sequential, fault ticks only): when the
 //!    interconnect lost, stalled, or served stale data this tick, shard
 //!    views can disagree about boundary links. A symmetrization sweep
@@ -46,8 +43,8 @@
 
 use crate::interconnect::{Interconnect, InterconnectConfig};
 use manet_geom::{
-    candidate_reach, ghost_margin, row_floor, FrameGrid, Metric, ShardDims, ShardLayout,
-    ShardLayoutError, SquareRegion, Vec2,
+    ghost_margin, row_floor, FrameGrid, Metric, ShardDims, ShardLayout, ShardLayoutError,
+    SpatialGrid, SquareRegion, Vec2,
 };
 use manet_sim::{FaultError, MobilityStage, NodeId, Topology, TopologyBuilder, World};
 use manet_stack::{ClusterStage, HelloStage, RouteStage};
@@ -72,7 +69,8 @@ pub fn default_workers(shards: usize) -> usize {
 pub struct ShardStats {
     /// Nodes owned by this shard this tick.
     pub owned: usize,
-    /// Ghost entries replicated into this shard's frame this tick.
+    /// Ghost entries replicated into this shard's frame this tick (0 on
+    /// a `1x1` plane, which builds no frame).
     pub ghosts: usize,
     /// Nodes that migrated into this shard since the previous tick.
     pub migrations_in: usize,
@@ -80,7 +78,8 @@ pub struct ShardStats {
     pub migrations_out: usize,
     /// Links discovered through a ghost entry, counted once globally at
     /// the endpoint with the smaller node id (cross-shard links and
-    /// periodic wrap links).
+    /// periodic wrap links). On a `1x1` plane: the links `u < v` whose
+    /// minimum image wraps the torus seam.
     pub boundary_links: usize,
 }
 
@@ -121,9 +120,6 @@ struct ShardState {
     /// organically for hundreds of ticks.
     row_cap: usize,
     grid: FrameGrid,
-    /// Whether the kernel keeps candidate lists for this shard (the one
-    /// shard of a `1x1` plane).
-    verlet: bool,
     stats: ShardStats,
     /// Wall-clock measurement of this tick's `compute` call, taken on the
     /// worker thread when the probe records spans. The main thread folds
@@ -136,45 +132,29 @@ impl ShardState {
     /// Computes sorted neighbor rows for this shard's owned nodes.
     ///
     /// `positions` are the global coordinates: the sweep consults them
-    /// only for the rare borderline pairs inside the decision band; the
-    /// link schedule of a one-shard plane, which owns every node in id
-    /// order, reads them alone.
+    /// only for the rare borderline pairs inside the decision band.
     fn compute(&mut self, positions: &[Vec2]) {
         if self.rows.len() < self.owned {
             self.rows.resize_with(self.owned, Vec::new);
         }
-        let period = if self.verlet {
-            self.grid.advance(positions)
-        } else {
-            None
-        };
-        let rows = &mut self.rows[..self.owned];
-        self.stats.boundary_links = match period {
-            Some(period) => self
-                .grid
-                .sweep_verlet(period, positions, rows, self.row_cap),
-            None => self
-                .grid
-                .sweep(&self.ids, &self.pts, positions, rows, self.row_cap),
-        };
+        let (ids, pts, rows) = (&self.ids, &self.pts, &mut self.rows[..self.owned]);
+        self.stats.boundary_links = self.grid.sweep(ids, pts, positions, rows, self.row_cap);
     }
 }
 
-/// The shard plane: a stage bundle for `World::step_staged` and
-/// `ProtocolStack::tick_staged` (or use
-/// [`ShardedStack`](crate::ShardedStack), which pairs a stack with one).
+/// The shard plane: a stage bundle for `World::step_staged`, and for a
+/// `ProtocolStack` that owns it (`stack.with_stages(plane)`).
 ///
 /// Only the topology rebuild is sharded: the mobility, HELLO, cluster and
 /// route stages take their traits' sequential defaults, because a scan
-/// over `0..n` needs no thread spawn and no merge (DESIGN.md §17).
+/// over `0..n` needs no thread spawn and no merge (DESIGN.md §17). A
+/// `1x1` plane builds its rows with the monolithic builder, so it runs
+/// the same topology code as `World::step`.
 #[derive(Debug)]
 pub struct ShardPlane {
     layout: ShardLayout,
     region: SquareRegion,
     radius: f64,
-    /// The candidate lists' reach `r + s` on a `1x1` plane whose radius
-    /// allows them (`None` otherwise).
-    reach: Option<f64>,
     metric: Metric,
     workers: usize,
     shards: Vec<ShardState>,
@@ -188,15 +168,14 @@ pub struct ShardPlane {
     /// Scratch: nodes retained by their old owner this tick, with their
     /// home tile and tile-local coordinates (sorted by node id).
     retained: Vec<(u32, u16, Vec2)>,
+    /// The monolithic builder's grid, on which a `1x1` plane builds.
+    grid: SpatialGrid,
 }
 
 impl ShardPlane {
     /// A plane tiling `region` into `dims` shards for unit-disk `radius`
     /// links under `metric`, with a ghost margin one radius wide (plus a
-    /// relative epsilon absorbing frame-translation rounding). A `1x1`
-    /// plane keeps a link schedule when [`candidate_reach`] allows lists;
-    /// the schedule reads the positions alone, so the margin serves the
-    /// fallback sweep.
+    /// relative epsilon absorbing frame-translation rounding).
     ///
     /// # Errors
     ///
@@ -224,19 +203,11 @@ impl ShardPlane {
                 true
             }
         };
-        let reach = if dims.count() == 1 {
-            candidate_reach(radius, region.side())
-        } else {
-            None
-        };
         // Margin ≥ r guarantees link capture.
         let layout = ShardLayout::new(dims, region, ghost_margin(radius), wrap)?;
         let mut shards = Vec::with_capacity(dims.count());
         for _ in 0..dims.count() {
-            let mut s = ShardState {
-                verlet: reach.is_some(),
-                ..ShardState::default()
-            };
+            let mut s = ShardState::default();
             s.grid
                 .configure(layout.frame_w(), layout.frame_h(), radius, metric);
             shards.push(s);
@@ -247,13 +218,13 @@ impl ShardPlane {
             layout,
             region,
             radius,
-            reach,
             metric,
             workers: default_workers(dims.count()),
             shards,
             owner: Vec::new(),
             interconnect,
             retained: Vec::new(),
+            grid: SpatialGrid::default(),
         })
     }
 
@@ -269,14 +240,14 @@ impl ShardPlane {
 
     /// Pre-sizes per-shard scratch from the expected population: each
     /// shard's point set is sized for its owned share plus the ghost
-    /// margin band, the owned neighbor rows for the expected unit-disk
-    /// degree, and a `1x1` plane's candidate lists for the expected degree
-    /// at `r + s`. Uniform placement makes `n / shards` the right
-    /// first-order estimate; generous slack absorbs density fluctuations
-    /// so the steady-state tick never reallocates.
+    /// margin band, and the owned neighbor rows for the expected unit-disk
+    /// degree. Uniform placement makes `n / shards` the right first-order
+    /// estimate; generous slack absorbs density fluctuations so the
+    /// steady-state tick never reallocates. A `1x1` plane builds no frame
+    /// (its [`SpatialGrid`] sizes itself), so it reserves nothing.
     fn presize(&mut self, n: usize, radius: f64) {
         let shards = self.shards.len();
-        if n == 0 || shards == 0 {
+        if n == 0 || shards < 2 {
             return;
         }
         let density = n as f64 / (self.region.side() * self.region.side());
@@ -289,10 +260,6 @@ impl ShardPlane {
             s.ids.reserve(cap);
             s.pts.reserve(cap);
             s.grid.reserve(cap);
-            if let Some(reach) = self.reach {
-                s.grid
-                    .set_candidate_cap(row_floor(n, self.region.side(), reach));
-            }
             s.row_cap = row_cap;
             s.rows.resize_with(owned_cap, Vec::new);
             for row in &mut s.rows {
@@ -539,6 +506,26 @@ impl TopologyBuilder for ShardPlane {
             region == self.region && radius == self.radius && metric == self.metric,
             "world geometry changed under the shard plane"
         );
+        if let [shard] = &mut self.shards[..] {
+            // One shard: no peer to exchange with or disagree with, so the
+            // monolithic builder's rows (and its link events) are exact.
+            let t0 = probe.phase_start();
+            self.interconnect.begin_tick(probe, now);
+            probe.phase_end(Phase::ShardFlush, t0);
+            let c0 = probe.is_spanning().then(Instant::now);
+            out.compute_into(&mut self.grid, positions, region, radius, metric);
+            if let Some(c0) = c0 {
+                probe.span_sample(SpanLabel::ShardCompute, Some(0), None, c0, c0.elapsed());
+            }
+            let t0 = probe.phase_start();
+            shard.stats = ShardStats {
+                owned: positions.len(),
+                boundary_links: wrapped_links(out, positions, radius, metric),
+                ..ShardStats::default()
+            };
+            probe.phase_end(Phase::ShardMerge, t0);
+            return;
+        }
         let t0 = probe.phase_start();
         self.exchange(positions, probe, now);
         probe.phase_end(Phase::ShardFlush, t0);
@@ -608,13 +595,32 @@ impl TopologyBuilder for ShardPlane {
                 row.retain(|&v| rows[v as usize].binary_search(&(u as NodeId)).is_ok());
                 rows[u] = row;
             }
-        } else if let [shard] = &mut self.shards[..] {
-            // A one-shard plane's rows are its kernel's as written, so the
-            // kernel's flips are this tick's link events.
-            out.adopt_flips(&mut shard.grid);
         }
         probe.phase_end(Phase::ShardMerge, t0);
     }
+}
+
+/// The links `u < v` of `topology` whose minimum image wraps the torus
+/// seam (0 under a Euclidean metric): only a node within a ghost margin
+/// of an edge has one.
+fn wrapped_links(topology: &Topology, positions: &[Vec2], radius: f64, metric: Metric) -> usize {
+    let Metric::Toroidal { side } = metric else {
+        return 0;
+    };
+    let (margin, half) = (ghost_margin(radius), side * 0.5);
+    let wraps = |a: Vec2, b: Vec2| (a.x - b.x).abs() > half || (a.y - b.y).abs() > half;
+    let mut count = 0;
+    for (u, &me) in positions.iter().enumerate() {
+        if me.x.min(me.y) <= margin || me.x.max(me.y) >= side - margin {
+            let row = topology.neighbors(u as NodeId);
+            let above = &row[row.partition_point(|&v| v as usize <= u)..];
+            count += above
+                .iter()
+                .filter(|&&v| wraps(me, positions[v as usize]))
+                .count();
+        }
+    }
+    count
 }
 
 #[cfg(test)]

@@ -2,9 +2,10 @@
 //! by tick: rows against pairwise `Metric::within`, and the events a
 //! builder records from the schedule's flips against the row diff.
 //!
-//! Both fresh-frame owners keep a schedule: `SpatialGrid` (behind
-//! `Topology::compute_into`, `GridTopology` and `World::step`) and the
-//! `1x1` shard plane. Every case drives both through the same position
+//! `SpatialGrid` keeps the schedule, reached two ways: directly through
+//! `Topology::compute_into` (as `GridTopology` and `World::step` call
+//! it), and through a `1x1` shard plane, which builds on a `SpatialGrid`
+//! of its own. Every case drives both through the same position
 //! sequence, each chaining its output through two topologies as `World`
 //! does, and requires the exact pairwise rows on every tick and, whenever
 //! the new topology carries events from the previous one, exactly the
@@ -105,7 +106,7 @@ impl Chain {
     }
 }
 
-/// The two fresh-frame owners, fed one position set per tick.
+/// The two ways to the schedule, fed one position set per tick.
 struct Owners {
     region: SquareRegion,
     radius: f64,

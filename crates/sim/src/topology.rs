@@ -1,7 +1,7 @@
 //! Link tracking: the unit-disk topology and its tick-to-tick diff.
 
 use crate::NodeId;
-use manet_geom::{FrameGrid, Metric, SpatialGrid, SquareRegion, Vec2};
+use manet_geom::{Metric, SpatialGrid, SquareRegion, Vec2};
 use manet_telemetry::Probe;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -42,11 +42,11 @@ pub trait TopologyBuilder {
     /// conservatively omit links, provided it emits the corresponding
     /// telemetry through `probe` at sim time `now`.
     ///
-    /// A builder whose rows come straight from a [`FrameGrid`] link
-    /// schedule may also record the tick's link events on `out`, against
-    /// the stamp of its own previous output ([`Topology::adopt_flips`]);
-    /// `World` then takes them instead of diffing the rows whenever that
-    /// output is its current topology, unedited.
+    /// A builder that writes `out` with [`Topology::compute_into`] also
+    /// records there the link schedule's flips as the tick's link events,
+    /// against the stamp of the grid's previous output; `World` then takes
+    /// them instead of diffing the rows whenever that output is its
+    /// current topology, unedited.
     #[allow(clippy::too_many_arguments)]
     fn build_into(
         &mut self,
@@ -95,7 +95,7 @@ impl TopologyBuilder for GridTopology {
 /// Every topology carries a [`stamp`](Topology::stamp), a process-unique
 /// id that changes with every edit of its rows, and may carry the link
 /// events that lead to it from a predecessor ([`Topology::diff_from`] or
-/// [`Topology::adopt_flips`], read back by [`Topology::events_since`]).
+/// [`Topology::compute_into`], read back by [`Topology::events_since`]).
 /// Equality compares rows only; a clone keeps the stamp and the events,
 /// since its rows are the same.
 #[derive(Debug, Clone)]
@@ -153,7 +153,7 @@ impl Topology {
 
     /// The link events that lead to this topology from the one stamped
     /// `stamp`: `Some` only when [`Topology::diff_from`] or
-    /// [`Topology::adopt_flips`] recorded them against exactly that stamp
+    /// [`Topology::compute_into`] recorded them against exactly that stamp
     /// and the rows were not edited since.
     pub fn events_since(&self, stamp: u64) -> Option<&[LinkEvent]> {
         (self.base != 0 && self.base == stamp).then_some(&self.events[..])
@@ -184,30 +184,6 @@ impl Topology {
         prev.diff_into(self, &mut events);
         self.events = events;
         self.base = prev.stamp;
-    }
-
-    /// Records the link flips of `kernel`'s latest call as this
-    /// topology's events, against the stamp of the kernel's previous
-    /// output ([`FrameGrid::flips`]), and tags this topology's rows as the
-    /// kernel's output ([`FrameGrid::tag_output`]), so that the next
-    /// call's flips can name them. A builder calls it right after writing
-    /// the kernel's rows into this topology, as they are; a call that
-    /// recorded no flips leaves the events empty.
-    pub fn adopt_flips(&mut self, kernel: &mut FrameGrid) {
-        if let Some((base, flips)) = kernel.flips() {
-            self.events.clear();
-            self.events.extend(flips.iter().map(|f| LinkEvent {
-                kind: if f.up {
-                    LinkEventKind::Generated
-                } else {
-                    LinkEventKind::Broken
-                },
-                a: f.a,
-                b: f.b,
-            }));
-            self.base = base;
-        }
-        kernel.tag_output(self.stamp);
     }
 
     /// The debug builds' check of recorded events: diffs `prev` into
@@ -245,7 +221,9 @@ impl Topology {
     /// only reallocate when a node's degree exceeds it. When the grid's
     /// link schedule ran right after a call whose output was another
     /// topology, stamped `s`, this one holds the flips as its events from
-    /// `s` ([`Topology::adopt_flips`]).
+    /// `s` ([`manet_geom::FrameGrid::flips`]). The grid's output is tagged
+    /// with this topology's stamp, so that the next call's flips can name
+    /// it.
     pub fn compute_into(
         &mut self,
         grid: &mut SpatialGrid,
@@ -256,7 +234,20 @@ impl Topology {
     ) {
         let rows = self.rows_mut(positions.len());
         grid.neighbor_rows(positions, region, radius, metric, rows);
-        self.adopt_flips(grid.kernel_mut());
+        let kernel = grid.kernel_mut();
+        if let Some((base, flips)) = kernel.flips() {
+            self.events.extend(flips.iter().map(|f| LinkEvent {
+                kind: if f.up {
+                    LinkEventKind::Generated
+                } else {
+                    LinkEventKind::Broken
+                },
+                a: f.a,
+                b: f.b,
+            }));
+            self.base = base;
+        }
+        kernel.tag_output(self.stamp);
     }
 
     /// Resizes to `n` rows and exposes them mutably, for external

@@ -928,48 +928,6 @@ mod tests {
     }
 
     #[test]
-    fn the_topology_carries_each_ticks_events_under_churn() {
-        let region = SquareRegion::new(200.0);
-        let mut rng = Rng::seed_from_u64(17);
-        let mobility = EpochRandomDirection::new(region, 60, 8.0, 15.0, &mut rng);
-        let fault = crate::FaultPlan {
-            loss: crate::LossModel::Ideal,
-            churn: crate::fault::ChurnSchedule::poisson(60, 0.05, 2.0, 60.0, 3).unwrap(),
-            seed: 0,
-        };
-        let mut w = World::try_new(
-            Box::new(mobility),
-            40.0,
-            0.25,
-            Metric::toroidal(200.0),
-            HelloMode::EventDriven,
-            MessageSizes::default(),
-            17,
-            fault,
-        )
-        .unwrap();
-        let mut q = QuietCtx::new();
-        let (mut crashed, mut events) = (0, 0);
-        for _ in 0..200 {
-            let before = w.topology().stamp();
-            let r = w.step(&mut q.ctx());
-            crashed += r.crashed;
-            events += w.last_events().len();
-            assert_ne!(w.topology().stamp(), before);
-            assert_eq!(
-                w.topology().events_since(before),
-                Some(w.last_events()),
-                "t = {}",
-                w.time()
-            );
-        }
-        assert!(
-            crashed > 0 && events > 0,
-            "{crashed} crashes, {events} events"
-        );
-    }
-
-    #[test]
     fn equal_rows_from_two_worlds_compare_equal() {
         let (mut a, mut b) = (small_world(41), small_world(41));
         let mut q = QuietCtx::new();

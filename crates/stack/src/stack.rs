@@ -47,8 +47,8 @@ impl HelloDriver {
 ///
 /// Every tick:
 ///
-/// 1. `World::step(ctx)` — mobility, churn, topology diff, world-driven
-///    HELLO; sets `ctx.now` to the post-tick time.
+/// 1. `World::step_staged(ctx, stages)` — mobility, churn, topology
+///    diff, world-driven HELLO; sets `ctx.now` to the post-tick time.
 /// 2. The explicit HELLO driver beacons (if attached), its attempted
 ///    sends recorded as `HELLO` in the shared counters.
 /// 3. The cluster layer maintains (timed as the `Cluster` stage span),
@@ -58,10 +58,23 @@ impl HelloDriver {
 /// 5. A `ClusterGauge` snapshot is emitted and the tick's CLUSTER /
 ///    RETX / REPAIR / ROUTE traffic is recorded into the counters.
 ///
+/// The stack owns its stage bundle `S` ([`StackStages`]), which supplies
+/// every delegated stage. [`ProtocolStack::new`], [`ProtocolStack::ideal`]
+/// and [`ProtocolStack::faulty`] install the monolithic [`MonoStages`];
+/// [`ProtocolStack::with_stages`] swaps in another bundle, such as a
+/// shard plane.
+///
 /// The per-tick counter recording is equivalent to the accumulated
 /// post-hoc recording the pre-stack harnesses did, because
 /// `World::begin_measurement` resets the counters at the window start.
-pub struct ProtocolStack<C, R> {
+pub struct ProtocolStack<C, R, S = MonoStages> {
+    parts: Parts<C, R>,
+    stages: S,
+}
+
+/// The world and the layers: everything a tick drives, apart from the
+/// bundle it drives them through, so a tick can borrow both.
+struct Parts<C, R> {
     world: World,
     cluster: C,
     route: R,
@@ -71,7 +84,8 @@ pub struct ProtocolStack<C, R> {
 }
 
 impl<C: ClusterLayer, R: RouteLayer> ProtocolStack<C, R> {
-    /// Assembles a stack from explicit parts.
+    /// Assembles a stack from explicit parts, on the monolithic
+    /// [`MonoStages`] bundle.
     pub fn new(
         world: World,
         cluster: C,
@@ -81,12 +95,15 @@ impl<C: ClusterLayer, R: RouteLayer> ProtocolStack<C, R> {
         ch_route: Channel,
     ) -> Self {
         ProtocolStack {
-            world,
-            cluster,
-            route,
-            hello,
-            ch_cluster,
-            ch_route,
+            parts: Parts {
+                world,
+                cluster,
+                route,
+                hello,
+                ch_cluster,
+                ch_route,
+            },
+            stages: MonoStages::new(),
         }
     }
 
@@ -115,6 +132,23 @@ impl<C: ClusterLayer, R: RouteLayer> ProtocolStack<C, R> {
             ch_route,
         )
     }
+}
+
+impl<C: ClusterLayer, R: RouteLayer, S: StackStages> ProtocolStack<C, R, S> {
+    /// This stack on `stages` instead of its current bundle: every later
+    /// [`ProtocolStack::tick`], [`ProtocolStack::run`] and
+    /// [`ProtocolStack::run_world_for`] goes through it.
+    pub fn with_stages<T: StackStages>(self, stages: T) -> ProtocolStack<C, R, T> {
+        ProtocolStack {
+            parts: self.parts,
+            stages,
+        }
+    }
+
+    /// The stage bundle the stack ticks through.
+    pub fn stages(&self) -> &S {
+        &self.stages
+    }
 
     /// Fills the routing layer's baseline from the current structure
     /// without charging any traffic (the first update of a fresh routing
@@ -122,32 +156,108 @@ impl<C: ClusterLayer, R: RouteLayer> ProtocolStack<C, R> {
     pub fn prime(&mut self, ctx: &mut StepCtx<'_, '_>) {
         // The uncharged baseline fill happens outside the canonical
         // tick, so it does not go through a RouteStage (stage-exempt).
-        self.route.update(
+        self.parts.route.update(
             0.0,
-            self.world.topology(),
-            self.cluster.assignment(),
-            &mut self.ch_route,
+            self.parts.world.topology(),
+            self.parts.cluster.assignment(),
+            &mut self.parts.ch_route,
             ctx,
         );
     }
 
-    /// Advances the whole stack by one tick in the canonical stage order.
+    /// Advances the whole stack by one tick in the canonical stage order,
+    /// through the stack's own bundle.
     pub fn tick(&mut self, ctx: &mut StepCtx<'_, '_>) -> StackReport {
-        self.tick_staged(ctx, &mut MonoStages::new())
+        self.parts.tick(ctx, &mut self.stages)
     }
 
-    /// [`ProtocolStack::tick`] with an explicit [`StackStages`] bundle
-    /// supplying every delegated stage — mobility advance, topology
-    /// rebuild, HELLO exchange, cluster maintenance, route update. The
-    /// sharded stack passes its shard plane here; the stage *order*, the
-    /// counters, and the telemetry are the shared code below, so any
-    /// bundle whose stages produce the same layer outputs yields a
-    /// bit-identical tick.
-    pub fn tick_staged<S: StackStages>(
+    /// [`ProtocolStack::tick`] through an explicit [`StackStages`] bundle
+    /// instead of the stack's own — one that wraps it, say, to time each
+    /// stage. The stage *order*, the counters, and the telemetry are the
+    /// shared tick code, so any bundle whose stages produce the same
+    /// layer outputs yields a bit-identical tick.
+    pub fn tick_staged<T: StackStages>(
         &mut self,
         ctx: &mut StepCtx<'_, '_>,
-        stages: &mut S,
+        stages: &mut T,
     ) -> StackReport {
+        self.parts.tick(ctx, stages)
+    }
+
+    /// Runs whole ticks until at least `seconds` more simulated time has
+    /// elapsed, returning the aggregated report.
+    pub fn run(&mut self, seconds: f64, ctx: &mut StepCtx<'_, '_>) -> StackReport {
+        let mut agg = StackReport::default();
+        let target = self.parts.world.time() + seconds;
+        // Same float-drift tolerance as `World::run_for`.
+        while self.parts.world.time() + self.parts.world.dt() * 0.5 < target {
+            agg.absorb(self.tick(ctx));
+        }
+        agg
+    }
+
+    /// Advances only the world — mobility, topology, world-driven HELLO —
+    /// through the stack's bundle for at least `seconds`, leaving the
+    /// protocol layers untouched: a warmup that lets the geometry settle
+    /// before the layers run.
+    pub fn run_world_for(&mut self, seconds: f64, ctx: &mut StepCtx<'_, '_>) {
+        self.parts
+            .world
+            .run_for_staged(seconds, ctx, &mut self.stages);
+    }
+
+    /// A post-maintenance structural invariant sample for the audit plane.
+    pub fn audit_sample(&self, now: f64) -> AuditSample {
+        let (world, cluster) = (&self.parts.world, &self.parts.cluster);
+        let (pairs, headless) = cluster.audit_sample(world.topology());
+        AuditSample {
+            time: now,
+            adjacent_head_pairs: pairs,
+            headless_members: headless,
+            repair_pending: 0,
+        }
+    }
+
+    /// The simulated world.
+    pub fn world(&self) -> &World {
+        &self.parts.world
+    }
+
+    /// Mutable world access (measurement windows, counters).
+    pub fn world_mut(&mut self) -> &mut World {
+        &mut self.parts.world
+    }
+
+    /// The cluster layer.
+    pub fn cluster(&self) -> &C {
+        &self.parts.cluster
+    }
+
+    /// The explicit HELLO protocol, when one is attached.
+    pub fn hello(&self) -> Option<&HelloProtocol> {
+        self.parts.hello.proto()
+    }
+
+    /// Disjoint mutable access to the stages, for setup/drain phases that
+    /// drive one layer outside the canonical tick.
+    pub fn split_mut(&mut self) -> (&mut World, &mut C, &mut R) {
+        (
+            &mut self.parts.world,
+            &mut self.parts.cluster,
+            &mut self.parts.route,
+        )
+    }
+
+    /// Decomposes the stack back into its parts (the bundle is dropped).
+    pub fn into_parts(self) -> (World, C, R, HelloDriver) {
+        let p = self.parts;
+        (p.world, p.cluster, p.route, p.hello)
+    }
+}
+
+impl<C: ClusterLayer, R: RouteLayer> Parts<C, R> {
+    /// The canonical tick through `stages`.
+    fn tick<S: StackStages>(&mut self, ctx: &mut StepCtx<'_, '_>, stages: &mut S) -> StackReport {
         // Root span of the tick hierarchy; every stage span below nests
         // inside it. Inert unless a span recorder is attached.
         let mut tick_span = ctx.tick_span();
@@ -236,75 +346,6 @@ impl<C: ClusterLayer, R: RouteLayer> ProtocolStack<C, R> {
             heads,
             head_ratio: self.cluster.head_ratio(),
         }
-    }
-
-    /// Runs whole ticks until at least `seconds` more simulated time has
-    /// elapsed, returning the aggregated report.
-    pub fn run(&mut self, seconds: f64, ctx: &mut StepCtx<'_, '_>) -> StackReport {
-        self.run_staged(seconds, ctx, &mut MonoStages::new())
-    }
-
-    /// [`ProtocolStack::run`] with an explicit [`StackStages`] bundle.
-    pub fn run_staged<S: StackStages>(
-        &mut self,
-        seconds: f64,
-        ctx: &mut StepCtx<'_, '_>,
-        stages: &mut S,
-    ) -> StackReport {
-        let mut agg = StackReport::default();
-        let target = self.world.time() + seconds;
-        // Same float-drift tolerance as `World::run_for`.
-        while self.world.time() + self.world.dt() * 0.5 < target {
-            agg.absorb(self.tick_staged(ctx, stages));
-        }
-        agg
-    }
-
-    /// A post-maintenance structural invariant sample for the audit plane.
-    pub fn audit_sample(&self, now: f64) -> AuditSample {
-        let (pairs, headless) = self.cluster.audit_sample(self.world.topology());
-        AuditSample {
-            time: now,
-            adjacent_head_pairs: pairs,
-            headless_members: headless,
-            repair_pending: 0,
-        }
-    }
-
-    /// The simulated world.
-    pub fn world(&self) -> &World {
-        &self.world
-    }
-
-    /// Mutable world access (measurement windows, counters).
-    pub fn world_mut(&mut self) -> &mut World {
-        &mut self.world
-    }
-
-    /// The cluster layer.
-    pub fn cluster(&self) -> &C {
-        &self.cluster
-    }
-
-    /// The routing layer.
-    pub fn route(&self) -> &R {
-        &self.route
-    }
-
-    /// The explicit HELLO protocol, when one is attached.
-    pub fn hello(&self) -> Option<&HelloProtocol> {
-        self.hello.proto()
-    }
-
-    /// Disjoint mutable access to the stages, for setup/drain phases that
-    /// drive one layer outside the canonical tick.
-    pub fn split_mut(&mut self) -> (&mut World, &mut C, &mut R) {
-        (&mut self.world, &mut self.cluster, &mut self.route)
-    }
-
-    /// Decomposes the stack back into its parts.
-    pub fn into_parts(self) -> (World, C, R, HelloDriver) {
-        (self.world, self.cluster, self.route, self.hello)
     }
 }
 

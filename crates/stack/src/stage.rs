@@ -1,8 +1,8 @@
 //! The HELLO/Cluster/Route stage traits of the canonical tick, plus the
 //! monolithic default bundle.
 //!
-//! `ProtocolStack::tick_staged` owns the stage *order*; a [`StackStages`]
-//! bundle owns each stage's *strategy* — the same split the
+//! `ProtocolStack` owns the stage *order*; the [`StackStages`] bundle it
+//! owns supplies each stage's *strategy* — the same split the
 //! [`TopologyBuilder`] pattern established for the topology rebuild
 //! (DESIGN.md §13, generalized in §17). Every default method delegates to
 //! the layer's single entry point, so [`MonoStages`] is bit-identical to
@@ -66,8 +66,9 @@ pub trait RouteStage {
     }
 }
 
-/// The full stage bundle `ProtocolStack::tick_staged` consumes: one object
-/// supplying every delegated stage of the canonical tick —
+/// The full stage bundle a `ProtocolStack` owns (and
+/// `ProtocolStack::tick_staged` takes): one object supplying every
+/// delegated stage of the canonical tick —
 /// Mobility → Topology → HELLO → Cluster → Route.
 ///
 /// Blanket-implemented, so the shard plane and [`MonoStages`] (which
@@ -82,10 +83,9 @@ impl<T: MobilityStage + TopologyBuilder + HelloStage + ClusterStage + RouteStage
 {
 }
 
-/// The monolithic stage bundle: sequential mobility, one global spatial
-/// grid, and direct delegation to every layer's single entry point. A
-/// stack ticked with `MonoStages` is bit-identical to the pre-stage
-/// `ProtocolStack::tick`.
+/// The monolithic stage bundle, and a `ProtocolStack`'s default:
+/// sequential mobility, one global spatial grid, and direct delegation to
+/// every layer's single entry point.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MonoStages(GridTopology);
 

@@ -83,6 +83,11 @@ echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
 # deleted, and public docs that link private items.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+echo "==> cargo doc --workspace --no-deps --document-private-items"
+# The run above does not resolve the links in private items' docs; this
+# one does, so a dangling link there fails too.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --document-private-items
+
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 

@@ -22,6 +22,7 @@
 use clustered_manet::cluster::{Clustering, HighestConnectivity, LowestId};
 use clustered_manet::experiments::cli::{parse_secs, parse_shards};
 use clustered_manet::experiments::harness::ShardRun;
+use clustered_manet::experiments::spec::{ScenarioSpec, SpecKind};
 use clustered_manet::geom::SquareRegion;
 use clustered_manet::jobs::{JobServer, JobServerConfig};
 use clustered_manet::mobility::{ConstantVelocity, TraceRecorder};
@@ -135,9 +136,20 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
         Some(v) => ShardRun::new(parse_shards(v)?),
         None => ShardRun::resolve(None),
     };
-    if radius >= side {
-        return Err(format!("need radius < side (got {radius} >= {side})"));
+    // The jobs service's rules for the `single` spec this run is, checked
+    // before anything is built.
+    ScenarioSpec {
+        nodes: n,
+        side,
+        radius,
+        speed,
+        warmup,
+        measure,
+        seeds: vec![seed],
+        shards: Some(run.dims),
+        ..ScenarioSpec::preset(SpecKind::Single)
     }
+    .validate()?;
 
     let world = SimBuilder::new()
         .nodes(n)
@@ -174,7 +186,7 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
             agg.absorb(report);
         }
         let connectivity = stack.world().topology().pair_connectivity();
-        let world = stack.into_parts().0.into_parts().0;
+        let world = stack.into_parts().0;
         Ok((agg, p_acc / ticks.max(1) as f64, connectivity, world))
     }
 
@@ -227,8 +239,14 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
     let period = flags.f64("period", 1.0)?;
     let seed = flags.u64("seed", 1)?;
     let format = flags.str_or("format", "text");
-    if period <= 0.0 || period.is_nan() {
-        return Err("need --period > 0".into());
+    if !(period > 0.0 && period.is_finite()) {
+        return Err(format!("need a finite --period > 0 (got {period})"));
+    }
+    if !(side > 0.0 && side.is_finite()) {
+        return Err(format!("need a finite --side > 0 (got {side})"));
+    }
+    if !(speed >= 0.0 && speed.is_finite()) {
+        return Err(format!("need a finite --speed >= 0 (got {speed})"));
     }
     let region = SquareRegion::new(side);
     let mut rng = Rng::seed_from_u64(seed);
@@ -372,6 +390,11 @@ mod tests {
     fn trace_rejects_bad_format() {
         let f = Flags::parse(&args("--format csv --nodes 3 --frames 2")).unwrap();
         assert!(cmd_trace(&f).is_err());
+        // Numbers no trace can use are one-line errors, never a panic.
+        for bad in ["--speed -3", "--side -100", "--period inf"] {
+            let err = run_cli(args(&format!("trace --frames 2 {bad}"))).expect_err(bad);
+            assert!(err.contains(&bad[..bad.find(' ').unwrap()]), "{bad}: {err}");
+        }
     }
 
     #[test]
@@ -385,18 +408,24 @@ mod tests {
 
     #[test]
     fn simulate_accepts_shard_layouts_and_rejects_bad_ones() {
-        let f = Flags::parse(&args(
-            "--nodes 60 --side 400 --radius 80 --speed 10 --measure 10 --warmup 2 --shards 2x2",
-        ))
-        .unwrap();
-        assert!(cmd_simulate(&f).is_ok());
-        // Malformed dims and layouts finer than the radius both error.
-        for bad in ["twoxtwo", "0x2", "16x16"] {
-            let f = Flags::parse(&args(&format!(
-                "--nodes 60 --side 400 --radius 80 --speed 10 --measure 10 --warmup 2 --shards {bad}"
-            )))
-            .unwrap();
-            assert!(cmd_simulate(&f).is_err(), "--shards {bad} should fail");
+        let base = "simulate --nodes 60 --side 400 --radius 80 --speed 10 --measure 10 --warmup 2";
+        assert!(run_cli(args(&format!("{base} --shards 2x2"))).is_ok());
+        // Malformed dims, layouts finer than the radius and numbers no run
+        // can use are one-line errors before anything is built, never a
+        // panic, a NaN rate or a run that does not end.
+        for (bad, needle) in [
+            ("--shards twoxtwo", "shards"),
+            ("--shards 0x2", "shards"),
+            ("--shards 16x16", "shard layout"),
+            ("--radius -5", "radius"),
+            ("--side nan", "side"),
+            ("--speed -3", "speed"),
+            ("--nodes 0", "nodes"),
+            ("--measure nan", "measure"),
+            ("--warmup 1e999", "warmup"),
+        ] {
+            let err = run_cli(args(&format!("{base} {bad}"))).expect_err(bad);
+            assert!(err.contains(needle) && !err.contains('\n'), "{bad}: {err}");
         }
     }
 

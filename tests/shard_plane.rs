@@ -195,8 +195,8 @@ fn measured_metrics_are_identical_across_shard_layouts() {
 fn owner_frames_partition_nodes_exactly_under_churn() {
     use clustered_manet::cluster::{Clustering, LowestId};
     use clustered_manet::routing::intra::IntraClusterRouting;
-    use clustered_manet::shard::ShardedStack;
     use clustered_manet::sim::{ChurnSchedule, FaultPlan, HelloProtocol};
+    use clustered_manet::stack::ProtocolStack;
 
     let n = 120usize;
     for dims_s in ["2x2", "4x1", "3x3"] {
@@ -222,9 +222,11 @@ fn owner_frames_partition_nodes_exactly_under_churn() {
                 .build();
             let hello = HelloProtocol::new(n, 1.0, 3.0);
             let clustering = Clustering::form(LowestId, world.topology());
-            ShardedStack::faulty(world, clustering, IntraClusterRouting::new(), hello, dims)
+            let plane = ShardPlane::for_world(&world, dims)
                 .unwrap()
-                .with_workers(workers)
+                .with_workers(workers);
+            ProtocolStack::faulty(world, clustering, IntraClusterRouting::new(), hello)
+                .with_stages(plane)
         };
         let mut a = build(1);
         let mut b = build(3);
@@ -239,8 +241,8 @@ fn owner_frames_partition_nodes_exactly_under_churn() {
             assert_eq!(ra, rb, "{dims_s}: tick {tick} diverged across workers");
             saw_dead |= a.world().alive().iter().any(|&up| !up);
 
-            let stats: Vec<_> = a.plane().shard_stats().collect();
-            assert_eq!(stats.len(), a.layout().count(), "{dims_s}");
+            let stats: Vec<_> = a.stages().shard_stats().collect();
+            assert_eq!(stats.len(), a.stages().layout().count(), "{dims_s}");
             let owned: usize = stats.iter().map(|s| s.owned).sum();
             assert_eq!(
                 owned, n,
@@ -248,7 +250,7 @@ fn owner_frames_partition_nodes_exactly_under_churn() {
             );
             assert_eq!(
                 stats,
-                b.plane().shard_stats().collect::<Vec<_>>(),
+                b.stages().shard_stats().collect::<Vec<_>>(),
                 "{dims_s}: tick {tick}: shard stats diverged across workers"
             );
         }
