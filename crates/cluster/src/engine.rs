@@ -2,7 +2,7 @@
 
 use crate::policy::ClusterPolicy;
 use crate::Role;
-use manet_sim::{NodeId, StepCtx, Topology};
+use manet_sim::{Counters, MessageKind, NodeId, StepCtx, Topology};
 use manet_telemetry::{Cause, EventKind, Layer, RootCause};
 use std::fmt;
 
@@ -124,6 +124,62 @@ impl MaintenanceOutcome {
         self.contact_promotions += other.contact_promotions;
         self.lost_sends += other.lost_sends;
         self.deferred_sends += other.deferred_sends;
+    }
+}
+
+/// One tick's cluster-maintenance traffic, decomposed the way the shared
+/// [`Counters`] account it: ordinary first-attempt sends vs retries vs
+/// fault-repair traffic — what a [`SelfHealing`](crate::SelfHealing)
+/// step and every stack cluster layer report.
+///
+/// Plain (fault-free) maintenance reports zero retransmissions and
+/// repairs, so [`ClusterFlow::cluster_messages`] collapses onto
+/// [`MaintenanceOutcome::total_messages`] for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ClusterFlow {
+    /// The underlying maintenance pass (committed + lost + deferred).
+    pub maintenance: MaintenanceOutcome,
+    /// Attempted sends that were retries of previously lost sends.
+    pub retransmissions: u64,
+    /// First-attempt sends repairing fault damage (crashed head, stale
+    /// state after recovery) rather than ordinary mobility churn.
+    pub repairs: u64,
+    /// P1/P2 violations among live nodes remaining after the pass.
+    pub violations_left: u64,
+}
+
+impl ClusterFlow {
+    /// First-attempt CLUSTER sends attributable to ordinary mobility.
+    pub fn cluster_messages(&self) -> u64 {
+        self.maintenance.attempted_messages() - self.retransmissions - self.repairs
+    }
+
+    /// Records this flow into shared counters: ordinary sends as
+    /// `CLUSTER`, retries as `RETX`, fault repairs as `REPAIR`. Bytes come
+    /// from the counters' own embedded size table (`record_kind`), so the
+    /// byte-consistency invariant holds by construction.
+    pub fn record(&self, counters: &mut Counters) {
+        counters.record_kind(MessageKind::Cluster, self.cluster_messages());
+        counters.record_kind(MessageKind::Retransmit, self.retransmissions);
+        counters.record_kind(MessageKind::Repair, self.repairs);
+    }
+
+    /// Accumulates another tick into this one (keeping the *latest*
+    /// `violations_left`).
+    pub fn absorb(&mut self, other: ClusterFlow) {
+        self.maintenance.absorb(other.maintenance);
+        self.retransmissions += other.retransmissions;
+        self.repairs += other.repairs;
+        self.violations_left = other.violations_left;
+    }
+}
+
+impl From<MaintenanceOutcome> for ClusterFlow {
+    fn from(maintenance: MaintenanceOutcome) -> Self {
+        ClusterFlow {
+            maintenance,
+            ..ClusterFlow::default()
+        }
     }
 }
 

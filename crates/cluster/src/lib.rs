@@ -55,11 +55,11 @@ pub mod stats;
 pub use assignment::ClusterAssignment;
 pub use dhop::DHopClustering;
 pub use engine::{
-    Attempt, Clustering, FaultHooks, FormationStats, InvariantViolation, MaintenanceOutcome,
-    NoFaults,
+    Attempt, ClusterFlow, Clustering, FaultHooks, FormationStats, InvariantViolation,
+    MaintenanceOutcome, NoFaults,
 };
 pub use policy::{ClusterPolicy, HighestConnectivity, LowestId, Priority, StaticWeights};
-pub use repair::{Backoff, RepairOutcome, SelfHealing};
+pub use repair::{Backoff, SelfHealing};
 pub use stability::StabilityTracker;
 pub use stats::ClusterStats;
 

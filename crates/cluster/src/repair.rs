@@ -20,10 +20,10 @@
 //! retries, and classifies nothing as repair — its counts collapse to the
 //! plain [`Clustering::maintain`] numbers.
 
-use crate::engine::{Attempt, Clustering, FaultHooks, MaintenanceOutcome};
+use crate::engine::{Attempt, ClusterFlow, Clustering, FaultHooks};
 use crate::policy::ClusterPolicy;
 use crate::Role;
-use manet_sim::{Channel, Counters, MessageKind, NodeId, StepCtx, Topology};
+use manet_sim::{Channel, NodeId, StepCtx, Topology};
 use manet_telemetry::{EventKind, Layer, RootCause};
 
 /// Bounded exponential backoff for lost CLUSTER sends.
@@ -59,46 +59,6 @@ struct SendState {
     failures: u32,
     /// First tick at which another attempt is allowed.
     next_allowed: u64,
-}
-
-/// What one [`SelfHealing::step`] did, decomposed for overhead accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RepairOutcome {
-    /// The underlying maintenance pass (committed + lost + deferred).
-    pub maintenance: MaintenanceOutcome,
-    /// Attempted sends that were retries of previously lost sends.
-    pub retransmissions: u64,
-    /// First-attempt sends repairing fault damage (crashed head, stale
-    /// state after recovery) rather than ordinary mobility churn.
-    pub repairs: u64,
-    /// P1/P2 violations among live nodes remaining after the step.
-    pub violations_left: u64,
-}
-
-impl RepairOutcome {
-    /// First-attempt CLUSTER sends attributable to ordinary mobility.
-    pub fn cluster_messages(&self) -> u64 {
-        self.maintenance.attempted_messages() - self.retransmissions - self.repairs
-    }
-
-    /// Records this step's traffic into shared counters: ordinary sends as
-    /// `CLUSTER`, retries as `RETX`, fault repairs as `REPAIR`. Bytes come
-    /// from the counters' own embedded size table (`record_kind`), so the
-    /// byte-consistency invariant holds by construction.
-    pub fn record(&self, counters: &mut Counters) {
-        counters.record_kind(MessageKind::Cluster, self.cluster_messages());
-        counters.record_kind(MessageKind::Retransmit, self.retransmissions);
-        counters.record_kind(MessageKind::Repair, self.repairs);
-    }
-
-    /// Accumulates another step into this one (keeping the *latest*
-    /// `violations_left`).
-    pub fn absorb(&mut self, other: RepairOutcome) {
-        self.maintenance.absorb(other.maintenance);
-        self.retransmissions += other.retransmissions;
-        self.repairs += other.repairs;
-        self.violations_left = other.violations_left;
-    }
 }
 
 /// [`FaultHooks`] adapter borrowing the wrapper's state disjointly from
@@ -212,7 +172,7 @@ impl<P: ClusterPolicy> SelfHealing<P> {
         alive: &[bool],
         channel: &mut Channel,
         ctx: &mut StepCtx<'_, '_>,
-    ) -> RepairOutcome {
+    ) -> ClusterFlow {
         let now = ctx.now;
         assert_eq!(alive.len(), self.send.len(), "alive mask size mismatch");
         self.tick += 1;
@@ -277,7 +237,7 @@ impl<P: ClusterPolicy> SelfHealing<P> {
             );
         }
         let violations_left = self.clustering.violations_among(topology, alive).len() as u64;
-        RepairOutcome {
+        ClusterFlow {
             maintenance,
             retransmissions,
             repairs,
@@ -291,7 +251,7 @@ mod tests {
     use super::*;
     use crate::policy::LowestId;
     use manet_sim::Scratch;
-    use manet_sim::{FaultPlan, LossModel, QuietCtx, SimBuilder};
+    use manet_sim::{Counters, FaultPlan, LossModel, QuietCtx, SimBuilder};
     use manet_telemetry::Probe;
 
     fn lossy_channel(p: f64, seed: u64) -> Channel {

@@ -25,7 +25,8 @@
 //! | `--spans-ring <K>` | raw-span ring capacity |
 //! | `--spans-canonical` | deterministic, sequence-derived span timestamps |
 //!
-//! Every valued flag takes `--flag value` or `--flag=value`.
+//! Every valued flag takes `--flag value` or `--flag=value`. [`Flags`]
+//! is the one reader of that syntax, shared with the `manet` CLI.
 
 use crate::harness::{set_default_shards, Protocol, Scenario, ShardRun};
 use crate::spec::{run_scenario, ScenarioOutput, ScenarioSpec, SpecKind};
@@ -34,11 +35,11 @@ use crate::trace::{
     trace_run_chaos, TelemetryConfig,
 };
 use manet_geom::ShardDims;
-use manet_telemetry::MetricsServer;
+use manet_telemetry::{serve_metrics, HttpListener};
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// The shared flags, for error messages.
+/// The shared flags, as [`Flags::parse`] reads them.
 const FLAGS: &str = "--quick --shards KXxKY --trace-out PATH --metrics-out PATH \
     --serve-metrics ADDR --serve-hold SECS --flight K --flight-out PATH --spans-out PATH \
     --spans-ring K --spans-canonical";
@@ -73,7 +74,78 @@ pub struct BinArgs {
     /// `--spans-canonical`: export spans on the canonical timebase.
     spans_canonical: bool,
     /// The bound `--serve-metrics` endpoint; dropping `BinArgs` closes it.
-    server: Option<MetricsServer>,
+    server: Option<HttpListener>,
+}
+
+/// Command-line flags read in one pass: `--name value`, `--name=value`
+/// and bare `--switch`es, each given at most once. The one reader of
+/// flag syntax, for the experiment binaries ([`BinArgs`]) and every
+/// `manet` subcommand.
+#[derive(Debug, Default)]
+pub struct Flags<'a>(Vec<(&'a str, &'a str)>);
+
+impl<'a> Flags<'a> {
+    /// Reads `argv` against `spec`, the accepted flags as a usage line
+    /// (`--quick --shards KXxKY …`): a flag followed by a placeholder
+    /// takes a value, any other is a switch. Errors for an unknown flag
+    /// or a positional argument quote `spec`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line message on an unknown flag, a positional
+    /// argument, a repeated flag, a missing value, or a value given to a
+    /// switch.
+    pub fn parse(argv: &'a [String], spec: &str) -> Result<Flags<'a>, String> {
+        let mut flags = Flags::default();
+        let mut rest = argv.iter();
+        while let Some(arg) = rest.next() {
+            let Some(flag) = arg.strip_prefix("--") else {
+                return Err(format!("unexpected argument {arg:?} (flags: {spec})"));
+            };
+            let (name, inline) = match flag.split_once('=') {
+                Some((name, value)) => (name, Some(value)),
+                None => (flag, None),
+            };
+            if flags.get(name).is_some() {
+                return Err(format!("--{name} given twice"));
+            }
+            let mut words = spec.split_whitespace();
+            if !words.any(|w| w.strip_prefix("--") == Some(name)) {
+                return Err(format!("unknown flag {arg:?} (flags: {spec})"));
+            }
+            let value = if words.next().is_some_and(|w| !w.starts_with("--")) {
+                match inline.or_else(|| rest.next().map(String::as_str)) {
+                    Some(v) if !v.is_empty() => v,
+                    _ => return Err(format!("--{name} needs a value")),
+                }
+            } else if inline.is_some() {
+                return Err(format!("--{name} takes no value"));
+            } else {
+                ""
+            };
+            flags.0.push((name, value));
+        }
+        Ok(flags)
+    }
+
+    /// The value given for `name` (`""` for a switch), if it was given.
+    pub fn get(&self, name: &str) -> Option<&'a str> {
+        self.0.iter().find(|(n, _)| *n == name).map(|&(_, v)| v)
+    }
+
+    /// The value given for `name` parsed as `T`, or `default` when absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns `--name: <parse error>` when the value does not parse.
+    pub fn parse_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.get(name).map_or(Ok(default), |v| {
+            v.parse().map_err(|e| format!("--{name}: {e}"))
+        })
+    }
 }
 
 impl BinArgs {
@@ -84,44 +156,26 @@ impl BinArgs {
     /// Returns a one-line message on an unknown flag, a positional
     /// argument, a repeated flag, a missing value, or a malformed value.
     pub fn parse(argv: &[String]) -> Result<BinArgs, String> {
-        let mut args = BinArgs::default();
-        let mut seen: Vec<&str> = Vec::new();
-        let mut rest = argv.iter();
-        while let Some(arg) = rest.next() {
-            let Some(flag) = arg.strip_prefix("--") else {
-                return Err(format!("unexpected argument {arg:?} (flags: {FLAGS})"));
-            };
-            let (name, inline) = match flag.split_once('=') {
-                Some((name, value)) => (name, Some(value)),
-                None => (flag, None),
-            };
-            if seen.contains(&name) {
-                return Err(format!("--{name} given twice"));
-            }
-            seen.push(name);
-            let mut value = || match inline.or_else(|| rest.next().map(String::as_str)) {
-                Some(v) if !v.is_empty() => Ok(v),
-                _ => Err(format!("--{name} needs a value")),
-            };
-            match name {
-                "quick" | "spans-canonical" if inline.is_some() => {
-                    return Err(format!("--{name} takes no value"));
-                }
-                "quick" => args.quick = true,
-                "spans-canonical" => args.spans_canonical = true,
-                "shards" => args.shards = Some(parse_shards(value()?)?),
-                "trace-out" => args.trace_out = Some(value()?.into()),
-                "metrics-out" => args.metrics_out = Some(value()?.into()),
-                "serve-metrics" => args.serve_metrics = Some(value()?.to_string()),
-                "serve-hold" => args.serve_hold = parse_secs("--serve-hold", value()?)?,
-                "flight" => args.flight = Some(parse_capacity("--flight", value()?)?),
-                "flight-out" => args.flight_out = Some(value()?.into()),
-                "spans-out" => args.spans_out = Some(value()?.into()),
-                "spans-ring" => args.spans_ring = Some(parse_capacity("--spans-ring", value()?)?),
-                _ => return Err(format!("unknown flag {arg:?} (flags: {FLAGS})")),
-            }
-        }
-        Ok(args)
+        let flags = Flags::parse(argv, FLAGS)?;
+        let path = |name| flags.get(name).map(PathBuf::from);
+        let capacity = |name| flags.get(name).map(|v| parse_capacity(name, v)).transpose();
+        Ok(BinArgs {
+            label: "",
+            quick: flags.get("quick").is_some(),
+            shards: flags.get("shards").map(parse_shards).transpose()?,
+            trace_out: path("trace-out"),
+            metrics_out: path("metrics-out"),
+            serve_metrics: flags.get("serve-metrics").map(String::from),
+            serve_hold: flags
+                .get("serve-hold")
+                .map_or(Ok(Duration::ZERO), |v| parse_secs("--serve-hold", v))?,
+            flight: capacity("flight")?,
+            flight_out: path("flight-out"),
+            spans_out: path("spans-out"),
+            spans_ring: capacity("spans-ring")?,
+            spans_canonical: flags.get("spans-canonical").is_some(),
+            server: None,
+        })
     }
 
     /// Parses the process arguments, exiting with status 2 and a
@@ -159,13 +213,13 @@ impl BinArgs {
         if live_publisher().is_some() {
             return;
         }
-        match MetricsServer::serve(addr.as_str()) {
-            Ok(server) => {
+        match serve_metrics(addr.as_str()) {
+            Ok((server, publisher)) => {
                 println!(
                     "[serve] listening on http://{} (endpoints: /metrics /health /flight /quit)",
                     server.local_addr()
                 );
-                install_live_publisher(server.publisher());
+                install_live_publisher(publisher);
                 self.server = Some(server);
             }
             Err(e) => println!("[serve] failed to bind {addr}: {e}"),
@@ -348,9 +402,9 @@ pub fn parse_secs(flag: &str, raw: &str) -> Result<Duration, String> {
     Duration::try_from_secs_f64(secs).map_err(|e| format!("{flag} {raw}: {e} (expected seconds)"))
 }
 
-fn parse_capacity(flag: &str, raw: &str) -> Result<usize, String> {
+fn parse_capacity(name: &str, raw: &str) -> Result<usize, String> {
     raw.parse()
-        .map_err(|e| format!("{flag} {raw}: {e} (expected a ring capacity)"))
+        .map_err(|e| format!("--{name} {raw}: {e} (expected a ring capacity)"))
 }
 
 /// The run-header line describing the engine: the shard layout and the

@@ -778,7 +778,7 @@ pub fn live_publisher() -> Option<&'static Publisher> {
 
 /// Installs `publisher` process-wide (what `--serve-metrics` does);
 /// returns `false` when one is already installed. Integration tests that
-/// bind their own `MetricsServer` call it directly.
+/// bind their own endpoint (`serve_metrics`) call it directly.
 pub fn install_live_publisher(publisher: Publisher) -> bool {
     LIVE_PUBLISHER.set(publisher).is_ok()
 }

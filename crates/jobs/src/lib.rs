@@ -21,12 +21,12 @@
 //!   through [`run_scenario`](manet_experiments::spec::run_scenario)
 //!   (no subprocess per job), with panics contained per-job and an
 //!   injectable runner for tests.
-//! * `http` (private) — the `std`-only HTTP layer in the
-//!   `MetricsServer` mold: `POST /jobs`, `GET /jobs/:id`,
-//!   `GET /jobs/:id/result`, `GET /jobs/:id/trace`, `POST
-//!   /jobs/:id/cancel`, `/metrics`, `/health`, `/quit`. Scrapers and
-//!   submitters never block the workers beyond one mutex-protected
-//!   queue operation.
+//! * `http` (private) — the jobs routes on the shared
+//!   [`HttpListener`](manet_telemetry::HttpListener): `POST /jobs`,
+//!   `GET /jobs/:id`, `GET /jobs/:id/result`, `GET /jobs/:id/trace`,
+//!   `POST /jobs/:id/cancel`, `/metrics`, `/health` (the listener
+//!   answers `/quit`). Scrapers and submitters never block the workers
+//!   beyond one mutex-protected queue operation.
 //!
 //! `manet serve-jobs` is the CLI frontend; see DESIGN.md §18 for the
 //! state machine and the cache-key argument.

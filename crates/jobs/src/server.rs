@@ -10,11 +10,12 @@
 //! only to pop and to report back).
 
 use crate::cache::{CacheEntry, ResultCache};
-use crate::http::HttpServer;
+use crate::http::route;
 use crate::queue::{CancelOutcome, JobId, JobQueue, JobStatus, SubmitOutcome};
 use manet_experiments::harness::CancelToken;
 use manet_experiments::spec::{result_json, run_scenario, RunError, ScenarioSpec};
 use manet_experiments::trace::{trace_run_to_string, TelemetryConfig};
+use manet_telemetry::HttpListener;
 use manet_util::json::Value;
 use std::fmt::Write as _;
 use std::io;
@@ -98,7 +99,6 @@ pub(crate) struct Shared {
     state: Mutex<State>,
     work: Condvar,
     stop: AtomicBool,
-    quit: AtomicBool,
     active: AtomicUsize,
     workers: usize,
     runner: JobRunner,
@@ -143,7 +143,6 @@ impl Shared {
             }),
             work: Condvar::new(),
             stop: AtomicBool::new(false),
-            quit: AtomicBool::new(false),
             active: AtomicUsize::new(0),
             workers: config.workers.max(1),
             runner,
@@ -285,14 +284,6 @@ impl Shared {
             state.cache.len(),
         )
     }
-
-    pub(crate) fn request_quit(&self) {
-        self.quit.store(true, Ordering::SeqCst);
-    }
-
-    pub(crate) fn quit_requested(&self) -> bool {
-        self.quit.load(Ordering::SeqCst)
-    }
 }
 
 fn family(out: &mut String, name: &str, kind: &str, help: &str, value: u64) {
@@ -362,7 +353,7 @@ fn worker_loop(shared: &Shared) {
 pub struct JobServer {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    http: Option<HttpServer>,
+    http: Option<HttpListener>,
 }
 
 impl JobServer {
@@ -412,13 +403,16 @@ impl JobServer {
         runner: JobRunner,
     ) -> io::Result<JobServer> {
         let mut server = JobServer::with_runner(config, runner);
-        server.http = Some(HttpServer::serve(addr, Arc::clone(&server.shared))?);
+        let shared = Arc::clone(&server.shared);
+        server.http = Some(HttpListener::serve(addr, move |request| {
+            route(&shared, request)
+        })?);
         Ok(server)
     }
 
     /// The HTTP frontend's bound address, when one is serving.
     pub fn local_addr(&self) -> Option<SocketAddr> {
-        self.http.as_ref().map(HttpServer::local_addr)
+        self.http.as_ref().map(HttpListener::local_addr)
     }
 
     /// Submits a parsed spec.
@@ -471,17 +465,17 @@ impl JobServer {
         }
     }
 
-    /// Whether `GET /quit` was received.
+    /// Whether the HTTP frontend received `GET /quit`.
     pub fn quit_requested(&self) -> bool {
-        self.shared.quit_requested()
+        self.http.as_ref().is_some_and(HttpListener::quit_requested)
     }
 
-    /// Blocks until `GET /quit` arrives or `max` elapses (25 ms poll).
-    pub fn wait_for_quit(&self, max: Duration) {
-        let deadline = Instant::now() + max;
-        while !self.quit_requested() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(25));
-        }
+    /// Blocks until `GET /quit` arrives (true) or `max` elapses; returns
+    /// false at once when no HTTP frontend is serving.
+    pub fn wait_for_quit(&self, max: Duration) -> bool {
+        self.http
+            .as_ref()
+            .is_some_and(|http| http.wait_for_quit(max))
     }
 
     /// Stops the pool: fires every live job's cancel token, wakes and
@@ -497,7 +491,7 @@ impl JobServer {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        if let Some(http) = self.http.take() {
+        if let Some(mut http) = self.http.take() {
             http.shutdown();
         }
     }

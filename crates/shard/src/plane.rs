@@ -78,8 +78,8 @@ pub struct ShardStats {
     pub migrations_out: usize,
     /// Links discovered through a ghost entry, counted once globally at
     /// the endpoint with the smaller node id (cross-shard links and
-    /// periodic wrap links). On a `1x1` plane: the links `u < v` whose
-    /// minimum image wraps the torus seam.
+    /// periodic wrap links). 0 on a `1x1` plane, which builds no frame
+    /// and so has no boundary.
     pub boundary_links: usize,
 }
 
@@ -520,7 +520,6 @@ impl TopologyBuilder for ShardPlane {
             let t0 = probe.phase_start();
             shard.stats = ShardStats {
                 owned: positions.len(),
-                boundary_links: wrapped_links(out, positions, radius, metric),
                 ..ShardStats::default()
             };
             probe.phase_end(Phase::ShardMerge, t0);
@@ -598,29 +597,6 @@ impl TopologyBuilder for ShardPlane {
         }
         probe.phase_end(Phase::ShardMerge, t0);
     }
-}
-
-/// The links `u < v` of `topology` whose minimum image wraps the torus
-/// seam (0 under a Euclidean metric): only a node within a ghost margin
-/// of an edge has one.
-fn wrapped_links(topology: &Topology, positions: &[Vec2], radius: f64, metric: Metric) -> usize {
-    let Metric::Toroidal { side } = metric else {
-        return 0;
-    };
-    let (margin, half) = (ghost_margin(radius), side * 0.5);
-    let wraps = |a: Vec2, b: Vec2| (a.x - b.x).abs() > half || (a.y - b.y).abs() > half;
-    let mut count = 0;
-    for (u, &me) in positions.iter().enumerate() {
-        if me.x.min(me.y) <= margin || me.x.max(me.y) >= side - margin {
-            let row = topology.neighbors(u as NodeId);
-            let above = &row[row.partition_point(|&v| v as usize <= u)..];
-            count += above
-                .iter()
-                .filter(|&&v| wraps(me, positions[v as usize]))
-                .count();
-        }
-    }
-    count
 }
 
 #[cfg(test)]

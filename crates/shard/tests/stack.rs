@@ -187,9 +187,9 @@ fn oversharded_world_is_rejected() {
 /// A `1x1` plane with shard 0 stalled twice: every tick emits one
 /// `InterconnectStalled` event exactly at each stall's onset, and still
 /// gives the rows, link events and report of `World::step` on an
-/// identical world; its statistics own every node, with no ghosts and
-/// no migrations, and count the links whose minimum image wraps. The
-/// world moves a tenth of the skin per tick, so the kernel's link
+/// identical world; its statistics own every node, with no ghosts, no
+/// migrations and no boundary links (it builds no frame). The world
+/// moves a tenth of the skin per tick, so the kernel's link
 /// schedule runs and hands its flips on, stall or not.
 #[test]
 fn unit_plane_under_a_stall_schedule_matches_world_step() {
@@ -217,9 +217,7 @@ fn unit_plane_under_a_stall_schedule_matches_world_step() {
         .unwrap()
         .with_interconnect(config)
         .unwrap();
-    let half = planed.region().side() / 2.0;
     let (mut q, mut scratch) = (QuietCtx::new(), Scratch::new());
-    let mut wrapped_total = 0;
     for tick in 0..80 {
         let a = mono.step(&mut q.ctx());
         let mut events: Vec<Event> = Vec::new();
@@ -238,22 +236,10 @@ fn unit_plane_under_a_stall_schedule_matches_world_step() {
         let expected = expected.map(|&(_, ticks)| (0, u64::from(ticks)));
         assert!(onsets.eq(expected), "tick {tick}: stall onsets");
 
-        let p = planed.positions();
-        let wrapped = planed
-            .topology()
-            .links()
-            .filter(|&(u, v)| {
-                let (a, b) = (p[u as usize], p[v as usize]);
-                (a.x - b.x).abs() > half || (a.y - b.y).abs() > half
-            })
-            .count();
-        wrapped_total += wrapped;
         let stats = ShardStats {
             owned: 150,
-            boundary_links: wrapped,
             ..ShardStats::default()
         };
         assert!(plane.shard_stats().eq([stats]), "tick {tick}: shard stats");
     }
-    assert!(wrapped_total > 0, "no link ever wrapped the seam");
 }

@@ -13,8 +13,7 @@
 //! lists many times over, a world fast enough to fall back to the plain
 //! sweep, and the adversarial ones — a scratch shared by two worlds,
 //! static nodes, jumping positions, churn, and a reach past half the
-//! side. The plane's boundary-link count is checked against a
-//! brute-force count of the links whose minimum image wraps.
+//! side. The plane builds no frame, so it counts no boundary links.
 
 use manet_geom::{candidate_reach, FrameGrid, Metric, ShardDims, SpatialGrid, SquareRegion, Vec2};
 use manet_mobility::{EpochRandomDirection, Mobility, RandomWalk, RandomWaypoint};
@@ -50,19 +49,6 @@ fn brute_rows(positions: &[Vec2], radius: f64, metric: Metric, alive: &[bool]) -
                 .collect()
         })
         .collect()
-}
-
-/// Links `u < v` whose minimum image wraps the torus seam.
-fn wrapped_links(positions: &[Vec2], radius: f64, side: f64) -> usize {
-    let metric = Metric::toroidal(side);
-    let mut count = 0;
-    for (u, &a) in positions.iter().enumerate() {
-        for &b in &positions[u + 1..] {
-            let wraps = (a.x - b.x).abs() > side / 2.0 || (a.y - b.y).abs() > side / 2.0;
-            count += usize::from(wraps && metric.within(a, b, radius));
-        }
-    }
-    count
 }
 
 /// The row diff from `prev` to `next`: the reference for every event.
@@ -180,14 +166,11 @@ impl Owners {
             .check(&expected, &format!("{case}: SpatialGrid at tick {tick}"));
         self.planed
             .check(&expected, &format!("{case}: 1x1 plane at tick {tick}"));
-        if let Metric::Toroidal { side } = self.metric {
-            let stats = self.plane.shard_stats().next().unwrap();
-            assert_eq!(
-                stats.boundary_links,
-                wrapped_links(positions, self.radius, side),
-                "{case}: 1x1 boundary links at tick {tick}"
-            );
-        }
+        let stats = self.plane.shard_stats().next().unwrap();
+        assert_eq!(
+            stats.boundary_links, 0,
+            "{case}: 1x1 boundary links at tick {tick}"
+        );
         let eligible = candidate_reach(self.radius, self.region.side()).is_some();
         let listed = self.probe.advance(positions).is_some() && eligible;
         self.list_ticks += usize::from(listed);

@@ -1,75 +1,11 @@
 //! Pluggable cluster and routing stages of the canonical tick pipeline.
 
 use manet_cluster::{
-    ClusterAssignment, ClusterPolicy, Clustering, DHopClustering, InvariantViolation,
-    MaintenanceOutcome, RepairOutcome, SelfHealing,
+    ClusterAssignment, ClusterFlow, ClusterPolicy, Clustering, DHopClustering, InvariantViolation,
+    SelfHealing,
 };
 use manet_routing::intra::{IntraClusterRouting, RouteUpdateOutcome};
-use manet_sim::{Channel, Counters, MessageKind, NodeId, StepCtx, Topology};
-
-/// One tick's cluster-maintenance traffic, decomposed the way the shared
-/// [`Counters`] account it: ordinary first-attempt sends vs retries vs
-/// fault-repair traffic.
-///
-/// Plain (fault-free) cluster layers report zero retransmissions and
-/// repairs, so [`ClusterFlow::cluster_messages`] collapses onto
-/// [`MaintenanceOutcome::total_messages`] for them.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ClusterFlow {
-    /// The structural maintenance outcome (role changes, lost/deferred
-    /// sends).
-    pub maintenance: MaintenanceOutcome,
-    /// Retries of previously lost sends.
-    pub retransmissions: u64,
-    /// Crash/recovery repair traffic.
-    pub repairs: u64,
-    /// P1/P2 violations among live nodes still open after this pass.
-    pub violations_left: u64,
-}
-
-impl ClusterFlow {
-    /// First-attempt CLUSTER sends attributable to ordinary mobility.
-    pub fn cluster_messages(&self) -> u64 {
-        self.maintenance.attempted_messages() - self.retransmissions - self.repairs
-    }
-
-    /// Records this flow into shared counters: ordinary sends as
-    /// `CLUSTER`, retries as `RETX`, fault repairs as `REPAIR`.
-    pub fn record(&self, counters: &mut Counters) {
-        counters.record_kind(MessageKind::Cluster, self.cluster_messages());
-        counters.record_kind(MessageKind::Retransmit, self.retransmissions);
-        counters.record_kind(MessageKind::Repair, self.repairs);
-    }
-
-    /// Accumulates another tick into this one (keeping the *latest*
-    /// `violations_left`).
-    pub fn absorb(&mut self, other: ClusterFlow) {
-        self.maintenance.absorb(other.maintenance);
-        self.retransmissions += other.retransmissions;
-        self.repairs += other.repairs;
-        self.violations_left = other.violations_left;
-    }
-}
-
-impl From<MaintenanceOutcome> for ClusterFlow {
-    fn from(maintenance: MaintenanceOutcome) -> Self {
-        ClusterFlow {
-            maintenance,
-            ..ClusterFlow::default()
-        }
-    }
-}
-
-impl From<RepairOutcome> for ClusterFlow {
-    fn from(o: RepairOutcome) -> Self {
-        ClusterFlow {
-            maintenance: o.maintenance,
-            retransmissions: o.retransmissions,
-            repairs: o.repairs,
-            violations_left: o.violations_left,
-        }
-    }
-}
+use manet_sim::{Channel, NodeId, StepCtx, Topology};
 
 /// The cluster-maintenance stage of the pipeline.
 ///
@@ -158,7 +94,7 @@ impl<P: ClusterPolicy> ClusterLayer for SelfHealing<P> {
         channel: &mut Channel,
         ctx: &mut StepCtx<'_, '_>,
     ) -> ClusterFlow {
-        self.step(topology, alive, channel, ctx).into()
+        self.step(topology, alive, channel, ctx)
     }
 
     fn assignment(&self) -> &dyn ClusterAssignment {

@@ -59,13 +59,13 @@ pub mod report;
 pub mod stack;
 pub mod stage;
 
-pub use layer::{ClusterFlow, ClusterLayer, DHopLayer, NoClustering, NoRouting, RouteLayer};
+pub use layer::{ClusterLayer, DHopLayer, NoClustering, NoRouting, RouteLayer};
 pub use report::StackReport;
 pub use stack::{HelloDriver, ProtocolStack};
 pub use stage::{ClusterStage, HelloStage, MonoStages, RouteStage, StackStages};
 
 // Re-exported so downstream code can name the stage types without adding
 // direct dependencies on every layer crate.
-pub use manet_cluster::{Clustering, DHopClustering, SelfHealing};
+pub use manet_cluster::{ClusterFlow, Clustering, DHopClustering, SelfHealing};
 pub use manet_routing::intra::IntraClusterRouting;
 pub use manet_sim::{HelloProtocol, StepCtx};

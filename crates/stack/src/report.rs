@@ -1,6 +1,6 @@
 //! The aggregated per-tick (or per-window) report of a stack run.
 
-use crate::layer::ClusterFlow;
+use manet_cluster::ClusterFlow;
 use manet_routing::intra::RouteUpdateOutcome;
 
 /// Everything one [`ProtocolStack::tick`](crate::ProtocolStack::tick)

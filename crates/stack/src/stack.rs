@@ -352,8 +352,8 @@ impl<C: ClusterLayer, R: RouteLayer> Parts<C, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::{ClusterFlow, NoClustering, NoRouting};
-    use manet_cluster::{Backoff, Clustering, LowestId, SelfHealing};
+    use crate::layer::{NoClustering, NoRouting};
+    use manet_cluster::{Backoff, ClusterFlow, Clustering, LowestId, SelfHealing};
     use manet_routing::intra::{IntraClusterRouting, RouteUpdateOutcome};
     use manet_sim::{Counters, FaultPlan, HelloMode, LossModel, QuietCtx, SimBuilder, World};
 
@@ -493,8 +493,7 @@ mod tests {
                     .0;
             repair.absorb(
                 healer // stage-exempt: manual twin
-                    .step(world.topology(), world.alive(), &mut ch_cluster, &mut ctx)
-                    .into(),
+                    .step(world.topology(), world.alive(), &mut ch_cluster, &mut ctx),
             );
             // stage-exempt: manual twin
             route.absorb(routing.update(

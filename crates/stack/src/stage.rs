@@ -9,8 +9,8 @@
 //! the pre-stage stack by construction. The shard plane takes these same
 //! defaults and overrides only the topology rebuild.
 
-use crate::layer::{ClusterFlow, ClusterLayer, RouteLayer};
-use manet_cluster::ClusterAssignment;
+use crate::layer::{ClusterLayer, RouteLayer};
+use manet_cluster::{ClusterAssignment, ClusterFlow};
 use manet_routing::intra::RouteUpdateOutcome;
 use manet_sim::{
     Channel, GridTopology, HelloProtocol, MobilityStage, StepCtx, Topology, TopologyBuilder,

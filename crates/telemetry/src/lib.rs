@@ -44,11 +44,12 @@
 //! * [`export`] — a Prometheus text-exposition snapshot exporter
 //!   ([`prometheus_text`]) over recorder totals, the ledger, the shard
 //!   plane and the span histograms.
-//! * [`serve`] — the live exporter: a zero-dependency HTTP
-//!   [`MetricsServer`] on `std::net::TcpListener` serving `/metrics`,
-//!   `/health`, and `/flight` from [`TelemetrySnapshot`]s the tick loop
-//!   publishes once per tumbling window via an `Arc` swap — scrapers can
-//!   never block the hot path.
+//! * [`serve`] — the one zero-dependency [`HttpListener`] (one accept
+//!   thread, one request deadline, one `/quit`) that every HTTP frontend
+//!   hands its routes to, and the live exporter on it ([`serve_metrics`]):
+//!   `/metrics`, `/health`, and `/flight` from [`TelemetrySnapshot`]s the
+//!   tick loop publishes once per tumbling window via an `Arc` swap —
+//!   scrapers can never block the hot path.
 //! * [`flight`] — the [`FlightRecorder`]: a bounded ring over the live
 //!   event stream, dumped as replayable JSONL (same codec as [`sink`])
 //!   when an audit violation fires — chaos post-mortems without paying
@@ -90,8 +91,8 @@ pub use flight::{FlightRecorder, FlightTrigger};
 pub use hist::{Histogram, HIST_BUCKETS};
 pub use profile::{Phase, PhaseSummary, ProfileReport};
 pub use serve::{
-    read_request_within, write_response, HttpRequest, MetricsServer, Publisher, TelemetrySnapshot,
-    MAX_REQUEST_BODY,
+    serve_metrics, HttpListener, HttpRequest, HttpResponse, Publisher, TelemetrySnapshot,
+    MAX_REQUEST_BODY, REQUEST_DEADLINE,
 };
 pub use sink::{read_trace, JsonlSink, Trace, TraceMeta, TraceOut};
 pub use span::{chrome_trace_json, RawSpan, SpanLabel, SpanRecorder, SpanStart, SpanTimebase};

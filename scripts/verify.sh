@@ -25,13 +25,24 @@ if grep -rn "fn neighbors_within\|fn for_each_pair" crates/*/src --include='*.rs
 fi
 
 echo "==> one-diff guard (one row diff, DESIGN.md §12)"
-# A tick's link events are the kernel schedule's flips, which a builder
-# records on its topology (Topology::adopt_flips), or else the row diff of
+# A tick's link events are the kernel schedule's flips, which the builder
+# records on its topology (Topology::compute_into), or else the row diff of
 # Topology::diff_from. Fail the build if library code calls the row diff
 # anywhere else.
 if grep -rn "diff_into(" crates/*/src src --include='*.rs' \
     | grep -v "^crates/sim/src/topology\.rs:"; then
     echo "verify: FAIL — a row diff outside crates/sim/src/topology.rs (take the topology's events)" >&2
+    exit 1
+fi
+
+echo "==> one-listener guard (one HTTP listener, DESIGN.md §15)"
+# Every HTTP frontend (the live metrics endpoint, the jobs service) hands
+# its routes to manet-telemetry's HttpListener, which owns the accept
+# loop, the request deadline and /quit. Fail the build if library code
+# binds a socket anywhere else.
+if grep -rn "TcpListener::bind" crates/*/src src --include='*.rs' \
+    | grep -v "^crates/telemetry/src/serve\.rs:"; then
+    echo "verify: FAIL — a TcpListener::bind outside crates/telemetry/src/serve.rs (serve through HttpListener)" >&2
     exit 1
 fi
 

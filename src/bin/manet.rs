@@ -20,7 +20,7 @@
 //! (DESIGN.md §18) until `GET /quit` (or `--hold` seconds).
 
 use clustered_manet::cluster::{Clustering, HighestConnectivity, LowestId};
-use clustered_manet::experiments::cli::{parse_secs, parse_shards};
+use clustered_manet::experiments::cli::{parse_secs, parse_shards, Flags};
 use clustered_manet::experiments::harness::ShardRun;
 use clustered_manet::experiments::spec::{ScenarioSpec, SpecKind};
 use clustered_manet::geom::SquareRegion;
@@ -31,70 +31,59 @@ use clustered_manet::routing::intra::IntraClusterRouting;
 use clustered_manet::sim::{MessageKind, QuietCtx, SimBuilder};
 use clustered_manet::stack::{ProtocolStack, StackReport};
 use clustered_manet::util::Rng;
-use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::time::Duration;
 
-/// Parsed `--key value` flags.
-#[derive(Debug, Default)]
-struct Flags(BTreeMap<String, String>);
+/// A subcommand's body.
+type Command = fn(&Flags) -> Result<(), String>;
 
-impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
-        let mut map = BTreeMap::new();
-        let mut i = 0;
-        while i < args.len() {
-            let key = args[i]
-                .strip_prefix("--")
-                .ok_or_else(|| format!("expected --flag, got {:?}", args[i]))?;
-            let value = args
-                .get(i + 1)
-                .ok_or_else(|| format!("flag --{key} is missing a value"))?;
-            map.insert(key.to_string(), value.clone());
-            i += 2;
-        }
-        Ok(Flags(map))
+/// The subcommands: name, the flags each reads (every one optional, as
+/// [`Flags::parse`] takes them), and body.
+const COMMANDS: [(&str, &str, Command); 5] = [
+    (
+        "predict",
+        "--nodes N --side A --radius R --speed V --p HEADRATIO",
+        cmd_predict,
+    ),
+    (
+        "simulate",
+        "--nodes N --side A --radius R --speed V --measure S --warmup S --seed K \
+         --policy lid|hcc --shards KXxKY",
+        cmd_simulate,
+    ),
+    (
+        "trace",
+        "--nodes N --side A --speed V --frames K --period S --format text|ns2 --seed K",
+        cmd_trace,
+    ),
+    ("theta", "", cmd_theta),
+    (
+        "serve-jobs",
+        "--addr HOST:PORT --workers K --queue-cap K --cache-cap K --hold SECS",
+        cmd_serve_jobs,
+    ),
+];
+
+fn usage() -> String {
+    let mut text = String::from("usage:\n");
+    for (name, flags, _) in COMMANDS {
+        text += format!("  manet {name:<10} {flags}").trim_end();
+        text.push('\n');
     }
-
-    fn f64(&self, key: &str, default: f64) -> Result<f64, String> {
-        match self.0.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|e| format!("--{key}: {e}")),
-        }
-    }
-
-    fn usize(&self, key: &str, default: usize) -> Result<usize, String> {
-        match self.0.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|e| format!("--{key}: {e}")),
-        }
-    }
-
-    fn u64(&self, key: &str, default: u64) -> Result<u64, String> {
-        match self.0.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|e| format!("--{key}: {e}")),
-        }
-    }
-
-    fn str_or<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
-        self.0.get(key).map(String::as_str).unwrap_or(default)
-    }
-}
-
-fn usage() -> &'static str {
-    "usage:\n  manet predict    --nodes N --side A --radius R --speed V [--p HEADRATIO]\n  manet simulate   --nodes N --side A --radius R --speed V [--measure S] [--warmup S] [--seed K] [--policy lid|hcc] [--shards KXxKY]\n  manet trace      --nodes N --side A --speed V --frames K --period S [--format text|ns2] [--seed K]\n  manet theta\n  manet serve-jobs [--addr HOST:PORT] [--workers K] [--queue-cap K] [--cache-cap K] [--hold SECS]\nSee README.md for the underlying model (Xue, Er & Seah, ICDCS 2006)."
+    text + "Every flag is optional and given at most once, as --flag VALUE or --flag=VALUE;\n\
+            an unknown flag is an error.\n\
+            See README.md for the underlying model (Xue, Er & Seah, ICDCS 2006)."
 }
 
 fn cmd_predict(flags: &Flags) -> Result<(), String> {
-    let n = flags.usize("nodes", 400)?;
-    let side = flags.f64("side", 1000.0)?;
-    let radius = flags.f64("radius", 150.0)?;
-    let speed = flags.f64("speed", 10.0)?;
+    let n = flags.parse_or("nodes", 400)?;
+    let side = flags.parse_or("side", 1000.0)?;
+    let radius = flags.parse_or("radius", 150.0)?;
+    let speed = flags.parse_or("speed", 10.0)?;
     let params = NetworkParams::new(n, side, radius, speed).map_err(|e| e.to_string())?;
     let model = OverheadModel::new(params, DegreeModel::TorusExact);
     let d = model.expected_degree();
-    let p = flags.f64("p", lid::p_approx(d))?;
+    let p = flags.parse_or("p", lid::p_approx(d))?;
     if !(0.0 < p && p <= 1.0) {
         return Err(format!("--p must be in (0, 1], got {p}"));
     }
@@ -124,15 +113,15 @@ fn cmd_predict(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_simulate(flags: &Flags) -> Result<(), String> {
-    let n = flags.usize("nodes", 400)?;
-    let side = flags.f64("side", 1000.0)?;
-    let radius = flags.f64("radius", 150.0)?;
-    let speed = flags.f64("speed", 10.0)?;
-    let measure = flags.f64("measure", 200.0)?;
-    let warmup = flags.f64("warmup", 60.0)?;
-    let seed = flags.u64("seed", 1)?;
-    let policy = flags.str_or("policy", "lid");
-    let run = match flags.0.get("shards") {
+    let n = flags.parse_or("nodes", 400)?;
+    let side = flags.parse_or("side", 1000.0)?;
+    let radius = flags.parse_or("radius", 150.0)?;
+    let speed = flags.parse_or("speed", 10.0)?;
+    let measure = flags.parse_or("measure", 200.0)?;
+    let warmup = flags.parse_or("warmup", 60.0)?;
+    let seed = flags.parse_or("seed", 1)?;
+    let policy = flags.get("policy").unwrap_or("lid");
+    let run = match flags.get("shards") {
         Some(v) => ShardRun::new(parse_shards(v)?),
         None => ShardRun::resolve(None),
     };
@@ -232,13 +221,13 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_trace(flags: &Flags) -> Result<(), String> {
-    let n = flags.usize("nodes", 50)?;
-    let side = flags.f64("side", 500.0)?;
-    let speed = flags.f64("speed", 8.0)?;
-    let frames = flags.usize("frames", 60)?;
-    let period = flags.f64("period", 1.0)?;
-    let seed = flags.u64("seed", 1)?;
-    let format = flags.str_or("format", "text");
+    let n = flags.parse_or("nodes", 50)?;
+    let side: f64 = flags.parse_or("side", 500.0)?;
+    let speed: f64 = flags.parse_or("speed", 8.0)?;
+    let frames = flags.parse_or("frames", 60)?;
+    let period: f64 = flags.parse_or("period", 1.0)?;
+    let seed = flags.parse_or("seed", 1)?;
+    let format = flags.get("format").unwrap_or("text");
     if !(period > 0.0 && period.is_finite()) {
         return Err(format!("need a finite --period > 0 (got {period})"));
     }
@@ -260,7 +249,7 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_theta() {
+fn cmd_theta(_: &Flags) -> Result<(), String> {
     let cells = clustered_manet::model::asymptotics::theta_table();
     println!("Section 6 growth exponents (claimed vs fitted):");
     for c in cells {
@@ -273,18 +262,19 @@ fn cmd_theta() {
             if c.confirms(0.12) { "ok" } else { "MISMATCH" }
         );
     }
+    Ok(())
 }
 
 fn cmd_serve_jobs(flags: &Flags) -> Result<(), String> {
-    let addr = flags.str_or("addr", "127.0.0.1:9090");
+    let addr = flags.get("addr").unwrap_or("127.0.0.1:9090");
     let config = JobServerConfig {
-        workers: flags.usize("workers", 2)?.max(1),
-        queue_cap: flags.usize("queue-cap", 64)?.max(1),
-        cache_cap: flags.usize("cache-cap", 256)?.max(1),
+        workers: flags.parse_or("workers", 2usize)?.max(1),
+        queue_cap: flags.parse_or("queue-cap", 64usize)?.max(1),
+        cache_cap: flags.parse_or("cache-cap", 256usize)?.max(1),
         ..JobServerConfig::default()
     };
     // 0 = serve until /quit; anything else is a watchdog timeout.
-    let hold = match flags.0.get("hold") {
+    let hold = match flags.get("hold") {
         Some(raw) => parse_secs("--hold", raw)?,
         None => Duration::ZERO,
     };
@@ -303,10 +293,9 @@ fn cmd_serve_jobs(flags: &Flags) -> Result<(), String> {
         "[serve-jobs] endpoints: POST /jobs, GET /jobs/:id[/result|/trace], \
          POST /jobs/:id/cancel, /metrics /health /quit"
     );
-    server.wait_for_quit(hold);
     println!(
         "[serve-jobs] {}; shutting down",
-        if server.quit_requested() {
+        if server.wait_for_quit(hold) {
             "quit requested"
         } else {
             "hold expired"
@@ -318,24 +307,16 @@ fn cmd_serve_jobs(flags: &Flags) -> Result<(), String> {
 
 fn run_cli(args: Vec<String>) -> Result<(), String> {
     let Some(cmd) = args.first() else {
-        return Err(usage().to_string());
+        return Err(usage());
     };
-    let flags = Flags::parse(&args[1..])?;
-    match cmd.as_str() {
-        "predict" => cmd_predict(&flags),
-        "simulate" => cmd_simulate(&flags),
-        "trace" => cmd_trace(&flags),
-        "serve-jobs" => cmd_serve_jobs(&flags),
-        "theta" => {
-            cmd_theta();
-            Ok(())
-        }
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}\n{}", usage())),
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{}", usage());
+        return Ok(());
     }
+    let Some((_, flags, run)) = COMMANDS.iter().find(|(name, ..)| name == cmd) else {
+        return Err(format!("unknown command {cmd:?}\n{}", usage()));
+    };
+    run(&Flags::parse(&args[1..], flags)?)
 }
 
 fn main() -> ExitCode {
@@ -359,37 +340,59 @@ mod tests {
 
     #[test]
     fn flags_parse_pairs() {
-        let f = Flags::parse(&args("--nodes 10 --speed 2.5")).unwrap();
-        assert_eq!(f.usize("nodes", 0).unwrap(), 10);
-        assert_eq!(f.f64("speed", 0.0).unwrap(), 2.5);
-        assert_eq!(f.f64("missing", 7.0).unwrap(), 7.0);
-        assert_eq!(f.str_or("format", "text"), "text");
+        let argv = args("--nodes 10 --speed 2.5 --side=100");
+        let f = Flags::parse(&argv, "--nodes N --speed V --side A --format F").unwrap();
+        assert_eq!(f.parse_or("nodes", 0usize).unwrap(), 10);
+        assert_eq!(f.parse_or("speed", 0.0).unwrap(), 2.5);
+        assert_eq!(f.parse_or("side", 0.0).unwrap(), 100.0);
+        assert_eq!(f.parse_or("missing", 7.0).unwrap(), 7.0);
+        assert_eq!(f.get("format").unwrap_or("text"), "text");
+        assert!(run_cli(args("predict --nodes=100")).is_ok());
     }
 
     #[test]
     fn flags_reject_malformed() {
-        assert!(Flags::parse(&args("nodes 10")).is_err());
-        assert!(Flags::parse(&args("--nodes")).is_err());
-        let f = Flags::parse(&args("--nodes ten")).unwrap();
-        assert!(f.usize("nodes", 0).is_err());
+        for (argv, needle) in [
+            ("nodes 10", "unexpected argument \"nodes\""),
+            ("--nodes", "--nodes needs a value"),
+            (
+                "--nodse 100",
+                "unknown flag \"--nodse\" (flags: --nodes N --speed V)",
+            ),
+            ("--nodes 100 --nodes 200", "--nodes given twice"),
+        ] {
+            let argv = args(argv);
+            let err = Flags::parse(&argv, "--nodes N --speed V").expect_err(needle);
+            assert!(err.contains(needle), "{err}");
+        }
+        let argv = args("--nodes ten");
+        let f = Flags::parse(&argv, "--nodes N").unwrap();
+        assert!(f.parse_or("nodes", 0usize).is_err());
+        // Every subcommand reads its flags this way: a typo is an error,
+        // not a run on the defaults.
+        for bad in [
+            "predict --nodse 100",
+            "predict --nodes 100 --nodes 200",
+            "theta --x 1",
+        ] {
+            let err = run_cli(args(bad)).expect_err(bad);
+            assert!(!err.contains('\n'), "{bad}: {err}");
+        }
     }
 
     #[test]
     fn predict_runs_with_defaults() {
-        let f = Flags::parse(&[]).unwrap();
-        assert!(cmd_predict(&f).is_ok());
+        assert!(run_cli(args("predict")).is_ok());
     }
 
     #[test]
     fn predict_rejects_bad_p() {
-        let f = Flags::parse(&args("--p 1.5")).unwrap();
-        assert!(cmd_predict(&f).is_err());
+        assert!(run_cli(args("predict --p 1.5")).is_err());
     }
 
     #[test]
     fn trace_rejects_bad_format() {
-        let f = Flags::parse(&args("--format csv --nodes 3 --frames 2")).unwrap();
-        assert!(cmd_trace(&f).is_err());
+        assert!(run_cli(args("trace --format csv --nodes 3 --frames 2")).is_err());
         // Numbers no trace can use are one-line errors, never a panic.
         for bad in ["--speed -3", "--side -100", "--period inf"] {
             let err = run_cli(args(&format!("trace --frames 2 {bad}"))).expect_err(bad);
@@ -399,11 +402,8 @@ mod tests {
 
     #[test]
     fn simulate_small_run_works() {
-        let f = Flags::parse(&args(
-            "--nodes 60 --side 400 --radius 80 --speed 10 --measure 20 --warmup 5",
-        ))
-        .unwrap();
-        assert!(cmd_simulate(&f).is_ok());
+        let argv = "simulate --nodes 60 --side 400 --radius 80 --speed 10 --measure 20 --warmup 5";
+        assert!(run_cli(args(argv)).is_ok());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! End-to-end test of the live observability plane: a traced run
-//! publishing window snapshots to a bound [`MetricsServer`], scraped
-//! over real TCP while (and after) it runs.
+//! publishing window snapshots to a bound [`serve_metrics`] endpoint,
+//! scraped over real TCP while (and after) it runs.
 //!
 //! This is the in-process twin of the `scripts/verify.sh` smoke step
 //! (which exercises the same plane through the `--serve-metrics` CLI
@@ -10,7 +10,7 @@
 
 use manet_experiments::harness::{Protocol, Scenario};
 use manet_experiments::trace::{install_live_publisher, trace_run, TelemetryConfig};
-use manet_telemetry::MetricsServer;
+use manet_telemetry::serve_metrics;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
@@ -65,10 +65,10 @@ fn assert_well_formed_metrics(text: &str) {
 
 #[test]
 fn traced_run_streams_snapshots_to_a_live_scraper() {
-    let mut server = MetricsServer::serve("127.0.0.1:0").expect("bind ephemeral port");
+    let (mut server, publisher) = serve_metrics("127.0.0.1:0").expect("bind ephemeral port");
     let addr = server.local_addr();
     assert!(
-        install_live_publisher(server.publisher()),
+        install_live_publisher(publisher),
         "first install in this process"
     );
 
