@@ -260,15 +260,6 @@ impl DHopClustering {
             .count()
     }
 
-    /// Head ratio `P`.
-    pub fn head_ratio(&self) -> f64 {
-        if self.head_of.is_empty() {
-            0.0
-        } else {
-            self.head_count() as f64 / self.head_of.len() as f64
-        }
-    }
-
     /// Reactive maintenance (d-hop LCC): re-homes members whose head is
     /// out of d-hop reach, resolves head proximity when separation is
     /// enforced, and counts CLUSTER messages with the same conventions as

@@ -235,7 +235,11 @@ struct PassBuffers {
     scan: Scan,
     /// Per node: why it was orphaned this pass and the root cause its
     /// re-home or promotion will carry (`None` without a cause tracker).
+    /// `None` for every node between passes.
     orphans: Vec<Option<(OrphanCause, Option<Cause>)>>,
+    /// The nodes whose `orphans` slot this pass set, in the order set
+    /// (phase 3 sorts and deduplicates them, then resets their slots).
+    orphaned: Vec<NodeId>,
     /// The scan's broken links as `(head, member)` pairs, sorted, so a
     /// resignation finds the loser's unlinked members by binary search.
     broken_by_head: Vec<(NodeId, NodeId)>,
@@ -244,7 +248,8 @@ struct PassBuffers {
 impl PassBuffers {
     /// Buffers for `n` nodes. The scan's lists get room for an eighth of
     /// the nodes each, far more than the few broken affiliations and head
-    /// contacts a steady-state pass finds, so they never grow there.
+    /// contacts a steady-state pass finds, so they never grow there; a
+    /// node's slot is set at most once per pass, so `orphaned` never does.
     fn for_nodes(n: usize) -> Self {
         let room = n / 8 + 8;
         PassBuffers {
@@ -252,7 +257,8 @@ impl PassBuffers {
                 broken: Vec::with_capacity(room),
                 contacts: Vec::with_capacity(room),
             },
-            orphans: Vec::with_capacity(n),
+            orphans: vec![None; n],
+            orphaned: Vec::with_capacity(n),
             broken_by_head: Vec::with_capacity(room),
         }
     }
@@ -432,10 +438,14 @@ impl<P: ClusterPolicy> Clustering<P> {
         let PassBuffers {
             scan,
             orphans,
+            orphaned,
             broken_by_head,
         } = buffers;
-        orphans.clear();
-        orphans.resize(n, None);
+        // Buffers built empty (a hand-made clustering) size themselves once.
+        if orphans.len() != n {
+            orphans.clear();
+            orphans.resize(n, None);
+        }
         broken_by_head.clear();
         broken_by_head.extend(
             scan.broken
@@ -473,6 +483,7 @@ impl<P: ClusterPolicy> Clustering<P> {
                 (OrphanCause::HeadResigned, why)
             };
             orphans[u as usize] = Some(orphan);
+            orphaned.push(u);
             if ctx.probe.is_attributing() {
                 ctx.probe.emit_caused(
                     now,
@@ -527,6 +538,7 @@ impl<P: ClusterPolicy> Clustering<P> {
                         let slot = &mut orphans[m as usize];
                         if roles[m as usize] == (Role::Member { head: loser }) && slot.is_none() {
                             *slot = Some((OrphanCause::HeadResigned, why));
+                            orphaned.push(m);
                             if ctx.probe.is_attributing() {
                                 ctx.probe.emit_caused(
                                     now,
@@ -548,8 +560,11 @@ impl<P: ClusterPolicy> Clustering<P> {
 
         // Phase 3: orphans re-affiliate or promote, in id order. A lost
         // announcement leaves the stale role in place for a later retry.
-        for u in 0..n as NodeId {
-            let Some((cause, why)) = orphans[u as usize] else {
+        // Only the slots set this pass are walked, and reset.
+        orphaned.sort_unstable();
+        orphaned.dedup();
+        for &u in orphaned.iter() {
+            let Some((cause, why)) = orphans[u as usize].take() else {
                 continue;
             };
             match ctx.attempt(u) {
@@ -594,6 +609,7 @@ impl<P: ClusterPolicy> Clustering<P> {
                     .emit_caused(now, Layer::Cluster, EventKind::HeadElected { node: u }, why);
             }
         }
+        orphaned.clear();
 
         // The engine only guarantees clean invariants when nothing was
         // lost, deferred, or down this pass.

@@ -92,7 +92,7 @@ mod tests {
             let pts: Vec<manet_geom::Vec2> = (0..p.node_count())
                 .map(|_| region.sample_uniform(&mut rng))
                 .collect();
-            let mut rows = vec![Vec::new(); pts.len()];
+            let mut rows = manet_geom::NeighborRows::default();
             manet_geom::SpatialGrid::default().neighbor_rows(
                 &pts,
                 region,
@@ -100,8 +100,7 @@ mod tests {
                 manet_geom::Metric::Euclidean,
                 &mut rows,
             );
-            let total: usize = rows.iter().map(Vec::len).sum();
-            acc += total as f64 / pts.len() as f64;
+            acc += rows.entries() as f64 / pts.len() as f64;
         }
         let mc = acc / trials as f64;
         let theory = DegreeModel::BorderCorrected.expected_degree(&p);

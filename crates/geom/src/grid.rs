@@ -28,6 +28,7 @@
 
 use crate::metric::{fold, Metric};
 use crate::region::SquareRegion;
+use crate::rows::NeighborRows;
 use crate::shard::{ShardDims, ShardLayout};
 use crate::vec2::Vec2;
 
@@ -58,11 +59,11 @@ pub fn ghost_margin(radius: f64) -> f64 {
     radius * (1.0 + 1e-9) + 1e-9
 }
 
-/// The capacity floor of a neighbor row: the expected unit-disk degree
-/// `ρπr²` of `n` uniform nodes on a square of side `side`, doubled for
-/// slack. Rows topped up to it stop growing after the first tick.
-pub fn row_floor(n: usize, side: f64, radius: f64) -> usize {
-    let density = n as f64 / (side * side);
+/// The capacity floor of a link-schedule list or row: the expected
+/// unit-disk degree `ρπr²` of `n` uniform nodes on `area`, doubled for
+/// slack. Rows created at it stop growing after the first tick.
+fn row_floor(n: usize, area: f64, radius: f64) -> usize {
+    let density = n as f64 / area;
     let degree = (density * std::f64::consts::PI * radius * radius * 2.0).ceil() as usize;
     degree.max(8)
 }
@@ -489,9 +490,9 @@ impl FrameGrid {
         self.hit_d2.resize(pts.len(), 0.0);
     }
 
-    /// Writes the sorted neighbor row of every owned item: `rows[k]` for
-    /// frame item `k < rows.len()` (the owned prefix), in global ids.
-    /// Items `rows.len()..` are ghosts. Returns the boundary-link count:
+    /// Replaces `rows` with the sorted neighbor row of every owned item:
+    /// row `k` for frame item `k < owned` (the owned prefix), in global
+    /// ids. Items `owned..` are ghosts. Returns the boundary-link count:
     /// links to a ghost item whose id is larger than the owned endpoint's.
     ///
     /// Each owned item scans the three cell-row slices around its cell.
@@ -504,8 +505,8 @@ impl FrameGrid {
     /// to itself or its own images, and a link seen through two images
     /// appears once.
     ///
-    /// Each row is cleared, topped up to `row_cap` capacity, filled and
-    /// sorted in turn. The call records no flips.
+    /// Each row is appended to the store in owned order, then sorted and
+    /// deduplicated in place. The call records no flips.
     ///
     /// # Panics
     ///
@@ -515,13 +516,12 @@ impl FrameGrid {
         &mut self,
         ids: &[u32],
         pts: &[Vec2],
+        owned: usize,
         positions: &[Vec2],
-        rows: &mut [Vec<u32>],
-        row_cap: usize,
+        rows: &mut NeighborRows,
     ) -> usize {
         let metric = self.metric.expect("configure the grid before sweeping");
         assert_eq!(ids.len(), pts.len(), "frame ids and points differ");
-        let owned = rows.len();
         assert!(owned <= ids.len(), "owned prefix exceeds the frame");
         let v = &mut self.verlet;
         (v.wrote, v.tag, v.base) = (false, 0, 0);
@@ -536,15 +536,21 @@ impl FrameGrid {
             ..
         } = self;
         let mut boundary = 0;
-        // Rows in frame order, so they are written (and first allocated)
-        // in the order every later stage reads them.
-        for (k, row) in rows.iter_mut().enumerate() {
+        // The previous fill sizes this one; a first fill, the frame's
+        // density (every item, owned or ghost, is a possible neighbor).
+        let hint = match rows.entries() {
+            0 => {
+                let density = ids.len() as f64 / (self.w * self.h);
+                (owned as f64 * density * std::f64::consts::PI * r2) as usize
+            }
+            e => e,
+        };
+        rows.clear();
+        rows.reserve(owned, hint);
+        for k in 0..owned {
             let own = ids[k];
             let nh = frame.scan(k, pts[k], r2 + band, hits, hit_d2);
-            row.clear();
-            if row.capacity() < row_cap {
-                row.reserve(row_cap);
-            }
+            rows.reserve(1, nh);
             for (&j, &d2) in hits[..nh].iter().zip(&hit_d2[..nh]) {
                 let j = j as usize;
                 let id = frame.ids[j];
@@ -557,16 +563,15 @@ impl FrameGrid {
                     d2 <= r2
                 };
                 if within {
-                    row.push(id);
+                    rows.push(id);
                     if frame.slots[j] as usize >= owned && own < id {
                         boundary += 1;
                     }
                 }
             }
-            row.sort_unstable();
             // Narrow frames can show one neighbor through two images;
             // the link set has it once.
-            row.dedup();
+            rows.close_sorted_row();
         }
         boundary
     }
@@ -630,8 +635,8 @@ impl FrameGrid {
 
     /// Writes the rows that [`FrameGrid::sweep`] writes on a frame of
     /// every node of `positions` in id order (with its periodic images on
-    /// a torus) from the link schedule. `rows` holds one row per node,
-    /// and `period` comes from this call's [`FrameGrid::advance`]. The
+    /// a torus) from the link schedule, one row per node, replacing
+    /// `rows`; `period` comes from this call's [`FrameGrid::advance`]. The
     /// schedule reads the untranslated `positions` alone: it bins them on
     /// a grid of cells at least `r + s` wide over the configured extents,
     /// or over the torus square with the grid wrapping at its edges.
@@ -656,25 +661,18 @@ impl FrameGrid {
     /// A test that disagrees with the pair's state, and a rebuild that
     /// loses a linked partner, is a flip. The flips are sorted by
     /// `(a, b)` and edit the kernel's sorted rows in place (no list or
-    /// row is sorted), and the rows are copied into `rows`, topped up to
-    /// `row_cap` capacity. The first call with history, or the first
-    /// after the schedule was dropped, builds every list and its rows
-    /// from scratch and records no flips (see [`FrameGrid::flips`]).
+    /// row is sorted), and the rows are copied into `rows`. The first
+    /// call with history, or the first after the schedule was dropped,
+    /// builds every list and its rows from scratch and records no flips
+    /// (see [`FrameGrid::flips`]).
     ///
     /// # Panics
     ///
-    /// Panics if the grid was never configured, unless `rows` has one row
-    /// per position, or if `r + s` is not below half a torus side.
-    fn verlet_rows(
-        &mut self,
-        period: u64,
-        positions: &[Vec2],
-        rows: &mut [Vec<u32>],
-        row_cap: usize,
-    ) {
+    /// Panics if the grid was never configured, or if `r + s` is not
+    /// below half a torus side.
+    fn verlet_rows(&mut self, period: u64, positions: &[Vec2], rows: &mut NeighborRows) {
         let metric = self.metric.expect("configure the grid before sweeping");
-        let n = rows.len();
-        assert_eq!(n, positions.len(), "a link schedule needs one row per node");
+        let n = positions.len();
         let radius = self.radius;
         let (skin, reach) = (radius * SKIN_REL, reach(radius));
         let (w, h, fold_side) = match metric {
@@ -689,6 +687,7 @@ impl FrameGrid {
         };
         let period = period.max(1);
         let v = &mut self.verlet;
+        v.cap = row_floor(n, w * h, reach);
         v.fit(n);
         let prev_tag = std::mem::take(&mut v.tag);
         let full = !v.live;
@@ -725,10 +724,11 @@ impl FrameGrid {
         };
         let gap = |d2: f64| (0.5 * (d2.sqrt() - radius).abs() - slack).max(0.0);
         if full {
+            let room = row_floor(n, w * h, radius);
             for row in &mut v.rows[..n] {
                 row.clear();
-                if row.capacity() < row_cap {
-                    row.reserve(row_cap);
+                if row.capacity() < room {
+                    row.reserve(room);
                 }
             }
         }
@@ -868,12 +868,10 @@ impl FrameGrid {
             edit_row(&mut v.rows[f.b as usize], f.a, f.up);
         }
         (v.live, v.wrote) = (true, true);
-        for (row, src) in rows.iter_mut().zip(&v.rows) {
-            row.clear();
-            if row.capacity() < row_cap {
-                row.reserve(row_cap);
-            }
-            row.extend_from_slice(src);
+        rows.clear();
+        rows.reserve(n, v.rows[..n].iter().map(Vec::len).sum());
+        for src in &v.rows[..n] {
+            rows.push_row(src);
         }
     }
 }
@@ -898,13 +896,14 @@ impl FrameGrid {
 /// # Example
 ///
 /// ```
-/// use manet_geom::{Metric, SpatialGrid, SquareRegion, Vec2};
+/// use manet_geom::{Metric, NeighborRows, SpatialGrid, SquareRegion, Vec2};
 ///
 /// let region = SquareRegion::new(100.0);
 /// let positions = vec![Vec2::new(1.0, 1.0), Vec2::new(3.0, 1.0), Vec2::new(60.0, 60.0)];
-/// let mut rows = vec![Vec::new(); positions.len()];
+/// let mut rows = NeighborRows::default();
 /// SpatialGrid::default().neighbor_rows(&positions, region, 5.0, Metric::Euclidean, &mut rows);
-/// assert_eq!(rows, vec![vec![1], vec![0], vec![]]);
+/// let expect: NeighborRows = [&[1][..], &[0], &[]].into_iter().collect();
+/// assert_eq!(rows, expect);
 /// ```
 #[derive(Debug, Default)]
 pub struct SpatialGrid {
@@ -922,32 +921,30 @@ impl SpatialGrid {
         &mut self.kernel
     }
 
-    /// Writes into `rows[i]` the sorted ids of every node within `radius`
-    /// of node `i` under `metric`, reusing this grid's buffers and the
-    /// rows' capacities.
+    /// Replaces `rows` with one row per node: row `i` holds the sorted
+    /// ids of every node within `radius` of node `i` under `metric`. This
+    /// grid's buffers and the store's are reused.
     ///
     /// Positions must lie inside the region (wrap them first for a
     /// torus). Any radius works, including one wider than the region.
     ///
     /// # Panics
     ///
-    /// Panics if `radius` is not positive and finite, if `rows` and
-    /// `positions` differ in length, if more than `u32::MAX` positions
-    /// are given, or if a toroidal metric's period differs from the
-    /// region side.
+    /// Panics if `radius` is not positive and finite, if more than
+    /// `u32::MAX` positions are given, or if a toroidal metric's period
+    /// differs from the region side.
     pub fn neighbor_rows(
         &mut self,
         positions: &[Vec2],
         region: SquareRegion,
         radius: f64,
         metric: Metric,
-        rows: &mut [Vec<u32>],
+        rows: &mut NeighborRows,
     ) {
         assert!(
             radius > 0.0 && radius.is_finite(),
             "radius must be positive and finite"
         );
-        assert_eq!(rows.len(), positions.len(), "one row per position");
         assert!(positions.len() <= u32::MAX as usize, "too many positions");
         let side = region.side();
         let wrap = match metric {
@@ -961,13 +958,11 @@ impl SpatialGrid {
             }
         };
         let n = positions.len();
-        let row_cap = row_floor(n, side, radius);
         // The schedule bins the positions themselves, over the square.
         self.kernel.configure(side, side, radius, metric);
-        if let Some(reach) = candidate_reach(radius, side) {
+        if candidate_reach(radius, side).is_some() {
             if let Some(period) = self.kernel.advance(positions) {
-                self.kernel.verlet.cap = row_floor(n, side, reach);
-                self.kernel.verlet_rows(period, positions, rows, row_cap);
+                self.kernel.verlet_rows(period, positions, rows);
                 return;
             }
         }
@@ -1001,8 +996,7 @@ impl SpatialGrid {
                 self.pts.push(lp);
             });
         }
-        self.kernel
-            .sweep(&self.ids, &self.pts, positions, rows, row_cap);
+        self.kernel.sweep(&self.ids, &self.pts, n, positions, rows);
     }
 }
 
@@ -1039,7 +1033,7 @@ mod tests {
         metric: Metric,
     ) -> Vec<Vec<u32>> {
         // Dirty rows: the kernel must overwrite whatever they held.
-        let mut rows = vec![vec![u32::MAX; 3]; positions.len()];
+        let mut rows: NeighborRows = (0..positions.len() + 2).map(|_| [u32::MAX; 3]).collect();
         grid.neighbor_rows(
             positions,
             SquareRegion::new(side),
@@ -1047,7 +1041,7 @@ mod tests {
             metric,
             &mut rows,
         );
-        rows
+        rows.iter().map(<[u32]>::to_vec).collect()
     }
 
     #[test]
@@ -1200,11 +1194,10 @@ mod tests {
         ];
         let mut grid = FrameGrid::default();
         grid.configure(10.0, 6.0, 1.5, Metric::Euclidean);
-        let mut rows = vec![Vec::new(); 2];
-        let boundary = grid.sweep(&ids, &pts, &positions, &mut rows, 4);
-        assert_eq!(rows, vec![vec![1], vec![0, 2, 3]]);
+        let mut rows = NeighborRows::default();
+        let boundary = grid.sweep(&ids, &pts, 2, &positions, &mut rows);
+        assert_eq!(rows, [&[1][..], &[0, 2, 3]].into_iter().collect());
         assert_eq!(boundary, 2);
-        assert!(rows.iter().all(|r| r.capacity() >= 4));
     }
 
     /// Inside the band the frame-local `d²` (here perturbed on purpose,
@@ -1226,9 +1219,9 @@ mod tests {
         ];
         let mut grid = FrameGrid::default();
         grid.configure(10.0, 10.0, 1.0, Metric::Euclidean);
-        let mut rows = vec![Vec::new(); 3];
-        grid.sweep(&[0, 1, 2], &pts, &positions, &mut rows, 4);
-        assert_eq!(rows, vec![vec![1], vec![0], vec![]]);
+        let mut rows = NeighborRows::default();
+        grid.sweep(&[0, 1, 2], &pts, 3, &positions, &mut rows);
+        assert_eq!(rows, [&[1][..], &[0], &[]].into_iter().collect());
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //!   owned row at a time, under both metrics, with a per-pair link
 //!   schedule on fresh frames that re-tests only the pairs that may have
 //!   flipped and reports the flips. Every topology builder runs it.
+//! * [`rows`] — the flat neighbor-row store the kernel writes and every
+//!   topology holds: row offsets plus one `u32` id buffer.
 //! * [`linkdist`] — link-distance distributions: Miller's CDF for uniform
 //!   points in a square (the paper's Claim 1 substrate) and the disc
 //!   line-picking CDF used by the intra-cluster ROUTE model.
@@ -36,6 +38,7 @@ pub mod grid;
 pub mod linkdist;
 pub mod metric;
 pub mod region;
+pub mod rows;
 pub mod shard;
 pub mod vec2;
 
@@ -48,8 +51,9 @@ pub mod prelude {
     pub use crate::vec2::Vec2;
 }
 
-pub use grid::{candidate_reach, ghost_margin, row_floor, FrameGrid, LinkFlip, SpatialGrid};
+pub use grid::{candidate_reach, ghost_margin, FrameGrid, LinkFlip, SpatialGrid};
 pub use metric::Metric;
 pub use region::{BoundaryPolicy, SquareRegion};
+pub use rows::NeighborRows;
 pub use shard::{ShardDims, ShardLayout, ShardLayoutError};
 pub use vec2::Vec2;

@@ -5,7 +5,7 @@
 //! a failure names a case that reproduces exactly.
 
 use manet_geom::linkdist::{disc_link_cdf, square_link_cdf};
-use manet_geom::{BoundaryPolicy, Metric, SpatialGrid, SquareRegion, Vec2};
+use manet_geom::{BoundaryPolicy, Metric, NeighborRows, SpatialGrid, SquareRegion, Vec2};
 use manet_util::Rng;
 
 fn point(rng: &mut Rng, side: f64) -> Vec2 {
@@ -81,8 +81,9 @@ fn grid_agrees_with_brute_force() {
         } else {
             Metric::Euclidean
         };
-        let mut rows = vec![Vec::new(); n];
+        let mut rows = NeighborRows::default();
         grid.neighbor_rows(&positions, region, radius, metric, &mut rows);
+        assert_eq!(rows.len(), n);
         for (i, row) in rows.iter().enumerate() {
             let expected: Vec<u32> = (0..n as u32)
                 .filter(|&j| {

@@ -22,10 +22,12 @@
 //!    Shards share nothing mutable, so any worker count produces the same
 //!    rows — all fault-plane decisions happen on the sequential exchange
 //!    path.
-//! 3. **Merge** (sequential, in shard-index order): each owned row is
-//!    swapped into the global [`Topology`] — pointer swaps, no copying —
-//!    so row capacities circulate between the shard buffers and the
-//!    world's double-buffered topology and the steady state stays
+//! 3. **Merge** (sequential, in id order): each shard wrote its owned
+//!    rows, in ascending id order, into its own flat row store
+//!    ([`NeighborRows`]); the merge copies them into the global
+//!    [`Topology`]'s store node by node, reading each node's shard from
+//!    the owner ledger and the shard's next row from one cursor per
+//!    shard. Every store keeps its capacity, so the steady state stays
 //!    allocation-free.
 //! 4. **Reconciliation** (sequential, fault ticks only): when the
 //!    interconnect lost, stalled, or served stale data this tick, shard
@@ -43,10 +45,10 @@
 
 use crate::interconnect::{Interconnect, InterconnectConfig};
 use manet_geom::{
-    ghost_margin, row_floor, FrameGrid, Metric, ShardDims, ShardLayout, ShardLayoutError,
+    ghost_margin, FrameGrid, Metric, NeighborRows, ShardDims, ShardLayout, ShardLayoutError,
     SpatialGrid, SquareRegion, Vec2,
 };
-use manet_sim::{FaultError, MobilityStage, NodeId, Topology, TopologyBuilder, World};
+use manet_sim::{FaultError, MobilityStage, Topology, TopologyBuilder, World};
 use manet_stack::{ClusterStage, HelloStage, RouteStage};
 use manet_telemetry::{Phase, Probe, ShardGaugeRow, ShardSnapshot, SpanLabel};
 use std::time::{Duration, Instant};
@@ -110,15 +112,9 @@ struct ShardState {
     pts: Vec<Vec2>,
     /// Length of the owned prefix of `ids`/`pts`.
     owned: usize,
-    /// Computed neighbor rows for the owned prefix (global ids, sorted).
-    rows: Vec<Vec<NodeId>>,
-    /// Capacity floor for neighbor rows ([`row_floor`]). `build_into`
-    /// *swaps* row buffers with the output topology, so never-pre-sized
-    /// buffers keep entering the pool; the sweep tops any undersized
-    /// buffer up to this floor so the swap churn converges to the
-    /// allocation-free steady state instead of growing buffers
-    /// organically for hundreds of ticks.
-    row_cap: usize,
+    /// Computed neighbor rows for the owned prefix, in its order (global
+    /// ids, sorted).
+    rows: NeighborRows,
     grid: FrameGrid,
     stats: ShardStats,
     /// Wall-clock measurement of this tick's `compute` call, taken on the
@@ -134,11 +130,9 @@ impl ShardState {
     /// `positions` are the global coordinates: the sweep consults them
     /// only for the rare borderline pairs inside the decision band.
     fn compute(&mut self, positions: &[Vec2]) {
-        if self.rows.len() < self.owned {
-            self.rows.resize_with(self.owned, Vec::new);
-        }
-        let (ids, pts, rows) = (&self.ids, &self.pts, &mut self.rows[..self.owned]);
-        self.stats.boundary_links = self.grid.sweep(ids, pts, positions, rows, self.row_cap);
+        self.stats.boundary_links =
+            self.grid
+                .sweep(&self.ids, &self.pts, self.owned, positions, &mut self.rows);
     }
 }
 
@@ -168,6 +162,8 @@ pub struct ShardPlane {
     /// Scratch: nodes retained by their old owner this tick, with their
     /// home tile and tile-local coordinates (sorted by node id).
     retained: Vec<(u32, u16, Vec2)>,
+    /// Scratch: per shard, the next of its rows the merge copies.
+    cursors: Vec<usize>,
     /// The monolithic builder's grid, on which a `1x1` plane builds.
     grid: SpatialGrid,
 }
@@ -224,6 +220,7 @@ impl ShardPlane {
             owner: Vec::new(),
             interconnect,
             retained: Vec::new(),
+            cursors: vec![0; dims.count()],
             grid: SpatialGrid::default(),
         })
     }
@@ -234,18 +231,18 @@ impl ShardPlane {
     /// over many — pinned by this crate's `tests/alloc_free.rs`).
     pub fn for_world(world: &World, dims: ShardDims) -> Result<Self, ShardLayoutError> {
         let mut plane = ShardPlane::new(dims, world.region(), world.radius(), world.metric())?;
-        plane.presize(world.node_count(), world.radius());
+        plane.presize(world.node_count());
         Ok(plane)
     }
 
     /// Pre-sizes per-shard scratch from the expected population: each
     /// shard's point set is sized for its owned share plus the ghost
-    /// margin band, and the owned neighbor rows for the expected unit-disk
-    /// degree. Uniform placement makes `n / shards` the right first-order
-    /// estimate; generous slack absorbs density fluctuations so the
-    /// steady-state tick never reallocates. A `1x1` plane builds no frame
-    /// (its [`SpatialGrid`] sizes itself), so it reserves nothing.
-    fn presize(&mut self, n: usize, radius: f64) {
+    /// margin band. Uniform placement makes `n / shards` the right
+    /// first-order estimate; generous slack absorbs density fluctuations
+    /// so the steady-state tick never reallocates. The row stores size
+    /// themselves on the first ticks. A `1x1` plane builds no frame (its
+    /// [`SpatialGrid`] sizes itself), so it reserves nothing.
+    fn presize(&mut self, n: usize) {
         let shards = self.shards.len();
         if n == 0 || shards < 2 {
             return;
@@ -254,17 +251,10 @@ impl ShardPlane {
         // Owned share plus the margin band around the tile, then 50% slack.
         let frame_pop = density * self.layout.frame_w() * self.layout.frame_h();
         let cap = ((frame_pop * 1.5).ceil() as usize).max(16);
-        let owned_cap = ((n as f64 / shards as f64 * 1.5).ceil() as usize).max(16);
-        let row_cap = row_floor(n, self.region.side(), radius);
         for s in &mut self.shards {
             s.ids.reserve(cap);
             s.pts.reserve(cap);
             s.grid.reserve(cap);
-            s.row_cap = row_cap;
-            s.rows.resize_with(owned_cap, Vec::new);
-            for row in &mut s.rows {
-                row.reserve(s.row_cap);
-            }
         }
         self.owner.reserve(n);
         self.retained.reserve(64.max(n / 64));
@@ -570,30 +560,29 @@ impl TopologyBuilder for ShardPlane {
             }
         }
 
-        // Phase 3: deterministic merge in shard-index order. Swapping
-        // rows (rather than copying) circulates capacities between the
-        // shard buffers and the world's double-buffered topology.
+        // Phase 3: deterministic merge in id order. Each shard's rows
+        // follow its owned ids, which ascend, so node i's row is the next
+        // one of its owner's store.
         let t0 = probe.phase_start();
-        let rows = out.rows_mut(positions.len());
-        for s in &mut self.shards {
-            for (k, &id) in s.ids[..s.owned].iter().enumerate() {
-                std::mem::swap(&mut rows[id as usize], &mut s.rows[k]);
-            }
+        let rows = out.rows_to_fill();
+        rows.reserve(
+            positions.len(),
+            self.shards.iter().map(|s| s.rows.entries()).sum(),
+        );
+        self.cursors.fill(0);
+        for &o in &self.owner {
+            let cursor = &mut self.cursors[o as usize];
+            rows.push_row(self.shards[o as usize].rows.row(*cursor));
+            *cursor += 1;
         }
 
         // Phase 4: reconciliation. Stale ghost views can produce
         // asymmetric rows (u sees v through an old cache while v's shard
         // dropped u). Under an interconnect fault this tick, keep only
         // mutually agreed links — conservative, deterministic, and a
-        // no-op on the ideal path. In-place is equivalent to a frozen
-        // two-pass because the keep-condition is symmetric: a row
-        // filtered earlier already encodes the same conjunction.
+        // no-op on the ideal path.
         if self.interconnect.fault_tick() {
-            for u in 0..rows.len() {
-                let mut row = std::mem::take(&mut rows[u]);
-                row.retain(|&v| rows[v as usize].binary_search(&(u as NodeId)).is_ok());
-                rows[u] = row;
-            }
+            rows.retain_mutual();
         }
         probe.phase_end(Phase::ShardMerge, t0);
     }
@@ -602,7 +591,7 @@ impl TopologyBuilder for ShardPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manet_sim::QuietCtx;
+    use manet_sim::{NodeId, QuietCtx};
     use manet_util::Rng;
 
     fn random_points(n: usize, side: f64, seed: u64) -> Vec<Vec2> {
@@ -938,6 +927,55 @@ mod tests {
             pb.interconnect().migrations_lost(),
             "fault statistics must match across worker counts"
         );
+    }
+
+    /// A shard can decide a boundary link on a stale or lost ghost view
+    /// while the peer shard decides it on a fresh one; on such a tick the
+    /// reconciliation keeps only the links both endpoints see, so every
+    /// merged row is mirrored by its partners' rows.
+    #[test]
+    fn faulty_ticks_merge_mirrored_rows() {
+        use manet_mobility::ConstantVelocity;
+        use manet_sim::{HelloMode, LossModel, MessageSizes, StallSchedule, World};
+        let side = 300.0;
+        let region = SquareRegion::new(side);
+        let dims = ShardDims::parse("3x2").unwrap();
+        let mut rng = Rng::seed_from_u64(3);
+        let mobility = ConstantVelocity::new(region, 150, 40.0, &mut rng);
+        let mut world = World::new(
+            Box::new(mobility),
+            45.0,
+            0.5,
+            Metric::toroidal(side),
+            HelloMode::EventDriven,
+            MessageSizes::default(),
+            77,
+        );
+        let config = InterconnectConfig {
+            loss: LossModel::Bernoulli { p: 0.3 },
+            stall: StallSchedule::poisson(dims.count(), 0.05, 2.0, 64, 5).unwrap(),
+            seed: 13,
+            max_ghost_staleness: 2,
+            ..InterconnectConfig::default()
+        };
+        let mut plane = ShardPlane::for_world(&world, dims)
+            .unwrap()
+            .with_interconnect(config)
+            .unwrap()
+            .with_workers(1);
+        let mut q = QuietCtx::new();
+        let mut fault_ticks = 0;
+        for tick in 0..60 {
+            world.step_staged(&mut q.ctx(), &mut plane);
+            fault_ticks += usize::from(plane.interconnect().fault_tick());
+            let topo = world.topology();
+            for u in 0..topo.len() as NodeId {
+                for &v in topo.neighbors(u) {
+                    assert!(topo.are_linked(v, u), "tick {tick}: {u} sees {v} alone");
+                }
+            }
+        }
+        assert!(fault_ticks > 10, "only {fault_ticks} fault ticks");
     }
 
     /// Crash-mid-migration property: under a lossy, stalling interconnect

@@ -71,8 +71,8 @@ pub struct Scratch {
     /// sweeps the frame instead).
     pub(crate) grid: Option<SpatialGrid>,
     /// The next-tick topology buffer, swapped with the world's current
-    /// topology after the tick's events are in, so neighbor-list
-    /// capacities are recycled.
+    /// topology after the tick's events are in, so both row stores keep
+    /// their capacities.
     pub(crate) spare: Topology,
     /// Debug builds' row diff of a tick whose builder recorded the
     /// events, checked against them (unused in release builds).

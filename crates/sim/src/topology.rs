@@ -1,7 +1,7 @@
 //! Link tracking: the unit-disk topology and its tick-to-tick diff.
 
 use crate::NodeId;
-use manet_geom::{Metric, SpatialGrid, SquareRegion, Vec2};
+use manet_geom::{Metric, NeighborRows, SpatialGrid, SquareRegion, Vec2};
 use manet_telemetry::Probe;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -35,7 +35,7 @@ pub struct LinkEvent {
 /// shard plane (`manet-shard`) is the non-trivial implementation.
 pub trait TopologyBuilder {
     /// Recomputes the topology of `positions` into `out`, reusing `out`'s
-    /// row allocations and the scratch `grid` slot where applicable. Every
+    /// row store and the scratch `grid` slot where applicable. Every
     /// row of `out` must end up sorted and cover exactly the unit-disk
     /// neighbors under `metric` — except that a builder with a degraded
     /// internal view (e.g. the shard plane under interconnect faults) may
@@ -85,7 +85,8 @@ impl TopologyBuilder for GridTopology {
     }
 }
 
-/// The current unit-disk topology: per-node sorted neighbor lists.
+/// The current unit-disk topology: per-node sorted neighbor lists, held
+/// in one flat row store ([`NeighborRows`]).
 ///
 /// Recomputed from node positions every tick — exactly, whether the
 /// kernel swept its frame or ran its link schedule; the [`LinkEvent`]
@@ -100,7 +101,7 @@ impl TopologyBuilder for GridTopology {
 /// since its rows are the same.
 #[derive(Debug, Clone)]
 pub struct Topology {
-    neighbors: Vec<Vec<NodeId>>,
+    rows: NeighborRows,
     /// This content's identity: fresh on every edit, never 0.
     stamp: u64,
     /// The stamp of the topology `events` lead from; 0 when there is none.
@@ -121,7 +122,7 @@ impl Default for Topology {
 
 impl PartialEq for Topology {
     fn eq(&self, other: &Self) -> bool {
-        self.neighbors == other.neighbors
+        self.rows == other.rows
     }
 }
 
@@ -131,7 +132,7 @@ impl Topology {
     /// An empty topology over `n` nodes (no links).
     pub fn empty(n: usize) -> Self {
         Topology {
-            neighbors: vec![Vec::new(); n],
+            rows: NeighborRows::empty(n),
             stamp: NEXT_STAMP.fetch_add(1, Ordering::Relaxed),
             base: 0,
             events: Vec::new(),
@@ -214,11 +215,12 @@ impl Topology {
     }
 
     /// Recomputes this topology in place through `grid`, reusing the
-    /// grid's frame buffers and the per-node neighbor allocations.
+    /// grid's frame buffers and this topology's row store.
     ///
     /// Equivalent to `*self = Topology::compute(..)`, but allocation-free
-    /// in the steady state: rows start at the expected-degree floor and
-    /// only reallocate when a node's degree exceeds it. When the grid's
+    /// in the steady state: the store reallocates only when the degree
+    /// sum outgrows its capacity, an eighth past the largest earlier
+    /// fill. When the grid's
     /// link schedule ran right after a call whose output was another
     /// topology, stamped `s`, this one holds the flips as its events from
     /// `s` ([`manet_geom::FrameGrid::flips`]). The grid's output is tagged
@@ -232,8 +234,7 @@ impl Topology {
         radius: f64,
         metric: Metric,
     ) {
-        let rows = self.rows_mut(positions.len());
-        grid.neighbor_rows(positions, region, radius, metric, rows);
+        grid.neighbor_rows(positions, region, radius, metric, self.rows_to_fill());
         let kernel = grid.kernel_mut();
         if let Some((base, flips)) = kernel.flips() {
             self.events.extend(flips.iter().map(|f| LinkEvent {
@@ -250,28 +251,26 @@ impl Topology {
         kernel.tag_output(self.stamp);
     }
 
-    /// Resizes to `n` rows and exposes them mutably, for external
-    /// [`TopologyBuilder`]s that fill neighbor lists themselves (e.g. by
-    /// swapping in per-shard row buffers).
+    /// Empties the row store and exposes it, for [`TopologyBuilder`]s
+    /// that write the rows themselves (e.g. by copying per-shard rows).
     ///
-    /// Rows keep whatever stale content the previous tick left; the
-    /// builder must overwrite (or swap out) every row, leaving each one
-    /// sorted. The topology takes a fresh stamp and drops its events.
-    pub fn rows_mut(&mut self, n: usize) -> &mut [Vec<NodeId>] {
+    /// The builder must append one sorted row per node, in id order. The
+    /// store keeps its capacity, and the topology takes a fresh stamp and
+    /// drops its events.
+    pub fn rows_to_fill(&mut self) -> &mut NeighborRows {
         self.touch();
-        self.neighbors.truncate(n);
-        self.neighbors.resize_with(n, Vec::new);
-        &mut self.neighbors
+        self.rows.clear();
+        &mut self.rows
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.neighbors.len()
+        self.rows.len()
     }
 
     /// Whether the topology covers no nodes.
     pub fn is_empty(&self) -> bool {
-        self.neighbors.is_empty()
+        self.rows.is_empty()
     }
 
     /// Sorted neighbor list of node `i`.
@@ -280,36 +279,36 @@ impl Topology {
     ///
     /// Panics if `i` is out of bounds.
     pub fn neighbors(&self, i: NodeId) -> &[NodeId] {
-        &self.neighbors[i as usize]
+        self.rows.row(i as usize)
     }
 
     /// Degree of node `i`.
     pub fn degree(&self, i: NodeId) -> usize {
-        self.neighbors[i as usize].len()
+        self.rows.row_len(i as usize)
     }
 
     /// Whether nodes `a` and `b` are directly linked.
     pub fn are_linked(&self, a: NodeId, b: NodeId) -> bool {
-        self.neighbors[a as usize].binary_search(&b).is_ok()
+        self.neighbors(a).binary_search(&b).is_ok()
     }
 
-    /// Mean degree over all nodes (0 for an empty topology).
+    /// Mean degree over all nodes (0 for an empty topology). O(1): the
+    /// store holds the degree sum.
     pub fn mean_degree(&self) -> f64 {
-        if self.neighbors.is_empty() {
+        if self.rows.is_empty() {
             return 0.0;
         }
-        let total: usize = self.neighbors.iter().map(Vec::len).sum();
-        total as f64 / self.neighbors.len() as f64
+        self.rows.entries() as f64 / self.rows.len() as f64
     }
 
     /// Total number of (undirected) links.
     pub fn link_count(&self) -> usize {
-        self.neighbors.iter().map(Vec::len).sum::<usize>() / 2
+        self.rows.entries() / 2
     }
 
     /// Iterates all links as `(a, b)` pairs with `a < b`.
     pub fn links(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.neighbors.iter().enumerate().flat_map(|(i, ns)| {
+        self.rows.iter().enumerate().flat_map(|(i, ns)| {
             let i = i as NodeId;
             ns.iter()
                 .copied()
@@ -328,19 +327,10 @@ impl Topology {
     ///
     /// Panics if `alive.len()` differs from the node count.
     pub fn retain_alive(&mut self, alive: &[bool]) {
-        assert_eq!(
-            self.neighbors.len(),
-            alive.len(),
-            "alive mask size mismatch"
-        );
+        assert_eq!(self.rows.len(), alive.len(), "alive mask size mismatch");
         self.touch();
-        for (i, list) in self.neighbors.iter_mut().enumerate() {
-            if !alive[i] {
-                list.clear();
-            } else {
-                list.retain(|&w| alive[w as usize]);
-            }
-        }
+        self.rows
+            .retain(|u, w| alive[u as usize] && alive[w as usize]);
     }
 
     /// Appends to `out` the link events that transform `self` into `next`.
@@ -357,9 +347,7 @@ impl Topology {
             next.len(),
             "topology size changed between ticks"
         );
-        for i in 0..self.neighbors.len() {
-            let old = &self.neighbors[i];
-            let new = &next.neighbors[i];
+        for (i, (old, new)) in self.rows.iter().zip(next.rows.iter()).enumerate() {
             // Merge-walk the two sorted lists.
             let (mut oi, mut ni) = (0, 0);
             let a = i as NodeId;
@@ -423,7 +411,7 @@ mod tests {
 
     fn topo_from_lists(lists: Vec<Vec<NodeId>>) -> Topology {
         Topology {
-            neighbors: lists,
+            rows: lists.into_iter().collect(),
             ..Topology::default()
         }
     }
@@ -608,7 +596,7 @@ mod tests {
         assert_eq!(masked.events_since(base), None);
 
         let mut rebuilt = after.clone();
-        rebuilt.rows_mut(3);
+        rebuilt.rows_to_fill();
         assert_ne!(rebuilt.stamp(), after.stamp());
         assert_eq!(rebuilt.events_since(base), None);
 
@@ -639,7 +627,7 @@ impl Topology {
     /// with labels in `0..count`, assigned in order of lowest contained
     /// node id.
     pub fn components(&self) -> (Vec<usize>, usize) {
-        let n = self.neighbors.len();
+        let n = self.rows.len();
         let mut label = vec![usize::MAX; n];
         let mut count = 0;
         for start in 0..n {
@@ -649,7 +637,7 @@ impl Topology {
             let mut stack = vec![start];
             label[start] = count;
             while let Some(u) = stack.pop() {
-                for &w in &self.neighbors[u] {
+                for &w in self.rows.row(u) {
                     if label[w as usize] == usize::MAX {
                         label[w as usize] = count;
                         stack.push(w as usize);
@@ -663,13 +651,13 @@ impl Topology {
 
     /// Whether every node can reach every other node.
     pub fn is_connected(&self) -> bool {
-        self.neighbors.len() <= 1 || self.components().1 == 1
+        self.rows.len() <= 1 || self.components().1 == 1
     }
 
     /// Fraction of unordered node pairs that are mutually reachable
     /// (1.0 for a connected topology, 0.0 for fully isolated nodes).
     pub fn pair_connectivity(&self) -> f64 {
-        let n = self.neighbors.len();
+        let n = self.rows.len();
         if n < 2 {
             return 1.0;
         }

@@ -342,7 +342,7 @@ impl World {
     /// Cross-cutting planes ride in the [`StepCtx`]: telemetry flows
     /// through `ctx.probe` (with [`Probe::off`] the tick is quiet at zero
     /// cost — same draws, same counters, same report), and the topology
-    /// rebuild recycles the grid and neighbor-list allocations held in
+    /// rebuild recycles the grid and the row stores held in
     /// `ctx.scratch`, making the steady-state topology/diff path
     /// allocation-free. `ctx.now` is refreshed to the post-tick clock so
     /// downstream layers driven in the same tick observe it.
@@ -371,8 +371,8 @@ impl World {
         let t0 = ctx.probe.phase_start();
         // Rebuild the next topology in the shared scratch buffers: the
         // kernel's frame and the spare topology keep their capacities across
-        // ticks, and the swap recycles the current topology's neighbor
-        // lists as next tick's spare. The events land in the new topology:
+        // ticks, and the swap recycles the current topology's row store as
+        // next tick's spare. The events land in the new topology:
         // the builder's, when it recorded them against exactly the current
         // topology (a link schedule's flips), else the row diff's.
         let Scratch { grid, spare, check } = &mut *ctx.scratch;

@@ -29,9 +29,6 @@ pub trait ClusterLayer {
     /// Current number of cluster-heads.
     fn head_count(&self) -> usize;
 
-    /// Current head ratio `P` (heads / nodes).
-    fn head_ratio(&self) -> f64;
-
     /// Structural invariant sample for the audit plane: `(adjacent head
     /// pairs, members without a reachable head)`. Layers whose invariants
     /// are not the one-hop P1/P2 pair return empty samples.
@@ -77,10 +74,6 @@ impl<P: ClusterPolicy> ClusterLayer for Clustering<P> {
         Clustering::head_count(self)
     }
 
-    fn head_ratio(&self) -> f64 {
-        Clustering::head_ratio(self)
-    }
-
     fn audit_sample(&self, topology: &Topology) -> (Vec<(NodeId, NodeId)>, Vec<NodeId>) {
         one_hop_audit(self, topology)
     }
@@ -103,10 +96,6 @@ impl<P: ClusterPolicy> ClusterLayer for SelfHealing<P> {
 
     fn head_count(&self) -> usize {
         self.clustering().head_count()
-    }
-
-    fn head_ratio(&self) -> f64 {
-        self.clustering().head_ratio()
     }
 
     fn audit_sample(&self, topology: &Topology) -> (Vec<(NodeId, NodeId)>, Vec<NodeId>) {
@@ -150,10 +139,6 @@ impl<P: ClusterPolicy> ClusterLayer for DHopLayer<P> {
     fn head_count(&self) -> usize {
         self.clustering.head_count()
     }
-
-    fn head_ratio(&self) -> f64 {
-        self.clustering.head_ratio()
-    }
     // audit_sample: default empty — the d-hop invariants are not the
     // one-hop P1/P2 pair the audit plane samples.
 }
@@ -191,10 +176,6 @@ impl ClusterLayer for NoClustering {
 
     fn head_count(&self) -> usize {
         0
-    }
-
-    fn head_ratio(&self) -> f64 {
-        0.0
     }
 }
 

@@ -344,7 +344,10 @@ impl<C: ClusterLayer, R: RouteLayer> Parts<C, R> {
             cluster: flow,
             route,
             heads,
-            head_ratio: self.cluster.head_ratio(),
+            head_ratio: match self.world.node_count() {
+                0 => 0.0,
+                n => heads as f64 / n as f64,
+            },
         }
     }
 }

@@ -142,7 +142,9 @@ fn read_request<R: BufRead>(reader: &mut R) -> io::Result<HttpRequest> {
 }
 
 /// Reads one request-head line into `line`, charging its bytes to
-/// `head_left`. A line the remaining budget cuts short is `InvalidData`.
+/// `head_left`. A line the remaining budget cuts short is `InvalidData`,
+/// and so is end of stream before the line: a head must end with its
+/// blank line.
 fn read_head_line<R: BufRead>(
     reader: &mut R,
     head_left: &mut u64,
@@ -151,11 +153,12 @@ fn read_head_line<R: BufRead>(
     let budget = *head_left;
     let n = reader.by_ref().take(budget).read_line(line)? as u64;
     *head_left -= n;
+    let bad = |msg: &str| Err(io::Error::new(io::ErrorKind::InvalidData, msg.to_string()));
+    if n == 0 {
+        return bad("request head cut short");
+    }
     if n == budget && !line.ends_with('\n') {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "request head too large",
-        ));
+        return bad("request head too large");
     }
     Ok(())
 }
@@ -271,10 +274,9 @@ fn accept_loop(
 }
 
 /// Reads one request under [`REQUEST_DEADLINE`] and writes one
-/// `HTTP/1.1` response with an explicit `Content-Length` and
-/// `Connection: close`; a malformed, oversized or timed-out request is
-/// answered `400`. Errors are returned only to be discarded — a broken
-/// client must never affect the host.
+/// `HTTP/1.1` response ([`render`]) in one write; a malformed, oversized
+/// or timed-out request is answered `400`. Errors are returned only to
+/// be discarded — a broken client must never affect the host.
 fn answer(
     mut stream: TcpStream,
     flags: &Flags,
@@ -297,13 +299,17 @@ fn answer(
         }
         Ok(request) => routes(&request),
     };
-    write!(
-        stream,
+    stream.write_all(render(status, content_type, &body).as_bytes())
+}
+
+/// One whole `HTTP/1.1` response: status line, `Content-Type`, an
+/// explicit `Content-Length`, `Connection: close`, then the body.
+fn render(status: &str, content_type: &str, body: &str) -> String {
+    format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
-    )?;
-    stream.flush()
+    )
 }
 
 /// One published view of a running simulation, rendered by the tick loop
@@ -515,6 +521,8 @@ mod tests {
             "GET\r\n\r\n",                                             // no path
             "POST /jobs HTTP/1.1\r\nContent-Length: nope\r\n\r\n",     // bad length
             "POST /jobs HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n", // oversized
+            "GET /quit HTTP/1.1\r\n",                                  // no blank line
+            "POST /jobs HTTP/1.1\r\nContent-Length: 5\r\n",            // head cut short
             endless_line.as_str(),
             header_flood.as_str(),
         ] {
@@ -538,6 +546,22 @@ mod tests {
         // A truncated body is a transport error, not InvalidData.
         let raw = "POST /jobs HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort";
         assert!(read_request(&mut io::Cursor::new(raw)).is_err());
+    }
+
+    /// The bytes of a route's answer and of the listener's own `400`.
+    #[test]
+    fn answers_render_to_one_buffer() {
+        assert_eq!(
+            render("200 OK", "application/json", "{\"id\":1}"),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+             Content-Length: 8\r\nConnection: close\r\n\r\n{\"id\":1}"
+        );
+        assert_eq!(
+            render("400 Bad Request", TEXT, "malformed HTTP request\n"),
+            "HTTP/1.1 400 Bad Request\r\n\
+             Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
+             Content-Length: 23\r\nConnection: close\r\n\r\nmalformed HTTP request\n"
+        );
     }
 
     #[test]
