@@ -2,7 +2,7 @@
 
 use crate::policy::ClusterPolicy;
 use crate::Role;
-use manet_sim::{Counters, MessageKind, NodeId, StepCtx, Topology};
+use manet_sim::{Counters, LinkEvent, LinkEventKind, MessageKind, NodeId, StepCtx, Topology};
 use manet_telemetry::{Cause, EventKind, Layer, RootCause};
 use std::fmt;
 
@@ -193,7 +193,7 @@ pub struct FormationStats {
 /// What a maintenance pass reads from the pre-pass roles: broken
 /// affiliations `(member, head, link_broke)` — `link_broke` is false when
 /// the recorded head quietly stopped being one — and adjacent head pairs
-/// `(a, b)` with `a < b`. Scanning ascending ids yields both lists sorted.
+/// `(a, b)` with `a < b`, both sorted.
 #[derive(Debug, Clone, Default)]
 struct Scan {
     broken: Vec<(NodeId, NodeId, bool)>,
@@ -224,6 +224,39 @@ impl Scan {
                 }
             }
         }
+    }
+
+    /// Replaces the lists with the same lists as [`Scan::rescan`], read
+    /// from the link `events` since a topology on which `roles` satisfied
+    /// P1 and P2. Then every member was linked to its head and no two
+    /// heads were linked, so an affiliation can only have broken with a
+    /// broken link from a member to its head, and two heads can only be
+    /// adjacent through a generated link: two role reads per event.
+    fn rescan_events(&mut self, roles: &[Role], events: &[LinkEvent]) {
+        self.broken.clear();
+        self.contacts.clear();
+        for e in events {
+            let (a, b) = (e.a, e.b);
+            match e.kind {
+                LinkEventKind::Broken => {
+                    if roles[a as usize] == (Role::Member { head: b }) {
+                        self.broken.push((a, b, true));
+                    } else if roles[b as usize] == (Role::Member { head: a }) {
+                        self.broken.push((b, a, true));
+                    }
+                }
+                LinkEventKind::Generated => {
+                    if roles[a as usize].is_head() && roles[b as usize].is_head() {
+                        self.contacts.push((a, b));
+                    }
+                }
+            }
+        }
+        // A broken entry's member is either endpoint, so that list needs
+        // the sort; the contacts come sorted with the events, in `(a, b)`
+        // order, and the sort only checks them.
+        self.broken.sort_unstable();
+        self.contacts.sort_unstable();
     }
 }
 
@@ -274,7 +307,17 @@ impl PassBuffers {
 pub struct Clustering<P> {
     policy: P,
     roles: Vec<Role>,
+    /// How many of `roles` are heads, kept at every role write.
+    heads: usize,
     buffers: PassBuffers,
+    /// The stamp of the topology the previous pass read; 0 before the
+    /// first pass.
+    stamp: u64,
+    /// Whether the previous pass left P1 and P2 intact: it lost and
+    /// deferred no send, and no node was down.
+    clean: bool,
+    /// Passes that read their lists from the topology's link events.
+    event_passes: u64,
 }
 
 impl<P: ClusterPolicy> Clustering<P> {
@@ -344,12 +387,22 @@ impl<P: ClusterPolicy> Clustering<P> {
             .into_iter()
             .map(|r| r.expect("all nodes decided"))
             .collect();
-        let clustering = Clustering {
+        let clustering = Clustering::with_roles(policy, roles, PassBuffers::for_nodes(n));
+        (clustering, FormationStats { rounds })
+    }
+
+    /// A clustering with the given roles and pass buffers, before its
+    /// first pass.
+    fn with_roles(policy: P, roles: Vec<Role>, buffers: PassBuffers) -> Self {
+        Clustering {
+            heads: roles.iter().filter(|r| r.is_head()).count(),
             policy,
             roles,
-            buffers: PassBuffers::for_nodes(n),
-        };
-        (clustering, FormationStats { rounds })
+            buffers,
+            stamp: 0,
+            clean: true,
+            event_passes: 0,
+        }
     }
 
     /// Repairs the cluster structure against a new topology, returning the
@@ -368,8 +421,18 @@ impl<P: ClusterPolicy> Clustering<P> {
     ///    counted, which is why measured counts can slightly exceed the
     ///    paper's lower bound.
     ///
-    /// A pass is a pure scan of the pre-pass roles over the ids `0..n`,
-    /// then the sequential commit.
+    /// A pass is a pure scan of the pre-pass roles, then the sequential
+    /// commit. The scan reads the ids `0..n`, except on an *event pass*:
+    /// when the previous pass left P1 and P2 intact (no lost or deferred
+    /// send, no node down), `ctx` carries no fault hooks (so no node is
+    /// down and no send can fail), and the topology carries the link
+    /// events from the one the previous pass read
+    /// ([`Topology::events_since`]), the same lists come from those
+    /// events alone. Every other pass scans: the first, one after a world
+    /// step with no pass, one on a topology edited after its events (a
+    /// crash mask), one after a lossy, deferred or crashed pass, and
+    /// every pass under fault hooks, as [`SelfHealing`](crate::SelfHealing)
+    /// runs them.
     ///
     /// The cross-cutting planes ride in `ctx`:
     ///
@@ -404,8 +467,21 @@ impl<P: ClusterPolicy> Clustering<P> {
             self.roles.len(),
             "topology node count changed under a live clustering"
         );
-        self.buffers.scan.rescan(&self.roles, topology);
-        self.commit(topology, ctx)
+        let events = if self.clean && ctx.hooks.is_none() {
+            topology.events_since(self.stamp)
+        } else {
+            None
+        };
+        match events {
+            Some(events) => {
+                self.buffers.scan.rescan_events(&self.roles, events);
+                self.event_passes += 1;
+            }
+            None => self.buffers.scan.rescan(&self.roles, topology),
+        }
+        let outcome = self.commit(topology, ctx);
+        self.stamp = topology.stamp();
+        outcome
     }
 
     /// The sequential half of a pass, applying `self.buffers.scan` — every
@@ -433,7 +509,9 @@ impl<P: ClusterPolicy> Clustering<P> {
         let Clustering {
             policy,
             roles,
+            heads,
             buffers,
+            ..
         } = self;
         let PassBuffers {
             scan,
@@ -510,6 +588,7 @@ impl<P: ClusterPolicy> Clustering<P> {
             match ctx.attempt(loser) {
                 Attempt::Delivered => {
                     roles[loser as usize] = Role::Member { head: winner };
+                    *heads -= 1;
                     outcome.contact_resignations += 1;
                     // One fresh HeadContact root covers the resignation
                     // and every re-home it forces; remembered so members
@@ -598,6 +677,7 @@ impl<P: ClusterPolicy> Clustering<P> {
                 );
             } else {
                 roles[u as usize] = Role::Head;
+                *heads += 1;
                 match cause {
                     OrphanCause::LinkBroke => outcome.break_promotions += 1,
                     OrphanCause::HeadResigned => outcome.contact_promotions += 1,
@@ -612,14 +692,19 @@ impl<P: ClusterPolicy> Clustering<P> {
         orphaned.clear();
 
         // The engine only guarantees clean invariants when nothing was
-        // lost, deferred, or down this pass.
-        #[cfg(debug_assertions)]
-        if outcome.lost_sends == 0
+        // lost, deferred, or down this pass; the next pass may then read
+        // its lists from the link events.
+        self.clean = outcome.lost_sends == 0
             && outcome.deferred_sends == 0
-            && (0..n as NodeId).all(|u| ctx.is_alive(u))
-        {
+            && (ctx.hooks.is_none() || (0..n as NodeId).all(|u| ctx.is_alive(u)));
+        if self.clean {
             debug_assert_eq!(self.check_invariants(topology), Ok(()));
         }
+        debug_assert_eq!(
+            self.heads,
+            self.roles.iter().filter(|r| r.is_head()).count(),
+            "head count out of step with the roles"
+        );
         outcome
     }
 
@@ -730,9 +815,17 @@ impl<P: ClusterPolicy> Clustering<P> {
         }
     }
 
-    /// Number of cluster-heads (= number of clusters).
+    /// Number of cluster-heads (= number of clusters). O(1): the count is
+    /// kept at every role write.
     pub fn head_count(&self) -> usize {
-        self.roles.iter().filter(|r| r.is_head()).count()
+        self.heads
+    }
+
+    /// How many maintenance passes read their lists from the topology's
+    /// link events instead of scanning every node (see
+    /// [`maintain`](Self::maintain)); both give the same outcome.
+    pub fn event_passes(&self) -> u64 {
+        self.event_passes
     }
 
     /// Fraction of nodes that are heads — the paper's `P`.
@@ -805,6 +898,11 @@ mod tests {
             t,
             &mut StepCtx::new(&mut probe, &mut scratch).with_hooks(hooks),
         )
+    }
+
+    /// A LID clustering with hand-written roles and empty pass buffers.
+    fn hand_made(roles: Vec<Role>) -> Clustering<LowestId> {
+        Clustering::with_roles(LowestId, roles, PassBuffers::default())
     }
 
     /// Builds a topology from explicit positions with unit-disk radius.
@@ -997,30 +1095,18 @@ mod tests {
     #[test]
     fn invariant_checker_reports_violations() {
         let t = path(2);
-        let c = Clustering {
-            policy: LowestId,
-            buffers: PassBuffers::default(),
-            roles: vec![Role::Head, Role::Head],
-        };
+        let c = hand_made(vec![Role::Head, Role::Head]);
         assert_eq!(
             c.check_invariants(&t),
             Err(InvariantViolation::AdjacentHeads(0, 1))
         );
-        let c = Clustering {
-            policy: LowestId,
-            buffers: PassBuffers::default(),
-            roles: vec![Role::Member { head: 1 }, Role::Member { head: 0 }],
-        };
+        let c = hand_made(vec![Role::Member { head: 1 }, Role::Member { head: 0 }]);
         assert!(matches!(
             c.check_invariants(&t),
             Err(InvariantViolation::HeadIsNotHead { member: 0, head: 1 })
         ));
         let t_far = topo(&[(0.0, 0.0), (50.0, 0.0)], 1.0);
-        let c = Clustering {
-            policy: LowestId,
-            buffers: PassBuffers::default(),
-            roles: vec![Role::Head, Role::Member { head: 0 }],
-        };
+        let c = hand_made(vec![Role::Head, Role::Member { head: 0 }]);
         assert!(matches!(
             c.check_invariants(&t_far),
             Err(InvariantViolation::HeadOutOfRange { member: 1, head: 0 })
@@ -1033,16 +1119,12 @@ mod tests {
     #[test]
     fn violations_reports_every_breakage() {
         let t = path(4);
-        let c = Clustering {
-            policy: LowestId,
-            buffers: PassBuffers::default(),
-            roles: vec![
-                Role::Head,
-                Role::Head,
-                Role::Member { head: 3 },
-                Role::Member { head: 0 },
-            ],
-        };
+        let c = hand_made(vec![
+            Role::Head,
+            Role::Head,
+            Role::Member { head: 3 },
+            Role::Member { head: 0 },
+        ]);
         let v = c.violations(&t);
         // (0,1) adjacent heads; 2's head 3 is not a head; 3's head 0 is out
         // of range on a 4-path.

@@ -172,3 +172,166 @@ fn maintenance_matches_the_rescan_oracle_under_faults() {
         }
     }
 }
+
+/// How the topology of one pass relates to the previous pass's.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Pass {
+    /// Chained, no fault hooks.
+    Ideal,
+    /// Chained, with losses and deferrals.
+    Lossy,
+    /// Chained, with some nodes down (their links masked out, as
+    /// `World` masks them under churn) and losses.
+    Crash,
+    /// The world stepped once with no pass in between.
+    Gap,
+    /// The topology was edited after its events (its chain is cut).
+    Cut,
+}
+
+/// Runs a pass on `clustering` under `hooks` (none when `None`).
+fn pass<P: ClusterPolicy>(
+    clustering: &mut Clustering<P>,
+    topology: &Topology,
+    hooks: Option<Chaos>,
+) -> MaintenanceOutcome {
+    let mut probe = Probe::off();
+    let mut scratch = Scratch::new();
+    let ctx = StepCtx::new(&mut probe, &mut scratch);
+    match hooks {
+        Some(mut hooks) => clustering.maintain(topology, &mut ctx.with_hooks(&mut hooks)),
+        None => clustering.maintain(topology, &mut StepCtx::new(&mut probe, &mut scratch)),
+    }
+}
+
+/// Runs 60 passes of random kinds of a moving world on `events` and on a
+/// twin fed a copy of every topology whose chain is cut, so it scans on
+/// every pass; asserts they agree after each. Returns the event passes
+/// and all passes.
+fn check_against_scan<P: ClusterPolicy + Clone>(
+    policy: P,
+    mut world: World,
+    rng: &mut Rng,
+    case: u64,
+) -> (u64, u64) {
+    let n = world.node_count();
+    let mut events = Clustering::form(policy, world.topology());
+    let mut scan = events.clone();
+    let all_alive = vec![true; n];
+    let mut last = world.topology().clone();
+    let mut probe = Probe::off();
+    let mut scratch = Scratch::new();
+    let mut passes = 0;
+    for tick in 0..60u64 {
+        let kind = match rng.f64() {
+            x if x < 0.6 => Pass::Ideal,
+            x if x < 0.7 => Pass::Lossy,
+            x if x < 0.8 => Pass::Crash,
+            x if x < 0.9 => Pass::Gap,
+            _ => Pass::Cut,
+        };
+        if kind == Pass::Gap {
+            world.step(&mut StepCtx::new(&mut probe, &mut scratch));
+        }
+        world.step(&mut StepCtx::new(&mut probe, &mut scratch));
+        let alive: Vec<bool> = match kind {
+            Pass::Crash => (0..n).map(|_| !rng.bernoulli(0.1)).collect(),
+            _ => all_alive.clone(),
+        };
+        let mut topology = world.topology().clone();
+        match kind {
+            Pass::Gap => {}
+            Pass::Cut => topology.retain_alive(&all_alive),
+            _ => {
+                topology.retain_alive(&alive);
+                topology.diff_from(&mut last);
+            }
+        }
+        last = topology.clone();
+        let mut cut = topology.clone();
+        cut.retain_alive(&all_alive);
+        let hooks = match kind {
+            Pass::Lossy | Pass::Crash => Some(Chaos {
+                alive,
+                rng: rng.fork(tick),
+            }),
+            _ => None,
+        };
+        let got = pass(&mut events, &topology, hooks.clone());
+        let expect = pass(&mut scan, &cut, hooks);
+        assert_eq!(
+            (got, events.roles()),
+            (expect, scan.roles()),
+            "case {case}, tick {tick}, {kind:?} pass"
+        );
+        assert_eq!(events.head_count(), scan.head_count());
+        passes += 1;
+    }
+    assert_eq!(scan.event_passes(), 0, "a cut chain always scans");
+    (events.event_passes(), passes)
+}
+
+/// A pass that reads its lists from the link events finds what the scan
+/// finds, role for role and count for count, over ideal, lossy, crashed,
+/// gapped and cut passes in random order, for two policies. Both paths
+/// must be taken.
+#[test]
+fn event_passes_match_the_scan() {
+    let mut rng = Rng::seed_from_u64(0xe7e7_0a11);
+    let (mut event_passes, mut passes) = (0, 0);
+    for case in 0..12u64 {
+        let world = SimBuilder::new()
+            .side(400.0)
+            .nodes(30 + rng.usize_below(70))
+            .radius(rng.f64_range(60.0..150.0))
+            .speed(rng.f64_range(5.0..30.0))
+            .dt(1.0)
+            .seed(case)
+            .build();
+        let (e, p) = if case % 2 == 0 {
+            check_against_scan(LowestId, world, &mut rng, case)
+        } else {
+            check_against_scan(HighestConnectivity, world, &mut rng, case)
+        };
+        event_passes += e;
+        passes += p;
+    }
+    assert!(
+        event_passes > 0 && event_passes < passes,
+        "both paths run ({event_passes} event passes of {passes})"
+    );
+}
+
+/// On an ideal world whose every pass chains from the last, the passes
+/// after the first read their lists from the link events.
+#[test]
+fn ideal_passes_take_the_event_path() {
+    let mut world = SimBuilder::new()
+        .nodes(400)
+        .side(1000.0)
+        .radius(150.0)
+        .speed(10.0)
+        .dt(0.25)
+        .seed(1)
+        .build();
+    let mut clustering = Clustering::form(LowestId, world.topology());
+    let mut probe = Probe::off();
+    let mut scratch = Scratch::new();
+    let (mut passes, mut messages) = (0, 0);
+    for _ in 0..200 {
+        world.step(&mut StepCtx::new(&mut probe, &mut scratch));
+        let outcome = clustering.maintain(
+            world.topology(),
+            &mut StepCtx::new(&mut probe, &mut scratch),
+        );
+        messages += outcome.total_messages();
+        passes += 1;
+    }
+    assert!(messages > 0, "the world must churn roles");
+    let after_first = passes - 1;
+    assert!(
+        clustering.event_passes() * 10 >= after_first * 9,
+        "{} event passes of {after_first} after the first",
+        clustering.event_passes()
+    );
+}

@@ -46,10 +46,11 @@ const SKIN_REL: f64 = 0.2;
 /// frame-local coordinates, distances and the measured steps.
 const SLACK_REL: f64 = 1e-6;
 
-/// The shortest rotation period worth keeping lists for: at `P = 2`
-/// half the lists rebuild every call, which costs about as much as the
-/// plain sweep.
-const MIN_PERIOD: u64 = 3;
+/// The shortest rotation period worth keeping lists for: `P = 4`, lists
+/// that live three calls. Below it a third or more of the lists rebuild
+/// every call, and lists of that life measured no faster than the plain
+/// sweep at N = 100 000.
+const MIN_PERIOD: u64 = 4;
 
 /// The ghost-margin width a frame needs for radio radius `radius`: one
 /// radius, plus a relative and an absolute slack that absorb the
@@ -578,15 +579,20 @@ impl FrameGrid {
 
     /// Opens a link-schedule call: measures the largest step, under the
     /// metric, of any of the `positions` since the previous call, adds it
-    /// to the drift, and returns the rotation period
-    /// `P = ⌊(s/2) / step⌋` for the schedule [`SpatialGrid`] runs.
+    /// to the drift, and returns the rotation period for the schedule
+    /// [`SpatialGrid`] runs: one more than a list's *lifetime*
+    /// `L = ⌊(s/2)(1 − 10⁻⁶) / step⌋`, the calls after its build through
+    /// which a list stays valid at this step. A list rebuilt by the
+    /// rotation is thus rebuilt again on the call its drift budget runs
+    /// out, whether the step is `v·dt` exactly or, as measured, a hair
+    /// above it.
     ///
     /// Returns `None` when this call must run [`FrameGrid::sweep`]
     /// instead: on the first call, after a change of node count, radius
     /// or metric, on a non-finite step or a position outside the torus
-    /// square, and when `P < 3` (nodes that move a sixth of the skin per
-    /// call would rebuild half the lists or more every call). All but the
-    /// last drop the schedule. A call with `P < 3` keeps it: the drift
+    /// square, and when `P < 4` (lists that live two calls or less would
+    /// rebuild a third of the lists or more every call). All but the
+    /// last drop the schedule. A call with `P < 4` keeps it: the drift
     /// still grows, so every list and every pair's due stays a sound
     /// bound for the next call that runs the schedule.
     ///
@@ -628,8 +634,9 @@ impl FrameGrid {
         if step > 0.0 {
             v.drift = (v.drift + step).next_up();
         }
-        // A zero step gives an infinite period, saturated to u64::MAX.
-        let period = (0.5 * SKIN_REL * self.radius / step).floor() as u64;
+        // A zero step gives an infinite lifetime, saturated to u64::MAX.
+        let budget = 0.5 * SKIN_REL * (1.0 - SLACK_REL) * self.radius;
+        let period = ((budget / step).floor() as u64).saturating_add(1);
         (period >= MIN_PERIOD).then_some(period)
     }
 
@@ -1234,8 +1241,8 @@ mod tests {
         positions.iter().map(|p| Vec2::new(p.x + dx, p.y)).collect()
     }
 
-    /// `P = ⌊(s/2) / step⌋` once there is history; every reason to sweep
-    /// plainly gives `None`.
+    /// `P` is a list's lifetime plus one once there is history; every
+    /// reason to sweep plainly gives `None`.
     #[test]
     fn advance_opens_a_period_only_with_history() {
         let mut grid = FrameGrid::default();
@@ -1243,11 +1250,18 @@ mod tests {
         let base = vec![Vec2::new(10.0, 10.0), Vec2::new(500.0, 20.0)];
         assert_eq!(grid.advance(&base), None, "no history");
         assert_eq!(grid.advance(&base), Some(u64::MAX), "static");
-        // s/2 = 15 m: steps of 2.5 and 5 m give 6 and 3.
+        // s/2 = 15 m, less the slack: a list lives 5 calls at 2.5 m steps
+        // and expires on the 6th, whether the step is exact or a rounding
+        // hair above it.
         assert_eq!(grid.advance(&shifted(&base, 2.5)), Some(6));
-        assert_eq!(grid.advance(&shifted(&base, 7.5)), Some(3));
-        assert_eq!(grid.advance(&shifted(&base, 13.0)), None, "P = 2");
-        assert_eq!(grid.advance(&shifted(&base, 13.0)), Some(u64::MAX));
+        let above = 2.5 * (1.0 + 1e-15);
+        assert_eq!(grid.advance(&shifted(&base, 2.5 + above)), Some(6));
+        // 3.75 m: a life of 3 calls, the shortest kept.
+        assert_eq!(grid.advance(&shifted(&base, 8.75)), Some(4));
+        assert_eq!(grid.advance(&shifted(&base, 13.75)), None, "5 m: P = 3");
+        let five = 5.000_000_000_001_5;
+        assert_eq!(grid.advance(&shifted(&base, 13.75 + five)), None, "P = 3");
+        assert_eq!(grid.advance(&shifted(&base, 13.75 + five)), Some(u64::MAX));
         assert_eq!(grid.advance(&base[..1]), None, "node count changed");
         assert_eq!(grid.advance(&base[..1]), Some(u64::MAX));
         let nan = [Vec2::new(f64::NAN, 10.0)];

@@ -56,37 +56,25 @@ impl RouteUpdateOutcome {
     }
 }
 
-/// One tick's cluster structure in flat vectors reused across ticks.
+/// One pass's cluster keys in flat vectors reused across passes.
 ///
 /// Clusters are keyed by head value — `cluster_head_of`, which is always
 /// a node id but not always a head (a `SelfHealing` member whose re-home
 /// was lost keeps its resigned head) — so per-key vectors have one slot
-/// per node. Link `(a, b)`, `a < b`, belongs to the cluster of `a`'s head
-/// when `b` shares it, so each cluster's links are the union of its
-/// nodes' rows.
+/// per node.
 #[derive(Debug, Clone, Default)]
-struct Snapshot {
+struct Heads {
     /// Per node: its head key.
     head: Vec<NodeId>,
     /// Per head key: how many nodes name it (0 = no such cluster).
     size: Vec<u32>,
-    /// CSR row offsets: node `a`'s row is `links[offsets[a]..offsets[a + 1]]`.
-    offsets: Vec<usize>,
-    /// The `b` of every intra-cluster link `(a, b)` with `b > a`, rows in
-    /// ascending `a`; each row is sorted because neighbor rows are.
-    links: Vec<NodeId>,
 }
 
-impl Snapshot {
+impl Heads {
     /// Refills every node's head key and every key's size from this
-    /// tick's assignment, and empties the rows.
-    fn fill_heads<C: ClusterAssignment + ?Sized>(&mut self, n: usize, clustering: &C) {
-        let Snapshot {
-            head,
-            size,
-            offsets,
-            links,
-        } = self;
+    /// pass's assignment.
+    fn fill<C: ClusterAssignment + ?Sized>(&mut self, n: usize, clustering: &C) {
+        let Heads { head, size } = self;
         head.clear();
         head.extend((0..n as NodeId).map(|u| clustering.cluster_head_of(u)));
         size.clear();
@@ -94,59 +82,221 @@ impl Snapshot {
         for &h in head.iter() {
             size[h as usize] += 1;
         }
-        offsets.clear();
-        offsets.push(0);
-        links.clear();
     }
+}
 
-    /// Appends node `a`'s row, read from this tick's topology.
-    fn push_row(&mut self, topology: &Topology, a: NodeId) {
-        let h = self.head[a as usize];
-        let head = &self.head;
-        self.links.extend(
-            topology
-                .neighbors(a)
-                .iter()
-                .filter(|&&b| b > a && head[b as usize] == h),
-        );
-        self.offsets.push(self.links.len());
-    }
+/// Every node `a`'s intra-cluster links `(a, b)`, `b > a`, as flat rows
+/// with `u32` offsets, like the topology's own: row `a` is
+/// `links[offsets[a]..offsets[a + 1]]`. A filled row is sorted, because
+/// neighbor rows are; a materialized one holds its links in any order.
+/// Link `(a, b)` belongs to the cluster of `a`'s head when `b` shares
+/// it, so each cluster's links are the union of its nodes' rows.
+#[derive(Debug, Clone, Default)]
+struct LinkRows {
+    offsets: Vec<u32>,
+    links: Vec<NodeId>,
+}
 
-    /// Sets the rows to `prev`'s with `edits` applied: each sorted key
-    /// `a << 32 | b` takes link `b` out of row `a` if it is there, and
-    /// puts it in otherwise. `prev`'s links are copied between the edits'
-    /// positions, and its offsets shifted by the edits before them.
-    fn edit_rows(&mut self, prev: &Snapshot, edits: &[u64]) {
-        self.offsets.clone_from(&prev.offsets);
+impl LinkRows {
+    /// Refills the rows from `topology` under the head keys `head`.
+    fn fill(&mut self, topology: &Topology, head: &[NodeId]) {
+        self.offsets.clear();
+        self.offsets.push(0);
         self.links.clear();
-        let (mut copied, mut shift, mut fixed) = (0, 0isize, 0);
-        for &key in edits {
-            let (a, b) = ((key >> 32) as usize, key as NodeId);
-            for o in &mut self.offsets[fixed + 1..=a] {
-                *o = o.wrapping_add_signed(shift);
-            }
-            fixed = a;
-            let (lo, hi) = (prev.offsets[a], prev.offsets[a + 1]);
-            let at = lo + prev.links[lo..hi].partition_point(|&x| x < b);
-            self.links.extend_from_slice(&prev.links[copied..at]);
-            if at < hi && prev.links[at] == b {
-                copied = at + 1;
-                shift -= 1;
-            } else {
-                self.links.push(b);
-                copied = at;
-                shift += 1;
-            }
-        }
-        self.links.extend_from_slice(&prev.links[copied..]);
-        for o in &mut self.offsets[fixed + 1..] {
-            *o = o.wrapping_add_signed(shift);
+        for a in 0..topology.len() as NodeId {
+            let h = head[a as usize];
+            self.links.extend(
+                topology
+                    .neighbors(a)
+                    .iter()
+                    .filter(|&&b| b > a && head[b as usize] == h),
+            );
+            self.offsets.push(offset(self.links.len()));
         }
     }
 
     /// Node `a`'s intra-cluster links to higher ids.
     fn row(&self, a: usize) -> &[NodeId] {
-        &self.links[self.offsets[a]..self.offsets[a + 1]]
+        &self.links[self.offsets[a] as usize..self.offsets[a + 1] as usize]
+    }
+}
+
+/// A row offset as stored.
+///
+/// # Panics
+///
+/// Panics past `u32::MAX` links.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("an intra-cluster snapshot holds at most u32::MAX links")
+}
+
+/// The intra-cluster links of the previous pass, kept lazily: one
+/// materialized snapshot, plus the row edits of the event passes since
+/// it was taken. An edit `(a, b)` names a link `b` that entered or left
+/// row `a`; it takes `b` out of the row if it is there and puts it in
+/// otherwise, so edits commute, and two of the same link cancel.
+///
+/// Only a fallback pass reads the rows, so an event pass just appends
+/// its edits. They are applied when a fallback pass needs the rows, when
+/// they outnumber the snapshot's links (applying them then costs about
+/// what recording them did, so each edit pays O(1)), and when their
+/// buffer, sized at the first pass, is full.
+#[derive(Debug, Clone, Default)]
+struct LinkSnapshot {
+    /// The materialized rows.
+    rows: LinkRows,
+    /// The pending edits, in the order recorded.
+    edits: Vec<(NodeId, NodeId)>,
+    /// During a materialization: the pending edits' links grouped by
+    /// row, then every row's insertions, in row order. It has `edits`'
+    /// capacity.
+    grouped: Vec<NodeId>,
+    /// Per row, during a materialization: where its group ends, then
+    /// where its insertions end.
+    ends: Vec<u32>,
+    /// Per node, clear outside a materialization or a node diff: whether
+    /// the row at hand holds, or has an odd number of edits of, the link
+    /// to it.
+    marks: Vec<bool>,
+}
+
+impl LinkSnapshot {
+    /// Sets the snapshot to `topology`'s links under the head keys
+    /// `head`, with no pending edits, and sizes the edit buffers for its
+    /// `n` rows: room for two edits per node, plus two bursts of
+    /// resignation cascades (64 moved nodes of degree 64), which holds a
+    /// few passes' edits.
+    fn fill(&mut self, topology: &Topology, head: &[NodeId]) {
+        let n = topology.len();
+        self.rows.fill(topology, head);
+        clear_with_room(&mut self.edits, n + 64 * 64);
+        clear_with_room(&mut self.grouped, n + 64 * 64);
+        self.ends.clear();
+        self.ends.resize(n, 0);
+        self.marks.clear();
+        self.marks.resize(n, false);
+    }
+
+    /// Records an edit of row `a` by link `b`, applying the pending edits
+    /// first when their buffer is full.
+    fn toggle(&mut self, a: NodeId, b: NodeId) {
+        if self.edits.len() == self.edits.capacity() {
+            self.materialize();
+        }
+        self.edits.push((a, b));
+    }
+
+    /// Applies the pending edits once they outnumber the snapshot's
+    /// links.
+    fn settle(&mut self) {
+        if self.edits.len() > self.rows.links.len() {
+            self.materialize();
+        }
+    }
+
+    /// Applies every pending edit to the snapshot, in place. One counting
+    /// pass groups the edits by row. A forward walk over the rows then
+    /// moves the links down over the removed ones: an edited row flips a
+    /// mark per edit, keeps its unmarked links, and moves the marked
+    /// links of its group that it did not hold, its insertions, down to
+    /// the front of `grouped`, clearing every mark it reads. A backward
+    /// walk moves the links up to make room for the insertions, run by
+    /// run between the rows that have some, and writes them at the ends
+    /// of their rows. Each move only goes the way of its walk, so no
+    /// link is overwritten before it is read.
+    fn materialize(&mut self) {
+        if self.edits.is_empty() {
+            return;
+        }
+        let LinkSnapshot {
+            rows: LinkRows { offsets, links },
+            edits,
+            grouped,
+            ends,
+            marks,
+        } = self;
+        ends.fill(0);
+        for &(a, _) in edits.iter() {
+            ends[a as usize] += 1;
+        }
+        let mut end = 0;
+        for e in ends.iter_mut() {
+            end += *e;
+            *e = end;
+        }
+        grouped.clear();
+        grouped.resize(edits.len(), 0);
+        for &(a, b) in edits.iter() {
+            let at = &mut ends[a as usize];
+            *at -= 1;
+            grouped[*at as usize] = b;
+        }
+        edits.clear();
+        // The scatter left each group's start in `ends`; one row down,
+        // they are the group ends.
+        ends.rotate_left(1);
+        if let Some(last) = ends.last_mut() {
+            *last = offset(grouped.len());
+        }
+
+        // Forward: `shift` links removed so far; the rows from `run` on
+        // are yet to move down by it.
+        let (mut shift, mut run, mut inserted, mut from) = (0, 0, 0, 0);
+        for (a, end) in ends.iter_mut().enumerate() {
+            let (start, stop) = (offsets[a] as usize, offsets[a + 1] as usize);
+            let to = *end as usize;
+            offsets[a] = offset(start - shift);
+            *end = offset(inserted);
+            if from == to {
+                continue;
+            }
+            links.copy_within(run..start, run - shift);
+            let mut kept = start - shift;
+            for &b in &grouped[from..to] {
+                marks[b as usize] ^= true;
+            }
+            for k in start..stop {
+                let b = links[k];
+                if !std::mem::take(&mut marks[b as usize]) {
+                    links[kept] = b;
+                    kept += 1;
+                }
+            }
+            for k in from..to {
+                let b = grouped[k];
+                if std::mem::take(&mut marks[b as usize]) {
+                    grouped[inserted] = b;
+                    inserted += 1;
+                }
+            }
+            *end = offset(inserted);
+            (shift, run, from) = (stop - kept, stop, to);
+        }
+        let total = links.len();
+        links.copy_within(run..total, run - shift);
+        let n = ends.len();
+        offsets[n] = offset(total - shift);
+
+        // Backward: the links at and above `hi` have moved up already;
+        // the ones below it move up by the insertions in the rows before
+        // theirs.
+        let kept = total - shift;
+        links.resize(kept + inserted, 0);
+        let mut hi = kept;
+        for a in (0..n).rev() {
+            let end = offsets[a + 1] as usize;
+            let (before, through) = (
+                if a == 0 { 0 } else { ends[a - 1] as usize },
+                ends[a] as usize,
+            );
+            offsets[a + 1] = offset(end + through);
+            if before == through {
+                continue;
+            }
+            links.copy_within(end..hi, end + through);
+            links[end + before..end + through].copy_from_slice(&grouped[before..through]);
+            hi = end;
+        }
     }
 }
 
@@ -182,10 +332,14 @@ pub enum UpdatePolicy {
 /// a steady-state pass does not allocate.
 #[derive(Debug, Clone, Default)]
 pub struct IntraClusterRouting {
-    /// The previous pass's clusters.
-    prev: Snapshot,
-    /// This pass's clusters; swapped into `prev` when the pass commits.
-    cur: Snapshot,
+    /// The previous pass's cluster keys.
+    prev: Heads,
+    /// This pass's cluster keys; swapped into `prev` when the pass
+    /// commits.
+    cur: Heads,
+    /// The previous pass's intra-cluster links (after a pass commits,
+    /// this pass's).
+    links: LinkSnapshot,
     /// The stamp of the previous pass's topology; 0 before the first pass.
     stamp: u64,
     policy: UpdatePolicy,
@@ -199,10 +353,6 @@ pub struct IntraClusterRouting {
     /// Event pass: `(moved node, other node)` of every generated link
     /// with a moved endpoint, sorted.
     moved_generated: Vec<(NodeId, NodeId)>,
-    /// Event pass: every link `(a, b)`, `a < b`, that enters or leaves
-    /// node `a`'s row, as the key `a << 32 | b`, so that sorting the keys
-    /// sorts the links.
-    row_edits: Vec<u64>,
     /// This pass's charges as `(head, rounds, cluster size)`, ascending.
     charges: Vec<(NodeId, u64, u64)>,
     /// Coalesced clusters awaiting the next flush, sorted and deduplicated.
@@ -294,25 +444,22 @@ impl IntraClusterRouting {
                 "topology node count changed under live intra-cluster routing"
             );
         }
-        self.cur.fill_heads(topology.len(), clustering);
+        self.cur.fill(topology.len(), clustering);
         // `events_since(0)` is `None`, so the first pass fills.
         if let Some(events) = topology.events_since(self.stamp) {
             self.diff_events(topology, events);
+            self.links.settle();
+        } else if self.stamp != 0 {
+            self.links.materialize();
+            self.diff(topology);
+            self.links.rows.fill(topology, &self.cur.head);
         } else {
-            for a in 0..topology.len() as NodeId {
-                self.cur.push_row(topology, a);
-            }
-            if self.stamp != 0 {
-                self.diff();
-            } else {
-                // The baseline pass sizes the event pass's edit buffers
-                // from n, with room for a burst of resignation cascades on
-                // top (64 moved nodes of degree 64), which at small n can
-                // move several times n links in one pass.
-                let (n, burst) = (topology.len(), 64 * 64);
-                clear_with_room(&mut self.moved_generated, n + burst);
-                clear_with_room(&mut self.row_edits, 2 * n + burst);
-            }
+            // The baseline pass sizes the event pass's buffers from n,
+            // with room for a burst of resignation cascades on top (64
+            // moved nodes of degree 64), which at small n can move
+            // several times n links in one pass.
+            self.links.fill(topology, &self.cur.head);
+            clear_with_room(&mut self.moved_generated, topology.len() + 64 * 64);
         }
         let outcome = self.charge(dt, channel, ctx);
         for &h in &self.changed {
@@ -324,33 +471,52 @@ impl IntraClusterRouting {
         outcome
     }
 
-    /// Fills `changed` and `link_changes` from `prev` → `cur`, node by
-    /// node. A node that kept its head adds its row's symmetric difference
-    /// to that cluster; a node that moved takes its old row out of its old
-    /// cluster and brings its new row into its new one, and both clusters
-    /// change because their node sets do. Summed per key, this is each
-    /// cluster's link-set symmetric difference.
-    fn diff(&mut self) {
+    /// Fills `changed` and `link_changes` from the previous pass's rows
+    /// (the snapshot, materialized) to this pass's, read from `topology`
+    /// under this pass's keys, node by node. A node that kept its head
+    /// adds its row's symmetric difference to that cluster; a node that
+    /// moved takes its old row out of its old cluster and brings its new
+    /// row into its new one, and both clusters change because their node
+    /// sets do. Summed per key, this is each cluster's link-set
+    /// symmetric difference.
+    fn diff(&mut self, topology: &Topology) {
         let IntraClusterRouting {
             prev,
             cur,
+            links,
             link_changes,
             changed,
             ..
         } = self;
+        let LinkSnapshot { rows, marks, .. } = links;
         link_changes.resize(cur.head.len(), 0);
         for (a, (&h1, &h2)) in prev.head.iter().zip(&cur.head).enumerate() {
-            let (before, after) = (prev.row(a), cur.row(a));
+            let before = rows.row(a);
+            let after = topology
+                .neighbors(a as NodeId)
+                .iter()
+                .filter(|&&b| b as usize > a && cur.head[b as usize] == h2);
             if h1 == h2 {
-                if before != after {
+                for &b in before {
+                    marks[b as usize] = true;
+                }
+                let (mut len, mut common) = (0, 0);
+                for &b in after {
+                    len += 1;
+                    common += usize::from(marks[b as usize]);
+                }
+                for &b in before {
+                    marks[b as usize] = false;
+                }
+                let diff = before.len() + len - 2 * common;
+                if diff > 0 {
                     changed.push(h1);
-                    link_changes[h1 as usize] +=
-                        sorted_symmetric_difference_len(before, after) as u64;
+                    link_changes[h1 as usize] += diff as u64;
                 }
             } else {
                 changed.extend([h1, h2]);
                 link_changes[h1 as usize] += before.len() as u64;
-                link_changes[h2 as usize] += after.len() as u64;
+                link_changes[h2 as usize] += after.count() as u64;
             }
         }
         changed.sort_unstable();
@@ -371,17 +537,16 @@ impl IntraClusterRouting {
     /// in its current row that were not generated this tick; each is
     /// classified once, from its smaller moved endpoint. A link that
     /// enters or leaves a cluster enters or leaves its smaller endpoint's
-    /// row: those edits are applied to the old rows, and every other row
-    /// is copied from `prev`.
+    /// row: that edit is left pending on the snapshot.
     fn diff_events(&mut self, topology: &Topology, events: &[LinkEvent]) {
         let IntraClusterRouting {
             prev,
             cur,
+            links,
             link_changes,
             changed,
             moved,
             moved_generated,
-            row_edits,
             ..
         } = self;
         let n = cur.head.len();
@@ -403,13 +568,12 @@ impl IntraClusterRouting {
             changed.extend([old[u as usize], new[u as usize]]);
         }
         clear_with_room(moved_generated, moved_links);
-        clear_with_room(row_edits, events.len() + moved_links);
         let mut classify = |a: NodeId, b: NodeId, before: Option<NodeId>, after: Option<NodeId>| {
             if before == after {
                 return;
             }
             if before.is_some() != after.is_some() {
-                row_edits.push((u64::from(a.min(b)) << 32) | u64::from(a.max(b)));
+                links.toggle(a.min(b), a.max(b));
             }
             for h in [before, after].into_iter().flatten() {
                 let count = &mut link_changes[h as usize];
@@ -442,7 +606,10 @@ impl IntraClusterRouting {
 
         // The links of moved nodes that exist before and after. Every
         // generated link is in its endpoints' current rows, so the walk
-        // meets each `(u, v)` of `moved_generated` in order.
+        // meets each `(u, v)` of `moved_generated` in order. Both keys of
+        // a moved node are in `changed` already, and differ, so a link is
+        // counted in each key that holds it and edits the rows when only
+        // one does.
         let mut fresh = moved_generated.iter().peekable();
         for &u in moved.iter() {
             let (h1, h2) = (old[u as usize], new[u as usize]);
@@ -454,14 +621,16 @@ impl IntraClusterRouting {
                 if v < u && g1 != g2 {
                     continue;
                 }
-                classify(u, v, (g1 == h1).then_some(h1), (g2 == h2).then_some(h2));
+                let (before, after) = (g1 == h1, g2 == h2);
+                link_changes[h1 as usize] += u64::from(before);
+                link_changes[h2 as usize] += u64::from(after);
+                if before != after {
+                    links.toggle(u.min(v), u.max(v));
+                }
             }
         }
         changed.sort_unstable();
         changed.dedup();
-
-        row_edits.sort_unstable();
-        cur.edit_rows(prev, row_edits);
     }
 
     /// The charging half of an update pass: transmits the re-syncs and
@@ -562,6 +731,13 @@ impl IntraClusterRouting {
         self.resync_pending.len()
     }
 
+    /// Row edits that event passes recorded since the intra-cluster link
+    /// snapshot was last materialized; a fallback pass applies them
+    /// first.
+    pub fn pending_edits(&self) -> usize {
+        self.links.edits.len()
+    }
+
     /// Fills `charges` with this pass's `(head, rounds, cluster size)`
     /// triples, per the active [`UpdatePolicy`], from the diffed
     /// `changed` keys. Advances the coalescing clock and dirty set.
@@ -633,29 +809,6 @@ fn clear_with_room<T>(buf: &mut Vec<T>, bound: usize) {
     if buf.capacity() < bound {
         *buf = Vec::with_capacity(2 * bound);
     }
-}
-
-/// Number of elements in exactly one of two sorted slices (symmetric
-/// difference cardinality).
-fn sorted_symmetric_difference_len<T: Ord>(a: &[T], b: &[T]) -> usize {
-    let (mut i, mut j, mut count) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Less => {
-                i += 1;
-                count += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                j += 1;
-                count += 1;
-            }
-        }
-    }
-    count + (a.len() - i) + (b.len() - j)
 }
 
 /// Queryable intra-cluster routing tables: shortest paths restricted to

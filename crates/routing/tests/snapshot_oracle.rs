@@ -482,3 +482,106 @@ fn flat_diff_matches_the_map_diff_oracle() {
         "most passes take the event path ({event_passes} of {passes})"
     );
 }
+
+/// An event pass leaves its row edits pending on the layer's link
+/// snapshot, which applies them at a bound. A gap or a cut chain arriving
+/// after `k` event passes, with `k` just below, at and just above the
+/// first pass that applies them, must charge what the map oracle
+/// charges, under both policies on an ideal and a lossy channel, and so
+/// must the event passes after it.
+#[test]
+fn fallback_after_pending_edits_matches_the_map_oracle() {
+    let build = || {
+        SimBuilder::new()
+            .side(400.0)
+            .nodes(90)
+            .radius(90.0)
+            .speed(20.0)
+            .dt(0.5)
+            .seed(7)
+            .build()
+    };
+    let mut q = QuietCtx::new();
+    // A dry run finds the first pass that applies the pending edits.
+    let mut world = build();
+    let mut structure = Structure::form(0, &world, 7);
+    let mut layer = IntraClusterRouting::new();
+    let mut channel = Channel::new(LossModel::Ideal, 0);
+    let (mut pending, mut bound) = (0, None);
+    for k in 0..60 {
+        if k > 0 {
+            world.step(&mut q.ctx());
+        }
+        let topology = structure.advance(&world, false);
+        let mut ctx = QuietCtx::new();
+        layer.update(
+            world.dt(),
+            &topology,
+            structure.assignment(),
+            &mut channel,
+            &mut ctx.ctx(),
+        );
+        if layer.pending_edits() < pending {
+            bound = Some(k);
+            break;
+        }
+        pending = layer.pending_edits();
+    }
+    let bound = bound.expect("the pending edits reach the bound");
+    assert!(
+        bound >= 3,
+        "the bound holds several passes' edits ({bound})"
+    );
+
+    let all_alive = vec![true; world.node_count()];
+    for k in [bound - 1, bound, bound + 1] {
+        for cut_chain in [false, true] {
+            let mut world = build();
+            let mut structure = Structure::form(0, &world, 7);
+            let mut pairs: Vec<Lockstep> = [
+                UpdatePolicy::PerChange,
+                UpdatePolicy::Coalesced { interval: 2.0 },
+            ]
+            .into_iter()
+            .flat_map(|policy| {
+                [LossModel::Ideal, LossModel::Bernoulli { p: 0.2 }]
+                    .into_iter()
+                    .map(move |loss| Lockstep::new(policy, loss, 11))
+            })
+            .collect();
+            let mut seen = 0;
+            for pass in 0..k + 6 {
+                let fallback = pass == k + 1;
+                let gapped = fallback && !cut_chain;
+                if pass > 0 {
+                    if gapped {
+                        world.step(&mut q.ctx());
+                    }
+                    world.step(&mut q.ctx());
+                }
+                let mut topology = structure.advance(&world, gapped);
+                if fallback {
+                    let held = pairs[0].flat.layer.pending_edits();
+                    assert_eq!(held > 0, k != bound, "k = {k}: {held} pending edits");
+                    if cut_chain {
+                        topology.retain_alive(&all_alive);
+                    }
+                }
+                // After a cut chain the next pass falls back too: the world's
+                // topology chains from its own, not from the cut copy.
+                let after_cut = cut_chain && pass == k + 2;
+                assert_eq!(
+                    topology.events_since(seen).is_some(),
+                    pass > 0 && !fallback && !after_cut,
+                    "k = {k}, pass {pass}"
+                );
+                seen = topology.stamp();
+                let mut cut = topology.clone();
+                cut.retain_alive(&all_alive);
+                for pair in &mut pairs {
+                    pair.tick(&world, &topology, &cut, structure.assignment());
+                }
+            }
+        }
+    }
+}

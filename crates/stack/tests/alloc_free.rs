@@ -70,13 +70,20 @@ fn steady_state_stack_tick_is_allocation_free() {
     stack.prime(&mut quiet.ctx());
     // Warm up every capacity the tick touches: the world's grid and
     // topology buffers, the cluster pass's scan and orphan buffers, and
-    // the route layer's two snapshots and change lists.
+    // the route layer's link snapshot, its pending edits and change lists.
     for _ in 0..1000 {
         stack.tick(&mut quiet.ctx());
     }
+    // The route layer's event passes leave their row edits pending on its
+    // link snapshot and apply them at a bound: the window must see both.
+    let (mut held, mut applied, mut pending) = (0, 0, 0);
     let before = allocs();
     for _ in 0..100 {
         stack.tick(&mut quiet.ctx());
+        let now = stack.split_mut().2.pending_edits();
+        held += usize::from(now > 0);
+        applied += usize::from(now < pending);
+        pending = now;
     }
     let after = allocs();
     assert_eq!(
@@ -84,6 +91,10 @@ fn steady_state_stack_tick_is_allocation_free() {
         0,
         "steady-state ProtocolStack::tick must not allocate (got {} allocations over 100 ticks)",
         after - before
+    );
+    assert!(
+        held > 0 && applied > 0,
+        "{held} ticks held pending edits, {applied} applied them"
     );
 }
 

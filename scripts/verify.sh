@@ -83,6 +83,9 @@ if find crates/stack/src crates/experiments/src src -name '*.rs' -print0 | xargs
     exit 1
 fi
 
+echo "==> bash -n scripts/bench_ab.sh"
+bash -n scripts/bench_ab.sh
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
