@@ -569,12 +569,7 @@ mod tests {
         let mut sink = Vec::<Event>::new();
         let mut tracker = CauseTracker::new();
         let mut probe = Probe::with_causes(Some(&mut sink), Some(&mut tracker));
-        let mut scratch = manet_sim::Scratch::new();
-        let o = c.maintain(
-            &LowestId,
-            &t1,
-            &mut StepCtx::new(&mut probe, &mut scratch).at(1.0),
-        );
+        let o = c.maintain(&LowestId, &t1, &mut StepCtx::new(&mut probe).at(1.0));
         // Accounting matches the untraced path exactly.
         assert_eq!(o.contact_resignations, 1);
         assert_eq!(o.contact_promotions, 1);

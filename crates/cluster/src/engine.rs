@@ -877,7 +877,7 @@ mod tests {
     use super::*;
     use crate::policy::{ClusterPolicy, HighestConnectivity, LowestId};
     use manet_geom::{Metric, SquareRegion, Vec2};
-    use manet_sim::{QuietCtx, Scratch};
+    use manet_sim::QuietCtx;
     use manet_telemetry::Probe;
 
     /// One quiet ideal-plane maintenance pass.
@@ -893,11 +893,7 @@ mod tests {
         hooks: &mut dyn FaultHooks,
     ) -> MaintenanceOutcome {
         let mut probe = Probe::off();
-        let mut scratch = Scratch::new();
-        c.maintain(
-            t,
-            &mut StepCtx::new(&mut probe, &mut scratch).with_hooks(hooks),
-        )
+        c.maintain(t, &mut StepCtx::new(&mut probe).with_hooks(hooks))
     }
 
     /// A LID clustering with hand-written roles and empty pass buffers.
@@ -1285,13 +1281,12 @@ mod tests {
         let mut sink = Vec::<Event>::new();
         let mut total = MaintenanceOutcome::default();
         let mut q = QuietCtx::new();
-        let mut scratch = Scratch::new();
         for _ in 0..60 {
             world.step(&mut q.ctx());
             let mut probe = Probe::subscriber(&mut sink);
             total.absorb(c.maintain(
                 world.topology(),
-                &mut StepCtx::new(&mut probe, &mut scratch).at(world.time()),
+                &mut StepCtx::new(&mut probe).at(world.time()),
             ));
         }
         assert!(total.total_messages() > 0, "mobile world must churn roles");
@@ -1326,8 +1321,7 @@ mod tests {
         let mut sink = Vec::<Event>::new();
         let mut tracker = CauseTracker::new();
         let mut probe = Probe::with_causes(Some(&mut sink), Some(&mut tracker));
-        let mut scratch = Scratch::new();
-        let o = c.maintain(&t1, &mut StepCtx::new(&mut probe, &mut scratch).at(1.0));
+        let o = c.maintain(&t1, &mut StepCtx::new(&mut probe).at(1.0));
         // Accounting is untouched by attribution.
         assert_eq!(o.contact_resignations, 1);
         assert_eq!(o.contact_reaffiliations, 1);
@@ -1360,8 +1354,7 @@ mod tests {
         let mut sink = Vec::<Event>::new();
         let mut tracker = CauseTracker::new();
         let mut probe = Probe::with_causes(Some(&mut sink), Some(&mut tracker));
-        let mut scratch = Scratch::new();
-        let o = c.maintain(&b1, &mut StepCtx::new(&mut probe, &mut scratch).at(2.0));
+        let o = c.maintain(&b1, &mut StepCtx::new(&mut probe).at(2.0));
         assert_eq!(o.break_reaffiliations, 1);
         assert_eq!(sink.len(), 2, "HeadLost marker + re-affiliation");
         let root = sink[0].cause.unwrap();
@@ -1379,8 +1372,7 @@ mod tests {
         let t1 = topo(&[(500.0, 0.0), (1.0, 0.0), (2.0, 0.0)], 1.1);
         let mut sink = Vec::<Event>::new();
         let mut probe = Probe::subscriber(&mut sink);
-        let mut scratch = Scratch::new();
-        let o = c.maintain(&t1, &mut StepCtx::new(&mut probe, &mut scratch).at(1.0));
+        let o = c.maintain(&t1, &mut StepCtx::new(&mut probe).at(1.0));
         assert_eq!(o.total_messages(), 1);
         // Without a cause tracker the event stream is exactly the PR2
         // contract: one uncaused event per committed CLUSTER message.

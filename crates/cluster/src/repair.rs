@@ -217,15 +217,8 @@ impl<P: ClusterPolicy> SelfHealing<P> {
             repairs: 0,
             scheduled: Vec::new(),
         };
-        let maintenance = {
-            let mut inner = StepCtx {
-                probe: &mut *ctx.probe,
-                hooks: Some(&mut gate),
-                now,
-                scratch: &mut *ctx.scratch,
-            };
-            self.clustering.maintain(topology, &mut inner)
-        };
+        let mut inner = StepCtx::new(&mut *ctx.probe).at(now).with_hooks(&mut gate);
+        let maintenance = self.clustering.maintain(topology, &mut inner);
         let (retransmissions, repairs) = (gate.retransmissions, gate.repairs);
         for (node, wait_ticks) in gate.scheduled {
             let cause = ctx.probe.root(RootCause::ChannelLoss);
@@ -250,7 +243,6 @@ impl<P: ClusterPolicy> SelfHealing<P> {
 mod tests {
     use super::*;
     use crate::policy::LowestId;
-    use manet_sim::Scratch;
     use manet_sim::{Counters, FaultPlan, LossModel, QuietCtx, SimBuilder};
     use manet_telemetry::Probe;
 
@@ -450,7 +442,6 @@ mod tests {
         let mut counters = Counters::default();
         let mut losses = 0;
         let mut q = QuietCtx::new();
-        let mut scratch = Scratch::new();
         for t in 0..40 {
             world.step(&mut q.ctx());
             let now = t as f64;
@@ -459,7 +450,7 @@ mod tests {
                 world.topology(),
                 &alive,
                 &mut ch_probed,
-                &mut StepCtx::new(&mut probe, &mut scratch).at(now),
+                &mut StepCtx::new(&mut probe).at(now),
             );
             let o_plain = plain.step(world.topology(), &alive, &mut ch_plain, &mut q.ctx());
             assert_eq!(o, o_plain, "tracing must not change the outcome");

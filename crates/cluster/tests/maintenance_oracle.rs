@@ -9,7 +9,7 @@ use manet_cluster::{
     Attempt, ClusterPolicy, Clustering, FaultHooks, HighestConnectivity, LowestId,
     MaintenanceOutcome, Role,
 };
-use manet_sim::{NodeId, Scratch, SimBuilder, StepCtx, Topology, World};
+use manet_sim::{NodeId, SimBuilder, StepCtx, Topology, World};
 use manet_telemetry::Probe;
 use manet_util::Rng;
 
@@ -128,9 +128,8 @@ fn check_against_oracle<P: ClusterPolicy + Clone>(policy: P, mut world: World, r
     let mut clustering = Clustering::form(policy.clone(), world.topology());
     let mut roles = clustering.roles().to_vec();
     let mut probe = Probe::off();
-    let mut scratch = Scratch::new();
     for tick in 0..40 {
-        world.step(&mut StepCtx::new(&mut probe, &mut scratch));
+        world.step(&mut StepCtx::new(&mut probe));
         let n = world.topology().len();
         let chaos = Chaos {
             alive: (0..n).map(|_| !rng.bernoulli(0.05)).collect(),
@@ -141,7 +140,7 @@ fn check_against_oracle<P: ClusterPolicy + Clone>(policy: P, mut world: World, r
         let expect = oracle(&policy, &mut roles, &topology, &mut chaos.clone());
 
         let mut hooks = chaos;
-        let mut ctx = StepCtx::new(&mut probe, &mut scratch).with_hooks(&mut hooks);
+        let mut ctx = StepCtx::new(&mut probe).with_hooks(&mut hooks);
         let got = clustering.maintain(&topology, &mut ctx);
         assert_eq!(
             (got, clustering.roles()),
@@ -196,11 +195,10 @@ fn pass<P: ClusterPolicy>(
     hooks: Option<Chaos>,
 ) -> MaintenanceOutcome {
     let mut probe = Probe::off();
-    let mut scratch = Scratch::new();
-    let ctx = StepCtx::new(&mut probe, &mut scratch);
+    let ctx = StepCtx::new(&mut probe);
     match hooks {
         Some(mut hooks) => clustering.maintain(topology, &mut ctx.with_hooks(&mut hooks)),
-        None => clustering.maintain(topology, &mut StepCtx::new(&mut probe, &mut scratch)),
+        None => clustering.maintain(topology, &mut StepCtx::new(&mut probe)),
     }
 }
 
@@ -220,7 +218,6 @@ fn check_against_scan<P: ClusterPolicy + Clone>(
     let all_alive = vec![true; n];
     let mut last = world.topology().clone();
     let mut probe = Probe::off();
-    let mut scratch = Scratch::new();
     let mut passes = 0;
     for tick in 0..60u64 {
         let kind = match rng.f64() {
@@ -231,9 +228,9 @@ fn check_against_scan<P: ClusterPolicy + Clone>(
             _ => Pass::Cut,
         };
         if kind == Pass::Gap {
-            world.step(&mut StepCtx::new(&mut probe, &mut scratch));
+            world.step(&mut StepCtx::new(&mut probe));
         }
-        world.step(&mut StepCtx::new(&mut probe, &mut scratch));
+        world.step(&mut StepCtx::new(&mut probe));
         let alive: Vec<bool> = match kind {
             Pass::Crash => (0..n).map(|_| !rng.bernoulli(0.1)).collect(),
             _ => all_alive.clone(),
@@ -316,14 +313,10 @@ fn ideal_passes_take_the_event_path() {
         .build();
     let mut clustering = Clustering::form(LowestId, world.topology());
     let mut probe = Probe::off();
-    let mut scratch = Scratch::new();
     let (mut passes, mut messages) = (0, 0);
     for _ in 0..200 {
-        world.step(&mut StepCtx::new(&mut probe, &mut scratch));
-        let outcome = clustering.maintain(
-            world.topology(),
-            &mut StepCtx::new(&mut probe, &mut scratch),
-        );
+        world.step(&mut StepCtx::new(&mut probe));
+        let outcome = clustering.maintain(world.topology(), &mut StepCtx::new(&mut probe));
         messages += outcome.total_messages();
         passes += 1;
     }

@@ -1,11 +1,11 @@
 //! EXT2 — the paper's motivating comparison: flat proactive routing (DSDV)
 //! vs the clustered hybrid stack, as network size grows at fixed density.
 
-use crate::harness::{on_plane, Protocol, Scenario};
+use crate::harness::{on_plane, sim_builder, Protocol, Scenario};
 use manet_cluster::{Clustering, LowestId};
 use manet_routing::dsdv::{Dsdv, DsdvOutcome};
 use manet_routing::intra::{IntraClusterRouting, UpdatePolicy};
-use manet_sim::{HelloMode, MessageKind, QuietCtx, SimBuilder};
+use manet_sim::{HelloMode, MessageKind, QuietCtx};
 use manet_stack::{ProtocolStack, StackReport};
 use manet_util::table::{fmt_sig, Table};
 
@@ -47,13 +47,7 @@ pub fn flat_vs_clustered(
             };
             let seed = protocol.seeds.first().copied().unwrap_or(1);
 
-            let world = SimBuilder::new()
-                .side(scenario.side)
-                .nodes(scenario.nodes)
-                .radius(scenario.radius)
-                .speed(scenario.speed)
-                .dt(protocol.dt)
-                .seed(seed)
+            let world = sim_builder(&scenario, protocol.dt, seed)
                 .hello_mode(HelloMode::EventDriven)
                 .build();
             let clustering = Clustering::form(LowestId, world.topology());

@@ -427,14 +427,7 @@ where
         if cancelled(cancel) {
             return None;
         }
-        let world = SimBuilder::new()
-            .side(scenario.side)
-            .nodes(scenario.nodes)
-            .radius(scenario.radius)
-            .speed(scenario.speed)
-            .mobility(scenario.mobility)
-            .dt(protocol.dt)
-            .seed(seed)
+        let world = sim_builder(scenario, protocol.dt, seed)
             .hello_mode(HelloMode::EventDriven)
             .build();
         let clustering = Clustering::form(policy_for_seed(seed), world.topology());
@@ -517,8 +510,8 @@ pub fn analysis_at(scenario: &Scenario, p: f64) -> manet_model::OverheadBreakdow
     model.breakdown(p.clamp(1e-6, 1.0))
 }
 
-/// Convenience: a type-erased World for ad-hoc experiment code.
-pub fn build_world(scenario: &Scenario, dt: f64, seed: u64) -> World {
+/// A world builder for `scenario`'s geometry and mobility at tick `dt`.
+pub fn sim_builder(scenario: &Scenario, dt: f64, seed: u64) -> SimBuilder {
     SimBuilder::new()
         .side(scenario.side)
         .nodes(scenario.nodes)
@@ -527,7 +520,11 @@ pub fn build_world(scenario: &Scenario, dt: f64, seed: u64) -> World {
         .mobility(scenario.mobility)
         .dt(dt)
         .seed(seed)
-        .build()
+}
+
+/// Convenience: a type-erased World for ad-hoc experiment code.
+pub fn build_world(scenario: &Scenario, dt: f64, seed: u64) -> World {
+    sim_builder(scenario, dt, seed).build()
 }
 
 #[cfg(test)]

@@ -6,9 +6,9 @@
 //! how the protocol's neighbor view degrades as the beacon rate drops
 //! below the link dynamics, quantifying what the bound actually buys.
 
-use crate::harness::{build_world, on_plane, Scenario};
+use crate::harness::{on_plane, sim_builder, Scenario};
 use manet_sim::hello::HelloProtocol;
-use manet_sim::{Channel, LossModel, QuietCtx};
+use manet_sim::{Channel, HelloMode, LossModel, QuietCtx};
 use manet_stack::{HelloDriver, NoClustering, NoRouting, ProtocolStack};
 use manet_util::stats::Summary;
 use manet_util::table::{fmt_sig, Table};
@@ -33,7 +33,11 @@ pub fn sweep(scenario: &Scenario, measure: f64) -> Vec<HelloRow> {
     [0.5, 1.0, 2.0, 5.0, 10.0, 20.0]
         .into_iter()
         .map(|interval| {
-            let world = build_world(scenario, 0.25, 0x4E11);
+            // The explicit driver does the beaconing, so the world
+            // counts none.
+            let world = sim_builder(scenario, 0.25, 0x4E11)
+                .hello_mode(HelloMode::Disabled)
+                .build();
             // Timeout at the conventional 3 beacon periods; the explicit
             // driver beacons over an ideal channel (accuracy only, no loss).
             let hello = HelloProtocol::new(world.node_count(), interval, 3.0 * interval);

@@ -12,13 +12,14 @@
 //! measured total collapses onto the ideal stack's numbers.
 
 use crate::harness::{
-    analysis_at, on_plane, CancelToken, Estimate, Protocol, Scenario, ShardRun, CANCEL_CHECK_TICKS,
+    analysis_at, on_plane, sim_builder, CancelToken, Estimate, Protocol, Scenario, ShardRun,
+    CANCEL_CHECK_TICKS,
 };
 use manet_cluster::{Backoff, Clustering, LowestId, SelfHealing};
 use manet_routing::intra::IntraClusterRouting;
 use manet_sim::{
     ChurnSchedule, FaultPlan, HelloMode, HelloProtocol, LossModel, MessageKind, QuietCtx,
-    SimBuilder, STREAM_CLUSTER,
+    STREAM_CLUSTER,
 };
 use manet_stack::{ProtocolStack, StackReport};
 use manet_util::stats::Summary;
@@ -158,14 +159,7 @@ pub fn measure_with_faults_ctl(
         }
         .validated()
         .expect("loss config validated by construction");
-        let world = SimBuilder::new()
-            .side(scenario.side)
-            .nodes(n)
-            .radius(scenario.radius)
-            .speed(scenario.speed)
-            .mobility(scenario.mobility)
-            .dt(protocol.dt)
-            .seed(seed)
+        let world = sim_builder(scenario, protocol.dt, seed)
             .hello_mode(HelloMode::Disabled) // beacons are driven lossily below
             .fault(plan)
             .build();

@@ -14,11 +14,11 @@
 //! proper and writes its JSONL trace there, summarized on stdout.
 //! `bin/trace_report` re-reads such files.
 
-use crate::harness::{on_plane, Protocol, Scenario, ShardRun};
+use crate::harness::{on_plane, sim_builder, Protocol, Scenario, ShardRun};
 use manet_cluster::{Clustering, LowestId};
 use manet_model::overhead::{contact_unit_cost, route_unit_cost, RouteLinkModel};
 use manet_routing::intra::IntraClusterRouting;
-use manet_sim::{Counters, HelloMode, MessageKind, QuietCtx, Scratch, SimBuilder, StepCtx};
+use manet_sim::{Counters, HelloMode, MessageKind, QuietCtx, StepCtx};
 use manet_stack::ProtocolStack;
 use manet_telemetry::{
     chrome_trace_json, prometheus_text, AttributionLedger, AuditConfig, AuditMonitor, AuditReport,
@@ -347,14 +347,7 @@ pub fn trace_run_to_sink<W: Write>(
 ) -> io::Result<(TraceRun, Option<W>)> {
     let seed = protocol.seeds.first().copied().unwrap_or(1);
     let duration = protocol.warmup + protocol.measure;
-    let world = SimBuilder::new()
-        .side(scenario.side)
-        .nodes(scenario.nodes)
-        .radius(scenario.radius)
-        .speed(scenario.speed)
-        .mobility(scenario.mobility)
-        .dt(protocol.dt)
-        .seed(seed)
+    let world = sim_builder(scenario, protocol.dt, seed)
         .hello_mode(HelloMode::EventDriven)
         .build();
     let meta = TraceMeta {
@@ -388,7 +381,6 @@ pub fn trace_run_to_sink<W: Write>(
     let started = Instant::now();
     let mut published_windows = usize::MAX;
 
-    let mut scratch = Scratch::new();
     let ticks = (duration / protocol.dt).round() as usize;
     for tick in 0..ticks {
         let mut fan;
@@ -412,7 +404,7 @@ pub fn trace_run_to_sink<W: Write>(
             Probe::new(Some(&mut out))
         };
         let mut probe = probe.with_spans(Some(&mut spans));
-        let report = stack.tick(&mut StepCtx::new(&mut probe, &mut scratch));
+        let report = stack.tick(&mut StepCtx::new(&mut probe));
 
         // Feed the invariant monitors a post-maintenance structural sample.
         if let Some(st) = attrib.as_mut() {

@@ -898,7 +898,7 @@ mod tests {
     use super::*;
     use manet_cluster::{Clustering, LowestId};
     use manet_geom::{Metric, SquareRegion, Vec2};
-    use manet_sim::{LossModel, QuietCtx, Scratch};
+    use manet_sim::{LossModel, QuietCtx};
     use manet_telemetry::Probe;
 
     fn ideal() -> Channel {
@@ -1229,13 +1229,12 @@ mod tests {
         m(&mut c, &t1);
         let mut sink = Vec::<Event>::new();
         let mut probe = Probe::subscriber(&mut sink);
-        let mut scratch = Scratch::new();
         let o = r.update(
             0.0,
             &t1,
             &c,
             &mut ideal(),
-            &mut StepCtx::new(&mut probe, &mut scratch).at(3.5),
+            &mut StepCtx::new(&mut probe).at(3.5),
         );
         assert_eq!(o.clusters_updated, 2);
         assert_eq!(sink.len(), 2, "one RouteRoundStarted per charged cluster");
@@ -1275,13 +1274,12 @@ mod tests {
         let t1 = topo(&[(0.0, 10.0), (0.6, 10.7), (0.6, 9.3)], 1.0);
         let mut sink = Vec::<Event>::new();
         let mut probe = Probe::subscriber(&mut sink);
-        let mut scratch = Scratch::new();
         let o = r.update(
             0.0,
             &t1,
             &c,
             &mut black_hole,
-            &mut StepCtx::new(&mut probe, &mut scratch).at(1.0),
+            &mut StepCtx::new(&mut probe).at(1.0),
         );
         assert_eq!(o.lost_messages, 3);
         // One charged round plus one batched loss event.
@@ -1306,7 +1304,7 @@ mod tests {
             &t1,
             &c,
             &mut black_hole,
-            &mut StepCtx::new(&mut probe2, &mut scratch).at(2.0),
+            &mut StepCtx::new(&mut probe2).at(2.0),
         );
         assert_eq!(o.resync_rounds, 1);
         assert_eq!(
@@ -1332,7 +1330,6 @@ mod tests {
         }
         .channel(manet_sim::STREAM_ROUTE);
         let mut tracker = CauseTracker::new();
-        let mut scratch = Scratch::new();
         {
             let mut probe = Probe::with_causes(None, Some(&mut tracker));
             r.update(
@@ -1340,7 +1337,7 @@ mod tests {
                 &t0,
                 &c,
                 &mut black_hole,
-                &mut StepCtx::new(&mut probe, &mut scratch).at(0.0),
+                &mut StepCtx::new(&mut probe).at(0.0),
             );
         }
         // An internal link change: the regular round carries a fresh
@@ -1354,7 +1351,7 @@ mod tests {
                 &t1,
                 &c,
                 &mut black_hole,
-                &mut StepCtx::new(&mut probe, &mut scratch).at(1.0),
+                &mut StepCtx::new(&mut probe).at(1.0),
             );
         }
         let round = sink
@@ -1377,7 +1374,7 @@ mod tests {
                 &t1,
                 &c,
                 &mut black_hole,
-                &mut StepCtx::new(&mut probe, &mut scratch).at(2.0),
+                &mut StepCtx::new(&mut probe).at(2.0),
             );
         }
         let resync = sink2

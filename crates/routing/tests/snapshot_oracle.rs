@@ -17,9 +17,7 @@ use manet_cluster::{
     Backoff, ClusterAssignment, Clustering, DHopClustering, LowestId, SelfHealing,
 };
 use manet_routing::intra::{IntraClusterRouting, RouteUpdateOutcome, UpdatePolicy};
-use manet_sim::{
-    Channel, LossModel, NodeId, QuietCtx, Scratch, SimBuilder, StepCtx, Topology, World,
-};
+use manet_sim::{Channel, LossModel, NodeId, QuietCtx, SimBuilder, StepCtx, Topology, World};
 use manet_telemetry::{Cause, CauseTracker, Event, EventKind, Layer, MsgClass, Probe, RootCause};
 use manet_util::Rng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -335,13 +333,12 @@ impl Side {
     ) -> (RouteUpdateOutcome, usize, Vec<Event>) {
         let mut events = Vec::<Event>::new();
         let mut probe = Probe::with_causes(Some(&mut events), Some(&mut self.causes));
-        let mut scratch = Scratch::new();
         let outcome = self.layer.update(
             world.dt(),
             topology,
             clustering,
             &mut self.channel,
-            &mut StepCtx::new(&mut probe, &mut scratch).at(world.time()),
+            &mut StepCtx::new(&mut probe).at(world.time()),
         );
         (outcome, self.layer.resync_backlog(), events)
     }

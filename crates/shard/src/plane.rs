@@ -1,11 +1,12 @@
 //! The shard plane: a [`TopologyBuilder`] that computes the unit-disk
 //! topology shard-locally with ghost margins and merges deterministically.
 //!
-//! A `1x1` plane has no peer to exchange with, so it builds its rows with
-//! the monolithic builder ([`Topology::compute_into`] on a [`SpatialGrid`]
-//! it owns, link schedule and all) and keeps only the interconnect's tick
-//! (stall-onset events) and the shard spans. Per tick of a larger layout,
-//! [`ShardPlane::build_into`] runs four phases:
+//! A `1x1` plane has no peer to exchange with, so it builds its rows
+//! exactly as the monolithic [`GridTopology`] does, on the world's kernel
+//! slot that `World::step_staged` passes every builder (link schedule and
+//! all), and keeps only the interconnect's tick (stall-onset events) and
+//! the shard spans; the plane holds no kernel of its own. Per tick of a
+//! larger layout, [`ShardPlane::build_into`] runs four phases:
 //!
 //! 1. **Owner + ghost exchange** (sequential, O(N)): every node is
 //!    assigned to the shard whose tile contains it. Ownership transfers
@@ -48,7 +49,7 @@ use manet_geom::{
     ghost_margin, FrameGrid, Metric, NeighborRows, ShardDims, ShardLayout, ShardLayoutError,
     SpatialGrid, SquareRegion, Vec2,
 };
-use manet_sim::{FaultError, MobilityStage, Topology, TopologyBuilder, World};
+use manet_sim::{FaultError, GridTopology, MobilityStage, Topology, TopologyBuilder, World};
 use manet_stack::{ClusterStage, HelloStage, RouteStage};
 use manet_telemetry::{Phase, Probe, ShardGaugeRow, ShardSnapshot, SpanLabel};
 use std::time::{Duration, Instant};
@@ -142,8 +143,9 @@ impl ShardState {
 /// Only the topology rebuild is sharded: the mobility, HELLO, cluster and
 /// route stages take their traits' sequential defaults, because a scan
 /// over `0..n` needs no thread spawn and no merge (DESIGN.md §17). A
-/// `1x1` plane builds its rows with the monolithic builder, so it runs
-/// the same topology code as `World::step`.
+/// `1x1` plane builds its rows with the monolithic builder on the world's
+/// kernel slot, so it runs the same topology code, on the same kernel, as
+/// `World::step`.
 #[derive(Debug)]
 pub struct ShardPlane {
     layout: ShardLayout,
@@ -164,8 +166,6 @@ pub struct ShardPlane {
     retained: Vec<(u32, u16, Vec2)>,
     /// Scratch: per shard, the next of its rows the merge copies.
     cursors: Vec<usize>,
-    /// The monolithic builder's grid, on which a `1x1` plane builds.
-    grid: SpatialGrid,
 }
 
 impl ShardPlane {
@@ -221,7 +221,6 @@ impl ShardPlane {
             interconnect,
             retained: Vec::new(),
             cursors: vec![0; dims.count()],
-            grid: SpatialGrid::default(),
         })
     }
 
@@ -240,8 +239,8 @@ impl ShardPlane {
     /// margin band. Uniform placement makes `n / shards` the right
     /// first-order estimate; generous slack absorbs density fluctuations
     /// so the steady-state tick never reallocates. The row stores size
-    /// themselves on the first ticks. A `1x1` plane builds no frame (its
-    /// [`SpatialGrid`] sizes itself), so it reserves nothing.
+    /// themselves on the first ticks. A `1x1` plane builds no frame (the
+    /// world's kernel sizes itself), so it reserves nothing.
     fn presize(&mut self, n: usize) {
         let shards = self.shards.len();
         if n == 0 || shards < 2 {
@@ -487,7 +486,7 @@ impl TopologyBuilder for ShardPlane {
         region: SquareRegion,
         radius: f64,
         metric: Metric,
-        _grid: &mut Option<manet_geom::SpatialGrid>,
+        grid: &mut Option<SpatialGrid>,
         out: &mut Topology,
         probe: &mut Probe<'_>,
         now: f64,
@@ -503,7 +502,7 @@ impl TopologyBuilder for ShardPlane {
             self.interconnect.begin_tick(probe, now);
             probe.phase_end(Phase::ShardFlush, t0);
             let c0 = probe.is_spanning().then(Instant::now);
-            out.compute_into(&mut self.grid, positions, region, radius, metric);
+            GridTopology.build_into(positions, region, radius, metric, grid, out, probe, now);
             if let Some(c0) = c0 {
                 probe.span_sample(SpanLabel::ShardCompute, Some(0), None, c0, c0.elapsed());
             }
@@ -612,6 +611,27 @@ mod tests {
             .collect()
     }
 
+    /// 150 nodes at 40 m/s on a 300 m torus with 45 m links: fast enough
+    /// to cross tile boundaries every few ticks.
+    fn fast_world() -> manet_sim::World {
+        use manet_mobility::ConstantVelocity;
+        use manet_sim::{HelloMode, MessageSizes, World};
+        let region = SquareRegion::new(300.0);
+        let mut rng = Rng::seed_from_u64(3);
+        let mobility = ConstantVelocity::new(region, 150, 40.0, &mut rng);
+        World::new(
+            Box::new(mobility),
+            45.0,
+            0.5,
+            Metric::toroidal(300.0),
+            HelloMode::EventDriven,
+            MessageSizes::default(),
+            77,
+        )
+    }
+
+    /// One build of `pts` into a fresh topology. The kernel slot is fresh
+    /// too: a `1x1` plane here builds once, and a larger one uses none.
     fn build(plane: &mut ShardPlane, pts: &[Vec2], radius: f64, metric: Metric) -> Topology {
         let mut topo = Topology::default();
         let mut grid = None;
@@ -701,21 +721,7 @@ mod tests {
     /// are consistent across a moving world.
     #[test]
     fn ownership_partitions_and_migrations_balance() {
-        use manet_mobility::ConstantVelocity;
-        use manet_sim::{HelloMode, MessageSizes, World};
-        let side = 300.0;
-        let region = SquareRegion::new(side);
-        let mut rng = Rng::seed_from_u64(3);
-        let mobility = ConstantVelocity::new(region, 150, 40.0, &mut rng);
-        let mut world = World::new(
-            Box::new(mobility),
-            45.0,
-            0.5,
-            Metric::toroidal(side),
-            HelloMode::EventDriven,
-            MessageSizes::default(),
-            77,
-        );
+        let mut world = fast_world();
         let dims = ShardDims::parse("3x2").unwrap();
         let mut plane = ShardPlane::for_world(&world, dims).unwrap().with_workers(1);
         let mut q = QuietCtx::new();
@@ -865,10 +871,7 @@ mod tests {
     /// identical topologies, events, and shard stats at 1 and 4 workers.
     #[test]
     fn chaos_rows_are_worker_count_invariant() {
-        use manet_mobility::ConstantVelocity;
-        use manet_sim::{HelloMode, LossModel, MessageSizes, StallSchedule, World};
-        let side = 300.0;
-        let region = SquareRegion::new(side);
+        use manet_sim::{LossModel, StallSchedule};
         let dims = ShardDims::parse("3x2").unwrap();
         let chaos = || InterconnectConfig {
             loss: LossModel::Bernoulli { p: 0.3 },
@@ -877,20 +880,7 @@ mod tests {
             max_ghost_staleness: 2,
             ..InterconnectConfig::default()
         };
-        let build_world = || {
-            let mut rng = Rng::seed_from_u64(3);
-            let mobility = ConstantVelocity::new(region, 150, 40.0, &mut rng);
-            World::new(
-                Box::new(mobility),
-                45.0,
-                0.5,
-                Metric::toroidal(side),
-                HelloMode::EventDriven,
-                MessageSizes::default(),
-                77,
-            )
-        };
-        let (mut wa, mut wb) = (build_world(), build_world());
+        let (mut wa, mut wb) = (fast_world(), fast_world());
         let mut pa = ShardPlane::for_world(&wa, dims)
             .unwrap()
             .with_interconnect(chaos())
@@ -935,22 +925,9 @@ mod tests {
     /// merged row is mirrored by its partners' rows.
     #[test]
     fn faulty_ticks_merge_mirrored_rows() {
-        use manet_mobility::ConstantVelocity;
-        use manet_sim::{HelloMode, LossModel, MessageSizes, StallSchedule, World};
-        let side = 300.0;
-        let region = SquareRegion::new(side);
+        use manet_sim::{LossModel, StallSchedule};
         let dims = ShardDims::parse("3x2").unwrap();
-        let mut rng = Rng::seed_from_u64(3);
-        let mobility = ConstantVelocity::new(region, 150, 40.0, &mut rng);
-        let mut world = World::new(
-            Box::new(mobility),
-            45.0,
-            0.5,
-            Metric::toroidal(side),
-            HelloMode::EventDriven,
-            MessageSizes::default(),
-            77,
-        );
+        let mut world = fast_world();
         let config = InterconnectConfig {
             loss: LossModel::Bernoulli { p: 0.3 },
             stall: StallSchedule::poisson(dims.count(), 0.05, 2.0, 64, 5).unwrap(),

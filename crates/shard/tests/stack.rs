@@ -8,7 +8,7 @@ use manet_geom::ShardDims;
 use manet_routing::intra::IntraClusterRouting;
 use manet_shard::{default_workers, InterconnectConfig, ShardPlane, ShardStats};
 use manet_sim::{
-    ChurnSchedule, FaultPlan, HelloMode, HelloProtocol, LossModel, MobilityKind, QuietCtx, Scratch,
+    ChurnSchedule, FaultPlan, HelloMode, HelloProtocol, LossModel, MobilityKind, QuietCtx,
     SimBuilder, StallEvent, StallSchedule, StepCtx, World,
 };
 use manet_stack::{ClusterLayer, ProtocolStack, RouteLayer};
@@ -217,12 +217,12 @@ fn unit_plane_under_a_stall_schedule_matches_world_step() {
         .unwrap()
         .with_interconnect(config)
         .unwrap();
-    let (mut q, mut scratch) = (QuietCtx::new(), Scratch::new());
+    let mut q = QuietCtx::new();
     for tick in 0..80 {
         let a = mono.step(&mut q.ctx());
         let mut events: Vec<Event> = Vec::new();
         let mut probe = Probe::new(Some(&mut events));
-        let b = planed.step_staged(&mut StepCtx::new(&mut probe, &mut scratch), &mut plane);
+        let b = planed.step_staged(&mut StepCtx::new(&mut probe), &mut plane);
         assert_eq!(a, b, "tick {tick}: step report");
         assert_eq!(mono.topology(), planed.topology(), "tick {tick}: rows");
         assert_eq!(mono.last_events(), planed.last_events(), "tick {tick}");

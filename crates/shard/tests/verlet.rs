@@ -4,23 +4,25 @@
 //!
 //! `SpatialGrid` keeps the schedule, reached two ways: directly through
 //! `Topology::compute_into` (as `GridTopology` and `World::step` call
-//! it), and through a `1x1` shard plane, which builds on a `SpatialGrid`
-//! of its own. Every case drives both through the same position
-//! sequence, each chaining its output through two topologies as `World`
-//! does, and requires the exact pairwise rows on every tick and, whenever
-//! the new topology carries events from the previous one, exactly the
-//! events `diff_into` gives. The cases: mobility models that rotate the
-//! lists many times over, a world fast enough to fall back to the plain
-//! sweep, and the adversarial ones — a scratch shared by two worlds,
-//! static nodes, jumping positions, churn, and a reach past half the
-//! side. The plane builds no frame, so it counts no boundary links.
+//! it), and through a `1x1` shard plane, which builds on the kernel slot
+//! its caller passes, as `World::step_staged` passes the world's. Every
+//! case drives both through the same position sequence, each chaining its
+//! output through two topologies as `World` does, and requires the exact
+//! pairwise rows on every tick and, whenever the new topology carries
+//! events from the previous one, exactly the events `diff_into` gives.
+//! The cases: mobility models that rotate the lists many times over, a
+//! world fast enough to fall back to the plain sweep, and the adversarial
+//! ones — one context through two worlds, one world through `World::step`
+//! and its plane in turn, static nodes, jumping positions, churn, and a
+//! reach past half the side. The plane builds no frame, so it counts no
+//! boundary links.
 
 use manet_geom::{candidate_reach, FrameGrid, Metric, ShardDims, SpatialGrid, SquareRegion, Vec2};
 use manet_mobility::{EpochRandomDirection, Mobility, RandomWalk, RandomWaypoint};
 use manet_shard::ShardPlane;
 use manet_sim::{
-    ChurnSchedule, FaultPlan, HelloMode, LinkEvent, LossModel, NodeId, QuietCtx, SimBuilder,
-    Topology, TopologyBuilder, World,
+    ChurnSchedule, FaultPlan, GridTopology, HelloMode, LinkEvent, LossModel, MobilityStage, NodeId,
+    QuietCtx, SimBuilder, Topology, TopologyBuilder, World,
 };
 use manet_telemetry::Probe;
 use manet_util::Rng;
@@ -100,6 +102,9 @@ struct Owners {
     grid: SpatialGrid,
     mono: Chain,
     plane: ShardPlane,
+    /// The kernel slot the plane builds on, kept across ticks as `World`
+    /// keeps its own.
+    slot: Option<SpatialGrid>,
     planed: Chain,
     /// A bare kernel advanced alongside, to tell which ticks may use the
     /// link schedule.
@@ -125,6 +130,7 @@ impl Owners {
             grid: SpatialGrid::default(),
             mono: Chain::default(),
             plane,
+            slot: None,
             planed: Chain::default(),
             probe,
             list_ticks: 0,
@@ -153,7 +159,7 @@ impl Owners {
             self.region,
             self.radius,
             self.metric,
-            &mut None,
+            &mut self.slot,
             &mut self.planed.next,
             &mut Probe::off(),
             0.0,
@@ -336,41 +342,120 @@ fn check_world(world: &World, prev: &Topology, what: &str) {
     );
 }
 
-/// One scratch stepped through two worlds of the same size: each world's
-/// topology and events stay exact, however the kernel's history
-/// interleaves, and neither world takes the other's events.
-#[test]
-fn one_scratch_through_two_worlds() {
-    let build = |seed| {
-        SimBuilder::new()
-            .nodes(N)
-            .side(side())
-            .radius(RADIUS)
-            .speed(10.0)
-            .dt(0.25)
-            .seed(seed)
-            .hello_mode(HelloMode::Disabled)
-            .build()
+/// A world-side stage bundle that runs `inner` and notes whether its
+/// output carried the kernel's link events from `from`, the world's
+/// topology before the tick: exactly the ticks on which `World` takes the
+/// kernel's flips instead of diffing its rows.
+struct Watched<'a> {
+    inner: &'a mut dyn TopologyBuilder,
+    from: u64,
+    kernel_events: bool,
+}
+
+impl MobilityStage for Watched<'_> {}
+
+impl TopologyBuilder for Watched<'_> {
+    fn build_into(
+        &mut self,
+        positions: &[Vec2],
+        region: SquareRegion,
+        radius: f64,
+        metric: Metric,
+        grid: &mut Option<SpatialGrid>,
+        out: &mut Topology,
+        probe: &mut Probe<'_>,
+        now: f64,
+    ) {
+        self.inner
+            .build_into(positions, region, radius, metric, grid, out, probe, now);
+        self.kernel_events = out.events_since(self.from).is_some();
+    }
+}
+
+/// Steps `world` one tick through `builder` (`World::step` runs
+/// `GridTopology`) on a context from `quiet`, checks the tick against the
+/// references, and returns whether the kernel handed the world its events.
+fn step_watched(
+    world: &mut World,
+    quiet: &mut QuietCtx,
+    builder: &mut dyn TopologyBuilder,
+    what: &str,
+) -> bool {
+    let prev = world.topology().clone();
+    let mut watched = Watched {
+        inner: builder,
+        from: prev.stamp(),
+        kernel_events: false,
     };
-    let (mut a, mut b) = (build(1), build(2));
+    world.step_staged(&mut quiet.ctx(), &mut watched);
+    check_world(world, &prev, what);
+    watched.kernel_events
+}
+
+/// A paper-density world at the paper's `v·dt` = 2.5 m, so its kernel
+/// runs the link schedule (`P` = 6).
+fn paper_world(seed: u64) -> SimBuilder {
+    SimBuilder::new()
+        .nodes(N)
+        .side(side())
+        .radius(RADIUS)
+        .speed(10.0)
+        .dt(0.25)
+        .seed(seed)
+        .hello_mode(HelloMode::Disabled)
+}
+
+/// One context through two worlds that alternate every tick: each world
+/// owns its kernel, so each takes its kernel's events on at least 90% of
+/// its ticks after its first two (a shared kernel would see every call's
+/// positions jump to the other world's and sweep plainly), and its rows
+/// and events stay exact.
+#[test]
+fn one_context_through_two_alternating_worlds() {
+    let mut worlds = [paper_world(1).build(), paper_world(2).build()];
     let mut quiet = QuietCtx::new();
-    for tick in 0..TICKS {
-        // A run of ticks on one world, then the other.
-        let (world, other) = if (tick / 7) % 2 == 0 {
-            (&mut a, &b)
-        } else {
-            (&mut b, &a)
-        };
-        let prev = world.topology().clone();
-        world.step(&mut quiet.ctx());
-        check_world(world, &prev, &format!("tick {tick}"));
-        // The kernel last wrote the other world's topology before a
-        // switch: its flips name that stamp, never this world's.
-        assert_eq!(
-            world.topology().events_since(other.topology().stamp()),
-            None
+    let mut kernel_ticks = [0usize; 2];
+    for tick in 0..2 * TICKS {
+        let i = tick % 2;
+        let what = format!("world {i} tick {tick}");
+        let took = step_watched(&mut worlds[i], &mut quiet, &mut GridTopology, &what);
+        // Each world's first two ticks are ticks `i` and `i + 2`.
+        kernel_ticks[i] += usize::from(took && tick >= 4);
+    }
+    for (i, &k) in kernel_ticks.iter().enumerate() {
+        assert!(
+            k * 100 >= (TICKS - 2) * 90,
+            "world {i}: kernel events on {k} ticks"
         );
     }
+}
+
+/// One world stepped by `World::step` and by its `1x1` plane in turn:
+/// both build on the world's one kernel, so the world takes the kernel's
+/// events on at least 90% of its ticks after the first two. Two kernels
+/// would each see a 5 m step per call, too fast for the schedule.
+#[test]
+fn world_step_and_its_unit_plane_share_one_kernel() {
+    let mut world = paper_world(3).build();
+    let mut plane = ShardPlane::for_world(&world, ShardDims::unit())
+        .unwrap()
+        .with_workers(1);
+    let mut quiet = QuietCtx::new();
+    let mut kernel_ticks = 0;
+    for tick in 0..2 * TICKS {
+        let builder: &mut dyn TopologyBuilder = if tick % 2 == 0 {
+            &mut GridTopology
+        } else {
+            &mut plane
+        };
+        let took = step_watched(&mut world, &mut quiet, builder, &format!("tick {tick}"));
+        kernel_ticks += usize::from(took && tick >= 2);
+    }
+    assert!(
+        kernel_ticks * 100 >= (2 * TICKS - 2) * 90,
+        "kernel events on {kernel_ticks} of {} ticks",
+        2 * TICKS - 2
+    );
 }
 
 /// Churn crashes and recovers nodes after the build: `World::step` and
@@ -381,14 +466,7 @@ fn churn_crash_and_recover_keep_rows_exact() {
     let build = || {
         let churn = ChurnSchedule::poisson(N, 0.05, 2.0, 40.0, 0xC4).unwrap();
         assert!(!churn.is_empty());
-        SimBuilder::new()
-            .nodes(N)
-            .side(side())
-            .radius(RADIUS)
-            .speed(10.0)
-            .dt(0.25)
-            .seed(9)
-            .hello_mode(HelloMode::Disabled)
+        paper_world(9)
             .fault(FaultPlan {
                 loss: LossModel::Ideal,
                 churn,
@@ -401,12 +479,12 @@ fn churn_crash_and_recover_keep_rows_exact() {
         .unwrap()
         .with_workers(1);
     let mut owners = Owners::new(mono.region(), RADIUS, mono.metric());
-    let (mut qa, mut qb) = (QuietCtx::new(), QuietCtx::new());
+    let mut quiet = QuietCtx::new();
     let (mut crashed, mut recovered) = (0, 0);
     for tick in 0..3 * TICKS {
         let (prev_mono, prev_planed) = (mono.topology().clone(), planed.topology().clone());
-        let report = mono.step(&mut qa.ctx());
-        planed.step_staged(&mut qb.ctx(), &mut plane);
+        let report = mono.step(&mut quiet.ctx());
+        planed.step_staged(&mut quiet.ctx(), &mut plane);
         crashed += report.crashed;
         recovered += report.recovered;
         check_world(&mono, &prev_mono, &format!("World::step tick {tick}"));

@@ -4,13 +4,12 @@
 //! parameter-twin entry points (a plain `step` next to traced and
 //! faulty variants of itself, and so on). [`StepCtx`] bundles
 //! everything those twins varied — the telemetry [`Probe`], the fault
-//! plane ([`FaultHooks`]), the sim time, and shared scratch buffers — so
-//! every layer exposes exactly one entry point and a future plane adds a
-//! context field instead of a fourth twin (DESIGN.md §12).
+//! plane ([`FaultHooks`]) and the sim time — so every layer exposes
+//! exactly one entry point and a future plane adds a context field
+//! instead of a fourth twin (DESIGN.md §12). A world's tick-to-tick state
+//! (its topology kernel and buffers) lives in the `World` itself.
 
-use crate::topology::{LinkEvent, Topology};
 use crate::NodeId;
-use manet_geom::SpatialGrid;
 use manet_telemetry::Probe;
 
 /// The fate of one attempted CLUSTER send under a fault plane.
@@ -52,44 +51,10 @@ pub struct NoFaults;
 
 impl FaultHooks for NoFaults {}
 
-/// Shared scratch buffers for the steady-state tick loop.
-///
-/// Holding the kernel's frame, its link schedule and the double-buffered
-/// topology here (rather than rebuilding them from scratch each tick)
-/// makes the topology/diff path of `World::step` allocation-free once
-/// capacities have warmed up; this crate's `tests/alloc_free.rs` pins it.
-/// A scratch may serve several worlds: the kernel measures every call's
-/// positions against the previous call's, so its rows stay exact, and
-/// its flips name the stamp of the topology it last wrote, so a world
-/// never takes another world's events.
-#[derive(Debug, Default)]
-pub struct Scratch {
-    /// The unit-disk kernel's 1x1 frame and its link schedule: each tick
-    /// re-tests the due pairs, rebuilds a rotating slice of the lists in
-    /// place, and records the flips against the stamp of the topology it
-    /// wrote last tick (the first tick, and any tick of fast motion,
-    /// sweeps the frame instead).
-    pub(crate) grid: Option<SpatialGrid>,
-    /// The next-tick topology buffer, swapped with the world's current
-    /// topology after the tick's events are in, so both row stores keep
-    /// their capacities.
-    pub(crate) spare: Topology,
-    /// Debug builds' row diff of a tick whose builder recorded the
-    /// events, checked against them (unused in release builds).
-    pub(crate) check: Vec<LinkEvent>,
-}
-
-impl Scratch {
-    /// Fresh, empty scratch buffers (capacities warm up over the first
-    /// couple of ticks).
-    pub fn new() -> Self {
-        Scratch::default()
-    }
-}
-
 /// Per-tick context carried through every layer's single entry point:
-/// telemetry probe, optional fault hooks, current sim time, and the shared
-/// [`Scratch`] buffers.
+/// telemetry probe, optional fault hooks, and the current sim time. It
+/// holds no simulation state, so a context minted fresh every tick steps
+/// a world exactly like a long-lived one.
 ///
 /// Layers read `now` for event timestamps, route telemetry through
 /// `probe`, and consult the hooks via [`StepCtx::is_alive`] /
@@ -103,18 +68,15 @@ pub struct StepCtx<'a, 'p> {
     pub hooks: Option<&'a mut dyn FaultHooks>,
     /// Current sim time, seconds.
     pub now: f64,
-    /// Shared scratch buffers, reused across ticks.
-    pub scratch: &'a mut Scratch,
 }
 
 impl<'a, 'p> StepCtx<'a, 'p> {
     /// A context with no fault hooks at `t = 0`.
-    pub fn new(probe: &'a mut Probe<'p>, scratch: &'a mut Scratch) -> Self {
+    pub fn new(probe: &'a mut Probe<'p>) -> Self {
         StepCtx {
             probe,
             hooks: None,
             now: 0.0,
-            scratch,
         }
     }
 
@@ -190,29 +152,27 @@ impl Drop for TickSpan<'_, '_, '_> {
     }
 }
 
-/// Owned probe-off context bundle for quiet runs (tests and experiments
-/// that want neither telemetry nor faults).
+/// An owned [`Probe::off`] for quiet runs (tests and experiments that
+/// want neither telemetry nor faults).
 ///
-/// Create one per simulation, then mint a fresh [`StepCtx`] per tick; the
-/// [`Scratch`] buffers inside persist across ticks so the hot loop stays
-/// allocation-free.
+/// Mint a fresh [`StepCtx`] per tick from one bundle, or from a new one
+/// each tick: it holds only the probe, so either way the world keeps its
+/// own kernel and buffers, and the hot loop stays allocation-free.
 pub struct QuietCtx {
     probe: Probe<'static>,
-    scratch: Scratch,
 }
 
 impl QuietCtx {
-    /// A quiet bundle: [`Probe::off`] and empty scratch buffers.
+    /// A quiet bundle: [`Probe::off`].
     pub fn new() -> Self {
         QuietCtx {
             probe: Probe::off(),
-            scratch: Scratch::new(),
         }
     }
 
     /// A fresh hookless context at `t = 0` (`World::step` refreshes `now`).
     pub fn ctx(&mut self) -> StepCtx<'_, 'static> {
-        StepCtx::new(&mut self.probe, &mut self.scratch)
+        StepCtx::new(&mut self.probe)
     }
 }
 
@@ -229,8 +189,7 @@ mod tests {
     #[test]
     fn hookless_ctx_is_the_ideal_plane() {
         let mut probe = Probe::off();
-        let mut scratch = Scratch::new();
-        let mut ctx = StepCtx::new(&mut probe, &mut scratch).at(3.5);
+        let mut ctx = StepCtx::new(&mut probe).at(3.5);
         assert_eq!(ctx.now, 3.5);
         assert!(ctx.is_alive(7));
         assert_eq!(ctx.attempt(7), Attempt::Delivered);
@@ -243,10 +202,9 @@ mod tests {
     fn tick_span_guard_records_one_tick_span() {
         use manet_telemetry::{SpanLabel, SpanRecorder};
         let mut spans = SpanRecorder::new();
-        let mut scratch = Scratch::new();
         {
             let mut probe = Probe::new(None).with_spans(Some(&mut spans));
-            let mut ctx = StepCtx::new(&mut probe, &mut scratch).at(2.0);
+            let mut ctx = StepCtx::new(&mut probe).at(2.0);
             let mut span = ctx.tick_span();
             // The guard is a drop-in StepCtx: fields and methods resolve
             // through Deref.
@@ -276,9 +234,8 @@ mod tests {
             }
         }
         let mut probe = Probe::off();
-        let mut scratch = Scratch::new();
         let mut hooks = DeadAndLossy;
-        let mut ctx = StepCtx::new(&mut probe, &mut scratch).with_hooks(&mut hooks);
+        let mut ctx = StepCtx::new(&mut probe).with_hooks(&mut hooks);
         assert!(!ctx.is_alive(1));
         assert!(ctx.is_alive(2));
         assert_eq!(ctx.attempt(2), Attempt::Lost);

@@ -231,7 +231,6 @@ impl HelloProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::Scratch;
     use crate::fault::{Channel, LossModel};
     use manet_geom::{Metric, SquareRegion, Vec2};
 
@@ -251,13 +250,7 @@ mod tests {
         alive: &[bool],
     ) -> (u64, u64) {
         let mut probe = Probe::off();
-        let mut scratch = Scratch::new();
-        h.step(
-            topo,
-            channel,
-            alive,
-            &mut StepCtx::new(&mut probe, &mut scratch).at(now),
-        )
+        h.step(topo, channel, alive, &mut StepCtx::new(&mut probe).at(now))
     }
 
     fn static_topo() -> Topology {
@@ -386,12 +379,11 @@ mod tests {
         let mut sink = Vec::<Event>::new();
         let (sent, lost) = {
             let mut probe = Probe::subscriber(&mut sink);
-            let mut scratch = Scratch::new();
             h.step(
                 &topo,
                 &mut dead_air,
                 &[true; 3],
-                &mut StepCtx::new(&mut probe, &mut scratch).at(1.0),
+                &mut StepCtx::new(&mut probe).at(1.0),
             )
         };
         assert!(sent >= 3);

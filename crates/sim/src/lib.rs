@@ -54,7 +54,7 @@ pub mod world;
 
 pub use builder::{MobilityKind, SimBuilder};
 pub use counters::{Counters, MessageKind, MessageSizes};
-pub use ctx::{Attempt, FaultHooks, NoFaults, QuietCtx, Scratch, StepCtx, TickSpan};
+pub use ctx::{Attempt, FaultHooks, NoFaults, QuietCtx, StepCtx, TickSpan};
 pub use error::SimError;
 pub use fault::{
     Channel, ChurnEvent, ChurnKind, ChurnSchedule, FaultError, FaultPlan, LossModel, StallEvent,

@@ -33,9 +33,14 @@ pub struct LinkEvent {
 /// produces the same sorted neighbor rows as [`GridTopology`] is therefore
 /// observationally identical to the monolithic world by construction. The
 /// shard plane (`manet-shard`) is the non-trivial implementation.
+///
+/// A 1x1 builder holds no kernel of its own: it builds on the world's
+/// kernel slot, so every 1x1 builder of one world steps one link
+/// schedule.
 pub trait TopologyBuilder {
     /// Recomputes the topology of `positions` into `out`, reusing `out`'s
-    /// row store and the scratch `grid` slot where applicable. Every
+    /// row store and, for a 1x1 build, the world's kernel slot `grid`
+    /// (`None` until a build first fills it). Every
     /// row of `out` must end up sorted and cover exactly the unit-disk
     /// neighbors under `metric` — except that a builder with a degraded
     /// internal view (e.g. the shard plane under interconnect faults) may
@@ -62,8 +67,8 @@ pub trait TopologyBuilder {
 }
 
 /// The default [`TopologyBuilder`]: the unit-disk kernel on one 1x1
-/// frame in the scratch slot, whose link schedule carries over from tick
-/// to tick and hands its flips on as the tick's events (see
+/// frame in the world's kernel slot, whose link schedule carries over
+/// from tick to tick and hands its flips on as the tick's events (see
 /// [`SpatialGrid`] and [`Topology::compute_into`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GridTopology;

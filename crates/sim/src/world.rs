@@ -1,31 +1,28 @@
 //! The simulation world: mobility + link tracking + HELLO + accounting.
 
 use crate::counters::{Counters, MessageKind, MessageSizes};
-use crate::ctx::{Scratch, StepCtx};
+use crate::ctx::StepCtx;
 use crate::error::{positive, SimError};
 use crate::fault::{Channel, ChurnKind, FaultPlan, STREAM_HELLO};
 use crate::stage::WorldStages;
 use crate::topology::{GridTopology, LinkEvent, LinkEventKind, Topology};
-use manet_geom::{Metric, SquareRegion, Vec2};
+use manet_geom::{Metric, SpatialGrid, SquareRegion, Vec2};
 use manet_mobility::Mobility;
 use manet_telemetry::{EventKind, Layer, Phase, Probe, RootCause};
 use manet_util::stats::Summary;
 use manet_util::Rng;
 use std::fmt;
 
-/// How HELLO beacons are emitted.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// How the world accounts HELLO beacons.
+///
+/// Periodic beaconing is the explicit [`HelloProtocol`](crate::HelloProtocol),
+/// driven on top of a world with [`HelloMode::Disabled`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HelloMode {
     /// The paper's lower bound: a node beacons exactly when it gains a new
     /// neighbor (one HELLO per endpoint per link generation); link breaks
     /// are detected by soft timers and cost no transmission.
     EventDriven,
-    /// Conventional implementation: every node beacons every `interval`
-    /// seconds regardless of topology changes.
-    Periodic {
-        /// Beacon interval in seconds.
-        interval: f64,
-    },
     /// No HELLO accounting (useful when a layer under test supplies its own
     /// discovery mechanism).
     Disabled,
@@ -55,6 +52,13 @@ pub struct StepReport {
 /// emits [`LinkEvent`]s, runs the HELLO layer, and accumulates
 /// control-message [`Counters`]. Higher layers (clustering, routing) are
 /// driven externally from the event stream — see the crate docs.
+///
+/// The world also owns its topology kernel: the slot every
+/// [`TopologyBuilder`](crate::TopologyBuilder) builds on, whose link
+/// schedule carries over from tick to tick, and the spare topology the
+/// next tick is written into. So a world steps the same, and stays
+/// allocation-free, whatever context and whichever 1x1 builder each tick
+/// comes through.
 pub struct World {
     mobility: Box<dyn Mobility>,
     region: SquareRegion,
@@ -65,10 +69,21 @@ pub struct World {
     measure_start: f64,
     sizes: MessageSizes,
     hello_mode: HelloMode,
-    hello_accum: f64,
     /// The current topology, which also carries the link events of the
     /// latest tick (`Topology::diff_from`).
     topology: Topology,
+    /// The kernel slot handed to every topology build: the unit-disk
+    /// kernel's 1x1 frame and its link schedule, which re-tests the due
+    /// pairs and records the flips against the stamp of the topology it
+    /// wrote last tick. `None` until a 1x1 builder first fills it (a world
+    /// on a multi-shard plane never holds one).
+    grid: Option<SpatialGrid>,
+    /// The next-tick topology buffer, swapped with `topology` after the
+    /// tick's events are in, so both row stores keep their capacities.
+    spare: Topology,
+    /// Debug builds' row diff of a tick whose builder recorded the
+    /// events, checked against them (unused in release builds).
+    check: Vec<LinkEvent>,
     counters: Counters,
     degree_samples: Summary,
     rng: Rng,
@@ -152,6 +167,8 @@ impl World {
         let fault = fault.validated()?;
         fault.churn.check_population(mobility.len())?;
         let region = mobility.region();
+        // The first topology comes from a temporary kernel, so a world on
+        // a multi-shard plane never holds a 1x1 one.
         let mut topology = Topology::compute(mobility.positions(), region, radius, metric);
         let alive = vec![true; mobility.len()];
         let hello_channel = fault.channel(STREAM_HELLO);
@@ -165,8 +182,10 @@ impl World {
             measure_start: 0.0,
             sizes,
             hello_mode,
-            hello_accum: 0.0,
             topology: Topology::empty(0),
+            grid: None,
+            spare: Topology::default(),
+            check: Vec::new(),
             counters: Counters::with_sizes(sizes),
             degree_samples: Summary::new(),
             rng: Rng::seed_from_u64(seed),
@@ -262,6 +281,11 @@ impl World {
         self.sizes
     }
 
+    /// How this world accounts HELLO beacons.
+    pub fn hello_mode(&self) -> HelloMode {
+        self.hello_mode
+    }
+
     /// Current node positions.
     pub fn positions(&self) -> &[Vec2] {
         self.mobility.positions()
@@ -309,11 +333,6 @@ impl World {
         self.alive[u as usize]
     }
 
-    /// Number of nodes currently up.
-    pub fn alive_count(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
-    }
-
     /// Mean of the per-tick mean degree over the measurement window.
     pub fn mean_degree(&self) -> f64 {
         self.degree_samples.mean()
@@ -341,11 +360,11 @@ impl World {
     ///
     /// Cross-cutting planes ride in the [`StepCtx`]: telemetry flows
     /// through `ctx.probe` (with [`Probe::off`] the tick is quiet at zero
-    /// cost — same draws, same counters, same report), and the topology
-    /// rebuild recycles the grid and the row stores held in
-    /// `ctx.scratch`, making the steady-state topology/diff path
-    /// allocation-free. `ctx.now` is refreshed to the post-tick clock so
-    /// downstream layers driven in the same tick observe it.
+    /// cost — same draws, same counters, same report). The topology
+    /// rebuild recycles the world's own kernel and spare topology, making
+    /// the steady-state topology/diff path allocation-free. `ctx.now` is
+    /// refreshed to the post-tick clock so downstream layers driven in the
+    /// same tick observe it.
     pub fn step(&mut self, ctx: &mut StepCtx<'_, '_>) -> StepReport {
         self.step_staged(ctx, &mut GridTopology)
     }
@@ -369,19 +388,19 @@ impl World {
         let (crashed, recovered) = self.apply_due_churn(ctx.probe);
 
         let t0 = ctx.probe.phase_start();
-        // Rebuild the next topology in the shared scratch buffers: the
-        // kernel's frame and the spare topology keep their capacities across
-        // ticks, and the swap recycles the current topology's row store as
-        // next tick's spare. The events land in the new topology:
-        // the builder's, when it recorded them against exactly the current
-        // topology (a link schedule's flips), else the row diff's.
-        let Scratch { grid, spare, check } = &mut *ctx.scratch;
+        // Rebuild the next topology into the spare through the world's
+        // kernel slot: both keep their capacities across ticks, and the
+        // swap recycles the current topology's row store as next tick's
+        // spare. The events land in the new topology: the builder's, when
+        // it recorded them against exactly the current topology (a link
+        // schedule's flips), else the row diff's.
+        let spare = &mut self.spare;
         stages.build_into(
             self.mobility.positions(),
             self.region,
             self.radius,
             self.metric,
-            grid,
+            &mut self.grid,
             spare,
             &mut *ctx.probe,
             self.time,
@@ -392,7 +411,7 @@ impl World {
         if spare.events_since(self.topology.stamp()).is_none() {
             spare.diff_from(&mut self.topology);
         } else if cfg!(debug_assertions) {
-            spare.debug_check_events(&self.topology, check);
+            spare.debug_check_events(&self.topology, &mut self.check);
         }
         std::mem::swap(&mut self.topology, spare);
 
@@ -443,26 +462,15 @@ impl World {
         ctx.probe.phase_end(Phase::Topology, t0);
 
         let t0 = ctx.probe.phase_start();
-        let mut hello_sent = 0u64;
-        match self.hello_mode {
-            HelloMode::EventDriven => {
-                // Each new link prompts one beacon from each endpoint.
-                hello_sent = 2 * generated as u64;
-            }
-            HelloMode::Periodic { interval } => {
-                self.hello_accum += self.dt;
-                while self.hello_accum >= interval {
-                    self.hello_accum -= interval;
-                    // Crashed nodes do not beacon.
-                    hello_sent += self.alive_count() as u64;
-                }
-            }
-            HelloMode::Disabled => {}
-        }
+        let hello_sent = match self.hello_mode {
+            // Each new link prompts one beacon from each endpoint.
+            HelloMode::EventDriven => 2 * generated as u64,
+            HelloMode::Disabled => 0,
+        };
         let mut hello_lost = 0usize;
         if hello_sent > 0 {
             self.counters.record_kind(MessageKind::Hello, hello_sent);
-            if matches!(self.hello_mode, HelloMode::EventDriven) && !gen_causes.is_empty() {
+            if !gen_causes.is_empty() {
                 debug_assert_eq!(hello_sent, 2 * gen_causes.len() as u64);
                 // Attributed event-driven HELLO: two beacons per generated
                 // link, each send charged to its link's root. The counts
@@ -612,26 +620,6 @@ mod tests {
     }
 
     #[test]
-    fn periodic_hello_counts_n_per_interval() {
-        let region = SquareRegion::new(200.0);
-        let mut rng = Rng::seed_from_u64(3);
-        let mobility = EpochRandomDirection::new(region, 50, 5.0, 15.0, &mut rng);
-        let mut w = World::new(
-            Box::new(mobility),
-            40.0,
-            0.5,
-            Metric::toroidal(200.0),
-            HelloMode::Periodic { interval: 2.0 },
-            MessageSizes::default(),
-            9,
-        );
-        let mut q = QuietCtx::new();
-        w.run_for(20.0, &mut q.ctx());
-        // 10 intervals × 50 nodes.
-        assert_eq!(w.counters().messages(MessageKind::Hello), 500);
-    }
-
-    #[test]
     fn measurement_window_excludes_warmup() {
         let mut w = small_world(4);
         let mut q = QuietCtx::new();
@@ -761,11 +749,10 @@ mod tests {
         let mut traced = small_world(55);
         let mut q = QuietCtx::new();
         let mut noop = NoopSubscriber;
-        let mut scratch = Scratch::new();
         for _ in 0..60 {
             let a = plain.step(&mut q.ctx());
             let mut probe = Probe::subscriber(&mut noop);
-            let b = traced.step(&mut StepCtx::new(&mut probe, &mut scratch));
+            let b = traced.step(&mut StepCtx::new(&mut probe));
             assert_eq!(a, b);
         }
         assert_eq!(plain.counters(), traced.counters());
@@ -778,12 +765,11 @@ mod tests {
 
         let mut w = small_world(9);
         let mut sink = Vec::<Event>::new();
-        let mut scratch = Scratch::new();
         let mut generated = 0usize;
         let mut broken = 0usize;
         for _ in 0..40 {
             let mut probe = Probe::subscriber(&mut sink);
-            let r = w.step(&mut StepCtx::new(&mut probe, &mut scratch));
+            let r = w.step(&mut StepCtx::new(&mut probe));
             generated += r.generated;
             broken += r.broken;
         }
@@ -820,11 +806,10 @@ mod tests {
         let mut q = QuietCtx::new();
         let mut sink = Vec::<Event>::new();
         let mut tracker = CauseTracker::new();
-        let mut scratch = Scratch::new();
         for _ in 0..40 {
             let a = plain.step(&mut q.ctx());
             let mut probe = Probe::with_causes(Some(&mut sink), Some(&mut tracker));
-            let b = traced.step(&mut StepCtx::new(&mut probe, &mut scratch));
+            let b = traced.step(&mut StepCtx::new(&mut probe));
             assert_eq!(a, b, "attribution must not perturb the simulation");
         }
         assert_eq!(plain.counters(), traced.counters());
@@ -852,11 +837,10 @@ mod tests {
         assert_eq!(hello, 2 * link_ups);
     }
 
-    #[test]
-    fn churned_link_changes_chain_to_the_churn_root() {
+    /// Twenty static nodes (so only churn changes the topology), node 3
+    /// crashing at t = 1 s and recovering at t = 3 s.
+    fn churned_world() -> World {
         use crate::fault::{ChurnEvent, ChurnKind, ChurnSchedule};
-        use manet_telemetry::{CauseTracker, Event, RootCause};
-
         let region = SquareRegion::new(100.0);
         let mut rng = Rng::seed_from_u64(11);
         let mobility = ConstantVelocity::new(region, 20, 0.0, &mut rng);
@@ -876,7 +860,7 @@ mod tests {
             ]),
             seed: 0,
         };
-        let mut w = World::try_new(
+        World::try_new(
             Box::new(mobility),
             40.0,
             0.5,
@@ -886,14 +870,20 @@ mod tests {
             5,
             fault,
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn churned_link_changes_chain_to_the_churn_root() {
+        use manet_telemetry::{CauseTracker, Event, RootCause};
+
+        let mut w = churned_world();
         assert!(w.topology().degree(3) > 0);
         let mut sink = Vec::<Event>::new();
         let mut tracker = CauseTracker::new();
-        let mut scratch = Scratch::new();
         while w.time() < 3.5 {
             let mut probe = Probe::with_causes(Some(&mut sink), Some(&mut tracker));
-            w.step(&mut StepCtx::new(&mut probe, &mut scratch));
+            w.step(&mut StepCtx::new(&mut probe));
         }
         // The crash's link breaks and the recovery's link formations (and
         // their HELLO beacons) all chain to the churn roots — static nodes,
@@ -948,38 +938,7 @@ mod tests {
 
     #[test]
     fn churn_strips_and_restores_links() {
-        use crate::fault::{ChurnEvent, ChurnKind, ChurnSchedule};
-        let region = SquareRegion::new(100.0);
-        let mut rng = Rng::seed_from_u64(11);
-        // Static nodes so only churn changes the topology.
-        let mobility = ConstantVelocity::new(region, 20, 0.0, &mut rng);
-        let fault = crate::FaultPlan {
-            loss: crate::LossModel::Ideal,
-            churn: ChurnSchedule::new(vec![
-                ChurnEvent {
-                    time: 1.0,
-                    node: 3,
-                    kind: ChurnKind::Crash,
-                },
-                ChurnEvent {
-                    time: 3.0,
-                    node: 3,
-                    kind: ChurnKind::Recover,
-                },
-            ]),
-            seed: 0,
-        };
-        let mut w = World::try_new(
-            Box::new(mobility),
-            40.0,
-            0.5,
-            Metric::toroidal(100.0),
-            HelloMode::EventDriven,
-            MessageSizes::default(),
-            5,
-            fault,
-        )
-        .unwrap();
+        let mut w = churned_world();
         let degree = w.topology().degree(3);
         assert!(degree > 0, "test needs node 3 connected");
         let links_before = w.topology().link_count();
@@ -988,7 +947,7 @@ mod tests {
         let r = w.step(&mut q.ctx()); // t = 1.0: crash fires
         assert_eq!(r.crashed, 1);
         assert!(!w.is_alive(3));
-        assert_eq!(w.alive_count(), 19);
+        assert_eq!(w.alive().iter().filter(|&&up| up).count(), 19);
         assert_eq!(w.topology().degree(3), 0);
         assert_eq!(w.topology().link_count(), links_before - degree);
         let mut recovered = 0;

@@ -49,8 +49,8 @@ fn check_reuse(seed: u64, rounds: usize, max_nodes: usize) {
             Metric::Euclidean
         };
         let positions = random_positions(&mut rng, n, side);
-        // Reuse the grid and the dirty rows exactly as `World::step` does
-        // with its scratch buffers.
+        // Reuse the grid and the dirty rows exactly as `World::step` reuses
+        // its own kernel and spare topology.
         reused.compute_into(&mut grid, &positions, region, radius, metric);
         let fresh = Topology::compute(&positions, region, radius, metric);
         assert_same(&reused, &fresh);

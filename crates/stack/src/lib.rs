@@ -27,8 +27,8 @@
 //! cross-layer loss total (the world-level `StepReport` reports HELLO
 //! drops only, as `hello_lost`).
 //!
-//! Telemetry, fault injection, and scratch reuse all flow through the one
-//! [`StepCtx`] handed to `tick`: a hookless [`QuietCtx`](manet_sim::QuietCtx)
+//! Telemetry and fault injection flow through the one [`StepCtx`] handed
+//! to `tick` (the world keeps its own topology kernel): a hookless [`QuietCtx`](manet_sim::QuietCtx)
 //! runs the stack silently; a probe-carrying ctx makes the same tick emit
 //! the full event stream (batched `MsgSent` rollups per layer, a
 //! `ClusterGauge` every tick, per-stage spans) with bit-identical

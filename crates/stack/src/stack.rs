@@ -4,8 +4,8 @@ use crate::layer::{ClusterLayer, RouteLayer};
 use crate::report::StackReport;
 use crate::stage::{MonoStages, StackStages};
 use manet_sim::{
-    Channel, HelloProtocol, LossModel, MessageKind, StepCtx, World, STREAM_CLUSTER, STREAM_HELLO,
-    STREAM_ROUTE,
+    Channel, HelloMode, HelloProtocol, LossModel, MessageKind, StepCtx, World, STREAM_CLUSTER,
+    STREAM_HELLO, STREAM_ROUTE,
 };
 use manet_telemetry::{AuditSample, EventKind, Layer, MsgClass, Phase};
 
@@ -16,8 +16,9 @@ pub enum HelloDriver {
     World,
     /// An explicit [`HelloProtocol`] stepped by the stack right after the
     /// world tick, over its own channel (lossy HELLO with soft-state
-    /// neighbor views). Pair this with `HelloMode::Disabled` on the world
-    /// so beacons are not double-counted.
+    /// neighbor views). The world must run `HelloMode::Disabled`, so
+    /// beacons are not double-counted ([`ProtocolStack::new`] checks it in
+    /// debug builds).
     Explicit {
         /// The beaconing protocol.
         proto: HelloProtocol,
@@ -86,6 +87,9 @@ struct Parts<C, R> {
 impl<C: ClusterLayer, R: RouteLayer> ProtocolStack<C, R> {
     /// Assembles a stack from explicit parts, on the monolithic
     /// [`MonoStages`] bundle.
+    ///
+    /// In debug builds, panics when an explicit HELLO driver meets a world
+    /// that counts its own HELLOs (any mode but `HelloMode::Disabled`).
     pub fn new(
         world: World,
         cluster: C,
@@ -94,6 +98,10 @@ impl<C: ClusterLayer, R: RouteLayer> ProtocolStack<C, R> {
         ch_cluster: Channel,
         ch_route: Channel,
     ) -> Self {
+        debug_assert!(
+            matches!(hello, HelloDriver::World) || world.hello_mode() == HelloMode::Disabled,
+            "an explicit HELLO driver needs HelloMode::Disabled on the world"
+        );
         ProtocolStack {
             parts: Parts {
                 world,
@@ -569,5 +577,15 @@ mod tests {
         );
         assert!(stack.hello().is_some());
         assert!((stack.world().time() - 20.0).abs() < 1e-9);
+    }
+
+    /// An explicit HELLO driver on a world that counts its own HELLOs
+    /// would count every beacon twice: debug builds refuse the pairing.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "HelloMode::Disabled")]
+    fn explicit_hello_on_a_counting_world_panics() {
+        let hello = HelloProtocol::new(60, 1.0, 3.0);
+        ProtocolStack::faulty(small_world(6), NoClustering, NoRouting, hello);
     }
 }

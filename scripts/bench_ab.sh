@@ -17,9 +17,18 @@
 # perfbench/. The pairs alternate their order (base first, then change
 # first, ...), so a drift of the host's speed falls on both sides. Each
 # pair prints both sides' end-to-end metrics (BENCHMARK.json's
-# `end_to_end` list) and `failed`; the summary prints each metric's
-# median per side, the change/base ratio of the medians, and on how many
-# of the pairs the change was better, by the metric's own `better`.
+# `end_to_end` list) and `failed`. The summary prints, per metric, each
+# side's quartiles (q1, median, q3, by linear interpolation), the
+# change/base ratio of the medians, on how many of the pairs the change
+# was better (by the metric's own `better`), and a no-regression verdict
+# against the metric's `bound`:
+#
+#   worse       the change's median is worse than the base's by more
+#               than the bound (relative to the base's median);
+#   unresolved  not worse, but the base's own spread (interquartile range
+#               over median) is wider than the bound, and not every change
+#               run beats every base run;
+#   ok          otherwise.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -58,8 +67,8 @@ build "$PWD" "$PWD/$root/change"
 bin_base="$root/base/release/perfbench"
 bin_change="$root/change/release/perfbench"
 
-# The end-to-end metrics and which way is better, from BENCHMARK.json.
-mapfile -t metrics < <(sed -n '/"end_to_end"/,/\]/s/.*"name": "\([a-z0-9_]*\)".*"better": "\([a-z]*\)".*/\1 \2/p' BENCHMARK.json)
+# The end-to-end metrics as "name better bound", from BENCHMARK.json.
+mapfile -t metrics < <(sed -n '/"end_to_end"/,/\]/s/.*"name": "\([a-z0-9_]*\)".*"better": "\([a-z]*\)", "bound": \([0-9.]*\).*/\1 \2 \3/p' BENCHMARK.json)
 
 # One run; prints "failed m1 m2 ..." in the order of `metrics`.
 run() { # <binary>
@@ -94,29 +103,44 @@ for p in $(seq 1 "$pairs"); do
 done
 
 echo
-echo "median over $pairs pairs ($workload, seed $seed, ${seconds}s runs; wins = pairs where the change is better)"
-printf '%-14s %14s %14s %8s %6s\n' metric base change ratio wins
+echo "quartiles over $pairs pairs ($workload, seed $seed, ${seconds}s runs; wins = pairs where the change is better)"
+printf '%-14s %11s %11s %11s %11s %11s %11s %7s %6s %6s %s\n' metric \
+    base_q1 base_med base_q3 change_q1 change_med change_q3 ratio wins bound verdict
 col=3
 for m in "${metrics[@]}"; do
     col=$((col + 1))
-    name=${m%% *}
-    better=${m##* }
-    awk -v col="$col" -v name="$name" -v better="$better" '
-        { v[$2, $1] = $col; if ($2 == "base") n++ }
-        function median(side,   i, j, k, a, t) {
-            k = 0
-            for (i = 1; i <= n; i++) a[++k] = v[side, i] + 0
-            for (i = 2; i <= k; i++) { t = a[i]; j = i - 1; while (j > 0 && a[j] > t) { a[j + 1] = a[j]; j-- } a[j + 1] = t }
-            return k % 2 ? a[(k + 1) / 2] : (a[k / 2] + a[k / 2 + 1]) / 2
+    read -r name better bound <<<"$m"
+    awk -v col="$col" -v name="$name" -v better="$better" -v bound="$bound" '
+        { v[$2, $1] = $col; if ($2 == "base") n++; if ($col == "nan") missing = 1 }
+        # Sorts the runs of one side into a[1..n] (insertion sort).
+        function sorted(side, a,   i, j, t) {
+            for (i = 1; i <= n; i++) a[i] = v[side, i] + 0
+            for (i = 2; i <= n; i++) { t = a[i]; j = i - 1; while (j > 0 && a[j] > t) { a[j + 1] = a[j]; j-- } a[j + 1] = t }
+        }
+        # The q-quantile of a[1..n], interpolated linearly between ranks.
+        function quantile(a, q,   h, lo) {
+            h = 1 + (n - 1) * q; lo = int(h)
+            return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
         }
         END {
+            if (missing || n == 0) { printf "%-14s (not reported)\n", name; exit }
             wins = 0
             for (i = 1; i <= n; i++) {
                 b = v["base", i] + 0; c = v["change", i] + 0
                 if ((better == "higher" && c > b) || (better == "lower" && c < b)) wins++
             }
-            mb = median("base"); mc = median("change")
-            printf "%-14s %14.6g %14.6g %8s %3d/%d\n", name, mb, mc, (mb != 0 ? sprintf("%.3f", mc / mb) : "-"), wins, n
+            sorted("base", sb); sorted("change", sc)
+            b1 = quantile(sb, 0.25); mb = quantile(sb, 0.5); b3 = quantile(sb, 0.75)
+            c1 = quantile(sc, 0.25); mc = quantile(sc, 0.5); c3 = quantile(sc, 0.75)
+            # Worse by more than the bound, relative to the base median.
+            worse = better == "higher" ? mc < mb * (1 - bound) : mc > mb * (1 + bound)
+            # Every change run beats every base run.
+            apart = better == "higher" ? sc[1] > sb[n] : sc[n] < sb[1]
+            if (worse) verdict = "worse"
+            else if (mb != 0 && (b3 - b1) / mb > bound && !apart) verdict = "unresolved"
+            else verdict = "ok"
+            printf "%-14s %11.5g %11.5g %11.5g %11.5g %11.5g %11.5g %7s %3d/%-2d %6s %s\n", name,
+                b1, mb, b3, c1, mc, c3, (mb != 0 ? sprintf("%.3f", mc / mb) : "-"), wins, n, bound, verdict
         }' "$results"
 done
 awk '{ if ($3 != 0) bad++ } END { printf "failed runs: %d\n", bad + 0 }' "$results"

@@ -10,7 +10,7 @@ use clustered_manet::experiments::harness::{Protocol, Scenario};
 use clustered_manet::experiments::trace::{trace_run, TelemetryConfig};
 use clustered_manet::routing::intra::IntraClusterRouting;
 use clustered_manet::sim::{
-    ChurnSchedule, FaultPlan, LossModel, MessageKind, QuietCtx, Scratch, SimBuilder, StepCtx,
+    ChurnSchedule, FaultPlan, LossModel, MessageKind, QuietCtx, SimBuilder, StepCtx,
     STREAM_CLUSTER, STREAM_ROUTE,
 };
 use clustered_manet::telemetry::{
@@ -79,10 +79,9 @@ fn every_attributed_event_resolves_to_a_root() {
     let dt = world.dt();
     let mut tracker = CauseTracker::new();
     let mut sink = Vec::<Event>::new();
-    let mut scratch = Scratch::new();
     for _ in 0..280 {
         let mut probe = Probe::with_causes(Some(&mut sink), Some(&mut tracker));
-        let mut ctx = StepCtx::new(&mut probe, &mut scratch);
+        let mut ctx = StepCtx::new(&mut probe);
         world.step(&mut ctx);
         healing.step(world.topology(), world.alive(), &mut ch_cluster, &mut ctx);
         routing.update(

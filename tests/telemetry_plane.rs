@@ -6,7 +6,7 @@
 use clustered_manet::cluster::{Clustering, LowestId};
 use clustered_manet::experiments::harness::{Protocol, Scenario};
 use clustered_manet::experiments::trace::{trace_run, TelemetryConfig};
-use clustered_manet::sim::{HelloMode, MessageKind, QuietCtx, Scratch, SimBuilder, StepCtx, World};
+use clustered_manet::sim::{HelloMode, MessageKind, QuietCtx, SimBuilder, StepCtx, World};
 use clustered_manet::telemetry::{
     read_trace, Event, EventKind, MsgClass, NoopSubscriber, Probe, WindowedRecorder,
 };
@@ -35,11 +35,10 @@ fn noop_subscriber_leaves_the_stack_bit_identical() {
     let mut traced_cluster = Clustering::form(LowestId, traced_world.topology());
     let mut noop = NoopSubscriber;
     let mut quiet = QuietCtx::new();
-    let mut scratch = Scratch::new();
     for _ in 0..120 {
         let plain_report = plain_world.step(&mut quiet.ctx());
         let mut probe = Probe::subscriber(&mut noop);
-        let mut ctx = StepCtx::new(&mut probe, &mut scratch);
+        let mut ctx = StepCtx::new(&mut probe);
         let traced_report = traced_world.step(&mut ctx);
         assert_eq!(plain_report, traced_report);
         plain_cluster.maintain(plain_world.topology(), &mut quiet.ctx());
@@ -60,11 +59,10 @@ fn recorder_windows_match_hand_computed_hello_series() {
     let mut world = build_world(9);
     let mut recorder = WindowedRecorder::new(WIDTH);
     let mut expected: Vec<u64> = Vec::new();
-    let mut scratch = Scratch::new();
     for _ in 0..160 {
         let report = {
             let mut probe = Probe::subscriber(&mut recorder);
-            world.step(&mut StepCtx::new(&mut probe, &mut scratch))
+            world.step(&mut StepCtx::new(&mut probe))
         };
         let hello_sent = 2 * report.generated as u64;
         let idx = (report.time / WIDTH).floor() as usize;
@@ -150,10 +148,9 @@ fn live_subscriber_sees_committed_events_in_order() {
     let mut sink = Vec::<Event>::new();
     let mut links_up = 0usize;
     let mut links_down = 0usize;
-    let mut scratch = Scratch::new();
     for _ in 0..60 {
         let mut probe = Probe::subscriber(&mut sink);
-        let report = world.step(&mut StepCtx::new(&mut probe, &mut scratch));
+        let report = world.step(&mut StepCtx::new(&mut probe));
         links_up += report.generated;
         links_down += report.broken;
     }
