@@ -2,6 +2,7 @@
 //! clustering + intra-cluster routing) over a scenario and measures the
 //! paper's per-node control-message frequencies.
 
+use crate::trace::TraceCapture;
 use manet_cluster::{ClusterPolicy, Clustering, LowestId};
 use manet_geom::{ShardDims, ShardLayoutError};
 use manet_routing::intra::IntraClusterRouting;
@@ -10,6 +11,7 @@ use manet_sim::{
     HelloMode, MessageKind, MobilityKind, QuietCtx, SimBuilder, StepCtx, StepReport, World,
 };
 use manet_stack::{ClusterLayer, ProtocolStack, RouteLayer, StackReport};
+use manet_telemetry::Probe;
 use manet_util::stats::Summary;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -384,7 +386,7 @@ where
     P: ClusterPolicy,
     F: FnMut(u64) -> P,
 {
-    measure_with_policy_ctl(scenario, protocol, None, None, policy_for_seed)
+    measure_with_policy_ctl(scenario, protocol, None, None, None, policy_for_seed)
         .expect("a measurement without a cancel token cannot be cancelled")
 }
 
@@ -396,6 +398,13 @@ where
 /// bins share this loop, which is what makes their outputs
 /// byte-comparable.
 ///
+/// A `capture` observes the first seed's run: its ticks, warmup and
+/// measurement alike, run with the capture's probe instead of a quiet
+/// one. Telemetry never changes a run, so the numbers are those of an
+/// unobserved measurement, and the capture holds the trace a separate
+/// traced run of that seed would write, when its tick count is this
+/// run's (see [`TraceCapture`]).
+///
 /// # Panics
 ///
 /// Panics when the layout's tiles would be narrower than the radio
@@ -406,6 +415,7 @@ pub fn measure_with_policy_ctl<P, F>(
     protocol: &Protocol,
     run: Option<&ShardRun>,
     cancel: Option<&CancelToken>,
+    mut capture: Option<&mut TraceCapture<Vec<u8>>>,
     mut policy_for_seed: F,
 ) -> Option<Measured>
 where
@@ -433,8 +443,8 @@ where
         let clustering = Clustering::form(policy_for_seed(seed), world.topology());
         let stack = ProtocolStack::ideal(world, clustering, IntraClusterRouting::new());
         let mut stack = on_plane(stack, run);
-        let mut quiet = QuietCtx::new();
-        stack.prime(&mut quiet.ctx()); // baseline fill
+        stack.prime(&mut QuietCtx::new().ctx()); // baseline fill
+        let mut observer = capture.take();
 
         // Warmup: run the full stack so the structure reaches steady state.
         let warm_ticks = (protocol.warmup / protocol.dt).round() as usize;
@@ -442,7 +452,7 @@ where
             if tick % CANCEL_CHECK_TICKS == 0 && cancelled(cancel) {
                 return None;
             }
-            stack.tick(&mut quiet.ctx());
+            stack.tick(&mut StepCtx::new(&mut probe_of(observer.as_deref_mut())));
         }
 
         stack.world_mut().begin_measurement();
@@ -453,7 +463,7 @@ where
             if tick % CANCEL_CHECK_TICKS == 0 && cancelled(cancel) {
                 return None;
             }
-            let report = stack.tick(&mut quiet.ctx());
+            let report = stack.tick(&mut StepCtx::new(&mut probe_of(observer.as_deref_mut())));
             p_samples.push(report.head_ratio);
             agg.absorb(report);
         }
@@ -494,6 +504,12 @@ where
         link_gen_rate: link_gen.into(),
         link_change_rate: link_change.into(),
     })
+}
+
+/// The probe a measured tick runs with: the capture's when one observes
+/// the run, else the quiet one.
+fn probe_of(capture: Option<&mut TraceCapture<Vec<u8>>>) -> Probe<'_> {
+    capture.map_or_else(Probe::default, TraceCapture::probe)
 }
 
 /// [`measure_with_policy`] specialized to the paper's LID case study.
@@ -595,6 +611,7 @@ mod tests {
             &Protocol::quick(),
             None,
             Some(&token),
+            None,
             |_| LowestId,
         );
         assert!(m.is_none(), "cancelled measurement must yield no numbers");

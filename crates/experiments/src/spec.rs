@@ -24,12 +24,13 @@ use crate::harness::{
     measure_with_policy_ctl, CancelToken, Estimate, Measured, Protocol, Scenario, ShardRun,
 };
 use crate::robustness::{row_ctl, FaultMeasured, RobustnessRow};
+use crate::trace::{jsonl_text, memory_sink, trace_run_to_sink, TelemetryConfig, TraceCapture};
 use manet_cluster::{HighestConnectivity, LowestId};
 use manet_geom::{ghost_margin, ShardDims, ShardLayout, ShardLayoutError, SquareRegion};
 use manet_model::{DegreeModel, NetworkParams};
 use manet_sim::MobilityKind;
 use manet_util::json::Value;
-use std::fmt;
+use std::{fmt, io};
 
 /// Most nodes one scenario point may ask for: per-node state (position,
 /// neighbor rows, role, HELLO table) is a few hundred bytes, so this keeps
@@ -696,29 +697,103 @@ pub fn run_scenario(
     spec: &ScenarioSpec,
     cancel: Option<&CancelToken>,
 ) -> Result<ScenarioOutput, RunError> {
+    run_observed(spec, cancel, None)
+}
+
+/// Runs `spec` as the jobs plane serves it: [`run_scenario`]'s output,
+/// plus, when `spec.trace` asks for one, the JSONL trace of the spec's
+/// base scenario that [`trace_run_to_string`](crate::trace::trace_run_to_string)
+/// writes (meta line, events, profile line).
+///
+/// When that trace *is* the measurement's first run (a `single` LID spec
+/// whose warmup and measurement tick counts add up to the trace's), the
+/// capture rides along on it and the seed is simulated once. Any other
+/// traced spec captures its trace in a separate run after the
+/// measurement, which polls `cancel` as the measurement does.
+///
+/// # Errors
+///
+/// As [`run_scenario`]; [`RunError::Cancelled`] also when `cancel` fired
+/// during a separate capture, and [`RunError::Invalid`] when writing the
+/// in-memory trace failed.
+pub fn run_scenario_with_trace(
+    spec: &ScenarioSpec,
+    cancel: Option<&CancelToken>,
+) -> Result<(ScenarioOutput, Option<String>), RunError> {
+    if !spec.trace {
+        return run_scenario(spec, cancel).map(|output| (output, None));
+    }
+    let config = TelemetryConfig::in_memory(spec.kind.name());
+    let (scenario, protocol) = (spec.scenario(), spec.protocol());
+    let sink = Some(memory_sink());
+    let (output, writer) = if traces_its_run(spec) {
+        let mut capture = TraceCapture::new(&scenario, &protocol, &config, sink);
+        let output = run_observed(spec, cancel, Some(&mut capture))?;
+        let (.., writer) = capture.finish().map_err(capture_failed)?;
+        (output, writer)
+    } else {
+        let output = run_scenario(spec, cancel)?;
+        let run = spec.shard_run();
+        let (_, writer) =
+            trace_run_to_sink(&scenario, &protocol, &config, run.as_ref(), sink, cancel)
+                .map_err(capture_failed)?
+                .ok_or(RunError::Cancelled)?;
+        (output, writer)
+    };
+    Ok((output, Some(jsonl_text(writer).map_err(capture_failed)?)))
+}
+
+/// Whether `spec`'s trace is exactly its measurement's first run: the
+/// trace runs LID on the base scenario for `round((warmup + measure) /
+/// dt)` ticks from `t = 0`, which is what a `single` LID measurement
+/// ticks for its first seed when the warmup's and the measurement's
+/// rounded tick counts add up to it.
+fn traces_its_run(spec: &ScenarioSpec) -> bool {
+    let ticks = |seconds: f64| (seconds / spec.dt).round() as usize;
+    spec.kind == SpecKind::Single
+        && spec.policy == PolicyKind::Lid
+        && ticks(spec.warmup + spec.measure) == ticks(spec.warmup) + ticks(spec.measure)
+}
+
+fn capture_failed(e: io::Error) -> RunError {
+    RunError::Invalid(format!("trace capture failed: {e}"))
+}
+
+/// [`run_scenario`] with an optional capture observing the first seed of
+/// a `single` spec's measurement.
+fn run_observed(
+    spec: &ScenarioSpec,
+    cancel: Option<&CancelToken>,
+    capture: Option<&mut TraceCapture<Vec<u8>>>,
+) -> Result<ScenarioOutput, RunError> {
     spec.validate().map_err(RunError::Invalid)?;
     let protocol = spec.protocol();
     let run = spec.shard_run();
     let run = run.as_ref();
-    let measure_point = |s: &Scenario| -> Option<Measured> {
+    let measure_point = |s: &Scenario,
+                         capture: Option<&mut TraceCapture<Vec<u8>>>|
+     -> Option<Measured> {
         match spec.policy {
-            PolicyKind::Lid => measure_with_policy_ctl(s, &protocol, run, cancel, |_| LowestId),
+            PolicyKind::Lid => {
+                measure_with_policy_ctl(s, &protocol, run, cancel, capture, |_| LowestId)
+            }
             PolicyKind::Hcc => {
-                measure_with_policy_ctl(s, &protocol, run, cancel, |_| HighestConnectivity)
+                measure_with_policy_ctl(s, &protocol, run, cancel, capture, |_| HighestConnectivity)
             }
         }
     };
+    let sweep_point = |s: &Scenario| measure_point(s, None);
     match spec.kind {
-        SpecKind::Fig1VsRange => sweep_with("r/a", spec.sweep_scenarios(), measure_point)
+        SpecKind::Fig1VsRange => sweep_with("r/a", spec.sweep_scenarios(), sweep_point)
             .map(ScenarioOutput::Figure)
             .ok_or(RunError::Cancelled),
-        SpecKind::Fig2VsVelocity => sweep_with("v [m/s]", spec.sweep_scenarios(), measure_point)
+        SpecKind::Fig2VsVelocity => sweep_with("v [m/s]", spec.sweep_scenarios(), sweep_point)
             .map(ScenarioOutput::Figure)
             .ok_or(RunError::Cancelled),
-        SpecKind::Fig3VsDensity => sweep_with("rho [1/m^2]", spec.sweep_scenarios(), measure_point)
+        SpecKind::Fig3VsDensity => sweep_with("rho [1/m^2]", spec.sweep_scenarios(), sweep_point)
             .map(ScenarioOutput::Figure)
             .ok_or(RunError::Cancelled),
-        SpecKind::Single => measure_point(&spec.scenario())
+        SpecKind::Single => measure_point(&spec.scenario(), capture)
             .map(ScenarioOutput::Single)
             .ok_or(RunError::Cancelled),
         SpecKind::Robustness => {
@@ -965,6 +1040,68 @@ mod tests {
         let cancel = CancelToken::new();
         cancel.cancel();
         assert_eq!(run_scenario(&spec, Some(&cancel)), Err(RunError::Cancelled));
+    }
+
+    /// A traced spec runs once exactly when its trace is its
+    /// measurement's first run: the jobs-mix traced point does; an HCC
+    /// point, a robustness or figure spec, and a point whose warmup and
+    /// measurement round to 2 + 2 ticks of the trace's 3 do not.
+    #[test]
+    fn only_a_trace_that_is_the_first_run_rides_on_it() {
+        let jobs_mix = r#"{"kind":"single","nodes":200,"side":707.1067811865475,"radius":150,
+            "speed":10,"epoch":20,"warmup":5,"measure":10,"dt":0.25,"seeds":[1],"trace":true}"#;
+        let spec = ScenarioSpec::from_json(jobs_mix).expect("jobs-mix spec");
+        assert!(traces_its_run(&spec));
+        for other in [
+            ScenarioSpec {
+                policy: PolicyKind::Hcc,
+                ..spec.clone()
+            },
+            ScenarioSpec {
+                trace: true,
+                ..ScenarioSpec::preset(SpecKind::Robustness)
+            },
+            ScenarioSpec {
+                trace: true,
+                ..ScenarioSpec::preset(SpecKind::Fig1VsRange)
+            },
+            ScenarioSpec {
+                warmup: 0.375,
+                measure: 0.375,
+                ..spec.clone()
+            },
+        ] {
+            assert_eq!(other.validate(), Ok(()));
+            assert!(!traces_its_run(&other), "{}", other.canonical());
+        }
+    }
+
+    /// The one-run path rides the trace on the first seed only: with two
+    /// seeds the numbers are the plain run's and the trace is the first
+    /// seed's, as a separate capture writes it (profile line aside).
+    #[test]
+    fn a_one_run_trace_is_the_first_seeds_capture() {
+        let spec = ScenarioSpec {
+            seeds: vec![7, 8],
+            trace: true,
+            ..tiny_single()
+        };
+        assert!(traces_its_run(&spec));
+        let (output, trace) = run_scenario_with_trace(&spec, None).expect("traced run");
+        assert_eq!(output, run_scenario(&spec, None).expect("plain run"));
+        let config = TelemetryConfig::in_memory(spec.kind.name());
+        let (_, direct) =
+            crate::trace::trace_run_to_string(&spec.scenario(), &spec.protocol(), &config, None)
+                .expect("separate capture");
+        let events = |t: &str| -> Vec<String> {
+            t.lines()
+                .filter(|l| !l.starts_with(r#"{"type":"profile""#))
+                .map(str::to_string)
+                .collect()
+        };
+        let trace = trace.expect("a traced spec returns its trace");
+        assert!(events(&trace).len() > 100);
+        assert_eq!(events(&trace), events(&direct));
     }
 
     #[test]

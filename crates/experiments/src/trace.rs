@@ -14,7 +14,9 @@
 //! proper and writes its JSONL trace there, summarized on stdout.
 //! `bin/trace_report` re-reads such files.
 
-use crate::harness::{on_plane, sim_builder, Protocol, Scenario, ShardRun};
+use crate::harness::{
+    on_plane, sim_builder, CancelToken, Protocol, Scenario, ShardRun, CANCEL_CHECK_TICKS,
+};
 use manet_cluster::{Clustering, LowestId};
 use manet_model::overhead::{contact_unit_cost, route_unit_cost, RouteLinkModel};
 use manet_routing::intra::IntraClusterRouting;
@@ -251,6 +253,102 @@ impl Subscriber for TickFan<'_> {
     }
 }
 
+/// One traced run's trace: its meta line, the event fan-out
+/// ([`TraceOut`]: windowed recorder plus optional JSONL sink), the span
+/// recorder, and the closing profile line. Both loops that trace a run
+/// write the trace format through it: [`trace_run_to_sink`], and the
+/// first seed of a measurement handed one
+/// ([`measure_with_policy_ctl`](crate::harness::measure_with_policy_ctl)),
+/// which is how a traced `single` job simulates its seed once.
+#[derive(Debug)]
+pub struct TraceCapture<W: Write> {
+    meta: TraceMeta,
+    out: TraceOut<W>,
+    spans: SpanRecorder,
+}
+
+impl<W: Write> TraceCapture<W> {
+    /// Opens the capture of `protocol`'s first seed over `scenario`
+    /// (`warmup + measure` sim seconds from `t = 0`) and writes the meta
+    /// line.
+    pub(crate) fn new(
+        scenario: &Scenario,
+        protocol: &Protocol,
+        config: &TelemetryConfig,
+        sink: Option<JsonlSink<W>>,
+    ) -> TraceCapture<W> {
+        let meta = TraceMeta {
+            label: config.label.clone(),
+            nodes: scenario.nodes as u64,
+            window: config.window,
+            dt: protocol.dt,
+            duration: protocol.warmup + protocol.measure,
+            seed: protocol.seeds.first().copied().unwrap_or(1),
+        };
+        let mut out = TraceOut::new(config.window, sink);
+        out.write_meta(&meta);
+        let spans = match config.span_ring() {
+            Some(cap) => SpanRecorder::new().with_ring(cap),
+            None => SpanRecorder::new(),
+        };
+        TraceCapture { meta, out, spans }
+    }
+
+    /// The probe one traced tick runs with: every event to the fan-out,
+    /// every span to the recorder.
+    pub(crate) fn probe(&mut self) -> Probe<'_> {
+        Probe::new(Some(&mut self.out)).with_spans(Some(&mut self.spans))
+    }
+
+    /// Closes the trace with its profile line: the meta, the windowed
+    /// recorder, the spans, their profile, and the sink's flushed writer.
+    ///
+    /// # Errors
+    ///
+    /// Returns the sink's first latched I/O error.
+    pub(crate) fn finish(
+        mut self,
+    ) -> io::Result<(
+        TraceMeta,
+        WindowedRecorder,
+        SpanRecorder,
+        ProfileReport,
+        Option<W>,
+    )> {
+        let profile = self.spans.profile();
+        let recorder = std::mem::replace(
+            &mut self.out.recorder,
+            WindowedRecorder::new(self.meta.window),
+        );
+        let writer = self.out.finish_into(&profile)?;
+        Ok((self.meta, recorder, self.spans, profile, writer))
+    }
+}
+
+/// An in-memory JSONL sink, as the jobs plane captures traces into.
+///
+/// The sink writes each line whole, so an empty buffer's first size would
+/// be its first line's, the meta line's, and it would double through
+/// multiples of that: the 436 KB trace of an N = 200, 60-tick point (an
+/// 89-byte meta line) would end in a 712 KiB buffer. Starting at 4 KiB
+/// keeps the doublings on powers of two, so that trace ends in 512 KiB,
+/// as it did when lines were written piece by piece. A worker holds this
+/// buffer and the trace's copy at once when the job finishes.
+pub(crate) fn memory_sink() -> JsonlSink<Vec<u8>> {
+    JsonlSink::new(Vec::with_capacity(4096))
+}
+
+/// The text of an in-memory trace sink's bytes.
+///
+/// # Errors
+///
+/// `InvalidData` when the bytes are not UTF-8 (unreachable for the
+/// in-house encoders).
+pub(crate) fn jsonl_text(writer: Option<Vec<u8>>) -> io::Result<String> {
+    let bytes = writer.expect("a provided sink always yields its writer back");
+    String::from_utf8(bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
 /// Runs the ideal stack once (first seed of `protocol`) with telemetry
 /// attached, tracing from `t = 0` for `warmup + measure` sim seconds.
 ///
@@ -297,7 +395,9 @@ pub fn trace_run_chaos(
         Some(path) => Some(JsonlSink::create(path)?),
         None => None,
     };
-    trace_run_to_sink(scenario, protocol, config, run, sink).map(|(run, _)| run)
+    let (run, _) = trace_run_to_sink(scenario, protocol, config, run, sink, None)?
+        .expect("a traced run without a cancel token cannot be cancelled");
+    Ok(run)
 }
 
 /// Captures a traced run's JSONL bytes in memory instead of a file: the
@@ -316,19 +416,19 @@ pub fn trace_run_to_string(
     config: &TelemetryConfig,
     run: Option<&ShardRun>,
 ) -> io::Result<(TraceRun, String)> {
-    let sink = JsonlSink::new(Vec::new());
-    let (run, writer) = trace_run_to_sink(scenario, protocol, config, run, Some(sink))?;
-    let bytes = writer.expect("a provided sink always yields its writer back");
-    let text =
-        String::from_utf8(bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    Ok((run, text))
+    let sink = memory_sink();
+    let (run, writer) = trace_run_to_sink(scenario, protocol, config, run, Some(sink), None)?
+        .expect("a traced run without a cancel token cannot be cancelled");
+    Ok((run, jsonl_text(writer)?))
 }
 
-/// The writer-generic core of every traced run: drives the telemetry
-/// tick loop against an explicit JSONL `sink` (ignoring
+/// The writer-generic, cancellable core of every traced run: drives the
+/// telemetry tick loop against an explicit JSONL `sink` (ignoring
 /// [`TelemetryConfig::out`], which only the file-path frontends read)
 /// and hands the writer back alongside the [`TraceRun`] so callers can
-/// recover in-memory trace bytes.
+/// recover in-memory trace bytes. Polls `cancel` every
+/// [`CANCEL_CHECK_TICKS`] ticks, as the measurement loops do, and
+/// returns `Ok(None)` once it fired: a cancelled capture yields no trace.
 ///
 /// # Errors
 ///
@@ -344,22 +444,12 @@ pub fn trace_run_to_sink<W: Write>(
     config: &TelemetryConfig,
     run: Option<&ShardRun>,
     sink: Option<JsonlSink<W>>,
-) -> io::Result<(TraceRun, Option<W>)> {
-    let seed = protocol.seeds.first().copied().unwrap_or(1);
-    let duration = protocol.warmup + protocol.measure;
-    let world = sim_builder(scenario, protocol.dt, seed)
+    cancel: Option<&CancelToken>,
+) -> io::Result<Option<(TraceRun, Option<W>)>> {
+    let mut capture = TraceCapture::new(scenario, protocol, config, sink);
+    let world = sim_builder(scenario, protocol.dt, capture.meta.seed)
         .hello_mode(HelloMode::EventDriven)
         .build();
-    let meta = TraceMeta {
-        label: config.label.clone(),
-        nodes: scenario.nodes as u64,
-        window: config.window,
-        dt: protocol.dt,
-        duration,
-        seed,
-    };
-    let mut out = TraceOut::new(config.window, sink);
-    out.write_meta(&meta);
     let mut attrib = config.attribution.then(|| AttribState {
         tracker: CauseTracker::new(),
         ledger: AttributionLedger::new(),
@@ -372,17 +462,18 @@ pub fn trace_run_to_sink<W: Write>(
     stack.prime(&mut QuietCtx::new().ctx()); // baseline fill, uncharged
 
     let mut flight = config.flight.map(FlightRecorder::new);
-    let mut spans = match config.span_ring() {
-        Some(cap) => SpanRecorder::new().with_ring(cap),
-        None => SpanRecorder::new(),
-    };
     let mut trigger = FlightTrigger::new();
     let live = live_publisher();
     let started = Instant::now();
     let mut published_windows = usize::MAX;
 
+    let duration = capture.meta.duration;
     let ticks = (duration / protocol.dt).round() as usize;
     for tick in 0..ticks {
+        if tick % CANCEL_CHECK_TICKS == 0 && cancel.is_some_and(CancelToken::is_cancelled) {
+            return Ok(None);
+        }
+        let TraceCapture { meta, out, spans } = &mut capture;
         let mut fan;
         let probe = if attrib.is_some() || flight.is_some() {
             let (ledger, audit, tracker) = match attrib.as_mut() {
@@ -394,16 +485,16 @@ pub fn trace_run_to_sink<W: Write>(
                 None => (None, None, None),
             };
             fan = TickFan {
-                out: &mut out,
+                out,
                 ledger,
                 audit,
                 flight: flight.as_mut(),
             };
             Probe::with_causes(Some(&mut fan), tracker)
         } else {
-            Probe::new(Some(&mut out))
+            Probe::new(Some(out))
         };
-        let mut probe = probe.with_spans(Some(&mut spans));
+        let mut probe = probe.with_spans(Some(spans));
         let report = stack.tick(&mut StepCtx::new(&mut probe));
 
         // Feed the invariant monitors a post-maintenance structural sample.
@@ -415,7 +506,7 @@ pub fn trace_run_to_sink<W: Write>(
         if let (Some(fr), Some(st)) = (flight.as_ref(), attrib.as_ref()) {
             if trigger.check(st.audit.violation_count()) {
                 if let Some(path) = &config.flight_out {
-                    fr.dump_to(path, &meta, "audit-violation")?;
+                    fr.dump_to(path, meta, "audit-violation")?;
                     println!(
                         "[flight] audit violation: ring dumped -> {}",
                         path.display()
@@ -435,8 +526,8 @@ pub fn trace_run_to_sink<W: Write>(
                     attrib.as_ref(),
                     &stack.stages().snapshot(),
                     flight.as_ref(),
-                    &spans,
-                    &meta,
+                    spans,
+                    meta,
                     (tick + 1) as u64,
                     report.time,
                     started.elapsed(),
@@ -445,9 +536,7 @@ pub fn trace_run_to_sink<W: Write>(
         }
     }
 
-    let profile = spans.profile();
-    let recorder = std::mem::replace(&mut out.recorder, WindowedRecorder::new(config.window));
-    let writer = out.finish_into(&profile)?;
+    let (meta, recorder, spans, profile, writer) = capture.finish()?;
 
     // A run that never tripped the audit still leaves a black box behind.
     if let (Some(fr), Some(path), false) = (flight.as_ref(), &config.flight_out, trigger.fired()) {
@@ -495,7 +584,7 @@ pub fn trace_run_to_sink<W: Write>(
             ),
         )?;
     }
-    Ok((
+    Ok(Some((
         TraceRun {
             meta,
             counters: stack.world().counters().clone(),
@@ -507,7 +596,7 @@ pub fn trace_run_to_sink<W: Write>(
             spans,
         },
         writer,
-    ))
+    )))
 }
 
 /// Renders one [`TelemetrySnapshot`] for the live exporter: the same
@@ -855,6 +944,38 @@ mod tests {
         assert!(text.contains("unit costs"));
         assert!(text.contains("link_gen"));
         assert!(audit_text(&attr.audit).contains("clean"));
+    }
+
+    /// The capture core polls its token as the measurement loops do: a
+    /// fired token ends it with no trace, an unfired one changes nothing.
+    #[test]
+    fn a_fired_token_cancels_the_capture() {
+        let (scenario, protocol) = smoke();
+        let config = TelemetryConfig::in_memory("cancel");
+        let capture = |cancel: &CancelToken| {
+            let sink = memory_sink();
+            trace_run_to_sink(
+                &scenario,
+                &protocol,
+                &config,
+                None,
+                Some(sink),
+                Some(cancel),
+            )
+            .expect("in-memory capture")
+            .map(|(_, writer)| jsonl_text(writer).expect("UTF-8 trace"))
+        };
+        let fired = CancelToken::new();
+        fired.cancel();
+        assert_eq!(capture(&fired), None);
+        let text = capture(&CancelToken::new()).expect("an unfired token runs to the end");
+        let (_, plain) = trace_run_to_string(&scenario, &protocol, &config, None).unwrap();
+        let events = |t: &str| {
+            t.lines()
+                .filter(|l| l.contains(r#""type":"event""#))
+                .count()
+        };
+        assert_eq!(events(&text), events(&plain));
     }
 
     #[test]

@@ -18,9 +18,12 @@
 //!   result bytes, so a repeat submission is an O(1) hit returning the
 //!   exact bytes of the first run.
 //! * [`server`] — the fixed worker pool executing specs in-process
-//!   through [`run_scenario`](manet_experiments::spec::run_scenario)
-//!   (no subprocess per job), with panics contained per-job and an
-//!   injectable runner for tests.
+//!   through
+//!   [`run_scenario_with_trace`](manet_experiments::spec::run_scenario_with_trace)
+//!   (no subprocess per job; a traced `single` job simulates its seed
+//!   once), with panics contained per-job, an injectable runner for
+//!   tests, and per-kind run-time and queue-wait histograms on
+//!   `/metrics`.
 //! * `http` (private) — the jobs routes on the shared
 //!   [`HttpListener`](manet_telemetry::HttpListener): `POST /jobs`,
 //!   `GET /jobs/:id`, `GET /jobs/:id/result`, `GET /jobs/:id/trace`,

@@ -22,6 +22,7 @@ use manet_experiments::harness::CancelToken;
 use manet_experiments::spec::ScenarioSpec;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Monotonic job identifier (also the submission order).
 pub type JobId = u64;
@@ -91,6 +92,9 @@ pub struct Job {
     pub trace: Option<Arc<str>>,
     /// Cooperative cancellation handle the executing worker polls.
     pub cancel: CancelToken,
+    /// When the job last entered the pending queue (submit, or a panic
+    /// retry): the start of its queue wait.
+    pub queued_at: Instant,
 }
 
 /// Monotonic counters the `/metrics` endpoint exports.
@@ -192,6 +196,7 @@ impl JobQueue {
             result,
             trace,
             cancel: CancelToken::new(),
+            queued_at: Instant::now(),
         });
         if hit {
             SubmitOutcome::CacheHit(id)
@@ -218,9 +223,9 @@ impl JobQueue {
     }
 
     /// Pops the next runnable job, marking it `running` and handing the
-    /// worker its spec and cancel token. Skips jobs cancelled while
-    /// queued.
-    pub fn take_next(&mut self) -> Option<(JobId, ScenarioSpec, CancelToken)> {
+    /// worker its spec, its cancel token and how long it waited in the
+    /// queue. Skips jobs cancelled while queued.
+    pub fn take_next(&mut self) -> Option<(JobId, ScenarioSpec, CancelToken, Duration)> {
         while let Some(id) = self.pending.pop_front() {
             let Some(job) = self.jobs.get_mut(&id) else {
                 continue;
@@ -230,7 +235,8 @@ impl JobQueue {
             }
             job.status = JobStatus::Running;
             job.attempts += 1;
-            return Some((id, job.spec.clone(), job.cancel.clone()));
+            let waited = job.queued_at.elapsed();
+            return Some((id, job.spec.clone(), job.cancel.clone(), waited));
         }
         None
     }
@@ -278,6 +284,7 @@ impl JobQueue {
         };
         if job.status == JobStatus::Running && job.attempts < self.max_attempts {
             job.status = JobStatus::Queued;
+            job.queued_at = Instant::now();
             self.metrics.retries += 1;
             self.pending.push_back(id);
             true
@@ -370,7 +377,7 @@ mod tests {
         let id = submit(&mut q);
         assert_eq!(q.job(id).unwrap().status, JobStatus::Queued);
         assert_eq!(q.queue_depth(), 1);
-        let (taken, _, _) = q.take_next().expect("one pending job");
+        let (taken, ..) = q.take_next().expect("one pending job");
         assert_eq!(taken, id);
         assert_eq!(q.job(id).unwrap().status, JobStatus::Running);
         assert_eq!(q.job(id).unwrap().attempts, 1);
@@ -412,7 +419,7 @@ mod tests {
         let b = submit(&mut q);
         assert_eq!(q.cancel(a), CancelOutcome::Cancelled);
         assert_eq!(q.job(a).unwrap().status, JobStatus::Cancelled);
-        let (taken, _, _) = q.take_next().expect("b still runnable");
+        let (taken, ..) = q.take_next().expect("b still runnable");
         assert_eq!(taken, b);
         assert_eq!(q.cancel(a), CancelOutcome::AlreadyTerminal);
         assert_eq!(q.cancel(999), CancelOutcome::Unknown);
@@ -422,7 +429,7 @@ mod tests {
     fn cancel_running_fires_the_token_and_waits_for_the_worker() {
         let mut q = JobQueue::new(4, 2);
         let id = submit(&mut q);
-        let (_, _, token) = q.take_next().unwrap();
+        let (_, _, token, _) = q.take_next().unwrap();
         assert!(!token.is_cancelled());
         assert_eq!(q.cancel(id), CancelOutcome::Signalled);
         assert!(token.is_cancelled());
@@ -441,7 +448,7 @@ mod tests {
         assert!(q.retry_or_fail(id, "boom".into()));
         assert_eq!(q.job(id).unwrap().status, JobStatus::Queued);
         assert_eq!(q.metrics.retries, 1);
-        let (again, _, _) = q.take_next().unwrap();
+        let (again, ..) = q.take_next().unwrap();
         assert_eq!(again, id);
         assert_eq!(q.job(id).unwrap().attempts, 2);
         assert!(!q.retry_or_fail(id, "boom".into()));
@@ -455,7 +462,7 @@ mod tests {
     fn terminal_jobs_evict_once_the_table_cap_is_hit() {
         let mut q = JobQueue::new(JOBS_CAP + 10, 1);
         let first = submit(&mut q);
-        let (_, _, _) = q.take_next().unwrap();
+        let _ = q.take_next().unwrap();
         q.complete(first, "r".into(), None);
         for _ in 0..JOBS_CAP {
             submit(&mut q);

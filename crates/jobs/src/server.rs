@@ -1,7 +1,7 @@
 //! The job server: fixed worker pool, shared state, panic containment.
 //!
 //! Workers execute specs **in-process** through
-//! [`run_scenario`] — no
+//! [`run_scenario_with_trace`] — no
 //! subprocess per job — under `catch_unwind`, so a panicking scenario
 //! costs one retry (then a terminal `failed`), never a wedged pool. All
 //! coordination is one `Mutex<State>` + `Condvar`: workers sleep on the
@@ -13,10 +13,10 @@ use crate::cache::{CacheEntry, ResultCache};
 use crate::http::route;
 use crate::queue::{CancelOutcome, JobId, JobQueue, JobStatus, SubmitOutcome};
 use manet_experiments::harness::CancelToken;
-use manet_experiments::spec::{result_json, run_scenario, RunError, ScenarioSpec};
-use manet_experiments::trace::{trace_run_to_string, TelemetryConfig};
-use manet_telemetry::HttpListener;
+use manet_experiments::spec::{result_json, run_scenario_with_trace, RunError, ScenarioSpec};
+use manet_telemetry::{escape_label_value, write_histogram, Histogram, HttpListener};
 use manet_util::json::Value;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
 use std::net::SocketAddr;
@@ -65,24 +65,14 @@ pub struct JobOutput {
 pub type JobRunner =
     Arc<dyn Fn(&ScenarioSpec, &CancelToken) -> Result<JobOutput, RunError> + Send + Sync>;
 
-/// The production runner: [`run_scenario`] into
-/// [`result_json`] bytes, plus an
-/// in-memory JSONL trace of the spec's base scenario when `spec.trace`
-/// asks for one.
+/// The production runner: [`run_scenario_with_trace`] into
+/// [`result_json`] bytes, plus the in-memory JSONL trace of the spec's
+/// base scenario when `spec.trace` asks for one (captured on the
+/// measurement's own first run when the trace is that run).
 pub fn default_runner() -> JobRunner {
     Arc::new(|spec, cancel| {
-        let output = run_scenario(spec, Some(cancel))?;
+        let (output, trace) = run_scenario_with_trace(spec, Some(cancel))?;
         let result = result_json(spec, &output).to_string();
-        let trace = if spec.trace {
-            let config = TelemetryConfig::in_memory(spec.kind.name());
-            let run = spec.shard_run();
-            let (_, text) =
-                trace_run_to_string(&spec.scenario(), &spec.protocol(), &config, run.as_ref())
-                    .map_err(|e| RunError::Invalid(format!("trace capture failed: {e}")))?;
-            Some(text)
-        } else {
-            None
-        };
         Ok(JobOutput { result, trace })
     })
 }
@@ -92,6 +82,16 @@ pub fn default_runner() -> JobRunner {
 pub(crate) struct State {
     pub(crate) queue: JobQueue,
     pub(crate) cache: ResultCache,
+    /// Per-(kind, trace) timings of every execution reported back.
+    times: BTreeMap<(&'static str, bool), JobTimes>,
+}
+
+/// How long the executions of one (kind, trace) class of jobs waited in
+/// the queue and ran, for the `/metrics` histograms.
+#[derive(Debug, Clone, Copy, Default)]
+struct JobTimes {
+    wait: Histogram,
+    run: Histogram,
 }
 
 /// Everything workers and the HTTP layer share.
@@ -140,6 +140,7 @@ impl Shared {
             state: Mutex::new(State {
                 queue: JobQueue::new(config.queue_cap, config.max_attempts),
                 cache: ResultCache::new(config.cache_cap),
+                times: BTreeMap::new(),
             }),
             work: Condvar::new(),
             stop: AtomicBool::new(false),
@@ -188,10 +189,12 @@ impl Shared {
         self.lock().queue.cancel(id)
     }
 
-    /// The `/metrics` exposition: `manet_jobs_*` gauges and counters.
+    /// The `/metrics` exposition: `manet_jobs_*` gauges, counters, and
+    /// the run-time and queue-wait histograms per (kind, trace).
     pub(crate) fn metrics_text(&self) -> String {
         let state = self.lock();
         let metrics = state.queue.metrics;
+        let times = state.times.clone();
         let gauges: [(&str, &str, u64); 5] = [
             (
                 "manet_jobs_queue_depth",
@@ -269,6 +272,20 @@ impl Shared {
         for (name, help, value) in counters {
             family(&mut out, name, "counter", help, value);
         }
+        histogram_family(
+            &mut out,
+            "manet_jobs_run_seconds",
+            "Seconds a worker ran a job, by kind and trace.",
+            &times,
+            |t| &t.run,
+        );
+        histogram_family(
+            &mut out,
+            "manet_jobs_queue_wait_seconds",
+            "Seconds a job waited from submit (or panic retry) until a worker took it.",
+            &times,
+            |t| &t.wait,
+        );
         out
     }
 
@@ -286,9 +303,28 @@ impl Shared {
     }
 }
 
-fn family(out: &mut String, name: &str, kind: &str, help: &str, value: u64) {
+fn header(out: &mut String, name: &str, kind: &str, help: &str) {
     let _ = writeln!(out, "# HELP {name} {help}");
     let _ = writeln!(out, "# TYPE {name} {kind}");
+}
+
+/// One histogram family with a series per (kind, trace) class run so far.
+fn histogram_family(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    times: &BTreeMap<(&'static str, bool), JobTimes>,
+    hist: impl Fn(&JobTimes) -> &Histogram,
+) {
+    header(out, name, "histogram", help);
+    for ((kind, trace), t) in times {
+        let labels = format!("kind=\"{}\",trace=\"{trace}\"", escape_label_value(kind));
+        write_histogram(out, name, &labels, hist(t));
+    }
+}
+
+fn family(out: &mut String, name: &str, kind: &str, help: &str, value: u64) {
+    header(out, name, kind, help);
     let _ = writeln!(out, "{name} {value}");
 }
 
@@ -304,7 +340,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 
 fn worker_loop(shared: &Shared) {
     loop {
-        let (id, spec, cancel) = {
+        let (id, spec, cancel, waited) = {
             let mut state = shared.lock();
             loop {
                 if shared.stop.load(Ordering::SeqCst) {
@@ -317,9 +353,17 @@ fn worker_loop(shared: &Shared) {
             }
         };
         shared.active.fetch_add(1, Ordering::SeqCst);
+        let started = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| (shared.runner)(&spec, &cancel)));
+        let ran = started.elapsed();
         shared.active.fetch_sub(1, Ordering::SeqCst);
         let mut state = shared.lock();
+        let times = state
+            .times
+            .entry((spec.kind.name(), spec.trace))
+            .or_default();
+        times.wait.record(waited.as_secs_f64());
+        times.run.record(ran.as_secs_f64());
         match outcome {
             Ok(Ok(output)) => {
                 let result: Arc<str> = output.result.into();

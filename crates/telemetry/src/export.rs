@@ -12,6 +12,7 @@
 use crate::attribution::AttributionLedger;
 use crate::cause::RootCause;
 use crate::event::MsgClass;
+use crate::hist::Histogram;
 use crate::span::{SpanLabel, SpanRecorder};
 use crate::window::WindowedRecorder;
 use std::fmt::Write;
@@ -19,6 +20,21 @@ use std::fmt::Write;
 fn header(out: &mut String, name: &str, help: &str, kind: &str) {
     let _ = writeln!(out, "# HELP {name} {help}");
     let _ = writeln!(out, "# TYPE {name} {kind}");
+}
+
+/// Writes one series of a histogram family: cumulative `{name}_bucket`
+/// lines at the histogram's non-empty log2 edges, the `le="+Inf"` bucket,
+/// then `{name}_sum` and `{name}_count`. `labels` is the series' label
+/// list without braces, its values already escaped.
+pub fn write_histogram(out: &mut String, name: &str, labels: &str, h: &Histogram) {
+    let mut cum = 0u64;
+    for (edge, count) in h.buckets() {
+        cum += count;
+        let _ = writeln!(out, "{name}_bucket{{{labels},le=\"{edge}\"}} {cum}");
+    }
+    let _ = writeln!(out, "{name}_bucket{{{labels},le=\"+Inf\"}} {}", h.count());
+    let _ = writeln!(out, "{name}_sum{{{labels}}} {}", h.sum());
+    let _ = writeln!(out, "{name}_count{{{labels}}} {}", h.count());
 }
 
 /// Escapes a label value per the text-exposition grammar: backslash,
@@ -322,21 +338,7 @@ pub fn prometheus_text(
                     escape_label_value(label.name()),
                     shard_label
                 );
-                let mut cum = 0u64;
-                for (edge, count) in h.buckets() {
-                    cum += count;
-                    let _ = writeln!(
-                        out,
-                        "manet_stage_seconds_bucket{{{base},le=\"{edge}\"}} {cum}"
-                    );
-                }
-                let _ = writeln!(
-                    out,
-                    "manet_stage_seconds_bucket{{{base},le=\"+Inf\"}} {}",
-                    h.count()
-                );
-                let _ = writeln!(out, "manet_stage_seconds_sum{{{base}}} {}", h.sum());
-                let _ = writeln!(out, "manet_stage_seconds_count{{{base}}} {}", h.count());
+                write_histogram(&mut out, "manet_stage_seconds", &base, h);
             }
         }
     }

@@ -17,7 +17,7 @@
 //! dump file — pinned by the chaos-determinism integration test.
 
 use crate::event::{Event, Subscriber};
-use crate::sink::{event_to_value, TraceMeta};
+use crate::sink::{write_event, TraceMeta};
 use std::io::{self, Write};
 use std::path::Path;
 
@@ -98,16 +98,16 @@ impl FlightRecorder {
 
     /// Renders the ring as a JSONL trace: one meta line whose label is
     /// `"{label}#flight:{reason}"`, then the retained events oldest
-    /// first. The output parses with [`read_trace`](crate::read_trace)
-    /// and replays like any full trace.
+    /// first, each written straight into the output by the trace sink's
+    /// event encoder. The output parses with
+    /// [`read_trace`](crate::read_trace) and replays like any full trace.
     pub fn dump_string(&self, meta: &TraceMeta, reason: &str) -> String {
         let mut flight_meta = meta.clone();
         flight_meta.label = format!("{}#flight:{reason}", meta.label);
-        let mut out = String::new();
-        out.push_str(&flight_meta.to_value().to_string());
+        let mut out = flight_meta.to_value().to_string();
         out.push('\n');
         for event in self.iter() {
-            out.push_str(&event_to_value(event).to_string());
+            write_event(&mut out, event);
             out.push('\n');
         }
         out

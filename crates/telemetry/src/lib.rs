@@ -86,7 +86,9 @@ pub use attribution::{is_root_anchor, root_weight, AttributionLedger, ChainEntry
 pub use audit::{AuditConfig, AuditMonitor, AuditReport, AuditSample, AuditViolation};
 pub use cause::{Cause, CauseId, CauseTracker, RootCause};
 pub use event::{Event, EventKind, Layer, MsgClass, NodeId, NoopSubscriber, Probe, Subscriber};
-pub use export::{escape_label_value, prometheus_text, ShardGaugeRow, ShardSnapshot};
+pub use export::{
+    escape_label_value, prometheus_text, write_histogram, ShardGaugeRow, ShardSnapshot,
+};
 pub use flight::{FlightRecorder, FlightTrigger};
 pub use hist::{Histogram, HIST_BUCKETS};
 pub use profile::{Phase, PhaseSummary, ProfileReport};

@@ -17,7 +17,8 @@ use crate::cause::{Cause, CauseId, RootCause};
 use crate::event::{Event, EventKind, Layer, MsgClass, Subscriber};
 use crate::profile::{Phase, PhaseSummary, ProfileReport};
 use crate::window::WindowedRecorder;
-use manet_util::json::Value;
+use manet_util::json::{self, Value};
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
@@ -66,60 +67,58 @@ impl TraceMeta {
     }
 }
 
-/// Encodes one event as its `{"type":"event",...}` line payload.
-pub fn event_to_value(event: &Event) -> Value {
-    let mut pairs = vec![
-        ("type".into(), Value::from("event")),
-        ("t".into(), Value::from(event.time)),
-        ("layer".into(), Value::from(event.layer.name())),
-        ("kind".into(), Value::from(event.kind.name())),
-    ];
-    let node = |pairs: &mut Vec<(String, Value)>, key: &str, id: u32| {
-        pairs.push((key.to_string(), Value::from(u64::from(id))));
-    };
+/// Appends `event`'s line payload (no newline) to `line`: the one encoder
+/// of event lines, behind [`JsonlSink`] and the flight recorder's dumps.
+///
+/// It writes the text straight, with no [`Value`] tree: the keys and the
+/// layer, kind, class and root-cause names are static identifiers that
+/// need no escaping, and every number goes through [`json::write_num`],
+/// [`Value::Num`]'s own rule (integer ids and counts as `Value::from(u64)`
+/// would carry them). So a line is byte for byte what encoding the same
+/// object as a [`Value`] writes, which the per-kind test pins.
+pub(crate) fn write_event(line: &mut String, event: &Event) {
+    line.push_str("{\"type\":\"event\",\"t\":");
+    let _ = json::write_num(line, event.time);
+    name_field(line, "layer", event.layer.name());
+    name_field(line, "kind", event.kind.name());
     match event.kind {
         EventKind::LinkUp { a, b } | EventKind::LinkDown { a, b } => {
-            node(&mut pairs, "a", a);
-            node(&mut pairs, "b", b);
+            num_field(line, "a", a.into());
+            num_field(line, "b", b.into());
         }
-        EventKind::NodeCrashed { node: n }
-        | EventKind::NodeRecovered { node: n }
-        | EventKind::HeadElected { node: n } => node(&mut pairs, "node", n),
+        EventKind::NodeCrashed { node }
+        | EventKind::NodeRecovered { node }
+        | EventKind::HeadElected { node } => num_field(line, "node", node.into()),
         EventKind::MsgSent { class, count } | EventKind::MsgLost { class, count } => {
-            pairs.push(("class".into(), Value::from(class.name())));
-            pairs.push(("count".into(), Value::from(count)));
+            name_field(line, "class", class.name());
+            num_field(line, "count", count);
         }
-        EventKind::HeadResigned { node: n, new_head } => {
-            node(&mut pairs, "node", n);
-            node(&mut pairs, "new_head", new_head);
+        EventKind::HeadResigned { node, new_head } => {
+            num_field(line, "node", node.into());
+            num_field(line, "new_head", new_head.into());
         }
         EventKind::MemberReaffiliated { member, head } | EventKind::HeadLost { member, head } => {
-            node(&mut pairs, "member", member);
-            node(&mut pairs, "head", head);
+            num_field(line, "member", member.into());
+            num_field(line, "head", head.into());
         }
         EventKind::RouteRoundStarted { head, size, rounds } => {
-            node(&mut pairs, "head", head);
-            pairs.push(("size".into(), Value::from(size)));
-            pairs.push(("rounds".into(), Value::from(rounds)));
+            num_field(line, "head", head.into());
+            num_field(line, "size", size);
+            num_field(line, "rounds", rounds);
         }
-        EventKind::RetxScheduled {
-            node: n,
-            wait_ticks,
-        } => {
-            node(&mut pairs, "node", n);
-            pairs.push(("wait_ticks".into(), Value::from(wait_ticks)));
+        EventKind::RetxScheduled { node, wait_ticks } => {
+            num_field(line, "node", node.into());
+            num_field(line, "wait_ticks", wait_ticks);
         }
-        EventKind::ClusterGauge { heads } => {
-            pairs.push(("heads".into(), Value::from(heads)));
-        }
+        EventKind::ClusterGauge { heads } => num_field(line, "heads", heads),
         EventKind::InterconnectLost { src, dst, count } => {
-            pairs.push(("src".into(), Value::from(u64::from(src))));
-            pairs.push(("dst".into(), Value::from(u64::from(dst))));
-            pairs.push(("count".into(), Value::from(count)));
+            num_field(line, "src", src.into());
+            num_field(line, "dst", dst.into());
+            num_field(line, "count", count);
         }
         EventKind::InterconnectStalled { shard, ticks } => {
-            pairs.push(("shard".into(), Value::from(u64::from(shard))));
-            pairs.push(("ticks".into(), Value::from(ticks)));
+            num_field(line, "shard", shard.into());
+            num_field(line, "ticks", ticks);
         }
         EventKind::GhostStale {
             src,
@@ -127,22 +126,43 @@ pub fn event_to_value(event: &Event) -> Value {
             staleness,
             dropped,
         } => {
-            pairs.push(("src".into(), Value::from(u64::from(src))));
-            pairs.push(("dst".into(), Value::from(u64::from(dst))));
-            pairs.push(("staleness".into(), Value::from(staleness)));
-            pairs.push(("dropped".into(), Value::from(dropped)));
+            num_field(line, "src", src.into());
+            num_field(line, "dst", dst.into());
+            num_field(line, "staleness", staleness);
+            num_field(line, "dropped", dropped);
         }
         EventKind::InterconnectRecovered { src, dst, resync } => {
-            pairs.push(("src".into(), Value::from(u64::from(src))));
-            pairs.push(("dst".into(), Value::from(u64::from(dst))));
-            pairs.push(("resync".into(), Value::from(resync)));
+            num_field(line, "src", src.into());
+            num_field(line, "dst", dst.into());
+            num_field(line, "resync", resync);
         }
     }
     if let Some(cause) = event.cause {
-        pairs.push(("cause".into(), Value::from(cause.id.0)));
-        pairs.push(("root".into(), Value::from(cause.root.name())));
+        num_field(line, "cause", cause.id.0);
+        name_field(line, "root", cause.root.name());
     }
-    Value::Obj(pairs)
+    line.push('}');
+}
+
+/// `,"key":` — every field after the first.
+fn key(line: &mut String, key: &str) {
+    line.push_str(",\"");
+    line.push_str(key);
+    line.push_str("\":");
+}
+
+/// A string field whose value is a static name (no escaping needed).
+fn name_field(line: &mut String, k: &str, name: &str) {
+    key(line, k);
+    line.push('"');
+    line.push_str(name);
+    line.push('"');
+}
+
+/// An integer field, numbered as `Value::from(u64)` would carry it.
+fn num_field(line: &mut String, k: &str, n: u64) {
+    key(line, k);
+    let _ = json::write_num(line, n as f64);
 }
 
 /// Decodes an event line payload (`None` on any shape mismatch).
@@ -292,6 +312,8 @@ pub fn profile_from_value(v: &Value) -> Option<ProfileReport> {
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     writer: W,
+    /// The line being encoded, cleared and reused for every line.
+    line: String,
     error: Option<io::Error>,
 }
 
@@ -317,27 +339,36 @@ impl<W: Write> JsonlSink<W> {
     pub fn new(writer: W) -> JsonlSink<W> {
         JsonlSink {
             writer,
+            line: String::new(),
             error: None,
         }
     }
 
-    fn write_line(&mut self, v: &Value) {
+    /// Encodes one line into the reused buffer and writes it whole.
+    fn write_line(&mut self, encode: impl FnOnce(&mut String)) {
         if self.error.is_some() {
             return;
         }
-        if let Err(e) = writeln!(self.writer, "{v}") {
+        self.line.clear();
+        encode(&mut self.line);
+        self.line.push('\n');
+        if let Err(e) = self.writer.write_all(self.line.as_bytes()) {
             self.error = Some(e);
         }
     }
 
     /// Writes the run-metadata line (call once, first).
     pub fn write_meta(&mut self, meta: &TraceMeta) {
-        self.write_line(&meta.to_value());
+        self.write_line(|line| {
+            let _ = write!(line, "{}", meta.to_value());
+        });
     }
 
     /// Writes the end-of-run profile line.
     pub fn write_profile(&mut self, report: &ProfileReport) {
-        self.write_line(&profile_to_value(report));
+        self.write_line(|line| {
+            let _ = write!(line, "{}", profile_to_value(report));
+        });
     }
 
     /// Flushes and returns the first latched I/O error, if any.
@@ -369,7 +400,7 @@ impl<W: Write> JsonlSink<W> {
 
 impl<W: Write> Subscriber for JsonlSink<W> {
     fn event(&mut self, event: &Event) {
-        self.write_line(&event_to_value(event));
+        self.write_line(|line| write_event(line, event));
     }
 }
 
@@ -628,14 +659,114 @@ mod tests {
         ]
     }
 
+    fn line_of(event: &Event) -> String {
+        let mut line = String::new();
+        write_event(&mut line, event);
+        line
+    }
+
     #[test]
     fn every_event_kind_round_trips_through_json() {
         for event in sample_events() {
-            let v = event_to_value(&event);
-            let text = v.to_string();
+            let text = line_of(&event);
             let parsed = Value::parse(&text).unwrap();
             assert_eq!(event_from_value(&parsed), Some(event), "{text}");
         }
+    }
+
+    /// The encoder writes names as they are: every one it can write must
+    /// be a string the `Value` encoder leaves unescaped.
+    #[test]
+    fn every_name_the_encoder_writes_needs_no_escaping() {
+        let kinds = sample_events().into_iter().map(|e| e.kind.name());
+        let names = Layer::ALL
+            .iter()
+            .map(|l| l.name())
+            .chain(MsgClass::ALL.iter().map(|c| c.name()))
+            .chain(RootCause::ALL.iter().map(|r| r.name()))
+            .chain(kinds);
+        for name in names {
+            assert_eq!(Value::from(name).to_string(), format!("\"{name}\""));
+        }
+    }
+
+    /// The exact bytes of one line per event kind (with the cause tags of
+    /// an attributed run on three of them), as the `Value` tree encoder
+    /// wrote them before event lines were encoded directly; then the
+    /// number edge cases: a fractional time, counts and times at and above
+    /// 2^53, the largest `u32` id and `u64` cause id, and non-finite times,
+    /// which encode as `null`.
+    #[test]
+    fn every_event_kind_writes_its_pinned_line() {
+        let pinned = [
+            r#"{"type":"event","t":0.25,"layer":"sim","kind":"link_up","a":3,"b":17}"#,
+            r#"{"type":"event","t":0.25,"layer":"sim","kind":"link_down","a":1,"b":2}"#,
+            r#"{"type":"event","t":0.5,"layer":"sim","kind":"msg_sent","class":"HELLO","count":12}"#,
+            r#"{"type":"event","t":0.5,"layer":"hello","kind":"msg_lost","class":"HELLO","count":2}"#,
+            r#"{"type":"event","t":0.75,"layer":"sim","kind":"node_crashed","node":9}"#,
+            r#"{"type":"event","t":1,"layer":"sim","kind":"node_recovered","node":9}"#,
+            r#"{"type":"event","t":1.25,"layer":"cluster","kind":"head_elected","node":4}"#,
+            r#"{"type":"event","t":1.25,"layer":"cluster","kind":"head_resigned","node":6,"new_head":4,"cause":3,"root":"head_contact"}"#,
+            r#"{"type":"event","t":1.25,"layer":"cluster","kind":"member_reaffiliated","member":8,"head":4}"#,
+            r#"{"type":"event","t":1.25,"layer":"cluster","kind":"head_lost","member":8,"head":6,"cause":4,"root":"head_loss"}"#,
+            r#"{"type":"event","t":1.5,"layer":"routing","kind":"route_round_started","head":4,"size":7,"rounds":2}"#,
+            r#"{"type":"event","t":1.5,"layer":"cluster","kind":"retx_scheduled","node":6,"wait_ticks":8}"#,
+            r#"{"type":"event","t":2,"layer":"cluster","kind":"cluster_gauge","heads":40}"#,
+            r#"{"type":"event","t":2.25,"layer":"sim","kind":"interconnect_lost","src":0,"dst":1,"count":5,"cause":5,"root":"interconnect_fault"}"#,
+            r#"{"type":"event","t":2.25,"layer":"sim","kind":"interconnect_stalled","shard":2,"ticks":3}"#,
+            r#"{"type":"event","t":2.5,"layer":"sim","kind":"ghost_stale","src":1,"dst":0,"staleness":5,"dropped":4}"#,
+            r#"{"type":"event","t":2.75,"layer":"sim","kind":"interconnect_recovered","src":0,"dst":1,"resync":6}"#,
+            r#"{"type":"event","t":0.30000000000000004,"layer":"sim","kind":"link_up","a":0,"b":4294967295}"#,
+            r#"{"type":"event","t":1000000000000000000000,"layer":"sim","kind":"msg_sent","class":"ROUTE","count":9007199254740992}"#,
+            r#"{"type":"event","t":0,"layer":"sim","kind":"msg_lost","class":"CLUSTER","count":18446744073709552000}"#,
+            r#"{"type":"event","t":null,"layer":"sim","kind":"cluster_gauge","heads":9007199254740992}"#,
+            r#"{"type":"event","t":null,"layer":"sim","kind":"route_round_started","head":1,"size":9007199254740991,"rounds":0}"#,
+            r#"{"type":"event","t":0.00000025,"layer":"sim","kind":"link_down","a":5,"b":6,"cause":18446744073709552000,"root":"link_break"}"#,
+        ];
+        let sim = |time: f64, kind: EventKind| ev(time, Layer::Sim, kind);
+        let mut events = sample_events();
+        let kinds: std::collections::BTreeSet<&str> =
+            events.iter().map(|e| e.kind.name()).collect();
+        assert_eq!(kinds.len(), 17, "one sample event per kind");
+        events.extend([
+            sim(0.1 + 0.2, EventKind::LinkUp { a: 0, b: u32::MAX }),
+            sim(
+                1e21,
+                EventKind::MsgSent {
+                    class: MsgClass::Route,
+                    count: (1 << 53) + 1,
+                },
+            ),
+            sim(
+                -0.0,
+                EventKind::MsgLost {
+                    class: MsgClass::Cluster,
+                    count: u64::MAX,
+                },
+            ),
+            sim(f64::NAN, EventKind::ClusterGauge { heads: 1 << 53 }),
+            sim(
+                f64::INFINITY,
+                EventKind::RouteRoundStarted {
+                    head: 1,
+                    size: (1 << 53) - 1,
+                    rounds: 0,
+                },
+            ),
+            caused(
+                sim(2.5e-7, EventKind::LinkDown { a: 5, b: 6 }),
+                u64::MAX,
+                RootCause::LinkBreak,
+            ),
+        ]);
+        assert_eq!(events.len(), pinned.len());
+        let mut sink = JsonlSink::new(Vec::new());
+        for (event, want) in events.iter().zip(pinned) {
+            assert_eq!(line_of(event), want);
+            sink.event(event);
+        }
+        let written = String::from_utf8(sink.finish_into().unwrap()).unwrap();
+        assert_eq!(written, pinned.map(|l| format!("{l}\n")).concat());
     }
 
     #[test]

@@ -160,17 +160,7 @@ impl fmt::Display for Value {
         match self {
             Value::Null => f.write_str("null"),
             Value::Bool(b) => write!(f, "{b}"),
-            Value::Num(x) => {
-                if !x.is_finite() {
-                    // JSON has no NaN/Inf; encode as null rather than emit
-                    // an unparsable document.
-                    f.write_str("null")
-                } else if x.fract() == 0.0 && x.abs() < 2f64.powi(53) {
-                    write!(f, "{}", *x as i64)
-                } else {
-                    write!(f, "{x}")
-                }
-            }
+            Value::Num(x) => write_num(f, *x),
             Value::Str(s) => write_escaped(f, s),
             Value::Arr(items) => {
                 f.write_str("[")?;
@@ -196,6 +186,43 @@ impl fmt::Display for Value {
             }
         }
     }
+}
+
+/// Writes `x` as [`Value::Num`] encodes it: an integral value below 2⁵³ in
+/// magnitude as an integer, any other finite value by `f64`'s `Display`,
+/// and NaN or an infinity as `null` (JSON has neither, and `null` keeps
+/// the document parsable). Encoders that write JSON text directly, such
+/// as the telemetry plane's trace lines, number through this so their
+/// bytes match the [`Value`] encoder's.
+///
+/// # Errors
+///
+/// Propagates the writer's error (none for a `String`).
+pub fn write_num<W: fmt::Write>(w: &mut W, x: f64) -> fmt::Result {
+    if !x.is_finite() {
+        return w.write_str("null");
+    }
+    if x.fract() != 0.0 || x.abs() >= 2f64.powi(53) {
+        return write!(w, "{x}");
+    }
+    // Integral and exact in an i64: its decimal digits, written here
+    // rather than through `i64`'s formatter (the hot case of trace lines).
+    let int = x as i64;
+    let mut n = int.unsigned_abs();
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if int < 0 {
+        w.write_char('-')?;
+    }
+    w.write_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"))
 }
 
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
@@ -471,6 +498,23 @@ mod tests {
         assert_eq!(Value::Num(-7.0).to_string(), "-7");
         assert_eq!(Value::from(2.5).to_string(), "2.5");
         assert_eq!(Value::Num(f64::NAN).to_string(), "null");
+        for (x, text) in [
+            (0.0, "0"),
+            (-0.0, "0"),
+            (9_007_199_254_740_991.0, "9007199254740991"),
+            (-9_007_199_254_740_991.0, "-9007199254740991"),
+            (9_007_199_254_740_992.0, "9007199254740992"),
+            (u64::MAX as f64, "18446744073709552000"),
+            (1e21, "1000000000000000000000"),
+            (0.1 + 0.2, "0.30000000000000004"),
+            (-2.5e-7, "-0.00000025"),
+            (f64::NEG_INFINITY, "null"),
+        ] {
+            assert_eq!(Value::Num(x).to_string(), text, "{x:e}");
+            let mut direct = String::new();
+            write_num(&mut direct, x).unwrap();
+            assert_eq!(direct, text, "{x:e}");
+        }
     }
 
     #[test]

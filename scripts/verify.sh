@@ -46,6 +46,16 @@ if grep -rn "TcpListener::bind" crates/*/src src --include='*.rs' \
     exit 1
 fi
 
+echo "==> one-encoder guard (one event-line encoder, DESIGN.md §10)"
+# Every trace event line (the JSONL sinks, flight dumps and the live
+# /flight snapshot) is written straight into its output by
+# manet-telemetry's sink::write_event, with no Value tree per line. Fail
+# the build if the tree-building event encoder reappears.
+if grep -rn "event_to_value" crates src --include='*.rs'; then
+    echo "verify: FAIL — event_to_value found (encode event lines with sink::write_event)" >&2
+    exit 1
+fi
+
 echo "==> hermetic guard (property tests are seeded cases, no proptest)"
 # Every property test draws seeded manet_util::Rng cases and runs in
 # tier 1; the proptest crate needs the network. Fail the build if the

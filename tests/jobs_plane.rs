@@ -13,10 +13,14 @@
 //! 2. **The service equals the bins**: the HTTP result body for a
 //!    `fig1_vs_range`, `fig2_vs_velocity`, `fig3_vs_density` or
 //!    `robustness` spec is byte-identical to calling [`run_scenario`] +
-//!    [`result_json`] directly — the exact code path those bins run.
+//!    [`result_json`] directly — the exact code path those bins run —
+//!    and a traced job's `/trace` is [`trace_run_to_string`]'s text,
+//!    whether the job captured it on its measurement's own run or in a
+//!    separate one.
 
 use manet_experiments::harness::CancelToken;
 use manet_experiments::spec::{result_json, run_scenario, RunError, ScenarioSpec};
+use manet_experiments::trace::{trace_run_to_string, TelemetryConfig};
 use manet_jobs::{JobOutput, JobRunner, JobServer, JobServerConfig};
 use manet_util::json::Value;
 use std::io::{Read, Write};
@@ -173,6 +177,61 @@ fn service_result_is_worker_count_invariant_and_equals_the_bin_path() {
     }
 }
 
+/// A trace without its profile line, whose span timings are wall clock.
+fn without_profile(trace: &str) -> String {
+    let lines: Vec<&str> = trace
+        .lines()
+        .filter(|line| !line.starts_with(r#"{"type":"profile""#))
+        .collect();
+    assert_eq!(
+        lines.len() + 1,
+        trace.lines().count(),
+        "a trace ends with one profile line"
+    );
+    lines.join("\n")
+}
+
+#[test]
+fn traced_jobs_equal_the_direct_paths() {
+    let server =
+        JobServer::serve("127.0.0.1:0", JobServerConfig::default()).expect("bind ephemeral port");
+    let addr = server.local_addr().unwrap();
+    // The first spec's trace is its measurement's first run, captured on
+    // that run; the HCC single and the robustness spec capture theirs in
+    // a separate run.
+    for spec_text in [
+        tiny_spec("single", r#","trace":true"#),
+        tiny_spec("single", r#","trace":true,"policy":"hcc""#),
+        tiny_spec("robustness", r#","trace":true,"fault":{"loss":[0.1]}"#),
+    ] {
+        let spec = ScenarioSpec::from_json(&spec_text).expect("valid spec");
+        let direct = result_json(&spec, &run_scenario(&spec, None).expect("direct run"));
+        let config = TelemetryConfig::in_memory(spec.kind.name());
+        let (_, direct_trace) = trace_run_to_string(
+            &spec.scenario(),
+            &spec.protocol(),
+            &config,
+            spec.shard_run().as_ref(),
+        )
+        .expect("direct capture");
+
+        let (_, body) = http(addr, "POST", "/jobs", &spec_text);
+        let id = id_of(&body);
+        poll_until(addr, id, "done", Duration::from_secs(60));
+        let (status, result) = get(addr, &format!("/jobs/{id}/result"));
+        assert!(status.contains("200"), "{status}");
+        let (status, trace) = get(addr, &format!("/jobs/{id}/trace"));
+        assert!(status.contains("200"), "{status}");
+        assert_eq!(result, direct.to_string(), "{spec_text}");
+        assert_eq!(
+            without_profile(&trace),
+            without_profile(&direct_trace),
+            "{spec_text}"
+        );
+    }
+    server.shutdown();
+}
+
 #[test]
 fn cancellation_is_terminal_and_never_wedges_the_pool() {
     // One worker; the runner blocks on specs with the marker node count
@@ -267,6 +326,36 @@ fn traced_jobs_serve_parseable_jsonl_and_unknown_routes_404() {
     let (status, body) = get(addr, &format!("/jobs/{plain}/trace"));
     assert!(status.contains("404"), "{status}");
     assert!(body.contains("trace"), "{body}");
+
+    // Each job's queue wait and run time landed in its (kind, trace)
+    // series, rendered as a cumulative histogram ending at +Inf.
+    let (_, metrics) = get(addr, "/metrics");
+    for family in ["manet_jobs_run_seconds", "manet_jobs_queue_wait_seconds"] {
+        assert!(
+            metrics.contains(&format!("# TYPE {family} histogram")),
+            "{metrics}"
+        );
+        for trace in ["false", "true"] {
+            let labels = format!(r#"kind="single",trace="{trace}""#);
+            let value = |line: &str| -> u64 { line.rsplit(' ').next().unwrap().parse().unwrap() };
+            let count_line = format!("{family}_count{{{labels}}} ");
+            let count = metrics
+                .lines()
+                .find(|l| l.starts_with(&count_line))
+                .map(value);
+            assert_eq!(count, Some(1), "{count_line}: {metrics}");
+            let buckets: Vec<&str> = metrics
+                .lines()
+                .filter(|l| l.starts_with(&format!("{family}_bucket{{{labels},le=")))
+                .collect();
+            let cumulative: Vec<u64> = buckets.iter().map(|l| value(l)).collect();
+            assert!(cumulative.windows(2).all(|w| w[0] <= w[1]), "{buckets:?}");
+            assert!(
+                buckets.last().unwrap().contains(r#"le="+Inf"} 1"#),
+                "{buckets:?}"
+            );
+        }
+    }
 
     // Unknown routes, ids, and bodies are clean errors, not hangs.
     let (status, _) = get(addr, "/nope");

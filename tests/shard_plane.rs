@@ -148,8 +148,9 @@ fn measured_metrics_are_identical_across_shard_layouts() {
     );
     for dims in LAYOUTS {
         let run = ShardRun::new(ShardDims::parse(dims).unwrap());
-        let sharded = measure_with_policy_ctl(&scenario, &protocol, Some(&run), None, |_| LowestId)
-            .expect("uncancelled");
+        let sharded =
+            measure_with_policy_ctl(&scenario, &protocol, Some(&run), None, None, |_| LowestId)
+                .expect("uncancelled");
         assert_eq!(
             format!("{sharded:#?}\n"),
             mono,
