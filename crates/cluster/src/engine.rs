@@ -740,7 +740,9 @@ impl<P: ClusterPolicy> Clustering<P> {
     /// order (where [`check_invariants`](Self::check_invariants) stops at
     /// the first).
     pub fn violations(&self, topology: &Topology) -> Vec<InvariantViolation> {
-        self.violations_where(topology, |_| true)
+        let mut out = Vec::new();
+        self.violations_where(topology, |_| true, |v| out.push(v));
+        out
     }
 
     /// [`violations`](Self::violations) restricted to live nodes: crashed
@@ -754,15 +756,32 @@ impl<P: ClusterPolicy> Clustering<P> {
     /// Panics if `alive.len()` differs from the node count.
     pub fn violations_among(&self, topology: &Topology, alive: &[bool]) -> Vec<InvariantViolation> {
         assert_eq!(alive.len(), self.roles.len(), "alive mask size mismatch");
-        self.violations_where(topology, |u| alive[u as usize])
+        let mut out = Vec::new();
+        self.violations_where(topology, |u| alive[u as usize], |v| out.push(v));
+        out
     }
 
+    /// How many violations [`violations_among`](Self::violations_among)
+    /// would collect, counted in the same walk without collecting them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `alive.len()` differs from the node count.
+    pub(crate) fn violation_count_among(&self, topology: &Topology, alive: &[bool]) -> u64 {
+        assert_eq!(alive.len(), self.roles.len(), "alive mask size mismatch");
+        let mut count = 0;
+        self.violations_where(topology, |u| alive[u as usize], |_| count += 1);
+        count
+    }
+
+    /// Hands every P1/P2 violation among the nodes `subject` accepts to
+    /// `found`, in node-id order.
     fn violations_where(
         &self,
         topology: &Topology,
         subject: impl Fn(NodeId) -> bool,
-    ) -> Vec<InvariantViolation> {
-        let mut out = Vec::new();
+        mut found: impl FnMut(InvariantViolation),
+    ) {
         for u in 0..self.roles.len() as NodeId {
             if !subject(u) {
                 continue;
@@ -771,20 +790,19 @@ impl<P: ClusterPolicy> Clustering<P> {
                 Role::Head => {
                     for &w in topology.neighbors(u) {
                         if w > u && self.roles[w as usize].is_head() && subject(w) {
-                            out.push(InvariantViolation::AdjacentHeads(u, w));
+                            found(InvariantViolation::AdjacentHeads(u, w));
                         }
                     }
                 }
                 Role::Member { head } => {
                     if !self.roles[head as usize].is_head() {
-                        out.push(InvariantViolation::HeadIsNotHead { member: u, head });
+                        found(InvariantViolation::HeadIsNotHead { member: u, head });
                     } else if !topology.are_linked(u, head) {
-                        out.push(InvariantViolation::HeadOutOfRange { member: u, head });
+                        found(InvariantViolation::HeadOutOfRange { member: u, head });
                     }
                 }
             }
         }
-        out
     }
 
     /// The policy in force.

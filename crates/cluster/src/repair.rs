@@ -75,7 +75,7 @@ struct Gate<'a> {
     /// `(node, wait_ticks)` for each loss this pass, emitted as
     /// `RetxScheduled` telemetry after the maintenance pass returns (the
     /// gate cannot hold the probe itself: the engine borrows it mutably).
-    scheduled: Vec<(NodeId, u64)>,
+    scheduled: &'a mut Vec<(NodeId, u64)>,
 }
 
 impl FaultHooks for Gate<'_> {
@@ -121,6 +121,8 @@ pub struct SelfHealing<P> {
     send: Vec<SendState>,
     repairing: Vec<bool>,
     prev_alive: Vec<bool>,
+    /// The gate's retransmission schedule, reused from pass to pass.
+    scheduled: Vec<(NodeId, u64)>,
 }
 
 impl<P: ClusterPolicy> SelfHealing<P> {
@@ -135,6 +137,7 @@ impl<P: ClusterPolicy> SelfHealing<P> {
             send: vec![SendState::default(); n],
             repairing: vec![false; n],
             prev_alive: vec![true; n],
+            scheduled: Vec::new(),
         }
     }
 
@@ -162,6 +165,11 @@ impl<P: ClusterPolicy> SelfHealing<P> {
     /// carrying the backoff wait chosen for its retry. With
     /// [`Probe::off`](manet_telemetry::Probe::off) the step is quiet with
     /// identical outcomes.
+    ///
+    /// Once warm the step allocates nothing: the violations left are
+    /// counted in the walk that collects them for
+    /// [`Clustering::violations_among`], and the gate's retransmission
+    /// schedule is one reused buffer.
     ///
     /// # Panics
     ///
@@ -215,12 +223,12 @@ impl<P: ClusterPolicy> SelfHealing<P> {
             tick: self.tick,
             retransmissions: 0,
             repairs: 0,
-            scheduled: Vec::new(),
+            scheduled: &mut self.scheduled,
         };
         let mut inner = StepCtx::new(&mut *ctx.probe).at(now).with_hooks(&mut gate);
         let maintenance = self.clustering.maintain(topology, &mut inner);
         let (retransmissions, repairs) = (gate.retransmissions, gate.repairs);
-        for (node, wait_ticks) in gate.scheduled {
+        for (node, wait_ticks) in self.scheduled.drain(..) {
             let cause = ctx.probe.root(RootCause::ChannelLoss);
             ctx.probe.emit_caused(
                 now,
@@ -229,7 +237,7 @@ impl<P: ClusterPolicy> SelfHealing<P> {
                 cause,
             );
         }
-        let violations_left = self.clustering.violations_among(topology, alive).len() as u64;
+        let violations_left = self.clustering.violation_count_among(topology, alive);
         ClusterFlow {
             maintenance,
             retransmissions,

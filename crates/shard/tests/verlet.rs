@@ -460,7 +460,9 @@ fn world_step_and_its_unit_plane_share_one_kernel() {
 
 /// Churn crashes and recovers nodes after the build: `World::step` and
 /// the 1x1 plane both give the reference rows less the dead nodes, and
-/// every masked tick takes the row diff, whose events are exact.
+/// exact events on every tick, whether the world masked the kernel's
+/// flips or diffed the rows. A topology masked after its build by
+/// `retain_alive` carries no events.
 #[test]
 fn churn_crash_and_recover_keep_rows_exact() {
     let build = || {
@@ -489,8 +491,8 @@ fn churn_crash_and_recover_keep_rows_exact() {
         recovered += report.recovered;
         check_world(&mono, &prev_mono, &format!("World::step tick {tick}"));
         check_world(&planed, &prev_planed, &format!("1x1 plane tick {tick}"));
-        // The same ticks through the owners, masked as a churned world
-        // masks every tick: the mask cuts every builder chain.
+        // The same ticks through the owners, each masked by
+        // `retain_alive`, which cuts every builder chain.
         owners.check(mono.positions(), Some(mono.alive()), "churn", tick);
     }
     assert!(

@@ -197,7 +197,9 @@ impl Topology {
     /// events this topology holds.
     pub(crate) fn debug_check_events(&self, prev: &Topology, buf: &mut Vec<LinkEvent>) {
         buf.clear();
-        buf.reserve(self.events.len());
+        // As much room as the events' own buffer, so the check grows only
+        // when that buffer does.
+        buf.reserve(self.events.capacity());
         prev.diff_into(self, buf);
         debug_assert_eq!(
             buf, &self.events,
@@ -326,7 +328,9 @@ impl Topology {
     /// crashed radio neither sends nor receives, so all its links vanish
     /// from the ground truth). Neighbor lists stay sorted. Like any edit,
     /// this takes a fresh stamp and drops the events, even when no link
-    /// goes.
+    /// goes. (A churned `World` masks a tick whose kernel flips chain
+    /// from its previous rows another way, which keeps the flips as the
+    /// masked tick's events.)
     ///
     /// # Panics
     ///
@@ -336,6 +340,67 @@ impl Topology {
         self.touch();
         self.rows
             .retain(|u, w| alive[u as usize] && alive[w as usize]);
+    }
+
+    /// Masks this topology, freshly computed with the kernel's flips from
+    /// its previous unmasked rows, by `up`, and records the events from
+    /// `prev`: those rows masked by `was_up`. The events are, with no
+    /// pair twice, in `diff_into` order:
+    ///
+    /// - the flips on pairs whose endpoints are up in both masks;
+    /// - a break for every link in `prev`'s row of a node that went down;
+    /// - a generation for every link in the masked row of a node that
+    ///   came up.
+    ///
+    /// The rows are masked only when some node is down, so a tick with
+    /// every node up keeps the stamp the kernel tagged.
+    pub(crate) fn mask_flips(&mut self, prev: &mut Topology, was_up: &[bool], up: &[bool]) {
+        let mut events = std::mem::take(&mut self.events);
+        let stays = |v: NodeId| was_up[v as usize] && up[v as usize];
+        events.retain(|e| stays(e.a) && stays(e.b));
+        if up.contains(&false) {
+            self.retain_alive(up);
+        }
+        // The events are at most the flips plus the changed nodes' links.
+        // Keep room for twice that, and grow to four times, so the event
+        // buffers stop growing after the first crashes; a double-buffered
+        // world writes its next tick's events into `prev`'s buffer, which
+        // gets the same room.
+        let bound = events.len()
+            + (0..up.len())
+                .filter(|&u| was_up[u] != up[u])
+                .map(|u| prev.degree(u as NodeId) + self.degree(u as NodeId))
+                .sum::<usize>();
+        if events.capacity() < 2 * bound {
+            events.reserve(4 * bound - events.len());
+            prev.events.reserve(4 * bound);
+        }
+        for (u, (&was, &is)) in was_up.iter().zip(up).enumerate() {
+            if was == is {
+                continue;
+            }
+            let u = u as NodeId;
+            let (row, kind) = if was {
+                (prev.neighbors(u), LinkEventKind::Broken)
+            } else {
+                (self.neighbors(u), LinkEventKind::Generated)
+            };
+            for &w in row {
+                // A neighbor that changed the same way lists the link
+                // too: the smaller id records it.
+                let twin = was_up[w as usize] == was && up[w as usize] == is;
+                if !(twin && w < u) {
+                    events.push(LinkEvent {
+                        kind,
+                        a: u.min(w),
+                        b: u.max(w),
+                    });
+                }
+            }
+        }
+        events.sort_unstable_by_key(|e| (e.a, e.b));
+        self.events = events;
+        self.base = prev.stamp;
     }
 
     /// Appends to `out` the link events that transform `self` into `next`.

@@ -59,6 +59,15 @@ pub struct StepReport {
 /// next tick is written into. So a world steps the same, and stays
 /// allocation-free, whatever context and whichever 1x1 builder each tick
 /// comes through.
+///
+/// A tick's link events are the kernel's flips when they lead from the
+/// current topology, and the row diff otherwise. Under churn the world
+/// masks each tick's rows after the kernel wrote them, so it also keeps
+/// the stamp the kernel tagged before the mask and the mask itself: when
+/// the flips lead from that unmasked output, it masks them into the
+/// tick's events (the flips between nodes up on both ticks, plus the
+/// links of the nodes that crashed or recovered) instead of diffing, and
+/// a tick with no node down skips the mask.
 pub struct World {
     mobility: Box<dyn Mobility>,
     region: SquareRegion,
@@ -81,6 +90,12 @@ pub struct World {
     /// The next-tick topology buffer, swapped with `topology` after the
     /// tick's events are in, so both row stores keep their capacities.
     spare: Topology,
+    /// The stamp the kernel tagged on the current topology's rows before
+    /// the crash mask: the rows its next flips lead from.
+    unmasked: u64,
+    /// The up/down state the current topology was masked by (all up when
+    /// no node was down).
+    mask: Vec<bool>,
     /// Debug builds' row diff of a tick whose builder recorded the
     /// events, checked against them (unused in release builds).
     check: Vec<LinkEvent>,
@@ -185,6 +200,8 @@ impl World {
             topology: Topology::empty(0),
             grid: None,
             spare: Topology::default(),
+            unmasked: 0,
+            mask: Vec::new(),
             check: Vec::new(),
             counters: Counters::with_sizes(sizes),
             degree_samples: Summary::new(),
@@ -200,6 +217,7 @@ impl World {
             topology.retain_alive(&world.alive);
         }
         world.topology = topology;
+        world.mask.clone_from(&world.alive);
         Ok(world)
     }
 
@@ -355,8 +373,9 @@ impl World {
     /// Advances the world by one tick of `dt` seconds and returns a summary.
     ///
     /// Order of operations: move nodes → apply due churn events → recompute
-    /// topology (crashed nodes lose all links) → diff into link events →
-    /// account link events and HELLO traffic.
+    /// topology (crashed nodes lose all links) → link events (the kernel's
+    /// flips, masked under churn, or the row diff) → account link events
+    /// and HELLO traffic.
     ///
     /// Cross-cutting planes ride in the [`StepCtx`]: telemetry flows
     /// through `ctx.probe` (with [`Probe::off`] the tick is quiet at zero
@@ -393,7 +412,8 @@ impl World {
         // swap recycles the current topology's row store as next tick's
         // spare. The events land in the new topology: the builder's, when
         // it recorded them against exactly the current topology (a link
-        // schedule's flips), else the row diff's.
+        // schedule's flips, masked on a churned world when they lead from
+        // the kernel's previous, unmasked rows), else the row diff's.
         let spare = &mut self.spare;
         stages.build_into(
             self.mobility.positions(),
@@ -406,7 +426,18 @@ impl World {
             self.time,
         );
         if !self.fault.churn.is_empty() {
-            spare.retain_alive(&self.alive);
+            let unmasked = spare.stamp();
+            if spare.events_since(self.unmasked).is_some() {
+                // A tick with every node up, after one with every node up,
+                // keeps the flips as they are; any other masks them.
+                if self.topology.stamp() != self.unmasked || self.alive.contains(&false) {
+                    spare.mask_flips(&mut self.topology, &self.mask, &self.alive);
+                }
+            } else if self.alive.contains(&false) {
+                spare.retain_alive(&self.alive);
+            }
+            self.unmasked = unmasked;
+            self.mask.copy_from_slice(&self.alive);
         }
         if spare.events_since(self.topology.stamp()).is_none() {
             spare.diff_from(&mut self.topology);
@@ -871,6 +902,30 @@ mod tests {
             fault,
         )
         .unwrap()
+    }
+
+    /// The churned world's ticks after the first two take the kernel's
+    /// flips through the crash mask, the recovery tick that leaves every
+    /// node up included: none diffs its rows, which would empty the
+    /// events of the topology it replaced.
+    #[test]
+    fn churned_ticks_keep_the_kernels_flips() {
+        let mut w = churned_world();
+        let mut q = QuietCtx::new();
+        let (mut crashed, mut recovered) = (0, 0);
+        let mut before = 0;
+        for tick in 1..=10 {
+            let last = w.topology().stamp();
+            let r = w.step(&mut q.ctx());
+            crashed += r.crashed;
+            recovered += r.recovered;
+            if tick > 2 {
+                let kept = w.spare.events_since(before).is_some();
+                assert!(kept, "tick {tick} diffed its rows");
+            }
+            before = last;
+        }
+        assert_eq!((crashed, recovered), (1, 1));
     }
 
     #[test]

@@ -1,17 +1,20 @@
 //! The zero-allocation contract of the steady-state full-stack tick
 //! (DESIGN.md §12): once the layers' reused buffers have warmed up,
 //! `ProtocolStack::tick` — world step, LID cluster maintenance and the
-//! intra-cluster route diff — performs no heap allocation at all.
-//! Measured with a counting global allocator wrapped around the system
-//! one.
+//! intra-cluster route diff — performs no heap allocation at all, on the
+//! ideal stack and on the fault plane's (lossy explicit HELLO, churn,
+//! self-healing maintenance). Measured with a counting global allocator
+//! wrapped around the system one.
 //!
 //! The allocator counts per thread and every measured tick runs on the
 //! test thread, so allocations on other threads (another test, or the
 //! harness printing a slow-test notice) do not enter the count.
 
-use manet_cluster::{Clustering, LowestId};
+use manet_cluster::{Backoff, Clustering, LowestId, SelfHealing};
 use manet_routing::intra::IntraClusterRouting;
-use manet_sim::{HelloMode, QuietCtx, SimBuilder};
+use manet_sim::{
+    ChurnSchedule, FaultPlan, HelloMode, HelloProtocol, LossModel, QuietCtx, SimBuilder,
+};
 use manet_stack::ProtocolStack;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -135,5 +138,58 @@ fn paper_400_window_is_allocation_free_on_every_seed() {
             "seed {seed}: the 400 ticks after the warm-up made {} allocations",
             after - before
         );
+    }
+}
+
+/// The jobs service's robustness stack (N = 200 at the paper's density,
+/// dt = 0.25 s): Bernoulli loss 0.1 on every layer, Poisson churn at
+/// 0.002 crashes per node and second with 20 s mean downtime,
+/// `SelfHealing` maintenance and the explicit soft-timer HELLO. After an
+/// 800-tick warm-up the next 400 ticks allocate nothing, on seeds 1–3:
+/// the HELLO merge buffer and sender lists, the masked tick's events, the
+/// gate's retransmission schedule and the violation count all reuse what
+/// the warm-up sized.
+#[test]
+fn fault_plane_window_is_allocation_free_on_every_seed() {
+    for seed in 1..=3u64 {
+        let n = 200;
+        let plan = FaultPlan {
+            loss: LossModel::Bernoulli { p: 0.1 },
+            churn: ChurnSchedule::poisson(n, 0.002, 20.0, 301.0, seed ^ 0xC0_FFEE).unwrap(),
+            seed: seed ^ 0xFA_017,
+        };
+        let world = SimBuilder::new()
+            .nodes(n)
+            .side(707.106_781_186_547_5)
+            .radius(150.0)
+            .speed(10.0)
+            .dt(0.25)
+            .seed(seed)
+            .hello_mode(HelloMode::Disabled)
+            .fault(plan)
+            .build();
+        let hello = HelloProtocol::new(n, 1.0, 3.0);
+        let clustering = Clustering::form(LowestId, world.topology());
+        let healer = SelfHealing::new(clustering, Backoff::default(), 8);
+        let mut stack = ProtocolStack::faulty(world, healer, IntraClusterRouting::new(), hello);
+        let mut quiet = QuietCtx::new();
+        stack.prime(&mut quiet.ctx());
+        for _ in 0..800 {
+            stack.tick(&mut quiet.ctx());
+        }
+        let before = allocs();
+        let mut churned = 0;
+        for _ in 0..400 {
+            let report = stack.tick(&mut quiet.ctx());
+            churned += report.crashed + report.recovered;
+        }
+        let after = allocs();
+        assert_eq!(
+            after - before,
+            0,
+            "seed {seed}: the 400 ticks after the warm-up made {} allocations",
+            after - before
+        );
+        assert!(churned > 0, "seed {seed}: no churn in the window");
     }
 }

@@ -26,9 +26,10 @@ fi
 
 echo "==> one-diff guard (one row diff, DESIGN.md §12)"
 # A tick's link events are the kernel schedule's flips, which the builder
-# records on its topology (Topology::compute_into), or else the row diff of
-# Topology::diff_from. Fail the build if library code calls the row diff
-# anywhere else.
+# records on its topology (Topology::compute_into), those flips masked by
+# the tick's crashes and recoveries (Topology::mask_flips), or else the row
+# diff of Topology::diff_from. Fail the build if library code calls the row
+# diff anywhere else.
 if grep -rn "diff_into(" crates/*/src src --include='*.rs' \
     | grep -v "^crates/sim/src/topology\.rs:"; then
     echo "verify: FAIL — a row diff outside crates/sim/src/topology.rs (take the topology's events)" >&2
@@ -130,6 +131,21 @@ for fixture in tests/golden/examples/*.txt; do
     name=$(basename "$fixture" .txt)
     if ! cargo run -q --release --example "$name" | cmp - "$fixture"; then
         echo "verify: FAIL — example $name's stdout differs from $fixture" >&2
+        exit 1
+    fi
+done
+
+echo "==> fault-plane bins' stdout (tests/golden/bins)"
+# The soft-timer HELLO (EXT4) and the self-healing stack under loss and
+# churn (ROB1) are seeded, so their stdout is pinned byte for byte, as
+# the examples' is.
+for run in "hello_accuracy hello_accuracy" "robustness_quick robustness --quick"; do
+    set -- $run
+    fixture="tests/golden/bins/$1.txt"
+    bin=$2
+    shift 2
+    if ! cargo run -q --release -p manet-experiments --bin "$bin" -- "$@" | cmp - "$fixture"; then
+        echo "verify: FAIL — $bin $* stdout differs from $fixture" >&2
         exit 1
     fi
 done
