@@ -220,11 +220,10 @@ mod tests {
 /// right, this empirical prediction should land on the simulated ROUTE
 /// frequency without any fitted constant.
 pub fn route_dispersion_closure(protocol: &Protocol, range_fractions: &[f64]) -> Table {
-    use manet_cluster::{ClusterStats, Clustering, LowestId};
+    use crate::harness::{ideal_stack, run_measured};
+    use crate::trace::UNTRACED;
+    use manet_cluster::LowestId;
     use manet_geom::linkdist::DISC_SAME_RADIUS_LINK_PROB;
-    use manet_routing::intra::{IntraClusterRouting, RouteUpdateOutcome};
-    use manet_sim::QuietCtx;
-    use manet_stack::ProtocolStack;
     use manet_util::Samples;
 
     let mut t = Table::new([
@@ -243,58 +242,52 @@ pub fn route_dispersion_closure(protocol: &Protocol, range_fractions: &[f64]) ->
             ..base
         };
         let seed = protocol.seeds.first().copied().unwrap_or(1);
-        let world = crate::harness::build_world(&scenario, protocol.dt, seed);
-        let clustering = Clustering::form(LowestId, world.topology());
-        let stack = ProtocolStack::ideal(world, clustering, IntraClusterRouting::new());
-        let mut stack = crate::harness::on_plane(stack, None);
-        let mut quiet = QuietCtx::new();
-        stack.prime(&mut quiet.ctx());
-        let warm = (protocol.warmup / protocol.dt) as usize;
-        for _ in 0..warm {
-            stack.tick(&mut quiet.ctx());
-        }
-        stack.world_mut().begin_measurement();
-        let mut route = RouteUpdateOutcome::default();
+        let mut stack = ideal_stack(&scenario, protocol.dt, seed, LowestId, None);
         let mut phys_msgs = 0u64;
         let mut sizes = Samples::new();
         // Paired per-cluster samples: (size m, actual intra-cluster links).
         let mut pairs: Vec<(f64, f64)> = Vec::new();
-        let ticks = (protocol.measure / protocol.dt) as usize;
-        for k in 0..ticks {
-            let report = stack.tick(&mut quiet.ctx());
-            route.absorb(report.route);
-            let (world, clustering) = (stack.world(), stack.cluster());
-            // Physical intra-cluster churn: link events whose endpoints are
-            // co-clustered — the only changes the paper's Eqn 13 counts.
-            for e in world.last_events() {
-                let h = clustering.head_of(e.a);
-                if h == clustering.head_of(e.b) {
-                    phys_msgs += 1 + clustering.members_of(h).len() as u64;
+        let measured = run_measured(
+            &mut stack,
+            protocol.warmup,
+            protocol.measure,
+            None,
+            UNTRACED,
+            |stack, _, k| {
+                let (world, clustering) = (stack.world(), stack.cluster());
+                // Physical intra-cluster churn: link events whose endpoints are
+                // co-clustered — the only changes the paper's Eqn 13 counts.
+                for e in world.last_events() {
+                    let h = clustering.head_of(e.a);
+                    if h == clustering.head_of(e.b) {
+                        phys_msgs += 1 + clustering.members_of(h).len() as u64;
+                    }
                 }
-            }
-            if k % 8 == 0 {
-                let topo = world.topology();
-                for (head, members) in clustering.clusters() {
-                    let m = members.len() as f64 + 1.0;
-                    sizes.push(m);
-                    let mut nodes = members.clone();
-                    nodes.push(head);
-                    let mut links = 0usize;
-                    for i in 0..nodes.len() {
-                        for j in (i + 1)..nodes.len() {
-                            if topo.are_linked(nodes[i], nodes[j]) {
-                                links += 1;
+                if k % 8 == 0 {
+                    let topo = world.topology();
+                    for (head, members) in clustering.clusters() {
+                        let m = members.len() as f64 + 1.0;
+                        sizes.push(m);
+                        let mut nodes = members.clone();
+                        nodes.push(head);
+                        let mut links = 0usize;
+                        for i in 0..nodes.len() {
+                            for j in (i + 1)..nodes.len() {
+                                if topo.are_linked(nodes[i], nodes[j]) {
+                                    links += 1;
+                                }
                             }
                         }
+                        pairs.push((m, links as f64));
                     }
-                    pairs.push((m, links as f64));
                 }
-            }
-        }
-        let (world, clustering) = (stack.world(), stack.cluster());
+            },
+        )
+        .expect("a run without a cancel token cannot be cancelled");
+        let world = stack.world();
         let n = world.node_count();
         let elapsed = world.measured_time();
-        let f_route_sim = route.route_messages as f64 / n as f64 / elapsed;
+        let f_route_sim = measured.route.route_messages as f64 / n as f64 / elapsed;
 
         // Dispersion-weighted bounds: κ geometry model vs measured links.
         let kappa = DISC_SAME_RADIUS_LINK_PROB;
@@ -320,8 +313,6 @@ pub fn route_dispersion_closure(protocol: &Protocol, range_fractions: &[f64]) ->
             0.0
         };
 
-        let stats = ClusterStats::measure(clustering);
-        let _ = stats;
         let f_phys = phys_msgs as f64 / n as f64 / elapsed;
         t.row([
             fmt_sig(frac, 3),
@@ -372,7 +363,6 @@ pub fn epoch_sensitivity(protocol: &Protocol) -> Table {
     let link_lifetime = std::f64::consts::PI.powi(2) * base.radius / (8.0 * base.speed);
     for tau in [2.0, 5.0, 20.0, 100.0] {
         let scenario = Scenario {
-            epoch: tau,
             mobility: manet_sim::MobilityKind::EpochRandomDirection { epoch: tau },
             ..base
         };
@@ -406,7 +396,6 @@ mod abl5_tests {
             nodes: 150,
             side: 600.0,
             radius: 100.0,
-            epoch: 60.0,
             mobility: manet_sim::MobilityKind::EpochRandomDirection { epoch: 60.0 },
             ..Scenario::default()
         };

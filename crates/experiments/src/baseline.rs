@@ -1,12 +1,13 @@
 //! EXT2 — the paper's motivating comparison: flat proactive routing (DSDV)
 //! vs the clustered hybrid stack, as network size grows at fixed density.
 
-use crate::harness::{on_plane, sim_builder, Protocol, Scenario};
+use crate::harness::{on_plane, run_measured, sim_builder, Protocol, Scenario};
+use crate::trace::UNTRACED;
 use manet_cluster::{Clustering, LowestId};
 use manet_routing::dsdv::{Dsdv, DsdvOutcome};
 use manet_routing::intra::{IntraClusterRouting, UpdatePolicy};
-use manet_sim::{HelloMode, MessageKind, QuietCtx};
-use manet_stack::{ProtocolStack, StackReport};
+use manet_sim::{MessageKind, QuietCtx};
+use manet_stack::ProtocolStack;
 use manet_util::table::{fmt_sig, Table};
 
 /// One row of the comparison: per-node control bit rates.
@@ -47,9 +48,7 @@ pub fn flat_vs_clustered(
             };
             let seed = protocol.seeds.first().copied().unwrap_or(1);
 
-            let world = sim_builder(&scenario, protocol.dt, seed)
-                .hello_mode(HelloMode::EventDriven)
-                .build();
+            let world = sim_builder(&scenario, protocol.dt, seed).build();
             let clustering = Clustering::form(LowestId, world.topology());
             // Fairness: both sides rate-limit their proactive updates to
             // the same interval (per-change flooding is the paper's
@@ -59,25 +58,22 @@ pub fn flat_vs_clustered(
             });
             let stack = ProtocolStack::ideal(world, clustering, routing);
             let mut stack = on_plane(stack, None);
-            let mut quiet = QuietCtx::new();
-            stack.prime(&mut quiet.ctx());
+            stack.prime(&mut QuietCtx::new().ctx());
             let mut dsdv = Dsdv::new(dump_interval);
-
-            let warm_ticks = (protocol.warmup / protocol.dt).round() as usize;
-            for _ in 0..warm_ticks {
-                stack.tick(&mut quiet.ctx());
-            }
-            stack.world_mut().begin_measurement();
-            let mut agg = StackReport::default();
             let mut flat = DsdvOutcome::default();
-            let ticks = (protocol.measure / protocol.dt).round() as usize;
-            for _ in 0..ticks {
-                agg.absorb(stack.tick(&mut quiet.ctx()));
-                // The flat baseline sees the same link events.
-                let world = stack.world();
-                let events: Vec<_> = world.last_events().to_vec();
-                flat.absorb(dsdv.step(protocol.dt, world.topology(), &events));
-            }
+            let agg = run_measured(
+                &mut stack,
+                protocol.warmup,
+                protocol.measure,
+                None,
+                UNTRACED,
+                |stack, _, _| {
+                    // The flat baseline sees the same link events.
+                    let world = stack.world();
+                    flat.absorb(dsdv.step(protocol.dt, world.topology(), world.last_events()));
+                },
+            )
+            .expect("a run without a cancel token cannot be cancelled");
 
             let world = stack.world();
             let elapsed = world.measured_time();

@@ -46,10 +46,13 @@ fn main() -> ExitCode {
         "attribution"
     };
 
-    let mut config = args.observe(TelemetryConfig::in_memory(label).with_attribution());
-    if let Some(path) = &args.metrics_out {
+    let config = TelemetryConfig {
+        label: label.to_string(),
+        ..args.telemetry.clone()
+    }
+    .with_attribution();
+    if let Some(path) = &config.metrics_out {
         println!("[attribution] metrics snapshot -> {}", path.display());
-        config = config.with_metrics_out(path.clone());
     }
     println!(
         "[attribution] {label}: N={} side={} r={} v={} warmup={} measure={} dt={} seed={}",
@@ -62,7 +65,7 @@ fn main() -> ExitCode {
         protocol.dt,
         protocol.seeds.first().copied().unwrap_or(1),
     );
-    let run = match trace_run(&scenario, &protocol, &config) {
+    let run = match trace_run(&scenario, &protocol, &config, None) {
         Ok(run) => run,
         Err(e) => {
             println!("GATE FAIL: traced run errored: {e}");

@@ -33,7 +33,10 @@ fn main() -> ExitCode {
     } else {
         (Scenario::default(), Protocol::default())
     };
-    let config = args.observe(TelemetryConfig::in_memory("rob2_chaos"));
+    let config = TelemetryConfig {
+        label: "rob2_chaos".to_string(),
+        ..args.telemetry.clone()
+    };
     println!(
         "ROB2 — interconnect chaos on a {}x{} sharded stack (N={}, seed {})\n",
         dims.kx,

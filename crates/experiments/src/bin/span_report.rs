@@ -27,7 +27,7 @@
 use manet_experiments::cli::BinArgs;
 use manet_experiments::harness::smoke;
 use manet_experiments::robustness2::{chaos_trace, ChaosPoint};
-use manet_experiments::trace::{TelemetryConfig, TraceRun, DEFAULT_SPAN_RING_CAPACITY};
+use manet_experiments::trace::{TraceRun, DEFAULT_SPAN_RING_CAPACITY};
 use manet_geom::ShardDims;
 use manet_telemetry::{chrome_trace_json, Phase, SpanLabel, SpanRecorder, SpanTimebase};
 use manet_util::json::Value;
@@ -64,9 +64,8 @@ fn chaos_run(args: &BinArgs) -> TraceRun {
         stall_rate: 0.02,
         ..ChaosPoint::ideal()
     };
-    let config = args.observe(
-        TelemetryConfig::in_memory("span_report").with_spans_ring(DEFAULT_SPAN_RING_CAPACITY),
-    );
+    let mut config = args.telemetry.clone();
+    config.spans_ring.get_or_insert(DEFAULT_SPAN_RING_CAPACITY);
     chaos_trace(
         &scenario,
         &protocol,
@@ -81,7 +80,7 @@ fn quick_report(args: &BinArgs) -> ExitCode {
     println!("span_report: sharded chaos run (80 nodes, 2x2 shards, loss 0.2, stalls)");
     let run = chaos_run(args);
     let spans = &run.spans;
-    if let Some(path) = &args.spans_out {
+    if let Some(path) = &args.telemetry.spans_out {
         println!("span trace -> {}", path.display());
     }
 

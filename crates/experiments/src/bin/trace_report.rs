@@ -71,7 +71,7 @@ fn smoke() -> ExitCode {
     let (scenario, protocol) = harness::smoke();
     let path = manet_experiments::figures_dir().join("trace_smoke.jsonl");
     let config = TelemetryConfig::to_file("trace_smoke", path.clone());
-    let run = match trace_run(&scenario, &protocol, &config) {
+    let run = match trace_run(&scenario, &protocol, &config, None) {
         Ok(run) => run,
         Err(e) => {
             println!("SMOKE FAIL: traced run errored: {e}");
@@ -121,7 +121,7 @@ fn smoke() -> ExitCode {
     let attr_config =
         TelemetryConfig::to_file("trace_smoke_attr", attr_path.clone()).with_attribution();
     match (
-        trace_run(&scenario, &protocol, &attr_config),
+        trace_run(&scenario, &protocol, &attr_config, None),
         read_trace(&attr_path),
     ) {
         (Ok(arun), Ok(atrace)) => {

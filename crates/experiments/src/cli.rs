@@ -31,8 +31,8 @@
 use crate::harness::{set_default_shards, Protocol, Scenario, ShardRun};
 use crate::spec::{run_scenario, ScenarioOutput, ScenarioSpec, SpecKind};
 use crate::trace::{
-    attribution_text, audit_text, install_live_publisher, live_publisher, report_text,
-    trace_run_chaos, TelemetryConfig,
+    attribution_text, audit_text, install_live_publisher, live_publisher, report_text, trace_run,
+    TelemetryConfig,
 };
 use manet_geom::ShardDims;
 use manet_telemetry::{serve_metrics, HttpListener};
@@ -48,31 +48,20 @@ const FLAGS: &str = "--quick --shards KXxKY --trace-out PATH --metrics-out PATH 
 /// the bound `--serve-metrics` endpoint, so keep it alive until the end
 /// of `main` (which [`BinArgs::finish`] does for you); dropping it
 /// honors `--serve-hold`.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct BinArgs {
-    label: &'static str,
     /// `--quick`: run the short test protocol.
     pub quick: bool,
     /// `--shards KXxKY` (`None` = the default `1x1` layout).
     pub shards: Option<ShardDims>,
-    /// `--trace-out <path>`: where the traced twin writes its JSONL.
-    trace_out: Option<PathBuf>,
-    /// `--metrics-out <path>`: Prometheus text snapshot after the run.
-    pub metrics_out: Option<PathBuf>,
+    /// The telemetry flags (`--trace-out`, `--metrics-out`, `--flight`,
+    /// `--flight-out`, `--spans-out`, `--spans-ring`, `--spans-canonical`)
+    /// as the config of the binary's traced runs, labelled with its name.
+    pub telemetry: TelemetryConfig,
     /// `--serve-metrics <addr>`: the live endpoint's bind address.
     serve_metrics: Option<String>,
     /// `--serve-hold <secs>`: how long to keep serving after the run.
     serve_hold: Duration,
-    /// `--flight <K>`: flight-recorder ring capacity.
-    flight: Option<usize>,
-    /// `--flight-out <path>`: flight-dump JSONL path.
-    flight_out: Option<PathBuf>,
-    /// `--spans-out <path>`: Chrome trace-event JSON path.
-    pub spans_out: Option<PathBuf>,
-    /// `--spans-ring <K>`: raw-span ring capacity.
-    spans_ring: Option<usize>,
-    /// `--spans-canonical`: export spans on the canonical timebase.
-    spans_canonical: bool,
     /// The bound `--serve-metrics` endpoint; dropping `BinArgs` closes it.
     server: Option<HttpListener>,
 }
@@ -159,21 +148,34 @@ impl BinArgs {
         let flags = Flags::parse(argv, FLAGS)?;
         let path = |name| flags.get(name).map(PathBuf::from);
         let capacity = |name| flags.get(name).map(|v| parse_capacity(name, v)).transpose();
+        let mut telemetry = TelemetryConfig::in_memory("");
+        telemetry.out = path("trace-out");
+        if let Some(path) = path("metrics-out") {
+            telemetry = telemetry.with_metrics_out(path);
+        }
+        if let Some(k) = capacity("flight")? {
+            telemetry = telemetry.with_flight(k);
+        }
+        if let Some(path) = path("flight-out") {
+            telemetry = telemetry.with_flight_out(path);
+        }
+        if let Some(path) = path("spans-out") {
+            telemetry = telemetry.with_spans_out(path);
+        }
+        if let Some(k) = capacity("spans-ring")? {
+            telemetry = telemetry.with_spans_ring(k);
+        }
+        if flags.get("spans-canonical").is_some() {
+            telemetry = telemetry.with_spans_canonical();
+        }
         Ok(BinArgs {
-            label: "",
             quick: flags.get("quick").is_some(),
             shards: flags.get("shards").map(parse_shards).transpose()?,
-            trace_out: path("trace-out"),
-            metrics_out: path("metrics-out"),
+            telemetry,
             serve_metrics: flags.get("serve-metrics").map(String::from),
             serve_hold: flags
                 .get("serve-hold")
                 .map_or(Ok(Duration::ZERO), |v| parse_secs("--serve-hold", v))?,
-            flight: capacity("flight")?,
-            flight_out: path("flight-out"),
-            spans_out: path("spans-out"),
-            spans_ring: capacity("spans-ring")?,
-            spans_canonical: flags.get("spans-canonical").is_some(),
             server: None,
         })
     }
@@ -189,7 +191,7 @@ impl BinArgs {
             eprintln!("{label}: {e}");
             std::process::exit(2)
         });
-        args.label = label;
+        args.telemetry.label = label.to_string();
         if let Some(dims) = args.shards {
             set_default_shards(dims);
         }
@@ -252,28 +254,6 @@ impl BinArgs {
         }
     }
 
-    /// `config` with the flight-recorder and span flags applied
-    /// (`--flight`, `--flight-out`, `--spans-out`, `--spans-ring`,
-    /// `--spans-canonical`), through the [`TelemetryConfig`] builders.
-    pub fn observe(&self, mut config: TelemetryConfig) -> TelemetryConfig {
-        if let Some(k) = self.flight {
-            config = config.with_flight(k);
-        }
-        if let Some(path) = &self.flight_out {
-            config = config.with_flight_out(path.clone());
-        }
-        if let Some(path) = &self.spans_out {
-            config = config.with_spans_out(path.clone());
-        }
-        if let Some(k) = self.spans_ring {
-            config = config.with_spans_ring(k);
-        }
-        if self.spans_canonical {
-            config = config.with_spans_canonical();
-        }
-        config
-    }
-
     /// End-of-`main` hook: when a telemetry flag asks for one, runs a
     /// traced twin of `scenario` under `protocol` (on the `--shards`
     /// layout; the trace bytes are identical at any layout) and prints
@@ -281,39 +261,33 @@ impl BinArgs {
     /// output is unchanged by default. Then drops the serve endpoint,
     /// honoring `--serve-hold`.
     pub fn finish(self, scenario: &Scenario, protocol: &Protocol) {
-        if self.trace_out.is_none()
-            && self.metrics_out.is_none()
+        let config = &self.telemetry;
+        // `--spans-ring` and `--spans-canonical` only shape a traced run
+        // that another flag asks for.
+        if config.out.is_none()
+            && config.metrics_out.is_none()
             && self.serve_metrics.is_none()
-            && self.flight.is_none()
-            && self.flight_out.is_none()
-            && self.spans_out.is_none()
+            && config.flight.is_none()
+            && config.spans_out.is_none()
         {
             return;
         }
-        let label = self.label;
-        let mut config = match &self.trace_out {
-            Some(path) => {
-                println!("\n[trace] {label}: traced run -> {}", path.display());
-                TelemetryConfig::to_file(label, path.clone())
-            }
-            None => {
-                println!("\n[trace] {label}: traced run (in-memory)");
-                TelemetryConfig::in_memory(label)
-            }
-        };
-        if let Some(path) = &self.metrics_out {
-            println!("[trace] metrics snapshot -> {}", path.display());
-            config = config.with_metrics_out(path.clone());
+        let label = &config.label;
+        match &config.out {
+            Some(path) => println!("\n[trace] {label}: traced run -> {}", path.display()),
+            None => println!("\n[trace] {label}: traced run (in-memory)"),
         }
-        if let Some(path) = &self.flight_out {
+        if let Some(path) = &config.metrics_out {
+            println!("[trace] metrics snapshot -> {}", path.display());
+        }
+        if let Some(path) = &config.flight_out {
             println!("[trace] flight dump -> {}", path.display());
         }
-        if let Some(path) = &self.spans_out {
+        if let Some(path) = &config.spans_out {
             println!("[trace] span trace -> {}", path.display());
         }
-        let config = self.observe(config);
         let layout = self.shards.map(ShardRun::new);
-        match trace_run_chaos(scenario, protocol, &config, layout.as_ref()) {
+        match trace_run(scenario, protocol, config, layout.as_ref()) {
             Ok(run) => {
                 print!(
                     "{}",
@@ -439,10 +413,7 @@ mod tests {
         assert_eq!(args.protocol(), Protocol::default());
         let spec = args.spec(SpecKind::Fig1VsRange);
         assert_eq!(spec, ScenarioSpec::preset(SpecKind::Fig1VsRange));
-        assert_eq!(
-            args.observe(TelemetryConfig::in_memory("t")),
-            TelemetryConfig::in_memory("t")
-        );
+        assert_eq!(args.telemetry, TelemetryConfig::in_memory(""));
         args.finish(&Scenario::default(), &Protocol::default());
     }
 
@@ -468,22 +439,17 @@ mod tests {
                 argv.extend(join(flag, value));
             }
             let args = BinArgs::parse(&argv).expect("every flag parses");
-            assert!(args.quick && args.spans_canonical);
+            assert!(args.quick);
             assert_eq!(args.shards, Some(ShardDims::new(2, 3)));
-            assert_eq!(args.trace_out, Some("t.jsonl".into()));
-            assert_eq!(args.metrics_out, Some("m.prom".into()));
             assert_eq!(args.serve_metrics.as_deref(), Some("127.0.0.1:0"));
             assert_eq!(args.serve_hold, Duration::from_millis(1500));
-            assert_eq!(args.flight, Some(64));
-            assert_eq!(args.flight_out, Some("f.jsonl".into()));
-            assert_eq!(args.spans_out, Some("s.json".into()));
-            assert_eq!(args.spans_ring, Some(128));
             assert_eq!(args.protocol(), Protocol::quick());
             // Nothing is bound by a parse.
             assert!(args.server.is_none());
             assert_eq!(
-                args.observe(TelemetryConfig::in_memory("t")),
-                TelemetryConfig::in_memory("t")
+                args.telemetry,
+                TelemetryConfig::to_file("", "t.jsonl".into())
+                    .with_metrics_out("m.prom".into())
                     .with_flight(64)
                     .with_flight_out("f.jsonl".into())
                     .with_spans_out("s.json".into())
@@ -496,13 +462,16 @@ mod tests {
     #[test]
     fn output_flags_arm_their_default_rings() {
         let args = parse(&["--flight-out", "f.jsonl", "--spans-out", "s.json"]).unwrap();
-        let config = args.observe(TelemetryConfig::in_memory("t"));
-        assert_eq!(config.flight, Some(DEFAULT_FLIGHT_CAPACITY));
-        assert_eq!(config.span_ring(), Some(DEFAULT_SPAN_RING_CAPACITY));
+        assert_eq!(args.telemetry.flight, Some(DEFAULT_FLIGHT_CAPACITY));
+        assert_eq!(args.telemetry.span_ring(), Some(DEFAULT_SPAN_RING_CAPACITY));
         let args = parse(&["--flight", "8", "--flight-out", "f.jsonl"]).unwrap();
-        assert_eq!(
-            args.observe(TelemetryConfig::in_memory("t")).flight,
-            Some(8)
+        assert_eq!(args.telemetry.flight, Some(8));
+        // A metrics snapshot carries the per-root-cause families.
+        assert!(
+            parse(&["--metrics-out", "m.prom"])
+                .unwrap()
+                .telemetry
+                .attribution
         );
     }
 

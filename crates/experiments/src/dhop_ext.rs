@@ -2,7 +2,8 @@
 //! greedy d-hop LID and Max-Min formation against the disc-bound head-ratio
 //! heuristic, plus dynamic d-hop maintenance overhead.
 
-use crate::harness::{build_world, Scenario};
+use crate::harness::{build_world, run_measured, Scenario};
+use crate::trace::UNTRACED;
 use manet_cluster::{DHopClustering, LowestId};
 use manet_model::dhop as model_dhop;
 use manet_util::stats::Summary;
@@ -72,7 +73,7 @@ pub fn formation_table(rows: &[DhopRow]) -> Table {
 pub fn maintenance_rates(scenario: &Scenario, measure: f64) -> Vec<DhopRates> {
     use manet_routing::intra::{IntraClusterRouting, UpdatePolicy};
     use manet_sim::QuietCtx;
-    use manet_stack::{DHopLayer, ProtocolStack, StackReport};
+    use manet_stack::{DHopLayer, ProtocolStack};
     (1..=3usize)
         .map(|hops| {
             let world = build_world(scenario, 0.5, 0xD1);
@@ -93,15 +94,12 @@ pub fn maintenance_rates(scenario: &Scenario, measure: f64) -> Vec<DhopRates> {
                     .clustering // stage-exempt: single-layer d-hop study
                     .maintain(&layer.policy, world.topology(), &mut quiet.ctx());
             }
-            stack.world_mut().begin_measurement();
-            let mut agg = StackReport::default();
-            let ticks = (measure / stack.world().dt()) as usize;
-            let mut p_acc = 0.0;
-            for _ in 0..ticks {
-                let report = stack.tick(&mut quiet.ctx());
+            let (mut p_acc, mut ticks) = (0.0, 0usize);
+            let agg = run_measured(&mut stack, 0.0, measure, None, UNTRACED, |_, report, _| {
                 p_acc += report.head_ratio;
-                agg.absorb(report);
-            }
+                ticks += 1;
+            })
+            .expect("a run without a cancel token cannot be cancelled");
             let world = stack.world();
             let per_node = |x: u64| x as f64 / world.node_count() as f64 / world.measured_time();
             DhopRates {

@@ -4,15 +4,13 @@
 
 use crate::trace::TraceCapture;
 use manet_cluster::{ClusterPolicy, Clustering, LowestId};
-use manet_geom::{ShardDims, ShardLayoutError};
+use manet_geom::ShardDims;
 use manet_routing::intra::IntraClusterRouting;
 use manet_shard::{default_workers, InterconnectConfig, ShardPlane};
-use manet_sim::{
-    HelloMode, MessageKind, MobilityKind, QuietCtx, SimBuilder, StepCtx, StepReport, World,
-};
+use manet_sim::{MessageKind, MobilityKind, QuietCtx, SimBuilder, StepCtx, StepReport, World};
 use manet_stack::{ClusterLayer, ProtocolStack, RouteLayer, StackReport};
-use manet_telemetry::Probe;
 use manet_util::stats::Summary;
+use std::io::Write;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -28,9 +26,8 @@ pub struct Scenario {
     pub radius: f64,
     /// Node speed `v`, m/s.
     pub speed: f64,
-    /// Direction-redraw epoch `τ`, seconds.
-    pub epoch: f64,
-    /// Mobility model (defaults to the paper's epoch random-direction).
+    /// Mobility model (defaults to the paper's epoch random-direction,
+    /// which carries the direction-redraw epoch `τ`).
     pub mobility: MobilityKind,
 }
 
@@ -41,7 +38,6 @@ impl Default for Scenario {
             side: 1000.0,
             radius: 150.0,
             speed: 10.0,
-            epoch: 20.0,
             mobility: MobilityKind::EpochRandomDirection { epoch: 20.0 },
         }
     }
@@ -277,31 +273,6 @@ impl ShardRun {
             .unwrap_or_else(|| default_workers(self.dims.count()))
             .max(1)
     }
-
-    /// Puts `stack` on a shard plane with these options.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the layout is too fine for the world's radio radius.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid interconnect config (loss probability or
-    /// stall schedule out of range) — chaos configs are constructed in
-    /// code, so this indicates a bug in the sweep, not user input.
-    pub fn stack<C: ClusterLayer, R: RouteLayer>(
-        &self,
-        stack: ProtocolStack<C, R>,
-    ) -> Result<ProtocolStack<C, R, ShardPlane>, ShardLayoutError> {
-        let mut plane =
-            ShardPlane::for_world(stack.world(), self.dims)?.with_workers(self.worker_count());
-        if let Some(ic) = &self.interconnect {
-            plane = plane
-                .with_interconnect(ic.clone())
-                .expect("interconnect config validated by construction");
-        }
-        Ok(stack.with_stages(plane))
-    }
 }
 
 /// Puts `stack` on the shard plane `run` describes (`None` = the default
@@ -311,14 +282,24 @@ impl ShardRun {
 ///
 /// Panics when the layout's tiles would be narrower than the ghost margin
 /// of the world's radio radius; validate dims against the scenario up
-/// front (as `ScenarioSpec::validate` does) for a friendlier error.
+/// front (as `ScenarioSpec::validate` does) for a friendlier error. Also
+/// panics on an invalid interconnect config (loss probability or stall
+/// schedule out of range) — chaos configs are constructed in code, so
+/// this indicates a bug in the sweep, not user input.
 pub fn on_plane<C: ClusterLayer, R: RouteLayer>(
     stack: ProtocolStack<C, R>,
     run: Option<&ShardRun>,
 ) -> ProtocolStack<C, R, ShardPlane> {
-    ShardRun::resolve(run)
-        .stack(stack)
+    let run = ShardRun::resolve(run);
+    let mut plane = ShardPlane::for_world(stack.world(), run.dims)
         .expect("shard layout incompatible with the scenario radius")
+        .with_workers(run.worker_count());
+    if let Some(ic) = run.interconnect {
+        plane = plane
+            .with_interconnect(ic)
+            .expect("interconnect config validated by construction");
+    }
+    stack.with_stages(plane)
 }
 
 /// A bare [`World`] stepped on the default shard plane — the world-only
@@ -437,36 +418,16 @@ where
         if cancelled(cancel) {
             return None;
         }
-        let world = sim_builder(scenario, protocol.dt, seed)
-            .hello_mode(HelloMode::EventDriven)
-            .build();
-        let clustering = Clustering::form(policy_for_seed(seed), world.topology());
-        let stack = ProtocolStack::ideal(world, clustering, IntraClusterRouting::new());
-        let mut stack = on_plane(stack, run);
-        stack.prime(&mut QuietCtx::new().ctx()); // baseline fill
-        let mut observer = capture.take();
-
-        // Warmup: run the full stack so the structure reaches steady state.
-        let warm_ticks = (protocol.warmup / protocol.dt).round() as usize;
-        for tick in 0..warm_ticks {
-            if tick % CANCEL_CHECK_TICKS == 0 && cancelled(cancel) {
-                return None;
-            }
-            stack.tick(&mut StepCtx::new(&mut probe_of(observer.as_deref_mut())));
-        }
-
-        stack.world_mut().begin_measurement();
-        let mut agg = StackReport::default();
+        let mut stack = ideal_stack(scenario, protocol.dt, seed, policy_for_seed(seed), run);
         let mut p_samples = Summary::new();
-        let ticks = (protocol.measure / protocol.dt).round() as usize;
-        for tick in 0..ticks {
-            if tick % CANCEL_CHECK_TICKS == 0 && cancelled(cancel) {
-                return None;
-            }
-            let report = stack.tick(&mut StepCtx::new(&mut probe_of(observer.as_deref_mut())));
-            p_samples.push(report.head_ratio);
-            agg.absorb(report);
-        }
+        let agg = run_measured(
+            &mut stack,
+            protocol.warmup,
+            protocol.measure,
+            cancel,
+            capture.take(),
+            |_, report, _| p_samples.push(report.head_ratio),
+        )?;
         let world = stack.world();
         let elapsed = world.measured_time();
         let n = world.node_count();
@@ -506,10 +467,89 @@ where
     })
 }
 
-/// The probe a measured tick runs with: the capture's when one observes
-/// the run, else the quiet one.
-fn probe_of(capture: Option<&mut TraceCapture<Vec<u8>>>) -> Probe<'_> {
-    capture.map_or_else(Probe::default, TraceCapture::probe)
+/// The ideal stack every LID/HCC measurement runs: `scenario`'s world at
+/// tick `dt` from `seed`, clustered under `policy`, with event-driven
+/// HELLO, loss-free channels and intra-cluster routing, on the shard
+/// plane `run` describes (`None` = the default layout), its routing
+/// baseline primed without charge.
+///
+/// # Panics
+///
+/// Panics when the layout's tiles would be narrower than the radio
+/// radius (see [`on_plane`]).
+pub fn ideal_stack<P: ClusterPolicy>(
+    scenario: &Scenario,
+    dt: f64,
+    seed: u64,
+    policy: P,
+    run: Option<&ShardRun>,
+) -> ProtocolStack<Clustering<P>, IntraClusterRouting, ShardPlane> {
+    let world = sim_builder(scenario, dt, seed).build();
+    let clustering = Clustering::form(policy, world.topology());
+    let stack = ProtocolStack::ideal(world, clustering, IntraClusterRouting::new());
+    let mut stack = on_plane(stack, run);
+    stack.prime(&mut QuietCtx::new().ctx());
+    stack
+}
+
+/// The one measured-run loop: ticks `stack` for `round(warmup / dt)`
+/// ticks, opens the measurement window (`World::begin_measurement`), then
+/// ticks `round(measure / dt)` more, calling `each(stack, report, k)`
+/// after the window's `k`-th tick. Returns the window's aggregated
+/// report, or `None` once `cancel` fired: the loop polls it every
+/// [`CANCEL_CHECK_TICKS`] ticks of each phase.
+///
+/// A `capture` observes the whole run: every tick, warmup and
+/// measurement alike, runs with the capture's probe instead of a quiet
+/// one, the capture sees the stack after each tick, and it takes the
+/// stack's final state after the last. Telemetry never changes a run, so
+/// the numbers are those of an unobserved one.
+pub fn run_measured<C, R, W, F>(
+    stack: &mut ProtocolStack<C, R, ShardPlane>,
+    warmup: f64,
+    measure: f64,
+    cancel: Option<&CancelToken>,
+    mut capture: Option<&mut TraceCapture<W>>,
+    mut each: F,
+) -> Option<StackReport>
+where
+    C: ClusterLayer,
+    R: RouteLayer,
+    W: Write,
+    F: FnMut(&ProtocolStack<C, R, ShardPlane>, &StackReport, usize),
+{
+    let dt = stack.world().dt();
+    let ticks = |seconds: f64| (seconds / dt).round() as usize;
+    let cancelled_at = |tick: usize| tick.is_multiple_of(CANCEL_CHECK_TICKS) && cancelled(cancel);
+    let mut quiet = QuietCtx::new();
+    let mut tick = |stack: &mut ProtocolStack<C, R, ShardPlane>| match capture.as_deref_mut() {
+        Some(capture) => {
+            let report = stack.tick(&mut StepCtx::new(&mut capture.probe()));
+            capture.after_tick(stack, report.time);
+            report
+        }
+        None => stack.tick(&mut quiet.ctx()),
+    };
+    for t in 0..ticks(warmup) {
+        if cancelled_at(t) {
+            return None;
+        }
+        tick(stack);
+    }
+    stack.world_mut().begin_measurement();
+    let mut agg = StackReport::default();
+    for k in 0..ticks(measure) {
+        if cancelled_at(k) {
+            return None;
+        }
+        let report = tick(stack);
+        agg.absorb(report);
+        each(stack, &report, k);
+    }
+    if let Some(capture) = capture {
+        capture.end(stack);
+    }
+    Some(agg)
 }
 
 /// [`measure_with_policy`] specialized to the paper's LID case study.

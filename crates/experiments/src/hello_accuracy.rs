@@ -6,9 +6,10 @@
 //! how the protocol's neighbor view degrades as the beacon rate drops
 //! below the link dynamics, quantifying what the bound actually buys.
 
-use crate::harness::{on_plane, sim_builder, Scenario};
+use crate::harness::{on_plane, run_measured, sim_builder, Scenario};
+use crate::trace::UNTRACED;
 use manet_sim::hello::HelloProtocol;
-use manet_sim::{Channel, HelloMode, LossModel, QuietCtx};
+use manet_sim::{Channel, LossModel, QuietCtx};
 use manet_stack::{HelloDriver, NoClustering, NoRouting, ProtocolStack};
 use manet_util::stats::Summary;
 use manet_util::table::{fmt_sig, Table};
@@ -33,11 +34,9 @@ pub fn sweep(scenario: &Scenario, measure: f64) -> Vec<HelloRow> {
     [0.5, 1.0, 2.0, 5.0, 10.0, 20.0]
         .into_iter()
         .map(|interval| {
-            // The explicit driver does the beaconing, so the world
-            // counts none.
-            let world = sim_builder(scenario, 0.25, 0x4E11)
-                .hello_mode(HelloMode::Disabled)
-                .build();
+            // The explicit driver does the beaconing; it takes the
+            // world's HELLO counting over.
+            let world = sim_builder(scenario, 0.25, 0x4E11).build();
             // Timeout at the conventional 3 beacon periods; the explicit
             // driver beacons over an ideal channel (accuracy only, no loss).
             let hello = HelloProtocol::new(world.node_count(), interval, 3.0 * interval);
@@ -53,17 +52,14 @@ pub fn sweep(scenario: &Scenario, measure: f64) -> Vec<HelloRow> {
             let mut stack = on_plane(stack, None);
             let mut quiet = QuietCtx::new();
             stack.run_world_for(30.0, &mut quiet.ctx());
-            stack.world_mut().begin_measurement();
             let mut missing = Summary::new();
             let mut stale = Summary::new();
-            let ticks = (measure / stack.world().dt()) as usize;
-            for _ in 0..ticks {
-                stack.tick(&mut quiet.ctx());
+            run_measured(&mut stack, 0.0, measure, None, UNTRACED, |stack, _, _| {
                 let hello = stack.hello().expect("explicit driver attached");
                 let acc = hello.accuracy(stack.world().topology());
                 missing.push(acc.missing_fraction());
                 stale.push(acc.stale_fraction());
-            }
+            });
             let world = stack.world();
             let n = world.node_count();
             let t = world.measured_time();

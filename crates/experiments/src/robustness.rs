@@ -12,16 +12,16 @@
 //! measured total collapses onto the ideal stack's numbers.
 
 use crate::harness::{
-    analysis_at, on_plane, sim_builder, CancelToken, Estimate, Protocol, Scenario, ShardRun,
-    CANCEL_CHECK_TICKS,
+    analysis_at, on_plane, run_measured, sim_builder, CancelToken, Estimate, Protocol, Scenario,
+    ShardRun,
 };
+use crate::trace::UNTRACED;
 use manet_cluster::{Backoff, Clustering, LowestId, SelfHealing};
 use manet_routing::intra::IntraClusterRouting;
 use manet_sim::{
-    ChurnSchedule, FaultPlan, HelloMode, HelloProtocol, LossModel, MessageKind, QuietCtx,
-    STREAM_CLUSTER,
+    ChurnSchedule, FaultPlan, HelloProtocol, LossModel, MessageKind, QuietCtx, STREAM_CLUSTER,
 };
-use manet_stack::{ProtocolStack, StackReport};
+use manet_stack::ProtocolStack;
 use manet_util::stats::Summary;
 use manet_util::table::{fmt_sig, Table};
 
@@ -106,9 +106,9 @@ pub fn measure_with_faults(
 
 /// The cancellable core of [`measure_with_faults`]: full [`ShardRun`]
 /// options (`None` = the default layout) plus an optional [`CancelToken`]
-/// polled every [`CANCEL_CHECK_TICKS`] ticks. Returns `None` when
-/// cancellation fired mid-run. The jobs plane and the robustness bin
-/// share this loop.
+/// polled every [`CANCEL_CHECK_TICKS`](crate::harness::CANCEL_CHECK_TICKS)
+/// ticks. Returns `None` when cancellation fired mid-run. The jobs plane
+/// and the robustness bin share this loop.
 ///
 /// # Panics
 ///
@@ -122,7 +122,6 @@ pub fn measure_with_faults_ctl(
     run: Option<&ShardRun>,
     cancel: Option<&CancelToken>,
 ) -> Option<FaultMeasured> {
-    let cancelled = |c: Option<&CancelToken>| c.is_some_and(|t| t.is_cancelled());
     let mut f_hello = Summary::new();
     let mut f_cluster = Summary::new();
     let mut f_retransmit = Summary::new();
@@ -135,7 +134,7 @@ pub fn measure_with_faults_ctl(
     let mut violations_end = Summary::new();
 
     for &seed in &protocol.seeds {
-        if cancelled(cancel) {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
             return None;
         }
         let n = scenario.nodes;
@@ -159,10 +158,7 @@ pub fn measure_with_faults_ctl(
         }
         .validated()
         .expect("loss config validated by construction");
-        let world = sim_builder(scenario, protocol.dt, seed)
-            .hello_mode(HelloMode::Disabled) // beacons are driven lossily below
-            .fault(plan)
-            .build();
+        let world = sim_builder(scenario, protocol.dt, seed).fault(plan).build();
         let hello = HelloProtocol::new(n, config.hello_interval, 3.0 * config.hello_interval);
         let clustering = Clustering::form(LowestId, world.topology());
         let healer = SelfHealing::new(clustering, config.backoff, config.sweep_interval);
@@ -171,30 +167,19 @@ pub fn measure_with_faults_ctl(
         let mut quiet = QuietCtx::new();
         stack.prime(&mut quiet.ctx());
 
-        let warm_ticks = (protocol.warmup / protocol.dt).round() as usize;
-        for tick in 0..warm_ticks {
-            if tick % CANCEL_CHECK_TICKS == 0 && cancelled(cancel) {
-                return None;
-            }
-            stack.tick(&mut quiet.ctx());
-        }
-
         // The stack records each tick's decomposed traffic into the shared
         // counters (the RETX/REPAIR categories included) and the rates are
         // read back from there, so the accounting path the paper's tooling
         // uses is exercised end to end.
-        stack.world_mut().begin_measurement();
-        let mut agg = StackReport::default();
         let mut p_samples = Summary::new();
-        let ticks = (protocol.measure / protocol.dt).round() as usize;
-        for tick in 0..ticks {
-            if tick % CANCEL_CHECK_TICKS == 0 && cancelled(cancel) {
-                return None;
-            }
-            let report = stack.tick(&mut quiet.ctx());
-            p_samples.push(report.head_ratio);
-            agg.absorb(report);
-        }
+        let agg = run_measured(
+            &mut stack,
+            protocol.warmup,
+            protocol.measure,
+            cancel,
+            UNTRACED,
+            |_, report, _| p_samples.push(report.head_ratio),
+        )?;
         let elapsed = stack.world().measured_time();
         let counters = stack.world().counters().clone();
         let rate = |kind| counters.per_node_rate(kind, n, elapsed);

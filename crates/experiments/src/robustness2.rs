@@ -22,7 +22,7 @@
 //! `--quick` gates pin both).
 
 use crate::harness::{Protocol, Scenario, ShardRun};
-use crate::trace::{trace_run_chaos, TelemetryConfig, TraceRun};
+use crate::trace::{trace_run, TelemetryConfig, TraceRun};
 use manet_geom::ShardDims;
 use manet_shard::InterconnectConfig;
 use manet_sim::{LossModel, StallSchedule};
@@ -147,7 +147,7 @@ pub fn chaos_trace(
         shard_run = shard_run.with_workers(w);
     }
     let config = config.clone().with_attribution();
-    trace_run_chaos(scenario, protocol, &config, Some(&shard_run))
+    trace_run(scenario, protocol, &config, Some(&shard_run))
         .expect("chaos run cannot fail on IO (flight dumps create their dirs)")
 }
 

@@ -25,10 +25,10 @@ use crate::harness::{
 };
 use crate::robustness::{row_ctl, FaultMeasured, RobustnessRow};
 use crate::trace::{jsonl_text, memory_sink, trace_run_to_sink, TelemetryConfig, TraceCapture};
-use manet_cluster::{HighestConnectivity, LowestId};
+use manet_cluster::{ClusterPolicy, HighestConnectivity, LowestId, Priority};
 use manet_geom::{ghost_margin, ShardDims, ShardLayout, ShardLayoutError, SquareRegion};
 use manet_model::{DegreeModel, NetworkParams};
-use manet_sim::MobilityKind;
+use manet_sim::{MobilityKind, NodeId, Topology};
 use manet_util::json::Value;
 use std::{fmt, io};
 
@@ -116,6 +116,24 @@ impl PolicyKind {
             "lid" => Some(PolicyKind::Lid),
             "hcc" => Some(PolicyKind::Hcc),
             _ => None,
+        }
+    }
+}
+
+/// A spec's policy elects as the policy it names, so one stack type runs
+/// either.
+impl ClusterPolicy for PolicyKind {
+    fn priority(&self, node: NodeId, topology: &Topology) -> Priority {
+        match self {
+            PolicyKind::Lid => LowestId.priority(node, topology),
+            PolicyKind::Hcc => HighestConnectivity.priority(node, topology),
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            PolicyKind::Lid => LowestId.name(),
+            PolicyKind::Hcc => HighestConnectivity.name(),
         }
     }
 }
@@ -211,6 +229,9 @@ impl ScenarioSpec {
     /// the figure's own sweep grid, LID clustering, default layout.
     pub fn preset(kind: SpecKind) -> ScenarioSpec {
         let scenario = Scenario::default();
+        let MobilityKind::EpochRandomDirection { epoch } = scenario.mobility else {
+            unreachable!("the default scenario runs the paper's epoch model")
+        };
         let protocol = Protocol::default();
         let sweep = match kind {
             SpecKind::Fig1VsRange => FIG1_RADIUS_FRACS.to_vec(),
@@ -224,7 +245,7 @@ impl ScenarioSpec {
             side: scenario.side,
             radius: scenario.radius,
             speed: scenario.speed,
-            epoch: scenario.epoch,
+            epoch,
             warmup: protocol.warmup,
             measure: protocol.measure,
             dt: protocol.dt,
@@ -247,7 +268,6 @@ impl ScenarioSpec {
             side: self.side,
             radius: self.radius,
             speed: self.speed,
-            epoch: self.epoch,
             mobility: MobilityKind::EpochRandomDirection { epoch: self.epoch },
         }
     }
@@ -343,6 +363,9 @@ impl ScenarioSpec {
         if self.seeds.is_empty() {
             return Err("seeds must be non-empty".to_string());
         }
+        if !self.epoch.is_finite() || self.epoch <= 0.0 {
+            return Err(format!("epoch must be positive, got {}", self.epoch));
+        }
         match self.kind {
             SpecKind::Single | SpecKind::Robustness => {
                 if !self.sweep.is_empty() {
@@ -414,9 +437,6 @@ impl ScenarioSpec {
             }
             if !s.speed.is_finite() || s.speed < 0.0 {
                 return Err(format!("speed must be finite and >= 0, got {}", s.speed));
-            }
-            if !s.epoch.is_finite() || s.epoch <= 0.0 {
-                return Err(format!("epoch must be positive, got {}", s.epoch));
             }
             if s.nodes > MAX_NODES {
                 return Err(format!("nodes must be <= {MAX_NODES}, got {}", s.nodes));
@@ -729,7 +749,7 @@ pub fn run_scenario_with_trace(
     let (output, writer) = if traces_its_run(spec) {
         let mut capture = TraceCapture::new(&scenario, &protocol, &config, sink);
         let output = run_observed(spec, cancel, Some(&mut capture))?;
-        let (.., writer) = capture.finish().map_err(capture_failed)?;
+        let (_, writer) = capture.finish().map_err(capture_failed)?;
         (output, writer)
     } else {
         let output = run_scenario(spec, cancel)?;
@@ -770,17 +790,8 @@ fn run_observed(
     let protocol = spec.protocol();
     let run = spec.shard_run();
     let run = run.as_ref();
-    let measure_point = |s: &Scenario,
-                         capture: Option<&mut TraceCapture<Vec<u8>>>|
-     -> Option<Measured> {
-        match spec.policy {
-            PolicyKind::Lid => {
-                measure_with_policy_ctl(s, &protocol, run, cancel, capture, |_| LowestId)
-            }
-            PolicyKind::Hcc => {
-                measure_with_policy_ctl(s, &protocol, run, cancel, capture, |_| HighestConnectivity)
-            }
-        }
+    let measure_point = |s: &Scenario, capture| {
+        measure_with_policy_ctl(s, &protocol, run, cancel, capture, |_| spec.policy)
     };
     let sweep_point = |s: &Scenario| measure_point(s, None);
     match spec.kind {

@@ -2,7 +2,8 @@
 //! membership residence, role-change rates, and the Claim 2 link-lifetime
 //! companion.
 
-use crate::harness::{build_world, on_plane, Scenario, WorldDriver};
+use crate::harness::{build_world, on_plane, run_measured, Scenario, WorldDriver};
+use crate::trace::UNTRACED;
 use manet_cluster::{ClusterPolicy, Clustering, HighestConnectivity, LowestId, StabilityTracker};
 use manet_sim::{LinkLifetimes, QuietCtx};
 use manet_stack::{NoRouting, ProtocolStack};
@@ -45,14 +46,11 @@ fn run_policy<P: ClusterPolicy>(
     }
     let mut tracker = StabilityTracker::new(stack.cluster(), stack.world().time());
     let mut links = LinkLifetimes::new();
-    stack.world_mut().begin_measurement();
-    let ticks = (measure / stack.world().dt()) as usize;
-    for _ in 0..ticks {
-        stack.tick(&mut quiet.ctx());
+    run_measured(&mut stack, 0.0, measure, None, UNTRACED, |stack, _, _| {
         let world = stack.world();
         tracker.observe(stack.cluster(), world.time());
         links.observe(world.time(), world.last_events());
-    }
+    });
     StabilityRow {
         speed,
         head_lifetime: tracker.head_lifetimes().mean(),
@@ -162,7 +160,7 @@ pub fn mobility_aware_comparison(measure: f64) -> manet_util::table::Table {
     use manet_cluster::{Clustering, StaticWeights};
     use manet_geom::{Metric, SquareRegion};
     use manet_mobility::EpochRandomDirection;
-    use manet_sim::{HelloMode, MessageSizes, World};
+    use manet_sim::{MessageSizes, World};
     use manet_util::{Rng, Summary};
 
     let side = 1000.0;
@@ -188,7 +186,6 @@ pub fn mobility_aware_comparison(measure: f64) -> manet_util::table::Table {
             radius,
             dt,
             Metric::toroidal(side),
-            HelloMode::EventDriven,
             MessageSizes::default(),
             0xE418,
         );

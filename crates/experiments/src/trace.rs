@@ -14,14 +14,12 @@
 //! proper and writes its JSONL trace there, summarized on stdout.
 //! `bin/trace_report` re-reads such files.
 
-use crate::harness::{
-    on_plane, sim_builder, CancelToken, Protocol, Scenario, ShardRun, CANCEL_CHECK_TICKS,
-};
-use manet_cluster::{Clustering, LowestId};
+use crate::harness::{ideal_stack, run_measured, CancelToken, Protocol, Scenario, ShardRun};
+use manet_cluster::LowestId;
 use manet_model::overhead::{contact_unit_cost, route_unit_cost, RouteLinkModel};
-use manet_routing::intra::IntraClusterRouting;
-use manet_sim::{Counters, HelloMode, MessageKind, QuietCtx, StepCtx};
-use manet_stack::ProtocolStack;
+use manet_shard::ShardPlane;
+use manet_sim::{Counters, MessageKind};
+use manet_stack::{ClusterLayer, ProtocolStack, RouteLayer};
 use manet_telemetry::{
     chrome_trace_json, prometheus_text, AttributionLedger, AuditConfig, AuditMonitor, AuditReport,
     CauseTracker, Event, FlightRecorder, FlightTrigger, JsonlSink, MsgClass, Probe, ProfileReport,
@@ -32,7 +30,7 @@ use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::path::PathBuf;
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Relative tolerance defining "settled": the warmup point is the first
 /// window whose CLUSTER rate is within this fraction of the steady state.
@@ -218,59 +216,64 @@ pub struct TraceRun {
     pub spans: SpanRecorder,
 }
 
-/// Live attribution state carried across the ticks of one traced run.
-struct AttribState {
-    tracker: CauseTracker,
-    ledger: AttributionLedger,
-    audit: AuditMonitor,
+/// The consumers every traced event reaches: the trace output, plus the
+/// attribution ledger with the audit monitor, and the flight ring, when
+/// the run armed them.
+#[derive(Debug)]
+struct Tee<W: Write> {
+    out: TraceOut<W>,
+    attribution: Option<(AttributionLedger, AuditMonitor)>,
+    flight: Option<FlightRecorder>,
 }
 
-/// Tee subscriber: forwards each event to the trace output while also
-/// streaming it into whichever optional consumers this run armed — the
-/// attribution ledger, the audit monitor, and the flight recorder. Runs
-/// with none of them armed never construct a fan at all, so the plain
-/// traced path (and its bytes) is exactly what it was before the
-/// observability plane existed.
-struct TickFan<'a> {
-    out: &'a mut dyn Subscriber,
-    ledger: Option<&'a mut AttributionLedger>,
-    audit: Option<&'a mut AuditMonitor>,
-    flight: Option<&'a mut FlightRecorder>,
-}
-
-impl Subscriber for TickFan<'_> {
+impl<W: Write> Subscriber for Tee<W> {
     fn event(&mut self, event: &Event) {
         self.out.event(event);
-        if let Some(ledger) = self.ledger.as_deref_mut() {
+        if let Some((ledger, audit)) = &mut self.attribution {
             ledger.absorb(event);
-        }
-        if let Some(audit) = self.audit.as_deref_mut() {
             audit.event(event);
         }
-        if let Some(flight) = self.flight.as_deref_mut() {
+        if let Some(flight) = &mut self.flight {
             flight.record(event);
         }
     }
 }
 
-/// One traced run's trace: its meta line, the event fan-out
-/// ([`TraceOut`]: windowed recorder plus optional JSONL sink), the span
-/// recorder, and the closing profile line. Both loops that trace a run
-/// write the trace format through it: [`trace_run_to_sink`], and the
-/// first seed of a measurement handed one
+/// One traced run's trace and everything that observes it: the meta
+/// line, the event consumers ([`TraceOut`]'s windowed recorder and
+/// optional JSONL sink, plus the attribution ledger, audit monitor and
+/// flight recorder a config arms), the cause tracker, the span recorder,
+/// the live publisher, and the closing profile line.
+///
+/// A capture observes one [`run_measured`] run, whose ticks, warmup and
+/// measurement alike, run with the capture's probe, and which hands the
+/// capture each ticked stack and, after the last tick, the stack's final
+/// state. Two runs carry one: [`trace_run_to_sink`]'s, and the first seed
+/// of a measurement handed a capture
 /// ([`measure_with_policy_ctl`](crate::harness::measure_with_policy_ctl)),
 /// which is how a traced `single` job simulates its seed once.
 #[derive(Debug)]
 pub struct TraceCapture<W: Write> {
     meta: TraceMeta,
-    out: TraceOut<W>,
+    config: TelemetryConfig,
+    tee: Tee<W>,
+    tracker: Option<CauseTracker>,
     spans: SpanRecorder,
+    trigger: FlightTrigger,
+    live: Option<&'static Publisher>,
+    started: Instant,
+    published_windows: usize,
+    ticks: u64,
+    /// The first I/O error of a flight dump during the run.
+    error: Option<io::Error>,
+    /// The run's final counters and shard snapshot.
+    end: Option<(Counters, ShardSnapshot)>,
 }
 
 impl<W: Write> TraceCapture<W> {
     /// Opens the capture of `protocol`'s first seed over `scenario`
-    /// (`warmup + measure` sim seconds from `t = 0`) and writes the meta
-    /// line.
+    /// (`warmup + measure` sim seconds from `t = 0`), arms what `config`
+    /// asks for, and writes the meta line.
     pub(crate) fn new(
         scenario: &Scenario,
         protocol: &Protocol,
@@ -291,39 +294,194 @@ impl<W: Write> TraceCapture<W> {
             Some(cap) => SpanRecorder::new().with_ring(cap),
             None => SpanRecorder::new(),
         };
-        TraceCapture { meta, out, spans }
+        let attribution = config.attribution.then(|| {
+            (
+                AttributionLedger::new(),
+                AuditMonitor::new(AuditConfig::default()),
+            )
+        });
+        TraceCapture {
+            meta,
+            config: config.clone(),
+            tee: Tee {
+                out,
+                attribution,
+                flight: config.flight.map(FlightRecorder::new),
+            },
+            tracker: config.attribution.then(CauseTracker::new),
+            spans,
+            trigger: FlightTrigger::new(),
+            live: live_publisher(),
+            started: Instant::now(),
+            published_windows: usize::MAX,
+            ticks: 0,
+            error: None,
+            end: None,
+        }
     }
 
-    /// The probe one traced tick runs with: every event to the fan-out,
-    /// every span to the recorder.
+    /// The probe one traced tick runs with: every event to the consumers
+    /// (straight to the trace output when nothing else is armed, so a
+    /// plain trace pays for no tee), every span to the recorder, and
+    /// causes to the tracker when attributing.
     pub(crate) fn probe(&mut self) -> Probe<'_> {
-        Probe::new(Some(&mut self.out)).with_spans(Some(&mut self.spans))
+        let tee = &mut self.tee;
+        let sub: &mut dyn Subscriber = if tee.attribution.is_some() || tee.flight.is_some() {
+            tee
+        } else {
+            &mut tee.out
+        };
+        Probe::with_causes(Some(sub), self.tracker.as_mut()).with_spans(Some(&mut self.spans))
     }
 
-    /// Closes the trace with its profile line: the meta, the windowed
-    /// recorder, the spans, their profile, and the sink's flushed writer.
+    /// Observes the tick `stack` just ran, which ended at sim time `time`:
+    /// samples the audit monitors, dumps the flight ring the moment the
+    /// audit first trips, and publishes a live snapshot once per tumbling
+    /// window (never per tick, never on the scraper's clock). A failed
+    /// dump is kept for [`TraceCapture::finish`] to return.
+    pub(crate) fn after_tick<C: ClusterLayer, R: RouteLayer>(
+        &mut self,
+        stack: &ProtocolStack<C, R, ShardPlane>,
+        time: f64,
+    ) {
+        self.ticks += 1;
+        if let Some((_, audit)) = &mut self.tee.attribution {
+            audit.sample(&stack.audit_sample(time));
+            if let (Some(fr), Some(path)) = (&self.tee.flight, &self.config.flight_out) {
+                if self.trigger.check(audit.violation_count()) {
+                    match fr.dump_to(path, &self.meta, "audit-violation") {
+                        Ok(()) => println!(
+                            "[flight] audit violation: ring dumped -> {}",
+                            path.display()
+                        ),
+                        Err(e) => {
+                            self.error.get_or_insert(e);
+                        }
+                    }
+                }
+            }
+        }
+        if let Some(publisher) = self.live {
+            let windows = self.tee.out.recorder.windows().len();
+            if windows != self.published_windows {
+                self.published_windows = windows;
+                publisher.publish(self.snapshot(&stack.stages().snapshot(), time));
+            }
+        }
+    }
+
+    /// Takes the final counters and shard snapshot of the run `stack`
+    /// just finished.
+    pub(crate) fn end<C: ClusterLayer, R: RouteLayer>(
+        &mut self,
+        stack: &ProtocolStack<C, R, ShardPlane>,
+    ) {
+        self.end = Some((stack.world().counters().clone(), stack.stages().snapshot()));
+    }
+
+    /// One live snapshot: the Prometheus text `--metrics-out` writes at
+    /// end of run, plus tick progress for `/health` and the flight ring
+    /// for `/flight`.
+    fn snapshot(&self, shard: &ShardSnapshot, sim_time: f64) -> TelemetrySnapshot {
+        let attribution = self.tee.attribution.as_ref();
+        TelemetrySnapshot {
+            metrics: prometheus_text(
+                &self.tee.out.recorder,
+                attribution.map(|(ledger, _)| ledger),
+                Some(shard),
+                Some(&self.spans),
+            ),
+            tick: self.ticks,
+            sim_time,
+            ticks_per_sec: self.ticks as f64 / self.started.elapsed().as_secs_f64().max(1e-9),
+            audit_violations: attribution.map_or(0, |(_, audit)| audit.violation_count()),
+            flight: self
+                .tee
+                .flight
+                .as_ref()
+                .map_or_else(String::new, |fr| fr.dump_string(&self.meta, "live")),
+        }
+    }
+
+    /// Closes the trace of the ended run: publishes the final snapshot,
+    /// writes the profile line, leaves a black box behind when the audit
+    /// never tripped, writes the span and metrics files the config names,
+    /// and reconciles the audit with the final counters.
     ///
     /// # Errors
     ///
-    /// Returns the sink's first latched I/O error.
-    pub(crate) fn finish(
-        mut self,
-    ) -> io::Result<(
-        TraceMeta,
-        WindowedRecorder,
-        SpanRecorder,
-        ProfileReport,
-        Option<W>,
-    )> {
+    /// Returns a dump's I/O error from the run, else the sink's first
+    /// latched I/O error, else the first failed write here.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`TraceCapture::end`] took the run's final state.
+    pub(crate) fn finish(mut self) -> io::Result<(TraceRun, Option<W>)> {
+        if let Some(e) = self.error.take() {
+            return Err(e);
+        }
+        let (counters, shard) = self.end.take().expect("a capture finishes an ended run");
+        if let Some(publisher) = self.live {
+            publisher.publish(self.snapshot(&shard, self.meta.duration));
+        }
         let profile = self.spans.profile();
-        let recorder = std::mem::replace(
-            &mut self.out.recorder,
-            WindowedRecorder::new(self.meta.window),
-        );
-        let writer = self.out.finish_into(&profile)?;
-        Ok((self.meta, recorder, self.spans, profile, writer))
+        let Tee {
+            mut out,
+            attribution,
+            flight,
+        } = self.tee;
+        let recorder =
+            std::mem::replace(&mut out.recorder, WindowedRecorder::new(self.meta.window));
+        let writer = out.finish_into(&profile)?;
+        let config = &self.config;
+        if let (Some(fr), Some(path), false) = (&flight, &config.flight_out, self.trigger.fired()) {
+            fr.dump_to(path, &self.meta, "end-of-run")?;
+        }
+        if let Some(path) = &config.spans_out {
+            std::fs::write(path, chrome_trace_json(&self.spans, config.span_timebase()))?;
+        }
+        let attribution = attribution.map(|(ledger, mut audit)| {
+            for (class, kind) in [
+                (MsgClass::Hello, MessageKind::Hello),
+                (MsgClass::Cluster, MessageKind::Cluster),
+                (MsgClass::Route, MessageKind::Route),
+            ] {
+                audit.reconcile(class, counters.messages(kind));
+            }
+            AttributionRun {
+                ledger,
+                audit: audit.finish(),
+            }
+        });
+        if let Some(path) = &config.metrics_out {
+            std::fs::write(
+                path,
+                prometheus_text(
+                    &recorder,
+                    attribution.as_ref().map(|a| &a.ledger),
+                    Some(&shard),
+                    Some(&self.spans),
+                ),
+            )?;
+        }
+        let run = TraceRun {
+            meta: self.meta,
+            counters,
+            recorder,
+            profile,
+            attribution,
+            shard,
+            flight,
+            spans: self.spans,
+        };
+        Ok((run, writer))
     }
 }
+
+/// The `capture` of a measured run that nothing traces
+/// ([`run_measured`] takes any writer's capture, so a bare `None` names
+/// no type).
+pub(crate) const UNTRACED: Option<&mut TraceCapture<Vec<u8>>> = None;
 
 /// An in-memory JSONL sink, as the jobs plane captures traces into.
 ///
@@ -350,32 +508,19 @@ pub(crate) fn jsonl_text(writer: Option<Vec<u8>>) -> io::Result<String> {
 }
 
 /// Runs the ideal stack once (first seed of `protocol`) with telemetry
-/// attached, tracing from `t = 0` for `warmup + measure` sim seconds.
+/// attached, tracing from `t = 0` for `warmup + measure` sim seconds, on
+/// the [`ShardRun`] options `run` (`None` = the default layout), and
+/// writes the JSONL trace to [`TelemetryConfig::out`] when one is named.
 ///
 /// The harness emits a batched `MsgSent` event for exactly the count it
 /// records into the shared [`Counters`], per layer per tick, so the
 /// recorder's per-class window sums reconcile with the final counters by
-/// construction.
-///
-/// # Errors
-///
-/// Returns any I/O error from creating or writing the JSONL sink.
-pub fn trace_run(
-    scenario: &Scenario,
-    protocol: &Protocol,
-    config: &TelemetryConfig,
-) -> io::Result<TraceRun> {
-    trace_run_chaos(scenario, protocol, config, None)
-}
-
-/// [`trace_run`] over explicit [`ShardRun`] options (`None` = the default
-/// layout). The event stream, recorder, and counters are bit-identical
-/// across layouts and worker counts for a fixed seed — the root
-/// `tests/shard_plane.rs` pins the traced JSONL byte-for-byte. A fallible
-/// interconnect config turns the traced run into a chaos run: ghost syncs
-/// and migrations ride seeded lossy links, stalled shards freeze, and the
-/// `interconnect_*` event kinds appear in the trace. With an ideal (or
-/// absent) interconnect the bytes are identical to [`trace_run`].
+/// construction. The event stream, recorder and counters are
+/// bit-identical across layouts and worker counts for a fixed seed (the
+/// root `tests/shard_plane.rs` pins the traced JSONL byte for byte). A
+/// fallible interconnect config turns the traced run into a chaos run:
+/// ghost syncs and migrations ride seeded lossy links, stalled shards
+/// freeze, and the `interconnect_*` event kinds appear in the trace.
 ///
 /// # Errors
 ///
@@ -385,16 +530,13 @@ pub fn trace_run(
 ///
 /// Panics when the layout is too fine for the radius or the interconnect
 /// config is invalid; chaos sweeps construct both in code.
-pub fn trace_run_chaos(
+pub fn trace_run(
     scenario: &Scenario,
     protocol: &Protocol,
     config: &TelemetryConfig,
     run: Option<&ShardRun>,
 ) -> io::Result<TraceRun> {
-    let sink = match &config.out {
-        Some(path) => Some(JsonlSink::create(path)?),
-        None => None,
-    };
+    let sink = config.out.as_ref().map(JsonlSink::create).transpose()?;
     let (run, _) = trace_run_to_sink(scenario, protocol, config, run, sink, None)?
         .expect("a traced run without a cancel token cannot be cancelled");
     Ok(run)
@@ -422,13 +564,14 @@ pub fn trace_run_to_string(
     Ok((run, jsonl_text(writer)?))
 }
 
-/// The writer-generic, cancellable core of every traced run: drives the
-/// telemetry tick loop against an explicit JSONL `sink` (ignoring
-/// [`TelemetryConfig::out`], which only the file-path frontends read)
-/// and hands the writer back alongside the [`TraceRun`] so callers can
-/// recover in-memory trace bytes. Polls `cancel` every
-/// [`CANCEL_CHECK_TICKS`] ticks, as the measurement loops do, and
-/// returns `Ok(None)` once it fired: a cancelled capture yields no trace.
+/// The writer-generic, cancellable core of every traced run: a one-seed
+/// measured run with no warmup, whose measured span is the trace's whole
+/// duration, observed by a [`TraceCapture`] writing to an explicit JSONL
+/// `sink` (ignoring [`TelemetryConfig::out`], which only the file-path
+/// frontend reads). Hands the writer back alongside the [`TraceRun`] so
+/// callers can recover in-memory trace bytes. Polls `cancel` as every
+/// measured run does and returns `Ok(None)` once it fired: a cancelled
+/// capture yields no trace.
 ///
 /// # Errors
 ///
@@ -447,185 +590,18 @@ pub fn trace_run_to_sink<W: Write>(
     cancel: Option<&CancelToken>,
 ) -> io::Result<Option<(TraceRun, Option<W>)>> {
     let mut capture = TraceCapture::new(scenario, protocol, config, sink);
-    let world = sim_builder(scenario, protocol.dt, capture.meta.seed)
-        .hello_mode(HelloMode::EventDriven)
-        .build();
-    let mut attrib = config.attribution.then(|| AttribState {
-        tracker: CauseTracker::new(),
-        ledger: AttributionLedger::new(),
-        audit: AuditMonitor::new(AuditConfig::default()),
-    });
-
-    let clustering = Clustering::form(LowestId, world.topology());
-    let stack = ProtocolStack::ideal(world, clustering, IntraClusterRouting::new());
-    let mut stack = on_plane(stack, run);
-    stack.prime(&mut QuietCtx::new().ctx()); // baseline fill, uncharged
-
-    let mut flight = config.flight.map(FlightRecorder::new);
-    let mut trigger = FlightTrigger::new();
-    let live = live_publisher();
-    let started = Instant::now();
-    let mut published_windows = usize::MAX;
-
+    let mut stack = ideal_stack(scenario, protocol.dt, capture.meta.seed, LowestId, run);
     let duration = capture.meta.duration;
-    let ticks = (duration / protocol.dt).round() as usize;
-    for tick in 0..ticks {
-        if tick % CANCEL_CHECK_TICKS == 0 && cancel.is_some_and(CancelToken::is_cancelled) {
-            return Ok(None);
-        }
-        let TraceCapture { meta, out, spans } = &mut capture;
-        let mut fan;
-        let probe = if attrib.is_some() || flight.is_some() {
-            let (ledger, audit, tracker) = match attrib.as_mut() {
-                Some(st) => (
-                    Some(&mut st.ledger),
-                    Some(&mut st.audit),
-                    Some(&mut st.tracker),
-                ),
-                None => (None, None, None),
-            };
-            fan = TickFan {
-                out,
-                ledger,
-                audit,
-                flight: flight.as_mut(),
-            };
-            Probe::with_causes(Some(&mut fan), tracker)
-        } else {
-            Probe::new(Some(out))
-        };
-        let mut probe = probe.with_spans(Some(spans));
-        let report = stack.tick(&mut StepCtx::new(&mut probe));
-
-        // Feed the invariant monitors a post-maintenance structural sample.
-        if let Some(st) = attrib.as_mut() {
-            st.audit.sample(&stack.audit_sample(report.time));
-        }
-
-        // Black box: dump the event ring the moment the audit trips.
-        if let (Some(fr), Some(st)) = (flight.as_ref(), attrib.as_ref()) {
-            if trigger.check(st.audit.violation_count()) {
-                if let Some(path) = &config.flight_out {
-                    fr.dump_to(path, meta, "audit-violation")?;
-                    println!(
-                        "[flight] audit violation: ring dumped -> {}",
-                        path.display()
-                    );
-                }
-            }
-        }
-
-        // Live exporter: re-render and swap the snapshot once per
-        // tumbling window (never per tick, never on the scraper's clock).
-        if let Some(publisher) = live {
-            let windows = out.recorder.windows().len();
-            if windows != published_windows {
-                published_windows = windows;
-                publisher.publish(render_snapshot(
-                    &out.recorder,
-                    attrib.as_ref(),
-                    &stack.stages().snapshot(),
-                    flight.as_ref(),
-                    spans,
-                    meta,
-                    (tick + 1) as u64,
-                    report.time,
-                    started.elapsed(),
-                ));
-            }
-        }
-    }
-
-    let (meta, recorder, spans, profile, writer) = capture.finish()?;
-
-    // A run that never tripped the audit still leaves a black box behind.
-    if let (Some(fr), Some(path), false) = (flight.as_ref(), &config.flight_out, trigger.fired()) {
-        fr.dump_to(path, &meta, "end-of-run")?;
-    }
-    if let Some(publisher) = live {
-        publisher.publish(render_snapshot(
-            &recorder,
-            attrib.as_ref(),
-            &stack.stages().snapshot(),
-            flight.as_ref(),
-            &spans,
-            &meta,
-            ticks as u64,
-            duration,
-            started.elapsed(),
-        ));
-    }
-    if let Some(path) = &config.spans_out {
-        std::fs::write(path, chrome_trace_json(&spans, config.span_timebase()))?;
-    }
-    let attribution = attrib.map(|mut st| {
-        for (class, kind) in [
-            (MsgClass::Hello, MessageKind::Hello),
-            (MsgClass::Cluster, MessageKind::Cluster),
-            (MsgClass::Route, MessageKind::Route),
-        ] {
-            st.audit
-                .reconcile(class, stack.world().counters().messages(kind));
-        }
-        AttributionRun {
-            ledger: st.ledger,
-            audit: st.audit.finish(),
-        }
-    });
-    let shard = stack.stages().snapshot();
-    if let Some(path) = &config.metrics_out {
-        std::fs::write(
-            path,
-            prometheus_text(
-                &recorder,
-                attribution.as_ref().map(|a| &a.ledger),
-                Some(&shard),
-                Some(&spans),
-            ),
-        )?;
-    }
-    Ok(Some((
-        TraceRun {
-            meta,
-            counters: stack.world().counters().clone(),
-            recorder,
-            profile,
-            attribution,
-            shard,
-            flight,
-            spans,
-        },
-        writer,
-    )))
-}
-
-/// Renders one [`TelemetrySnapshot`] for the live exporter: the same
-/// Prometheus text `--metrics-out` writes at end of run, plus tick
-/// progress for `/health` and the flight ring for `/flight`.
-#[allow(clippy::too_many_arguments)]
-fn render_snapshot(
-    recorder: &WindowedRecorder,
-    attrib: Option<&AttribState>,
-    shard: &ShardSnapshot,
-    flight: Option<&FlightRecorder>,
-    spans: &SpanRecorder,
-    meta: &TraceMeta,
-    tick: u64,
-    sim_time: f64,
-    elapsed: Duration,
-) -> TelemetrySnapshot {
-    TelemetrySnapshot {
-        metrics: prometheus_text(
-            recorder,
-            attrib.map(|st| &st.ledger),
-            Some(shard),
-            Some(spans),
-        ),
-        tick,
-        sim_time,
-        ticks_per_sec: tick as f64 / elapsed.as_secs_f64().max(1e-9),
-        audit_violations: attrib.map_or(0, |st| st.audit.violation_count()),
-        flight: flight.map_or_else(String::new, |fr| fr.dump_string(meta, "live")),
+    match run_measured(
+        &mut stack,
+        0.0,
+        duration,
+        cancel,
+        Some(&mut capture),
+        |_, _, _| {},
+    ) {
+        Some(_) => capture.finish().map(Some),
+        None => Ok(None),
     }
 }
 
@@ -873,8 +849,13 @@ mod tests {
     #[test]
     fn trace_run_reconciles_with_counters_per_class() {
         let (scenario, protocol) = smoke();
-        let run = trace_run(&scenario, &protocol, &TelemetryConfig::in_memory("test"))
-            .expect("in-memory run cannot fail on IO");
+        let run = trace_run(
+            &scenario,
+            &protocol,
+            &TelemetryConfig::in_memory("test"),
+            None,
+        )
+        .expect("in-memory run cannot fail on IO");
         assert!(run.counters.bytes_consistent());
         for (class, kind) in [
             (MsgClass::Hello, MessageKind::Hello),
@@ -908,7 +889,7 @@ mod tests {
     fn attributed_run_reconciles_ledger_audit_and_counters() {
         let (scenario, protocol) = smoke();
         let config = TelemetryConfig::in_memory("attr").with_attribution();
-        let run = trace_run(&scenario, &protocol, &config).expect("in-memory run");
+        let run = trace_run(&scenario, &protocol, &config, None).expect("in-memory run");
         let attr = run.attribution.as_ref().expect("attribution enabled");
         // Invariant monitors stay silent on the ideal stack, and the
         // Counters <-> trace reconciliation is exact per class.
@@ -981,8 +962,13 @@ mod tests {
     #[test]
     fn attribution_off_leaves_no_ledger() {
         let (scenario, protocol) = smoke();
-        let run = trace_run(&scenario, &protocol, &TelemetryConfig::in_memory("plain"))
-            .expect("in-memory run");
+        let run = trace_run(
+            &scenario,
+            &protocol,
+            &TelemetryConfig::in_memory("plain"),
+            None,
+        )
+        .expect("in-memory run");
         assert!(run.attribution.is_none());
         // Spans aggregate, but no span flag armed the raw ring.
         assert_eq!(run.spans.ring_len(), 0);
@@ -998,7 +984,7 @@ mod tests {
         let (scenario, protocol) = smoke();
         let config =
             TelemetryConfig::in_memory("spans").with_spans_ring(DEFAULT_SPAN_RING_CAPACITY);
-        let run = trace_run(&scenario, &protocol, &config).expect("in-memory run");
+        let run = trace_run(&scenario, &protocol, &config, None).expect("in-memory run");
         let spans = &run.spans;
         let ticks = ((protocol.warmup + protocol.measure) / protocol.dt).round() as u64;
         assert_eq!(run.profile, spans.profile());

@@ -615,7 +615,7 @@ mod tests {
     /// to cross tile boundaries every few ticks.
     fn fast_world() -> manet_sim::World {
         use manet_mobility::ConstantVelocity;
-        use manet_sim::{HelloMode, MessageSizes, World};
+        use manet_sim::{MessageSizes, World};
         let region = SquareRegion::new(300.0);
         let mut rng = Rng::seed_from_u64(3);
         let mobility = ConstantVelocity::new(region, 150, 40.0, &mut rng);
@@ -624,7 +624,6 @@ mod tests {
             45.0,
             0.5,
             Metric::toroidal(300.0),
-            HelloMode::EventDriven,
             MessageSizes::default(),
             77,
         )
@@ -961,9 +960,7 @@ mod tests {
     /// double-owned, never orphaned — and migration flows stay balanced.
     #[test]
     fn crashed_node_is_never_double_owned_or_orphaned() {
-        use manet_sim::{
-            ChurnSchedule, FaultPlan, HelloMode, LossModel, QuietCtx, SimBuilder, StallSchedule,
-        };
+        use manet_sim::{ChurnSchedule, FaultPlan, LossModel, QuietCtx, SimBuilder, StallSchedule};
         for seed in [5u64, 19] {
             let n = 120;
             let churn =
@@ -976,7 +973,6 @@ mod tests {
                 .speed(25.0)
                 .dt(0.5)
                 .seed(seed)
-                .hello_mode(HelloMode::EventDriven)
                 .fault(FaultPlan {
                     loss: LossModel::Bernoulli { p: 0.1 },
                     churn,

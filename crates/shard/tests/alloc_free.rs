@@ -20,7 +20,7 @@
 
 use manet_geom::ShardDims;
 use manet_shard::ShardPlane;
-use manet_sim::{HelloMode, QuietCtx, SimBuilder};
+use manet_sim::{QuietCtx, SimBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -85,7 +85,6 @@ fn steady_state_sharded_step_is_allocation_free() {
         .speed(10.0)
         .dt(0.5)
         .seed(1)
-        .hello_mode(HelloMode::EventDriven)
         .build();
     let mut plane = ShardPlane::for_world(&world, ShardDims::parse("2x2").unwrap())
         .unwrap()
@@ -127,7 +126,6 @@ fn steady_state_sharded_step_is_allocation_free() {
         .speed(10.0)
         .dt(0.5)
         .seed(7)
-        .hello_mode(HelloMode::EventDriven)
         .build();
     let mut plane = ShardPlane::for_world(&world, ShardDims::parse("1x1").unwrap())
         .unwrap()
@@ -166,7 +164,6 @@ fn warmed_multi_shard_world_holds_few_bytes_per_link() {
         .speed(10.0)
         .dt(0.5)
         .seed(3)
-        .hello_mode(HelloMode::EventDriven)
         .build();
     let mut plane = ShardPlane::for_world(&world, ShardDims::parse("2x2").unwrap())
         .unwrap()

@@ -8,8 +8,8 @@ use manet_geom::ShardDims;
 use manet_routing::intra::IntraClusterRouting;
 use manet_shard::{default_workers, InterconnectConfig, ShardPlane, ShardStats};
 use manet_sim::{
-    ChurnSchedule, FaultPlan, HelloMode, HelloProtocol, LossModel, MobilityKind, QuietCtx,
-    SimBuilder, StallEvent, StallSchedule, StepCtx, World,
+    ChurnSchedule, FaultPlan, HelloProtocol, LossModel, MobilityKind, QuietCtx, SimBuilder,
+    StallEvent, StallSchedule, StepCtx, World,
 };
 use manet_stack::{ClusterLayer, ProtocolStack, RouteLayer};
 use manet_telemetry::{Event, EventKind, Probe};
@@ -28,7 +28,7 @@ fn world(seed: u64, mobility: MobilityKind, faulty: bool) -> World {
         .dt(0.5)
         .seed(seed);
     if !faulty {
-        return builder.hello_mode(HelloMode::EventDriven).build();
+        return builder.build();
     }
     let churn = ChurnSchedule::poisson(NODES, 0.004, 10.0, 40.0, seed).unwrap();
     let plan = FaultPlan {
@@ -36,10 +36,7 @@ fn world(seed: u64, mobility: MobilityKind, faulty: bool) -> World {
         churn,
         seed,
     };
-    builder
-        .hello_mode(HelloMode::Disabled)
-        .fault(plan.validated().unwrap())
-        .build()
+    builder.fault(plan.validated().unwrap()).build()
 }
 
 fn ideal(w: World) -> ProtocolStack<Clustering<LowestId>, IntraClusterRouting> {

@@ -21,8 +21,8 @@ use manet_geom::{candidate_reach, FrameGrid, Metric, ShardDims, SpatialGrid, Squ
 use manet_mobility::{EpochRandomDirection, Mobility, RandomWalk, RandomWaypoint};
 use manet_shard::ShardPlane;
 use manet_sim::{
-    ChurnSchedule, FaultPlan, GridTopology, HelloMode, LinkEvent, LossModel, MobilityStage, NodeId,
-    QuietCtx, SimBuilder, Topology, TopologyBuilder, World,
+    ChurnSchedule, FaultPlan, GridTopology, LinkEvent, LossModel, MobilityStage, NodeId, QuietCtx,
+    SimBuilder, Topology, TopologyBuilder, World,
 };
 use manet_telemetry::Probe;
 use manet_util::Rng;
@@ -402,7 +402,6 @@ fn paper_world(seed: u64) -> SimBuilder {
         .speed(10.0)
         .dt(0.25)
         .seed(seed)
-        .hello_mode(HelloMode::Disabled)
 }
 
 /// One context through two worlds that alternate every tick: each world

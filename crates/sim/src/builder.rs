@@ -3,7 +3,7 @@
 use crate::counters::MessageSizes;
 use crate::error::{positive, SimError};
 use crate::fault::FaultPlan;
-use crate::world::{HelloMode, World};
+use crate::world::World;
 use manet_geom::{Metric, SquareRegion};
 use manet_mobility::{
     ConstantVelocity, EpochRandomDirection, Mobility, RandomWalk, RandomWaypoint,
@@ -39,7 +39,8 @@ pub enum MobilityKind {
 ///
 /// Defaults (see DESIGN.md §5): side 1000 m, 400 nodes, range 150 m, speed
 /// 10 m/s, epoch-random-direction mobility with τ = 20 s, tick 0.25 s,
-/// event-driven HELLO, default message sizes, seed 1.
+/// default message sizes, seed 1. The world counts event-driven HELLO
+/// until a stack with its own HELLO driver takes it over.
 ///
 /// # Example
 ///
@@ -58,7 +59,6 @@ pub struct SimBuilder {
     dt: f64,
     seed: u64,
     mobility: MobilityKind,
-    hello: HelloMode,
     fault: FaultPlan,
 }
 
@@ -72,7 +72,6 @@ impl Default for SimBuilder {
             dt: 0.25,
             seed: 1,
             mobility: MobilityKind::EpochRandomDirection { epoch: 20.0 },
-            hello: HelloMode::EventDriven,
             fault: FaultPlan::ideal(),
         }
     }
@@ -123,12 +122,6 @@ impl SimBuilder {
     /// Mobility model.
     pub fn mobility(mut self, kind: MobilityKind) -> Self {
         self.mobility = kind;
-        self
-    }
-
-    /// HELLO emission mode.
-    pub fn hello_mode(mut self, mode: HelloMode) -> Self {
-        self.hello = mode;
         self
     }
 
@@ -230,7 +223,6 @@ impl SimBuilder {
             self.radius,
             self.dt,
             metric,
-            self.hello,
             MessageSizes::default(),
             self.seed,
             self.fault,

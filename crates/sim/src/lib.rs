@@ -64,7 +64,7 @@ pub use hello::{HelloProtocol, ViewAccuracy};
 pub use lifetime::LinkLifetimes;
 pub use stage::{MobilityStage, WorldStages};
 pub use topology::{GridTopology, LinkEvent, LinkEventKind, Topology, TopologyBuilder};
-pub use world::{HelloMode, StepReport, World};
+pub use world::{StepReport, World};
 
 /// Identifier of a node, an index into the simulation's node arrays.
 pub type NodeId = u32;

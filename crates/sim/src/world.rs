@@ -13,21 +13,6 @@ use manet_util::stats::Summary;
 use manet_util::Rng;
 use std::fmt;
 
-/// How the world accounts HELLO beacons.
-///
-/// Periodic beaconing is the explicit [`HelloProtocol`](crate::HelloProtocol),
-/// driven on top of a world with [`HelloMode::Disabled`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HelloMode {
-    /// The paper's lower bound: a node beacons exactly when it gains a new
-    /// neighbor (one HELLO per endpoint per link generation); link breaks
-    /// are detected by soft timers and cost no transmission.
-    EventDriven,
-    /// No HELLO accounting (useful when a layer under test supplies its own
-    /// discovery mechanism).
-    Disabled,
-}
-
 /// Summary of one simulation tick.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepReport {
@@ -53,6 +38,13 @@ pub struct StepReport {
 /// control-message [`Counters`]. Higher layers (clustering, routing) are
 /// driven externally from the event stream — see the crate docs.
 ///
+/// HELLO is counted event-driven, the paper's lower bound: a node beacons
+/// exactly when it gains a new neighbor (one HELLO per endpoint per link
+/// generation), and link breaks are detected by soft timers at no
+/// transmission cost. A stack that beacons with its own
+/// [`HelloProtocol`](crate::HelloProtocol) switches this counting off
+/// ([`World::stop_counting_hello`]), so no beacon is counted twice.
+///
 /// The world also owns its topology kernel: the slot every
 /// [`TopologyBuilder`](crate::TopologyBuilder) builds on, whose link
 /// schedule carries over from tick to tick, and the spare topology the
@@ -77,7 +69,9 @@ pub struct World {
     time: f64,
     measure_start: f64,
     sizes: MessageSizes,
-    hello_mode: HelloMode,
+    /// Whether the world counts event-driven HELLOs (see
+    /// [`World::stop_counting_hello`]).
+    counts_hello: bool,
     /// The current topology, which also carries the link events of the
     /// latest tick (`Topology::diff_from`).
     topology: Topology,
@@ -138,7 +132,6 @@ impl World {
         radius: f64,
         dt: f64,
         metric: Metric,
-        hello_mode: HelloMode,
         sizes: MessageSizes,
         seed: u64,
     ) -> Self {
@@ -147,7 +140,6 @@ impl World {
             radius,
             dt,
             metric,
-            hello_mode,
             sizes,
             seed,
             FaultPlan::ideal(),
@@ -172,7 +164,6 @@ impl World {
         radius: f64,
         dt: f64,
         metric: Metric,
-        hello_mode: HelloMode,
         sizes: MessageSizes,
         seed: u64,
         fault: FaultPlan,
@@ -196,7 +187,7 @@ impl World {
             time: 0.0,
             measure_start: 0.0,
             sizes,
-            hello_mode,
+            counts_hello: true,
             topology: Topology::empty(0),
             grid: None,
             spare: Topology::default(),
@@ -299,9 +290,12 @@ impl World {
         self.sizes
     }
 
-    /// How this world accounts HELLO beacons.
-    pub fn hello_mode(&self) -> HelloMode {
-        self.hello_mode
+    /// Stops counting event-driven HELLOs: the owner beacons with its own
+    /// [`HelloProtocol`](crate::HelloProtocol) and records those sends
+    /// itself. `ProtocolStack::new` calls this for an explicit HELLO
+    /// driver; nothing turns the counting back on.
+    pub fn stop_counting_hello(&mut self) {
+        self.counts_hello = false;
     }
 
     /// Current node positions.
@@ -493,10 +487,11 @@ impl World {
         ctx.probe.phase_end(Phase::Topology, t0);
 
         let t0 = ctx.probe.phase_start();
-        let hello_sent = match self.hello_mode {
-            // Each new link prompts one beacon from each endpoint.
-            HelloMode::EventDriven => 2 * generated as u64,
-            HelloMode::Disabled => 0,
+        // Each new link prompts one beacon from each endpoint.
+        let hello_sent = if self.counts_hello {
+            2 * generated as u64
+        } else {
+            0
         };
         let mut hello_lost = 0usize;
         if hello_sent > 0 {
@@ -598,7 +593,6 @@ mod tests {
             40.0,
             0.25,
             Metric::toroidal(200.0),
-            HelloMode::EventDriven,
             MessageSizes::default(),
             seed ^ 0xABCD,
         )
@@ -694,7 +688,6 @@ mod tests {
             r,
             0.2,
             Metric::toroidal(side),
-            HelloMode::EventDriven,
             MessageSizes::default(),
             7,
         );
@@ -724,7 +717,6 @@ mod tests {
             40.0,
             0.25,
             Metric::toroidal(200.0),
-            HelloMode::EventDriven,
             MessageSizes::default(),
             77,
             crate::FaultPlan::bernoulli(1.0, 5).unwrap(),
@@ -896,7 +888,6 @@ mod tests {
             40.0,
             0.5,
             Metric::toroidal(100.0),
-            HelloMode::EventDriven,
             MessageSizes::default(),
             5,
             fault,
@@ -1036,7 +1027,6 @@ mod tests {
             10.0,
             0.5,
             Metric::toroidal(50.0),
-            HelloMode::Disabled,
             MessageSizes::default(),
             1,
             fault,
@@ -1056,7 +1046,6 @@ mod tests {
                 radius,
                 dt,
                 Metric::toroidal(50.0),
-                HelloMode::Disabled,
                 MessageSizes::default(),
                 1,
                 crate::FaultPlan::ideal(),
@@ -1078,7 +1067,6 @@ mod tests {
             5.0,
             0.0,
             Metric::toroidal(10.0),
-            HelloMode::Disabled,
             MessageSizes::default(),
             1,
         );

@@ -10,9 +10,7 @@
 //! harness printing a slow-test notice) do not enter the count.
 
 use manet_geom::{Metric, SpatialGrid, SquareRegion, Vec2};
-use manet_sim::{
-    GridTopology, HelloMode, MobilityStage, QuietCtx, SimBuilder, Topology, TopologyBuilder,
-};
+use manet_sim::{GridTopology, MobilityStage, QuietCtx, SimBuilder, Topology, TopologyBuilder};
 use manet_telemetry::Probe;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -63,7 +61,6 @@ fn steady_state_world_step_is_allocation_free() {
         .speed(10.0)
         .dt(0.5)
         .seed(1)
-        .hello_mode(HelloMode::EventDriven)
         .build();
     let mut quiet = QuietCtx::new();
     // Warm up every capacity the hot loop touches: the kernel's frame, the

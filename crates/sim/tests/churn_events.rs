@@ -14,8 +14,8 @@ use manet_geom::{FrameGrid, Metric, ShardDims, SpatialGrid, SquareRegion, Vec2};
 use manet_mobility::EpochRandomDirection;
 use manet_shard::ShardPlane;
 use manet_sim::{
-    ChurnEvent, ChurnKind, ChurnSchedule, FaultPlan, GridTopology, HelloMode, LossModel,
-    MessageSizes, MobilityStage, NodeId, QuietCtx, Topology, TopologyBuilder, World,
+    ChurnEvent, ChurnKind, ChurnSchedule, FaultPlan, GridTopology, LossModel, MessageSizes,
+    MobilityStage, NodeId, QuietCtx, Topology, TopologyBuilder, World,
 };
 use manet_telemetry::Probe;
 use manet_util::Rng;
@@ -38,7 +38,6 @@ fn world(churn: ChurnSchedule) -> World {
         RADIUS,
         DT,
         Metric::toroidal(SIDE),
-        HelloMode::EventDriven,
         MessageSizes::default(),
         17,
         fault,

@@ -2,7 +2,7 @@
 //! accounting: 24 worlds per property, drawn from a fixed-seed
 //! `manet_util::Rng`, so a failure names a case that reproduces exactly.
 
-use manet_sim::{HelloMode, LinkEventKind, MessageKind, MobilityKind, QuietCtx, SimBuilder};
+use manet_sim::{LinkEventKind, MessageKind, MobilityKind, QuietCtx, SimBuilder};
 use manet_util::Rng;
 use std::collections::BTreeSet;
 
@@ -60,7 +60,6 @@ fn hello_accounting_identity() {
             .speed(15.0)
             .dt(0.5)
             .seed(seed)
-            .hello_mode(HelloMode::EventDriven)
             .build();
         let mut q = QuietCtx::new();
         for _ in 0..40 {

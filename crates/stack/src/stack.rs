@@ -4,21 +4,21 @@ use crate::layer::{ClusterLayer, RouteLayer};
 use crate::report::StackReport;
 use crate::stage::{MonoStages, StackStages};
 use manet_sim::{
-    Channel, HelloMode, HelloProtocol, LossModel, MessageKind, StepCtx, World, STREAM_CLUSTER,
-    STREAM_HELLO, STREAM_ROUTE,
+    Channel, HelloProtocol, LossModel, MessageKind, StepCtx, World, STREAM_CLUSTER, STREAM_HELLO,
+    STREAM_ROUTE,
 };
 use manet_telemetry::{AuditSample, EventKind, Layer, MsgClass, Phase};
 
 /// Who drives HELLO beaconing each tick.
 pub enum HelloDriver {
-    /// The world's built-in HELLO accounting (its `HelloMode`), already
+    /// The world's built-in event-driven HELLO accounting, already
     /// applied inside `World::step`. The stack adds nothing.
     World,
     /// An explicit [`HelloProtocol`] stepped by the stack right after the
     /// world tick, over its own channel (lossy HELLO with soft-state
-    /// neighbor views). The world must run `HelloMode::Disabled`, so
-    /// beacons are not double-counted ([`ProtocolStack::new`] checks it in
-    /// debug builds).
+    /// neighbor views). [`ProtocolStack::new`] switches the world's own
+    /// HELLO counting off (`World::stop_counting_hello`), so beacons are
+    /// not double-counted.
     Explicit {
         /// The beaconing protocol.
         proto: HelloProtocol,
@@ -86,22 +86,19 @@ struct Parts<C, R> {
 
 impl<C: ClusterLayer, R: RouteLayer> ProtocolStack<C, R> {
     /// Assembles a stack from explicit parts, on the monolithic
-    /// [`MonoStages`] bundle.
-    ///
-    /// In debug builds, panics when an explicit HELLO driver meets a world
-    /// that counts its own HELLOs (any mode but `HelloMode::Disabled`).
+    /// [`MonoStages`] bundle. An explicit HELLO driver takes the world's
+    /// HELLO counting over.
     pub fn new(
-        world: World,
+        mut world: World,
         cluster: C,
         route: R,
         hello: HelloDriver,
         ch_cluster: Channel,
         ch_route: Channel,
     ) -> Self {
-        debug_assert!(
-            matches!(hello, HelloDriver::World) || world.hello_mode() == HelloMode::Disabled,
-            "an explicit HELLO driver needs HelloMode::Disabled on the world"
-        );
+        if hello.proto().is_some() {
+            world.stop_counting_hello();
+        }
         ProtocolStack {
             parts: Parts {
                 world,
@@ -366,7 +363,7 @@ mod tests {
     use crate::layer::{NoClustering, NoRouting};
     use manet_cluster::{Backoff, ClusterFlow, Clustering, LowestId, SelfHealing};
     use manet_routing::intra::{IntraClusterRouting, RouteUpdateOutcome};
-    use manet_sim::{Counters, FaultPlan, HelloMode, LossModel, QuietCtx, SimBuilder, World};
+    use manet_sim::{Counters, FaultPlan, LossModel, QuietCtx, SimBuilder, World};
 
     fn small_world(seed: u64) -> World {
         SimBuilder::new()
@@ -376,7 +373,6 @@ mod tests {
             .speed(8.0)
             .dt(0.5)
             .seed(seed)
-            .hello_mode(HelloMode::EventDriven)
             .build()
     }
 
@@ -469,13 +465,13 @@ mod tests {
                 .speed(8.0)
                 .dt(0.5)
                 .seed(4)
-                .hello_mode(HelloMode::Disabled)
                 .fault(plan())
                 .build()
         };
 
-        // Manual loop.
+        // Manual loop, beaconing for the world as the stack does.
         let mut world = build();
+        world.stop_counting_hello();
         let mut ch_hello = world.fault().channel(STREAM_HELLO);
         let mut ch_cluster = world.fault().channel(STREAM_CLUSTER);
         let mut ch_route = world.fault().channel(STREAM_ROUTE);
@@ -554,7 +550,6 @@ mod tests {
             .radius(100.0)
             .dt(0.5)
             .seed(3)
-            .hello_mode(HelloMode::Disabled)
             .build();
         let hello = HelloProtocol::new(40, 1.0, 3.0);
         let mut stack = ProtocolStack::new(
@@ -577,15 +572,5 @@ mod tests {
         );
         assert!(stack.hello().is_some());
         assert!((stack.world().time() - 20.0).abs() < 1e-9);
-    }
-
-    /// An explicit HELLO driver on a world that counts its own HELLOs
-    /// would count every beacon twice: debug builds refuse the pairing.
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "HelloMode::Disabled")]
-    fn explicit_hello_on_a_counting_world_panics() {
-        let hello = HelloProtocol::new(60, 1.0, 3.0);
-        ProtocolStack::faulty(small_world(6), NoClustering, NoRouting, hello);
     }
 }

@@ -12,9 +12,7 @@
 
 use manet_cluster::{Backoff, Clustering, LowestId, SelfHealing};
 use manet_routing::intra::IntraClusterRouting;
-use manet_sim::{
-    ChurnSchedule, FaultPlan, HelloMode, HelloProtocol, LossModel, QuietCtx, SimBuilder,
-};
+use manet_sim::{ChurnSchedule, FaultPlan, HelloProtocol, LossModel, QuietCtx, SimBuilder};
 use manet_stack::ProtocolStack;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -65,7 +63,6 @@ fn steady_state_stack_tick_is_allocation_free() {
         .speed(10.0)
         .dt(0.5)
         .seed(1)
-        .hello_mode(HelloMode::EventDriven)
         .build();
     let clustering = Clustering::form(LowestId, world.topology());
     let mut stack = ProtocolStack::ideal(world, clustering, IntraClusterRouting::new());
@@ -118,7 +115,6 @@ fn paper_400_window_is_allocation_free_on_every_seed() {
             .speed(10.0)
             .dt(0.25)
             .seed(seed)
-            .hello_mode(HelloMode::EventDriven)
             .build();
         let clustering = Clustering::form(LowestId, world.topology());
         let mut stack = ProtocolStack::ideal(world, clustering, IntraClusterRouting::new());
@@ -165,7 +161,6 @@ fn fault_plane_window_is_allocation_free_on_every_seed() {
             .speed(10.0)
             .dt(0.25)
             .seed(seed)
-            .hello_mode(HelloMode::Disabled)
             .fault(plan)
             .build();
         let hello = HelloProtocol::new(n, 1.0, 3.0);

@@ -36,6 +36,17 @@ if grep -rn "diff_into(" crates/*/src src --include='*.rs' \
     exit 1
 fi
 
+echo "==> one-loop guard (one measured-run loop, DESIGN.md §12)"
+# Every experiment, traced run and `manet simulate` ticks its stack
+# through harness::run_measured (warmup, measurement window, capture).
+# Fail the build if experiment or CLI code ticks a stack anywhere else;
+# the examples keep their own loops.
+if grep -rn '\.tick(&mut' crates/experiments/src src --include='*.rs' \
+    | grep -v "^crates/experiments/src/harness\.rs:"; then
+    echo "verify: FAIL — a stack tick outside crates/experiments/src/harness.rs (measure through harness::run_measured)" >&2
+    exit 1
+fi
+
 echo "==> one-listener guard (one HTTP listener, DESIGN.md §15)"
 # Every HTTP frontend (the live metrics endpoint, the jobs service) hands
 # its routes to manet-telemetry's HttpListener, which owns the accept
@@ -135,20 +146,32 @@ for fixture in tests/golden/examples/*.txt; do
     fi
 done
 
-echo "==> fault-plane bins' stdout (tests/golden/bins)"
-# The soft-timer HELLO (EXT4) and the self-healing stack under loss and
-# churn (ROB1) are seeded, so their stdout is pinned byte for byte, as
-# the examples' is.
-for run in "hello_accuracy hello_accuracy" "robustness_quick robustness --quick"; do
-    set -- $run
-    fixture="tests/golden/bins/$1.txt"
-    bin=$2
-    shift 2
-    if ! cargo run -q --release -p manet-experiments --bin "$bin" -- "$@" | cmp - "$fixture"; then
-        echo "verify: FAIL — $bin $* stdout differs from $fixture" >&2
+echo "==> bins' stdout (tests/golden/bins)"
+# Every bin below is seeded, so its stdout is pinned byte for byte, as
+# the examples' is: the soft-timer HELLO (EXT4), the self-healing stack
+# under loss and churn (ROB1), the flat baseline (EXT2), the ROUTE
+# dispersion closure (ABL4), d-hop maintenance (EXT3), cluster stability
+# (EXT6) and `manet simulate` under both policies. Each line names the
+# fixture, the package, the bin and its arguments. Only the default 1x1
+# layout is pinned: a multi-shard header prints the host's worker count.
+simulate="simulate --nodes 60 --side 400 --radius 80 --speed 10 --measure 20 --warmup 5 --policy"
+while read -r fixture package bin args; do
+    # shellcheck disable=SC2086 # $args is a word list by design
+    if ! cargo run -q --release -p "$package" --bin "$bin" -- $args </dev/null \
+        | cmp - "tests/golden/bins/$fixture.txt"; then
+        echo "verify: FAIL — $bin $args stdout differs from tests/golden/bins/$fixture.txt" >&2
         exit 1
     fi
-done
+done <<BINS
+hello_accuracy manet-experiments hello_accuracy
+robustness_quick manet-experiments robustness --quick
+flat_vs_clustered manet-experiments flat_vs_clustered
+route_dispersion manet-experiments route_dispersion
+dhop_extension manet-experiments dhop_extension
+cluster_stability manet-experiments cluster_stability
+simulate_lid clustered-manet manet $simulate lid
+simulate_hcc clustered-manet manet $simulate hcc
+BINS
 
 echo "==> benchmark build + self-test (perfbench --self-test)"
 # perfbench/ is a workspace of its own over crates/* (see BENCHMARK.json);

@@ -19,17 +19,15 @@
 //! `serve-jobs` runs the simulation-as-a-service scenario server
 //! (DESIGN.md §18) until `GET /quit` (or `--hold` seconds).
 
-use clustered_manet::cluster::{Clustering, HighestConnectivity, LowestId};
 use clustered_manet::experiments::cli::{parse_secs, parse_shards, Flags};
-use clustered_manet::experiments::harness::ShardRun;
-use clustered_manet::experiments::spec::{ScenarioSpec, SpecKind};
+use clustered_manet::experiments::harness::{ideal_stack, run_measured, ShardRun};
+use clustered_manet::experiments::spec::{PolicyKind, ScenarioSpec, SpecKind};
+use clustered_manet::experiments::trace::TraceCapture;
 use clustered_manet::geom::SquareRegion;
 use clustered_manet::jobs::{JobServer, JobServerConfig};
 use clustered_manet::mobility::{ConstantVelocity, TraceRecorder};
 use clustered_manet::model::{lid, DegreeModel, NetworkParams, OverheadModel};
-use clustered_manet::routing::intra::IntraClusterRouting;
-use clustered_manet::sim::{MessageKind, QuietCtx, SimBuilder};
-use clustered_manet::stack::{ProtocolStack, StackReport};
+use clustered_manet::sim::MessageKind;
 use clustered_manet::util::Rng;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -121,13 +119,15 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     let warmup = flags.parse_or("warmup", 60.0)?;
     let seed = flags.parse_or("seed", 1)?;
     let policy = flags.get("policy").unwrap_or("lid");
+    let policy = PolicyKind::from_name(policy)
+        .ok_or_else(|| format!("unknown --policy {policy:?} (expected lid or hcc)"))?;
     let run = match flags.get("shards") {
         Some(v) => ShardRun::new(parse_shards(v)?),
         None => ShardRun::resolve(None),
     };
     // The jobs service's rules for the `single` spec this run is, checked
     // before anything is built.
-    ScenarioSpec {
+    let spec = ScenarioSpec {
         nodes: n,
         side,
         radius,
@@ -135,64 +135,40 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
         warmup,
         measure,
         seeds: vec![seed],
+        policy,
         shards: Some(run.dims),
         ..ScenarioSpec::preset(SpecKind::Single)
-    }
-    .validate()?;
-
-    let world = SimBuilder::new()
-        .nodes(n)
-        .side(side)
-        .radius(radius)
-        .speed(speed)
-        .seed(seed)
-        .build();
-
-    // The two policies share the run loop; generics keep it monomorphic.
-    fn simulate<P: clustered_manet::cluster::ClusterPolicy>(
-        world: clustered_manet::sim::World,
-        policy: P,
-        warmup: f64,
-        measure: f64,
-        run: &ShardRun,
-    ) -> Result<(StackReport, f64, f64, clustered_manet::sim::World), String> {
-        let clustering = Clustering::form(policy, world.topology());
-        let stack = ProtocolStack::ideal(world, clustering, IntraClusterRouting::new());
-        let mut stack = run.stack(stack).map_err(|e| format!("--shards: {e}"))?;
-        let mut quiet = QuietCtx::new();
-        stack.prime(&mut quiet.ctx());
-        let warm_ticks = (warmup / stack.world().dt()).round() as usize;
-        for _ in 0..warm_ticks {
-            stack.tick(&mut quiet.ctx());
-        }
-        stack.world_mut().begin_measurement();
-        let mut agg = StackReport::default();
-        let mut p_acc = 0.0;
-        let ticks = (measure / stack.world().dt()).round() as usize;
-        for _ in 0..ticks {
-            let report = stack.tick(&mut quiet.ctx());
-            p_acc += report.head_ratio;
-            agg.absorb(report);
-        }
-        let connectivity = stack.world().topology().pair_connectivity();
-        let world = stack.into_parts().0;
-        Ok((agg, p_acc / ticks.max(1) as f64, connectivity, world))
-    }
-
-    let (agg, p_meas, connectivity, world) = match policy {
-        "lid" => simulate(world, LowestId, warmup, measure, &run)?,
-        "hcc" => simulate(world, HighestConnectivity, warmup, measure, &run)?,
-        other => return Err(format!("unknown --policy {other:?} (expected lid or hcc)")),
     };
+    spec.validate()?;
+
+    let mut stack = ideal_stack(&spec.scenario(), spec.dt, seed, policy, Some(&run));
+    let (mut p_acc, mut ticks) = (0.0, 0usize);
+    let untraced = None::<&mut TraceCapture<Vec<u8>>>;
+    let agg = run_measured(
+        &mut stack,
+        warmup,
+        measure,
+        None,
+        untraced,
+        |_, report, _| {
+            p_acc += report.head_ratio;
+            ticks += 1;
+        },
+    )
+    .expect("a run without a cancel token cannot be cancelled");
+    let p_meas = p_acc / ticks.max(1) as f64;
+    let connectivity = stack.world().topology().pair_connectivity();
     let (maint, route) = (agg.cluster.maintenance, agg.route);
 
+    let world = stack.world();
     let elapsed = world.measured_time();
     let per_node = |count: u64| count as f64 / n as f64 / elapsed;
     let f_hello = world
         .counters()
         .per_node_rate(MessageKind::Hello, n, elapsed);
     println!(
-        "simulated {elapsed:.0}s of {policy} clustering (seed {seed}, shard plane {}, workers {}):",
+        "simulated {elapsed:.0}s of {} clustering (seed {seed}, shard plane {}, workers {}):",
+        policy.name(),
         run.dims,
         run.worker_count()
     );

@@ -145,7 +145,7 @@ fn every_attributed_event_resolves_to_a_root() {
 fn attributed_harness_run_reconciles_exactly() {
     let (scenario, protocol) = quick();
     let config = TelemetryConfig::in_memory("attribution-it").with_attribution();
-    let run = trace_run(&scenario, &protocol, &config).expect("in-memory run");
+    let run = trace_run(&scenario, &protocol, &config, None).expect("in-memory run");
     let attr = run.attribution.as_ref().expect("attribution enabled");
     for (class, kind) in [
         (MsgClass::Hello, MessageKind::Hello),
@@ -178,12 +178,14 @@ fn disabled_attribution_is_bit_identical_to_the_plain_trace() {
         &scenario,
         &protocol,
         &TelemetryConfig::to_file("parity", path.clone()),
+        None,
     )
     .expect("plain traced run");
     let attributed = trace_run(
         &scenario,
         &protocol,
         &TelemetryConfig::in_memory("parity").with_attribution(),
+        None,
     )
     .expect("attributed traced run");
 

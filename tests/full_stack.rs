@@ -161,7 +161,7 @@ fn figure_harness_smoke() {
 fn trace_replay_reproduces_link_dynamics() {
     use clustered_manet::geom::{Metric, SquareRegion};
     use clustered_manet::mobility::{EpochRandomDirection, TraceRecorder};
-    use clustered_manet::sim::{HelloMode, MessageSizes, World};
+    use clustered_manet::sim::{MessageSizes, World};
     use clustered_manet::util::Rng;
 
     let region = SquareRegion::new(400.0);
@@ -176,7 +176,6 @@ fn trace_replay_reproduces_link_dynamics() {
             70.0,
             dt,
             Metric::toroidal(400.0),
-            HelloMode::EventDriven,
             MessageSizes::default(),
             1,
         );

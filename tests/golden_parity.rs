@@ -81,6 +81,7 @@ fn traced_jsonl_and_counters_match_pre_refactor() {
         &scenario,
         &protocol,
         &TelemetryConfig::to_file("golden", path.clone()),
+        None,
     )
     .expect("traced run");
     let raw = std::fs::read_to_string(&path).expect("trace file");
@@ -99,6 +100,7 @@ fn attributed_jsonl_matches_pre_refactor() {
         &scenario,
         &protocol,
         &TelemetryConfig::to_file("golden", path.clone()).with_attribution(),
+        None,
     )
     .expect("attributed traced run");
     let raw = std::fs::read_to_string(&path).expect("trace file");

@@ -110,7 +110,7 @@ fn traced_run_streams_snapshots_to_a_live_scraper() {
     let config = TelemetryConfig::in_memory("obs_plane")
         .with_attribution()
         .with_flight(128);
-    let run = trace_run(&scenario, &protocol, &config).expect("in-memory run");
+    let run = trace_run(&scenario, &protocol, &config, None).expect("in-memory run");
     let live_metrics = scraper.join().expect("scraper thread");
     assert!(
         live_metrics > 0,

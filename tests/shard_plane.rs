@@ -26,10 +26,10 @@ use clustered_manet::experiments::harness::{
 use clustered_manet::experiments::robustness::{
     measure_with_faults, measure_with_faults_ctl, FaultConfig,
 };
-use clustered_manet::experiments::trace::{trace_run_chaos, TelemetryConfig};
+use clustered_manet::experiments::trace::{trace_run, TelemetryConfig};
 use clustered_manet::geom::ShardDims;
 use clustered_manet::shard::{InterconnectConfig, ShardPlane};
-use clustered_manet::sim::{HelloMode, LossModel, QuietCtx, SimBuilder};
+use clustered_manet::sim::{LossModel, QuietCtx, SimBuilder};
 use std::path::{Path, PathBuf};
 
 /// The layouts every parity check sweeps: the degenerate single shard,
@@ -86,7 +86,7 @@ fn tmp_path(name: &str) -> PathBuf {
 fn assert_traced_run_matches_golden(run: Option<&ShardRun>, what: &str) {
     let (scenario, protocol) = quick();
     let path = tmp_path(&format!("{what}.jsonl"));
-    let traced = trace_run_chaos(
+    let traced = trace_run(
         &scenario,
         &protocol,
         &TelemetryConfig::to_file("golden", path.clone()),
@@ -218,7 +218,6 @@ fn owner_frames_partition_nodes_exactly_under_churn() {
                 .speed(20.0)
                 .dt(0.5)
                 .seed(5)
-                .hello_mode(HelloMode::Disabled)
                 .fault(plan)
                 .build();
             let hello = HelloProtocol::new(n, 1.0, 3.0);
@@ -276,7 +275,6 @@ fn torus_wrap_migration_preserves_nodes_and_link_events() {
                 .speed(25.0) // fast: constant boundary + seam crossings
                 .dt(0.5)
                 .seed(seed)
-                .hello_mode(HelloMode::EventDriven)
                 .build()
         };
         let mut mono = build();

@@ -19,7 +19,7 @@
 use clustered_manet::experiments::harness::{Protocol, Scenario, ShardRun};
 use clustered_manet::experiments::robustness2::ChaosPoint;
 use clustered_manet::experiments::trace::{
-    trace_run_chaos, TelemetryConfig, TraceRun, DEFAULT_SPAN_RING_CAPACITY,
+    trace_run, TelemetryConfig, TraceRun, DEFAULT_SPAN_RING_CAPACITY,
 };
 use clustered_manet::geom::ShardDims;
 use clustered_manet::telemetry::{Phase, SpanLabel};
@@ -61,7 +61,7 @@ fn chaos_run(config: &TelemetryConfig, workers: usize) -> TraceRun {
     let shard_run = ShardRun::new(dims)
         .with_interconnect(point.config(dims, TICKS, protocol.seeds[0]))
         .with_workers(workers);
-    trace_run_chaos(&scenario, &protocol, config, Some(&shard_run)).expect("chaos run")
+    trace_run(&scenario, &protocol, config, Some(&shard_run)).expect("chaos run")
 }
 
 fn tmp_path(name: &str) -> PathBuf {

@@ -6,7 +6,7 @@
 use clustered_manet::cluster::{Clustering, LowestId};
 use clustered_manet::experiments::harness::{Protocol, Scenario};
 use clustered_manet::experiments::trace::{trace_run, TelemetryConfig};
-use clustered_manet::sim::{HelloMode, MessageKind, QuietCtx, SimBuilder, StepCtx, World};
+use clustered_manet::sim::{MessageKind, QuietCtx, SimBuilder, StepCtx, World};
 use clustered_manet::telemetry::{
     read_trace, Event, EventKind, MsgClass, NoopSubscriber, Probe, WindowedRecorder,
 };
@@ -19,7 +19,6 @@ fn build_world(seed: u64) -> World {
         .speed(10.0)
         .dt(0.5)
         .seed(seed)
-        .hello_mode(HelloMode::EventDriven)
         .build()
 }
 
@@ -114,6 +113,7 @@ fn traced_run_jsonl_reconciles_with_counters() {
         &scenario,
         &protocol,
         &TelemetryConfig::to_file("integration", path.clone()),
+        None,
     )
     .expect("traced run writes its JSONL");
 
